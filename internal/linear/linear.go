@@ -275,9 +275,17 @@ func (h *History) Discard(id uint64) {
 }
 
 // Close moves still-pending invocations into their key histories as
-// Pending ops (they may or may not have taken effect).
+// Pending ops (they may or may not have taken effect), in ascending ID order
+// so the recorded history — and anything digesting it, like a chaos
+// fingerprint — does not depend on map iteration order.
 func (h *History) Close() {
-	for id, inv := range h.invokes {
+	ids := make([]uint64, 0, len(h.invokes))
+	for id := range h.invokes {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		inv := h.invokes[id]
 		h.byKey[inv.key] = append(h.byKey[inv.key], inv.op)
 		delete(h.invokes, id)
 	}
