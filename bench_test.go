@@ -211,7 +211,7 @@ func BenchmarkReads_W1_C8(b *testing.B)  { benchLiveReads(b, 1, 8) }
 func BenchmarkReads_W4_C8(b *testing.B)  { benchLiveReads(b, 4, 8) }
 func BenchmarkReads_W4_C16(b *testing.B) { benchLiveReads(b, 4, 16) }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations (optimizations O1–O3 and NoLSC reads; see internal/README.md, "Simulator scale and ablations") ---
 
 func BenchmarkAblationO1_VALElision(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,5 +1,6 @@
 // Command hermes-bench regenerates the paper's evaluation (§6): every
-// figure and table, plus the ablation benches described in DESIGN.md.
+// figure and table, plus the ablation benches described in
+// internal/README.md ("Simulator scale and ablations").
 //
 // Usage:
 //

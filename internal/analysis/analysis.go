@@ -13,8 +13,8 @@
 //   - exhaustive: switches over protocol enums and terminal type-switches
 //     over protocol messages must cover every variant or carry an explicit
 //     failing default.
-//   - determinism: the seeded-replay packages (internal/sim, internal/core)
-//     must not consult wall clocks, global randomness, or unordered map
+//   - determinism: the seeded-replay packages (internal/sim, internal/core,
+//     internal/shardhost) must not consult wall clocks, global randomness, or unordered map
 //     iteration for decisions that feed the network schedule (the PR 4
 //     map-order retransmission bug).
 //   - bufown: values that may alias pooled refcounted frame buffers

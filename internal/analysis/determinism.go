@@ -7,8 +7,10 @@ import (
 )
 
 // DeterminismAnalyzer guards the seeded-replay property of packages named
-// "sim" and "core": the same seed must produce the same schedule, byte for
-// byte. Three things break it:
+// "sim", "core" and "shardhost" (the shard host both runtimes drive: the
+// simulator replays it from a seed, so "no wall clock in the host" is a
+// build-breaking check, not a convention): the same seed must produce the
+// same schedule, byte for byte. Three things break it:
 //
 //   - time.Now / time.Since — wall-clock reads diverge between runs; the
 //     protocol's Env.Now and the sim's virtual clock exist for this.
@@ -34,7 +36,9 @@ var scheduleVerbs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	if pass.Pkg.Name() != "sim" && pass.Pkg.Name() != "core" {
+	switch pass.Pkg.Name() {
+	case "sim", "core", "shardhost":
+	default:
 		return
 	}
 	for _, f := range pass.Files {

@@ -4,8 +4,9 @@
 // cmd/hermes-bench binary prints them, and the repository-root bench_test.go
 // wraps them in testing.B benchmarks at reduced scale.
 //
-// Absolute numbers are simulator-scale (see DESIGN.md §2); what must match
-// the paper is the *shape*: orderings, ratios and crossovers.
+// Absolute numbers are simulator-scale (see internal/README.md, "Simulator
+// scale and ablations"); what must match the paper is the *shape*:
+// orderings, ratios and crossovers.
 package bench
 
 import (

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -31,24 +30,18 @@ func TestLiveReadFastPathDisabledUnderNoLSC(t *testing.T) {
 	}
 }
 
-// Read throughput must scale with client goroutines well beyond what one
-// event loop could serialize — the point of serving Valid reads on the
-// caller's goroutine. The threshold is deliberately below the measured
-// speedup (typically >3x on 8 clients) to stay robust on loaded CI hosts.
-func TestLiveReadScalingBeyondEventLoop(t *testing.T) {
-	if raceEnabled {
-		t.Skip("throughput-scaling thresholds are meaningless under the race detector's slowdown")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >=4 CPUs to observe parallel read scaling, have %d", runtime.NumCPU())
-	}
+// Under concurrent clients and a write mix, reads still complete and are
+// served on the callers' goroutines by the fast path rather than serialized
+// through the event loops. How read THROUGHPUT scales with clients is a
+// measurement (`hermes-bench -exp reads`), not an assertion.
+func TestLiveReadsServedOffEventLoopUnderConcurrency(t *testing.T) {
 	r1 := RunReadPoint(4, 1, 0.95, 40*time.Millisecond, false)
 	r8 := RunReadPoint(4, 8, 0.95, 40*time.Millisecond, false)
 	if r1.Reads == 0 || r8.Reads == 0 {
 		t.Fatalf("no reads completed: %d / %d", r1.Reads, r8.Reads)
 	}
-	if s := r8.ReadTput() / r1.ReadTput(); s < 1.5 {
-		t.Fatalf("8 clients only %.2fx the read throughput of 1 (want >=1.5x): %.0f vs %.0f reads/s",
-			s, r8.ReadTput(), r1.ReadTput())
+	if hr := r8.HitRate(); hr < 0.5 {
+		t.Fatalf("8 clients: fast-path hit rate %.3f < 0.5 (hits=%d misses=%d reads=%d)",
+			hr, r8.FastHits, r8.FastMisses, r8.Reads)
 	}
 }

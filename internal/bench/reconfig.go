@@ -185,7 +185,7 @@ func RunReconfigPoint(shards int, global bool, dur time.Duration) ReconfigPointR
 		for s := 0; s < shards; s++ {
 			rd[s] = reads[s].Load()
 			wr[s] = writes[s].Load()
-			_, h, m := node.Shard(s).ReadStats()
+			_, h, m := node.Shard(s).Hermes().ReadStats()
 			hit[s], miss[s] = h, m
 		}
 		return
@@ -354,7 +354,7 @@ func RunRolloutPoint(shards int, staggered bool, dur time.Duration) RolloutPoint
 		for s := 0; s < shards; s++ {
 			rd += reads[s].Load()
 			wr += writes[s].Load()
-			_, h, m := node.Shard(s).ReadStats()
+			_, h, m := node.Shard(s).Hermes().ReadStats()
 			hit += h
 			miss += m
 		}

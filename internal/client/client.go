@@ -2,7 +2,7 @@
 // (internal/server): one TCP connection carrying many in-flight requests,
 // correlated by sequence number, flow-controlled by the window the server
 // grants at handshake. The blocking API (Read/Write/CAS/FAA) mirrors
-// cluster.Node's so code written against an in-process node ports to the
+// cluster.ShardedNode's so code written against an in-process node ports to the
 // wire unchanged; the callback API (Do) is what the benchmark's thousands of
 // sessions use to keep the pipeline full without a goroutine per request.
 //

@@ -6,9 +6,12 @@
 // downstream user embeds: NewLocal to stand up a replica group, Client for
 // blocking linearizable reads, writes and RMWs.
 //
-// Architecture: each replica runs one event-loop goroutine that owns the
-// protocol state machine (Submit/Deliver/Tick/OnViewChange are never called
-// concurrently). Local linearizable reads take the HermesKV fast path
+// Architecture: a replica (ShardedNode; Node is its W=1 case) runs one
+// event-loop goroutine per shard, each owning one protocol state machine
+// (Submit/Deliver/Tick/OnViewChange are never called concurrently on it).
+// Which shard a message belongs to, what an m-update installs where, the
+// view log and the gossip observer are internal/shardhost's — the code the
+// simulator runs too. Local linearizable reads take the HermesKV fast path
 // (§4.1): gated by core.ReadGate they consult the shared kvs.Store directly
 // on the caller's goroutine, and only enter the event loop when the key is
 // not Valid, the gate is shut (view installation in flight, non-serving
@@ -18,7 +21,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvs"
 	"repro/internal/proto"
-	"repro/internal/refbuf"
 )
 
 // Transport delivers messages between replica processes.
@@ -129,12 +130,14 @@ func (t *ChanTransport) Close() error {
 	return nil
 }
 
-// Node hosts one replica on an event-loop goroutine.
-type Node struct {
+// Shard hosts one core.Hermes engine — one keyspace partition of a
+// ShardedNode — on its own event-loop goroutine. It owns no transport-facing
+// dispatch: the node routes arrivals to it (deliver) and its outgoing
+// messages leave through the node's per-shard egress.
+type Shard struct {
 	id     proto.NodeID
 	h      *core.Hermes
-	store  *kvs.Store
-	tr     Transport
+	out    *shardTransport
 	ops    chan proto.ClientOp
 	msgs   chan env
 	stop   chan struct{}
@@ -158,13 +161,13 @@ type waiter struct {
 	fn func(proto.Completion)
 }
 
-// nodeEnv adapts the Node to proto.Env. Only the event-loop goroutine
+// nodeEnv adapts the Shard to proto.Env. Only the event-loop goroutine
 // invokes it.
-type nodeEnv struct{ n *Node }
+type nodeEnv struct{ n *Shard }
 
 func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
 func (e nodeEnv) Send(to proto.NodeID, msg any) {
-	e.n.tr.Send(e.n.id, to, msg)
+	e.n.out.Send(to, msg)
 }
 func (e nodeEnv) Complete(c proto.Completion) {
 	e.n.mu.Lock() //hermesvet:ignore eventloop waiter-table critical section is a bounded map lookup+delete; Submit holds mu only to insert
@@ -184,29 +187,11 @@ func (e nodeEnv) Complete(c proto.Completion) {
 	}
 }
 
-// NodeConfig parameterizes one live replica.
-type NodeConfig struct {
-	ID   proto.NodeID
-	View proto.View
-	MLT  time.Duration
-	// Hermes toggles (see core.Config).
-	ElideVAL, EarlyACKs, NoLSC bool
-	TickEvery                  time.Duration
-}
-
-// NewNode builds and starts a live Hermes replica on tr.
-func NewNode(cfg NodeConfig, tr Transport) *Node {
-	if cfg.MLT <= 0 {
-		cfg.MLT = 20 * time.Millisecond
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 2 * time.Millisecond
-	}
-	st := kvs.New(64)
-	n := &Node{
+// newShard builds and starts one shard engine of a node; out is its egress.
+func newShard(cfg ShardedConfig, out *shardTransport) *Shard {
+	n := &Shard{
 		id:      cfg.ID,
-		store:   st,
-		tr:      tr,
+		out:     out,
 		ops:     make(chan proto.ClientOp, 1024),
 		msgs:    make(chan env, 8192),
 		stop:    make(chan struct{}),
@@ -214,53 +199,26 @@ func NewNode(cfg NodeConfig, tr Transport) *Node {
 		start:   time.Now(),
 	}
 	n.h = core.New(core.Config{
-		ID: cfg.ID, View: cfg.View, Env: nodeEnv{n: n}, Store: st,
+		ID: cfg.ID, View: cfg.View.Clone(), Env: nodeEnv{n: n}, Store: kvs.New(64),
 		MLT: cfg.MLT, ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
-	})
-	tr.SetDeliver(cfg.ID, func(from proto.NodeID, msg any) {
-		switch m := msg.(type) {
-		case proto.MUpdate:
-			// A wire m-update never reaches the protocol state machine; it is
-			// host-level routing. A plain node is its own shard 0, so it
-			// accepts updates addressed to shard 0 or to all shards and drops
-			// the rest (a mis-addressed update stalls safely, like a
-			// mis-tagged ShardMsg).
-			if m.Shard == 0 || m.Shard == proto.AllShards {
-				n.installAsync(m.View)
-			}
-			return
-		case proto.ViewLogReq:
-			// A plain node retains no view log (that is the rollout
-			// controller's job on sharded nodes), but it must still answer:
-			// the request consumed a send credit on the requester's link that
-			// only a response repays, and an empty ViewLogResp is the legal
-			// "nothing newer". Replied off the pump goroutine — a blocking
-			// send must not stall inbound delivery.
-			go n.tr.Send(n.id, from, proto.ViewLogResp{})
-			return
-		case proto.ViewLogResp:
-			// A fast-forward answer replays like the m-updates it carries.
-			for _, up := range m.Updates {
-				if up.Shard == 0 || up.Shard == proto.AllShards {
-					n.installAsync(up.View)
-				}
-			}
-			return
-		}
-		select {
-		case n.msgs <- env{from: from, msg: msg}:
-		case <-n.stop:
-			// Dropped on shutdown: spend the frame references wings decode
-			// retained for the message's values, like any other drop path.
-			core.ReleaseMsgOwners(msg)
-		}
 	})
 	n.wg.Add(1)
 	go n.loop(cfg.TickEvery)
 	return n
 }
 
-func (n *Node) loop(tickEvery time.Duration) {
+// deliver queues an arrived protocol message for the event loop.
+func (n *Shard) deliver(from proto.NodeID, msg any) {
+	select {
+	case n.msgs <- env{from: from, msg: msg}:
+	case <-n.stop:
+		// Dropped on shutdown: spend the frame references wings decode
+		// retained for the message's values, like any other drop path.
+		core.ReleaseMsgOwners(msg)
+	}
+}
+
+func (n *Shard) loop(tickEvery time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(tickEvery)
 	defer ticker.Stop()
@@ -282,36 +240,34 @@ func (n *Node) loop(tickEvery time.Duration) {
 	}
 }
 
-// ID returns the node's ID.
-func (n *Node) ID() proto.NodeID { return n.id }
+// Hermes exposes the protocol instance (metrics, view, store).
+func (n *Shard) Hermes() *core.Hermes { return n.h }
 
-// Hermes exposes the protocol instance (metrics, view).
-func (n *Node) Hermes() *core.Hermes { return n.h }
-
-// InstallView delivers an m-update to the replica. The lock-free read gate
-// is shut before the m-update enters the event loop, so fast-path reads
-// fall back to the Submit path for the entire transition window;
-// OnViewChange republishes the gate under the new epoch.
-func (n *Node) InstallView(v proto.View) {
+// installView delivers an m-update to the engine and blocks until its §3.4
+// transition completes. The lock-free read gate is shut before the m-update
+// enters the event loop, so fast-path reads fall back to the Submit path for
+// the entire transition window; OnViewChange republishes the gate under the
+// new epoch.
+func (n *Shard) installView(v proto.View) {
 	n.h.ReadGate().Shut()
 	done := make(chan struct{})
 	n.enqueueFn(func() { n.h.OnViewChange(v); close(done) })
 	<-done
 }
 
-// installAsync is InstallView without the completion wait: the gate shuts
+// installAsync is installView without the completion wait: the gate shuts
 // immediately and the m-update is queued behind whatever the event loop is
 // doing. Used when the caller is a transport pump that must not block on a
 // busy shard (OnViewChange republishes the gate when it runs — including for
 // duplicate or stale epochs, so a redelivered MUpdate cannot wedge the gate
 // shut).
-func (n *Node) installAsync(v proto.View) {
+func (n *Shard) installAsync(v proto.View) {
 	n.h.ReadGate().Shut()
 	n.enqueueFn(func() { n.h.OnViewChange(v) })
 }
 
 // enqueueFn runs fn on the event loop by disguising it as a message.
-func (n *Node) enqueueFn(fn func()) {
+func (n *Shard) enqueueFn(fn func()) {
 	select {
 	case n.msgs <- env{from: n.id, msg: loopFn(fn)}:
 	case <-n.stop:
@@ -321,8 +277,7 @@ func (n *Node) enqueueFn(fn func()) {
 // loopFn is an internal message type executed by Deliver interception.
 type loopFn func()
 
-// Close stops the node.
-func (n *Node) Close() {
+func (n *Shard) close() {
 	select {
 	case <-n.stop:
 	default:
@@ -333,69 +288,6 @@ func (n *Node) Close() {
 
 // ErrClosed reports an operation on a stopped node.
 var ErrClosed = errors.New("cluster: node closed")
-
-// Read performs a linearizable read. When the replica's read gate is open
-// and the key is Valid, the read is served entirely on the caller's
-// goroutine — one atomic gate load and one lock-free store lookup, never
-// touching the event loop (the HermesKV fast path, §4.1). Otherwise —
-// non-Valid key, NoLSC mode (the fast path must not bypass the §8
-// membership proof), an in-flight view installation, or a non-serving
-// replica — the op goes through the event loop and stalls until the key
-// validates.
-func (n *Node) Read(ctx context.Context, key proto.Key) (proto.Value, error) {
-	if v, ok := n.h.ReadLocal(key); ok {
-		return v, nil
-	}
-	c, err := n.do(ctx, proto.ClientOp{Kind: proto.OpRead, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	return c.Value, nil
-}
-
-// ReadStats reports the node's read-side counters (total reads, fast-path
-// hits, fast-path fallbacks); safe to call concurrently with traffic.
-func (n *Node) ReadStats() (reads, fastHits, fastMisses uint64) {
-	return n.h.ReadStats()
-}
-
-// Write performs a linearizable write.
-func (n *Node) Write(ctx context.Context, key proto.Key, val proto.Value) error {
-	_, err := n.do(ctx, proto.ClientOp{Kind: proto.OpWrite, Key: key, Value: val})
-	return err
-}
-
-// CAS performs a compare-and-swap; swapped=false with err==nil means the
-// comparand mismatched and observed holds the current value.
-func (n *Node) CAS(ctx context.Context, key proto.Key, expect, val proto.Value) (swapped bool, observed proto.Value, err error) {
-	c, err := n.do(ctx, proto.ClientOp{Kind: proto.OpCAS, Key: key, Expected: expect, Value: val})
-	if err != nil {
-		return false, nil, err
-	}
-	switch c.Status {
-	case proto.OK:
-		return true, nil, nil
-	case proto.CASFailed:
-		return false, c.Value, nil
-	case proto.Aborted:
-		return false, nil, ErrAborted
-	default:
-		return false, nil, fmt.Errorf("cluster: cas: %v", c.Status)
-	}
-}
-
-// FAA atomically adds delta and returns the prior value. ErrAborted is
-// returned when the RMW lost to a concurrent update; callers retry.
-func (n *Node) FAA(ctx context.Context, key proto.Key, delta int64) (int64, error) {
-	c, err := n.do(ctx, proto.ClientOp{Kind: proto.OpFAA, Key: key, Value: proto.EncodeInt64(delta)})
-	if err != nil {
-		return 0, err
-	}
-	if c.Status == proto.Aborted {
-		return 0, ErrAborted
-	}
-	return proto.DecodeInt64(c.Value), nil
-}
 
 // ErrAborted reports an RMW that lost to a concurrent conflicting update
 // (paper §3.6); the operation had no effect and may be retried.
@@ -411,15 +303,7 @@ var completionChPool = sync.Pool{
 	New: func() any { return make(chan proto.Completion, 1) },
 }
 
-// LoadStats reports the node's live client-op counters — total reads served
-// (fast path + event loop) and update ops submitted — safe mid-traffic. The
-// rollout controller orders shards by deltas of reads+updates.
-func (n *Node) LoadStats() (reads, updates uint64) {
-	r, _, _ := n.h.ReadStats()
-	return r, n.updates.Load()
-}
-
-func (n *Node) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
+func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
 	op.ID = n.nextOp.Add(1)
 	if op.Kind.IsUpdate() {
 		n.updates.Add(1)
@@ -458,33 +342,8 @@ func (n *Node) do(ctx context.Context, op proto.ClientOp) (proto.Completion, err
 	}
 }
 
-// ReadLocal attempts the lock-free local-read fast path on the caller's
-// goroutine: one atomic gate load and one store lookup, never touching the
-// event loop. ok=false means the caller must fall back to a submitted read
-// (SubmitAsync or Read) — the key is not Valid, the gate is shut, or NoLSC
-// mode forbids the fast path. The client serving layer calls this on session
-// goroutines so wire reads keep the §4.1 fast path end to end.
-func (n *Node) ReadLocal(key proto.Key) (proto.Value, bool) {
-	return n.h.ReadLocal(key)
-}
-
-// ReadLocalRetained is ReadLocal minus the defensive copy: a non-nil owner
-// pins the pooled frame buffer the value aliases, and the caller must
-// Release it after the bytes' last use (the serving layer holds the pin
-// across its response-encode flush). See core.Hermes.ReadLocalRetained.
-func (n *Node) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Buf, bool) {
-	return n.h.ReadLocalRetained(key)
-}
-
-// SubmitAsync submits op to the event loop and invokes fn with its
-// completion instead of blocking the caller — the pipelined serving layer's
-// path: one session goroutine keeps hundreds of ops in flight without a
-// goroutine per op. fn runs on the event-loop goroutine and MUST NOT block
-// (enqueue and return; a blocking fn stalls the whole shard). op.ID is
-// assigned here; the completion's OpID echoes it. Blocks only if the ops
-// queue is full (bounded backpressure on the submitting session, never on
-// other sessions or shards). Returns ErrClosed on a stopped node.
-func (n *Node) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
+// submitAsync is ShardedNode.SubmitAsync on the owning shard.
+func (n *Shard) submitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
 	op.ID = n.nextOp.Add(1)
 	if op.Kind.IsUpdate() {
 		n.updates.Add(1)
@@ -501,50 +360,8 @@ func (n *Node) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
 	}
 }
 
-func (n *Node) forget(id uint64) {
+func (n *Shard) forget(id uint64) {
 	n.mu.Lock()
 	delete(n.waiters, id)
 	n.mu.Unlock()
-}
-
-// Local is a single-process replica group over a ChanTransport: the
-// quickstart deployment and the fixture for live tests.
-type Local struct {
-	Nodes []*Node
-	Tr    *ChanTransport
-}
-
-// LocalConfig parameterizes NewLocal.
-type LocalConfig struct {
-	N         int
-	MLT       time.Duration
-	ElideVAL  bool
-	EarlyACKs bool
-	NoLSC     bool
-}
-
-// NewLocal stands up an n-replica Hermes group in-process.
-func NewLocal(cfg LocalConfig) *Local {
-	ids := make([]proto.NodeID, cfg.N)
-	for i := range ids {
-		ids[i] = proto.NodeID(i)
-	}
-	view := proto.View{Epoch: 1, Members: ids}
-	tr := NewChanTransport(ids)
-	l := &Local{Tr: tr}
-	for _, id := range ids {
-		l.Nodes = append(l.Nodes, NewNode(NodeConfig{
-			ID: id, View: view, MLT: cfg.MLT,
-			ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
-		}, tr))
-	}
-	return l
-}
-
-// Close stops all nodes and the transport.
-func (l *Local) Close() {
-	for _, n := range l.Nodes {
-		n.Close()
-	}
-	l.Tr.Close()
 }

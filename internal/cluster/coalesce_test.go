@@ -125,8 +125,8 @@ func TestCoalescerSeparatesCreditClasses(t *testing.T) {
 	st := &shardTransport{sn: sn, idx: 0}
 	for i := 0; i < 4; i++ {
 		st.idx = uint16(i)
-		st.Send(0, 1, core.ACK{Epoch: 1, Key: proto.Key(10 + i), TS: proto.TS{Version: 1}})
-		st.Send(0, 1, core.VAL{Epoch: 1, Key: proto.Key(20 + i), TS: proto.TS{Version: 1}})
+		st.Send(1, core.ACK{Epoch: 1, Key: proto.Key(10 + i), TS: proto.TS{Version: 1}})
+		st.Send(1, core.VAL{Epoch: 1, Key: proto.Key(20 + i), TS: proto.TS{Version: 1}})
 	}
 	close(gate)
 
@@ -260,76 +260,6 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 		if n := shardMsgSize(sm); n <= maxBatchBytes {
 			t.Fatalf("jumbo frame %d is %d bytes; test lost its premise", i, n)
 		}
-	}
-}
-
-// TestDispatchFansOutShardBatch hand-delivers a coalesced frame and checks
-// each inner message reaches exactly its owner shard — and that entries
-// whose tag disagrees with local ownership (a W-mismatched peer) drop.
-func TestDispatchFansOutShardBatch(t *testing.T) {
-	const w = 4
-	tr := &gateTransport{sendC: make(chan struct{}, 1)}
-	sn := NewShardedNode(ShardedConfig{
-		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: w,
-	}, tr)
-	defer sn.Close()
-
-	// Replace the captured shard delivers with recorders.
-	type rec struct {
-		shard int
-		msg   any
-	}
-	got := make(chan rec, 16)
-	for i := 0; i < w; i++ {
-		i := i
-		sn.deliver[i] = func(from proto.NodeID, msg any) { got <- rec{shard: i, msg: msg} }
-	}
-
-	keyOn := func(shard uint16) proto.Key {
-		for k := proto.Key(1); ; k++ {
-			if proto.ShardOf(k, w) == shard {
-				return k
-			}
-		}
-	}
-	k1, k2 := keyOn(1), keyOn(3)
-	badKey := keyOn(2) // tagged 0 below: owner mismatch, must drop
-	sn.dispatch(1, proto.ShardBatch{Msgs: []proto.ShardMsg{
-		{Shard: 1, Msg: core.ACK{Epoch: 1, Key: k1, TS: proto.TS{Version: 1}}},
-		{Shard: 3, Msg: core.VAL{Epoch: 1, Key: k2, TS: proto.TS{Version: 1}}},
-		{Shard: 0, Msg: core.ACK{Epoch: 1, Key: badKey, TS: proto.TS{Version: 1}}},
-	}})
-
-	want := map[int]proto.Key{1: k1, 3: k2}
-	for i := 0; i < 2; i++ {
-		select {
-		case r := <-got:
-			wantKey, ok := want[r.shard]
-			if !ok {
-				t.Fatalf("unexpected delivery to shard %d: %#v", r.shard, r.msg)
-			}
-			delete(want, r.shard)
-			switch m := r.msg.(type) {
-			case core.ACK:
-				if m.Key != wantKey {
-					t.Fatalf("shard %d got key %d, want %d", r.shard, m.Key, wantKey)
-				}
-			case core.VAL:
-				if m.Key != wantKey {
-					t.Fatalf("shard %d got key %d, want %d", r.shard, m.Key, wantKey)
-				}
-			default:
-				t.Fatalf("shard %d got %T", r.shard, r.msg)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("batch fan-out incomplete; still waiting on shards %v", want)
-		}
-	}
-	select {
-	case r := <-got:
-		t.Fatalf("mis-owned entry delivered to shard %d: %#v", r.shard, r.msg)
-	case <-time.After(50 * time.Millisecond):
 	}
 }
 

@@ -71,7 +71,7 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 	// transition window open for inspection.
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	n.enqueueFn(func() { close(entered); <-block })
+	n.Shard(0).enqueueFn(func() { close(entered); <-block })
 	<-entered
 
 	installed := make(chan struct{})
@@ -82,7 +82,7 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 	// InstallView shuts the gate synchronously before enqueueing the
 	// m-update; wait for that to be observable.
 	deadline := time.Now().Add(5 * time.Second)
-	for n.h.ReadGate().Allowed() {
+	for n.Shard(0).h.ReadGate().Allowed() {
 		if time.Now().After(deadline) {
 			t.Fatal("gate still open during view installation")
 		}
@@ -106,8 +106,8 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 
 	close(block)
 	<-installed
-	if !n.h.ReadGate().Allowed() || n.h.ReadGate().Epoch() != 2 {
-		t.Fatalf("gate after install: allowed=%v epoch=%d", n.h.ReadGate().Allowed(), n.h.ReadGate().Epoch())
+	if !n.Shard(0).h.ReadGate().Allowed() || n.Shard(0).h.ReadGate().Epoch() != 2 {
+		t.Fatalf("gate after install: allowed=%v epoch=%d", n.Shard(0).h.ReadGate().Allowed(), n.Shard(0).h.ReadGate().Epoch())
 	}
 	if v, err := n.Read(ctx, 1); err != nil || string(v) != "v" {
 		t.Fatalf("read after install: %q %v", v, err)

@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // RolloutController turns node-wide membership decisions into staggered
@@ -29,12 +29,13 @@ import (
 //     restarts with the newest view and each shard lands directly on the
 //     latest epoch (views are complete membership states, so skipping
 //     epochs is a fast-forward, not a gap). The skipped views stay in the
-//     controller's log for peers that need to replay them.
+//     node's view log for peers that need to replay them.
 //
-// The controller also owns the node's **view log**: a bounded ring of every
-// view it accepted, served to rejoining or lagging peers via the
-// proto.ViewLogReq fetch (registered on the ShardedNode's ViewHandlers) and
-// replayed from a peer by FastForward when this node is the laggard.
+// The controller does not own the view log or the gossip observer: those
+// are the node's (internal/shardhost), so a node with no controller attached
+// retains, serves and fast-forwards all the same. Each view is recorded there
+// before it is queued (by OnView, or by the host when it arrives on the
+// wire), which keeps superseded epochs fetchable.
 type RolloutController struct {
 	sn  *ShardedNode
 	cfg RolloutConfig
@@ -47,25 +48,15 @@ type RolloutController struct {
 	latest       proto.View
 	have         bool
 	lastAccepted uint32
-	log          []proto.MUpdate // accepted views, ascending epochs, bounded
 
 	// prevLoads is the load snapshot of the previous roll; deltas against it
 	// are the "live" load that orders the next roll. Only the roll loop
 	// touches it.
 	prevLoads []uint64
 
-	// Epoch-gossip observer state (under mu): the debounce horizon and the
-	// best fast-forward candidate seen during the current debounce window
-	// (newest peer preferred — the one advertising the highest epoch).
-	ffNotBefore time.Time
-	candPeer    proto.NodeID
-	candEpoch   uint32
-	haveCand    bool
-
 	// Counters (see RolloutStats).
 	views, redelivered, shardInstalls, skippedInstalls atomic.Uint64
-	nodeWideFallbacks, ffRequests, ffApplied           atomic.Uint64
-	gossipSent, gossipRecv, gossipBehind, gossipFF     atomic.Uint64
+	nodeWideFallbacks, gossipSent                      atomic.Uint64
 
 	// onInstall is a test hook observing each per-shard install in order.
 	onInstall func(shard int, v proto.View)
@@ -77,10 +68,6 @@ type RolloutConfig struct {
 	// roll, on top of each install's own (blocking) transition time. It
 	// spaces the replay storms the installs trigger; 0 means back-to-back.
 	Stagger time.Duration
-	// LogCap bounds the retained view log (default 64 — reconfigurations
-	// are control-plane rare, and a laggard behind by more rejoins through
-	// the full learner arc anyway).
-	LogCap int
 	// GossipEvery, when positive, broadcasts this node's per-shard epoch
 	// vector (proto.EpochGossip) to GossipPeers on that period. Combined
 	// with the observer on the receive side this closes the self-healing
@@ -94,7 +81,7 @@ type RolloutConfig struct {
 	// window, at most one fetch is issued, and the candidate peer is the
 	// one advertising the highest epoch seen in the window (newest peer
 	// preferred — it provably retains the longest log suffix). Default
-	// 4 x GossipEvery, or 100ms when gossip is off.
+	// 4 x GossipEvery, or the node's 100ms when gossip is off.
 	FFDebounce time.Duration
 }
 
@@ -112,26 +99,18 @@ type RolloutStats struct {
 	// NodeWideFallbacks counts views that removed the local node and were
 	// installed on every shard at once.
 	NodeWideFallbacks uint64
-	// FFRequests counts view-log fetches issued; FFApplied counts fetched
-	// updates actually applied (epoch advanced somewhere).
-	FFRequests, FFApplied uint64
-	// GossipSent counts epoch-gossip frames announced; GossipRecv counts
-	// frames observed; GossipBehind counts observations that showed a peer
-	// strictly ahead of a local shard; GossipFastForwards counts the
-	// fetches those observations actually issued after debouncing (the
-	// self-healing trigger firing).
-	GossipSent, GossipRecv, GossipBehind, GossipFastForwards uint64
+	// GossipSent counts epoch-gossip frames announced. The receive side
+	// (observations, fast-forward fetches issued and applied) is the node's:
+	// ShardedNode.HostStats.
+	GossipSent uint64
 }
 
 // NewRolloutController attaches a controller to sn and starts its roll
 // loop. It registers itself as sn's ViewHandlers, so node-wide wire
-// m-updates and view-log traffic route through it from now on. Hand
-// OnView to the membership agent (membership.Config.OnView) to complete
-// the automatic pipeline. Close detaches and stops it.
+// m-updates route through it from now on. Hand OnView to the membership
+// agent (membership.Config.OnView) to complete the automatic pipeline. Close
+// detaches and stops it.
 func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController {
-	if cfg.LogCap <= 0 {
-		cfg.LogCap = 64
-	}
 	rc := &RolloutController{
 		sn:   sn,
 		cfg:  cfg,
@@ -149,12 +128,13 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 		}
 	}
 	rc.prevLoads = sn.ShardLoads()
-	sn.SetViewHandlers(&ViewHandlers{
-		View:        rc.OnView,
-		ViewLog:     rc.serveViewLog,
-		FastForward: rc.onViewLogResp,
-		Gossip:      rc.ObserveGossip,
-	})
+	if d := cfg.FFDebounce; d > 0 || cfg.GossipEvery > 0 {
+		if d <= 0 {
+			d = 4 * cfg.GossipEvery
+		}
+		sn.withHost(func(h *shardhost.Host) { h.Debounce = d })
+	}
+	sn.SetViewHandlers(&ViewHandlers{View: rc.accept})
 	rc.wg.Add(1)
 	go rc.loop()
 	if cfg.GossipEvery > 0 {
@@ -162,17 +142,6 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 		go rc.gossipLoop()
 	}
 	return rc
-}
-
-// ffDebounce resolves the configured (or defaulted) debounce window.
-func (rc *RolloutController) ffDebounce() time.Duration {
-	if rc.cfg.FFDebounce > 0 {
-		return rc.cfg.FFDebounce
-	}
-	if rc.cfg.GossipEvery > 0 {
-		return 4 * rc.cfg.GossipEvery
-	}
-	return 100 * time.Millisecond
 }
 
 // gossipLoop periodically announces this node's per-shard epoch vector to
@@ -199,66 +168,20 @@ func (rc *RolloutController) gossipLoop() {
 	}
 }
 
-// ObserveGossip is the receive side of epoch gossip (registered as the
-// node's Gossip handler; membership heartbeat piggybacks route here too). If
-// the peer's vector is strictly ahead of any local shard, the peer becomes a
-// fast-forward candidate; at most one fetch fires per debounce window, at
-// the candidate advertising the highest epoch seen within it. The fetch
-// itself is advisory-safe: its answer replays through the normal install
-// path, so a lying vector can waste one request, never corrupt state.
-func (rc *RolloutController) ObserveGossip(from proto.NodeID, epochs []uint32) {
-	rc.gossipRecv.Add(1)
-	local := rc.sn.ShardEpochs()
-	behind := false
-	var peerMax, localMax uint32
-	for _, e := range local {
-		if e > localMax {
-			localMax = e
-		}
-	}
-	for i, e := range epochs {
-		if e > peerMax {
-			peerMax = e
-		}
-		if i < len(local) && e > local[i] {
-			behind = true
-		}
-	}
-	// W-mismatched peers (different vector lengths) still compare by their
-	// highest epoch: views are node-wide decisions, so a peer whose maximum
-	// is ahead has seen an epoch this node missed entirely.
-	if peerMax > localMax {
-		behind = true
-	}
-	if !behind {
-		return
-	}
-	rc.gossipBehind.Add(1)
-	now := time.Now()
-	rc.mu.Lock()
-	if !rc.haveCand || peerMax > rc.candEpoch {
-		rc.candPeer, rc.candEpoch, rc.haveCand = from, peerMax, true
-	}
-	if now.Before(rc.ffNotBefore) {
-		rc.mu.Unlock()
-		return
-	}
-	rc.ffNotBefore = now.Add(rc.ffDebounce())
-	peer := rc.candPeer
-	rc.haveCand, rc.candEpoch = false, 0
-	rc.mu.Unlock()
-	rc.gossipFF.Add(1)
-	// The fetch leaves on its own goroutine: ObserveGossip runs on the
-	// transport's dispatch pump, and a blocking send (lazy dial, exhausted
-	// credits) must not stall data traffic behind a control-plane hint.
-	go rc.FastForward(peer)
+// OnView is the membership agent's entry: it retains the decided view in the
+// node's view log (this node has seen it and can serve it to a laggard, even
+// if it turns out a redelivery or is superseded before rolling) and accepts
+// it. A node-wide wire MUpdate skips the first half — the host recorded it on
+// arrival — and reaches accept directly.
+func (rc *RolloutController) OnView(v proto.View) {
+	rc.sn.recordView(proto.MUpdate{Shard: proto.AllShards, View: v})
+	rc.accept(v)
 }
 
-// OnView accepts one decided view. Newer epochs queue for rolling (newest
-// wins — an older queued view still unrolled is superseded); duplicates and
-// stale epochs are dropped idempotently and counted, without shutting or
-// republishing any gate.
-func (rc *RolloutController) OnView(v proto.View) {
+// accept queues a newer epoch for rolling (newest wins — an older queued view
+// still unrolled is superseded); duplicates and stale epochs are dropped
+// idempotently and counted, without shutting or republishing any gate.
+func (rc *RolloutController) accept(v proto.View) {
 	rc.mu.Lock()
 	if v.Epoch <= rc.lastAccepted {
 		rc.mu.Unlock()
@@ -268,7 +191,6 @@ func (rc *RolloutController) OnView(v proto.View) {
 	rc.lastAccepted = v.Epoch
 	rc.latest = v.Clone()
 	rc.have = true
-	rc.logLocked(proto.MUpdate{Shard: proto.AllShards, View: rc.latest})
 	rc.mu.Unlock()
 	rc.views.Add(1)
 	select {
@@ -277,86 +199,22 @@ func (rc *RolloutController) OnView(v proto.View) {
 	}
 }
 
-func (rc *RolloutController) logLocked(mu proto.MUpdate) {
-	rc.log = append(rc.log, mu)
-	if len(rc.log) > rc.cfg.LogCap {
-		rc.log = append(rc.log[:0:0], rc.log[len(rc.log)-rc.cfg.LogCap:]...)
-	}
-}
-
-// serveViewLog answers a peer's fast-forward fetch from the retained log.
-// Entries are node-wide views, so they match any requested shard scope.
-func (rc *RolloutController) serveViewLog(req proto.ViewLogReq) []proto.MUpdate {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	var out []proto.MUpdate
-	for _, mu := range rc.log {
-		if mu.View.Epoch > req.Since {
-			out = append(out, mu)
-		}
-	}
-	return out
-}
-
-// onViewLogResp replays a fetched gap: node-wide entries feed OnView (so
-// ordering, dedup and the roll machinery apply — consecutive entries
-// supersede each other and the shards land on the newest, which is exactly
-// the fast-forward), shard-scoped entries install directly on their shard.
-func (rc *RolloutController) onViewLogResp(from proto.NodeID, updates []proto.MUpdate) {
-	for _, up := range updates {
-		switch {
-		case up.Shard == proto.AllShards:
-			rc.mu.Lock()
-			fresh := up.View.Epoch > rc.lastAccepted
-			rc.mu.Unlock()
-			if fresh {
-				rc.ffApplied.Add(1)
-			}
-			rc.OnView(up.View)
-		case int(up.Shard) < rc.sn.w:
-			if rc.sn.ShardEpochs()[up.Shard] < up.View.Epoch {
-				rc.ffApplied.Add(1)
-				rc.sn.shards[up.Shard].installAsync(up.View)
-			}
-		}
-	}
-}
-
-// FastForward asks peer for the epochs this node's most lagging shard has
-// missed. The answer replays asynchronously via onViewLogResp. Callers are
-// whoever detects the lag: a rejoin path, an epoch-gossip observer, or a
-// harness.
-func (rc *RolloutController) FastForward(peer proto.NodeID) {
-	since := rc.sn.ShardEpochs()[0]
-	for _, e := range rc.sn.ShardEpochs() {
-		if e < since {
-			since = e
-		}
-	}
-	rc.ffRequests.Add(1)
-	rc.sn.RequestViewLog(peer, proto.ViewLogReq{Shard: proto.AllShards, Since: since})
-}
-
 // Stats snapshots the controller's counters; safe mid-traffic.
 func (rc *RolloutController) Stats() RolloutStats {
 	return RolloutStats{
-		Views:              rc.views.Load(),
-		Redelivered:        rc.redelivered.Load(),
-		ShardInstalls:      rc.shardInstalls.Load(),
-		SkippedInstalls:    rc.skippedInstalls.Load(),
-		NodeWideFallbacks:  rc.nodeWideFallbacks.Load(),
-		FFRequests:         rc.ffRequests.Load(),
-		FFApplied:          rc.ffApplied.Load(),
-		GossipSent:         rc.gossipSent.Load(),
-		GossipRecv:         rc.gossipRecv.Load(),
-		GossipBehind:       rc.gossipBehind.Load(),
-		GossipFastForwards: rc.gossipFF.Load(),
+		Views:             rc.views.Load(),
+		Redelivered:       rc.redelivered.Load(),
+		ShardInstalls:     rc.shardInstalls.Load(),
+		SkippedInstalls:   rc.skippedInstalls.Load(),
+		NodeWideFallbacks: rc.nodeWideFallbacks.Load(),
+		GossipSent:        rc.gossipSent.Load(),
 	}
 }
 
-// Close stops the roll loop and detaches the controller from the node.
-// In-flight per-shard installs finish (they block on shard event loops that
-// remain live); queued views are abandoned.
+// Close stops the roll loop and detaches the controller from the node, which
+// goes back to a bare node's view fan-out and debounce. In-flight per-shard
+// installs finish (they block on shard event loops that remain live); queued
+// views are abandoned.
 func (rc *RolloutController) Close() {
 	select {
 	case <-rc.stop:
@@ -365,6 +223,7 @@ func (rc *RolloutController) Close() {
 	}
 	rc.wg.Wait()
 	rc.sn.SetViewHandlers(nil)
+	rc.sn.withHost(func(h *shardhost.Host) { h.Debounce = defaultFFDebounce })
 }
 
 func (rc *RolloutController) loop() {
@@ -423,7 +282,9 @@ func (rc *RolloutController) roll(v proto.View) bool {
 		if rc.onInstall != nil {
 			rc.onInstall(s, v)
 		}
-		rc.sn.InstallShardView(s, v) // blocks until the transition completes
+		// Straight onto the shard: v is already retained node-wide, and
+		// the recording InstallShardView would log it W more times.
+		rc.sn.shards[s].installView(v) // blocks until the transition completes
 		rc.shardInstalls.Add(1)
 		if rc.cfg.Stagger > 0 {
 			select {
@@ -450,15 +311,5 @@ func (rc *RolloutController) loadOrder() []int {
 		delta[i] = c - p
 	}
 	rc.prevLoads = cur
-	order := make([]int, len(cur))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if delta[order[a]] != delta[order[b]] {
-			return delta[order[a]] < delta[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
+	return shardhost.OrderByLoad(delta)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -141,11 +142,11 @@ func TestRolloutRedeliveryDoesNotReShutGates(t *testing.T) {
 		}
 	}
 	// And the fast path still serves: every read below must hit.
-	_, h0, _ := sn.Shard(0).ReadStats()
+	_, h0, _ := sn.Shard(0).h.ReadStats()
 	if v, err := sn.Read(ctx, keys[0]); err != nil || string(v) != "v" {
 		t.Fatalf("read after redelivery: %q %v", v, err)
 	}
-	if _, h, _ := sn.Shard(0).ReadStats(); h != h0+1 {
+	if _, h, _ := sn.Shard(0).h.ReadStats(); h != h0+1 {
 		t.Fatal("read after redelivery missed the fast path")
 	}
 }
@@ -228,7 +229,7 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 
 	// Node 1 detects the lag (live: epoch gossip; here: the test) and
 	// fetches the gap from node 0.
-	rcB.FastForward(0)
+	b.FastForward(0)
 	waitEpochs(t, func() bool {
 		for _, e := range b.ShardEpochs() {
 			if e != 5 {
@@ -237,7 +238,7 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 		}
 		return true
 	})
-	st := rcB.Stats()
+	st := b.HostStats()
 	if st.FFRequests != 1 {
 		t.Fatalf("ffRequests = %d, want 1", st.FFRequests)
 	}
@@ -245,14 +246,14 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 		t.Fatalf("ffApplied = %d, want 4 (epochs 2..5)", st.FFApplied)
 	}
 	// A later fetch for a caught-up node applies nothing.
-	rcB.FastForward(0)
+	b.FastForward(0)
 	time.Sleep(20 * time.Millisecond)
-	if got := rcB.Stats().FFApplied; got != 4 {
+	if got := b.HostStats().FFApplied; got != 4 {
 		t.Fatalf("caught-up fetch applied %d more entries", got-4)
 	}
 
 	// A node without a controller replays a ViewLogResp through the direct
-	// install path (the default dispatch fallback).
+	// install path (the host's default node-wide fan-out).
 	c := l.Nodes[2]
 	l.Tr.Send(0, 2, proto.ViewLogResp{Updates: []proto.MUpdate{
 		{Shard: proto.AllShards, View: view3(4)},
@@ -297,52 +298,82 @@ func TestRolloutAttachSeedsEpochFloor(t *testing.T) {
 	}
 }
 
-// TestViewLogReqAlwaysAnswered: every ViewLogReq gets a ViewLogResp — empty
-// when the peer retains nothing — because the request spent a send credit
-// that only the response repays. Both a handler-less ShardedNode and a
-// plain Node must answer.
-func TestViewLogReqAlwaysAnswered(t *testing.T) {
-	const w = 4
-	l := NewShardedLocal(LocalConfig{N: 3}, w)
-	defer l.Close()
-	asker := l.Nodes[0]
-	got := make(chan []proto.MUpdate, 2)
-	asker.SetViewHandlers(&ViewHandlers{
-		FastForward: func(from proto.NodeID, ups []proto.MUpdate) { got <- ups },
-	})
-	defer asker.SetViewHandlers(nil)
-
-	// Node 1 has no handlers attached at all; it must still answer.
-	asker.RequestViewLog(1, proto.ViewLogReq{Shard: proto.AllShards, Since: 0})
-	select {
-	case ups := <-got:
-		if len(ups) != 0 {
-			t.Fatalf("handler-less peer served %d updates from nowhere", len(ups))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("handler-less ShardedNode never answered the fetch")
-	}
-
-	// A plain (unsharded) node must answer too: pair a plain Node with a
-	// sharded asker on one transport.
+// viewLogSpy stands up one bare node (id 1, no controller attached) next to a
+// raw transport endpoint (id 0) that records every ViewLogResp the node sends
+// it: the wire-level view of the node's view log.
+func viewLogSpy(t *testing.T, shards int) (*ShardedNode, *ChanTransport, func(proto.ViewLogReq) [][2]uint32) {
+	t.Helper()
 	tr := NewChanTransport([]proto.NodeID{0, 1})
-	defer tr.Close()
-	view := proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}}
-	plain := NewNode(NodeConfig{ID: 0, View: view}, tr)
-	defer plain.Close()
-	asker2 := NewShardedNode(ShardedConfig{ID: 1, View: view, Shards: 4}, tr)
-	defer asker2.Close()
-	asker2.SetViewHandlers(&ViewHandlers{
-		FastForward: func(from proto.NodeID, ups []proto.MUpdate) { got <- ups },
-	})
-	asker2.RequestViewLog(0, proto.ViewLogReq{Shard: 0, Since: 0})
-	select {
-	case ups := <-got:
-		if len(ups) != 0 {
-			t.Fatalf("plain node served %d updates from nowhere", len(ups))
+	t.Cleanup(func() { tr.Close() })
+	sn := NewShardedNode(ShardedConfig{
+		ID: 1, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}}, Shards: shards,
+	}, tr)
+	t.Cleanup(sn.Close)
+	resps := make(chan proto.ViewLogResp, 4)
+	tr.SetDeliver(0, func(from proto.NodeID, msg any) {
+		if r, ok := msg.(proto.ViewLogResp); ok {
+			resps <- r
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("plain Node never answered the fetch")
+	})
+	ask := func(req proto.ViewLogReq) [][2]uint32 {
+		t.Helper()
+		tr.Send(0, 1, req)
+		select {
+		case r := <-resps:
+			var out [][2]uint32
+			for _, mu := range r.Updates {
+				out = append(out, [2]uint32{uint32(mu.Shard), mu.View.Epoch})
+			}
+			return out
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node never answered %+v", req)
+			return nil
+		}
+	}
+	return sn, tr, ask
+}
+
+// TestViewLogReqAlwaysAnswered: every ViewLogReq gets a ViewLogResp — empty
+// when the node retains nothing — because the request spent a send credit
+// that only the response repays. Both a W=4 and a plain W=1 node answer, off
+// the transport pump.
+func TestViewLogReqAlwaysAnswered(t *testing.T) {
+	for _, w := range []int{4, 1} {
+		_, _, ask := viewLogSpy(t, w)
+		if ups := ask(proto.ViewLogReq{Shard: proto.AllShards, Since: 0}); len(ups) != 0 {
+			t.Fatalf("W=%d: fresh node served %v from nowhere", w, ups)
+		}
+		if ups := ask(proto.ViewLogReq{Shard: 0, Since: 0}); len(ups) != 0 {
+			t.Fatalf("W=%d: fresh node served %v from nowhere", w, ups)
+		}
+	}
+}
+
+// TestBareNodeServesWhatItInstalled pins three places the live runtime used
+// to disagree with the simulator (each assertion failed before the shared
+// host): a node with NO controller attached — what cmd/hermes-node runs —
+// retains a view log at all; a shard-scoped wire MUpdate it installed is
+// retained, not just node-wide views; and a ViewLogReq scoped to one shard
+// is filtered by that shard instead of answered with everything.
+func TestBareNodeServesWhatItInstalled(t *testing.T) {
+	sn, tr, ask := viewLogSpy(t, 4)
+	tr.Send(0, 1, proto.MUpdate{Shard: 2, View: view3(2)})
+	waitEpochs(t, func() bool { return sn.ShardEpochs()[2] == 2 })
+
+	if got, want := ask(proto.ViewLogReq{Shard: 2, Since: 1}), [][2]uint32{{2, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fetch for shard 2 served %v, want %v (the update it installed)", got, want)
+	}
+	if got := ask(proto.ViewLogReq{Shard: 3, Since: 1}); len(got) != 0 {
+		t.Fatalf("fetch for shard 3 served shard 2's update: %v", got)
+	}
+	// Direct installs are retained too, and a node-wide view matches any scope.
+	sn.InstallView(view3(3))
+	const all = uint32(proto.AllShards)
+	if got, want := ask(proto.ViewLogReq{Shard: 3, Since: 1}), [][2]uint32{{all, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fetch for shard 3 after a node-wide install served %v, want %v", got, want)
+	}
+	if got, want := ask(proto.ViewLogReq{Shard: proto.AllShards, Since: 2}), [][2]uint32{{all, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("node-wide fetch since 2 served %v, want %v", got, want)
 	}
 }
 

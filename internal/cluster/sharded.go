@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,23 +11,31 @@ import (
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
+	"repro/internal/shardhost"
 )
 
-// ShardedNode is the multi-worker protocol engine of HermesKV (paper §4.1):
-// one live node hosting W independent core.Hermes state machines, each with
-// its own event-loop goroutine, kvs.Store segment and timers, each owning
-// the keyspace partition proto.ShardOf selects. Writes and RMWs to keys on
-// different shards commit fully in parallel — there is no cross-shard
-// serialization point — while the lock-free local-read fast path is the same
-// as Node's (it consults the owning shard's store directly).
+// ShardedNode is a live Hermes replica: the multi-worker protocol engine of
+// HermesKV (paper §4.1), one node hosting W independent core.Hermes state
+// machines, each with its own event-loop goroutine (Shard), kvs.Store segment
+// and timers, each owning the keyspace partition proto.ShardOf selects.
+// Writes and RMWs to keys on different shards commit fully in parallel —
+// there is no cross-shard serialization point — and linearizable local reads
+// are served lock-free from the owning shard's store on the caller's
+// goroutine. A plain single-engine node is the W=1 case (Node, NewNode).
+//
+// The node is the live driver of internal/shardhost, which owns everything
+// deterministic about hosting W engines: routing an arrival to the shard
+// owning its key, m-update addressing, the view log and the epoch-gossip
+// observer — the same code the simulator runs. What this type adds is what
+// only a live runtime has: inbox goroutines, egress coalescers, wall-clock
+// time and one mutex serializing the host's control-plane state.
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
 // of one node only ever converses with shard s of the others. All nodes of
 // a cluster must therefore be configured with the same shard count. With
-// Shards=1 the envelope is elided entirely: a single-shard node is
-// byte-for-byte identical to a plain Node on the wire and interoperates
-// with one.
+// Shards=1 the envelope is elided entirely: a single-shard node puts bare
+// core messages on the wire.
 //
 // Small messages (ACKs, VALs) do not write the transport directly: they
 // pass through a per-peer egress coalescer that gathers what the W engines
@@ -45,10 +54,8 @@ type ShardedNode struct {
 	id     proto.NodeID
 	w      int
 	tr     Transport
-	shards []*Node
-	// deliver[i] is shard i's arrival callback, captured when the shard's
-	// Node registers on its shardTransport during construction.
-	deliver []func(from proto.NodeID, msg any)
+	shards []*Shard
+	start  time.Time
 
 	// coal holds the egress coalescers, two per peer (lazily created): small
 	// shard-tagged messages from all W engines gather there and ship as one
@@ -65,40 +72,49 @@ type ShardedNode struct {
 	// peer); the shard engines' retransmission recovers them.
 	droppedOut atomic.Uint64
 
-	// viewHandlers, when set, intercepts node-level membership traffic: a
-	// rollout controller registers here to receive node-wide wire m-updates
-	// (staggering them across shards instead of the all-gates-at-once fan
-	// out), to answer view-log fetches, and to apply fast-forward responses.
-	viewHandlers atomic.Pointer[ViewHandlers]
+	// drv lends the host this node's shards and transport. Data-plane
+	// routing (shardhost.Route) goes through it with no lock.
+	drv shardhost.Driver
+	// host is the control-plane state (view log, gossip observer, counters).
+	// It is single-threaded by design; ctlMu serializes the transport pumps,
+	// the rollout controller and API callers that reach it (withHost). after
+	// collects the installs and hook calls the driver queued during one host
+	// call; they run once ctlMu is released.
+	ctlMu sync.Mutex
+	host  *shardhost.Host
+	after []func()
 }
 
-// ViewHandlers routes node-level membership traffic to an attached rollout
-// controller (or any other membership host). All fields are optional; a nil
-// handler falls back to the direct install path.
+// ViewHandlers routes node-wide membership decisions to an attached rollout
+// controller (or any other membership host).
 type ViewHandlers struct {
-	// View receives node-wide (AllShards) wire m-updates.
+	// View receives node-wide (AllShards) wire m-updates instead of the
+	// default install-on-every-shard fan-out.
 	View func(v proto.View)
-	// ViewLog answers a peer's fast-forward fetch with retained updates.
-	ViewLog func(req proto.ViewLogReq) []proto.MUpdate
-	// FastForward receives a view-log answer to this node's own fetch.
-	FastForward func(from proto.NodeID, updates []proto.MUpdate)
-	// Gossip receives a peer's per-shard epoch vector (proto.EpochGossip);
-	// the handler decides whether the peer is ahead and whether to
-	// fast-forward. Without a handler gossip frames drop harmlessly.
-	Gossip func(from proto.NodeID, epochs []uint32)
 }
 
-// ShardedConfig parameterizes a sharded replica. The embedded per-shard
-// toggles mean exactly what they do on NodeConfig; Shards is the worker
-// count W (values < 1 become 1, so the zero value degenerates to a plain
-// single-engine node).
+// Node is a single-engine replica: the W=1 case of ShardedNode, which puts
+// bare core messages (no shard envelope) on the wire.
+type Node = ShardedNode
+
+// NodeConfig parameterizes NewNode; Shards is ignored (always 1).
+type NodeConfig = ShardedConfig
+
+// NewNode builds and starts a single-engine live Hermes replica on tr.
+func NewNode(cfg NodeConfig, tr Transport) *Node {
+	cfg.Shards = 1
+	return NewShardedNode(cfg, tr)
+}
+
+// ShardedConfig parameterizes a live replica. Shards is the worker count W
+// (values < 1 become 1, so the zero value is a plain single-engine node).
 type ShardedConfig struct {
 	ID   proto.NodeID
 	View proto.View
-	MLT  time.Duration
+	MLT  time.Duration // message-loss timeout (default 20ms)
 	// Hermes toggles (see core.Config).
 	ElideVAL, EarlyACKs, NoLSC bool
-	TickEvery                  time.Duration
+	TickEvery                  time.Duration // protocol timer granularity (default 2ms)
 	Shards                     int
 }
 
@@ -117,10 +133,9 @@ func DefaultShards() int {
 	return w
 }
 
-// shardTransport is the per-shard window onto the node's real transport: it
-// tags outgoing messages with the shard index (unless W=1) and captures the
-// shard's deliver callback for the node-level dispatcher instead of
-// registering it with the real transport.
+// shardTransport is one shard's egress onto the node's transport: it tags
+// outgoing messages with the shard index (unless W=1) and feeds the small
+// ones to the cross-shard coalescers.
 type shardTransport struct {
 	sn  *ShardedNode
 	idx uint16
@@ -130,9 +145,9 @@ type shardTransport struct {
 	coalCache map[coalKey]*peerCoalescer
 }
 
-func (t *shardTransport) Send(from, to proto.NodeID, msg any) {
+func (t *shardTransport) Send(to proto.NodeID, msg any) {
 	if t.sn.w == 1 {
-		t.sn.tr.Send(from, to, msg)
+		t.sn.tr.Send(t.sn.id, to, msg)
 		return
 	}
 	sm := proto.ShardMsg{Shard: t.idx, Msg: msg}
@@ -153,14 +168,8 @@ func (t *shardTransport) Send(from, to proto.NodeID, msg any) {
 		p.enqueue(sm)
 		return
 	}
-	t.sn.tr.Send(from, to, sm)
+	t.sn.tr.Send(t.sn.id, to, sm)
 }
-
-func (t *shardTransport) SetDeliver(id proto.NodeID, fn func(from proto.NodeID, msg any)) {
-	t.sn.deliver[t.idx] = fn
-}
-
-func (t *shardTransport) Close() error { return nil }
 
 // msgClass is the flow-control class of a coalesced message; one coalescer
 // carries exactly one class, because the classes settle credits differently
@@ -326,151 +335,131 @@ func (sn *ShardedNode) CoalesceStats() (batches, coalesced, singles, dropped uin
 	return sn.batchesOut.Load(), sn.coalescedOut.Load(), sn.singlesOut.Load(), sn.droppedOut.Load()
 }
 
-// NewShardedNode builds and starts a live sharded Hermes replica on tr.
+// NewShardedNode builds and starts a live Hermes replica with cfg.Shards
+// engines on tr.
 func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
-	w := cfg.Shards
-	if w < 1 {
-		w = 1
+	if cfg.Shards < 1 {
+		cfg.Shards = 1
+	}
+	if cfg.MLT <= 0 {
+		cfg.MLT = 20 * time.Millisecond
+	}
+	if cfg.TickEvery <= 0 {
+		cfg.TickEvery = 2 * time.Millisecond
 	}
 	sn := &ShardedNode{
-		id:      cfg.ID,
-		w:       w,
-		tr:      tr,
-		deliver: make([]func(proto.NodeID, any), w),
-		coal:    make(map[coalKey]*peerCoalescer),
+		id:    cfg.ID,
+		w:     cfg.Shards,
+		tr:    tr,
+		start: time.Now(),
+		coal:  make(map[coalKey]*peerCoalescer),
 	}
-	for i := 0; i < w; i++ {
-		sn.shards = append(sn.shards, NewNode(NodeConfig{
-			ID: cfg.ID, View: cfg.View.Clone(), MLT: cfg.MLT,
-			ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
-			TickEvery: cfg.TickEvery,
-		}, &shardTransport{sn: sn, idx: uint16(i)}))
+	for i := 0; i < sn.w; i++ {
+		sn.shards = append(sn.shards, newShard(cfg, &shardTransport{sn: sn, idx: uint16(i)}))
 	}
+	sn.drv = hostDriver{sn}
+	sn.host = shardhost.New(sn.w, sn.drv)
+	sn.host.Debounce = defaultFFDebounce
 	tr.SetDeliver(cfg.ID, sn.dispatch)
 	return sn
 }
 
-// dispatch routes an arriving message to the shard that owns it. Tagged
-// messages are delivered only when the tag matches the local owner of the
-// key they carry: a peer configured with a different W computes different
-// owners, and delivering its traffic to a non-owner shard would store
-// values no reader ever consults — silent lost updates. Dropping instead
-// makes a W mismatch stall safely (the sender's MLT keeps retransmitting)
-// rather than corrupt. Untagged messages — from a plain Node or a W=1
-// sharded peer, the one supported mixed deployment — route by key the same
-// way.
+// defaultFFDebounce rate-limits gossip-triggered fast-forwards on a node no
+// rollout controller configured (see RolloutConfig.FFDebounce).
+const defaultFFDebounce = 100 * time.Millisecond
+
+// dispatch is the transport's arrival callback. Data-plane traffic is routed
+// statelessly — no lock, no allocation, straight onto the owner shard's
+// inbox; only the node-level membership messages Route declines take ctlMu
+// and reach the host's control plane.
 func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
-	switch m := msg.(type) {
-	case proto.ShardBatch:
-		// A coalesced frame fans out: each inner message goes to its owner
-		// shard under the same tag check as a standalone tagged message.
-		for _, sm := range m.Msgs {
-			sn.dispatchTagged(from, sm)
-		}
-	case proto.ShardMsg:
-		sn.dispatchTagged(from, m)
-	case proto.MUpdate:
-		sn.applyWireMUpdate(m)
-	case proto.ViewLogReq:
-		// A fast-forward fetch from a rejoining or lagging peer: answer from
-		// the attached view log. ALWAYS answer — an empty ViewLogResp is the
-		// legal "nothing newer" — because the request consumed a send credit
-		// on the requester's link that only the response repays; silently
-		// dropping it would erode the peer's send window one fetch at a
-		// time. The reply leaves on its own goroutine: dispatch runs on the
-		// transport's read pump, and a blocking send (lazy dial, exhausted
-		// credits) must not stall delivery of the data traffic behind it.
-		var ups []proto.MUpdate
-		if h := sn.viewHandlers.Load(); h != nil && h.ViewLog != nil {
-			ups = h.ViewLog(m)
-		}
-		go sn.tr.Send(sn.id, from, proto.ViewLogResp{Updates: ups})
-	case proto.EpochGossip:
-		// Advisory epoch gossip from a peer. Only an attached controller
-		// knows how to act on it (debounce, pick the newest peer, fetch);
-		// without one it drops — it carries no state, only a hint.
-		if h := sn.viewHandlers.Load(); h != nil && h.Gossip != nil {
-			h.Gossip(from, m.Epochs)
-		}
-	case proto.ViewLogResp:
-		// The answer to this node's own fetch: hand it to the controller
-		// (which orders and counts the replay), or replay the entries
-		// directly through the install path a wire MUpdate takes.
-		if h := sn.viewHandlers.Load(); h != nil && h.FastForward != nil {
-			h.FastForward(from, m.Updates)
-			return
-		}
-		for _, up := range m.Updates {
-			sn.applyWireMUpdate(up)
-		}
-	default:
-		sn.deliver[sn.ownerOf(msg, 0)](from, msg)
-	}
-}
-
-// applyWireMUpdate installs a wire m-update on exactly the shards it
-// addresses — the per-shard epoch machinery. Installs are asynchronous: the
-// dispatch pump must not block behind one busy shard's event loop (that
-// would re-couple the shards the per-shard epochs decouple). Out-of-range
-// targets drop, like a mis-tagged ShardMsg. Node-wide (AllShards) updates
-// divert to an attached rollout controller, which rolls them across the
-// shards one gate at a time instead of shutting all W at once.
-func (sn *ShardedNode) applyWireMUpdate(m proto.MUpdate) {
-	switch {
-	case m.Shard == proto.AllShards:
-		if h := sn.viewHandlers.Load(); h != nil && h.View != nil {
-			h.View(m.View)
-			return
-		}
-		for _, s := range sn.shards {
-			s.installAsync(m.View)
-		}
-	case int(m.Shard) < sn.w:
-		sn.shards[m.Shard].installAsync(m.View)
-	}
-}
-
-// SetViewHandlers attaches (or, with nil, detaches) the node-level
-// membership routing hooks. Safe to call while traffic is flowing.
-func (sn *ShardedNode) SetViewHandlers(h *ViewHandlers) {
-	sn.viewHandlers.Store(h)
-}
-
-// RequestViewLog sends a fast-forward fetch to a peer; the answer arrives
-// asynchronously through dispatch (ViewHandlers.FastForward when attached,
-// the direct install path otherwise).
-func (sn *ShardedNode) RequestViewLog(peer proto.NodeID, req proto.ViewLogReq) {
-	sn.tr.Send(sn.id, peer, req)
-}
-
-func (sn *ShardedNode) dispatchTagged(from proto.NodeID, sm proto.ShardMsg) {
-	if int(sm.Shard) < sn.w && sn.ownerOf(sm.Msg, sm.Shard) == sm.Shard {
-		sn.deliver[sm.Shard](from, sm.Msg)
+	if shardhost.Route(sn.w, sn.drv, from, msg) {
 		return
 	}
-	// Mis-tagged drop (W mismatch): spend the frame references wings decode
-	// retained for the message's values, like every other drop path.
-	core.ReleaseMsgOwners(sm.Msg)
+	sn.withHost(func(h *shardhost.Host) { h.Dispatch(from, msg, time.Since(sn.start)) })
 }
 
-// ownerOf maps a protocol message to the shard owning it locally.
-// Key-carrying messages hash their key; instance-scoped traffic
-// (membership checks, state-transfer chunks) has no key and keeps dflt —
-// the sender's tag for tagged messages, shard 0 (where a W=1 peer's single
-// engine lives) for untagged ones.
-func (sn *ShardedNode) ownerOf(msg any, dflt uint16) uint16 {
-	if sn.w == 1 {
-		return 0
+// withHost runs fn on the control-plane host under ctlMu, then performs the
+// effects the driver queued during it with the mutex released: an install
+// enqueues on a shard inbox and may wait behind a busy event loop, and a
+// mutex must not be held across that.
+func (sn *ShardedNode) withHost(fn func(h *shardhost.Host)) {
+	sn.ctlMu.Lock()
+	fn(sn.host)
+	after := sn.after
+	sn.after = nil
+	sn.ctlMu.Unlock()
+	for _, f := range after {
+		f()
 	}
-	switch m := msg.(type) {
-	case core.INV:
-		return proto.ShardOf(m.Key, sn.w)
-	case core.ACK:
-		return proto.ShardOf(m.Key, sn.w)
-	case core.VAL:
-		return proto.ShardOf(m.Key, sn.w)
-	}
-	return dflt
+}
+
+// hostDriver lends the host this node's shards and transport.
+type hostDriver struct{ sn *ShardedNode }
+
+func (d hostDriver) Deliver(shard int, from proto.NodeID, msg any) {
+	d.sn.shards[shard].deliver(from, msg)
+}
+
+// Install queues an asynchronous install on one shard (called under ctlMu;
+// withHost performs it). Asynchronous because the caller may be a transport
+// pump, which must not block behind one busy shard's event loop — that would
+// re-couple the shards the per-shard epochs decouple.
+func (d hostDriver) Install(shard int, v proto.View) {
+	s := d.sn.shards[shard]
+	d.sn.after = append(d.sn.after, func() { s.installAsync(v) })
+}
+
+// Epoch reads the shard's atomic read-gate word; safe mid-traffic.
+func (d hostDriver) Epoch(shard int) uint32 { return d.sn.shards[shard].h.ReadGate().Epoch() }
+
+// Send leaves on its own goroutine: the host runs on a transport read pump
+// (and under ctlMu), and a blocking send (lazy dial, exhausted credits) must
+// not stall delivery of the data traffic behind it. A ViewLogResp in
+// particular must always get out — it repays the send credit the request
+// consumed on the requester's link.
+func (d hostDriver) Send(to proto.NodeID, msg any) { go d.sn.tr.Send(d.sn.id, to, msg) }
+
+// SetViewHandlers attaches (or, with nil, detaches) the node-wide view hook.
+// Safe to call while traffic is flowing.
+func (sn *ShardedNode) SetViewHandlers(h *ViewHandlers) {
+	sn.withHost(func(host *shardhost.Host) {
+		if h == nil || h.View == nil {
+			host.NodeView = nil
+			return
+		}
+		host.NodeView = func(v proto.View) {
+			sn.after = append(sn.after, func() { h.View(v) })
+		}
+	})
+}
+
+// FastForward asks peer for the epochs this node's most lagging shard has
+// missed; the answer replays asynchronously through dispatch. Callers are
+// whoever detects the lag: a rejoin path or a harness — the epoch-gossip
+// observer calls the host's directly.
+func (sn *ShardedNode) FastForward(peer proto.NodeID) {
+	sn.withHost(func(h *shardhost.Host) { h.FastForward(peer) })
+}
+
+// ObserveGossip feeds a peer's per-shard epoch vector that arrived outside
+// the mesh (a membership heartbeat piggyback: membership.Config.OnPeerAhead)
+// to the observer wire EpochGossip frames reach through dispatch.
+func (sn *ShardedNode) ObserveGossip(from proto.NodeID, epochs []uint32) {
+	sn.withHost(func(h *shardhost.Host) { h.ObserveGossip(from, epochs, time.Since(sn.start)) })
+}
+
+// HostStats snapshots the host's control-plane counters (view-log fetches
+// served and applied, gossip observations); safe mid-traffic.
+func (sn *ShardedNode) HostStats() (st shardhost.Stats) {
+	sn.withHost(func(h *shardhost.Host) { st = h.Stats() })
+	return st
+}
+
+// recordView retains an m-update this node installs directly in the view
+// log, so it can serve the epoch to a laggard.
+func (sn *ShardedNode) recordView(m proto.MUpdate) {
+	sn.withHost(func(h *shardhost.Host) { h.Record(m) })
 }
 
 // ID returns the node's ID.
@@ -480,36 +469,63 @@ func (sn *ShardedNode) ID() proto.NodeID { return sn.id }
 func (sn *ShardedNode) Shards() int { return sn.w }
 
 // Shard exposes shard i's engine (metrics, tests).
-func (sn *ShardedNode) Shard(i int) *Node { return sn.shards[i] }
+func (sn *ShardedNode) Shard(i int) *Shard { return sn.shards[i] }
 
 // shardFor returns the engine owning key.
-func (sn *ShardedNode) shardFor(key proto.Key) *Node {
+func (sn *ShardedNode) shardFor(key proto.Key) *Shard {
 	return sn.shards[proto.ShardOf(key, sn.w)]
 }
 
-// Read performs a linearizable read via the owning shard; Valid keys are
-// served lock-free from that shard's store segment on the caller's
-// goroutine, subject to the shard engine's read gate.
+// Read performs a linearizable read. When the owning shard's read gate is
+// open and the key is Valid, the read is served entirely on the caller's
+// goroutine — one atomic gate load and one lock-free store lookup, never
+// touching the event loop (the HermesKV fast path, §4.1). Otherwise —
+// non-Valid key, NoLSC mode (the fast path must not bypass the §8
+// membership proof), an in-flight view installation, or a non-serving
+// replica — the op goes through the event loop and stalls until the key
+// validates.
 func (sn *ShardedNode) Read(ctx context.Context, key proto.Key) (proto.Value, error) {
-	return sn.shardFor(key).Read(ctx, key)
+	s := sn.shardFor(key)
+	if v, ok := s.h.ReadLocal(key); ok {
+		return v, nil
+	}
+	c, err := s.do(ctx, proto.ClientOp{Kind: proto.OpRead, Key: key})
+	if err != nil {
+		return nil, err
+	}
+	return c.Value, nil
 }
 
-// ReadLocal attempts the lock-free fast path against the owning shard's
-// store segment on the caller's goroutine; see Node.ReadLocal.
+// ReadLocal attempts the lock-free local-read fast path on the caller's
+// goroutine: one atomic gate load and one store lookup against the owning
+// shard's segment, never touching the event loop. ok=false means the caller
+// must fall back to a submitted read (SubmitAsync or Read) — the key is not
+// Valid, the gate is shut, or NoLSC mode forbids the fast path. The client
+// serving layer calls this on session goroutines so wire reads keep the §4.1
+// fast path end to end.
 func (sn *ShardedNode) ReadLocal(key proto.Key) (proto.Value, bool) {
-	return sn.shardFor(key).ReadLocal(key)
+	return sn.shardFor(key).h.ReadLocal(key)
 }
 
-// ReadLocalRetained is ReadLocal minus the defensive copy; see
-// Node.ReadLocalRetained for the pin contract.
+// ReadLocalRetained is ReadLocal minus the defensive copy: a non-nil owner
+// pins the pooled frame buffer the value aliases, and the caller must
+// Release it after the bytes' last use (the serving layer holds the pin
+// across its response-encode flush). See core.Hermes.ReadLocalRetained.
 func (sn *ShardedNode) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Buf, bool) {
-	return sn.shardFor(key).ReadLocalRetained(key)
+	return sn.shardFor(key).h.ReadLocalRetained(key)
 }
 
-// SubmitAsync routes op to its owning shard's event loop and invokes fn with
-// the completion; see Node.SubmitAsync for the callback contract.
+// SubmitAsync submits op to its owning shard's event loop and invokes fn
+// with its completion instead of blocking the caller — the pipelined serving
+// layer's path: one session goroutine keeps hundreds of ops in flight
+// without a goroutine per op. fn runs on the event-loop goroutine and MUST
+// NOT block (enqueue and return; a blocking fn stalls the whole shard).
+// op.ID is assigned here; the completion's OpID echoes it. Blocks only if
+// the shard's ops queue is full (bounded backpressure on the submitting
+// session, never on other sessions or shards). Returns ErrClosed on a
+// stopped node.
 func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
-	return sn.shardFor(op.Key).SubmitAsync(op, fn)
+	return sn.shardFor(op.Key).submitAsync(op, fn)
 }
 
 // ReadStats sums the shard engines' read-side counters (total reads,
@@ -517,7 +533,7 @@ func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion))
 // traffic.
 func (sn *ShardedNode) ReadStats() (reads, fastHits, fastMisses uint64) {
 	for _, s := range sn.shards {
-		r, h, m := s.ReadStats()
+		r, h, m := s.h.ReadStats()
 		reads += r
 		fastHits += h
 		fastMisses += m
@@ -525,28 +541,53 @@ func (sn *ShardedNode) ReadStats() (reads, fastHits, fastMisses uint64) {
 	return reads, fastHits, fastMisses
 }
 
-// Write performs a linearizable write via the owning shard.
+// Write performs a linearizable write.
 func (sn *ShardedNode) Write(ctx context.Context, key proto.Key, val proto.Value) error {
-	return sn.shardFor(key).Write(ctx, key, val)
+	_, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpWrite, Key: key, Value: val})
+	return err
 }
 
-// CAS performs a compare-and-swap via the owning shard.
-func (sn *ShardedNode) CAS(ctx context.Context, key proto.Key, expect, val proto.Value) (bool, proto.Value, error) {
-	return sn.shardFor(key).CAS(ctx, key, expect, val)
+// CAS performs a compare-and-swap; swapped=false with err==nil means the
+// comparand mismatched and observed holds the current value.
+func (sn *ShardedNode) CAS(ctx context.Context, key proto.Key, expect, val proto.Value) (swapped bool, observed proto.Value, err error) {
+	c, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpCAS, Key: key, Expected: expect, Value: val})
+	if err != nil {
+		return false, nil, err
+	}
+	switch c.Status {
+	case proto.OK:
+		return true, nil, nil
+	case proto.CASFailed:
+		return false, c.Value, nil
+	case proto.Aborted:
+		return false, nil, ErrAborted
+	default:
+		return false, nil, fmt.Errorf("cluster: cas: %v", c.Status)
+	}
 }
 
-// FAA performs a fetch-and-add via the owning shard.
+// FAA atomically adds delta and returns the prior value. ErrAborted is
+// returned when the RMW lost to a concurrent update; callers retry.
 func (sn *ShardedNode) FAA(ctx context.Context, key proto.Key, delta int64) (int64, error) {
-	return sn.shardFor(key).FAA(ctx, key, delta)
+	c, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpFAA, Key: key, Value: proto.EncodeInt64(delta)})
+	if err != nil {
+		return 0, err
+	}
+	if c.Status == proto.Aborted {
+		return 0, ErrAborted
+	}
+	return proto.DecodeInt64(c.Value), nil
 }
 
 // InstallView fans the m-update out to every shard — the node-wide install a
-// membership agent decides once per node. Each shard runs the full §3.4
-// transition independently over its own keyspace partition: its read gate
-// shuts, its in-flight epoch-tagged messages are filtered, its replays run.
+// membership agent decides once per node — and blocks until every shard's
+// transition completes. Each shard runs the full §3.4 transition
+// independently over its own keyspace partition: its read gate shuts, its
+// in-flight epoch-tagged messages are filtered, its replays run.
 func (sn *ShardedNode) InstallView(v proto.View) {
+	sn.recordView(proto.MUpdate{Shard: proto.AllShards, View: v})
 	for _, s := range sn.shards {
-		s.InstallView(v)
+		s.installView(v)
 	}
 }
 
@@ -557,17 +598,19 @@ func (sn *ShardedNode) InstallView(v proto.View) {
 // -exp reconfig`). Blocks until the target shard's event loop has completed
 // the transition.
 func (sn *ShardedNode) InstallShardView(shard int, v proto.View) {
-	sn.shards[shard].InstallView(v)
+	sn.recordView(proto.MUpdate{Shard: uint16(shard), View: v})
+	sn.shards[shard].installView(v)
 }
 
-// ShardLoads reports each shard's live client-op load (reads + updates
-// served since construction); safe mid-traffic. The rollout controller
-// orders installs by deltas of these.
+// ShardLoads reports each shard's live client-op load — total reads served
+// (fast path + event loop) plus update ops submitted since construction;
+// safe mid-traffic. The rollout controller orders installs by deltas of
+// these.
 func (sn *ShardedNode) ShardLoads() []uint64 {
 	out := make([]uint64, sn.w)
 	for i, s := range sn.shards {
-		r, u := s.LoadStats()
-		out[i] = r + u
+		reads, _, _ := s.h.ReadStats()
+		out[i] = reads + s.updates.Load()
 	}
 	return out
 }
@@ -576,28 +619,36 @@ func (sn *ShardedNode) ShardLoads() []uint64 {
 // (read from the shards' atomic read-gate words; safe mid-traffic). With
 // per-shard installs the epochs may legitimately differ across shards of one
 // node.
-func (sn *ShardedNode) ShardEpochs() []uint32 {
-	out := make([]uint32, sn.w)
-	for i, s := range sn.shards {
-		out[i] = s.h.ReadGate().Epoch()
-	}
-	return out
-}
+func (sn *ShardedNode) ShardEpochs() []uint32 { return sn.host.Epochs() }
 
-// Close stops all shard engines (the transport is the caller's to close,
-// as with Node).
+// Close stops all shard engines (the transport is the caller's to close).
 func (sn *ShardedNode) Close() {
 	for _, s := range sn.shards {
-		s.Close()
+		s.close()
 	}
 }
 
-// ShardedLocal is a single-process sharded replica group over a
-// ChanTransport, mirroring Local for the multi-worker engine.
+// ShardedLocal is a single-process replica group over a ChanTransport: the
+// quickstart deployment and the fixture for live tests.
 type ShardedLocal struct {
 	Nodes []*ShardedNode
 	Tr    *ChanTransport
 }
+
+// Local is a ShardedLocal of single-engine nodes.
+type Local = ShardedLocal
+
+// LocalConfig parameterizes NewLocal and NewShardedLocal.
+type LocalConfig struct {
+	N         int
+	MLT       time.Duration
+	ElideVAL  bool
+	EarlyACKs bool
+	NoLSC     bool
+}
+
+// NewLocal stands up an n-replica group of single-engine nodes in-process.
+func NewLocal(cfg LocalConfig) *Local { return NewShardedLocal(cfg, 1) }
 
 // NewShardedLocal stands up an n-replica, W-shard Hermes group in-process.
 func NewShardedLocal(cfg LocalConfig, shards int) *ShardedLocal {

@@ -157,60 +157,61 @@ func TestShardedConcurrentLinearizable(t *testing.T) {
 	}
 }
 
-// TestShardedW1WireCompatibleWithNode runs a mixed cluster — one
-// single-shard ShardedNode alongside two plain Nodes — and asserts no
-// ShardMsg envelope ever appears on the wire: W=1 is byte-for-byte the
-// unsharded engine and interoperates with it.
-func TestShardedW1WireCompatibleWithNode(t *testing.T) {
+// TestW1NodeSpeaksBareCoreMessages: a W=1 node — however it was built — emits
+// and accepts bare core messages: no ShardMsg or ShardBatch envelope ever
+// appears on the wire, and W=1 peers interoperate in both directions. (A
+// plain Node used to be a second type this had to stay byte-compatible with;
+// it is now the same type, and this pins the wire shape itself.)
+func TestW1NodeSpeaksBareCoreMessages(t *testing.T) {
 	ids := []proto.NodeID{0, 1, 2}
 	view := proto.View{Epoch: 1, Members: ids}
 	tr := NewChanTransport(ids)
 	defer tr.Close()
 
 	var mu sync.Mutex
-	sawEnvelope := false
+	var enveloped any
 	tr.SetDrop(func(from, to proto.NodeID, msg any) bool {
-		if _, ok := msg.(proto.ShardMsg); ok {
+		switch msg.(type) {
+		case proto.ShardMsg, proto.ShardBatch:
 			mu.Lock()
-			sawEnvelope = true
+			enveloped = msg
 			mu.Unlock()
 		}
 		return false
 	})
 
-	sn := NewShardedNode(ShardedConfig{ID: 0, View: view, Shards: 1}, tr)
-	defer sn.Close()
-	plain := []*Node{
+	nodes := []*Node{
+		NewShardedNode(ShardedConfig{ID: 0, View: view, Shards: 1}, tr),
 		NewNode(NodeConfig{ID: 1, View: view}, tr),
-		NewNode(NodeConfig{ID: 2, View: view}, tr),
+		NewShardedNode(ShardedConfig{ID: 2, View: view}, tr), // zero Shards = 1
 	}
-	for _, n := range plain {
+	for _, n := range nodes {
 		defer n.Close()
+		if n.Shards() != 1 {
+			t.Fatalf("node %d has %d shards, want 1", n.ID(), n.Shards())
+		}
 	}
 
 	ctx := context.Background()
-	if err := sn.Write(ctx, 11, proto.Value("from-sharded")); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range plain {
-		if v, err := n.Read(ctx, 11); err != nil || string(v) != "from-sharded" {
-			t.Fatalf("plain node %d: %q %v", n.ID(), v, err)
+	for i, n := range nodes {
+		k, val := proto.Key(11+i), proto.Value(fmt.Sprintf("from-%d", i))
+		if err := n.Write(ctx, k, val); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range nodes {
+			if v, err := r.Read(ctx, k); err != nil || string(v) != string(val) {
+				t.Fatalf("node %d reading node %d's write: %q %v", r.ID(), n.ID(), v, err)
+			}
 		}
 	}
-	if err := plain[0].Write(ctx, 12, proto.Value("from-plain")); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := sn.Read(ctx, 12); err != nil || string(v) != "from-plain" {
-		t.Fatalf("sharded read of plain write: %q %v", v, err)
-	}
-	if _, err := sn.FAA(ctx, 13, 4); err != nil {
+	if _, err := nodes[1].FAA(ctx, 20, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if sawEnvelope {
-		t.Fatal("W=1 sharded node put a ShardMsg envelope on the wire")
+	if enveloped != nil {
+		t.Fatalf("a W=1 node put a shard envelope on the wire: %#v", enveloped)
 	}
 }
 

@@ -42,7 +42,8 @@ import (
 
 // Backend is the op-serving surface a session needs from the node: the
 // lock-free local-read fast path and asynchronous submission to the owning
-// shard. Both cluster.Node and cluster.ShardedNode satisfy it.
+// shard. cluster.ShardedNode (of which cluster.Node is the W=1 case)
+// satisfies it.
 type Backend interface {
 	// ReadLocal attempts the §4.1 lock-free read on the caller's goroutine;
 	// ok=false means fall back to SubmitAsync.
@@ -60,7 +61,7 @@ type Backend interface {
 // encoded the bytes into the outgoing frame — the fix for the response-value
 // escape, where a queued response's value could be recycled (and its bytes
 // rewritten by an unrelated inbound frame) between enqueue and encode.
-// cluster.Node and cluster.ShardedNode both implement it.
+// cluster.ShardedNode implements it.
 type RetainedReader interface {
 	ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Buf, bool)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // This file is the deterministic reconfiguration chaos harness: a seeded
@@ -104,7 +105,7 @@ type ChaosConfig struct {
 	// Gossip enables replica-level epoch gossip: every replica announces
 	// its per-shard epoch vector to its view's members+learners every
 	// 250µs, and a replica observing a peer ahead issues its own debounced
-	// view-log fetch — the sim mirror of the live controller's loop.
+	// view-log fetch — through the same shardhost observer the live node runs.
 	Gossip bool
 	// NoInstallBackstop disables the harness's direct lag-recovery path
 	// (ensureInstalled): convergence must come from the replicas' own epoch
@@ -652,17 +653,7 @@ func engineLoadOrder(rep *ShardedReplica) []int {
 		m := rep.Engine(i).Metrics()
 		load[i] = m.Reads + m.Writes + m.RMWs
 	}
-	order := make([]int, len(load))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if load[order[a]] != load[order[b]] {
-			return load[order[a]] < load[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
+	return shardhost.OrderByLoad(load)
 }
 
 // leaseFlip revokes a serving member's lease for dur — the node rejects
@@ -946,9 +937,9 @@ func (r *chaosRun) installSkip(v proto.View, shard int, skip proto.NodeID) {
 // ensureInstalled is the lag detector + recovery path: if the shard is
 // still behind the highest epoch issued for it, the node fetches the gap
 // from a peer's view log (a proto.ViewLogReq riding the lossy network) and
-// keeps retrying with rotating sources until it converges. Stands in for
-// the live runtime's epoch-gossip observer calling
-// RolloutController.FastForward.
+// keeps retrying with rotating sources until it converges. A harness-side
+// stand-in for epoch gossip (ChaosConfig.Gossip), which detects the same lag
+// from inside the replica.
 func (r *chaosRun) ensureInstalled(node proto.NodeID, shard int, coord proto.NodeID, attempt int) {
 	if !r.alive[node] {
 		return // a crashed node's rejoin path schedules its own recovery

@@ -26,7 +26,8 @@ type Costs struct {
 
 // DefaultCosts gives a node roughly 2 Mops/s of local read capacity — a
 // scaled-down stand-in for the testbed's ~197 Mops/s 20-thread nodes. All
-// figures reproduce shapes, not absolute rates (see DESIGN.md §2).
+// figures reproduce shapes, not absolute rates (see internal/README.md,
+// "Simulator scale and ablations").
 func DefaultCosts() Costs {
 	return Costs{ClientOp: 500 * time.Nanosecond, Message: 300 * time.Nanosecond}
 }

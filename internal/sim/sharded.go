@@ -5,60 +5,35 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
-// ShardedReplica is the simulator's counterpart of cluster.ShardedNode: one
-// host running W independent core.Hermes engines, each owning the keyspace
-// partition proto.ShardOf selects, with per-shard membership epochs. Where
-// the live node gives every engine its own event-loop goroutine, the
+// ShardedReplica is the simulator's driver of shardhost: one host running W
+// independent core.Hermes engines, each owning the keyspace partition
+// proto.ShardOf selects, with per-shard membership epochs. Where the live
+// cluster.ShardedNode gives every engine its own event-loop goroutine, the
 // simulator is single-threaded — the engines are simply distinct state
 // machines behind one Replica facade, and CPU parallelism (when wanted) is
 // modeled separately by Config.Workers.
 //
-// The wire shape matches the live runtime exactly: outgoing messages wrap in
-// proto.ShardMsg (elided at W=1), arriving tagged messages deliver only when
-// the tag matches the local owner of the key they carry, and a proto.MUpdate
-// installs on exactly the shards it addresses. That makes the chaos harness
-// exercise the same routing and per-shard epoch filtering the live cluster
-// ships.
+// Routing, m-update addressing, the view log and the epoch-gossip observer are
+// shardhost's — the very code the live node runs — so the chaos harness
+// exercises what ships. What stays here is the harness's: building the
+// engines, Submit, Tick (timers and the gossip announcement) and the knobs
+// the fault script turns.
 type ShardedReplica struct {
 	id      proto.NodeID
 	w       int
 	env     proto.Env
 	engines []*core.Hermes
+	host    *shardhost.Host
 
-	// vlog is the bounded view log: every membership update this node has
-	// seen (wire MUpdates, direct installs, node-wide views), in arrival
-	// order with exact duplicates elided. A rejoining or lagging peer
-	// replays its gap from here via proto.ViewLogReq — the fast-forward
-	// path that replaced the chaos harness's out-of-band install backstop.
-	vlog []proto.MUpdate
-
-	// ffServed counts view-log entries served to peers; ffApplied counts
-	// fetched entries whose replay actually advanced a local shard's epoch.
-	ffServed, ffApplied uint64
-
-	// Epoch-gossip self-healing state, the sim mirror of the live rollout
-	// controller's observer: cfg.GossipEvery paces the announcements,
-	// nextGossip/ffNotBefore are the send and debounce horizons, and
-	// candPeer/candEpoch hold the best fast-forward candidate (newest peer
-	// preferred) seen in the current debounce window.
-	cfg         ShardedReplicaConfig
+	// gossipEvery paces the epoch-vector announcements Tick sends;
+	// nextGossip is the send horizon and gossipSent counts them.
+	gossipEvery time.Duration
 	nextGossip  time.Duration
-	ffNotBefore time.Duration
-	candPeer    proto.NodeID
-	candEpoch   uint32
-	haveCand    bool
-	// gossipSent counts vectors announced; gossipBehind counts observations
-	// showing a peer strictly ahead; gossipFF counts debounced fetches
-	// actually issued (the self-healing trigger firing).
-	gossipSent, gossipBehind, gossipFF uint64
+	gossipSent  uint64
 }
-
-// replicaViewLogCap bounds the retained log, mirroring membership.Agent's
-// ring: reconfiguration is control-plane rare and a laggard further behind
-// rejoins through the learner arc.
-const replicaViewLogCap = 64
 
 // ShardedReplicaConfig parameterizes NewShardedReplica. The embedded toggles
 // mean what they do on core.Config.
@@ -106,7 +81,7 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 	if w < 1 {
 		w = 1
 	}
-	r := &ShardedReplica{id: id, w: w, env: env, cfg: cfg}
+	r := &ShardedReplica{id: id, w: w, env: env, gossipEvery: cfg.GossipEvery}
 	for i := 0; i < w; i++ {
 		r.engines = append(r.engines, core.New(core.Config{
 			ID: id, View: view.Clone(),
@@ -115,8 +90,28 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 			NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}
+	debounce := cfg.FFDebounce
+	if debounce <= 0 {
+		debounce = 4 * cfg.GossipEvery
+	}
+	if debounce <= 0 {
+		debounce = 4 * time.Millisecond
+	}
+	r.host = shardhost.New(w, replicaDriver{r})
+	r.host.Debounce = debounce
 	return r
 }
+
+// replicaDriver lends the host the engines and the wire: deliveries and
+// installs are direct calls into the state machines.
+type replicaDriver struct{ r *ShardedReplica }
+
+func (d replicaDriver) Deliver(shard int, from proto.NodeID, msg any) {
+	d.r.engines[shard].Deliver(from, msg)
+}
+func (d replicaDriver) Install(shard int, v proto.View) { d.r.engines[shard].OnViewChange(v) }
+func (d replicaDriver) Epoch(shard int) uint32          { return d.r.engines[shard].View().Epoch }
+func (d replicaDriver) Send(to proto.NodeID, msg any)   { d.r.env.Send(to, msg) }
 
 // ID implements proto.Replica.
 func (r *ShardedReplica) ID() proto.NodeID { return r.id }
@@ -132,122 +127,23 @@ func (r *ShardedReplica) Submit(op proto.ClientOp) {
 	r.engines[proto.ShardOf(op.Key, r.w)].Submit(op)
 }
 
-// Deliver implements proto.Replica, mirroring cluster.ShardedNode.dispatch:
-// batches fan out, tagged messages pass the tag-vs-owner check, m-updates
-// install on the shards they address, untagged traffic routes by key.
+// Deliver implements proto.Replica: the host routes data-plane traffic to the
+// owning engine and handles node-level membership messages itself.
 func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
-	switch m := msg.(type) {
-	case proto.ShardBatch:
-		for _, sm := range m.Msgs {
-			r.deliverTagged(from, sm)
-		}
-	case proto.ShardMsg:
-		r.deliverTagged(from, m)
-	case proto.MUpdate:
-		r.RecordView(m)
-		r.applyMUpdate(m)
-	case proto.ViewLogReq:
-		// A lagging peer's fast-forward fetch: answer with the retained
-		// updates above its epoch that concern the shard it asks about.
-		var ups []proto.MUpdate
-		for _, mu := range r.vlog {
-			if mu.View.Epoch > m.Since &&
-				(m.Shard == proto.AllShards || mu.Shard == proto.AllShards || mu.Shard == m.Shard) {
-				ups = append(ups, mu)
-			}
-		}
-		r.ffServed += uint64(len(ups))
-		r.env.Send(from, proto.ViewLogResp{Updates: ups})
-	case proto.ViewLogResp:
-		// Replay the fetched gap through the normal install path, counting
-		// only entries that advance an epoch (redeliveries are idempotent).
-		for _, mu := range m.Updates {
-			if r.advances(mu) {
-				r.ffApplied++
-			}
-			r.RecordView(mu)
-			r.applyMUpdate(mu)
-		}
-	case proto.EpochGossip:
-		r.ObserveEpochGossip(from, m.Epochs)
-	default:
-		r.engines[r.ownerOf(msg, 0)].Deliver(from, msg)
-	}
+	r.host.Dispatch(from, msg, r.env.Now())
 }
 
-// applyMUpdate installs a membership update on the shards it addresses.
-func (r *ShardedReplica) applyMUpdate(m proto.MUpdate) {
-	switch {
-	case m.Shard == proto.AllShards:
-		for _, e := range r.engines {
-			e.OnViewChange(m.View)
-		}
-	case int(m.Shard) < r.w:
-		r.engines[m.Shard].OnViewChange(m.View)
-	}
-}
-
-// advances reports whether installing m would move some addressed shard's
-// epoch forward.
-func (r *ShardedReplica) advances(m proto.MUpdate) bool {
-	switch {
-	case m.Shard == proto.AllShards:
-		for _, e := range r.engines {
-			if e.View().Epoch < m.View.Epoch {
-				return true
-			}
-		}
-	case int(m.Shard) < r.w:
-		return r.engines[m.Shard].View().Epoch < m.View.Epoch
-	}
-	return false
-}
-
-// RecordView retains a membership update in the replica's bounded view log
-// (exact duplicates elided) without installing it. The chaos harness calls
-// it on the deciding coordinator — the membership service durably knows its
-// own decisions even when the wire loses the fan-out — and Deliver records
-// every update that arrives, so any node that applied an epoch can serve it
-// to a laggard.
-func (r *ShardedReplica) RecordView(m proto.MUpdate) {
-	for _, have := range r.vlog {
-		if have.Shard == m.Shard && have.View.Epoch == m.View.Epoch {
-			return
-		}
-	}
-	r.vlog = append(r.vlog, proto.MUpdate{Shard: m.Shard, View: m.View.Clone()})
-	if len(r.vlog) > replicaViewLogCap {
-		r.vlog = append(r.vlog[:0:0], r.vlog[len(r.vlog)-replicaViewLogCap:]...)
-	}
-}
+// RecordView retains a membership update in the replica's view log without
+// installing it. The chaos harness calls it on the deciding coordinator — the
+// membership service durably knows its own decisions even when the wire
+// loses the fan-out.
+func (r *ShardedReplica) RecordView(m proto.MUpdate) { r.host.Record(m) }
 
 // FastForwardStats reports the view-log counters: entries served to peers
 // and fetched entries that advanced a local epoch.
 func (r *ShardedReplica) FastForwardStats() (served, applied uint64) {
-	return r.ffServed, r.ffApplied
-}
-
-func (r *ShardedReplica) deliverTagged(from proto.NodeID, sm proto.ShardMsg) {
-	if int(sm.Shard) < r.w && r.ownerOf(sm.Msg, sm.Shard) == sm.Shard {
-		r.engines[sm.Shard].Deliver(from, sm.Msg)
-	}
-}
-
-// ownerOf maps a message to the local shard owning it — key-carrying
-// messages by hash, instance-scoped traffic keeps the default tag.
-func (r *ShardedReplica) ownerOf(msg any, dflt uint16) uint16 {
-	if r.w == 1 {
-		return 0
-	}
-	switch m := msg.(type) {
-	case core.INV:
-		return proto.ShardOf(m.Key, r.w)
-	case core.ACK:
-		return proto.ShardOf(m.Key, r.w)
-	case core.VAL:
-		return proto.ShardOf(m.Key, r.w)
-	}
-	return dflt
+	st := r.host.Stats()
+	return st.FFServed, st.FFApplied
 }
 
 // Tick implements proto.Replica.
@@ -255,10 +151,10 @@ func (r *ShardedReplica) Tick() {
 	for _, e := range r.engines {
 		e.Tick()
 	}
-	if r.cfg.GossipEvery > 0 {
+	if r.gossipEvery > 0 {
 		now := r.env.Now()
 		if now >= r.nextGossip {
-			r.nextGossip = now + r.cfg.GossipEvery
+			r.nextGossip = now + r.gossipEvery
 			r.gossip()
 		}
 	}
@@ -297,69 +193,18 @@ func (r *ShardedReplica) newestView() proto.View {
 	return best
 }
 
-// ObserveEpochGossip is the receive side of epoch gossip: if the peer's
-// vector is strictly ahead of any local shard, the peer becomes a
-// fast-forward candidate, and at most one view-log fetch fires per debounce
-// window — at the candidate advertising the highest epoch seen within it
-// (newest peer preferred). The same observer serves heartbeat-piggybacked
-// vectors (membership.Config.OnPeerAhead) and wire gossip frames. Advisory
-// only: the fetch's answer replays through the normal install path, so a
-// lying vector can waste one request, never corrupt state.
+// ObserveEpochGossip feeds a heartbeat-piggybacked epoch vector
+// (membership.Config.OnPeerAhead) to the same observer wire gossip frames
+// reach through Deliver.
 func (r *ShardedReplica) ObserveEpochGossip(from proto.NodeID, epochs []uint32) {
-	local := r.ShardEpochs()
-	behind := false
-	var peerMax, localMax uint32
-	for _, e := range local {
-		if e > localMax {
-			localMax = e
-		}
-	}
-	for i, e := range epochs {
-		if e > peerMax {
-			peerMax = e
-		}
-		if i < len(local) && e > local[i] {
-			behind = true
-		}
-	}
-	if peerMax > localMax {
-		behind = true
-	}
-	if !behind {
-		return
-	}
-	r.gossipBehind++
-	if !r.haveCand || peerMax > r.candEpoch {
-		r.candPeer, r.candEpoch, r.haveCand = from, peerMax, true
-	}
-	now := r.env.Now()
-	if now < r.ffNotBefore {
-		return
-	}
-	debounce := r.cfg.FFDebounce
-	if debounce <= 0 {
-		debounce = 4 * r.cfg.GossipEvery
-	}
-	if debounce <= 0 {
-		debounce = 4 * time.Millisecond
-	}
-	r.ffNotBefore = now + debounce
-	peer := r.candPeer
-	r.haveCand, r.candEpoch = false, 0
-	r.gossipFF++
-	since := local[0]
-	for _, e := range local {
-		if e < since {
-			since = e
-		}
-	}
-	r.env.Send(peer, proto.ViewLogReq{Shard: proto.AllShards, Since: since})
+	r.host.ObserveGossip(from, epochs, r.env.Now())
 }
 
 // GossipStats reports the epoch-gossip counters: vectors announced, peer-
 // ahead observations, and debounced fetches issued.
 func (r *ShardedReplica) GossipStats() (sent, behind, ff uint64) {
-	return r.gossipSent, r.gossipBehind, r.gossipFF
+	st := r.host.Stats()
+	return r.gossipSent, st.GossipBehind, st.GossipFF
 }
 
 // SetNoLSC flips §8 clock-free read mode on every engine at runtime (the
@@ -374,17 +219,13 @@ func (r *ShardedReplica) SetNoLSC(on bool) {
 // every shard (what a membership agent's decision does). The view is also
 // retained in the log so this node can serve laggards.
 func (r *ShardedReplica) OnViewChange(v proto.View) {
-	r.RecordView(proto.MUpdate{Shard: proto.AllShards, View: v})
-	for _, e := range r.engines {
-		e.OnViewChange(v)
-	}
+	r.host.Install(proto.MUpdate{Shard: proto.AllShards, View: v})
 }
 
 // InstallShard advances a single shard's membership epoch, leaving the other
 // shards untouched — the localized reconfiguration the chaos harness storms.
 func (r *ShardedReplica) InstallShard(shard int, v proto.View) {
-	r.RecordView(proto.MUpdate{Shard: uint16(shard), View: v})
-	r.engines[shard].OnViewChange(v)
+	r.host.Install(proto.MUpdate{Shard: uint16(shard), View: v})
 }
 
 // SetOperational flips the RM lease on every engine (lease loss is a
@@ -407,10 +248,4 @@ func (r *ShardedReplica) CaughtUp() bool {
 
 // ShardEpochs reports each engine's current membership epoch; with per-shard
 // installs they may legitimately differ.
-func (r *ShardedReplica) ShardEpochs() []uint32 {
-	out := make([]uint32, r.w)
-	for i, e := range r.engines {
-		out[i] = e.View().Epoch
-	}
-	return out
-}
+func (r *ShardedReplica) ShardEpochs() []uint32 { return r.host.Epochs() }
