@@ -31,6 +31,19 @@ import (
 )
 
 // Transport delivers messages between replica processes.
+//
+// Ownership, both directions: a message belongs to whoever hands it over
+// only for the duration of the call. Send must not retain msg — nor the
+// slice of messages a proto.ShardBatch carries — after it returns, because
+// senders recycle those buffers (the egress coalescer clears and reuses its
+// batch slice the moment Send is back); an implementation that queues must
+// encode or copy first, as wings.Link.Send and ChanTransport.Send do. The
+// pooled-buffer references msg carries (core.INV.Owner) pass to the
+// transport with the call; the caller never releases them afterwards.
+// Likewise the deliver callback may use msg, and a delivered batch's slice in
+// particular, only until it returns. What may be kept on either side: the
+// inner messages (they are values), and value bytes (proto.Value), which are
+// immutable once sent.
 type Transport interface {
 	// Send delivers msg from one node to another; best-effort (the
 	// protocols tolerate loss).
@@ -90,6 +103,9 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 	if ch == nil {
 		return
 	}
+	if sb, ok := msg.(proto.ShardBatch); ok {
+		msg = copyBatch(sb)
+	}
 	select {
 	case ch <- env{from: from, msg: msg}:
 	case <-t.closed:
@@ -97,6 +113,18 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 		// Full inbox: drop (the protocols' retransmission recovers). This
 		// models bounded NIC queues rather than blocking the sender.
 	}
+}
+
+// copyBatch gives a queued batch a slice of its own: the message crosses to
+// the receiving node's pump by reference, and the sender recycles the
+// batch's slice once Send returns (the Transport contract). Kept out of
+// Send's body — and out of its stack frame — because Send runs on flusher
+// goroutines born with a 2 KiB stack: a few dozen bytes more on the way down
+// to the channel send and every one of them starts by growing it.
+//
+//go:noinline
+func copyBatch(sb proto.ShardBatch) proto.ShardBatch {
+	return proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
 }
 
 // SetDeliver implements Transport and starts the pump goroutine.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/refbuf"
 )
 
 // gateTransport records sends and can block them, exposing the coalescer's
@@ -32,6 +35,11 @@ func (g *gateTransport) Send(from, to proto.NodeID, msg any) {
 	}
 	if gate != nil {
 		<-gate
+	}
+	if sb, ok := msg.(proto.ShardBatch); ok {
+		// Recording is retaining: the Transport contract lets the coalescer
+		// recycle the batch's slice once Send returns, so keep a copy.
+		msg = proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
 	}
 	g.mu.Lock()
 	g.sent = append(g.sent, msg)
@@ -342,5 +350,184 @@ func TestShardedLocalCoalescesAndStaysCorrect(t *testing.T) {
 	}
 	if coalesced < 2*batches {
 		t.Fatalf("batches=%d carried only %d messages; batching is degenerate", batches, coalesced)
+	}
+}
+
+// countTransport counts what it is sent and keeps nothing: the Transport
+// contract's model citizen.
+type countTransport struct {
+	msgs atomic.Uint64
+	gate chan struct{} // nil = sends pass; else Send blocks on it
+}
+
+func (c *countTransport) Send(from, to proto.NodeID, msg any) {
+	if c.gate != nil {
+		<-c.gate
+	}
+	n := 1
+	if sb, ok := msg.(proto.ShardBatch); ok {
+		n = len(sb.Msgs)
+	}
+	core.ReleaseMsgOwners(msg) // a transport spends what it does not deliver
+	c.msgs.Add(uint64(n))
+}
+func (c *countTransport) SetDeliver(proto.NodeID, func(proto.NodeID, any)) {}
+func (c *countTransport) Close() error                                     { return nil }
+
+// TestCoalescerBurstAllocationBudget: gathering and flushing a 16-message
+// burst allocates nothing in the coalescer — the queue is a recycled half of
+// the double buffer and the flusher starts without a closure. The one
+// allocation left is the ShardBatch envelope boxed for Transport.Send(any).
+// Each run waits for the flusher to exit, so every burst starts a new one:
+// the buffers must survive the idle gap.
+func TestCoalescerBurstAllocationBudget(t *testing.T) {
+	tr := &countTransport{}
+	sn := NewShardedNode(ShardedConfig{
+		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
+		Shards: 2,
+	}, tr)
+	defer sn.Close()
+	co := sn.coalescerFor(coalKey{to: 1, class: classResponse})
+	var burst [16]proto.ShardMsg
+	for i := range burst {
+		burst[i] = proto.ShardMsg{Shard: uint16(i % 2), Msg: core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}}
+	}
+	idle := func() bool {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return !co.flushing
+	}
+	sent := uint64(0)
+	flushBurst := func() {
+		for _, sm := range burst {
+			co.enqueue(sm)
+		}
+		sent += uint64(len(burst))
+		for tr.msgs.Load() < sent || !idle() {
+			runtime.Gosched()
+		}
+	}
+	flushBurst() // grows the first buffer
+	flushBurst() // brings it back as the spare
+	if n := testing.AllocsPerRun(200, flushBurst); n > 1 {
+		t.Fatalf("a 16-message burst allocates %.0f times, want <= 1 (the boxed envelope)", n)
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, buf := range [][]proto.ShardMsg{co.buf, co.spare} {
+		for i, sm := range buf[:cap(buf)] {
+			if sm.Msg != nil {
+				t.Fatalf("recycled queue entry %d still references a sent message", i)
+			}
+		}
+	}
+}
+
+// TestCoalescerOverflowReleasesOwners fills a coalescer to its bound behind a
+// wedged transport with INVs that each hold a reference on a pooled frame,
+// then overflows it. Dropped messages must spend their references on the
+// spot, and the queued ones when they finally ship: the frame's count returns
+// to its baseline, and nothing is left reachable in the coalescer.
+func TestCoalescerOverflowReleasesOwners(t *testing.T) {
+	gate := make(chan struct{})
+	tr := &countTransport{gate: gate}
+	sn := NewShardedNode(ShardedConfig{
+		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
+		Shards: 2,
+	}, tr)
+	defer sn.Close()
+	co := sn.coalescerFor(coalKey{to: 1, class: classRequest})
+
+	frame := refbuf.NewPool().Get(8)
+	inv := func() proto.ShardMsg {
+		frame.Retain()
+		return proto.ShardMsg{Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2}, Value: frame.Bytes(), Owner: frame}}
+	}
+	co.enqueue(inv()) // taken by the flusher, which wedges in Send
+	for {
+		co.mu.Lock()
+		taken := len(co.buf) == 0
+		co.mu.Unlock()
+		if taken {
+			break
+		}
+		runtime.Gosched()
+	}
+	for i := 0; i < maxCoalesceBuf; i++ {
+		co.enqueue(inv())
+	}
+	const over = 100
+	for i := 0; i < over; i++ {
+		co.enqueue(inv())
+	}
+	if _, _, _, dropped := sn.CoalesceStats(); dropped != over {
+		t.Fatalf("dropped = %d, want %d", dropped, over)
+	}
+	if got, want := frame.Refs(), int32(1+1+maxCoalesceBuf); got != want {
+		t.Fatalf("frame refs with the queue full = %d, want %d (drops released, queued held)", got, want)
+	}
+	close(gate)
+	deadline := time.Now().Add(10 * time.Second)
+	for frame.Refs() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("frame refs after the drain = %d, want the baseline 1", frame.Refs())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := tr.msgs.Load(); got != 1+maxCoalesceBuf {
+		t.Fatalf("transport saw %d messages, want %d", got, 1+maxCoalesceBuf)
+	}
+}
+
+// TestRecycledBatchesOverChanTransport is the regression test for the
+// Transport ownership rule: the coalescer clears and reuses a batch's slice
+// as soon as Send returns, and ChanTransport hands messages to the receiving
+// node's pump by reference — so it must queue a copy of the slice. With the
+// copy missing, receivers route cleared (nil) entries and the race detector
+// flags the pump reading what the flusher rewrites. Every node coordinates
+// writes on both shards at once, so every peer pair carries batches both ways.
+func TestRecycledBatchesOverChanTransport(t *testing.T) {
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond}, 2)
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const writers, rounds, keys = 8, 40, 64
+	var wg sync.WaitGroup
+	for ni, n := range l.Nodes {
+		for s := 0; s < writers; s++ {
+			wg.Add(1)
+			go func(ni, s int, n *ShardedNode) {
+				defer wg.Done()
+				for j := 0; j < rounds; j++ {
+					k := proto.Key((s*rounds+j)%keys + 1)
+					if err := n.Write(ctx, k, proto.Value(fmt.Sprintf("n%d-%d-%d", ni, s, j))); err != nil {
+						t.Errorf("node %d write %d/%d: %v", ni, s, j, err)
+						return
+					}
+				}
+			}(ni, s, n)
+		}
+	}
+	wg.Wait()
+
+	for k := proto.Key(1); k <= keys; k++ {
+		ref, err := l.Nodes[0].Read(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range l.Nodes[1:] {
+			if v, err := n.Read(ctx, k); err != nil || string(v) != string(ref) {
+				t.Fatalf("divergence on key %d: node %d has %q, node 0 has %q (%v)", k, n.ID(), v, ref, err)
+			}
+		}
+	}
+	var batches uint64
+	for _, n := range l.Nodes {
+		b, _, _, _ := n.CoalesceStats()
+		batches += b
+	}
+	if batches == 0 {
+		t.Fatal("no coalesced batch crossed the transport; the test lost its premise")
 	}
 }

@@ -238,6 +238,11 @@ func shardMsgSize(sm proto.ShardMsg) int {
 // protocols' retransmission recovers.
 const maxCoalesceBuf = 1 << 16
 
+// maxSpareMsgs caps the capacity of a queue buffer a coalescer keeps for
+// reuse (two per coalescer, 24 B an entry): one grown past it behind a
+// stalled peer goes back to the collector once it has drained.
+const maxSpareMsgs = 4096
+
 // peerCoalescer gathers small shard-tagged messages of one credit class
 // bound for one peer across all W shard engines and flushes them as single
 // ShardBatch frames. Batching is opportunistic, exactly like the wings
@@ -245,73 +250,99 @@ const maxCoalesceBuf = 1 << 16
 // its Send is in flight (possibly blocked on flow-control credits) further
 // messages pile into buf and ship together — latency is never traded for
 // batch size.
+//
+// The queue is double-buffered: the flusher takes buf whole and swaps spare
+// in, ships what it took, clears it (a sent INV must not stay reachable
+// through a recycled array) and hands it back as the next spare — so in
+// steady state enqueue appends into warm capacity and allocates nothing.
 type peerCoalescer struct {
 	sn    *ShardedNode
 	to    proto.NodeID
 	class msgClass
+	// flush is flushLoop bound once, so starting the flusher does not
+	// allocate the closure a `go p.flushLoop()` statement would.
+	flush func()
 
 	mu       sync.Mutex
 	buf      []proto.ShardMsg
+	spare    []proto.ShardMsg // nil while out with the flusher
 	flushing bool
 }
 
 func (p *peerCoalescer) enqueue(sm proto.ShardMsg) {
-	p.mu.Lock() //hermesvet:ignore eventloop bounded append under the buffer lock; flushLoop copies the batch out and releases before any I/O
+	p.mu.Lock() //hermesvet:ignore eventloop bounded append under the buffer lock; flushLoop swaps the queue out and releases before any I/O
 	if len(p.buf) >= maxCoalesceBuf {
 		p.mu.Unlock()
 		p.sn.droppedOut.Add(1)
+		// Dropped, not delivered: spend the message's buffer references like
+		// every other drop path.
+		core.ReleaseMsgOwners(sm.Msg)
 		return
 	}
 	p.buf = append(p.buf, sm)
 	if !p.flushing {
 		p.flushing = true
-		go p.flushLoop()
+		go p.flush()
 	}
 	p.mu.Unlock()
 }
 
 func (p *peerCoalescer) flushLoop() {
+	// flushed is the buffer the previous iteration shipped, handed back as
+	// the spare under the lock this iteration takes anyway.
+	var flushed []proto.ShardMsg
 	for {
 		p.mu.Lock()
+		if flushed != nil && cap(flushed) <= maxSpareMsgs {
+			p.spare = flushed[:0]
+		}
+		flushed = nil
 		if len(p.buf) == 0 {
 			p.flushing = false
 			p.mu.Unlock()
 			return
 		}
-		cut := len(p.buf)
-		if cut > maxBatchMsgs {
-			cut = maxBatchMsgs
-		}
-		if p.class == classRequest {
-			size := 0
-			for i := 0; i < cut; i++ {
-				size += shardMsgSize(p.buf[i])
-				if size > maxBatchBytes && i > 0 {
-					cut = i
-					break
-				}
-			}
-		}
-		batch := p.buf[:cut]
-		if cut == len(p.buf) {
-			p.buf = nil
-		} else {
-			p.buf = p.buf[cut:]
-		}
+		taken := p.buf
+		p.buf, p.spare = p.spare, nil
 		p.mu.Unlock()
 
-		if len(batch) == 1 {
-			// A lone message ships as a plain ShardMsg: no envelope overhead,
-			// and the wire stays identical to the pre-coalescing protocol
-			// whenever there is nothing to coalesce.
-			p.sn.singlesOut.Add(1)
-			p.sn.tr.Send(p.sn.id, p.to, batch[0])
-			continue
+		for rest := taken; len(rest) > 0; {
+			n := p.frameLen(rest)
+			if n == 1 {
+				// A lone message ships as a plain ShardMsg: no envelope
+				// overhead, and the wire stays identical to the
+				// pre-coalescing protocol whenever there is nothing to
+				// coalesce.
+				p.sn.singlesOut.Add(1)
+				p.sn.tr.Send(p.sn.id, p.to, rest[0])
+			} else {
+				p.sn.batchesOut.Add(1)
+				p.sn.coalescedOut.Add(uint64(n))
+				p.sn.tr.Send(p.sn.id, p.to, proto.ShardBatch{Msgs: rest[:n]})
+			}
+			rest = rest[n:]
 		}
-		p.sn.batchesOut.Add(1)
-		p.sn.coalescedOut.Add(uint64(len(batch)))
-		p.sn.tr.Send(p.sn.id, p.to, proto.ShardBatch{Msgs: batch})
+		// Transport.Send does not retain what it was given, and has spent the
+		// messages' buffer references: the slice is ours again.
+		clear(taken)
+		flushed = taken
 	}
+}
+
+// frameLen is how many of the queued messages go into the next frame: all
+// that the codec's count allows and, for requests, the byte budget.
+func (p *peerCoalescer) frameLen(queued []proto.ShardMsg) int {
+	n := min(len(queued), maxBatchMsgs)
+	if p.class == classRequest {
+		size := 0
+		for i := 0; i < n; i++ {
+			size += shardMsgSize(queued[i])
+			if size > maxBatchBytes && i > 0 {
+				return i
+			}
+		}
+	}
+	return n
 }
 
 // coalescerFor returns (creating if needed) the egress coalescer for a
@@ -323,6 +354,7 @@ func (sn *ShardedNode) coalescerFor(k coalKey) *peerCoalescer {
 	p := sn.coal[k]
 	if p == nil {
 		p = &peerCoalescer{sn: sn, to: k.to, class: k.class}
+		p.flush = p.flushLoop
 		sn.coal[k] = p
 	}
 	return p
@@ -524,6 +556,11 @@ func (sn *ShardedNode) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Bu
 // the shard's ops queue is full (bounded backpressure on the submitting
 // session, never on other sessions or shards). Returns ErrClosed on a
 // stopped node.
+//
+// op.Value is handed over: for an update it becomes the stored and
+// replicated value without a copy, so the caller must not mutate it after
+// the call (the serving layer passes the private copy its request decode
+// made). Callers that keep their buffers use Write/CAS/FAA, which clone.
 func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
 	return sn.shardFor(op.Key).submitAsync(op, fn)
 }
@@ -541,16 +578,19 @@ func (sn *ShardedNode) ReadStats() (reads, fastHits, fastMisses uint64) {
 	return reads, fastHits, fastMisses
 }
 
-// Write performs a linearizable write.
+// Write performs a linearizable write. val is copied here, at the blocking
+// API's boundary — the engine stores what it is submitted as is — so the
+// caller may reuse its buffer as soon as Write returns, cancelled or not.
 func (sn *ShardedNode) Write(ctx context.Context, key proto.Key, val proto.Value) error {
-	_, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpWrite, Key: key, Value: val})
+	_, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpWrite, Key: key, Value: val.Clone()})
 	return err
 }
 
 // CAS performs a compare-and-swap; swapped=false with err==nil means the
-// comparand mismatched and observed holds the current value.
+// comparand mismatched and observed holds the current value. val is copied
+// like Write's.
 func (sn *ShardedNode) CAS(ctx context.Context, key proto.Key, expect, val proto.Value) (swapped bool, observed proto.Value, err error) {
-	c, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpCAS, Key: key, Expected: expect, Value: val})
+	c, err := sn.shardFor(key).do(ctx, proto.ClientOp{Kind: proto.OpCAS, Key: key, Expected: expect, Value: val.Clone()})
 	if err != nil {
 		return false, nil, err
 	}

@@ -107,6 +107,13 @@ type Hermes struct {
 	oper    bool // has a valid RM lease; serves client requests
 	metrics Metrics
 
+	// freeMeta recycles the keyMetas gc drops: a write needs one for the
+	// length of its INV/ACK round only, so the steady-state write takes its
+	// coordination state (the pending update included) from here instead of
+	// the allocator. A plain stack — the engine is single-threaded — and no
+	// observable order depends on which object a key gets.
+	freeMeta []*keyMeta
+
 	// gate is the atomically-published condition for the lock-free read
 	// fast path; the read-side counters beneath it are the Metrics fields
 	// two goroutine classes bump (see ReadLocal). reads counts only
@@ -150,7 +157,15 @@ type specRead struct {
 // only while the key has an in-flight update, stalled requests, an armed
 // replay timer or buffered early ACKs; quiescent keys carry no overhead.
 type keyMeta struct {
-	pend     *pending
+	pend *pending // nil, or &pendBuf (see setPend)
+	// pendBuf backs pend so that starting an update allocates nothing beyond
+	// the meta itself. It is overwritten by the key's next update: code must
+	// not hold a *pending across a call that can start one (drainWaiters).
+	pendBuf pending
+	// slot caches the key's store slot once a turn has resolved it, so the
+	// later turns of the same update (ACKs, commit) skip the store's index.
+	// Only a non-nil value is trusted; slots are never removed.
+	slot     *kvs.Slot
 	waiters  []proto.ClientOp
 	replayAt time.Duration // when non-zero: replay if still Invalid then
 	// O3 early-validation bookkeeping for the follower side.
@@ -296,12 +311,30 @@ func (h *Hermes) SetOnCaughtUp(fn func()) { h.onCaughtUp = fn }
 
 // entry fetches the key's record; missing keys read as Valid with a zero
 // timestamp and nil value (the store's implicit initial state).
-func (h *Hermes) entry(k proto.Key) kvs.Entry {
-	e, ok := h.store.Get(k)
+func (h *Hermes) entry(k proto.Key) kvs.Entry { return entryOf(h.store.Lookup(k)) }
+
+// entryOf is entry on an already resolved slot (nil: the key is missing).
+func entryOf(sl *kvs.Slot) kvs.Entry {
+	e, ok := sl.Load()
 	if !ok {
 		return kvs.Entry{State: kvs.Valid}
 	}
 	return e
+}
+
+// slotOf resolves k's store slot — nil while the key has never been written
+// — consulting the store's index only when m (the key's meta, nil if none)
+// has not cached it. The write handlers resolve the slot once per turn and
+// read, install and revalidate through it.
+func (h *Hermes) slotOf(k proto.Key, m *keyMeta) *kvs.Slot {
+	if m != nil && m.slot != nil {
+		return m.slot
+	}
+	sl := h.store.Lookup(k)
+	if m != nil {
+		m.slot = sl
+	}
+	return sl
 }
 
 // safeVal returns an entry's value in a form that may outlive the current
@@ -319,12 +352,34 @@ func safeVal(e kvs.Entry) proto.Value {
 }
 
 func (h *Hermes) metaOf(k proto.Key) *keyMeta {
-	m := h.meta[k]
-	if m == nil {
-		m = &keyMeta{}
-		h.meta[k] = m
+	if m := h.meta[k]; m != nil {
+		return m
 	}
+	return h.newMeta(k)
+}
+
+// maxFreeMeta bounds the recycled-meta stack: enough for every update a
+// shard can have in flight at once, small enough that a one-off burst of
+// stalled keys does not stay resident.
+const maxFreeMeta = 1024
+
+// newMeta installs a zeroed meta for k, which must have none.
+func (h *Hermes) newMeta(k proto.Key) *keyMeta {
+	var m *keyMeta
+	if n := len(h.freeMeta); n > 0 {
+		m, h.freeMeta = h.freeMeta[n-1], h.freeMeta[:n-1]
+	} else {
+		m = &keyMeta{}
+	}
+	h.meta[k] = m
 	return m
+}
+
+// setPend makes p the key's pending update.
+func (m *keyMeta) setPend(p pending) *pending {
+	m.pendBuf = p
+	m.pend = &m.pendBuf
+	return m.pend
 }
 
 // sortedMetaKeys snapshots the keys with live coordination state in key
@@ -344,14 +399,22 @@ func (h *Hermes) sortedMetaKeys() []proto.Key {
 	return keys
 }
 
-// gc drops the key's meta if it holds no state.
+// gc drops the key's meta if it holds no state and recycles it. Handlers
+// may reach gc twice for one meta in a turn (validate, then their own tail);
+// the identity check makes the second a no-op instead of a double free.
 func (h *Hermes) gc(k proto.Key, m *keyMeta) {
-	if m.pend == nil && len(m.waiters) == 0 && m.replayAt == 0 && m.ackers == nil {
-		delete(h.meta, k)
+	if m.pend != nil || len(m.waiters) > 0 || m.replayAt != 0 || m.ackers != nil || h.meta[k] != m {
+		return
+	}
+	delete(h.meta, k)
+	if len(h.freeMeta) < maxFreeMeta {
+		*m = keyMeta{} // also drops the waiters array and the values it pinned
+		h.freeMeta = append(h.freeMeta, m)
 	}
 }
 
-// Submit implements proto.Replica.
+// Submit implements proto.Replica. An update's op.Value is handed over to
+// the replica (see startUpdate): the submitter must not mutate it afterwards.
 func (h *Hermes) Submit(op proto.ClientOp) {
 	if !h.Operational() {
 		h.env.Complete(proto.Completion{OpID: op.ID, Kind: op.Kind, Key: op.Key, Status: proto.NotOperational})
@@ -365,8 +428,10 @@ func (h *Hermes) Submit(op proto.ClientOp) {
 	default:
 		h.metrics.RMWs++
 	}
-	e := h.entry(op.Key)
-	if e.State != kvs.Valid || h.pendingOn(op.Key) {
+	m := h.meta[op.Key]
+	sl := h.slotOf(op.Key, m)
+	e := entryOf(sl)
+	if e.State != kvs.Valid || (m != nil && m.pend != nil) {
 		if op.Kind == proto.OpRead && e.State == kvs.Valid {
 			// Valid but this node coordinates an in-flight update whose
 			// local apply is imminent; still safe to read the Valid value.
@@ -376,26 +441,23 @@ func (h *Hermes) Submit(op proto.ClientOp) {
 		if op.Kind == proto.OpRead {
 			h.stalledReads.Add(1)
 		}
-		h.stall(op, e)
+		h.stall(op, e, m)
 		return
 	}
 	if op.Kind == proto.OpRead {
 		h.completeRead(op, safeVal(e))
 		return
 	}
-	h.startUpdate(op, e)
-}
-
-func (h *Hermes) pendingOn(k proto.Key) bool {
-	m := h.meta[k]
-	return m != nil && m.pend != nil
+	h.startUpdate(op, e, m, sl)
 }
 
 // stall queues op on its key and arms the replay timer: if the key is still
 // Invalid after the message-loss timeout, the missing VAL is presumed lost
 // and the write is replayed (§3.4 Imperfect Links).
-func (h *Hermes) stall(op proto.ClientOp, e kvs.Entry) {
-	m := h.metaOf(op.Key)
+func (h *Hermes) stall(op proto.ClientOp, e kvs.Entry, m *keyMeta) {
+	if m == nil {
+		m = h.newMeta(op.Key)
+	}
 	m.waiters = append(m.waiters, op)
 	if e.State == kvs.Invalid && m.pend == nil && m.replayAt == 0 {
 		m.replayAt = h.env.Now() + h.cfg.MLT
@@ -413,8 +475,14 @@ func (h *Hermes) completeRead(op proto.ClientOp, val proto.Value) {
 
 // startUpdate begins coordinating a write or RMW for a key currently in
 // Valid state with no local pending update (§3.2 coordinator steps CTS,
-// CINV).
-func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry) {
+// CINV). m and sl are the key's meta and store slot as the caller resolved
+// them, nil where the key has none yet.
+//
+// op.Value is handed over: it becomes the stored and broadcast value as is,
+// so the submitter must not mutate it afterwards. Wire-decoded requests
+// arrive in private copies already; the blocking API, whose callers keep
+// their buffers, clones at its own boundary (cluster.ShardedNode.Write).
+func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry, m *keyMeta, sl *kvs.Slot) {
 	var newVal, oldVal proto.Value
 	rmw := op.Kind.IsRMW()
 	switch op.Kind {
@@ -444,15 +512,21 @@ func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry) {
 		ts.Version = e.TS.Version + 1
 	}
 
-	m := h.metaOf(op.Key)
-	m.pend = &pending{
-		ts: ts, val: newVal.Clone(), rmw: rmw,
+	if m == nil {
+		m = h.newMeta(op.Key)
+	}
+	if sl == nil {
+		sl = h.store.Ensure(op.Key)
+	}
+	m.slot = sl
+	p := m.setPend(pending{
+		ts: ts, val: newVal, rmw: rmw,
 		hasOp: true, op: op, oldVal: oldVal,
 		resendAt: h.env.Now() + h.cfg.MLT,
-	}
+	})
 	// CINV: apply locally and broadcast the invalidation with the value.
-	h.store.Update(op.Key, kvs.Entry{Value: m.pend.val, TS: ts, State: kvs.Write, RMW: rmw})
-	h.broadcastINV(op.Key, m.pend)
+	sl.Update(kvs.Entry{Value: newVal, TS: ts, State: kvs.Write, RMW: rmw})
+	h.broadcastINV(op.Key, p)
 	h.checkCommit(op.Key, m)
 }
 
@@ -464,7 +538,9 @@ func (h *Hermes) pickCID() uint16 {
 }
 
 func (h *Hermes) broadcastINV(k proto.Key, p *pending) {
-	msg := INV{Epoch: h.view.Epoch, Key: k, TS: p.ts, Value: p.val, RMW: p.rmw}
+	// Boxed once, outside the loop: Env.Send takes an interface, and
+	// converting inside would allocate a copy of the message per peer.
+	var msg any = INV{Epoch: h.view.Epoch, Key: k, TS: p.ts, Value: p.val, RMW: p.rmw}
 	for _, n := range h.wset {
 		if !p.acked.has(n) {
 			h.env.Send(n, msg)
@@ -481,15 +557,15 @@ func (h *Hermes) broadcastINV(k proto.Key, p *pending) {
 func (h *Hermes) startReplay(k proto.Key, m *keyMeta, e kvs.Entry) {
 	h.metrics.Replays++
 	m.replayAt = 0
-	m.pend = &pending{
+	p := m.setPend(pending{
 		// The replay value escapes the turn: it is rebroadcast from timers
 		// and encoded asynchronously, so an owner-backed store value must be
 		// cloned out of its pooled frame first.
 		ts: e.TS, val: safeVal(e), rmw: e.RMW, replay: true,
 		resendAt: h.env.Now() + h.cfg.MLT,
-	}
-	h.store.SetState(k, kvs.Replay)
-	h.broadcastINV(k, m.pend)
+	})
+	h.slotOf(k, m).SetState(kvs.Replay)
+	h.broadcastINV(k, p)
 	h.checkCommit(k, m)
 }
 
@@ -532,7 +608,9 @@ func (h *Hermes) onINV(from proto.NodeID, inv INV) {
 		inv.ReleaseOwner()
 		return
 	}
-	e := h.entry(inv.Key)
+	m := h.meta[inv.Key]
+	sl := h.slotOf(inv.Key, m)
+	e := entryOf(sl)
 	cmp := inv.TS.Compare(e.TS)
 
 	if inv.RMW && cmp < 0 {
@@ -546,17 +624,17 @@ func (h *Hermes) onINV(from proto.NodeID, inv INV) {
 	}
 
 	if cmp > 0 {
-		h.applyINV(inv)
+		h.applyINV(inv, m, sl)
 	} else {
 		inv.ReleaseOwner()
 	}
-	h.sendACK(from, inv, cmp)
+	h.sendACK(from, inv, cmp, e)
 }
 
 // applyINV installs a higher-timestamped update: FINV's state transition
-// plus CRMW-abort when this node coordinates a pending RMW.
-func (h *Hermes) applyINV(inv INV) {
-	m := h.meta[inv.Key]
+// plus CRMW-abort when this node coordinates a pending RMW. m and sl are the
+// key's meta and store slot as the caller resolved them (nil: none yet).
+func (h *Hermes) applyINV(inv INV, m *keyMeta, sl *kvs.Slot) {
 	st := kvs.Invalid
 	if m != nil && m.pend != nil {
 		p := m.pend
@@ -617,8 +695,12 @@ func (h *Hermes) applyINV(inv INV) {
 	// reference (nil for sim/heap-decoded INVs, where Value is already a
 	// private immutable slice). The store releases it when a newer entry
 	// replaces this one.
-	h.store.Update(inv.Key, kvs.Entry{Value: inv.Value, TS: inv.TS, State: st, RMW: inv.RMW, Owner: inv.Owner})
+	if sl == nil {
+		sl = h.store.Ensure(inv.Key)
+	}
+	sl.Update(kvs.Entry{Value: inv.Value, TS: inv.TS, State: st, RMW: inv.RMW, Owner: inv.Owner})
 	if m != nil {
+		m.slot = sl
 		// Stalled requests now wait for the newer write; re-arm its timer.
 		if len(m.waiters) > 0 && st == kvs.Invalid && m.pend == nil {
 			m.replayAt = h.env.Now() + h.cfg.MLT
@@ -633,14 +715,13 @@ func (h *Hermes) applyINV(inv INV) {
 
 // sendACK acknowledges an INV: to the coordinator only, or — under O3 — to
 // every replica so followers can validate without the VAL round. cmp is the
-// INV's timestamp compared against the local entry; when the local entry
-// outranked the INV (cmp < 0, ACK-without-apply) the ACK teaches the sender
-// the rival entry so the losing write's coordinator never validates its copy
-// blind to the in-flight chain above it.
-func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int) {
+// INV's timestamp compared against e, the local entry before the INV; when
+// the local entry outranked the INV (cmp < 0, ACK-without-apply: e still
+// stands) the ACK teaches the sender the rival entry so the losing write's
+// coordinator never validates its copy blind to the in-flight chain above it.
+func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int, e kvs.Entry) {
 	ack := ACK{Epoch: h.view.Epoch, Key: inv.Key, TS: inv.TS}
 	if cmp < 0 {
-		e := h.entry(inv.Key)
 		ack.Higher = true
 		ack.HTS = e.TS
 		ack.HVal = safeVal(e)
@@ -652,8 +733,9 @@ func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int) {
 		h.metrics.ACKsSent++
 		return
 	}
+	var msg any = ack // boxed once for the whole broadcast
 	for _, n := range h.wset {
-		h.env.Send(n, ack)
+		h.env.Send(n, msg)
 		h.metrics.ACKsSent++
 	}
 	// Count our own ACK toward early validation.
@@ -697,12 +779,13 @@ func (h *Hermes) onACK(from proto.NodeID, ack ACK) {
 // never reissued: its INV is already out, so a replay may have committed —
 // and readers observed — it without this coordinator's knowledge.
 func (h *Hermes) learnHigher(ack ACK) {
-	e := h.entry(ack.Key)
-	if !e.TS.Before(ack.HTS) {
+	m := h.meta[ack.Key]
+	sl := h.slotOf(ack.Key, m)
+	if !entryOf(sl).TS.Before(ack.HTS) {
 		return
 	}
 	h.metrics.TaughtApplied++
-	h.applyINV(INV{Epoch: ack.Epoch, Key: ack.Key, TS: ack.HTS, Value: ack.HVal, RMW: ack.HRMW})
+	h.applyINV(INV{Epoch: ack.Epoch, Key: ack.Key, TS: ack.HTS, Value: ack.HVal, RMW: ack.HRMW}, m, sl)
 }
 
 // recordEarlyACK tracks which replicas have acknowledged (key, ts). ACKs may
@@ -735,7 +818,8 @@ func (h *Hermes) tryEarlyValidate(k proto.Key, m *keyMeta) {
 	if m.ackers == nil {
 		return
 	}
-	e := h.entry(k)
+	sl := h.slotOf(k, m)
+	e := entryOf(sl)
 	if m.ackTS != e.TS || e.State != kvs.Invalid {
 		return
 	}
@@ -747,7 +831,7 @@ func (h *Hermes) tryEarlyValidate(k proto.Key, m *keyMeta) {
 	}
 	h.metrics.EarlyValidations++
 	m.ackers = nil
-	h.validate(k, m)
+	h.validate(k, m, sl)
 }
 
 // onVAL implements FVAL: validate iff the timestamps match exactly.
@@ -755,18 +839,21 @@ func (h *Hermes) onVAL(from proto.NodeID, val VAL) {
 	if h.staleEpoch(val.Epoch) {
 		return
 	}
-	e := h.entry(val.Key)
+	// Look the meta up, never create it: the common follower VAL finds none
+	// (nothing stalled on the key, no timer armed) and only flips the state.
+	m := h.meta[val.Key]
+	sl := h.slotOf(val.Key, m)
+	e := entryOf(sl)
 	if e.TS != val.TS || e.State == kvs.Valid {
 		return
 	}
-	m := h.metaOf(val.Key)
-	if m.pend != nil && m.pend.ts == val.TS {
+	if m != nil && m.pend != nil && m.pend.ts == val.TS {
 		// Another node replayed our write to completion before our own ACKs
 		// arrived; the write is committed.
 		h.finishPending(val.Key, m)
 		return
 	}
-	h.validate(val.Key, m)
+	h.validate(val.Key, m, sl)
 }
 
 // checkCommit fires CACK once every node in the current view's write set has
@@ -791,6 +878,7 @@ func (h *Hermes) checkCommit(k proto.Key, m *keyMeta) {
 func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	p := m.pend
 	m.pend = nil
+	ts := p.ts // p is not read past this block: a drained waiter reuses it
 	if p.hasOp {
 		c := proto.Completion{OpID: p.op.ID, Kind: p.op.Kind, Key: k, Status: proto.OK}
 		if p.op.Kind == proto.OpFAA {
@@ -801,18 +889,19 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	// The commit is also a proof of current membership for §8 reads.
 	h.flushSpecReadsOnCommit()
 
-	e := h.entry(k)
+	sl := h.slotOf(k, m)
+	e := entryOf(sl)
 	switch {
-	case e.TS == p.ts:
+	case e.TS == ts:
 		if !h.cfg.EarlyACKs {
-			h.broadcastVAL(k, p.ts)
+			h.broadcastVAL(k, ts)
 		}
-		h.validate(k, m)
+		h.validate(k, m, sl)
 	case e.State == kvs.Valid:
 		// The superseding write already validated the key (its VAL or early
 		// ACKs arrived before our last ACK). Our write committed; nothing to
 		// validate, and O1 applies to our own VAL.
-		h.elideOrBroadcastVAL(k, p.ts)
+		h.elideOrBroadcastVAL(k, ts)
 		h.drainWaiters(k, m)
 		h.gc(k, m)
 	default:
@@ -824,7 +913,7 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 		// the RMW's timestamp — the same hole teaching ACKs close at the
 		// coordinator. §3.4 lets any invalidated node re-broadcast a write
 		// it knows; the rival's own VAL or a replay validates it.
-		h.store.SetState(k, kvs.Invalid)
+		sl.SetState(kvs.Invalid)
 		if len(m.waiters) > 0 && m.replayAt == 0 {
 			m.replayAt = h.env.Now() + h.cfg.MLT
 		}
@@ -846,7 +935,7 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 // receivers already past it ACK harmlessly.
 func (h *Hermes) relayHigherINV(k proto.Key) {
 	e := h.entry(k)
-	msg := INV{Epoch: h.view.Epoch, Key: k, TS: e.TS, Value: safeVal(e), RMW: e.RMW}
+	var msg any = INV{Epoch: h.view.Epoch, Key: k, TS: e.TS, Value: safeVal(e), RMW: e.RMW}
 	for _, n := range h.wset {
 		h.env.Send(n, msg)
 		h.metrics.INVsSent++
@@ -862,16 +951,21 @@ func (h *Hermes) elideOrBroadcastVAL(k proto.Key, ts proto.TS) {
 }
 
 func (h *Hermes) broadcastVAL(k proto.Key, ts proto.TS) {
-	msg := VAL{Epoch: h.view.Epoch, Key: k, TS: ts}
+	var msg any = VAL{Epoch: h.view.Epoch, Key: k, TS: ts} // boxed once, see broadcastINV
 	for _, n := range h.wset {
 		h.env.Send(n, msg)
 		h.metrics.VALsSent++
 	}
 }
 
-// validate transitions the key to Valid and serves its stalled requests.
-func (h *Hermes) validate(k proto.Key, m *keyMeta) {
-	h.store.SetState(k, kvs.Valid)
+// validate transitions the key to Valid and serves its stalled requests. m
+// is nil when the key carries no coordination state, which is the common
+// case at a follower: then the state flip is all there is to do.
+func (h *Hermes) validate(k proto.Key, m *keyMeta, sl *kvs.Slot) {
+	sl.SetState(kvs.Valid)
+	if m == nil {
+		return
+	}
 	m.replayAt = 0
 	m.ackers = nil
 	if m.pend == nil {
@@ -885,7 +979,7 @@ func (h *Hermes) validate(k proto.Key, m *keyMeta) {
 // after which the key is no longer Valid and the rest keep waiting.
 func (h *Hermes) drainWaiters(k proto.Key, m *keyMeta) {
 	for len(m.waiters) > 0 {
-		e := h.entry(k)
+		e := entryOf(h.slotOf(k, m))
 		if e.State != kvs.Valid || m.pend != nil {
 			return
 		}
@@ -895,7 +989,7 @@ func (h *Hermes) drainWaiters(k proto.Key, m *keyMeta) {
 			h.completeRead(op, safeVal(e))
 			continue
 		}
-		h.startUpdate(op, e)
+		h.startUpdate(op, e, m, m.slot)
 	}
 }
 

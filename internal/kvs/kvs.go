@@ -90,13 +90,21 @@ type Store struct {
 
 type shard struct {
 	mu sync.RWMutex // guards the index map only
-	m  map[proto.Key]*slot
+	m  map[proto.Key]*Slot
 }
 
-// slot holds the atomically published current record for one key. The
+// Slot holds the atomically published current record for one key. The
 // protocol goroutine is the only writer per key (single-writer discipline,
 // as in the paper's per-worker key ownership); readers Load concurrently.
-type slot struct {
+//
+// A *Slot is also the writer's handle on the key: Lookup or Ensure resolves
+// it once — the only step that touches the index map and its lock — and
+// Load, Update and SetState then act on it directly, so a handler turn that
+// reads, installs and revalidates one key pays for one lookup. Slots are
+// never removed from the store, so a handle stays valid for the store's
+// lifetime and may be cached across turns. The keyed Store methods are the
+// same operations with the lookup folded in; both views observe each other.
+type Slot struct {
 	p atomic.Pointer[Entry]
 }
 
@@ -109,7 +117,7 @@ func New(shards int) *Store {
 	}
 	s := &Store{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range s.shards {
-		s.shards[i].m = make(map[proto.Key]*slot)
+		s.shards[i].m = make(map[proto.Key]*Slot)
 	}
 	return s
 }
@@ -122,7 +130,10 @@ func (s *Store) shardOf(k proto.Key) *shard {
 	return &s.shards[h&s.mask]
 }
 
-func (s *Store) lookup(k proto.Key) *slot {
+// Lookup resolves k's slot, nil when the key has never been written. A nil
+// *Slot is a usable handle: Load reports the key absent and SetState is a
+// no-op, exactly as the keyed methods treat a missing key.
+func (s *Store) Lookup(k proto.Key) *Slot {
 	sh := s.shardOf(k)
 	sh.mu.RLock()
 	sl := sh.m[k]
@@ -130,10 +141,27 @@ func (s *Store) lookup(k proto.Key) *slot {
 	return sl
 }
 
-// Get returns a consistent snapshot of the key's entry and whether the key
-// exists. Safe for any number of concurrent readers and one writer per key.
-func (s *Store) Get(k proto.Key) (Entry, bool) {
-	sl := s.lookup(k)
+// Ensure resolves k's slot, creating an empty one (Load reports absent until
+// the first Update) when the key is new. The caller must be the key's single
+// writer.
+func (s *Store) Ensure(k proto.Key) *Slot {
+	if sl := s.Lookup(k); sl != nil {
+		return sl
+	}
+	sh := s.shardOf(k)
+	sh.mu.Lock()
+	sl := sh.m[k]
+	if sl == nil {
+		sl = &Slot{}
+		sh.m[k] = sl
+	}
+	sh.mu.Unlock()
+	return sl
+}
+
+// Load returns a consistent snapshot of the slot's entry and whether one has
+// been published.
+func (sl *Slot) Load() (Entry, bool) {
 	if sl == nil {
 		return Entry{}, false
 	}
@@ -144,24 +172,23 @@ func (s *Store) Get(k proto.Key) (Entry, bool) {
 	return *e, true
 }
 
+// Get returns a consistent snapshot of the key's entry and whether the key
+// exists. Safe for any number of concurrent readers and one writer per key.
+func (s *Store) Get(k proto.Key) (Entry, bool) {
+	return s.Lookup(k).Load()
+}
+
 // Update installs a full entry for k (value, timestamp, state, rmw flag),
 // adopting e.Owner's reference if set. The caller must be the key's single
 // writer. The replaced entry's buffer reference is released only after the
 // new entry is published: a concurrent GetRetained that pinned the old
 // buffer before the swap keeps it alive, and one that loses the
 // TryRetain race is guaranteed to observe the new entry on reload.
-func (s *Store) Update(k proto.Key, e Entry) {
-	sl := s.lookup(k)
-	if sl == nil {
-		sh := s.shardOf(k)
-		sh.mu.Lock()
-		sl = sh.m[k]
-		if sl == nil {
-			sl = &slot{}
-			sh.m[k] = sl
-		}
-		sh.mu.Unlock()
-	}
+func (s *Store) Update(k proto.Key, e Entry) { s.Ensure(k).Update(e) }
+
+// Update is Store.Update on a resolved slot (from Ensure: a nil handle has
+// no slot to publish into).
+func (sl *Slot) Update(e Entry) {
 	old := sl.p.Swap(&e)
 	if old != nil && old.Owner != nil {
 		// Each published entry holds its own reference, so this release is
@@ -175,8 +202,10 @@ func (s *Store) Update(k proto.Key, e Entry) {
 // absent. The caller must be the key's single writer. The republished entry
 // inherits the old one's buffer reference — a transfer, not a new retain,
 // so no release happens here.
-func (s *Store) SetState(k proto.Key, st KeyState) {
-	sl := s.lookup(k)
+func (s *Store) SetState(k proto.Key, st KeyState) { s.Lookup(k).SetState(st) }
+
+// SetState is Store.SetState on a resolved slot.
+func (sl *Slot) SetState(st KeyState) {
 	if sl == nil {
 		return
 	}
@@ -202,7 +231,7 @@ func (s *Store) SetState(k proto.Key, st KeyState) {
 // extra reference is balance-neutral), and a failed TryRetain means a
 // fresher entry is already published.
 func (s *Store) GetRetained(k proto.Key) (Entry, bool) {
-	sl := s.lookup(k)
+	sl := s.Lookup(k)
 	if sl == nil {
 		return Entry{}, false
 	}
@@ -244,7 +273,7 @@ func (s *Store) Range(fn func(k proto.Key, e Entry) bool) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		keys := make([]proto.Key, 0, len(sh.m))
-		slots := make([]*slot, 0, len(sh.m))
+		slots := make([]*Slot, 0, len(sh.m))
 		for k, sl := range sh.m {
 			keys = append(keys, k)
 			slots = append(slots, sl)

@@ -259,3 +259,84 @@ func BenchmarkUpdate(b *testing.B) {
 		s.Update(proto.Key(i&(1<<16-1)), e)
 	}
 }
+
+// TestSlotHandleAndKeyedViewsAgree: the writer-side handle and the keyed
+// methods are two views of the same slot — what one publishes the other
+// observes — including for a key the handle creates, and a nil handle
+// behaves like a missing key. Readers hammer both read paths meanwhile; run
+// under -race this is also the proof that handle writes publish safely.
+func TestSlotHandleAndKeyedViewsAgree(t *testing.T) {
+	s := New(8)
+	const k = proto.Key(7)
+
+	if sl := s.Lookup(k); sl != nil {
+		t.Fatalf("Lookup of a missing key = %p, want nil", sl)
+	}
+	var none *Slot
+	if _, ok := none.Load(); ok {
+		t.Fatal("nil handle Load reports an entry")
+	}
+	none.SetState(Valid) // no-op, must not panic
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, get := range []func(proto.Key) (Entry, bool){s.Get, s.GetRetained} {
+					if e, ok := get(k); ok && len(e.Value) != int(e.TS.Version) {
+						t.Errorf("torn entry: %d-byte value at version %d", len(e.Value), e.TS.Version)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	sl := s.Ensure(k)
+	if _, ok := sl.Load(); ok {
+		t.Fatal("fresh slot reports an entry before its first Update")
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("keyed Get sees an entry in a slot Ensure only created")
+	}
+	if s.Ensure(k) != sl || s.Lookup(k) != sl {
+		t.Fatal("Ensure/Lookup resolved a second slot for the key")
+	}
+	for v := uint32(1); v <= 200; v++ {
+		val := make(proto.Value, v)
+		if v%2 == 1 {
+			// Handle writes, keyed reads.
+			sl.Update(Entry{Value: val, TS: proto.TS{Version: v}, State: Invalid})
+			if e, ok := s.GetRetained(k); !ok || e.TS.Version != v || e.State != Invalid {
+				t.Fatalf("keyed GetRetained after handle Update(v%d): %+v %v", v, e, ok)
+			}
+			sl.SetState(Valid)
+			if e, _ := s.Get(k); e.State != Valid || e.TS.Version != v {
+				t.Fatalf("keyed Get after handle SetState(v%d): %+v", v, e)
+			}
+		} else {
+			// Keyed writes, handle reads.
+			s.Update(k, Entry{Value: val, TS: proto.TS{Version: v}, State: Write})
+			if e, ok := sl.Load(); !ok || e.TS.Version != v || e.State != Write {
+				t.Fatalf("handle Load after keyed Update(v%d): %+v %v", v, e, ok)
+			}
+			s.SetState(k, Valid)
+			if e, _ := sl.Load(); e.State != Valid || e.TS.Version != v {
+				t.Fatalf("handle Load after keyed SetState(v%d): %+v", v, e)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d keys, want 1", s.Len())
+	}
+}

@@ -152,6 +152,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.accepted.Add(1)
 		sess := &session{srv: s, conn: conn}
+		sess.flush = sess.flushLoop
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -228,7 +229,29 @@ type session struct {
 	queue    []queuedResp
 	flushing bool
 	dead     bool
+	// spare is the other half of the response double buffer: the flusher
+	// swaps it in for queue when it takes a batch and hands the flushed
+	// slice back once the frame is written. Nil while out with the flusher.
+	spare []queuedResp
+	// flush is flushLoop bound once, so starting the flusher does not
+	// allocate the closure a `go se.flushLoop()` statement would.
+	flush func()
+
+	// The flusher's encode scratch. It belongs to the session, not to one
+	// flusher goroutine's stack, so it is still warm after an idle gap (each
+	// burst starts a new goroutine); the flushing flag admits one flusher at
+	// a time, and each start is ordered after the last exit by mu.
+	resps []proto.ClientResp
+	frame []byte
 }
+
+// Retained-capacity caps for a session's queue halves, response scratch and
+// frame buffer: a session that once flushed a deep or large-valued burst
+// does not keep that memory while idle (there may be thousands of sessions).
+const (
+	maxSpareResps = 128
+	maxSpareFrame = 32 << 10
+)
 
 // queuedResp is one response awaiting flush. A non-nil owner pins the pooled
 // frame buffer resp.Value aliases (the zero-copy fast-read path); the
@@ -334,7 +357,7 @@ func (se *session) enqueue(qr queuedResp) {
 	se.queue = append(se.queue, qr)
 	if !se.flushing {
 		se.flushing = true
-		go se.flushLoop()
+		go se.flush()
 	}
 	se.mu.Unlock()
 }
@@ -345,45 +368,63 @@ func (se *session) enqueue(qr queuedResp) {
 // blocks only this goroutine — the pump keeps counting outstanding and kills
 // the session at the bound.
 func (se *session) flushLoop() {
-	var buf []byte
-	var resps []proto.ClientResp
+	// flushed is the queue half the previous iteration wrote out, handed back
+	// as the spare under the lock this iteration takes anyway.
+	var flushed []queuedResp
 	for {
 		se.mu.Lock()
+		if flushed != nil && cap(flushed) <= maxSpareResps {
+			se.spare = flushed[:0]
+		}
+		flushed = nil
 		if len(se.queue) == 0 || se.dead {
 			se.flushing = false
 			se.mu.Unlock()
 			return
 		}
 		batch := se.queue
+		recycle := true
 		if len(batch) > wings.MaxFrameMsgs {
 			batch = batch[:wings.MaxFrameMsgs]
 			se.queue = se.queue[wings.MaxFrameMsgs:]
+			recycle = false // the queued tail shares batch's array
 		} else {
-			se.queue = nil
+			se.queue, se.spare = se.spare, nil
 		}
 		se.mu.Unlock()
 
-		resps = resps[:0]
+		resps := se.resps[:0]
 		for _, qr := range batch {
 			resps = append(resps, qr.resp)
 		}
 		// Monomorphic encode: no per-response interface boxing, so a flush
 		// with warm scratch buffers allocates nothing.
-		frame, err := wings.AppendClientResps(buf[:0], resps)
+		frame, err := wings.AppendClientResps(se.frame[:0], resps)
 		// The frame holds private copies of every value now; the pinned
 		// buffers' last use is behind us either way (on the error path the
-		// bytes will never be encoded at all).
+		// bytes will never be encoded at all). Clearing drops the scratch's
+		// references to the values along with the pins.
 		releaseBatch(batch)
+		clear(batch)
+		clear(resps)
+		if cap(resps) <= maxSpareResps {
+			se.resps = resps
+		}
 		if err != nil {
 			se.kill()
 			return
 		}
-		buf = frame
+		if cap(frame) <= maxSpareFrame {
+			se.frame = frame
+		}
 		if _, err := se.conn.Write(frame); err != nil {
 			se.kill()
 			return
 		}
 		se.outstanding.Add(-int64(len(batch)))
+		if recycle {
+			flushed = batch
+		}
 	}
 }
 

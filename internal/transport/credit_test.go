@@ -269,7 +269,12 @@ func TestMeshShardBatchRoundTrip(t *testing.T) {
 	a.addrs, b.addrs = addrs, addrs
 
 	got := make(chan any, 1)
-	b.SetDeliver(1, func(from proto.NodeID, msg any) { got <- msg })
+	b.SetDeliver(1, func(from proto.NodeID, msg any) {
+		// A delivered batch's slice is the serve loop's scratch, valid until
+		// this callback returns (wings.Link.Serve): keep a copy.
+		sb := msg.(proto.ShardBatch)
+		got <- proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
+	})
 
 	batch := proto.ShardBatch{Msgs: []proto.ShardMsg{
 		{Shard: 0, Msg: core.ACK{Epoch: 1, Key: 7, TS: proto.TS{Version: 2, CID: 1}}},

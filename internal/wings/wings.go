@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/proto"
@@ -556,34 +557,9 @@ func decodeMsg(t uint8, body []byte, owner *refbuf.Buf) (any, error) {
 		}
 		msg = sm
 	case tShardBatch:
-		count := int(r.u16())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if count == 0 {
-			return nil, fmt.Errorf("wings: empty ShardBatch")
-		}
-		// Every entry takes at least 7 bytes (shard + type + length); a
-		// hostile count larger than the body can hold must not drive the
-		// preallocation.
-		if count > (len(r.b)-r.off)/7 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		b := proto.ShardBatch{Msgs: make([]proto.ShardMsg, 0, count)}
-		for i := 0; i < count; i++ {
-			sm, err := decodeTagged(r, owner)
-			if err != nil {
-				// References already retained for earlier entries die with
-				// the batch: the stream is aborted on a decode error, so the
-				// frame buffer is simply never pooled again (GC reclaims it).
-				releaseShardMsgOwners(b.Msgs)
-				return nil, err
-			}
-			b.Msgs = append(b.Msgs, sm)
-		}
-		if r.err != nil {
-			releaseShardMsgOwners(b.Msgs)
-			return nil, r.err
+		b, err := decodeShardBatch(r, owner, nil)
+		if err != nil {
+			return nil, err
 		}
 		msg = b
 	default:
@@ -594,6 +570,42 @@ func decodeMsg(t uint8, body []byte, owner *refbuf.Buf) (any, error) {
 		return nil, r.err
 	}
 	return msg, nil
+}
+
+// decodeShardBatch parses a tShardBatch body into scratch[:0], or into a
+// fresh slice when scratch is too small for the batch (nil: always fresh).
+// The returned batch aliases scratch in the first case, so a caller passing
+// one owns the batch's lifetime (Link.Serve: until fn returns).
+func decodeShardBatch(r *reader, owner *refbuf.Buf, scratch []proto.ShardMsg) (proto.ShardBatch, error) {
+	count := int(r.u16())
+	if r.err != nil {
+		return proto.ShardBatch{}, r.err
+	}
+	if count == 0 {
+		return proto.ShardBatch{}, fmt.Errorf("wings: empty ShardBatch")
+	}
+	// Every entry takes at least 7 bytes (shard + type + length); a
+	// hostile count larger than the body can hold must not drive the
+	// preallocation.
+	if count > (len(r.b)-r.off)/7 {
+		return proto.ShardBatch{}, io.ErrUnexpectedEOF
+	}
+	msgs := scratch[:0]
+	if cap(msgs) < count {
+		msgs = make([]proto.ShardMsg, 0, count)
+	}
+	for i := 0; i < count; i++ {
+		sm, err := decodeTagged(r, owner)
+		if err != nil {
+			// References already retained for earlier entries die with
+			// the batch: the stream is aborted on a decode error, so the
+			// frame buffer is simply never pooled again (GC reclaims it).
+			releaseShardMsgOwners(msgs)
+			return proto.ShardBatch{}, err
+		}
+		msgs = append(msgs, sm)
+	}
+	return proto.ShardBatch{Msgs: msgs}, nil
 }
 
 // releaseShardMsgOwners drops the frame references of partially decoded
@@ -658,6 +670,20 @@ type Stats struct {
 	CreditsRefunded uint64
 }
 
+// linkCounters are the live counters behind Stats, field for field: one
+// atomic each, so the per-message paths bump them without a lock.
+type linkCounters struct {
+	framesSent, msgsSent         atomic.Uint64
+	framesRecv, msgsRecv         atomic.Uint64
+	batchedMsgs                  atomic.Uint64
+	creditStalls                 atomic.Uint64
+	explicitCreditsSent          atomic.Uint64
+	piggybackedGrants            atomic.Uint64
+	implicitCreditsRecovered     atomic.Uint64
+	coalescedSent, coalescedRecv atomic.Uint64
+	creditsRefunded              atomic.Uint64
+}
+
 // LinkConfig tunes one peer link.
 type LinkConfig struct {
 	// Credits is the send window (receiver buffer slots). 0 disables flow
@@ -679,7 +705,8 @@ type LinkConfig struct {
 	// do not consume send credits themselves: the requester reserved their
 	// buffer space when it spent a credit on the request. A ShardBatch is a
 	// response (consumes no credit) only when every inner message is one;
-	// on receive each inner response repays one credit individually.
+	// on receive each inner response repays one credit individually (the
+	// hook is asked about each inner message bare, outside its ShardMsg).
 	IsResponse func(msg any) bool
 	// CreditReturn, when set, receives implicit credit repayments instead
 	// of this link. A TCP mesh sets it so that a response arriving on an
@@ -706,9 +733,17 @@ type Link struct {
 	sendCond *sync.Cond
 	pending  []byte // encoded, unsent messages
 	nPending int
+	// spare is the other half of the send double buffer: the flusher swaps
+	// it in for pending when it takes a batch, and hands the flushed buffer
+	// back here once the write has returned, so steady-state encoding never
+	// grows a buffer from zero. Nil while that buffer is out with the flusher.
+	spare    []byte
 	credits  int
 	closed   bool
 	flushing bool
+	// flush is flushLoop bound once: `go l.flush()` starts the flusher
+	// without the closure a `go l.flushLoop()` statement allocates per start.
+	flush func()
 	// pendingGrant holds explicit credits waiting to piggyback on the next
 	// outgoing frame (deferred by onReceive while a flush is in flight
 	// instead of paying for a standalone credit frame).
@@ -719,17 +754,28 @@ type Link struct {
 	wmu sync.Mutex
 	w   *bufio.Writer // guarded by wmu
 	raw io.Writer     // the unbuffered stream, for vectored large-frame writes
+	// Frame-header and writev scratch, guarded by wmu: as locals of
+	// writeFrame they escape through the io.Writer calls, one allocation per
+	// frame.
+	hdr [6]byte
+	vec [2][]byte
+	iov net.Buffers
 
 	recvSinceCredit int
-	stats           Stats
-	statsMu         sync.Mutex
+	stats           linkCounters
 }
+
+// maxSpareBuf caps the capacity of a send buffer the link keeps for reuse
+// (two per link): one grown past it by a one-off burst goes back to the
+// collector instead of staying resident.
+const maxSpareBuf = 256 << 10
 
 // NewLink wraps one side of a stream. Call Serve with the read side to pump
 // incoming messages.
 func NewLink(w io.Writer, cfg LinkConfig) *Link {
 	l := &Link{cfg: cfg, w: bufio.NewWriterSize(w, 64<<10), raw: w, credits: cfg.Credits}
 	l.sendCond = sync.NewCond(&l.mu)
+	l.flush = l.flushLoop
 	return l
 }
 
@@ -765,7 +811,7 @@ func (l *Link) Send(msg any) error {
 			l.sendCond.Wait()
 		}
 		if stalled {
-			l.bumpStat(func(s *Stats) { s.CreditStalls++ })
+			l.stats.creditStalls.Add(1)
 		}
 	}
 	if l.closed {
@@ -785,7 +831,7 @@ func (l *Link) Send(msg any) error {
 			// The message never shipped; give the credits back so the window
 			// does not shrink permanently on encode errors.
 			l.credits += cost
-			l.bumpStat(func(s *Stats) { s.CreditsRefunded += uint64(cost) })
+			l.stats.creditsRefunded.Add(uint64(cost))
 			l.sendCond.Signal()
 		}
 		l.mu.Unlock()
@@ -797,7 +843,7 @@ func (l *Link) Send(msg any) error {
 	l.pending = encoded
 	l.nPending++
 	if sb, ok := msg.(proto.ShardBatch); ok {
-		l.bumpStat(func(s *Stats) { s.CoalescedSent += uint64(len(sb.Msgs)) })
+		l.stats.coalescedSent.Add(uint64(len(sb.Msgs)))
 	}
 	l.kickLocked()
 	l.mu.Unlock()
@@ -813,7 +859,7 @@ func (l *Link) kickLocked() {
 		return
 	}
 	l.flushing = true
-	go l.flushLoop()
+	go l.flush()
 }
 
 // maxFrameMsgs caps one frame at the header's 2-byte message count, leaving
@@ -824,8 +870,15 @@ func (l *Link) kickLocked() {
 const maxFrameMsgs = 0xFFFF - 1
 
 func (l *Link) flushLoop() {
+	// flushed is the buffer the previous iteration wrote out, handed back as
+	// the spare under the lock this iteration takes anyway.
+	var flushed []byte
 	for {
 		l.mu.Lock()
+		if flushed != nil && cap(flushed) <= maxSpareBuf {
+			l.spare = flushed[:0]
+		}
+		flushed = nil
 		grant := l.pendingGrant
 		if grant > 0xFFFF {
 			grant = 0xFFFF // the grant payload is a u16; carry the rest over
@@ -838,11 +891,13 @@ func (l *Link) flushLoop() {
 		l.pendingGrant -= grant
 		body := l.pending
 		count := l.nPending
+		recycle := true
 		if count > maxFrameMsgs {
 			// Walk the [1B type][4B len][payload] encoding to the split
 			// point; the remainder stays queued for the next iteration. The
 			// three-index slice keeps the grant append below from clobbering
-			// the retained tail, which shares the backing array.
+			// the retained tail, which shares the backing array — and for the
+			// same reason this body is not recycled.
 			off := 0
 			for i := 0; i < maxFrameMsgs; i++ {
 				off += 5 + int(binary.LittleEndian.Uint32(body[off+1:]))
@@ -851,8 +906,9 @@ func (l *Link) flushLoop() {
 			l.nPending = count - maxFrameMsgs
 			body = body[:off:off]
 			count = maxFrameMsgs
+			recycle = false
 		} else {
-			l.pending = nil
+			l.pending, l.spare = l.spare, nil
 			l.nPending = 0
 		}
 		l.mu.Unlock()
@@ -866,41 +922,39 @@ func (l *Link) flushLoop() {
 			// piggybacked when it actually rides a data frame.
 			body = append(body, tCredit, 2, 0, 0, 0, byte(grant), byte(grant>>8))
 			wireCount++
-			l.bumpStat(func(s *Stats) {
-				s.ExplicitCreditsSent++
-				if count > 0 {
-					s.PiggybackedGrants++
-				}
-			})
+			l.stats.explicitCreditsSent.Add(1)
+			if count > 0 {
+				l.stats.piggybackedGrants.Add(1)
+			}
 		}
 
-		var hdr [6]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)+2))
-		binary.LittleEndian.PutUint16(hdr[4:], uint16(wireCount))
 		// Count the frame before shipping it so a peer that has received the
 		// messages can never observe sender stats that miss them. Stats
 		// track protocol messages only: a piggybacked grant counts toward
 		// the credit counters (see onReceive), not MsgsSent, and a
 		// grant-only frame counts like a standalone credit frame (not at
 		// all), keeping MsgsSent == messages Sent.
-		l.bumpStat(func(s *Stats) {
-			if count > 0 {
-				s.FramesSent++
-				s.MsgsSent += uint64(count)
-			}
-			if count > 1 {
-				s.BatchedMsgs += uint64(count)
-			}
-		})
+		if count > 0 {
+			l.stats.framesSent.Add(1)
+			l.stats.msgsSent.Add(uint64(count))
+		}
+		if count > 1 {
+			l.stats.batchedMsgs.Add(uint64(count))
+		}
 		// Socket I/O happens under wmu, not mu: a slow peer must not stall
 		// Sends that still have credits — they keep piling into pending and
 		// ship in the next batch when this write completes.
 		l.wmu.Lock()
-		err := l.writeFrame(hdr, body)
+		err := l.writeFrame(wireCount, body)
 		l.wmu.Unlock()
 		if err != nil {
 			l.Close()
 			return
+		}
+		// The write has returned — bufio copied the bytes, or the gathered
+		// write completed — so nothing reads body any more.
+		if recycle {
+			flushed = body
 		}
 	}
 }
@@ -912,17 +966,23 @@ func (l *Link) flushLoop() {
 // cheaper than the extra syscall.
 const vectoredMin = 8 << 10
 
-// writeFrame ships one frame; caller holds wmu.
-func (l *Link) writeFrame(hdr [6]byte, body []byte) error {
+// writeFrame ships one frame of count messages; caller holds wmu.
+func (l *Link) writeFrame(count int, body []byte) error {
+	binary.LittleEndian.PutUint32(l.hdr[:], uint32(len(body)+2))
+	binary.LittleEndian.PutUint16(l.hdr[4:], uint16(count))
 	if len(body) >= vectoredMin {
 		if err := l.w.Flush(); err != nil {
 			return err
 		}
-		bufs := net.Buffers{hdr[:], body}
-		_, err := bufs.WriteTo(l.raw)
+		// WriteTo consumes iov, so it is rebuilt over the fixed array for
+		// every frame.
+		l.vec[0], l.vec[1] = l.hdr[:], body
+		l.iov = l.vec[:]
+		_, err := l.iov.WriteTo(l.raw)
+		l.vec[1] = nil // WriteTo clears what it wrote; an error leaves the rest
 		return err
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	if _, err := l.w.Write(l.hdr[:]); err != nil {
 		return err
 	}
 	if _, err := l.w.Write(body); err != nil {
@@ -943,7 +1003,7 @@ func (l *Link) sendCreditFrame(n int) {
 	l.w.Write(frame[:])
 	l.w.Flush()
 	l.wmu.Unlock()
-	l.bumpStat(func(s *Stats) { s.ExplicitCreditsSent++ })
+	l.stats.explicitCreditsSent.Add(1)
 }
 
 // framePool recycles inbound frame buffers for the copying decode paths
@@ -959,29 +1019,59 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 // store (or a drop path) releases the last adopted value.
 var frameBufs = refbuf.NewPool()
 
+// readFrameLen reads a frame's 4-byte length prefix and bounds it. It peeks
+// into the reader's own buffer instead of reading into a local array, which
+// would escape through the io.Reader call and cost an allocation per frame.
+// A stream that ends on a frame boundary reports io.EOF, inside the prefix
+// io.ErrUnexpectedEOF — what io.ReadFull reported.
+func readFrameLen(br *bufio.Reader) (int, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if _, err := br.Discard(4); err != nil {
+		return 0, err
+	}
+	if n < 2 || n > maxFrame {
+		return 0, fmt.Errorf("wings: bad frame length %d", n)
+	}
+	return n, nil
+}
+
 // Serve reads frames from rd and dispatches messages to fn until error/EOF.
+//
+// A message is valid until fn returns. fn runs synchronously on the serve
+// loop, and a decoded proto.ShardBatch's Msgs slice is scratch the loop
+// reuses for the next batch (and clears once fn is back), so fn must copy out
+// whatever it keeps: the inner messages — what every router forwards — are
+// values of their own and stay valid; the slice holding them does not.
 func (l *Link) Serve(rd io.Reader, fn func(msg any)) error {
 	br := bufio.NewReaderSize(rd, 64<<10)
+	var batch []proto.ShardMsg
 	for {
-		if err := l.serveFrame(br, fn); err != nil {
+		if err := l.serveFrame(br, fn, &batch); err != nil {
 			return err
 		}
 	}
 }
 
+// maxBatchScratch caps the decoded-batch scratch a serve loop keeps between
+// frames (24 B an entry); a larger batch decodes into a slice of its own.
+const maxBatchScratch = 1024
+
 // serveFrame reads and dispatches one frame. The frame buffer is refcounted:
 // the serve loop's own reference lasts exactly the frame's duration, while
 // zero-copy INV values decoded out of it carry their own references, so a
 // frame with adopted values outlives this call and is pooled again only when
-// the store releases the last one.
-func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any)) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// the store releases the last one. batch is Serve's ShardBatch scratch.
+func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any), batch *[]proto.ShardMsg) error {
+	n, err := readFrameLen(br)
+	if err != nil {
 		return err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < 2 || n > maxFrame {
-		return fmt.Errorf("wings: bad frame length %d", n)
 	}
 	fb := frameBufs.Get(n)
 	defer fb.Release()
@@ -991,7 +1081,7 @@ func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any)) error {
 	}
 	count := int(binary.LittleEndian.Uint16(frame[:2]))
 	off := 2
-	l.bumpStat(func(s *Stats) { s.FramesRecv++ })
+	l.stats.framesRecv.Add(1)
 	for i := 0; i < count; i++ {
 		if off+5 > len(frame) {
 			return io.ErrUnexpectedEOF
@@ -1004,26 +1094,36 @@ func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any)) error {
 		}
 		body := frame[off : off+bodyLen]
 		off += bodyLen
-		if t == tCredit {
+		switch t {
+		case tCredit:
 			if bodyLen < 2 {
 				return io.ErrUnexpectedEOF
 			}
 			grant := int(binary.LittleEndian.Uint16(body))
 			l.addCredits(grant)
-			continue
-		}
-		msg, err := decodeMsg(t, body, fb)
-		if err != nil {
-			return err
-		}
-		l.bumpStat(func(s *Stats) {
-			s.MsgsRecv++
-			if sb, ok := msg.(proto.ShardBatch); ok {
-				s.CoalescedRecv += uint64(len(sb.Msgs))
+		case tShardBatch:
+			sb, err := decodeShardBatch(&reader{b: body}, fb, *batch)
+			if err != nil {
+				return err
 			}
-		})
-		l.onReceive(msg)
-		fn(msg)
+			l.stats.msgsRecv.Add(1)
+			l.stats.coalescedRecv.Add(uint64(len(sb.Msgs)))
+			var msg any = sb // boxed once for both consumers
+			l.onReceive(msg)
+			fn(msg)
+			if cap(sb.Msgs) <= maxBatchScratch {
+				clear(sb.Msgs) // an idle link must not pin the last batch's messages
+				*batch = sb.Msgs[:0]
+			}
+		default:
+			msg, err := decodeMsg(t, body, fb)
+			if err != nil {
+				return err
+			}
+			l.stats.msgsRecv.Add(1)
+			l.onReceive(msg)
+			fn(msg)
+		}
 	}
 	return nil
 }
@@ -1073,7 +1173,7 @@ func (l *Link) implicitCredits(msg any) int {
 	if sb, ok := msg.(proto.ShardBatch); ok {
 		n := 0
 		for _, sm := range sb.Msgs {
-			if l.cfg.IsResponse(sm) {
+			if l.cfg.IsResponse(sm.Msg) { // already an interface: no boxing
 				n++
 			}
 		}
@@ -1093,7 +1193,7 @@ func (l *Link) RepayCredits(n int) {
 		return
 	}
 	l.addCredits(n)
-	l.bumpStat(func(s *Stats) { s.ImplicitCreditsRecovered += uint64(n) })
+	l.stats.implicitCreditsRecovered.Add(uint64(n))
 }
 
 func (l *Link) addCredits(n int) {
@@ -1117,17 +1217,23 @@ func (l *Link) Close() {
 	l.sendCond.Broadcast()
 }
 
-// Stats snapshots link counters.
+// Stats snapshots link counters. Each field is read atomically; the snapshot
+// as a whole is not, which is all its readers (tests at quiescence, the
+// benchmark between phases) need.
 func (l *Link) Stats() Stats {
-	l.statsMu.Lock()
-	defer l.statsMu.Unlock()
-	return l.stats
-}
-
-func (l *Link) bumpStat(fn func(*Stats)) {
-	l.statsMu.Lock()
-	fn(&l.stats)
-	l.statsMu.Unlock()
+	c := &l.stats
+	return Stats{
+		FramesSent: c.framesSent.Load(), MsgsSent: c.msgsSent.Load(),
+		FramesRecv: c.framesRecv.Load(), MsgsRecv: c.msgsRecv.Load(),
+		BatchedMsgs:              c.batchedMsgs.Load(),
+		CreditStalls:             c.creditStalls.Load(),
+		ExplicitCreditsSent:      c.explicitCreditsSent.Load(),
+		PiggybackedGrants:        c.piggybackedGrants.Load(),
+		ImplicitCreditsRecovered: c.implicitCreditsRecovered.Load(),
+		CoalescedSent:            c.coalescedSent.Load(),
+		CoalescedRecv:            c.coalescedRecv.Load(),
+		CreditsRefunded:          c.creditsRefunded.Load(),
+	}
 }
 
 // Broadcast sends msg on every link; unicast fan-out, as Wings implements
@@ -1187,13 +1293,9 @@ func ServeFrames(rd io.Reader, fn func(msg any) error) error {
 // serveRawFrame reads and dispatches one frame for ServeFrames, holding a
 // pooled buffer for exactly its duration.
 func serveRawFrame(br *bufio.Reader, fn func(msg any) error) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	n, err := readFrameLen(br)
+	if err != nil {
 		return err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n < 2 || n > maxFrame {
-		return fmt.Errorf("wings: bad frame length %d", n)
 	}
 	bufp := framePool.Get().(*[]byte)
 	defer framePool.Put(bufp)
