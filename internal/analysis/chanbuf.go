@@ -3,54 +3,39 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 )
 
 // This file is the channel-headroom prover shared by eventloop and
 // lockorder: the question "can this send block?" answered by tracing the
-// channel expression to its construction sites.
+// channel variable to where it is made.
 //
 // A send is provably non-blocking when the channel has buffer headroom by
-// construction. Two shapes are proved:
-//
-//  1. a local `ch := make(chan T, N)` with constant N > 0 in the same
-//     function body (the original eventloop rule);
-//  2. an unexported channel field of a package-local struct whose every
-//     package-wide binding site is a buffered make or a sync.Pool whose New
-//     returns one — the completion-channel idiom (`w.ch <- c` where every
-//     waiter{ch: ...} literal draws from a pool of cap-1 channels).
+// construction: a local `ch := make(chan T, N)` with constant N > 0 in the
+// same function body, or a package-level variable initialized that way.
+// Channels reached any other way — a struct field, a parameter, a function
+// value's captured variable — are not traced, and a send on one is reported.
 //
 // "Headroom" is still an approximation: a cap-1 channel that has already
-// received its one send has none. The repo's idiom makes that sound in
-// practice — each pooled completion channel receives exactly once per op —
-// and the prover only accepts channels whose every binding site is such a
-// construction, so an unbuffered or externally-supplied channel never
-// qualifies.
+// received its one send has none.
 
 // chanProvablyBuffered reports whether a send on ch cannot block for lack
-// of buffer space, by the rules above. funcBody is the enclosing function
+// of buffer space, by the rule above. funcBody is the enclosing function
 // body (used for local-variable tracing); it may be nil.
 func chanProvablyBuffered(pass *Pass, ch ast.Expr, funcBody *ast.BlockStmt) bool {
-	switch x := ast.Unparen(ch).(type) {
-	case *ast.Ident:
-		obj := pass.Info.Uses[x]
-		if obj == nil {
-			return false
-		}
-		return localChanBuffered(pass, obj, funcBody) || packageVarChanBuffered(pass, obj)
-	case *ast.SelectorExpr:
-		sel, ok := pass.Info.Selections[x]
-		if !ok || sel.Kind() != types.FieldVal {
-			return false
-		}
-		return fieldChanBuffered(pass, sel.Obj())
+	id, ok := ast.Unparen(ch).(*ast.Ident)
+	if !ok {
+		return false
 	}
-	return false
+	obj := pass.Info.Uses[id]
+	if obj == nil {
+		return false
+	}
+	return localChanBuffered(pass, obj, funcBody) || packageVarChanBuffered(pass, obj)
 }
 
 // localChanBuffered proves obj (a local channel variable) is bound in
-// funcBody only from provably-buffered sources.
+// funcBody only from buffered makes.
 func localChanBuffered(pass *Pass, obj types.Object, funcBody *ast.BlockStmt) bool {
 	if funcBody == nil {
 		return false
@@ -66,7 +51,7 @@ func localChanBuffered(pass *Pass, obj types.Object, funcBody *ast.BlockStmt) bo
 			if !ok || pass.Info.Defs[lid] != obj || i >= len(as.Rhs) {
 				continue
 			}
-			proved = bufferedConstruction(pass, as.Rhs[i])
+			proved = bufferedMake(pass, as.Rhs[i])
 		}
 		return true
 	})
@@ -83,122 +68,17 @@ func packageVarChanBuffered(pass *Pass, obj types.Object) bool {
 	forEachPackageValueSpec(pass, func(vs *ast.ValueSpec) {
 		for i, name := range vs.Names {
 			if pass.Info.Defs[name] == obj && i < len(vs.Values) {
-				proved = bufferedConstruction(pass, vs.Values[i])
+				proved = bufferedMake(pass, vs.Values[i])
 			}
 		}
 	})
 	return proved
 }
 
-// fieldChanBuffered proves every package-wide binding of the struct field
-// fld draws from a buffered construction. The field must be unexported and
-// its owning type package-local, so no binding site can hide elsewhere.
-func fieldChanBuffered(pass *Pass, fld types.Object) bool {
-	if fld.Exported() || fld.Pkg() != pass.Pkg {
-		return false
-	}
-	bindings := 0
-	allProved := true
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				for _, el := range n.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok || pass.Info.Uses[key] != fld {
-						continue
-					}
-					bindings++
-					if !bufferedConstructionOrLocal(pass, kv.Value, enclosingFuncBody(f, n.Pos())) {
-						allProved = false
-					}
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-					if !ok || i >= len(n.Rhs) {
-						continue
-					}
-					if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal && s.Obj() == fld {
-						bindings++
-						if !bufferedConstructionOrLocal(pass, n.Rhs[i], enclosingFuncBody(f, n.Pos())) {
-							allProved = false
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return bindings > 0 && allProved
-}
-
-// enclosingFuncBody finds the function body containing pos in f, for local
-// variable tracing at a binding site.
-func enclosingFuncBody(f *ast.File, pos token.Pos) *ast.BlockStmt {
-	var body *ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		fd, ok := n.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			return true
-		}
-		if fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-			body = fd.Body
-		}
-		return true
-	})
-	return body
-}
-
-// bufferedConstructionOrLocal accepts a buffered construction directly, or
-// an identifier whose local binding is one.
-func bufferedConstructionOrLocal(pass *Pass, x ast.Expr, funcBody *ast.BlockStmt) bool {
-	if bufferedConstruction(pass, x) {
-		return true
-	}
-	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
-		if obj := pass.Info.Uses[id]; obj != nil {
-			return localChanBuffered(pass, obj, funcBody) || packageVarChanBuffered(pass, obj)
-		}
-	}
-	return false
-}
-
-// bufferedConstruction proves x constructs a buffered channel: a
-// `make(chan T, N>0)` or a `pool.Get().(chan T)` where pool is a
-// package-level sync.Pool whose New returns a buffered make.
-func bufferedConstruction(pass *Pass, x ast.Expr) bool {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.CallExpr:
-		return bufferedMake(pass, x)
-	case *ast.TypeAssertExpr:
-		call, ok := ast.Unparen(x.X).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Get" {
-			return false
-		}
-		poolID, ok := ast.Unparen(sel.X).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		pool := pass.Info.Uses[poolID]
-		if pool == nil || !isSyncPool(pool.Type()) {
-			return false
-		}
-		return poolNewReturnsBuffered(pass, pool)
-	}
-	return false
-}
-
-func bufferedMake(pass *Pass, call *ast.CallExpr) bool {
-	if !isBuiltinCall(pass.Info, call, "make") || len(call.Args) != 2 {
+// bufferedMake proves x is a `make(chan T, N)` with constant N > 0.
+func bufferedMake(pass *Pass, x ast.Expr) bool {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok || !isBuiltinCall(pass.Info, call, "make") || len(call.Args) != 2 {
 		return false
 	}
 	tv, ok := pass.Info.Types[call.Args[1]]
@@ -207,69 +87,6 @@ func bufferedMake(pass *Pass, call *ast.CallExpr) bool {
 	}
 	v, ok := constant.Int64Val(tv.Value)
 	return ok && v > 0
-}
-
-func isSyncPool(t types.Type) bool {
-	n := namedOf(t)
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "Pool"
-}
-
-// poolNewReturnsBuffered proves pool (a package-level sync.Pool variable)
-// is declared with a New func-lit whose every return yields a buffered
-// make(chan T, N>0).
-func poolNewReturnsBuffered(pass *Pass, pool types.Object) bool {
-	if pool.Parent() != pass.Pkg.Scope() {
-		return false
-	}
-	proved := false
-	forEachPackageValueSpec(pass, func(vs *ast.ValueSpec) {
-		for i, name := range vs.Names {
-			if pass.Info.Defs[name] != pool || i >= len(vs.Values) {
-				continue
-			}
-			lit, ok := ast.Unparen(vs.Values[i]).(*ast.CompositeLit)
-			if !ok {
-				continue
-			}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "New" {
-					continue
-				}
-				fl, ok := ast.Unparen(kv.Value).(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				proved = funcLitReturnsBufferedMake(pass, fl)
-			}
-		}
-	})
-	return proved
-}
-
-func funcLitReturnsBufferedMake(pass *Pass, fl *ast.FuncLit) bool {
-	returns, allBuffered := 0, true
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && n != ast.Node(fl) {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			returns++
-			call, ok := ast.Unparen(res).(*ast.CallExpr)
-			if !ok || !bufferedMake(pass, call) {
-				allBuffered = false
-			}
-		}
-		return true
-	})
-	return returns > 0 && allBuffered
 }
 
 // forEachPackageValueSpec visits every package-level var spec.

@@ -24,9 +24,8 @@ import (
 // Blocking operations flagged on any statically reachable same-package path:
 // sync mutex/RWMutex Lock and RLock, WaitGroup/Cond Wait, time.Sleep,
 // net socket Read/Write/Accept, channel sends on channels without provable
-// buffer headroom (chanProvablyBuffered: local buffered makes, buffered
-// package vars, and pool-backed completion-channel fields all qualify),
-// channel receives, and selects without a default.
+// buffer headroom (chanProvablyBuffered: local buffered makes and buffered
+// package vars qualify), channel receives, and selects without a default.
 // Goroutine bodies (`go ...`) are exempt — launching is the sanctioned way
 // to move blocking work off the loop.
 var EventLoopAnalyzer = &Analyzer{

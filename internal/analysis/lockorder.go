@@ -17,8 +17,8 @@ import (
 //     that is the gray-failure shape the cluster waivers argue about.
 //     sync.Cond.Wait is exempt for its own mutex (it releases it
 //     atomically); select-with-default and sends proved buffered by
-//     chanProvablyBuffered (local makes, pool-backed completion channels)
-//     are non-blocking by construction.
+//     chanProvablyBuffered (local and package-level buffered makes) are
+//     non-blocking by construction.
 //   - lock-order cycles: an edge A→B is recorded whenever B is acquired
 //     (directly or transitively through a summarized callee) while A is
 //     held; a cycle in the per-package graph is a deadlock waiting for the

@@ -33,29 +33,3 @@ func (t *ChanTransport) Send(from, to int, msg any) {
 func (t *ChanTransport) Complete(msg any) {
 	t.inbox <- msg //hermesvet:ignore eventloop cap-1 completion channel drained by the sole waiter before reuse
 }
-
-// completionEnv is the pool-backed green shape: every binding of the done
-// field draws from a package-level pool of cap-1 channels, so
-// chanProvablyBuffered proves the send non-blocking and no waiver is needed
-// (the shape the cluster waiver audit retired).
-type completionEnv struct {
-	waiters map[int]doneWaiter
-}
-
-type doneWaiter struct {
-	done chan any
-}
-
-var donePool = sync.Pool{
-	New: func() any { return make(chan any, 1) },
-}
-
-func (e *completionEnv) register(id int) {
-	ch := donePool.Get().(chan any)
-	e.waiters[id] = doneWaiter{done: ch}
-}
-
-func (e *completionEnv) Complete(msg any) {
-	w := e.waiters[0]
-	w.done <- msg
-}

@@ -51,25 +51,14 @@ type Client struct {
 	cfg    Config
 	window int
 
-	mu      sync.Mutex
-	conn    net.Conn
-	link    *wings.Link
-	waiters map[uint64]waiter
+	mu   sync.Mutex
+	conn net.Conn
+	link *wings.Link
+	// pending maps an in-flight request's seq to its callback.
+	pending map[uint64]func(proto.ClientResp, error)
 	nextSeq uint64
 	closed  bool
 	wg      sync.WaitGroup
-}
-
-// waiter is one in-flight request's completion sink: a channel for the
-// blocking API or a callback for Do. Exactly one is set.
-type waiter struct {
-	ch chan proto.ClientResp
-	fn func(proto.ClientResp, error)
-}
-
-// respChPool recycles the blocking API's single-use response channels.
-var respChPool = sync.Pool{
-	New: func() any { return make(chan proto.ClientResp, 1) },
 }
 
 // Dial connects and performs the session handshake, returning a live client.
@@ -77,7 +66,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	c := &Client{addr: addr, cfg: cfg, waiters: make(map[uint64]waiter)}
+	c := &Client{addr: addr, cfg: cfg, pending: make(map[uint64]func(proto.ClientResp, error))}
 	if err := c.connect(); err != nil {
 		return nil, err
 	}
@@ -135,7 +124,7 @@ func (c *Client) connect() error {
 	return nil
 }
 
-// pump reads responses and dispatches them to waiters; on any stream error
+// pump reads responses and hands them to their callbacks; on any stream error
 // it fails every in-flight request (their fate is unknown) and leaves the
 // client disconnected — the next request lazily reconnects.
 func (c *Client) pump(conn net.Conn, link *wings.Link) {
@@ -146,14 +135,11 @@ func (c *Client) pump(conn net.Conn, link *wings.Link) {
 			return // server never sends anything else; tolerate and drop
 		}
 		c.mu.Lock()
-		w := c.waiters[resp.Seq]
-		delete(c.waiters, resp.Seq)
+		fn := c.pending[resp.Seq]
+		delete(c.pending, resp.Seq)
 		c.mu.Unlock()
-		switch {
-		case w.fn != nil:
-			w.fn(resp, nil)
-		case w.ch != nil:
-			w.ch <- resp
+		if fn != nil {
+			fn(resp, nil)
 		}
 	})
 	conn.Close()
@@ -163,16 +149,11 @@ func (c *Client) pump(conn net.Conn, link *wings.Link) {
 		c.conn = nil
 		c.link = nil
 	}
-	stranded := c.waiters
-	c.waiters = make(map[uint64]waiter)
+	stranded := c.pending
+	c.pending = make(map[uint64]func(proto.ClientResp, error))
 	c.mu.Unlock()
-	for _, w := range stranded {
-		switch {
-		case w.fn != nil:
-			w.fn(proto.ClientResp{}, ErrClosed)
-		case w.ch != nil:
-			w.ch <- proto.ClientResp{Status: proto.NotOperational, Seq: ^uint64(0)}
-		}
+	for _, fn := range stranded {
+		fn(proto.ClientResp{}, ErrClosed)
 	}
 }
 
@@ -200,10 +181,16 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// send registers w under a fresh seq and ships the request, lazily
-// reconnecting a dead session first. Blocks when the window is exhausted
-// (the link's credit discipline).
-func (c *Client) send(op proto.OpKind, key proto.Key, val, exp proto.Value, w waiter) error {
+// Do issues one request and invokes fn with the response (or error) from the
+// read-pump goroutine; fn must not block. This is the pipelined path: a
+// single goroutine can keep the whole window in flight. It lazily reconnects
+// a dead session first, and blocks when the window is exhausted (the link's
+// credit discipline). fn runs exactly once if Do returns nil and never if it
+// returns an error.
+func (c *Client) Do(op proto.OpKind, key proto.Key, val, exp proto.Value, fn func(proto.ClientResp, error)) error {
+	if fn == nil {
+		panic("client: nil callback")
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -223,16 +210,16 @@ func (c *Client) send(op proto.OpKind, key proto.Key, val, exp proto.Value, w wa
 	c.nextSeq++
 	seq := c.nextSeq
 	link := c.link
-	c.waiters[seq] = w
+	c.pending[seq] = fn
 	c.mu.Unlock()
 
 	err := link.Send(proto.ClientReq{Seq: seq, Op: op, Key: key, Value: val, Expected: exp})
 	if err != nil {
 		// The request never shipped; the pump's strand sweep may already have
-		// consumed the waiter, in which case the caller's sink was notified.
+		// taken the callback, in which case it has run with ErrClosed.
 		c.mu.Lock()
-		_, still := c.waiters[seq]
-		delete(c.waiters, seq)
+		_, still := c.pending[seq]
+		delete(c.pending, seq)
 		c.mu.Unlock()
 		if !still {
 			return nil
@@ -242,29 +229,37 @@ func (c *Client) send(op proto.OpKind, key proto.Key, val, exp proto.Value, w wa
 	return nil
 }
 
-// Do issues one request and invokes fn with the response (or error) from the
-// read-pump goroutine; fn must not block. This is the pipelined path: a
-// single goroutine can keep the whole window in flight.
-func (c *Client) Do(op proto.OpKind, key proto.Key, val, exp proto.Value, fn func(proto.ClientResp, error)) error {
-	if fn == nil {
-		panic("client: nil callback")
-	}
-	return c.send(op, key, val, exp, waiter{fn: fn})
+// callSink is where a blocking call waits: a Do callback that hands the
+// outcome to the calling goroutine. callSinks recycles them, callback bound
+// once. fn runs on the read pump and must not block: ch has room for one
+// outcome, fn runs once per accepted Do, and call always receives it before
+// the sink goes back.
+type callSink struct {
+	ch chan callResult
+	fn func(proto.ClientResp, error)
+}
+
+type callResult struct {
+	resp proto.ClientResp
+	err  error
+}
+
+var callSinks = sync.Pool{
+	New: func() any {
+		ch := make(chan callResult, 1)
+		return &callSink{ch: ch, fn: func(resp proto.ClientResp, err error) { ch <- callResult{resp, err} }}
+	},
 }
 
 // call is the blocking request path shared by Read/Write/CAS/FAA.
 func (c *Client) call(op proto.OpKind, key proto.Key, val, exp proto.Value) (proto.ClientResp, error) {
-	ch := respChPool.Get().(chan proto.ClientResp)
-	if err := c.send(op, key, val, exp, waiter{ch: ch}); err != nil {
-		respChPool.Put(ch)
+	sink := callSinks.Get().(*callSink)
+	defer callSinks.Put(sink)
+	if err := c.Do(op, key, val, exp, sink.fn); err != nil {
 		return proto.ClientResp{}, err
 	}
-	resp := <-ch
-	respChPool.Put(ch)
-	if resp.Seq == ^uint64(0) {
-		return proto.ClientResp{}, ErrClosed
-	}
-	return resp, nil
+	r := <-sink.ch
+	return r.resp, r.err
 }
 
 // Read performs a linearizable read.

@@ -3,9 +3,12 @@ package client
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/proto"
 	"repro/internal/wings"
@@ -190,12 +193,15 @@ func TestOpsAfterCloseFail(t *testing.T) {
 
 // TestServerDeathStrandsWaiters kills the connection with a request in
 // flight: the blocking caller must get ErrClosed, not hang.
+// TestServerDeathStrandsWaiters kills the server mid-pipeline: every blocking
+// call and every Do callback in flight hears ErrClosed, exactly once.
 func TestServerDeathStrandsWaiters(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
+	kill := make(chan struct{})
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -207,9 +213,9 @@ func TestServerDeathStrandsWaiters(t *testing.T) {
 		copy(reply[:4], wings.ClientMagic[:])
 		binary.LittleEndian.PutUint32(reply[4:], 8)
 		conn.Write(reply[:])
-		// Read one frame's worth of bytes, then die mid-request.
-		buf := make([]byte, 16)
-		conn.Read(buf)
+		// Swallow requests without answering, then die.
+		go io.Copy(io.Discard, conn)
+		<-kill
 		conn.Close()
 	}()
 	c, err := Dial(ln.Addr().String(), Config{})
@@ -217,7 +223,46 @@ func TestServerDeathStrandsWaiters(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if _, err := c.Read(42); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read against dying server: %v, want ErrClosed", err)
+
+	const async, blocking = 4, 3
+	var calls [async]atomic.Int32
+	cbErrs := make(chan error, 2*async)
+	for i := range calls {
+		i := i
+		if err := c.Do(proto.OpWrite, proto.Key(i), proto.Value("v"), nil, func(_ proto.ClientResp, err error) {
+			calls[i].Add(1)
+			cbErrs <- err
+		}); err != nil {
+			t.Fatalf("Do %d: %v", i, err)
+		}
+	}
+	callErrs := make(chan error, blocking)
+	for i := 0; i < blocking; i++ {
+		go func(key proto.Key) {
+			_, err := c.Read(key)
+			callErrs <- err
+		}(proto.Key(100 + i))
+	}
+	for inFlight := 0; inFlight < async+blocking; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		inFlight = len(c.pending)
+		c.mu.Unlock()
+	}
+	close(kill)
+	for i := 0; i < blocking; i++ {
+		if err := <-callErrs; !errors.Is(err, ErrClosed) {
+			t.Errorf("blocking call against dying server: %v, want ErrClosed", err)
+		}
+	}
+	for i := 0; i < async; i++ {
+		if err := <-cbErrs; !errors.Is(err, ErrClosed) {
+			t.Errorf("Do callback against dying server: %v, want ErrClosed", err)
+		}
+	}
+	c.Close() // the pump is gone: nothing can call back any more
+	for i := range calls {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("Do %d: callback ran %d times, want 1", i, n)
+		}
 	}
 }

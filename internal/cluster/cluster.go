@@ -166,7 +166,7 @@ type Shard struct {
 	id     proto.NodeID
 	h      *core.Hermes
 	out    *shardTransport
-	ops    chan proto.ClientOp
+	ops    chan submitted
 	msgs   chan env
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -176,17 +176,18 @@ type Shard struct {
 	// orders shards by.
 	updates atomic.Uint64
 
-	mu      sync.Mutex
-	waiters map[uint64]waiter
+	// pending holds the completion callback of every op the engine has been
+	// handed and not yet completed. Only the event-loop goroutine touches it.
+	pending map[uint64]func(proto.Completion)
 
 	start time.Time
 }
 
-// waiter is one op's completion sink: a single-use channel for the blocking
-// API (Read/Write/CAS/FAA) or a callback for SubmitAsync. Exactly one is set.
-type waiter struct {
-	ch chan proto.Completion
-	fn func(proto.Completion)
+// submitted is one client op on its way to the event loop, carrying the
+// callback its completion goes to.
+type submitted struct {
+	op   proto.ClientOp
+	done func(proto.Completion)
 }
 
 // nodeEnv adapts the Shard to proto.Env. Only the event-loop goroutine
@@ -198,20 +199,11 @@ func (e nodeEnv) Send(to proto.NodeID, msg any) {
 	e.n.out.Send(to, msg)
 }
 func (e nodeEnv) Complete(c proto.Completion) {
-	e.n.mu.Lock() //hermesvet:ignore eventloop waiter-table critical section is a bounded map lookup+delete; Submit holds mu only to insert
-	w := e.n.waiters[c.OpID]
-	delete(e.n.waiters, c.OpID)
-	e.n.mu.Unlock()
-	switch {
-	case w.fn != nil:
-		// SubmitAsync callback: runs on the event-loop goroutine, so it must
-		// not block (the contract SubmitAsync documents).
-		w.fn(c)
-	case w.ch != nil:
-		// Pooled cap-1 completion channel that receives exactly once per op;
-		// hermes-vet's headroom prover verifies this from the pool's New and
-		// the field's binding sites (no waiver needed).
-		w.ch <- c
+	// An OpID with no entry is a no-op. done runs here, on the event-loop
+	// goroutine, so it must not block — the contract SubmitAsync documents.
+	if done := e.n.pending[c.OpID]; done != nil {
+		delete(e.n.pending, c.OpID)
+		done(c)
 	}
 }
 
@@ -220,10 +212,10 @@ func newShard(cfg ShardedConfig, out *shardTransport) *Shard {
 	n := &Shard{
 		id:      cfg.ID,
 		out:     out,
-		ops:     make(chan proto.ClientOp, 1024),
+		ops:     make(chan submitted, 1024),
 		msgs:    make(chan env, 8192),
 		stop:    make(chan struct{}),
-		waiters: make(map[uint64]waiter),
+		pending: make(map[uint64]func(proto.Completion)),
 		start:   time.Now(),
 	}
 	n.h = core.New(core.Config{
@@ -253,15 +245,29 @@ func (n *Shard) loop(tickEvery time.Duration) {
 	for {
 		select {
 		case <-n.stop:
-			return
+			// Nothing completes an op once the loop is gone: fail the ones
+			// the engine holds, then the ones still queued.
+			for id, done := range n.pending {
+				done(proto.Completion{OpID: id, Status: proto.NotOperational})
+			}
+			for {
+				select {
+				case s := <-n.ops:
+					s.done(proto.Completion{OpID: s.op.ID, Status: proto.NotOperational})
+				default:
+					return
+				}
+			}
 		case e := <-n.msgs:
 			if fn, ok := e.msg.(loopFn); ok {
 				fn()
 				break
 			}
 			n.h.Deliver(e.from, e.msg)
-		case op := <-n.ops:
-			n.h.Submit(op)
+		case s := <-n.ops:
+			// Recorded before Submit: a local read completes within the call.
+			n.pending[s.op.ID] = s.done
+			n.h.Submit(s.op)
 		case <-ticker.C:
 			n.h.Tick()
 		}
@@ -324,72 +330,68 @@ var ErrAborted = errors.New("cluster: rmw aborted by concurrent update")
 // ErrNotOperational reports a replica without a valid membership lease.
 var ErrNotOperational = errors.New("cluster: replica not operational")
 
-// completionChPool recycles the slow path's single-use completion channels:
-// one Get/Put per op instead of one allocation per op. A channel may only be
-// returned once it is provably empty and unreachable from the completer.
-var completionChPool = sync.Pool{
-	New: func() any { return make(chan proto.Completion, 1) },
-}
-
-func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
+// submit assigns op its ID and queues it for the event loop together with
+// the callback its completion goes to. An error means done will never run.
+func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.Completion)) error {
+	// Checked first: ops is buffered, so once the loop has exited the select
+	// below has two ready arms and would pick the dead queue half the time.
+	select {
+	case <-n.stop:
+		return ErrClosed
+	default:
+	}
 	op.ID = n.nextOp.Add(1)
 	if op.Kind.IsUpdate() {
 		n.updates.Add(1)
 	}
-	ch := completionChPool.Get().(chan proto.Completion)
-	n.mu.Lock()
-	n.waiters[op.ID] = waiter{ch: ch}
-	n.mu.Unlock()
 	select {
-	case n.ops <- op:
+	case n.ops <- submitted{op: op, done: done}:
+		return nil
 	case <-ctx.Done():
-		// The op never reached the event loop, so no Completion can ever
-		// be sent on ch: pooling it back after forget is safe.
-		n.forget(op.ID)
-		completionChPool.Put(ch)
-		return proto.Completion{}, ctx.Err()
+		return ctx.Err()
 	case <-n.stop:
-		return proto.Completion{}, ErrClosed
+		return ErrClosed
+	}
+}
+
+// opSink is where a blocking op waits for its completion: a callback, like
+// every other op's, that hands the completion to the waiting goroutine.
+type opSink struct {
+	ch   chan proto.Completion
+	done func(proto.Completion)
+}
+
+// opSinks recycles them, callback bound once, so the blocking API allocates
+// nothing SubmitAsync does not. done runs on the event loop and must not
+// block: ch has room for one completion and done runs once per op, so a sink
+// may go back to the pool only when it is provably empty — its completion
+// was received, or its op was never queued.
+var opSinks = sync.Pool{
+	New: func() any {
+		ch := make(chan proto.Completion, 1)
+		return &opSink{ch: ch, done: func(c proto.Completion) { ch <- c }}
+	},
+}
+
+func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
+	sink := opSinks.Get().(*opSink)
+	if err := n.submit(ctx, op, sink.done); err != nil {
+		opSinks.Put(sink)
+		return proto.Completion{}, err
 	}
 	select {
-	case c := <-ch:
-		// The one send this op can produce has been drained; ch is empty.
-		completionChPool.Put(ch)
+	case c := <-sink.ch:
+		opSinks.Put(sink)
 		if c.Status == proto.NotOperational {
 			return c, ErrNotOperational
 		}
 		return c, nil
 	case <-ctx.Done():
-		// NOT pooled: a racing Complete may have already taken ch out of
-		// the waiter map and be about to send on it; reusing the channel
-		// could deliver that stale completion to an unrelated op.
-		n.forget(op.ID)
+		// NOT pooled: the completion still arrives, whenever the op commits,
+		// and a reused sink would hand it to an unrelated op.
 		return proto.Completion{}, ctx.Err()
 	case <-n.stop:
+		// NOT pooled either: the stopping loop fails the op on its way out.
 		return proto.Completion{}, ErrClosed
 	}
-}
-
-// submitAsync is ShardedNode.SubmitAsync on the owning shard.
-func (n *Shard) submitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
-	op.ID = n.nextOp.Add(1)
-	if op.Kind.IsUpdate() {
-		n.updates.Add(1)
-	}
-	n.mu.Lock()
-	n.waiters[op.ID] = waiter{fn: fn}
-	n.mu.Unlock()
-	select {
-	case n.ops <- op:
-		return nil
-	case <-n.stop:
-		n.forget(op.ID)
-		return ErrClosed
-	}
-}
-
-func (n *Shard) forget(id uint64) {
-	n.mu.Lock()
-	delete(n.waiters, id)
-	n.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,12 +236,145 @@ func TestViewChangeReleasesBlockedWrite(t *testing.T) {
 	}
 }
 
-func TestClosedNodeReturnsErrClosed(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+// TestLateCompletionOfCancelledOpReachesNobodyElse: the caller of a cancelled
+// op is gone but its completion still arrives once the write replays and
+// commits. It must not be handed to whichever op reuses the sink, and it must
+// not wedge the event loop.
+func TestLateCompletionOfCancelledOpReachesNobodyElse(t *testing.T) {
+	l := NewLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond})
+	defer l.Close()
 	n := l.Nodes[0]
+	l.Tr.SetDrop(func(from, to proto.NodeID, msg any) bool { return true })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	err := n.Write(ctx, 1, proto.Value("late"))
+	cancel()
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err=%v want deadline exceeded", err)
+	}
+	l.Tr.SetDrop(nil) // heal: the write replays after MLT and commits
+
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var landed atomic.Bool
+	go func() {
+		// Stalls until the coordinator's pending write commits.
+		v, err := n.Read(ctx, 1)
+		if err != nil || string(v) != "late" {
+			t.Errorf("read of the late write: %q, %v", v, err)
+		}
+		landed.Store(true)
+	}()
+	// Blocking ops on other keys, from before the late completion arrives
+	// until well after: each must get its own completion.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(key proto.Key) {
+			defer wg.Done()
+			s := n.shardFor(key)
+			for i := int64(0); i < 200 || !landed.Load(); i++ {
+				c, err := s.do(ctx, proto.ClientOp{Kind: proto.OpFAA, Key: key, Value: proto.EncodeInt64(1)})
+				if err != nil {
+					t.Errorf("key %d op %d: %v", key, i, err)
+					return
+				}
+				if c.Key != key || c.Kind != proto.OpFAA || proto.DecodeInt64(c.Value) != i {
+					t.Errorf("key %d op %d got another op's completion: %+v", key, i, c)
+					return
+				}
+			}
+		}(proto.Key(100 + g))
+	}
+	wg.Wait()
+}
+
+func TestClosedNodeReturnsErrClosed(t *testing.T) {
+	l := NewLocal(LocalConfig{N: 3, MLT: time.Hour})
+	n := l.Nodes[0]
+	// Two ops in flight across Close (nothing gets through, so they cannot
+	// commit): both must hear about it, exactly once.
+	l.Tr.SetDrop(func(from, to proto.NodeID, msg any) bool { return true })
+	inFlight := make(chan proto.Completion, 2)
+	if err := n.SubmitAsync(proto.ClientOp{Kind: proto.OpWrite, Key: 1, Value: proto.Value("x")},
+		func(c proto.Completion) { inFlight <- c }); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- n.Write(context.Background(), 2, proto.Value("y")) }()
+	for n.Shard(0).updates.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
 	l.Close()
+	select {
+	case c := <-inFlight:
+		if c.Status != proto.NotOperational {
+			t.Errorf("in-flight SubmitAsync completed with %v, want NotOperational", c.Status)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the SubmitAsync in flight across Close never completed")
+	}
+	// The blocked Write sees the stop signal or the loop's parting completion,
+	// whichever its select picks.
+	if err := <-blocked; err != ErrClosed && err != ErrNotOperational {
+		t.Fatalf("in-flight Write: err=%v, want ErrClosed or ErrNotOperational", err)
+	}
+
 	if err := n.Write(context.Background(), 1, proto.Value("x")); err != ErrClosed {
 		t.Fatalf("err=%v", err)
+	}
+	// ops is buffered, so a select between it and the stop channel would
+	// accept about half of these and never complete them.
+	for i := 0; i < 200; i++ {
+		err := n.SubmitAsync(proto.ClientOp{Kind: proto.OpRead, Key: 1}, func(c proto.Completion) { inFlight <- c })
+		if err != ErrClosed {
+			t.Fatalf("SubmitAsync %d after Close: err=%v, want ErrClosed", i, err)
+		}
+	}
+	select {
+	case c := <-inFlight:
+		t.Fatalf("a callback ran a second time, or for a rejected op: %+v", c)
+	default:
+	}
+}
+
+// TestBlockingOpAllocatesNothingOverAsync pins what the blocking wrappers
+// cost: do is submit plus a wait on a pooled sink whose callback is bound
+// once, so an op through it allocates exactly what the same op allocates
+// through submit with a callback the caller already holds. The pin is the
+// best of many single runs, not their mean: a channel or closure built per op
+// shows in every run, while a pool miss (under -race sync.Pool drops a
+// quarter of what it is given) shows in some.
+func TestBlockingOpAllocatesNothingOverAsync(t *testing.T) {
+	l := NewLocal(LocalConfig{N: 1})
+	defer l.Close()
+	ctx := context.Background()
+	if err := l.Nodes[0].Write(ctx, 7, proto.Value("v")); err != nil {
+		t.Fatal(err)
+	}
+	s := l.Nodes[0].shardFor(7)
+	op := proto.ClientOp{Kind: proto.OpRead, Key: 7}
+	best := func(f func()) float64 {
+		least := testing.AllocsPerRun(1, f)
+		for i := 0; i < 100; i++ {
+			least = min(least, testing.AllocsPerRun(1, f))
+		}
+		return least
+	}
+	done := make(chan proto.Completion, 1)
+	fn := func(c proto.Completion) { done <- c }
+	async := best(func() {
+		if err := s.submit(ctx, op, fn); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	})
+	blocking := best(func() {
+		if _, err := s.do(ctx, op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if blocking > async {
+		t.Fatalf("a blocking op allocates %.0f times, the same op submitted with a callback %.0f", blocking, async)
 	}
 }
 

@@ -554,15 +554,22 @@ func (sn *ShardedNode) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Bu
 // NOT block (enqueue and return; a blocking fn stalls the whole shard).
 // op.ID is assigned here; the completion's OpID echoes it. Blocks only if
 // the shard's ops queue is full (bounded backpressure on the submitting
-// session, never on other sessions or shards). Returns ErrClosed on a
-// stopped node.
+// session, never on other sessions or shards).
+//
+// An error means fn will never run. Every call after Close has returned
+// gets ErrClosed, and an op in flight when the node closes completes with
+// proto.NotOperational from the stopping event loop, so a session's
+// outstanding count drains. (A call that overlaps Close itself gets one or
+// the other, except in the few instructions between its own check of the
+// stop signal and its enqueue: if the loop's whole exit fits in there, the
+// op is accepted and never completes.)
 //
 // op.Value is handed over: for an update it becomes the stored and
 // replicated value without a copy, so the caller must not mutate it after
 // the call (the serving layer passes the private copy its request decode
 // made). Callers that keep their buffers use Write/CAS/FAA, which clone.
 func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
-	return sn.shardFor(op.Key).submitAsync(op, fn)
+	return sn.shardFor(op.Key).submit(context.Background(), op, fn)
 }
 
 // ReadStats sums the shard engines' read-side counters (total reads,
