@@ -19,7 +19,9 @@ import (
 //     transitively);
 //   - in a package named "cluster": Send/Complete methods on types whose
 //     name contains "Env" or "Transport" — the proto.Env and Transport
-//     implementations the state machine calls back into from handler code.
+//     implementations the state machine calls back into from handler code —
+//     and their handOff method, which the event loop calls itself to end a
+//     burst of turns (where Send only stages, handOff is the egress).
 //
 // Blocking operations flagged on any statically reachable same-package path:
 // sync mutex/RWMutex Lock and RLock, WaitGroup/Cond Wait, time.Sleep,
@@ -62,6 +64,10 @@ var coreHandlerNames = map[string]bool{
 	"Deliver": true, "Submit": true, "Tick": true, "OnViewChange": true,
 }
 
+var clusterCallbackNames = map[string]bool{
+	"Send": true, "Complete": true, "handOff": true,
+}
+
 func (c *eventLoopChecker) isRoot(fn *types.Func) bool {
 	recv := recvTypeName(fn)
 	if recv == "" {
@@ -71,7 +77,7 @@ func (c *eventLoopChecker) isRoot(fn *types.Func) bool {
 	case "core":
 		return recv == "Hermes" && coreHandlerNames[fn.Name()]
 	case "cluster":
-		if fn.Name() != "Send" && fn.Name() != "Complete" {
+		if !clusterCallbackNames[fn.Name()] {
 			return false
 		}
 		return strings.Contains(recv, "Env") || strings.Contains(recv, "Transport")

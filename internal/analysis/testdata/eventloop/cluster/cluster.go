@@ -1,5 +1,5 @@
-// Golden cases for the eventloop analyzer's cluster roots: Send/Complete on
-// Env and Transport implementations.
+// Golden cases for the eventloop analyzer's cluster roots: Send/Complete and
+// handOff on Env and Transport implementations.
 package cluster
 
 import "sync"
@@ -32,4 +32,24 @@ func (t *ChanTransport) Send(from, to int, msg any) {
 
 func (t *ChanTransport) Complete(msg any) {
 	t.inbox <- msg //hermesvet:ignore eventloop cap-1 completion channel drained by the sole waiter before reuse
+}
+
+// shardTransport stages in Send and ships in handOff, which the event loop
+// calls directly: both are roots.
+type shardTransport struct {
+	mu     sync.Mutex
+	staged []any
+}
+
+func (t *shardTransport) Send(to int, msg any) { t.staged = append(t.staged, msg) }
+
+func (t *shardTransport) handOff() {
+	t.enqueueAll(t.staged)
+	t.staged = t.staged[:0]
+}
+
+func (t *shardTransport) enqueueAll(msgs []any) {
+	t.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: handOff → enqueueAll\)`
+	defer t.mu.Unlock()
+	_ = msgs
 }

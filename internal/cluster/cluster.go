@@ -104,7 +104,10 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 		return
 	}
 	if sb, ok := msg.(proto.ShardBatch); ok {
-		msg = copyBatch(sb)
+		// A queued batch needs a slice of its own: the message crosses to the
+		// receiving node's pump by reference, and the sender recycles the
+		// batch's slice once Send returns (the Transport contract).
+		msg = proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
 	}
 	select {
 	case ch <- env{from: from, msg: msg}:
@@ -115,19 +118,8 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 	}
 }
 
-// copyBatch gives a queued batch a slice of its own: the message crosses to
-// the receiving node's pump by reference, and the sender recycles the
-// batch's slice once Send returns (the Transport contract). Kept out of
-// Send's body — and out of its stack frame — because Send runs on flusher
-// goroutines born with a 2 KiB stack: a few dozen bytes more on the way down
-// to the channel send and every one of them starts by growing it.
-//
-//go:noinline
-func copyBatch(sb proto.ShardBatch) proto.ShardBatch {
-	return proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
-}
-
-// SetDeliver implements Transport and starts the pump goroutine.
+// SetDeliver implements Transport and starts the pump goroutine, the only
+// consumer of id's inbox: call it once per id.
 func (t *ChanTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) {
 	t.mu.Lock()
 	t.deliver[id] = fn
@@ -142,6 +134,13 @@ func (t *ChanTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) 
 				fn(e.from, e.msg)
 			case <-t.closed:
 				return
+			}
+			// The rest of the burst: what was queued at wake-up, by plain
+			// receives. The pump is the inbox's only consumer, so they cannot
+			// block, and the bound keeps Close reachable under a full inbox.
+			for queued := len(ch); queued > 0; queued-- {
+				e := <-ch
+				fn(e.from, e.msg)
 			}
 		}
 	}()
@@ -227,10 +226,18 @@ func newShard(cfg ShardedConfig, out *shardTransport) *Shard {
 	return n
 }
 
-// deliver queues an arrived protocol message for the event loop.
+// deliver queues an arrived protocol message for the event loop. The inbox
+// almost always has room, so the send is tried on its own first: a lone
+// non-blocking send costs a fraction of a two-way select.
 func (n *Shard) deliver(from proto.NodeID, msg any) {
+	e := env{from: from, msg: msg}
 	select {
-	case n.msgs <- env{from: from, msg: msg}:
+	case n.msgs <- e:
+		return
+	default:
+	}
+	select {
+	case n.msgs <- e:
 	case <-n.stop:
 		// Dropped on shutdown: spend the frame references wings decode
 		// retained for the message's values, like any other drop path.
@@ -238,6 +245,15 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 	}
 }
 
+// loop is the shard's event loop, a burst machine in the manner of the
+// paper's Wings workers (§4.2): after any wake-up it takes everything that was
+// already queued — messages, then ops — runs one engine turn for each, and
+// only then hands what those turns sent to the egress coalescers, once per
+// peer and class (shardTransport.handOff). Batching is opportunistic: a burst
+// is what was queued at wake-up, never waited for, and that bound is also what
+// keeps Tick and stop reachable under a producer that never lets the inbox
+// run dry. Every iteration ends with the hand-off, whichever arm woke it, so
+// nothing is staged while the loop blocks.
 func (n *Shard) loop(tickEvery time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(tickEvery)
@@ -250,26 +266,54 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			for id, done := range n.pending {
 				done(proto.Completion{OpID: id, Status: proto.NotOperational})
 			}
-			for {
-				select {
-				case s := <-n.ops:
-					s.done(proto.Completion{OpID: s.op.ID, Status: proto.NotOperational})
-				default:
-					return
-				}
-			}
+			n.failQueued()
+			return
 		case e := <-n.msgs:
-			if fn, ok := e.msg.(loopFn); ok {
-				fn()
-				break
-			}
-			n.h.Deliver(e.from, e.msg)
+			n.handle(e)
 		case s := <-n.ops:
-			// Recorded before Submit: a local read completes within the call.
-			n.pending[s.op.ID] = s.done
-			n.h.Submit(s.op)
+			n.accept(s)
 		case <-ticker.C:
 			n.h.Tick()
+		}
+		// This goroutine is the only consumer of both queues, so as many plain
+		// receives as len reported cannot block.
+		queuedMsgs, queuedOps := len(n.msgs), len(n.ops)
+		for ; queuedMsgs > 0; queuedMsgs-- {
+			n.handle(<-n.msgs)
+		}
+		for ; queuedOps > 0; queuedOps-- {
+			n.accept(<-n.ops)
+		}
+		n.out.handOff()
+	}
+}
+
+// handle runs one arrived message's turn.
+func (n *Shard) handle(e env) {
+	if fn, ok := e.msg.(loopFn); ok {
+		fn()
+		return
+	}
+	n.h.Deliver(e.from, e.msg)
+}
+
+// accept runs one submitted op's turn.
+func (n *Shard) accept(s submitted) {
+	// Recorded before Submit: a local read completes within the call.
+	n.pending[s.op.ID] = s.done
+	n.h.Submit(s.op)
+}
+
+// failQueued fails every op still in the queue. Only for after the stop
+// signal: the loop calls it on its way out, and so does a submitter whose
+// enqueue may have landed behind that.
+func (n *Shard) failQueued() {
+	for {
+		select {
+		case s := <-n.ops:
+			s.done(proto.Completion{OpID: s.op.ID, Status: proto.NotOperational})
+		default:
+			return
 		}
 	}
 }
@@ -331,10 +375,11 @@ var ErrAborted = errors.New("cluster: rmw aborted by concurrent update")
 var ErrNotOperational = errors.New("cluster: replica not operational")
 
 // submit assigns op its ID and queues it for the event loop together with
-// the callback its completion goes to. An error means done will never run.
+// the callback its completion goes to. An error means done will never run;
+// nil means it runs exactly once.
 func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.Completion)) error {
-	// Checked first: ops is buffered, so once the loop has exited the select
-	// below has two ready arms and would pick the dead queue half the time.
+	// Checked first: ops is buffered, so once the loop has exited a send
+	// would succeed into a queue nobody reads.
 	select {
 	case <-n.stop:
 		return ErrClosed
@@ -344,14 +389,29 @@ func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.C
 	if op.Kind.IsUpdate() {
 		n.updates.Add(1)
 	}
+	s := submitted{op: op, done: done}
 	select {
-	case n.ops <- submitted{op: op, done: done}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stop:
-		return ErrClosed
+	case n.ops <- s: // room in the queue, the usual case: no three-way select
+	default:
+		select {
+		case n.ops <- s:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-n.stop:
+			return ErrClosed
+		}
 	}
+	// The stop signal may have fired between the check above and the enqueue,
+	// and the loop's parting sweep may have run before the op landed. If the
+	// signal is up, wait the loop out and sweep again: whatever is queued then
+	// — this op, unless the loop got to it — has nobody else to fail it.
+	select {
+	case <-n.stop:
+		n.wg.Wait()
+		n.failQueued()
+	default:
+	}
+	return nil
 }
 
 // opSink is where a blocking op waits for its completion: a callback, like

@@ -335,6 +335,56 @@ func TestClosedNodeReturnsErrClosed(t *testing.T) {
 		t.Fatalf("a callback ran a second time, or for a rejected op: %+v", c)
 	default:
 	}
+
+	// Now SubmitAsync hammered while a node closes. An op the call accepted
+	// completes exactly once and a rejected one never — also the op enqueued
+	// in the instant between the loop's last sweep of its queue and its exit,
+	// which nobody but the submitter is left to fail. Everything is settled
+	// once Close and the submitters have returned: nothing runs later.
+	type call struct {
+		ran      atomic.Int32
+		accepted bool
+	}
+	for round := 0; round < 30; round++ {
+		l := NewShardedLocal(LocalConfig{N: 2, MLT: time.Hour}, 2)
+		l.Tr.SetDrop(func(from, to proto.NodeID, msg any) bool { return true })
+		n := l.Nodes[0]
+		calls := make([][]*call, 4)
+		var wg sync.WaitGroup
+		for g := range calls {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					c := new(call)
+					err := n.SubmitAsync(proto.ClientOp{Kind: proto.OpRead, Key: proto.Key(g*1000 + i%1000)},
+						func(proto.Completion) { c.ran.Add(1) })
+					c.accepted = err == nil
+					calls[g] = append(calls[g], c)
+					if err != nil {
+						if err != ErrClosed {
+							t.Errorf("SubmitAsync across Close: err=%v, want ErrClosed", err)
+						}
+						return
+					}
+				}
+			}(g)
+		}
+		time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+		l.Close()
+		wg.Wait()
+		for g := range calls {
+			for i, c := range calls[g] {
+				want := int32(0)
+				if c.accepted {
+					want = 1
+				}
+				if ran := c.ran.Load(); ran != want {
+					t.Fatalf("round %d submitter %d op %d: accepted=%v, callback ran %d times", round, g, i, c.accepted, ran)
+				}
+			}
+		}
+	}
 }
 
 // TestBlockingOpAllocatesNothingOverAsync pins what the blocking wrappers

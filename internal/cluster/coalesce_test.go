@@ -73,17 +73,16 @@ func TestCoalescerGathersWhileSendInFlight(t *testing.T) {
 	}
 
 	co := sn.coalescerFor(coalKey{to: 1, class: classResponse}) // ACKs are responses
-	co.enqueue(ack(0, 10))
+	co.enqueueAll([]proto.ShardMsg{ack(0, 10)})
 	// Wait until the flusher is inside Send (blocked on the gate) so the
-	// next three enqueues cannot race ahead of it.
+	// next three hand-offs cannot race ahead of it.
 	select {
 	case <-tr.sendC:
 	case <-time.After(5 * time.Second):
 		t.Fatal("flusher never reached the transport")
 	}
-	co.enqueue(ack(1, 11))
-	co.enqueue(ack(2, 12))
-	co.enqueue(ack(3, 13))
+	co.enqueueAll([]proto.ShardMsg{ack(1, 11)})
+	co.enqueueAll([]proto.ShardMsg{ack(2, 12), ack(3, 13)})
 	close(gate)
 
 	deadline := time.After(5 * time.Second)
@@ -135,6 +134,7 @@ func TestCoalescerSeparatesCreditClasses(t *testing.T) {
 		st.idx = uint16(i)
 		st.Send(1, core.ACK{Epoch: 1, Key: proto.Key(10 + i), TS: proto.TS{Version: 1}})
 		st.Send(1, core.VAL{Epoch: 1, Key: proto.Key(20 + i), TS: proto.TS{Version: 1}})
+		st.handOff() // no event loop here: the test ends each shard's burst itself
 	}
 	close(gate)
 
@@ -204,7 +204,7 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 	defer sn.Close()
 
 	co := sn.coalescerFor(coalKey{to: 1, class: classRequest})
-	co.enqueue(inv(1, 16)) // admits the flusher into the gated Send
+	co.enqueueAll([]proto.ShardMsg{inv(1, 16)}) // admits the flusher into the gated Send
 	select {
 	case <-tr.sendC:
 	case <-time.After(5 * time.Second):
@@ -213,14 +213,14 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 	// 5 × (32 + 20KiB) piles up behind the gate: over the 64 KiB budget, so
 	// the backlog must split — 3 fit, the next would overflow.
 	const val = 20 << 10
+	var backlog []proto.ShardMsg
 	for i := proto.Key(2); i <= 6; i++ {
-		co.enqueue(inv(i, val))
+		backlog = append(backlog, inv(i, val))
 	}
 	// Two INVs each individually over the budget: the i>0 guard must let
 	// every one ship alone instead of cutting to an empty batch.
 	const jumbo = 80 << 10
-	co.enqueue(inv(7, jumbo))
-	co.enqueue(inv(8, jumbo))
+	co.enqueueAll(append(backlog, inv(7, jumbo), inv(8, jumbo)))
 	close(gate)
 
 	deadline := time.After(5 * time.Second)
@@ -374,12 +374,13 @@ func (c *countTransport) Send(from, to proto.NodeID, msg any) {
 func (c *countTransport) SetDeliver(proto.NodeID, func(proto.NodeID, any)) {}
 func (c *countTransport) Close() error                                     { return nil }
 
-// TestCoalescerBurstAllocationBudget: gathering and flushing a 16-message
-// burst allocates nothing in the coalescer — the queue is a recycled half of
-// the double buffer and the flusher starts without a closure. The one
-// allocation left is the ShardBatch envelope boxed for Transport.Send(any).
-// Each run waits for the flusher to exit, so every burst starts a new one:
-// the buffers must survive the idle gap.
+// TestCoalescerBurstAllocationBudget: staging, handing off and flushing a
+// 16-message burst allocates nothing in the shard's stage or the coalescer —
+// the stage is a warm array, the queue a recycled half of the double buffer,
+// and the flusher starts without a closure. The one allocation left is the
+// ShardBatch envelope boxed for Transport.Send(any). Each run waits for the
+// flusher to exit, so every burst starts a new one: the buffers must survive
+// the idle gap.
 func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	tr := &countTransport{}
 	sn := NewShardedNode(ShardedConfig{
@@ -387,10 +388,12 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 		Shards: 2,
 	}, tr)
 	defer sn.Close()
+	// An egress of the test's own: the node's belong to its event loops.
+	st := &shardTransport{sn: sn, idx: 1}
 	co := sn.coalescerFor(coalKey{to: 1, class: classResponse})
-	var burst [16]proto.ShardMsg
+	var burst [16]any // boxed once, as the engine's Send argument already is
 	for i := range burst {
-		burst[i] = proto.ShardMsg{Shard: uint16(i % 2), Msg: core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}}
+		burst[i] = core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
 	}
 	idle := func() bool {
 		co.mu.Lock()
@@ -399,22 +402,23 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	}
 	sent := uint64(0)
 	flushBurst := func() {
-		for _, sm := range burst {
-			co.enqueue(sm)
+		for _, m := range burst {
+			st.Send(1, m)
 		}
+		st.handOff()
 		sent += uint64(len(burst))
 		for tr.msgs.Load() < sent || !idle() {
 			runtime.Gosched()
 		}
 	}
-	flushBurst() // grows the first buffer
-	flushBurst() // brings it back as the spare
+	flushBurst() // grows the stage and the first buffer
+	flushBurst() // brings that buffer back as the spare
 	if n := testing.AllocsPerRun(200, flushBurst); n > 1 {
 		t.Fatalf("a 16-message burst allocates %.0f times, want <= 1 (the boxed envelope)", n)
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	for _, buf := range [][]proto.ShardMsg{co.buf, co.spare} {
+	for _, buf := range [][]proto.ShardMsg{co.buf, co.spare, st.stages[0].msgs} {
 		for i, sm := range buf[:cap(buf)] {
 			if sm.Msg != nil {
 				t.Fatalf("recycled queue entry %d still references a sent message", i)
@@ -423,11 +427,13 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestCoalescerOverflowReleasesOwners fills a coalescer to its bound behind a
-// wedged transport with INVs that each hold a reference on a pooled frame,
-// then overflows it. Dropped messages must spend their references on the
-// spot, and the queued ones when they finally ship: the frame's count returns
-// to its baseline, and nothing is left reachable in the coalescer.
+// TestCoalescerOverflowReleasesOwners fills a coalescer to just under its
+// bound behind a wedged transport with INVs that each hold a reference on a
+// pooled frame, then hands it a burst that straddles the bound and one that
+// finds it full. What fits is admitted and the rest shed, counted message by
+// message; shed messages must spend their references on the spot, and the
+// queued ones when they finally ship: the frame's count returns to its
+// baseline, and nothing is left reachable in the coalescer.
 func TestCoalescerOverflowReleasesOwners(t *testing.T) {
 	gate := make(chan struct{})
 	tr := &countTransport{gate: gate}
@@ -439,11 +445,15 @@ func TestCoalescerOverflowReleasesOwners(t *testing.T) {
 	co := sn.coalescerFor(coalKey{to: 1, class: classRequest})
 
 	frame := refbuf.NewPool().Get(8)
-	inv := func() proto.ShardMsg {
-		frame.Retain()
-		return proto.ShardMsg{Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2}, Value: frame.Bytes(), Owner: frame}}
+	invs := func(n int) []proto.ShardMsg {
+		out := make([]proto.ShardMsg, n)
+		for i := range out {
+			frame.Retain()
+			out[i] = proto.ShardMsg{Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2}, Value: frame.Bytes(), Owner: frame}}
+		}
+		return out
 	}
-	co.enqueue(inv()) // taken by the flusher, which wedges in Send
+	co.enqueueAll(invs(1)) // taken by the flusher, which wedges in Send
 	for {
 		co.mu.Lock()
 		taken := len(co.buf) == 0
@@ -453,15 +463,24 @@ func TestCoalescerOverflowReleasesOwners(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	for i := 0; i < maxCoalesceBuf; i++ {
-		co.enqueue(inv())
+	const room, over, late = 10, 100, 5
+	co.enqueueAll(invs(maxCoalesceBuf - room))
+	if _, _, _, dropped := sn.CoalesceStats(); dropped != 0 {
+		t.Fatalf("dropped = %d with %d slots free", dropped, room)
 	}
-	const over = 100
-	for i := 0; i < over; i++ {
-		co.enqueue(inv())
-	}
+	co.enqueueAll(invs(room + over)) // straddles the bound: 10 in, 100 shed
 	if _, _, _, dropped := sn.CoalesceStats(); dropped != over {
-		t.Fatalf("dropped = %d, want %d", dropped, over)
+		t.Fatalf("dropped = %d after the straddling burst, want %d", dropped, over)
+	}
+	co.enqueueAll(invs(late)) // no room at all
+	if _, _, _, dropped := sn.CoalesceStats(); dropped != over+late {
+		t.Fatalf("dropped = %d, want %d", dropped, over+late)
+	}
+	co.mu.Lock()
+	queued := len(co.buf)
+	co.mu.Unlock()
+	if queued != maxCoalesceBuf {
+		t.Fatalf("queue holds %d messages, want it full at %d", queued, maxCoalesceBuf)
 	}
 	if got, want := frame.Refs(), int32(1+1+maxCoalesceBuf); got != want {
 		t.Fatalf("frame refs with the queue full = %d, want %d (drops released, queued held)", got, want)

@@ -37,10 +37,11 @@ import (
 // Shards=1 the envelope is elided entirely: a single-shard node puts bare
 // core messages on the wire.
 //
-// Small messages (ACKs, VALs) do not write the transport directly: they
-// pass through a per-peer egress coalescer that gathers what the W engines
-// emit concurrently and ships it as one proto.ShardBatch frame under one
-// flow-control credit — cutting the per-write frame rate that W would
+// Small messages (INVs, ACKs, VALs) do not write the transport directly:
+// each engine stages what one burst of its turns sent and hands it, once per
+// burst (Shard.loop), to a per-peer egress coalescer that gathers what the W
+// engines emit concurrently and ships it as one proto.ShardBatch frame under
+// one flow-control credit — cutting the per-write frame rate that W would
 // otherwise multiply. Arriving batches fan back out to owner shards in
 // dispatch.
 //
@@ -134,15 +135,23 @@ func DefaultShards() int {
 }
 
 // shardTransport is one shard's egress onto the node's transport: it tags
-// outgoing messages with the shard index (unless W=1) and feeds the small
-// ones to the cross-shard coalescers.
+// outgoing messages with the shard index (unless W=1) and gathers the small
+// ones, per peer and class, for the cross-shard coalescers.
 type shardTransport struct {
 	sn  *ShardedNode
 	idx uint16
-	// coalCache memoizes coalescer lookups so the per-message fast path
-	// skips the node-global coalMu; only this shard's event loop touches it,
-	// so it needs no lock.
-	coalCache map[coalKey]*peerCoalescer
+	// stages holds what the current burst of engine turns has sent so far,
+	// one entry per (peer, class) this shard has ever addressed — a handful,
+	// so lookup is a scan. Only the shard's event loop touches it, so Send
+	// takes no lock; handOff empties it at the end of every loop iteration.
+	stages []egressStage
+}
+
+// egressStage is one coalescer's share of a burst, in send order.
+type egressStage struct {
+	key  coalKey
+	co   *peerCoalescer
+	msgs []proto.ShardMsg
 }
 
 func (t *shardTransport) Send(to proto.NodeID, msg any) {
@@ -156,19 +165,44 @@ func (t *shardTransport) Send(to proto.NodeID, msg any) {
 		// dominate the frame rate, and no protocol property depends on
 		// their ordering relative to the direct path (links are lossy and
 		// reordering anyway).
-		k := coalKey{to: to, class: classOf(msg)}
-		p := t.coalCache[k]
-		if p == nil {
-			p = t.sn.coalescerFor(k)
-			if t.coalCache == nil {
-				t.coalCache = make(map[coalKey]*peerCoalescer)
-			}
-			t.coalCache[k] = p
-		}
-		p.enqueue(sm)
+		st := t.stage(coalKey{to: to, class: classOf(msg)})
+		st.msgs = append(st.msgs, sm)
 		return
 	}
 	t.sn.tr.Send(t.sn.id, to, sm)
+}
+
+// stage returns (creating on first contact) the stage for k.
+func (t *shardTransport) stage(k coalKey) *egressStage {
+	for i := range t.stages {
+		if t.stages[i].key == k {
+			return &t.stages[i]
+		}
+	}
+	t.stages = append(t.stages, egressStage{key: k, co: t.sn.coalescerFor(k)})
+	return &t.stages[len(t.stages)-1]
+}
+
+// handOff ends a burst: each non-empty stage goes to its coalescer in one
+// locked append and at most one flusher start, so the coalescer's lock is paid
+// per burst instead of per message and per-(peer, class) order is send order.
+// The event loop calls it before it blocks again, every time.
+func (t *shardTransport) handOff() {
+	for i := range t.stages {
+		st := &t.stages[i]
+		if len(st.msgs) == 0 {
+			continue
+		}
+		st.co.enqueueAll(st.msgs)
+		if cap(st.msgs) > maxSpareMsgs {
+			st.msgs = nil
+			continue
+		}
+		// The coalescer copied the messages; a handed-off INV must not stay
+		// reachable through the stage's array.
+		clear(st.msgs)
+		st.msgs = st.msgs[:0]
+	}
 }
 
 // msgClass is the flow-control class of a coalesced message; one coalescer
@@ -231,22 +265,23 @@ func shardMsgSize(sm proto.ShardMsg) int {
 	return overhead
 }
 
-// maxCoalesceBuf bounds one coalescer's queue. Enqueue never blocks the
+// maxCoalesceBuf bounds one coalescer's queue. The hand-off never blocks the
 // shard engines, so when the flusher is stalled (a credit-starved peer) the
 // buffer must not grow without bound; past the cap, messages drop — the
 // same bounded-queue discipline as ChanTransport's full inbox, and the
 // protocols' retransmission recovers.
 const maxCoalesceBuf = 1 << 16
 
-// maxSpareMsgs caps the capacity of a queue buffer a coalescer keeps for
-// reuse (two per coalescer, 24 B an entry): one grown past it behind a
-// stalled peer goes back to the collector once it has drained.
+// maxSpareMsgs caps the capacity of a queue buffer kept for reuse (two per
+// coalescer and one per shard stage, 24 B an entry): one grown past it —
+// behind a stalled peer, or by one huge burst — goes back to the collector
+// once it has drained.
 const maxSpareMsgs = 4096
 
 // peerCoalescer gathers small shard-tagged messages of one credit class
 // bound for one peer across all W shard engines and flushes them as single
 // ShardBatch frames. Batching is opportunistic, exactly like the wings
-// flusher it feeds: the first enqueue starts a flusher goroutine, and while
+// flusher it feeds: the first hand-off starts a flusher goroutine, and while
 // its Send is in flight (possibly blocked on flow-control credits) further
 // messages pile into buf and ship together — latency is never traded for
 // batch size.
@@ -254,7 +289,7 @@ const maxSpareMsgs = 4096
 // The queue is double-buffered: the flusher takes buf whole and swaps spare
 // in, ships what it took, clears it (a sent INV must not stay reachable
 // through a recycled array) and hands it back as the next spare — so in
-// steady state enqueue appends into warm capacity and allocates nothing.
+// steady state enqueueAll appends into warm capacity and allocates nothing.
 type peerCoalescer struct {
 	sn    *ShardedNode
 	to    proto.NodeID
@@ -269,22 +304,28 @@ type peerCoalescer struct {
 	flushing bool
 }
 
-func (p *peerCoalescer) enqueue(sm proto.ShardMsg) {
+// enqueueAll queues one burst's messages behind what is already waiting, in
+// order, and starts the flusher if none is running: the only way in. What
+// does not fit under maxCoalesceBuf is dropped, not delivered — counted, and
+// its buffer references spent like every other drop path. msgs stays the
+// caller's.
+func (p *peerCoalescer) enqueueAll(msgs []proto.ShardMsg) {
 	p.mu.Lock() //hermesvet:ignore eventloop bounded append under the buffer lock; flushLoop swaps the queue out and releases before any I/O
-	if len(p.buf) >= maxCoalesceBuf {
-		p.mu.Unlock()
-		p.sn.droppedOut.Add(1)
-		// Dropped, not delivered: spend the message's buffer references like
-		// every other drop path.
-		core.ReleaseMsgOwners(sm.Msg)
-		return
-	}
-	p.buf = append(p.buf, sm)
-	if !p.flushing {
-		p.flushing = true
-		go p.flush()
+	fit := min(len(msgs), maxCoalesceBuf-len(p.buf))
+	if fit > 0 {
+		p.buf = append(p.buf, msgs[:fit]...)
+		if !p.flushing {
+			p.flushing = true
+			go p.flush()
+		}
 	}
 	p.mu.Unlock()
+	if shed := msgs[fit:]; len(shed) > 0 {
+		p.sn.droppedOut.Add(uint64(len(shed)))
+		for _, sm := range shed {
+			core.ReleaseMsgOwners(sm.Msg)
+		}
+	}
 }
 
 func (p *peerCoalescer) flushLoop() {
@@ -346,10 +387,10 @@ func (p *peerCoalescer) frameLen(queued []proto.ShardMsg) int {
 }
 
 // coalescerFor returns (creating if needed) the egress coalescer for a
-// peer and credit class. Hot paths go through shardTransport's per-shard
-// cache and reach here only on first contact with a peer.
+// peer and credit class. Each shard keeps the answer in its stage for the
+// pair, so the event loops reach here only on first contact with a peer.
 func (sn *ShardedNode) coalescerFor(k coalKey) *peerCoalescer {
-	sn.coalMu.Lock() //hermesvet:ignore eventloop first-contact slow path only; steady state resolves the coalescer through the per-shard cache
+	sn.coalMu.Lock() //hermesvet:ignore eventloop first-contact slow path only; steady state resolves the coalescer through the shard's own stage
 	defer sn.coalMu.Unlock()
 	p := sn.coal[k]
 	if p == nil {
@@ -556,13 +597,12 @@ func (sn *ShardedNode) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Bu
 // the shard's ops queue is full (bounded backpressure on the submitting
 // session, never on other sessions or shards).
 //
-// An error means fn will never run. Every call after Close has returned
-// gets ErrClosed, and an op in flight when the node closes completes with
-// proto.NotOperational from the stopping event loop, so a session's
-// outstanding count drains. (A call that overlaps Close itself gets one or
-// the other, except in the few instructions between its own check of the
-// stop signal and its enqueue: if the loop's whole exit fits in there, the
-// op is accepted and never completes.)
+// An error means fn will never run; nil means it runs exactly once. Every
+// call after Close has returned gets ErrClosed, and an op in flight when the
+// node closes completes with proto.NotOperational, so a session's
+// outstanding count drains. A call that overlaps Close itself gets one or
+// the other — and in that one case fn may run on the caller's goroutine,
+// before SubmitAsync returns.
 //
 // op.Value is handed over: for an update it becomes the stored and
 // replicated value without a copy, so the caller must not mutate it after

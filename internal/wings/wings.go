@@ -116,11 +116,18 @@ var ErrUnknownType = errors.New("wings: unknown message type")
 // conforming encoder.
 var ErrBadEnum = errors.New("wings: enum value out of range")
 
-// appendMsg encodes one protocol message.
+// appendMsg encodes one protocol message: [1B type][4B length][body]. The
+// replication traffic — the shard envelopes and INV/ACK/VAL inside them — is
+// encoded here; everything else in appendColdBody. The split is about this
+// function's stack frame, not its speed: a batch is encoded two levels deep,
+// on a flusher goroutine born with a 2 KiB stack, and with all fourteen
+// message types' temporaries in one frame (696 bytes) that descent outgrew
+// the stack, so every flush began with a runtime.newstack copy.
 func appendMsg(buf []byte, msg any) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0) // type + length placeholder
 	var t uint8
+	var err error
 	switch m := msg.(type) {
 	case core.INV:
 		t = tINV
@@ -140,6 +147,47 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 	case core.VAL:
 		t = tVAL
 		buf = appendEpochKeyTS(buf, m.Epoch, m.Key, m.TS)
+	case proto.ShardMsg:
+		t = tShard
+		if nestedEnvelope(m.Msg) {
+			return nil, errNestedShardMsg
+		}
+		buf = binary.LittleEndian.AppendUint16(buf, m.Shard)
+		buf, err = appendMsg(buf, m.Msg)
+	case proto.ShardBatch:
+		t = tShardBatch
+		if len(m.Msgs) == 0 || len(m.Msgs) > 0xFFFF {
+			return nil, errBatchCount(len(m.Msgs))
+		}
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Msgs)))
+		for _, sm := range m.Msgs {
+			if nestedEnvelope(sm.Msg) {
+				return nil, errNestedInBatch
+			}
+			buf = binary.LittleEndian.AppendUint16(buf, sm.Shard)
+			if buf, err = appendMsg(buf, sm.Msg); err != nil {
+				return nil, err
+			}
+		}
+	default:
+		t, buf, err = appendColdBody(buf, msg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	buf[start] = t
+	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-5))
+	return buf, nil
+}
+
+// appendColdBody appends the body of every message type appendMsg does not
+// encode itself — membership, recovery and client-session traffic — and
+// returns its wire tag. Never inlined: its temporaries must stay out of
+// appendMsg's frame.
+//
+//go:noinline
+func appendColdBody(buf []byte, msg any) (t uint8, _ []byte, err error) {
+	switch m := msg.(type) {
 	case core.MCheck:
 		t = tMCheck
 		buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
@@ -168,41 +216,9 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 			buf = appendBool(buf, r.Invalid)
 			buf = appendBytes(buf, r.Value)
 		}
-	case proto.ShardMsg:
-		t = tShard
-		if nestedEnvelope(m.Msg) {
-			return nil, fmt.Errorf("wings: nested ShardMsg")
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, m.Shard)
-		var err error
-		buf, err = appendMsg(buf, m.Msg)
-		if err != nil {
-			return nil, err
-		}
-	case proto.ShardBatch:
-		t = tShardBatch
-		if len(m.Msgs) == 0 || len(m.Msgs) > 0xFFFF {
-			return nil, fmt.Errorf("wings: ShardBatch of %d messages", len(m.Msgs))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Msgs)))
-		for _, sm := range m.Msgs {
-			if nestedEnvelope(sm.Msg) {
-				return nil, fmt.Errorf("wings: nested envelope in ShardBatch")
-			}
-			buf = binary.LittleEndian.AppendUint16(buf, sm.Shard)
-			var err error
-			buf, err = appendMsg(buf, sm.Msg)
-			if err != nil {
-				return nil, err
-			}
-		}
 	case proto.MUpdate:
 		t = tMUpdate
-		var err error
 		buf, err = appendMUpdateBody(buf, m)
-		if err != nil {
-			return nil, err
-		}
 	case proto.ViewLogReq:
 		t = tViewLogReq
 		buf = binary.LittleEndian.AppendUint16(buf, m.Shard)
@@ -210,7 +226,7 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 	case proto.ClientReq:
 		t = tClientReq
 		if m.Op > proto.OpFAA {
-			return nil, ErrBadEnum
+			return 0, nil, ErrBadEnum
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 		buf = append(buf, byte(m.Op))
@@ -220,7 +236,7 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 	case proto.ClientResp:
 		t = tClientResp
 		if m.Status > proto.NotOperational {
-			return nil, ErrBadEnum
+			return 0, nil, ErrBadEnum
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 		buf = append(buf, byte(m.Status))
@@ -228,7 +244,7 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 	case proto.EpochGossip:
 		t = tEpochGossip
 		if len(m.Epochs) > 0xFFFF {
-			return nil, fmt.Errorf("wings: EpochGossip of %d shards", len(m.Epochs))
+			return 0, nil, fmt.Errorf("wings: EpochGossip of %d shards", len(m.Epochs))
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Epochs)))
 		for _, e := range m.Epochs {
@@ -237,22 +253,31 @@ func appendMsg(buf []byte, msg any) ([]byte, error) {
 	case proto.ViewLogResp:
 		t = tViewLogResp
 		if len(m.Updates) > 0xFFFF {
-			return nil, fmt.Errorf("wings: ViewLogResp of %d updates", len(m.Updates))
+			return 0, nil, fmt.Errorf("wings: ViewLogResp of %d updates", len(m.Updates))
 		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Updates)))
 		for _, up := range m.Updates {
-			var err error
-			buf, err = appendMUpdateBody(buf, up)
-			if err != nil {
-				return nil, err
+			if buf, err = appendMUpdateBody(buf, up); err != nil {
+				return 0, nil, err
 			}
 		}
 	default:
-		return nil, fmt.Errorf("wings: cannot encode %T", msg)
+		return 0, nil, fmt.Errorf("wings: cannot encode %T", msg)
 	}
-	buf[start] = t
-	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-5))
-	return buf, nil
+	return t, buf, err
+}
+
+var (
+	errNestedShardMsg = errors.New("wings: nested ShardMsg")
+	errNestedInBatch  = errors.New("wings: nested envelope in ShardBatch")
+)
+
+// errBatchCount is out of line for the reason appendColdBody is: fmt's boxed
+// argument would otherwise sit in appendMsg's frame.
+//
+//go:noinline
+func errBatchCount(n int) error {
+	return fmt.Errorf("wings: ShardBatch of %d messages", n)
 }
 
 // nestedEnvelope reports whether msg must not nest inside a shard envelope:
