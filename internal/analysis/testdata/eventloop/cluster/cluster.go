@@ -34,7 +34,7 @@ func (t *ChanTransport) Complete(msg any) {
 	t.inbox <- msg //hermesvet:ignore eventloop cap-1 completion channel drained by the sole waiter before reuse
 }
 
-// shardTransport stages in Send and ships in handOff, which the event loop
+// shardTransport stages in Send and sends in handOff, which the event loop
 // calls directly: both are roots.
 type shardTransport struct {
 	mu     sync.Mutex
@@ -44,12 +44,12 @@ type shardTransport struct {
 func (t *shardTransport) Send(to int, msg any) { t.staged = append(t.staged, msg) }
 
 func (t *shardTransport) handOff() {
-	t.enqueueAll(t.staged)
+	t.sendAll(t.staged)
 	t.staged = t.staged[:0]
 }
 
-func (t *shardTransport) enqueueAll(msgs []any) {
-	t.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: handOff → enqueueAll\)`
+func (t *shardTransport) sendAll(msgs []any) {
+	t.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: handOff → sendAll\)`
 	defer t.mu.Unlock()
 	_ = msgs
 }

@@ -11,15 +11,15 @@ import (
 
 // invsSent counts the INVs for key, under epoch, that have reached the
 // recording transport so far, alone or inside a batch.
-func invsSent(tr *gateTransport, key proto.Key, epoch uint32) int {
+func invsSent(tr *recTransport, key proto.Key, epoch uint32) int {
 	n := 0
 	count := func(sm proto.ShardMsg) {
 		if inv, ok := sm.Msg.(core.INV); ok && inv.Key == key && inv.Epoch == epoch {
 			n++
 		}
 	}
-	for _, m := range tr.msgs() {
-		switch f := m.(type) {
+	for _, s := range tr.sends() {
+		switch f := s.msg.(type) {
 		case proto.ShardMsg:
 			count(f)
 		case proto.ShardBatch:
@@ -45,9 +45,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // quietNode is a 2-shard node whose peer never answers, over a transport that
 // records what it is sent.
-func quietNode(t *testing.T, mlt, tickEvery time.Duration) (*ShardedNode, *gateTransport) {
+func quietNode(t *testing.T, mlt, tickEvery time.Duration) (*ShardedNode, *recTransport) {
 	t.Helper()
-	tr := &gateTransport{}
+	tr := &recTransport{}
 	sn := NewShardedNode(ShardedConfig{
 		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
 		Shards: 2, MLT: mlt, TickEvery: tickEvery,
@@ -66,7 +66,7 @@ func submitWrite(t *testing.T, sn *ShardedNode, key proto.Key) {
 	}
 }
 
-// TestNothingStaysStaged: the event loop hands its stages to the coalescers
+// TestNothingStaysStaged: the event loop sends what its turns staged
 // before it blocks, whichever select arm woke it. Each step below is the only
 // input the node gets, so a message still staged after it would stay there —
 // an arm that forgot the hand-off fails its step's wait.

@@ -32,12 +32,18 @@ import (
 
 // Transport delivers messages between replica processes.
 //
+// Send never blocks: the shard event loops call it, and one that waited on a
+// peer — a dial, a spent credit window, a full socket — would stall every key
+// its shard owns. A transport that must wait queues, and sheds past its bound
+// (transport.Mesh queues in the peer's wings.Link; ChanTransport drops on a
+// full inbox).
+//
 // Ownership, both directions: a message belongs to whoever hands it over
 // only for the duration of the call. Send must not retain msg — nor the
 // slice of messages a proto.ShardBatch carries — after it returns, because
-// senders recycle those buffers (the egress coalescer clears and reuses its
-// batch slice the moment Send is back); an implementation that queues must
-// encode or copy first, as wings.Link.Send and ChanTransport.Send do. The
+// senders recycle those buffers (a shard clears and reuses its stage's slice
+// the moment Send is back); an implementation that queues must encode or copy
+// first, as wings.Link.Post and ChanTransport.Send do. The
 // pooled-buffer references msg carries (core.INV.Owner) pass to the
 // transport with the call; the caller never releases them afterwards.
 // Likewise the deliver callback may use msg, and a delivered batch's slice in
@@ -45,8 +51,8 @@ import (
 // inner messages (they are values), and value bytes (proto.Value), which are
 // immutable once sent.
 type Transport interface {
-	// Send delivers msg from one node to another; best-effort (the
-	// protocols tolerate loss).
+	// Send delivers msg from one node to another without ever blocking;
+	// best-effort (the protocols tolerate loss).
 	Send(from, to proto.NodeID, msg any)
 	// SetDeliver installs the arrival callback for node id.
 	SetDeliver(id proto.NodeID, fn func(from proto.NodeID, msg any))
@@ -248,12 +254,12 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 // loop is the shard's event loop, a burst machine in the manner of the
 // paper's Wings workers (§4.2): after any wake-up it takes everything that was
 // already queued — messages, then ops — runs one engine turn for each, and
-// only then hands what those turns sent to the egress coalescers, once per
-// peer and class (shardTransport.handOff). Batching is opportunistic: a burst
-// is what was queued at wake-up, never waited for, and that bound is also what
-// keeps Tick and stop reachable under a producer that never lets the inbox
-// run dry. Every iteration ends with the hand-off, whichever arm woke it, so
-// nothing is staged while the loop blocks.
+// only then sends what those turns staged, one batch per peer and class
+// (shardTransport.handOff). Batching is opportunistic: a burst is what was
+// queued at wake-up, never waited for, and that bound is also what keeps Tick
+// and stop reachable under a producer that never lets the inbox run dry. Every
+// iteration ends with the hand-off, whichever arm woke it, so nothing is
+// staged while the loop blocks.
 func (n *Shard) loop(tickEvery time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(tickEvery)

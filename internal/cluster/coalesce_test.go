@@ -12,269 +12,228 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/refbuf"
+	"repro/internal/wings"
 )
 
-// gateTransport records sends and can block them, exposing the coalescer's
-// opportunistic gathering deterministically: while one flush is stuck in
-// Send, everything else enqueued for that peer must pile into one batch.
-type gateTransport struct {
-	mu    sync.Mutex
-	sent  []any
-	gate  chan struct{} // nil = sends pass; else Send blocks on it
-	sendC chan struct{} // signaled at entry to Send
+// recTransport records what it is sent, in order.
+type recTransport struct {
+	mu   sync.Mutex
+	sent []sentMsg
 }
 
-func (g *gateTransport) Send(from, to proto.NodeID, msg any) {
-	g.mu.Lock()
-	gate := g.gate
-	g.mu.Unlock()
-	select {
-	case g.sendC <- struct{}{}:
-	default:
-	}
-	if gate != nil {
-		<-gate
-	}
+type sentMsg struct {
+	to  proto.NodeID
+	msg any
+}
+
+func (r *recTransport) Send(from, to proto.NodeID, msg any) {
 	if sb, ok := msg.(proto.ShardBatch); ok {
-		// Recording is retaining: the Transport contract lets the coalescer
+		// Recording is retaining: the Transport contract lets the shard
 		// recycle the batch's slice once Send returns, so keep a copy.
 		msg = proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
 	}
-	g.mu.Lock()
-	g.sent = append(g.sent, msg)
-	g.mu.Unlock()
+	r.mu.Lock()
+	r.sent = append(r.sent, sentMsg{to, msg})
+	r.mu.Unlock()
 }
 
-func (g *gateTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) {}
-func (g *gateTransport) Close() error                                           { return nil }
+func (r *recTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) {}
+func (r *recTransport) Close() error                                           { return nil }
 
-func (g *gateTransport) msgs() []any {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]any(nil), g.sent...)
+func (r *recTransport) sends() []sentMsg {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]sentMsg(nil), r.sent...)
 }
 
-// TestCoalescerGathersWhileSendInFlight drives the per-peer coalescer
-// directly: with the transport gated shut after admitting one flush, three
-// more ACKs enqueue behind it and must ship as a single ShardBatch frame
-// once the gate opens.
-func TestCoalescerGathersWhileSendInFlight(t *testing.T) {
-	gate := make(chan struct{})
-	tr := &gateTransport{gate: gate, sendC: make(chan struct{}, 1)}
+// entries unpacks one Send's argument into the shard messages it carries.
+func entries(t *testing.T, m any) []proto.ShardMsg {
+	t.Helper()
+	switch f := m.(type) {
+	case proto.ShardBatch:
+		return f.Msgs
+	case proto.ShardMsg:
+		return []proto.ShardMsg{f}
+	}
+	t.Fatalf("unexpected send %T", m)
+	return nil
+}
+
+// stagingNode is a 4-shard node over a recording transport, and an egress of
+// the test's own: the node's belong to its event loops.
+func stagingNode(t *testing.T) (*ShardedNode, *shardTransport, *recTransport) {
+	t.Helper()
+	tr := &recTransport{}
 	sn := NewShardedNode(ShardedConfig{
-		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
+		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1, 2}},
 		Shards: 4,
 	}, tr)
-	defer sn.Close()
+	t.Cleanup(sn.Close)
+	return sn, &shardTransport{sn: sn, idx: 3}, tr
+}
 
-	ack := func(shard uint16, key proto.Key) proto.ShardMsg {
-		return proto.ShardMsg{Shard: shard, Msg: core.ACK{Epoch: 1, Key: key, TS: proto.TS{Version: 1}}}
-	}
-
-	co := sn.coalescerFor(coalKey{to: 1, class: classResponse}) // ACKs are responses
-	co.enqueueAll([]proto.ShardMsg{ack(0, 10)})
-	// Wait until the flusher is inside Send (blocked on the gate) so the
-	// next three hand-offs cannot race ahead of it.
-	select {
-	case <-tr.sendC:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flusher never reached the transport")
-	}
-	co.enqueueAll([]proto.ShardMsg{ack(1, 11)})
-	co.enqueueAll([]proto.ShardMsg{ack(2, 12), ack(3, 13)})
-	close(gate)
-
-	deadline := time.After(5 * time.Second)
-	for {
-		if len(tr.msgs()) >= 2 {
-			break
+// TestHandOffSendsOncePerStage: a burst leaves as one Send per non-empty
+// (peer, class) stage — a lone message as a plain ShardMsg, company as one
+// ShardBatch in send order — peer by peer with responses first, whatever
+// order the engine addressed them in; and the hand-off is where CoalesceStats
+// counts.
+func TestHandOffSendsOncePerStage(t *testing.T) {
+	sn, st, tr := stagingNode(t)
+	ack := func(key proto.Key) core.ACK { return core.ACK{Epoch: 1, Key: key, TS: proto.TS{Version: 1}} }
+	val := func(key proto.Key) core.VAL { return core.VAL{Epoch: 1, Key: key, TS: proto.TS{Version: 1}} }
+	inv := func(key proto.Key) core.INV { return core.INV{Epoch: 1, Key: key, TS: proto.TS{Version: 1}} }
+	tag := func(msgs ...any) any {
+		if len(msgs) == 1 {
+			return proto.ShardMsg{Shard: 3, Msg: msgs[0]}
 		}
-		select {
-		case <-deadline:
-			t.Fatalf("coalescer shipped %d frames, want 2", len(tr.msgs()))
-		case <-time.After(time.Millisecond):
+		var sb proto.ShardBatch
+		for _, m := range msgs {
+			sb.Msgs = append(sb.Msgs, proto.ShardMsg{Shard: 3, Msg: m})
 		}
+		return sb
 	}
-	sent := tr.msgs()
-	if len(sent) != 2 {
-		t.Fatalf("got %d frames, want 2 (one single + one batch): %#v", len(sent), sent)
-	}
-	if !reflect.DeepEqual(sent[0], ack(0, 10)) {
-		t.Fatalf("first flush should be the lone ShardMsg, got %#v", sent[0])
-	}
-	batch, ok := sent[1].(proto.ShardBatch)
-	if !ok {
-		t.Fatalf("second flush is %T, want ShardBatch", sent[1])
-	}
-	want := proto.ShardBatch{Msgs: []proto.ShardMsg{ack(1, 11), ack(2, 12), ack(3, 13)}}
-	if !reflect.DeepEqual(batch, want) {
-		t.Fatalf("batch contents:\n got %#v\nwant %#v", batch, want)
+
+	st.Send(1, ack(10))
+	st.handOff()
+	st.Send(1, ack(11))
+	st.Send(1, ack(12))
+	st.Send(1, ack(13))
+	st.handOff()
+	st.handOff() // nothing staged: nothing sent
+	want := []sentMsg{{1, tag(ack(10))}, {1, tag(ack(11), ack(12), ack(13))}}
+	if got := tr.sends(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sends:\n got %#v\nwant %#v", got, want)
 	}
 	if batches, coalesced, singles, dropped := sn.CoalesceStats(); batches != 1 || coalesced != 3 || singles != 1 || dropped != 0 {
 		t.Fatalf("CoalesceStats = (%d,%d,%d,%d), want (1,3,1,0)", batches, coalesced, singles, dropped)
 	}
+
+	// Addressed INV-first and far peer first; sent by peer, ACK VAL INV.
+	st.Send(2, inv(20))
+	st.Send(2, val(21))
+	st.Send(1, inv(22))
+	st.Send(1, val(23))
+	st.Send(2, ack(24))
+	st.Send(1, inv(25))
+	st.handOff()
+	want = append(want,
+		sentMsg{1, tag(val(23))}, sentMsg{1, tag(inv(22), inv(25))},
+		sentMsg{2, tag(ack(24))}, sentMsg{2, tag(val(21))}, sentMsg{2, tag(inv(20))})
+	if got := tr.sends(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sends after the mixed burst:\n got %#v\nwant %#v", got, want)
+	}
 }
 
-// TestCoalescerSeparatesCreditClasses drives ACKs and VALs for one peer
-// through the shard transports and checks no flushed batch ever mixes the
-// classes: an all-ACK batch consumes no send credit, so ACK egress (which
-// repays the peer) must never queue behind a credit-starved VAL batch.
+// TestCoalescerSeparatesCreditClasses drives ACKs, VALs and INVs for one peer
+// through the shard transports and checks no Send ever mixes the classes: a
+// batch is priced as a whole, and an all-ACK batch must stay free of charge
+// so that ACK egress (which repays the peer) never waits for credits.
 func TestCoalescerSeparatesCreditClasses(t *testing.T) {
-	gate := make(chan struct{})
-	tr := &gateTransport{gate: gate, sendC: make(chan struct{}, 2)}
-	sn := NewShardedNode(ShardedConfig{
-		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: 4,
-	}, tr)
-	defer sn.Close()
-
-	st := &shardTransport{sn: sn, idx: 0}
+	_, st, tr := stagingNode(t)
 	for i := 0; i < 4; i++ {
 		st.idx = uint16(i)
-		st.Send(1, core.ACK{Epoch: 1, Key: proto.Key(10 + i), TS: proto.TS{Version: 1}})
-		st.Send(1, core.VAL{Epoch: 1, Key: proto.Key(20 + i), TS: proto.TS{Version: 1}})
+		for j := 0; j < 3; j++ {
+			k := proto.Key(10*i + j)
+			st.Send(1, core.ACK{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
+			st.Send(1, core.VAL{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
+			st.Send(1, core.INV{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
+		}
 		st.handOff() // no event loop here: the test ends each shard's burst itself
 	}
-	close(gate)
-
-	deadline := time.After(5 * time.Second)
-	acks, vals := 0, 0
-	for acks < 4 || vals < 4 {
-		if len(tr.msgs()) == 0 {
-			select {
-			case <-deadline:
-				t.Fatalf("flushed %d ACKs / %d VALs of 4+4", acks, vals)
-			case <-time.After(time.Millisecond):
-			}
+	total := 0
+	for _, s := range tr.sends() {
+		classes := map[msgClass]int{}
+		for _, sm := range entries(t, s.msg) {
+			classes[classOf(sm.Msg)]++
+			total++
 		}
-		acks, vals = 0, 0
-		for _, m := range tr.msgs() {
-			var entries []proto.ShardMsg
-			switch f := m.(type) {
-			case proto.ShardBatch:
-				entries = f.Msgs
-			case proto.ShardMsg:
-				entries = []proto.ShardMsg{f}
-			default:
-				t.Fatalf("unexpected frame %T", m)
-			}
-			frameACKs, frameVALs := 0, 0
-			for _, sm := range entries {
-				switch sm.Msg.(type) {
-				case core.ACK:
-					frameACKs++
-				case core.VAL:
-					frameVALs++
-				default:
-					t.Fatalf("unexpected entry %T", sm.Msg)
-				}
-			}
-			if frameACKs > 0 && frameVALs > 0 {
-				t.Fatalf("frame mixes credit classes: %d ACKs and %d VALs", frameACKs, frameVALs)
-			}
-			acks += frameACKs
-			vals += frameVALs
+		if len(classes) != 1 {
+			t.Fatalf("one Send mixes credit classes: %v", classes)
 		}
+	}
+	if total != 4*3*3 {
+		t.Fatalf("%d messages sent, want %d", total, 4*3*3)
 	}
 }
 
-// TestCoalescerBudgetsRequestBatches drives the request-class (INV)
-// coalescer with value-bearing messages and checks the byte budget: a
-// backlog flushes as several frames none of which exceeds maxBatchBytes,
-// while an INV too big for the budget on its own still ships (alone) rather
-// than wedging the flusher.
+// TestCoalescerBudgetsRequestBatches stages value-bearing INVs and checks the
+// request class's two budgets. Bytes: a stage leaves as several batches none
+// of which exceeds maxBatchBytes, while an INV too big for the budget on its
+// own still ships, alone. Count: a batch's credit price is its count, so a
+// 1000-INV stage must not leave as one batch priced at a level the window
+// (1024, less what one-way traffic holds) may never reach.
 func TestCoalescerBudgetsRequestBatches(t *testing.T) {
-	inv := func(key proto.Key, valLen int) proto.ShardMsg {
-		return proto.ShardMsg{Shard: 0, Msg: core.INV{
-			Epoch: 1, Key: key, TS: proto.TS{Version: 1},
-			Value: make(proto.Value, valLen),
-		}}
+	inv := func(key proto.Key, valLen int) core.INV {
+		return core.INV{Epoch: 1, Key: key, TS: proto.TS{Version: 1}, Value: make(proto.Value, valLen)}
 	}
-	if classOf(inv(0, 8).Msg) != classRequest {
+	if classOf(inv(0, 8)) != classRequest {
 		t.Fatal("INVs must coalesce in the request class")
 	}
-
-	gate := make(chan struct{})
-	tr := &gateTransport{gate: gate, sendC: make(chan struct{}, 1)}
-	sn := NewShardedNode(ShardedConfig{
-		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: 4,
-	}, tr)
-	defer sn.Close()
-
-	co := sn.coalescerFor(coalKey{to: 1, class: classRequest})
-	co.enqueueAll([]proto.ShardMsg{inv(1, 16)}) // admits the flusher into the gated Send
-	select {
-	case <-tr.sendC:
-	case <-time.After(5 * time.Second):
-		t.Fatal("flusher never reached the transport")
-	}
-	// 5 × (32 + 20KiB) piles up behind the gate: over the 64 KiB budget, so
-	// the backlog must split — 3 fit, the next would overflow.
-	const val = 20 << 10
-	var backlog []proto.ShardMsg
-	for i := proto.Key(2); i <= 6; i++ {
-		backlog = append(backlog, inv(i, val))
-	}
-	// Two INVs each individually over the budget: the i>0 guard must let
-	// every one ship alone instead of cutting to an empty batch.
-	const jumbo = 80 << 10
-	co.enqueueAll(append(backlog, inv(7, jumbo), inv(8, jumbo)))
-	close(gate)
-
-	deadline := time.After(5 * time.Second)
-	for len(tr.msgs()) < 5 {
-		select {
-		case <-deadline:
-			t.Fatalf("coalescer shipped %d frames, want 5: %#v", len(tr.msgs()), tr.msgs())
-		case <-time.After(time.Millisecond):
-		}
-	}
-	sent := tr.msgs()
-	if len(sent) != 5 {
-		t.Fatalf("got %d frames, want 5", len(sent))
-	}
-	sizeOf := func(m any) (n, msgs int) {
-		switch f := m.(type) {
-		case proto.ShardBatch:
-			for _, sm := range f.Msgs {
+	sizes := func(tr *recTransport) (msgs, bytes []int) {
+		for _, s := range tr.sends() {
+			n := 0
+			for _, sm := range entries(t, s.msg) {
 				n += shardMsgSize(sm)
 			}
-			return n, len(f.Msgs)
-		case proto.ShardMsg:
-			return shardMsgSize(f), 1
+			msgs, bytes = append(msgs, len(entries(t, s.msg))), append(bytes, n)
 		}
-		t.Fatalf("unexpected frame %T", m)
-		return 0, 0
+		return msgs, bytes
 	}
-	// Frame 0: the lone opener. Frames 1–2: the 20 KiB backlog split 3+2.
-	// Frames 3–4: each jumbo alone.
-	wantMsgs := []int{1, 3, 2, 1, 1}
-	for i, m := range sent {
-		n, msgs := sizeOf(m)
-		if msgs != wantMsgs[i] {
-			t.Fatalf("frame %d carries %d messages, want %d", i, msgs, wantMsgs[i])
+
+	t.Run("bytes", func(t *testing.T) {
+		_, st, tr := stagingNode(t)
+		// 5 × (32 + 20 KiB) is over the 64 KiB budget: 3 fit, the next would
+		// overflow. Then two INVs each over the budget alone: the i>0 guard
+		// must let every one ship instead of cutting to an empty batch.
+		const val, jumbo = 20 << 10, 80 << 10
+		for k := proto.Key(1); k <= 5; k++ {
+			st.Send(1, inv(k, val))
 		}
-		if msgs > 1 && n > maxBatchBytes {
-			t.Fatalf("frame %d: %d bytes exceeds the %d budget", i, n, maxBatchBytes)
+		st.Send(1, inv(6, jumbo))
+		st.Send(1, inv(7, jumbo))
+		st.handOff()
+		msgs, bytes := sizes(tr)
+		if want := []int{3, 2, 1, 1}; !reflect.DeepEqual(msgs, want) {
+			t.Fatalf("stage left as batches of %v messages, want %v", msgs, want)
 		}
-	}
-	for _, i := range []int{3, 4} {
-		sm, ok := sent[i].(proto.ShardMsg)
-		if !ok {
-			t.Fatalf("jumbo frame %d is %T, want a lone ShardMsg", i, sent[i])
+		for i, n := range bytes {
+			if msgs[i] > 1 && n > maxBatchBytes {
+				t.Fatalf("batch %d: %d bytes exceeds the %d budget", i, n, maxBatchBytes)
+			}
 		}
-		if n := shardMsgSize(sm); n <= maxBatchBytes {
-			t.Fatalf("jumbo frame %d is %d bytes; test lost its premise", i, n)
+		for _, i := range []int{2, 3} {
+			if _, ok := tr.sends()[i].msg.(proto.ShardMsg); !ok || bytes[i] <= maxBatchBytes {
+				t.Fatalf("send %d: %T of %d bytes, want a lone ShardMsg over the budget", i, tr.sends()[i].msg, bytes[i])
+			}
 		}
-	}
+	})
+
+	t.Run("count", func(t *testing.T) {
+		_, st, tr := stagingNode(t)
+		for k := proto.Key(0); k < 1000; k++ {
+			st.Send(1, inv(k, 8))
+		}
+		st.handOff()
+		msgs, _ := sizes(tr)
+		if want := []int{256, 256, 256, 232}; !reflect.DeepEqual(msgs, want) {
+			t.Fatalf("1000 INVs left as batches of %v, want %v", msgs, want)
+		}
+		next := proto.Key(0)
+		for _, s := range tr.sends() {
+			for _, sm := range entries(t, s.msg) {
+				if k := sm.Msg.(core.INV).Key; k != next {
+					t.Fatalf("INV %d sent where %d was due: the split reordered the stage", k, next)
+				}
+				next++
+			}
+		}
+	})
 }
 
-// slowTransport delays every Send slightly, standing in for a real wire:
-// while one flush is in transit, concurrent shard engines pile more
-// messages into the coalescers — which the instantaneous ChanTransport
-// would rarely let happen.
+// slowTransport delays every Send slightly, standing in for a loaded host:
+// while a shard is held up its inbox fills, so its next burst has several
+// messages for one peer — which the instantaneous ChanTransport on an idle
+// machine would rarely let happen.
 type slowTransport struct {
 	*ChanTransport
 	delay time.Duration
@@ -288,7 +247,7 @@ func (s *slowTransport) Send(from, to proto.NodeID, msg any) {
 // TestShardedLocalCoalescesAndStaysCorrect runs a W=4 replica group with
 // concurrent writers over a wire-speed transport and checks (a) all
 // replicas converge — coalesced frames fan out correctly end to end — and
-// (b) the egress coalescers actually formed batches under the concurrency.
+// (b) the shards' bursts actually formed batches under the concurrency.
 func TestShardedLocalCoalescesAndStaysCorrect(t *testing.T) {
 	const w = 4
 	ids := []proto.NodeID{0, 1, 2}
@@ -305,8 +264,8 @@ func TestShardedLocalCoalescesAndStaysCorrect(t *testing.T) {
 	defer cancel()
 
 	// Several writer sessions per node: a batch needs 2+ ACKs (or VALs) for
-	// the SAME peer in flight at once, which only happens when one
-	// coordinator has concurrent writes on different shards.
+	// the SAME peer in one shard's burst, which only happens when a
+	// coordinator has concurrent writes on the same shard.
 	var wg sync.WaitGroup
 	for ni, n := range l.Nodes {
 		for s := 0; s < 8; s++ {
@@ -355,15 +314,9 @@ func TestShardedLocalCoalescesAndStaysCorrect(t *testing.T) {
 
 // countTransport counts what it is sent and keeps nothing: the Transport
 // contract's model citizen.
-type countTransport struct {
-	msgs atomic.Uint64
-	gate chan struct{} // nil = sends pass; else Send blocks on it
-}
+type countTransport struct{ msgs atomic.Uint64 }
 
 func (c *countTransport) Send(from, to proto.NodeID, msg any) {
-	if c.gate != nil {
-		<-c.gate
-	}
 	n := 1
 	if sb, ok := msg.(proto.ShardBatch); ok {
 		n = len(sb.Msgs)
@@ -374,13 +327,10 @@ func (c *countTransport) Send(from, to proto.NodeID, msg any) {
 func (c *countTransport) SetDeliver(proto.NodeID, func(proto.NodeID, any)) {}
 func (c *countTransport) Close() error                                     { return nil }
 
-// TestCoalescerBurstAllocationBudget: staging, handing off and flushing a
-// 16-message burst allocates nothing in the shard's stage or the coalescer —
-// the stage is a warm array, the queue a recycled half of the double buffer,
-// and the flusher starts without a closure. The one allocation left is the
-// ShardBatch envelope boxed for Transport.Send(any). Each run waits for the
-// flusher to exit, so every burst starts a new one: the buffers must survive
-// the idle gap.
+// TestCoalescerBurstAllocationBudget: staging and sending a burst allocates
+// nothing in the shard — the stages are warm arrays — so what is left is one
+// box per non-empty stage: the ShardBatch (or lone ShardMsg) envelope boxed
+// for Transport.Send(any).
 func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	tr := &countTransport{}
 	sn := NewShardedNode(ShardedConfig{
@@ -388,113 +338,93 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 		Shards: 2,
 	}, tr)
 	defer sn.Close()
-	// An egress of the test's own: the node's belong to its event loops.
 	st := &shardTransport{sn: sn, idx: 1}
-	co := sn.coalescerFor(coalKey{to: 1, class: classResponse})
-	var burst [16]any // boxed once, as the engine's Send argument already is
-	for i := range burst {
-		burst[i] = core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
+	var acks, vals [16]any // boxed once, as the engine's Send argument already is
+	for i := range acks {
+		acks[i] = core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
+		vals[i] = core.VAL{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
 	}
-	idle := func() bool {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		return !co.flushing
-	}
-	sent := uint64(0)
-	flushBurst := func() {
-		for _, m := range burst {
-			st.Send(1, m)
-		}
-		st.handOff()
-		sent += uint64(len(burst))
-		for tr.msgs.Load() < sent || !idle() {
-			runtime.Gosched()
+	burst := func(stages ...[16]any) func() {
+		return func() {
+			for _, msgs := range stages {
+				for _, m := range msgs {
+					st.Send(1, m)
+				}
+			}
+			st.handOff()
 		}
 	}
-	flushBurst() // grows the stage and the first buffer
-	flushBurst() // brings that buffer back as the spare
-	if n := testing.AllocsPerRun(200, flushBurst); n > 1 {
-		t.Fatalf("a 16-message burst allocates %.0f times, want <= 1 (the boxed envelope)", n)
+	burst(acks, vals)() // grows the stages
+	if n := testing.AllocsPerRun(200, burst(acks)); n > 1 {
+		t.Fatalf("a 16-ACK burst allocates %.0f times, want <= 1 (the boxed envelope)", n)
 	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for _, buf := range [][]proto.ShardMsg{co.buf, co.spare, st.stages[0].msgs} {
-		for i, sm := range buf[:cap(buf)] {
+	if n := testing.AllocsPerRun(200, burst(acks, vals)); n > 2 {
+		t.Fatalf("a burst of two 16-message stages allocates %.0f times, want <= 2 (one boxed envelope each)", n)
+	}
+	if got, want := tr.msgs.Load(), uint64(32+201*16+201*32); got != want {
+		t.Fatalf("transport saw %d messages, want %d", got, want)
+	}
+	for _, stage := range st.stages {
+		for i, sm := range stage.msgs[:cap(stage.msgs)] {
 			if sm.Msg != nil {
-				t.Fatalf("recycled queue entry %d still references a sent message", i)
+				t.Fatalf("recycled stage entry %d still references a sent message", i)
 			}
 		}
 	}
 }
 
-// TestCoalescerOverflowReleasesOwners fills a coalescer to just under its
-// bound behind a wedged transport with INVs that each hold a reference on a
-// pooled frame, then hands it a burst that straddles the bound and one that
-// finds it full. What fits is admitted and the rest shed, counted message by
-// message; shed messages must spend their references on the spot, and the
-// queued ones when they finally ship: the frame's count returns to its
-// baseline, and nothing is left reachable in the coalescer.
-func TestCoalescerOverflowReleasesOwners(t *testing.T) {
-	gate := make(chan struct{})
-	tr := &countTransport{gate: gate}
+// linkTransport sends to one peer through a wings.Link, as transport.Mesh
+// does.
+type linkTransport struct{ l *wings.Link }
+
+func (lt linkTransport) Send(from, to proto.NodeID, msg any)              { _ = lt.l.Post(msg) }
+func (lt linkTransport) SetDeliver(proto.NodeID, func(proto.NodeID, any)) {}
+func (lt linkTransport) Close() error                                     { return nil }
+
+// countingWriter counts the Writes a link's flusher makes.
+type countingWriter struct{ writes atomic.Uint64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return len(p), nil
+}
+
+// TestOneWritePerPeerPerBurst: a burst with an ACK, a VAL and an INV stage
+// for one peer makes three Sends, and over a link they cost one flusher
+// start, one frame and one Write. The first Send starts the flusher; on one
+// P it cannot run before the event loop yields, so the other two are queued
+// by then — on more, the adjacency of one peer's sends is what keeps the
+// window small.
+func TestOneWritePerPeerPerBurst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := &countingWriter{}
+	l := wings.NewLink(w, wings.LinkConfig{Credits: 1024, IsResponse: core.IsResponseMsg})
+	defer l.Close()
 	sn := NewShardedNode(ShardedConfig{
 		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
 		Shards: 2,
-	}, tr)
+	}, linkTransport{l})
 	defer sn.Close()
-	co := sn.coalescerFor(coalKey{to: 1, class: classRequest})
+	st := &shardTransport{sn: sn, idx: 1}
 
-	frame := refbuf.NewPool().Get(8)
-	invs := func(n int) []proto.ShardMsg {
-		out := make([]proto.ShardMsg, n)
-		for i := range out {
-			frame.Retain()
-			out[i] = proto.ShardMsg{Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2}, Value: frame.Bytes(), Owner: frame}}
+	for burst := uint64(1); burst <= 3; burst++ {
+		for k := proto.Key(0); k < 4; k++ {
+			st.Send(1, core.INV{Epoch: 1, Key: k, TS: proto.TS{Version: 2}, Value: proto.Value("v")})
+			st.Send(1, core.ACK{Epoch: 1, Key: k, TS: proto.TS{Version: 2}})
+			st.Send(1, core.VAL{Epoch: 1, Key: k, TS: proto.TS{Version: 2}})
 		}
-		return out
-	}
-	co.enqueueAll(invs(1)) // taken by the flusher, which wedges in Send
-	for {
-		co.mu.Lock()
-		taken := len(co.buf) == 0
-		co.mu.Unlock()
-		if taken {
-			break
+		st.handOff()
+		if n := w.writes.Load(); n != burst-1 {
+			t.Fatalf("burst %d: %d writes before the event loop yielded, want %d", burst, n, burst-1)
 		}
-		runtime.Gosched()
-	}
-	const room, over, late = 10, 100, 5
-	co.enqueueAll(invs(maxCoalesceBuf - room))
-	if _, _, _, dropped := sn.CoalesceStats(); dropped != 0 {
-		t.Fatalf("dropped = %d with %d slots free", dropped, room)
-	}
-	co.enqueueAll(invs(room + over)) // straddles the bound: 10 in, 100 shed
-	if _, _, _, dropped := sn.CoalesceStats(); dropped != over {
-		t.Fatalf("dropped = %d after the straddling burst, want %d", dropped, over)
-	}
-	co.enqueueAll(invs(late)) // no room at all
-	if _, _, _, dropped := sn.CoalesceStats(); dropped != over+late {
-		t.Fatalf("dropped = %d, want %d", dropped, over+late)
-	}
-	co.mu.Lock()
-	queued := len(co.buf)
-	co.mu.Unlock()
-	if queued != maxCoalesceBuf {
-		t.Fatalf("queue holds %d messages, want it full at %d", queued, maxCoalesceBuf)
-	}
-	if got, want := frame.Refs(), int32(1+1+maxCoalesceBuf); got != want {
-		t.Fatalf("frame refs with the queue full = %d, want %d (drops released, queued held)", got, want)
-	}
-	close(gate)
-	deadline := time.Now().Add(10 * time.Second)
-	for frame.Refs() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("frame refs after the drain = %d, want the baseline 1", frame.Refs())
+		for w.writes.Load() < burst {
+			runtime.Gosched()
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := tr.msgs.Load(); got != 1+maxCoalesceBuf {
-		t.Fatalf("transport saw %d messages, want %d", got, 1+maxCoalesceBuf)
+		// A frame is counted before it is written: a second one would show.
+		if st := l.Stats(); st.FramesSent != burst || st.MsgsSent != 3*burst || st.CoalescedSent != 12*burst {
+			t.Fatalf("burst %d: %d frames carrying %d batches of %d messages, want %d, %d and %d",
+				burst, st.FramesSent, st.MsgsSent, st.CoalescedSent, burst, 3*burst, 12*burst)
+		}
 	}
 }
 

@@ -145,8 +145,8 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 }
 
 // gossipLoop periodically announces this node's per-shard epoch vector to
-// the configured peers. Sends run on this goroutine, never the dispatch
-// pump, so a slow peer link cannot stall anything but its own gossip.
+// the configured peers. Transport.Send never blocks, so a slow peer link
+// cannot stall the round: its share waits, or is shed, in the transport.
 func (rc *RolloutController) gossipLoop() {
 	defer rc.wg.Done()
 	t := time.NewTicker(rc.cfg.GossipEvery)

@@ -27,8 +27,8 @@ import (
 // deterministic about hosting W engines: routing an arrival to the shard
 // owning its key, m-update addressing, the view log and the epoch-gossip
 // observer — the same code the simulator runs. What this type adds is what
-// only a live runtime has: inbox goroutines, egress coalescers, wall-clock
-// time and one mutex serializing the host's control-plane state.
+// only a live runtime has: inbox goroutines, per-shard egress stages,
+// wall-clock time and one mutex serializing the host's control-plane state.
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
@@ -37,11 +37,13 @@ import (
 // Shards=1 the envelope is elided entirely: a single-shard node puts bare
 // core messages on the wire.
 //
-// Small messages (INVs, ACKs, VALs) do not write the transport directly:
-// each engine stages what one burst of its turns sent and hands it, once per
-// burst (Shard.loop), to a per-peer egress coalescer that gathers what the W
-// engines emit concurrently and ships it as one proto.ShardBatch frame under
-// one flow-control credit — cutting the per-write frame rate that W would
+// Small messages (INVs, ACKs, VALs) are not sent one by one: each engine
+// stages what one burst of its turns sent, per peer and flow-control class,
+// and at the end of the burst (Shard.loop) sends each stage itself as one
+// proto.ShardBatch. Transport.Send never blocks, so the event loop can afford
+// to; the transport's per-peer link is the only egress queue, and there the
+// stages of one burst — and of the other shards' concurrent bursts — meet in
+// one frame and one write, cutting the per-write frame rate that W would
 // otherwise multiply. Arriving batches fan back out to owner shards in
 // dispatch.
 //
@@ -58,20 +60,8 @@ type ShardedNode struct {
 	shards []*Shard
 	start  time.Time
 
-	// coal holds the egress coalescers, two per peer (lazily created): small
-	// shard-tagged messages from all W engines gather there and ship as one
-	// proto.ShardBatch frame under one flow-control credit, instead of W
-	// independent ShardMsg frames. Responses (ACKs) and credit-consuming
-	// messages (VALs) coalesce separately — see coalescerFor. Unused at W=1
-	// (no envelopes at all).
-	coalMu sync.Mutex
-	coal   map[coalKey]*peerCoalescer
-
-	// Coalescing counters (atomic; see CoalesceStats).
+	// Egress counters (atomic; see CoalesceStats).
 	batchesOut, coalescedOut, singlesOut atomic.Uint64
-	// droppedOut counts messages shed by full coalescer buffers (a stalled
-	// peer); the shard engines' retransmission recovers them.
-	droppedOut atomic.Uint64
 
 	// drv lends the host this node's shards and transport. Data-plane
 	// routing (shardhost.Route) goes through it with no lock.
@@ -135,23 +125,26 @@ func DefaultShards() int {
 }
 
 // shardTransport is one shard's egress onto the node's transport: it tags
-// outgoing messages with the shard index (unless W=1) and gathers the small
-// ones, per peer and class, for the cross-shard coalescers.
+// outgoing messages with the shard index (unless W=1), gathers the small ones
+// of a burst per peer and class, and sends each gathering as one batch.
 type shardTransport struct {
 	sn  *ShardedNode
 	idx uint16
 	// stages holds what the current burst of engine turns has sent so far,
 	// one entry per (peer, class) this shard has ever addressed — a handful,
-	// so lookup is a scan. Only the shard's event loop touches it, so Send
-	// takes no lock; handOff empties it at the end of every loop iteration.
+	// so lookup is a scan — ordered by peer, so that the sends handOff makes
+	// to one peer are adjacent. Only the shard's event loop touches it, so
+	// Send takes no lock; handOff empties it at the end of every loop
+	// iteration.
 	stages []egressStage
 }
 
-// egressStage is one coalescer's share of a burst, in send order.
+// egressStage is what one burst sends one peer in one flow-control class, in
+// send order.
 type egressStage struct {
-	key  coalKey
-	co   *peerCoalescer
-	msgs []proto.ShardMsg
+	to    proto.NodeID
+	class msgClass
+	msgs  []proto.ShardMsg
 }
 
 func (t *shardTransport) Send(to proto.NodeID, msg any) {
@@ -165,65 +158,98 @@ func (t *shardTransport) Send(to proto.NodeID, msg any) {
 		// dominate the frame rate, and no protocol property depends on
 		// their ordering relative to the direct path (links are lossy and
 		// reordering anyway).
-		st := t.stage(coalKey{to: to, class: classOf(msg)})
+		st := t.stage(to, classOf(msg))
 		st.msgs = append(st.msgs, sm)
 		return
 	}
 	t.sn.tr.Send(t.sn.id, to, sm)
 }
 
-// stage returns (creating on first contact) the stage for k.
-func (t *shardTransport) stage(k coalKey) *egressStage {
-	for i := range t.stages {
-		if t.stages[i].key == k {
-			return &t.stages[i]
+// stage returns the stage for a peer and class, inserting it in (peer, class)
+// order on first contact. The pointer is good until the next call.
+func (t *shardTransport) stage(to proto.NodeID, class msgClass) *egressStage {
+	i := 0
+	for ; i < len(t.stages); i++ {
+		st := &t.stages[i]
+		if st.to == to && st.class == class {
+			return st
+		}
+		if st.to > to || (st.to == to && st.class > class) {
+			break
 		}
 	}
-	t.stages = append(t.stages, egressStage{key: k, co: t.sn.coalescerFor(k)})
-	return &t.stages[len(t.stages)-1]
+	t.stages = append(t.stages, egressStage{})
+	copy(t.stages[i+1:], t.stages[i:])
+	t.stages[i] = egressStage{to: to, class: class}
+	return &t.stages[i]
 }
 
-// handOff ends a burst: each non-empty stage goes to its coalescer in one
-// locked append and at most one flusher start, so the coalescer's lock is paid
-// per burst instead of per message and per-(peer, class) order is send order.
-// The event loop calls it before it blocks again, every time.
+// handOff ends a burst: every non-empty stage leaves in one Transport.Send —
+// several past a class's frame budget — peer by peer, responses first. Send
+// does not block and does not keep what it is given, so this runs on the event
+// loop, which calls it before it blocks again, every time. Over a
+// transport.Mesh the first send to a peer starts that peer's link flusher and
+// the rest are queued before it runs: one wake-up, one frame, one write per
+// peer per burst.
 func (t *shardTransport) handOff() {
+	sn := t.sn
+	var batches, coalesced, singles uint64
 	for i := range t.stages {
 		st := &t.stages[i]
 		if len(st.msgs) == 0 {
 			continue
 		}
-		st.co.enqueueAll(st.msgs)
+		for rest := st.msgs; len(rest) > 0; {
+			n := st.class.frameLen(rest)
+			if n == 1 {
+				// A lone message ships as a plain ShardMsg: no envelope
+				// overhead, and the wire stays identical to the
+				// pre-coalescing protocol whenever there is nothing to
+				// coalesce.
+				singles++
+				sn.tr.Send(sn.id, st.to, rest[0])
+			} else {
+				batches++
+				coalesced += uint64(n)
+				sn.tr.Send(sn.id, st.to, proto.ShardBatch{Msgs: rest[:n]})
+			}
+			rest = rest[n:]
+		}
 		if cap(st.msgs) > maxSpareMsgs {
 			st.msgs = nil
 			continue
 		}
-		// The coalescer copied the messages; a handed-off INV must not stay
-		// reachable through the stage's array.
+		// Send has encoded or copied the messages and spent their buffer
+		// references; a sent INV must not stay reachable through the stage's
+		// array.
 		clear(st.msgs)
 		st.msgs = st.msgs[:0]
 	}
+	if batches+singles > 0 {
+		sn.batchesOut.Add(batches)
+		sn.coalescedOut.Add(coalesced)
+		sn.singlesOut.Add(singles)
+	}
 }
 
-// msgClass is the flow-control class of a coalesced message; one coalescer
-// carries exactly one class, because the classes settle credits differently
-// and a mixed batch would have no coherent price.
+// msgClass is the flow-control class of a staged message; one batch carries
+// exactly one class, because the classes settle credits differently and a
+// mixed batch would have no coherent price.
 type msgClass uint8
 
 const (
 	// classResponse: ACKs. A homogeneous response batch consumes no send
 	// credit, so ACK egress — the traffic that repays the peer's credits —
-	// can never block behind a credit-starved batch of another class (mixing
-	// could deadlock two mutually starved peers whose repayments sit queued
-	// behind their own blocked flushers).
+	// never waits behind a credit-starved batch of another class in the
+	// transport's queue (mixing could deadlock two mutually starved peers,
+	// each holding the other's repayments behind its own starved requests).
 	classResponse msgClass = iota
-	// classOneWay: VALs. One credit per frame, repaid by the receiver's
+	// classOneWay: VALs. One credit per batch, repaid by the receiver's
 	// explicit grants counting the batch once.
 	classOneWay
 	// classRequest: INVs. One credit per inner message (wings prices the
 	// batch via LinkConfig.CreditCost), each repaid implicitly by its ACK.
-	// Request batches are additionally size-budgeted: INVs carry values, and
-	// an unbounded batch would turn the per-frame flush into a latency cliff.
+	// Request batches are additionally budgeted, by bytes and by count.
 	classRequest
 )
 
@@ -237,23 +263,23 @@ func classOf(msg any) msgClass {
 	return classOneWay
 }
 
-// coalKey identifies one egress coalescer: the destination peer and the
-// flow-control class of what it carries.
-type coalKey struct {
-	to    proto.NodeID
-	class msgClass
-}
-
 // maxBatchMsgs caps one ShardBatch at the codec's 2-byte count; a fuller
-// buffer flushes as several frames.
+// stage leaves as several batches.
 const maxBatchMsgs = 0xFFFF
 
-// maxBatchBytes budgets one request-class (INV) batch frame. INVs carry
-// values, so unlike the fixed-size ACK/VAL batches their frames can grow
-// arbitrarily; past the budget the buffer flushes as several frames, keeping
-// per-frame encode-and-write latency bounded while still amortizing the
-// framing and credit overhead. A single oversized INV still ships alone.
+// maxBatchBytes budgets one request-class (INV) batch. INVs carry values, so
+// unlike the fixed-size ACK/VAL batches theirs can grow arbitrarily; past the
+// budget the stage leaves as several batches, keeping per-message encode
+// latency bounded while still amortizing the framing and credit overhead. A
+// single oversized INV still ships alone.
 const maxBatchBytes = 64 << 10
+
+// maxRequestBatch caps a request batch by count, because its credit price is
+// its count: the price has to stay far below the send window (1024 in
+// transport.DefaultLinkConfig, of which one-way traffic the peer has not yet
+// granted for can hold 63), or the batch would wait for a level of credits
+// the window never reaches — and every later INV and VAL behind it.
+const maxRequestBatch = 256
 
 // shardMsgSize estimates one coalesced message's wire footprint for the
 // request-class byte budget: fixed header plus the value an INV carries.
@@ -265,147 +291,34 @@ func shardMsgSize(sm proto.ShardMsg) int {
 	return overhead
 }
 
-// maxCoalesceBuf bounds one coalescer's queue. The hand-off never blocks the
-// shard engines, so when the flusher is stalled (a credit-starved peer) the
-// buffer must not grow without bound; past the cap, messages drop — the
-// same bounded-queue discipline as ChanTransport's full inbox, and the
-// protocols' retransmission recovers.
-const maxCoalesceBuf = 1 << 16
-
-// maxSpareMsgs caps the capacity of a queue buffer kept for reuse (two per
-// coalescer and one per shard stage, 24 B an entry): one grown past it —
-// behind a stalled peer, or by one huge burst — goes back to the collector
-// once it has drained.
+// maxSpareMsgs caps the capacity of a stage buffer kept for reuse (24 B an
+// entry): one grown past it by one huge burst goes back to the collector once
+// it has been sent.
 const maxSpareMsgs = 4096
 
-// peerCoalescer gathers small shard-tagged messages of one credit class
-// bound for one peer across all W shard engines and flushes them as single
-// ShardBatch frames. Batching is opportunistic, exactly like the wings
-// flusher it feeds: the first hand-off starts a flusher goroutine, and while
-// its Send is in flight (possibly blocked on flow-control credits) further
-// messages pile into buf and ship together — latency is never traded for
-// batch size.
-//
-// The queue is double-buffered: the flusher takes buf whole and swaps spare
-// in, ships what it took, clears it (a sent INV must not stay reachable
-// through a recycled array) and hands it back as the next spare — so in
-// steady state enqueueAll appends into warm capacity and allocates nothing.
-type peerCoalescer struct {
-	sn    *ShardedNode
-	to    proto.NodeID
-	class msgClass
-	// flush is flushLoop bound once, so starting the flusher does not
-	// allocate the closure a `go p.flushLoop()` statement would.
-	flush func()
-
-	mu       sync.Mutex
-	buf      []proto.ShardMsg
-	spare    []proto.ShardMsg // nil while out with the flusher
-	flushing bool
-}
-
-// enqueueAll queues one burst's messages behind what is already waiting, in
-// order, and starts the flusher if none is running: the only way in. What
-// does not fit under maxCoalesceBuf is dropped, not delivered — counted, and
-// its buffer references spent like every other drop path. msgs stays the
-// caller's.
-func (p *peerCoalescer) enqueueAll(msgs []proto.ShardMsg) {
-	p.mu.Lock() //hermesvet:ignore eventloop bounded append under the buffer lock; flushLoop swaps the queue out and releases before any I/O
-	fit := min(len(msgs), maxCoalesceBuf-len(p.buf))
-	if fit > 0 {
-		p.buf = append(p.buf, msgs[:fit]...)
-		if !p.flushing {
-			p.flushing = true
-			go p.flush()
-		}
+// frameLen is how many of the staged messages go into the next batch: all
+// that the codec's count allows and, for requests, the two budgets.
+func (c msgClass) frameLen(staged []proto.ShardMsg) int {
+	if c != classRequest {
+		return min(len(staged), maxBatchMsgs)
 	}
-	p.mu.Unlock()
-	if shed := msgs[fit:]; len(shed) > 0 {
-		p.sn.droppedOut.Add(uint64(len(shed)))
-		for _, sm := range shed {
-			core.ReleaseMsgOwners(sm.Msg)
-		}
-	}
-}
-
-func (p *peerCoalescer) flushLoop() {
-	// flushed is the buffer the previous iteration shipped, handed back as
-	// the spare under the lock this iteration takes anyway.
-	var flushed []proto.ShardMsg
-	for {
-		p.mu.Lock()
-		if flushed != nil && cap(flushed) <= maxSpareMsgs {
-			p.spare = flushed[:0]
-		}
-		flushed = nil
-		if len(p.buf) == 0 {
-			p.flushing = false
-			p.mu.Unlock()
-			return
-		}
-		taken := p.buf
-		p.buf, p.spare = p.spare, nil
-		p.mu.Unlock()
-
-		for rest := taken; len(rest) > 0; {
-			n := p.frameLen(rest)
-			if n == 1 {
-				// A lone message ships as a plain ShardMsg: no envelope
-				// overhead, and the wire stays identical to the
-				// pre-coalescing protocol whenever there is nothing to
-				// coalesce.
-				p.sn.singlesOut.Add(1)
-				p.sn.tr.Send(p.sn.id, p.to, rest[0])
-			} else {
-				p.sn.batchesOut.Add(1)
-				p.sn.coalescedOut.Add(uint64(n))
-				p.sn.tr.Send(p.sn.id, p.to, proto.ShardBatch{Msgs: rest[:n]})
-			}
-			rest = rest[n:]
-		}
-		// Transport.Send does not retain what it was given, and has spent the
-		// messages' buffer references: the slice is ours again.
-		clear(taken)
-		flushed = taken
-	}
-}
-
-// frameLen is how many of the queued messages go into the next frame: all
-// that the codec's count allows and, for requests, the byte budget.
-func (p *peerCoalescer) frameLen(queued []proto.ShardMsg) int {
-	n := min(len(queued), maxBatchMsgs)
-	if p.class == classRequest {
-		size := 0
-		for i := 0; i < n; i++ {
-			size += shardMsgSize(queued[i])
-			if size > maxBatchBytes && i > 0 {
-				return i
-			}
+	n := min(len(staged), maxRequestBatch)
+	size := 0
+	for i := 0; i < n; i++ {
+		size += shardMsgSize(staged[i])
+		if size > maxBatchBytes && i > 0 {
+			return i
 		}
 	}
 	return n
 }
 
-// coalescerFor returns (creating if needed) the egress coalescer for a
-// peer and credit class. Each shard keeps the answer in its stage for the
-// pair, so the event loops reach here only on first contact with a peer.
-func (sn *ShardedNode) coalescerFor(k coalKey) *peerCoalescer {
-	sn.coalMu.Lock() //hermesvet:ignore eventloop first-contact slow path only; steady state resolves the coalescer through the shard's own stage
-	defer sn.coalMu.Unlock()
-	p := sn.coal[k]
-	if p == nil {
-		p = &peerCoalescer{sn: sn, to: k.to, class: k.class}
-		p.flush = p.flushLoop
-		sn.coal[k] = p
-	}
-	return p
-}
-
-// CoalesceStats reports the egress coalescers' work: batch frames shipped,
-// messages carried inside them, messages that flushed alone, and messages
-// shed by full buffers.
+// CoalesceStats reports the egress stages' work, counted at the hand-off:
+// batches sent, messages carried inside them, messages that left alone. The
+// fourth result is always 0: nothing is queued here, so nothing is shed here —
+// a transport that queues counts its own (wings.Stats.Shed).
 func (sn *ShardedNode) CoalesceStats() (batches, coalesced, singles, dropped uint64) {
-	return sn.batchesOut.Load(), sn.coalescedOut.Load(), sn.singlesOut.Load(), sn.droppedOut.Load()
+	return sn.batchesOut.Load(), sn.coalescedOut.Load(), sn.singlesOut.Load(), 0
 }
 
 // NewShardedNode builds and starts a live Hermes replica with cfg.Shards
@@ -425,7 +338,6 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		w:     cfg.Shards,
 		tr:    tr,
 		start: time.Now(),
-		coal:  make(map[coalKey]*peerCoalescer),
 	}
 	for i := 0; i < sn.w; i++ {
 		sn.shards = append(sn.shards, newShard(cfg, &shardTransport{sn: sn, idx: uint16(i)}))
@@ -486,12 +398,12 @@ func (d hostDriver) Install(shard int, v proto.View) {
 // Epoch reads the shard's atomic read-gate word; safe mid-traffic.
 func (d hostDriver) Epoch(shard int) uint32 { return d.sn.shards[shard].h.ReadGate().Epoch() }
 
-// Send leaves on its own goroutine: the host runs on a transport read pump
-// (and under ctlMu), and a blocking send (lazy dial, exhausted credits) must
-// not stall delivery of the data traffic behind it. A ViewLogResp in
-// particular must always get out — it repays the send credit the request
-// consumed on the requester's link.
-func (d hostDriver) Send(to proto.NodeID, msg any) { go d.sn.tr.Send(d.sn.id, to, msg) }
+// Send is called on a transport read pump, under ctlMu. Transport.Send never
+// blocks, so neither the data traffic behind this pump nor the other callers
+// of the host wait on the peer; and a ViewLogResp, which repays the send
+// credit its request consumed on the requester's link, always gets out,
+// because a response needs no credit itself.
+func (d hostDriver) Send(to proto.NodeID, msg any) { d.sn.tr.Send(d.sn.id, to, msg) }
 
 // SetViewHandlers attaches (or, with nil, detaches) the node-wide view hook.
 // Safe to call while traffic is flowing.

@@ -90,9 +90,7 @@ func TestMeshImplicitCreditsRepayOutboundLink(t *testing.T) {
 
 	drive(t, a, ackCh, 64, 0)
 
-	a.mu.Lock()
-	out := a.links[1]
-	a.mu.Unlock()
+	out := a.links[1].Load()
 	if out == nil {
 		t.Fatal("no outbound link to peer 1")
 	}
@@ -115,9 +113,7 @@ func TestMeshImplicitCreditsSurviveReconnect(t *testing.T) {
 	defer done()
 
 	drive(t, a, ackCh, 16, 0)
-	a.mu.Lock()
-	first := a.links[1]
-	a.mu.Unlock()
+	first := a.links[1].Load()
 
 	// Crash-restart B on the same address.
 	addrB := b.Addr()
@@ -165,9 +161,7 @@ func TestMeshImplicitCreditsSurviveReconnect(t *testing.T) {
 	// reaching the new outbound link let this finish.
 	drive(t, a, ackCh, 64, 1000)
 
-	a.mu.Lock()
-	second := a.links[1]
-	a.mu.Unlock()
+	second := a.links[1].Load()
 	if second == nil {
 		t.Fatal("no outbound link after reconnect")
 	}
@@ -288,5 +282,72 @@ func TestMeshShardBatchRoundTrip(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("batch never arrived")
+	}
+}
+
+// TestRequestBatchesDrainUnderTheWindow: a request batch's price is its INV
+// count, and it waits until the window covers all of it. With 63 credits
+// sitting in VALs the peer has not granted for yet (one short of
+// ExplicitEvery), the window tops out at 961: a 1000-INV batch would wait for
+// a level that never comes, and hold every later INV and VAL behind it. Cut
+// the way the cluster's stages cut it — 256 to a batch — the same 1000 INVs
+// drain: three batches go at once, the fourth as soon as ACKs come back.
+func TestRequestBatchesDrainUnderTheWindow(t *testing.T) {
+	cfg := DefaultLinkConfig()
+	const oneWay, invs, perBatch = 63, 1000, 256
+	if oneWay >= cfg.ExplicitEvery || cfg.Credits-oneWay >= invs || perBatch > (cfg.Credits-oneWay)/2 {
+		t.Fatalf("window %d, grants every %d: the test lost its premise", cfg.Credits, cfg.ExplicitEvery)
+	}
+	ca, cb := net.Pipe()
+	defer ca.Close()
+	defer cb.Close()
+	a, b := wings.NewLink(ca, cfg), wings.NewLink(cb, cfg)
+	defer a.Close()
+	defer b.Close()
+	go a.Serve(ca, func(any) {})
+	arrived := make(chan int, invs)
+	serveB := func() {
+		b.Serve(cb, func(m any) {
+			sb, ok := m.(proto.ShardBatch)
+			if !ok || isOneWay(m) {
+				return
+			}
+			acks := proto.ShardBatch{Msgs: make([]proto.ShardMsg, len(sb.Msgs))}
+			for i, sm := range sb.Msgs {
+				inv := sm.Msg.(core.INV)
+				acks.Msgs[i] = proto.ShardMsg{Shard: sm.Shard, Msg: core.ACK{Epoch: inv.Epoch, Key: inv.Key, TS: inv.TS}}
+			}
+			b.Post(acks)
+			arrived <- len(sb.Msgs)
+		})
+	}
+
+	// Nobody reads b's end yet, so nothing a posts is answered before all of
+	// it is posted: what parks does not depend on timing.
+	for i := 0; i < oneWay; i++ {
+		if err := a.Post(core.VAL{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sent := 0; sent < invs; {
+		batch := proto.ShardBatch{}
+		for ; len(batch.Msgs) < perBatch && sent < invs; sent++ {
+			batch.Msgs = append(batch.Msgs, proto.ShardMsg{Msg: core.INV{Epoch: 1, Key: proto.Key(sent), TS: proto.TS{Version: 1}}})
+		}
+		if err := a.Post(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go serveB()
+	for got := 0; got < invs; {
+		select {
+		case n := <-arrived:
+			got += n
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request batches stalled at %d/%d INVs: %+v", got, invs, a.Stats())
+		}
+	}
+	if st := a.Stats(); st.CreditStalls != 1 || st.Shed != 0 {
+		t.Fatalf("CreditStalls = %d, Shed = %d; want only the fourth batch to have waited", st.CreditStalls, st.Shed)
 	}
 }

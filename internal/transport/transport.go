@@ -6,8 +6,10 @@
 package transport
 
 import (
+	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -16,19 +18,32 @@ import (
 )
 
 // Mesh is a TCP transport implementing cluster.Transport for one local
-// node.
+// node. Send never blocks: it runs on the shard event loops, so everything
+// that can wait on a peer — the dial, the credit window, the socket — waits
+// on that peer's link flusher, behind the link's bounded queue.
 type Mesh struct {
 	self  proto.NodeID
 	addrs map[proto.NodeID]string
 	cfg   wings.LinkConfig
+	// dial opens the stream to a peer's address. A field so that tests can
+	// make it hang.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 
-	mu      sync.Mutex
-	links   map[proto.NodeID]*wings.Link
-	conns   map[net.Conn]struct{}
-	deliver func(from proto.NodeID, msg any)
-	ln      net.Listener
-	closed  bool
-	wg      sync.WaitGroup
+	// The per-message path takes no lock: Send and the serve pumps' credit
+	// repayments load the peer's outbound link (nil until the first Send, and
+	// again once its stream has died), the pumps load deliver.
+	links   [1 << 8]atomic.Pointer[wings.Link] // indexed by proto.NodeID
+	deliver atomic.Pointer[func(from proto.NodeID, msg any)]
+
+	// mu guards link creation, connection tracking and Close.
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	// ctx ends with the mesh, taking dials still in flight with it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	ln     net.Listener
+	wg     sync.WaitGroup
 }
 
 // DefaultLinkConfig applies the paper's credit discipline: responses repay
@@ -140,13 +155,19 @@ func NewMesh(self proto.NodeID, addrs map[proto.NodeID]string) (*Mesh, error) {
 		self:  self,
 		addrs: addrs,
 		cfg:   DefaultLinkConfig(),
-		links: make(map[proto.NodeID]*wings.Link),
+		dial:  dialTCP,
 		conns: make(map[net.Conn]struct{}),
 		ln:    ln,
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.wg.Add(1)
 	go m.accept()
 	return m, nil
+}
+
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: 2 * time.Second}
+	return d.DialContext(ctx, "tcp", addr)
 }
 
 // Addr returns the listener's address (useful with ":0").
@@ -159,16 +180,13 @@ func (m *Mesh) accept() {
 		if err != nil {
 			return
 		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			m.serveConn(conn)
-		}()
+		go m.serveConn(conn)
 	}
 }
 
-// track registers a connection for teardown on Close; returns false if the
-// mesh is already closed.
+// track registers a connection, and the goroutine serving it, for teardown on
+// Close; returns false if the mesh is already closed. The goroutine calls
+// untrack on its way out.
 func (m *Mesh) track(conn net.Conn) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -176,6 +194,7 @@ func (m *Mesh) track(conn net.Conn) bool {
 		return false
 	}
 	m.conns[conn] = struct{}{}
+	m.wg.Add(1)
 	return true
 }
 
@@ -183,6 +202,7 @@ func (m *Mesh) untrack(conn net.Conn) {
 	m.mu.Lock()
 	delete(m.conns, conn)
 	m.mu.Unlock()
+	m.wg.Done()
 }
 
 // serveConn handles an inbound connection: the peer announces its ID in a
@@ -205,83 +225,100 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	// there (looked up per repayment — it survives reconnects).
 	cfg := m.cfg
 	cfg.CreditReturn = func(n int) { m.repayCredits(from, n) }
-	l := wings.NewLink(conn, cfg)
-	l.Serve(conn, func(msg any) {
-		m.mu.Lock()
-		fn := m.deliver
-		m.mu.Unlock()
-		if fn != nil {
-			fn(from, msg)
+	wings.NewLink(conn, cfg).Serve(conn, m.deliverFrom(from))
+}
+
+// deliverFrom is a serve pump's callback for traffic arriving from one peer.
+func (m *Mesh) deliverFrom(from proto.NodeID) func(msg any) {
+	return func(msg any) {
+		if fn := m.deliver.Load(); fn != nil {
+			(*fn)(from, msg)
 		} else {
 			// No consumer registered yet: the drop must spend the frame
 			// references decode retained for the message's values.
 			core.ReleaseMsgOwners(msg)
 		}
-	})
+	}
 }
 
-// link returns (dialing if needed) the outbound link to a peer.
-func (m *Mesh) link(to proto.NodeID) *wings.Link {
-	m.mu.Lock()
-	if l := m.links[to]; l != nil {
-		m.mu.Unlock()
-		return l
-	}
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.mu.Unlock()
+// outbound is the stream under one outbound link. The link's first Write
+// opens it — on the link's flusher, so a slow or hanging dial holds up that
+// peer's queue and nothing else — and the mesh forgets the link as soon as a
+// Write fails, so that a later Send starts over with a fresh one.
+type outbound struct {
+	m    *Mesh
+	to   proto.NodeID
+	link *wings.Link
+	conn net.Conn // the flusher's alone
+}
 
-	conn, err := net.DialTimeout("tcp", m.addrs[to], 2*time.Second)
+func (o *outbound) Write(p []byte) (n int, err error) {
+	if o.conn == nil {
+		err = o.open()
+	}
+	if err == nil {
+		n, err = o.conn.Write(p)
+	}
 	if err != nil {
-		return nil // unreachable peer: message lost; protocol retransmits
+		o.m.forget(o.to, o.link)
+		if o.conn != nil {
+			o.conn.Close() // ends the return-traffic pump too
+		}
+	}
+	return n, err
+}
+
+// open dials the peer, says hello and starts the pump for the return traffic
+// an outbound connection carries (credit frames).
+func (o *outbound) open() error {
+	m := o.m
+	conn, err := m.dial(m.ctx, m.addrs[o.to])
+	if err != nil {
+		return err // unreachable peer: what was queued is lost; the protocols retransmit
 	}
 	if _, err := conn.Write([]byte{byte(m.self)}); err != nil {
 		conn.Close()
-		return nil
+		return err
 	}
 	if !m.track(conn) {
 		conn.Close()
+		return net.ErrClosed
+	}
+	o.conn = conn
+	go func() {
+		defer m.untrack(conn)
+		defer conn.Close()
+		o.link.Serve(conn, m.deliverFrom(o.to))
+		m.forget(o.to, o.link) // reconnect lazily on the next Send
+	}()
+	return nil
+}
+
+// connect returns the outbound link to a peer, creating it — undialled — on
+// first contact; nil once the mesh is closed.
+func (m *Mesh) connect(to proto.NodeID) *wings.Link {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
 		return nil
 	}
+	if l := m.links[to].Load(); l != nil {
+		return l
+	}
+	o := &outbound{m: m, to: to}
 	cfg := m.cfg
 	// Route repayments through the mesh here too: after a reconnect the
 	// registered outbound link may be a newer one than this.
 	cfg.CreditReturn = func(n int) { m.repayCredits(to, n) }
-	l := wings.NewLink(conn, cfg)
-	// Outbound connections also carry return traffic (credit frames).
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		defer conn.Close()
-		defer m.untrack(conn)
-		l.Serve(conn, func(msg any) {
-			m.mu.Lock()
-			fn := m.deliver
-			m.mu.Unlock()
-			if fn != nil {
-				fn(to, msg)
-			} else {
-				core.ReleaseMsgOwners(msg)
-			}
-		})
-		m.mu.Lock()
-		if m.links[to] == l {
-			delete(m.links, to) // reconnect lazily on next Send
-		}
-		m.mu.Unlock()
-	}()
-	m.mu.Lock()
-	if existing := m.links[to]; existing != nil {
-		m.mu.Unlock()
-		l.Close()
-		conn.Close()
-		return existing
-	}
-	m.links[to] = l
-	m.mu.Unlock()
-	return l
+	o.link = wings.NewLink(o, cfg)
+	m.links[to].Store(o.link)
+	return o.link
+}
+
+// forget drops l as the outbound link to a peer, unless a newer one already
+// took its place.
+func (m *Mesh) forget(to proto.NodeID, l *wings.Link) {
+	m.links[to].CompareAndSwap(l, nil)
 }
 
 // repayCredits routes n implicit credit repayments to the outbound link for
@@ -290,46 +327,45 @@ func (m *Mesh) link(to proto.NodeID) *wings.Link {
 // died) the repayment is moot and dropped; a fresh link starts with a full
 // window anyway.
 func (m *Mesh) repayCredits(peer proto.NodeID, n int) {
-	m.mu.Lock()
-	l := m.links[peer]
-	m.mu.Unlock()
-	if l != nil {
+	if l := m.links[peer].Load(); l != nil {
 		l.RepayCredits(n)
 	}
 }
 
-// Send implements cluster.Transport. Like wings.Link.Send it consumes
-// msg's pooled-buffer value references on every path, including the
-// unreachable-peer drop.
+// Send implements cluster.Transport and never blocks: msg is encoded into the
+// peer's link, which ships it when the dial, the window and the socket allow,
+// and sheds past its bound (wings.Link.Post). Like Post it consumes msg's
+// pooled-buffer value references on every path, including the drops.
 func (m *Mesh) Send(from, to proto.NodeID, msg any) {
-	if l := m.link(to); l != nil {
-		l.Send(msg)
-	} else {
-		core.ReleaseMsgOwners(msg)
+	l := m.links[to].Load()
+	if l == nil {
+		if l = m.connect(to); l == nil {
+			core.ReleaseMsgOwners(msg)
+			return
+		}
 	}
+	_ = l.Post(msg) // best-effort: a dead or full link drops, and the protocols retransmit
 }
 
 // SetDeliver implements cluster.Transport.
 func (m *Mesh) SetDeliver(id proto.NodeID, fn func(from proto.NodeID, msg any)) {
-	m.mu.Lock()
-	m.deliver = fn
-	m.mu.Unlock()
+	m.deliver.Store(&fn)
 }
 
 // Close implements cluster.Transport.
 func (m *Mesh) Close() error {
 	m.mu.Lock()
 	m.closed = true
-	links := m.links
-	m.links = map[proto.NodeID]*wings.Link{}
 	conns := make([]net.Conn, 0, len(m.conns))
 	for c := range m.conns {
 		conns = append(conns, c)
 	}
-	m.conns = map[net.Conn]struct{}{}
 	m.mu.Unlock()
-	for _, l := range links {
-		l.Close()
+	m.cancel()
+	for i := range m.links {
+		if l := m.links[i].Swap(nil); l != nil {
+			l.Close()
+		}
 	}
 	for _, c := range conns {
 		c.Close() // unblocks Serve readers

@@ -23,28 +23,31 @@ func (sink) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestSendFlushAllocatesNothing: in steady state, queueing an already boxed
 // ACK and flushing it allocates nothing — the send buffer is the recycled
-// spare, the stats are atomics, the frame header is link scratch and the
-// flusher starts without a closure. Each run waits for the flusher to go
-// idle, so every Send starts a fresh flusher goroutine: the buffers must
-// survive that gap too.
+// spare with the frame header reserved in it, the stats are atomics and the
+// flusher starts without a closure — through either door: Post is Send with
+// one branch at the wait, and must cost what Send costs. Each run waits for
+// the flusher to go idle, so every message starts a fresh flusher goroutine:
+// the buffers must survive that gap too.
 func TestSendFlushAllocatesNothing(t *testing.T) {
 	l := NewLink(sink{}, LinkConfig{})
 	defer l.Close()
 	var msg any = core.ACK{Epoch: 1, Key: 42, TS: proto.TS{Version: 2, CID: 1}}
 	sent := uint64(0)
-	sendAndFlush := func() {
-		if err := l.Send(msg); err != nil {
-			t.Fatal(err)
+	for name, door := range map[string]func(any) error{"Send": l.Send, "Post": l.Post} {
+		sendAndFlush := func() {
+			if err := door(msg); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			for l.Stats().MsgsSent < sent || flusherBusy(l) {
+				runtime.Gosched()
+			}
 		}
-		sent++
-		for l.Stats().MsgsSent < sent || flusherBusy(l) {
-			runtime.Gosched()
+		sendAndFlush() // first flush grows the buffers
+		sendAndFlush() // second one brings the spare back
+		if n := testing.AllocsPerRun(200, sendAndFlush); n != 0 {
+			t.Fatalf("%s+flush of a boxed ACK allocates %.0f times, want 0", name, n)
 		}
-	}
-	sendAndFlush() // first flush grows the buffers
-	sendAndFlush() // second one brings the spare back
-	if n := testing.AllocsPerRun(200, sendAndFlush); n != 0 {
-		t.Fatalf("Send+flush of a boxed ACK allocates %.0f times, want 0", n)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 
@@ -680,7 +679,7 @@ type Stats struct {
 	FramesSent, MsgsSent uint64
 	FramesRecv, MsgsRecv uint64
 	BatchedMsgs          uint64 // messages that shipped with company
-	CreditStalls         uint64 // sends that waited for credits
+	CreditStalls         uint64 // sends that waited for credits (Send asleep, Post parked)
 	ExplicitCreditsSent  uint64
 	// PiggybackedGrants counts the ExplicitCreditsSent subset that rode an
 	// outgoing data frame instead of paying for a standalone credit frame.
@@ -693,6 +692,10 @@ type Stats struct {
 	// CreditsRefunded counts credits returned on Send error paths (link
 	// closed while waiting, or encode failure after the debit).
 	CreditsRefunded uint64
+	// Shed counts messages Post refused because the link's queues were at
+	// their byte bound (a stalled or unreachable peer); the protocols'
+	// retransmission recovers them.
+	Shed uint64
 }
 
 // linkCounters are the live counters behind Stats, field for field: one
@@ -707,6 +710,7 @@ type linkCounters struct {
 	implicitCreditsRecovered     atomic.Uint64
 	coalescedSent, coalescedRecv atomic.Uint64
 	creditsRefunded              atomic.Uint64
+	shed                         atomic.Uint64
 }
 
 // LinkConfig tunes one peer link.
@@ -750,64 +754,86 @@ type LinkConfig struct {
 	CreditCost func(msg any) int
 }
 
-// Link is one flow-controlled, batching connection to a peer.
+// Link is one flow-controlled, batching connection to a peer. It is the only
+// egress queue between a sender and the stream, and its flusher the only
+// goroutine that ever waits on the peer: Send sleeps for credits (a session's
+// backpressure), Post never does (see Post).
 type Link struct {
 	cfg LinkConfig
 
 	mu       sync.Mutex
 	sendCond *sync.Cond
-	pending  []byte // encoded, unsent messages
+	// pending is the frame under construction: frameHdrLen reserved bytes,
+	// patched at flush, then the encoded, unsent messages — so a flush is one
+	// contiguous Write. Empty (no header either) while nothing is queued.
+	pending  []byte
 	nPending int
 	// spare is the other half of the send double buffer: the flusher swaps
 	// it in for pending when it takes a batch, and hands the flushed buffer
 	// back here once the write has returned, so steady-state encoding never
 	// grows a buffer from zero. Nil while that buffer is out with the flusher.
-	spare    []byte
+	spare []byte
+	// parked holds, oldest first from parkHead, the credit-consuming messages
+	// Post could not afford, each as [4B cost][encoded message]. Nothing is
+	// debited for a parked message until addCredits moves it into pending.
+	parked   []byte
+	parkHead int
 	credits  int
 	closed   bool
 	flushing bool
 	// flush is flushLoop bound once: `go l.flush()` starts the flusher
 	// without the closure a `go l.flushLoop()` statement allocates per start.
 	flush func()
-	// pendingGrant holds explicit credits waiting to piggyback on the next
-	// outgoing frame (deferred by onReceive while a flush is in flight
-	// instead of paying for a standalone credit frame).
+	// pendingGrant holds explicit credits owed to the peer; they ride the next
+	// outgoing frame, or one of their own if nothing else is queued.
 	pendingGrant int
 
-	// wmu serializes socket writes. It is never held together with mu, so a
-	// slow peer stalls only the flusher — Sends with credits keep queueing.
-	wmu sync.Mutex
-	w   *bufio.Writer // guarded by wmu
-	raw io.Writer     // the unbuffered stream, for vectored large-frame writes
-	// Frame-header and writev scratch, guarded by wmu: as locals of
-	// writeFrame they escape through the io.Writer calls, one allocation per
-	// frame.
-	hdr [6]byte
-	vec [2][]byte
-	iov net.Buffers
+	// w is written by the flusher alone, and flushing admits one flusher at a
+	// time. Never under mu, so a slow peer stalls only the flusher — senders
+	// keep queueing.
+	w io.Writer
 
 	recvSinceCredit int
 	stats           linkCounters
 }
 
+// frameHdrLen is the [4B length][2B count] prefix of a frame.
+const frameHdrLen = 6
+
 // maxSpareBuf caps the capacity of a send buffer the link keeps for reuse
-// (two per link): one grown past it by a one-off burst goes back to the
-// collector instead of staying resident.
+// (pending, spare, parked): one grown past it by a one-off burst goes back to
+// the collector instead of staying resident.
 const maxSpareBuf = 256 << 10
 
+// maxQueuedBytes bounds what Post lets wait in a link, pending and parked
+// together. Post never blocks its caller, so behind a stalled peer — window
+// spent, socket full, dial hanging — the queue must not grow without bound;
+// past the cap messages are shed, the bounded-queue discipline of
+// cluster.ChanTransport's full inbox, and the protocols' retransmission
+// recovers. The message that crosses the bound is still admitted, so one
+// larger than the cap ships alone.
+const maxQueuedBytes = 4 << 20
+
+var (
+	errLinkClosed = errors.New("wings: link closed")
+	errQueueFull  = errors.New("wings: send queue full, message shed")
+)
+
 // NewLink wraps one side of a stream. Call Serve with the read side to pump
-// incoming messages.
+// incoming messages. Every frame reaches w as one Write, from one goroutine
+// at a time.
 func NewLink(w io.Writer, cfg LinkConfig) *Link {
-	l := &Link{cfg: cfg, w: bufio.NewWriterSize(w, 64<<10), raw: w, credits: cfg.Credits}
+	l := &Link{cfg: cfg, w: w, credits: cfg.Credits}
 	l.sendCond = sync.NewCond(&l.mu)
 	l.flush = l.flushLoop
 	return l
 }
 
 // Send encodes msg and queues it; it ships in the next batch. Blocks only
-// when flow-control credits are exhausted. A coalesced one-way batch costs
-// one credit for the whole frame — that is the point of coalescing — while
-// a request batch is priced per inner request via cfg.CreditCost.
+// when flow-control credits are exhausted — the backpressure a client session
+// wants. A coalesced one-way batch costs one credit for the whole frame —
+// that is the point of coalescing — while a request batch is priced per inner
+// request via cfg.CreditCost.
 //
 // Send consumes msg's pooled-buffer value references (core.INV.Owner and
 // friends) on every path, success or failure: the encoder copies value
@@ -815,7 +841,20 @@ func NewLink(w io.Writer, cfg LinkConfig) *Link {
 // moment Send returns and callers must never release them afterward. For
 // the same reason a message holding frame references must be Sent at most
 // once (Broadcast is for owner-less messages).
-func (l *Link) Send(msg any) error {
+func (l *Link) Send(msg any) error { return l.enqueue(msg, true) }
+
+// Post is Send for callers that must never wait on a peer — event loops. A
+// credit-consuming message the window cannot cover, or that arrives behind
+// one already waiting, is encoded into the parked queue instead; credit
+// repayments move parked messages into the outgoing frame oldest first
+// (addCredits), debiting each as it moves. Responses never park: they cost
+// nothing, so the traffic that repays the peer's window cannot queue behind
+// this side's own credit-starved requests — two mutually starved peers always
+// drain. With maxQueuedBytes already waiting, Post sheds msg and says so.
+// Ownership is Send's: msg's buffer references are spent on every path.
+func (l *Link) Post(msg any) error { return l.enqueue(msg, false) }
+
+func (l *Link) enqueue(msg any, wait bool) error {
 	cost := 0
 	if l.cfg.Credits > 0 && !(l.cfg.IsResponse != nil && l.cfg.IsResponse(msg)) {
 		cost = 1
@@ -829,56 +868,77 @@ func (l *Link) Send(msg any) error {
 		}
 	}
 	l.mu.Lock()
-	if cost > 0 {
-		stalled := false
-		for l.credits < cost && !l.closed {
-			stalled = true
-			l.sendCond.Wait()
-		}
-		if stalled {
+	// Short of credits, Send's caller waits on the link; Post's message waits
+	// in it — parked, as is anything that arrives behind a parked message.
+	park := false
+	if wait {
+		if l.credits < cost && !l.closed {
 			l.stats.creditStalls.Add(1)
 		}
+		for l.credits < cost && !l.closed {
+			l.sendCond.Wait()
+		}
+	} else if park = cost > 0 && (l.credits < cost || l.parkHead < len(l.parked)); park {
+		l.stats.creditStalls.Add(1)
 	}
-	if l.closed {
+	err := error(nil)
+	switch {
+	case l.closed:
 		// No debit happened (or the closed-wakeup interrupted the wait
-		// before one): nothing to refund. The value references are still
-		// consumed — Send owns them unconditionally.
-		l.mu.Unlock()
-		core.ReleaseMsgOwners(msg)
-		return errors.New("wings: link closed")
-	}
-	l.credits -= cost
-	// appendMsg returns nil on error: keep the old buffer so an encode
-	// failure cannot wipe messages already queued by other senders.
-	encoded, err := appendMsg(l.pending, msg)
-	if err != nil {
-		if cost > 0 {
+		// before one): nothing to refund.
+		err = errLinkClosed
+	case !wait && len(l.pending)+len(l.parked)-l.parkHead >= maxQueuedBytes:
+		l.stats.shed.Add(1)
+		err = errQueueFull
+	case park:
+		err = encodeOnto(&l.parked, binary.LittleEndian.AppendUint32(l.parked, uint32(cost)), msg)
+	default:
+		l.credits -= cost
+		if err = encodeOnto(&l.pending, l.frameStart(), msg); err == nil {
+			l.nPending++
+			l.kickLocked()
+		} else if cost > 0 {
 			// The message never shipped; give the credits back so the window
 			// does not shrink permanently on encode errors.
 			l.credits += cost
 			l.stats.creditsRefunded.Add(uint64(cost))
 			l.sendCond.Signal()
 		}
-		l.mu.Unlock()
-		// Exactly-once consumption on the failure path too: nothing was
-		// queued, so this is the last party holding the references.
-		core.ReleaseMsgOwners(msg)
-		return err
 	}
-	l.pending = encoded
-	l.nPending++
-	if sb, ok := msg.(proto.ShardBatch); ok {
+	l.mu.Unlock()
+	if sb, ok := msg.(proto.ShardBatch); ok && err == nil {
 		l.stats.coalescedSent.Add(uint64(len(sb.Msgs)))
 	}
-	l.kickLocked()
-	l.mu.Unlock()
-	// The bytes are in the send buffer; the frame references are spent.
+	// Exactly-once consumption on every path: queued, the bytes are in a send
+	// buffer; refused, this is the last party holding the references.
 	core.ReleaseMsgOwners(msg)
-	return nil
+	return err
+}
+
+// encodeOnto appends msg's encoding to buf — *queue, or *queue with a prefix —
+// and stores the result in *queue. appendMsg returns nil on error, so the
+// store happens only on success: an encode failure cannot wipe messages
+// already queued by other senders.
+func encodeOnto(queue *[]byte, buf []byte, msg any) error {
+	encoded, err := appendMsg(buf, msg)
+	if err == nil {
+		*queue = encoded
+	}
+	return err
+}
+
+// frameStart returns pending ready for a message: an empty buffer first gets
+// the frame header's placeholder.
+func (l *Link) frameStart() []byte {
+	if len(l.pending) == 0 {
+		return append(l.pending, make([]byte, frameHdrLen)...)
+	}
+	return l.pending
 }
 
 // kickLocked starts the flusher if idle. Batching is opportunistic: while a
-// flush is in flight, further Sends pile into pending and ship together.
+// flush is in flight — or has been started and not yet run — further messages
+// pile into pending and ship together.
 func (l *Link) kickLocked() {
 	if l.flushing || (l.nPending == 0 && l.pendingGrant == 0) {
 		return
@@ -889,9 +949,9 @@ func (l *Link) kickLocked() {
 
 // maxFrameMsgs caps one frame at the header's 2-byte message count, leaving
 // room for a piggybacked credit grant. Credit-exempt responses can pile into
-// pending without bound while a flush is wedged on a slow peer, so an
-// over-full buffer must ship as several frames — truncating the count to
-// uint16 would make the receiver skip the overflowed messages silently.
+// pending while a flush is wedged on a slow peer, so an over-full buffer must
+// ship as several frames — truncating the count to uint16 would make the
+// receiver skip the overflowed messages silently.
 const maxFrameMsgs = 0xFFFF - 1
 
 func (l *Link) flushLoop() {
@@ -904,61 +964,53 @@ func (l *Link) flushLoop() {
 			l.spare = flushed[:0]
 		}
 		flushed = nil
-		grant := l.pendingGrant
-		if grant > 0xFFFF {
-			grant = 0xFFFF // the grant payload is a u16; carry the rest over
-		}
+		grant := min(l.pendingGrant, 0xFFFF) // the grant payload is a u16; carry the rest over
 		if (l.nPending == 0 && grant == 0) || l.closed {
 			l.flushing = false
 			l.mu.Unlock()
 			return
 		}
 		l.pendingGrant -= grant
-		body := l.pending
-		count := l.nPending
-		recycle := true
+		frame, count := l.pending, l.nPending
+		l.pending, l.nPending = l.spare[:0], 0
+		l.spare = nil
 		if count > maxFrameMsgs {
-			// Walk the [1B type][4B len][payload] encoding to the split
-			// point; the remainder stays queued for the next iteration. The
-			// three-index slice keeps the grant append below from clobbering
-			// the retained tail, which shares the backing array — and for the
-			// same reason this body is not recycled.
-			off := 0
+			// Walk the [1B type][4B len][payload] encoding to the split point;
+			// what is past it goes back to pending behind a header of its own.
+			off := frameHdrLen
 			for i := 0; i < maxFrameMsgs; i++ {
-				off += 5 + int(binary.LittleEndian.Uint32(body[off+1:]))
+				off += 5 + int(binary.LittleEndian.Uint32(frame[off+1:]))
 			}
-			l.pending = body[off:]
+			l.pending = append(l.frameStart(), frame[off:]...)
 			l.nPending = count - maxFrameMsgs
-			body = body[:off:off]
-			count = maxFrameMsgs
-			recycle = false
-		} else {
-			l.pending, l.spare = l.spare, nil
-			l.nPending = 0
+			frame, count = frame[:off], maxFrameMsgs
 		}
 		l.mu.Unlock()
 
+		if count == 0 {
+			frame = append(frame[:0], make([]byte, frameHdrLen)...) // a grant alone
+		}
 		wireCount := count
 		if grant > 0 {
-			// Piggybacked grant: one more message in the frame. Receivers
-			// process tCredit entries inline wherever they appear, so this
-			// is wire-compatible with a standalone credit frame. The stat is
-			// counted here — where the grant provably ships — and only as
-			// piggybacked when it actually rides a data frame.
-			body = append(body, tCredit, 2, 0, 0, 0, byte(grant), byte(grant>>8))
+			// A grant is one more message in the frame. Receivers process
+			// tCredit entries inline wherever they appear. The stat is counted
+			// here — where the grant provably ships — and as piggybacked only
+			// when it rides a data frame.
+			frame = append(frame, tCredit, 2, 0, 0, 0, byte(grant), byte(grant>>8))
 			wireCount++
 			l.stats.explicitCreditsSent.Add(1)
 			if count > 0 {
 				l.stats.piggybackedGrants.Add(1)
 			}
 		}
+		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+		binary.LittleEndian.PutUint16(frame[4:], uint16(wireCount))
 
 		// Count the frame before shipping it so a peer that has received the
 		// messages can never observe sender stats that miss them. Stats
-		// track protocol messages only: a piggybacked grant counts toward
-		// the credit counters (see onReceive), not MsgsSent, and a
-		// grant-only frame counts like a standalone credit frame (not at
-		// all), keeping MsgsSent == messages Sent.
+		// track protocol messages only: a grant counts toward the credit
+		// counters (see onReceive), not MsgsSent, and a grant-only frame not
+		// at all, keeping MsgsSent == messages queued.
 		if count > 0 {
 			l.stats.framesSent.Add(1)
 			l.stats.msgsSent.Add(uint64(count))
@@ -966,69 +1018,13 @@ func (l *Link) flushLoop() {
 		if count > 1 {
 			l.stats.batchedMsgs.Add(uint64(count))
 		}
-		// Socket I/O happens under wmu, not mu: a slow peer must not stall
-		// Sends that still have credits — they keep piling into pending and
-		// ship in the next batch when this write completes.
-		l.wmu.Lock()
-		err := l.writeFrame(wireCount, body)
-		l.wmu.Unlock()
-		if err != nil {
+		if _, err := l.w.Write(frame); err != nil {
 			l.Close()
 			return
 		}
-		// The write has returned — bufio copied the bytes, or the gathered
-		// write completed — so nothing reads body any more.
-		if recycle {
-			flushed = body
-		}
+		// The write has returned, so nothing reads frame any more.
+		flushed = frame
 	}
-}
-
-// vectoredMin is the body size past which a frame bypasses the bufio copy:
-// any buffered bytes are flushed first (frame order), then header and body
-// go to the kernel as one gathered write — writev on a net.Conn, two plain
-// writes elsewhere. Small frames keep the bufio path, where the copy is
-// cheaper than the extra syscall.
-const vectoredMin = 8 << 10
-
-// writeFrame ships one frame of count messages; caller holds wmu.
-func (l *Link) writeFrame(count int, body []byte) error {
-	binary.LittleEndian.PutUint32(l.hdr[:], uint32(len(body)+2))
-	binary.LittleEndian.PutUint16(l.hdr[4:], uint16(count))
-	if len(body) >= vectoredMin {
-		if err := l.w.Flush(); err != nil {
-			return err
-		}
-		// WriteTo consumes iov, so it is rebuilt over the fixed array for
-		// every frame.
-		l.vec[0], l.vec[1] = l.hdr[:], body
-		l.iov = l.vec[:]
-		_, err := l.iov.WriteTo(l.raw)
-		l.vec[1] = nil // WriteTo clears what it wrote; an error leaves the rest
-		return err
-	}
-	if _, err := l.w.Write(l.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(body); err != nil {
-		return err
-	}
-	return l.w.Flush()
-}
-
-// sendCreditFrame grants n credits to the peer.
-func (l *Link) sendCreditFrame(n int) {
-	var frame [13]byte
-	binary.LittleEndian.PutUint32(frame[:], 9) // count(2) + type(1) + len(4) + grant(2)
-	binary.LittleEndian.PutUint16(frame[4:], 1)
-	frame[6] = tCredit
-	binary.LittleEndian.PutUint32(frame[7:], 2)
-	binary.LittleEndian.PutUint16(frame[11:], uint16(n))
-	l.wmu.Lock()
-	l.w.Write(frame[:])
-	l.w.Flush()
-	l.wmu.Unlock()
-	l.stats.explicitCreditsSent.Add(1)
 }
 
 // framePool recycles inbound frame buffers for the copying decode paths
@@ -1168,23 +1164,14 @@ func (l *Link) onReceive(msg any) {
 	if l.cfg.ExplicitEvery > 0 && (l.cfg.IsOneWay == nil || l.cfg.IsOneWay(msg)) {
 		l.mu.Lock()
 		l.recvSinceCredit++
-		grant, piggy := 0, false
 		if l.recvSinceCredit >= l.cfg.ExplicitEvery {
 			l.recvSinceCredit = 0
-			grant = l.cfg.ExplicitEvery
-			if l.flushing || l.nPending > 0 {
-				// A data frame is already on its way out: ride it instead
-				// of paying for a standalone credit frame. The flusher
-				// drains pendingGrant with (or, if its queue just emptied,
-				// right after) the queued messages.
-				l.pendingGrant += grant
-				piggy = true
-			}
+			// The flusher ships the grant: on the data frame queued or in
+			// flight if there is one, else in a frame of its own.
+			l.pendingGrant += l.cfg.ExplicitEvery
+			l.kickLocked()
 		}
 		l.mu.Unlock()
-		if grant > 0 && !piggy {
-			go l.sendCreditFrame(grant)
-		}
 	}
 }
 
@@ -1221,23 +1208,51 @@ func (l *Link) RepayCredits(n int) {
 	l.stats.implicitCreditsRecovered.Add(uint64(n))
 }
 
+// addCredits reopens the window by n and lets what was waiting for it go:
+// parked messages first, oldest first, as far as the window now covers them —
+// each debited here, as it joins the outgoing frame, so nothing ships
+// undebited and nothing parked is debited twice — then blocked Sends.
 func (l *Link) addCredits(n int) {
 	if l.cfg.Credits == 0 {
 		return
 	}
 	l.mu.Lock()
-	l.credits += n
-	if l.credits > l.cfg.Credits {
-		l.credits = l.cfg.Credits
+	l.credits = min(l.credits+n, l.cfg.Credits)
+	for l.parkHead < len(l.parked) { // a closed link has nothing parked
+		entry := l.parked[l.parkHead:]
+		cost := int(binary.LittleEndian.Uint32(entry))
+		if cost > l.credits {
+			break
+		}
+		end := 4 + 5 + int(binary.LittleEndian.Uint32(entry[5:])) // [4B cost][1B type][4B len][payload]
+		l.credits -= cost
+		l.pending = append(l.frameStart(), entry[4:end]...)
+		l.nPending++
+		l.parkHead += end
 	}
+	switch {
+	case l.parkHead == len(l.parked):
+		l.parkHead = 0
+		if l.parked = l.parked[:0]; cap(l.parked) > maxSpareBuf {
+			l.parked = nil
+		}
+	case l.parkHead > len(l.parked)/2:
+		// Slide the live tail down once it is the smaller half, so the moves
+		// stay proportional to what was consumed.
+		l.parked = l.parked[:copy(l.parked, l.parked[l.parkHead:])]
+		l.parkHead = 0
+	}
+	l.kickLocked()
 	l.mu.Unlock()
 	l.sendCond.Broadcast()
 }
 
-// Close shuts the link; blocked senders return.
+// Close shuts the link: blocked senders return, what is queued or parked is
+// dropped.
 func (l *Link) Close() {
 	l.mu.Lock()
 	l.closed = true
+	l.parked, l.parkHead = nil, 0
 	l.mu.Unlock()
 	l.sendCond.Broadcast()
 }
@@ -1258,6 +1273,7 @@ func (l *Link) Stats() Stats {
 		CoalescedSent:            c.coalescedSent.Load(),
 		CoalescedRecv:            c.coalescedRecv.Load(),
 		CreditsRefunded:          c.creditsRefunded.Load(),
+		Shed:                     c.shed.Load(),
 	}
 }
 

@@ -87,21 +87,25 @@ func TestSendReleasesOwnersOnEncodeError(t *testing.T) {
 	l := NewLink(&sink, LinkConfig{Credits: 4})
 	pool := refbuf.NewPool()
 
-	fb := pool.Get(8)
-	copy(fb.Bytes(), "payload!")
-	batch := proto.ShardBatch{Msgs: []proto.ShardMsg{
-		{Shard: 0, Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2},
-			Value: fb.Bytes()[0:8:8], Owner: fb}},
-		{Shard: 1, Msg: struct{ not any }{}}, // no encoder case: appendMsg fails
-	}}
-	if err := l.Send(batch); err == nil {
-		t.Fatal("Send encoded a batch with an unencodable entry")
-	}
-	if got := fb.Refs(); got != 0 {
-		t.Fatalf("frame refs after encode-error Send = %d, want 0", got)
-	}
-	if st := l.Stats(); st.CreditsRefunded == 0 {
-		t.Fatalf("encode failure refunded no credits: %+v", st)
+	// Through either door: the debit, the failed encode and the refund are in
+	// the body Send and Post share.
+	for i, door := range []func(any) error{l.Send, l.Post} {
+		fb := pool.Get(8)
+		copy(fb.Bytes(), "payload!")
+		batch := proto.ShardBatch{Msgs: []proto.ShardMsg{
+			{Shard: 0, Msg: core.INV{Epoch: 1, Key: 1, TS: proto.TS{Version: 2},
+				Value: fb.Bytes()[0:8:8], Owner: fb}},
+			{Shard: 1, Msg: struct{ not any }{}}, // no encoder case: appendMsg fails
+		}}
+		if err := door(batch); err == nil {
+			t.Fatal("a batch with an unencodable entry was encoded")
+		}
+		if got := fb.Refs(); got != 0 {
+			t.Fatalf("frame refs after the encode error = %d, want 0", got)
+		}
+		if st := l.Stats(); st.CreditsRefunded != uint64(i+1) {
+			t.Fatalf("CreditsRefunded = %d after %d encode failures: %+v", st.CreditsRefunded, i+1, st)
+		}
 	}
 	// The failure must not have corrupted the pending queue or the window.
 	if err := l.Send(core.ACK{Epoch: 1, Key: 2, TS: proto.TS{Version: 1}}); err != nil {
