@@ -10,7 +10,6 @@ package repro
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -191,25 +190,6 @@ func minimum(xs []float64) float64 {
 	}
 	return m
 }
-
-// --- Live read fast path (§4.1): lock-free local reads on the caller's
-// goroutine; quick-scale variant of `hermes-bench -exp reads`. Mops here is
-// wall-clock read throughput of the LIVE runtime, hitpct the fast-path hit
-// rate. ---
-
-func benchLiveReads(b *testing.B, shards, clients int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := bench.RunReadPoint(shards, clients, 0.95, 40*time.Millisecond, false)
-		b.ReportMetric(r.ReadTput()/1e6, "Mops")
-		b.ReportMetric(100*r.HitRate(), "hitpct")
-	}
-}
-
-func BenchmarkReads_W1_C1(b *testing.B)  { benchLiveReads(b, 1, 1) }
-func BenchmarkReads_W1_C8(b *testing.B)  { benchLiveReads(b, 1, 8) }
-func BenchmarkReads_W4_C8(b *testing.B)  { benchLiveReads(b, 4, 8) }
-func BenchmarkReads_W4_C16(b *testing.B) { benchLiveReads(b, 4, 16) }
 
 // --- Ablations (optimizations O1–O3 and NoLSC reads; see internal/README.md, "Simulator scale and ablations") ---
 

@@ -14,9 +14,9 @@
 //     over protocol messages must cover every variant or carry an explicit
 //     failing default.
 //   - determinism: the seeded-replay packages (internal/sim, internal/core,
-//     internal/shardhost) must not consult wall clocks, global randomness, or unordered map
-//     iteration for decisions that feed the network schedule (the PR 4
-//     map-order retransmission bug).
+//     internal/shardhost, internal/bench) must not consult wall clocks,
+//     global randomness, or unordered map iteration for decisions that feed
+//     the network schedule (the PR 4 map-order retransmission bug).
 //   - bufown: values that may alias pooled refcounted frame buffers
 //     (structs carrying an Owner *refbuf.Buf) must not escape into
 //     owner-less destinations without a clone, and adopting literals must

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -108,4 +109,76 @@ func isMapType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
+}
+
+// blockingStdCall is the one table of standard-library calls that block. op
+// names the operation ("time.Sleep", "sync.Mutex.Lock", "net socket Read");
+// "" means the call does not block. lock marks the ones that wait for a
+// mutex — Lock, RLock and Cond.Wait, which returns holding its own — and
+// that is where the two users differ: eventloop flags them (the loop must
+// wait on no one), the MayBlock summary leaves them out (lock nesting is the
+// order graph's job, treating every lock as blocking would flood callers,
+// and Cond.Wait releases the mutex it coordinates with — a documented
+// soundness limit for any *other* lock held).
+func blockingStdCall(fn *types.Func) (op string, lock bool) {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return "", false
+	}
+	switch pkg.Path() {
+	case "sync":
+		switch fn.Name() {
+		case "Lock", "RLock":
+			return "sync." + recvTypeName(fn) + "." + fn.Name(), true
+		case "Wait":
+			recv := recvTypeName(fn)
+			return "sync." + recv + ".Wait", recv != "WaitGroup"
+		}
+	case "time":
+		if fn.Name() == "Sleep" {
+			return "time.Sleep", false
+		}
+	case "net":
+		switch fn.Name() {
+		case "Read", "Write", "Accept":
+			return "net socket " + fn.Name(), false
+		}
+	}
+	return "", false
+}
+
+// markSelectComms records the send statements and receive expressions in
+// sel's comm clauses: they are part of the select, not independent blocking
+// sites (with a default the construct is non-blocking, without one the
+// select itself is the single finding).
+func markSelectComms(sel *ast.SelectStmt, exempt map[ast.Node]bool) {
+	for _, cl := range sel.Body.List {
+		cc, ok := cl.(*ast.CommClause)
+		if !ok || cc.Comm == nil {
+			continue
+		}
+		switch s := cc.Comm.(type) {
+		case *ast.SendStmt:
+			exempt[s] = true
+		case *ast.ExprStmt:
+			if u, ok := ast.Unparen(s.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+				exempt[u] = true
+			}
+		case *ast.AssignStmt:
+			for _, rhs := range s.Rhs {
+				if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+					exempt[u] = true
+				}
+			}
+		}
+	}
+}
+
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, cl := range sel.Body.List {
+		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -7,10 +7,12 @@ import (
 )
 
 // DeterminismAnalyzer guards the seeded-replay property of packages named
-// "sim", "core" and "shardhost" (the shard host both runtimes drive: the
+// "sim", "core", "shardhost" (the shard host both runtimes drive: the
 // simulator replays it from a seed, so "no wall clock in the host" is a
-// build-breaking check, not a convention): the same seed must produce the
-// same schedule, byte for byte. Three things break it:
+// build-breaking check, not a convention) and "bench" (the figure harness
+// runs on the simulator only; the live runtime is timed by benchmark/): the
+// same seed must produce the same schedule, byte for byte. Three things
+// break it:
 //
 //   - time.Now / time.Since — wall-clock reads diverge between runs; the
 //     protocol's Env.Now and the sim's virtual clock exist for this.
@@ -37,7 +39,7 @@ var scheduleVerbs = map[string]bool{
 
 func runDeterminism(pass *Pass) {
 	switch pass.Pkg.Name() {
-	case "sim", "core", "shardhost":
+	case "sim", "core", "shardhost", "bench":
 	default:
 		return
 	}

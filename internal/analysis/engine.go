@@ -544,7 +544,7 @@ func calleeSelName(call *ast.CallExpr) string {
 // writes, and WaitGroup.Wait are.
 func (e *Engine) mayBlockIn(body *ast.BlockStmt) (bool, string) {
 	var note string
-	exempt := selectExemptComms(body)
+	exempt := map[ast.Node]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if note != "" {
 			return false
@@ -553,21 +553,22 @@ func (e *Engine) mayBlockIn(body *ast.BlockStmt) (bool, string) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
 		case *ast.SelectStmt:
+			markSelectComms(n, exempt)
 			if !selectHasDefault(n) {
 				note = "select without a default case"
 			}
 		case *ast.SendStmt:
-			if !exempt[ast.Stmt(n)] && !chanProvablyBuffered(e.pass, n.Chan, body) {
+			if !exempt[n] && !chanProvablyBuffered(e.pass, n.Chan, body) {
 				note = "channel send (no provable buffer headroom)"
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !exempt[ast.Node(n)] {
+			if n.Op == token.ARROW && !exempt[n] {
 				note = "channel receive"
 			}
 		case *ast.CallExpr:
 			if fn := staticCallee(e.pass.Info, n); fn != nil {
-				if m := blockingForSummary(fn); m != "" {
-					note = m
+				if op, lock := blockingStdCall(fn); op != "" && !lock {
+					note = op
 				} else if cs, ok := e.sums[fn]; ok && cs.MayBlock {
 					note = fn.Name() + ": " + cs.BlockNote
 				}
@@ -576,77 +577,6 @@ func (e *Engine) mayBlockIn(body *ast.BlockStmt) (bool, string) {
 		return true
 	})
 	return note != "", note
-}
-
-// selectExemptComms collects the comm statements and receive expressions
-// that belong to a select (blocking is judged on the select itself, and a
-// select with a default is non-blocking by construction).
-func selectExemptComms(body ast.Node) map[any]bool {
-	exempt := map[any]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, cl := range sel.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			switch s := cc.Comm.(type) {
-			case *ast.SendStmt:
-				exempt[ast.Stmt(s)] = true
-			case *ast.ExprStmt:
-				if u, ok := ast.Unparen(s.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					exempt[ast.Node(u)] = true
-				}
-			case *ast.AssignStmt:
-				for _, rhs := range s.Rhs {
-					if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-						exempt[ast.Node(u)] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return exempt
-}
-
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// blockingForSummary classifies standard-library calls that block, for the
-// MayBlock summary. sync.Cond.Wait is excluded: it atomically releases the
-// mutex it coordinates with, so "blocking while holding" does not apply to
-// its own lock (a documented soundness limit for any *other* lock held).
-func blockingForSummary(fn *types.Func) string {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	switch pkg.Path() {
-	case "sync":
-		if fn.Name() == "Wait" && recvTypeName(fn) == "WaitGroup" {
-			return "sync.WaitGroup.Wait"
-		}
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "time.Sleep"
-		}
-	case "net":
-		switch fn.Name() {
-		case "Read", "Write", "Accept":
-			return "net socket " + fn.Name()
-		}
-	}
-	return ""
 }
 
 // acquiresIn collects the locks body acquires, directly or through

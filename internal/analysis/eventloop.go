@@ -107,21 +107,8 @@ func (c *eventLoopChecker) walk(n ast.Node, chain []string, exemptComm map[ast.N
 			// The launched goroutine does not run on the event loop.
 			return false
 		case *ast.SelectStmt:
-			hasDefault := false
-			for _, cl := range n.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			// Comm clauses are part of the select, not independent blocking
-			// sites: with a default the whole construct is non-blocking, and
-			// without one the select itself is the (single) finding.
-			for _, cl := range n.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-					markCommExempt(cc.Comm, exemptComm)
-				}
-			}
-			if !hasDefault {
+			markSelectComms(n, exemptComm)
+			if !selectHasDefault(n) {
 				c.report(n.Pos(), chain, "select without a default case blocks the event loop")
 			}
 			return true
@@ -140,24 +127,6 @@ func (c *eventLoopChecker) walk(n ast.Node, chain []string, exemptComm map[ast.N
 	})
 }
 
-// markCommExempt records a select comm statement's channel operations.
-func markCommExempt(comm ast.Stmt, exempt map[ast.Node]bool) {
-	switch s := comm.(type) {
-	case *ast.SendStmt:
-		exempt[s] = true
-	case *ast.ExprStmt:
-		if u, ok := ast.Unparen(s.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			exempt[u] = true
-		}
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				exempt[u] = true
-			}
-		}
-	}
-}
-
 func (c *eventLoopChecker) checkCall(call *ast.CallExpr, chain []string, funcBody *ast.BlockStmt) {
 	if isConversion(c.pass.Info, call) || isBuiltinCall(c.pass.Info, call, "") {
 		return
@@ -168,41 +137,18 @@ func (c *eventLoopChecker) checkCall(call *ast.CallExpr, chain []string, funcBod
 	if fn == nil {
 		return
 	}
-	if msg := blockingStdCall(fn); msg != "" {
-		c.report(call.Pos(), chain, msg)
+	if op, lock := blockingStdCall(fn); op != "" {
+		verb := " blocks the event loop"
+		if lock && fn.Name() != "Wait" {
+			verb = " may block the event loop" // an uncontended Lock returns at once
+		}
+		c.report(call.Pos(), chain, op+verb)
 		return
 	}
 	// Descend into same-package callees with bodies.
 	if decl, ok := c.decls[fn]; ok {
 		c.visit(fn, decl, chain)
 	}
-}
-
-// blockingStdCall classifies calls into the standard library that block.
-func blockingStdCall(fn *types.Func) string {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return ""
-	}
-	switch pkg.Path() {
-	case "sync":
-		switch fn.Name() {
-		case "Lock", "RLock":
-			return "sync." + recvTypeName(fn) + "." + fn.Name() + " may block the event loop"
-		case "Wait":
-			return "sync." + recvTypeName(fn) + ".Wait blocks the event loop"
-		}
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "time.Sleep blocks the event loop"
-		}
-	case "net":
-		switch fn.Name() {
-		case "Read", "Write", "Accept":
-			return "net socket " + fn.Name() + " blocks the event loop"
-		}
-	}
-	return ""
 }
 
 func (c *eventLoopChecker) report(pos token.Pos, chain []string, msg string) {

@@ -297,8 +297,8 @@ func (lo *lockOrderChecker) call(call *ast.CallExpr, held heldSet) heldSet {
 		return held
 	}
 	if len(held) > 0 {
-		if msg := blockingForSummary(fn); msg != "" {
-			lo.report(call.Pos(), held, msg)
+		if op, lock := blockingStdCall(fn); op != "" && !lock {
+			lo.report(call.Pos(), held, op)
 			return held
 		}
 	}

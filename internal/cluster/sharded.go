@@ -593,9 +593,8 @@ func (sn *ShardedNode) InstallView(v proto.View) {
 // InstallShardView installs an m-update on one shard only, leaving every
 // other shard's epoch, read gate and in-flight traffic untouched. This is
 // what localizes reconfiguration: a replay storm following shard i's install
-// cannot stall reads or writes on shards j≠i (measured by `hermes-bench
-// -exp reconfig`). Blocks until the target shard's event loop has completed
-// the transition.
+// cannot stall reads or writes on shards j≠i (TestStaggeredGateIsolation).
+// Blocks until the target shard's event loop has completed the transition.
 func (sn *ShardedNode) InstallShardView(shard int, v proto.View) {
 	sn.recordView(proto.MUpdate{Shard: uint16(shard), View: v})
 	sn.shards[shard].installView(v)

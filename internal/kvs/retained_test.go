@@ -49,6 +49,31 @@ func TestGetRetainedPinsAcrossReplacement(t *testing.T) {
 	}
 }
 
+// TestGetRetainedAllocatesNothing pins the cost of the pin protocol on an
+// owner-backed 4 KiB entry — TryRetain, pointer re-check, Release — at zero
+// allocations: a GetRetained that cloned the value instead of pinning its
+// buffer would show up here as one allocation per read.
+func TestGetRetainedAllocatesNothing(t *testing.T) {
+	const size = 4096
+	st := New(16)
+	fb := refbuf.NewPool().Get(size)
+	st.Update(5, Entry{Value: fb.Bytes()[0:size:size], TS: proto.TS{Version: 2}, State: Valid, Owner: fb})
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		e, ok := st.GetRetained(5)
+		if !ok || e.Owner != fb {
+			t.Fatalf("GetRetained: %+v ok=%v", e, ok)
+		}
+		e.Owner.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("GetRetained + Release allocates %.1f/op on an owner-backed %d B entry; want 0", allocs, size)
+	}
+	if got := fb.Refs(); got != 1 {
+		t.Fatalf("refs after the loop = %d, want 1 (the store's)", got)
+	}
+}
+
 // TestGetRetainedRace storms GetRetained readers against a single writer
 // replacing the entry with owner-backed values drawn from one pool — the
 // exact shape of the live read path (server fast reads) racing the INV adopt
