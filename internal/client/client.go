@@ -7,10 +7,10 @@
 // sessions use to keep the pipeline full without a goroutine per request.
 //
 // Flow control reuses the wings link credit discipline: each request costs
-// one send credit, each response repays one implicitly, so a Send past the
-// window blocks the caller — the client-side half of the server's admission
-// contract, which guarantees a compliant client is never killed for
-// overrunning its window.
+// one send credit and each response repays one (a frame's worth at a time), so
+// a send past the window blocks the caller — the client-side half of the
+// server's admission contract, which guarantees a compliant client is never
+// killed for overrunning its window.
 package client
 
 import (
@@ -75,6 +75,9 @@ func Dial(addr string, cfg Config) (*Client, error) {
 
 // connect dials, handshakes, and starts the read pump. Caller must not hold
 // c.mu for the whole duration — it is only taken to publish the new conn.
+// Concurrent callers (Dos that all found the session dead) each dial, and the
+// first to publish wins: the others close theirs and use the winner's, so the
+// client never owns a connection Close cannot reach.
 func (c *Client) connect() error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
@@ -101,25 +104,23 @@ func (c *Client) connect() error {
 	}
 	conn.SetDeadline(time.Time{})
 
-	link := wings.NewLink(conn, wings.LinkConfig{
-		Credits: window,
-		IsResponse: func(m any) bool {
-			_, ok := m.(proto.ClientResp)
-			return ok
-		},
-	})
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.conn != nil {
+		closed := c.closed
 		c.mu.Unlock()
 		conn.Close()
-		return ErrClosed
+		if closed {
+			return ErrClosed
+		}
+		return nil
 	}
+	link := wings.NewLink(conn, wings.LinkConfig{Credits: window})
 	c.conn = conn
 	c.link = link
 	c.window = window
+	c.wg.Add(1)
 	c.mu.Unlock()
 
-	c.wg.Add(1)
 	go c.pump(conn, link)
 	return nil
 }
@@ -129,17 +130,15 @@ func (c *Client) connect() error {
 // client disconnected — the next request lazily reconnects.
 func (c *Client) pump(conn net.Conn, link *wings.Link) {
 	defer c.wg.Done()
-	link.Serve(conn, func(msg any) {
-		resp, ok := msg.(proto.ClientResp)
-		if !ok {
-			return // server never sends anything else; tolerate and drop
-		}
+	// Anything but a response (or a credit grant) on the stream ends it here,
+	// like any other stream error.
+	link.ServeClientResps(conn, func(resp *proto.ClientResp) {
 		c.mu.Lock()
 		fn := c.pending[resp.Seq]
 		delete(c.pending, resp.Seq)
 		c.mu.Unlock()
 		if fn != nil {
-			fn(resp, nil)
+			fn(*resp, nil)
 		}
 	})
 	conn.Close()
@@ -213,8 +212,9 @@ func (c *Client) Do(op proto.OpKind, key proto.Key, val, exp proto.Value, fn fun
 	c.pending[seq] = fn
 	c.mu.Unlock()
 
-	err := link.Send(proto.ClientReq{Seq: seq, Op: op, Key: key, Value: val, Expected: exp})
-	if err != nil {
+	// On this stack: the typed door encodes req before it returns.
+	req := proto.ClientReq{Seq: seq, Op: op, Key: key, Value: val, Expected: exp}
+	if err := link.SendClientReq(&req); err != nil {
 		// The request never shipped; the pump's strand sweep may already have
 		// taken the callback, in which case it has run with ErrClosed.
 		c.mu.Lock()

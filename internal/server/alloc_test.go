@@ -1,11 +1,15 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/proto"
+	"repro/internal/refbuf"
 )
 
 // discardConn is a net.Conn whose writes succeed and vanish.
@@ -64,4 +68,108 @@ func (nullBackend) ReadLocal(proto.Key) (proto.Value, bool) { return nil, false 
 func (nullBackend) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
 	fn(proto.Completion{Kind: op.Kind, Key: op.Key, Status: proto.OK})
 	return nil
+}
+
+// pinnedBackend is a RetainedReader whose every read hits one owner-backed
+// 32 B entry — the store's answer for a Valid key whose value arrived over
+// the wire.
+type pinnedBackend struct {
+	nullBackend
+	entry *refbuf.Buf
+}
+
+func (b pinnedBackend) ReadLocalRetained(proto.Key) (proto.Value, *refbuf.Buf, bool) {
+	b.entry.Retain()
+	return b.entry.Bytes(), b.entry, true
+}
+
+// wireReader is one client session to a server over loopback TCP, reading
+// through the whole wire path: client.Do → typed request door → socket →
+// session → retained read → response flush → socket → client pump → callback.
+type wireReader struct {
+	c            *client.Client
+	issued, done atomic.Int64
+	bad          atomic.Value // the first wrong answer, described
+	cb           func(proto.ClientResp, error)
+}
+
+const wireReaderWindow = 64
+
+func newWireReader(tb testing.TB) *wireReader {
+	tb.Helper()
+	// A window under maxSpareResps, so that a full-window burst does not grow
+	// the session's queue halves past what it keeps: every byte counted is
+	// then a read's own.
+	srv := New(Config{Backend: pinnedBackend{entry: refbuf.NewPool().Get(32)}, Window: wireReaderWindow})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	c, err := client.Dial(ln.Addr().String(), client.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close(); srv.Close() })
+	w := &wireReader{c: c}
+	w.cb = func(r proto.ClientResp, err error) {
+		if err != nil || r.Status != proto.OK || len(r.Value) != 32 {
+			w.bad.CompareAndSwap(nil, fmt.Sprintf("read answered %v with %d B, err %v", r.Status, len(r.Value), err))
+		}
+		w.done.Add(1)
+	}
+	return w
+}
+
+// read pipelines n reads from the calling goroutine: Do blocks only while the
+// window is spent, so the window stays full.
+func (w *wireReader) read(tb testing.TB, n int) {
+	for i := 0; i < n; i++ {
+		if err := w.c.Do(proto.OpRead, 7, nil, nil, w.cb); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	w.issued.Add(int64(n))
+}
+
+// drain waits for every read issued to be answered, and reports a wrong one.
+func (w *wireReader) drain(tb testing.TB) {
+	for w.done.Load() != w.issued.Load() {
+		runtime.Gosched()
+	}
+	if bad := w.bad.Load(); bad != nil {
+		tb.Fatal(bad)
+	}
+}
+
+// TestWireReadAllocatesOnce: a pipelined read allocates once from end to end,
+// both processes' sides counted — the value the client hands its caller. The
+// request is encoded from Do's stack, decoded into the session loop's own,
+// answered from the pinned store entry through recycled queue halves and
+// frames, and decoded into the client pump's own. (With a box at Link.Send, a
+// box at each decode it was four.)
+func TestWireReadAllocatesOnce(t *testing.T) {
+	w := newWireReader(t)
+	w.read(t, 4*wireReaderWindow) // size every buffer on the way
+	w.drain(t)
+	const batch = 200
+	perBatch := testing.AllocsPerRun(50, func() { w.read(t, batch) })
+	w.drain(t)
+	// Slack for what is per burst, not per read: a collection emptying the
+	// frame pool, a goroutine descriptor when both flushers start at once.
+	if perRead := perBatch / batch; perRead > 1.1 {
+		t.Fatalf("a wire read allocates %.2f times, want 1 (the returned value)", perRead)
+	}
+}
+
+// BenchmarkWireRead is the same path timed: run it with -benchmem while
+// changing anything a read crosses.
+func BenchmarkWireRead(b *testing.B) {
+	w := newWireReader(b)
+	w.read(b, 4*wireReaderWindow)
+	w.drain(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	w.read(b, b.N)
+	w.drain(b)
 }

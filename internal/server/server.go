@@ -265,22 +265,16 @@ type queuedResp struct {
 // errTooManyInflight kills a session that exceeded its outstanding bound.
 var errTooManyInflight = errors.New("server: session exceeded inflight bound")
 
-// errNotClientMsg kills a session that sent a non-client-protocol message.
-var errNotClientMsg = errors.New("server: unexpected message type on client session")
-
 func (se *session) run() {
 	defer se.srv.wg.Done()
 	defer se.finish()
 	if !se.handshake() {
 		return
 	}
-	err := wings.ServeFrames(se.conn, se.handle)
-	if err != nil && err != io.EOF {
-		// Protocol violations (bad frames, unknown types, inflight bound) are
-		// already terminal here; nothing to report per session.
-		if errors.Is(err, errTooManyInflight) {
-			se.srv.killed.Add(1)
-		}
+	// Protocol violations (bad frames, anything but a request, the inflight
+	// bound) are terminal here; only the last is counted.
+	if err := wings.ServeClientReqs(se.conn, se.handle); errors.Is(err, errTooManyInflight) {
+		se.srv.killed.Add(1)
 	}
 }
 
@@ -302,12 +296,10 @@ func (se *session) handshake() bool {
 }
 
 // handle processes one decoded request on the session goroutine. Returning
-// an error aborts the stream (ServeFrames stops; finish closes the conn).
-func (se *session) handle(msg any) error {
-	req, ok := msg.(proto.ClientReq)
-	if !ok {
-		return errNotClientMsg
-	}
+// an error aborts the stream (ServeClientReqs stops; finish closes the conn).
+// *req is the serve loop's, valid until handle returns; its value bytes are a
+// private copy and are handed on.
+func (se *session) handle(req *proto.ClientReq) error {
 	if se.outstanding.Add(1) > int64(se.srv.cfg.MaxInflight) {
 		return errTooManyInflight
 	}

@@ -168,24 +168,30 @@ func rawSession(t *testing.T, addr string) (net.Conn, int) {
 	return conn, int(binary.LittleEndian.Uint32(reply[4:]))
 }
 
-// TestNonClientMessageKillsSession: mesh protocol messages on a client
-// session are a protocol violation, not traffic to route.
+// TestNonClientMessageKillsSession: anything but a request on a client
+// session — a mesh protocol message, a response — is a protocol violation,
+// not traffic to route.
 func TestNonClientMessageKillsSession(t *testing.T) {
 	addr, _, down := serveGroup(t, 1, Config{})
 	defer down()
-	conn, _ := rawSession(t, addr)
-	defer conn.Close()
-	frame, err := wings.Encode(proto.MUpdate{View: proto.View{Epoch: 9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var b [1]byte
-	if _, err := conn.Read(b[:]); err == nil {
-		t.Fatal("session survived a mesh message")
+	for name, msg := range map[string]any{
+		"mesh message": proto.MUpdate{View: proto.View{Epoch: 9}},
+		"response":     proto.ClientResp{Seq: 1, Status: proto.OK},
+	} {
+		conn, _ := rawSession(t, addr)
+		frame, err := wings.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var b [1]byte
+		if _, err := conn.Read(b[:]); err == nil {
+			t.Fatalf("session survived sending a %s", name)
+		}
+		conn.Close()
 	}
 }
 

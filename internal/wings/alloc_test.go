@@ -24,16 +24,21 @@ func (sink) Write(p []byte) (int, error) { return len(p), nil }
 // TestSendFlushAllocatesNothing: in steady state, queueing an already boxed
 // ACK and flushing it allocates nothing — the send buffer is the recycled
 // spare with the frame header reserved in it, the stats are atomics and the
-// flusher starts without a closure — through either door: Post is Send with
-// one branch at the wait, and must cost what Send costs. Each run waits for
-// the flusher to go idle, so every message starts a fresh flusher goroutine:
-// the buffers must survive that gap too.
+// flusher starts without a closure — through any door: Post is Send with one
+// branch at the wait, and must cost what Send costs; the typed request door
+// takes a request from its caller's stack, so there is not even a box to
+// bring. Each run waits for the flusher to go idle, so every message starts a
+// fresh flusher goroutine: the buffers must survive that gap too.
 func TestSendFlushAllocatesNothing(t *testing.T) {
 	l := NewLink(sink{}, LinkConfig{})
 	defer l.Close()
 	var msg any = core.ACK{Epoch: 1, Key: 42, TS: proto.TS{Version: 2, CID: 1}}
+	val := make(proto.Value, 32)
+	sendClientReq := func(any) error {
+		return l.SendClientReq(&proto.ClientReq{Seq: 9, Op: proto.OpWrite, Key: 42, Value: val})
+	}
 	sent := uint64(0)
-	for name, door := range map[string]func(any) error{"Send": l.Send, "Post": l.Post} {
+	for name, door := range map[string]func(any) error{"Send": l.Send, "Post": l.Post, "SendClientReq": sendClientReq} {
 		sendAndFlush := func() {
 			if err := door(msg); err != nil {
 				t.Fatal(err)
@@ -46,7 +51,7 @@ func TestSendFlushAllocatesNothing(t *testing.T) {
 		sendAndFlush() // first flush grows the buffers
 		sendAndFlush() // second one brings the spare back
 		if n := testing.AllocsPerRun(200, sendAndFlush); n != 0 {
-			t.Fatalf("%s+flush of a boxed ACK allocates %.0f times, want 0", name, n)
+			t.Fatalf("%s+flush allocates %.0f times, want 0", name, n)
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package wings
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/proto"
@@ -190,23 +192,23 @@ func TestClientDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// A ServeFrames stream containing a tCredit entry is a protocol violation
-// on a client session (admission is session-level, not link-level).
-func TestServeFramesRejectsCredit(t *testing.T) {
+// A request stream containing a tCredit entry is a protocol violation on a
+// client session (admission is session-level, not link-level).
+func TestServeClientReqsRejectsCredit(t *testing.T) {
 	// [4B frame len][2B count][1B tCredit][4B len=2][2B grant]
 	frame := binary.LittleEndian.AppendUint32(nil, 2+7)
 	frame = binary.LittleEndian.AppendUint16(frame, 1)
 	frame = append(frame, tCredit)
 	frame = binary.LittleEndian.AppendUint32(frame, 2)
 	frame = binary.LittleEndian.AppendUint16(frame, 8)
-	err := ServeFrames(bytesReader(frame), func(any) error { return nil })
+	err := ServeClientReqs(bytes.NewReader(frame), func(*proto.ClientReq) error { return nil })
 	if !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("tCredit on client session: err=%v, want ErrUnknownType", err)
 	}
 }
 
-// ServeFrames round-trips an AppendFrame batch and dispatches in order.
-func TestAppendFrameServeFramesRoundTrip(t *testing.T) {
+// ServeClientReqs round-trips an AppendFrame batch and dispatches in order.
+func TestAppendFrameServeClientReqsRoundTrip(t *testing.T) {
 	reqs := make([]any, 100)
 	for i := range reqs {
 		reqs[i] = proto.ClientReq{Seq: uint64(i), Op: proto.OpWrite,
@@ -217,8 +219,8 @@ func TestAppendFrameServeFramesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []any
-	err = ServeFrames(bytesReader(frame), func(m any) error {
-		got = append(got, m)
+	err = ServeClientReqs(bytes.NewReader(frame), func(m *proto.ClientReq) error {
+		got = append(got, *m)
 		return nil
 	})
 	if err != io.EOF {
@@ -229,17 +231,145 @@ func TestAppendFrameServeFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// bytesReader is a minimal io.Reader over a byte slice (avoids importing
-// bytes just for tests).
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
+// clientValues are the value shapes the golden test crosses with every enum:
+// absent, present but empty (both travel as length 0 and come back nil), the
+// benchmark's 32 B and its 4 KiB.
+var clientValues = []proto.Value{nil, {}, bytes.Repeat([]byte{0xA5}, 32), bytes.Repeat([]byte{0x5A}, 4<<10)}
 
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
+// typedReqFrame ships req through the typed request door and returns the one
+// frame the link wrote.
+func typedReqFrame(t *testing.T, req proto.ClientReq) []byte {
+	t.Helper()
+	var w bytes.Buffer
+	l := NewLink(&w, LinkConfig{})
+	defer l.Close()
+	if err := l.SendClientReq(&req); err != nil {
+		t.Fatal(err)
 	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
+	for l.Stats().FramesSent == 0 || flusherBusy(l) {
+		runtime.Gosched()
+	}
+	return w.Bytes()
+}
+
+// genericDecode runs frame through Link.Serve, the decoder every message type
+// shares.
+func genericDecode(t *testing.T, frame []byte) []any {
+	t.Helper()
+	var got []any
+	l := NewLink(io.Discard, LinkConfig{})
+	defer l.Close()
+	if err := l.Serve(bytes.NewReader(frame), func(m any) { got = append(got, m) }); err != io.EOF {
+		t.Fatalf("generic decode: %v", err)
+	}
+	return got
+}
+
+// TestClientTypedDoorsMatchGenericCodec: each client message has one body
+// encoder and one body decoder, so for every op, status and value shape the
+// typed doors write the bytes AppendFrame writes, and a frame decodes to the
+// same fields through the typed loops and through the generic decoder.
+func TestClientTypedDoorsMatchGenericCodec(t *testing.T) {
+	for op := proto.OpRead; op <= proto.OpFAA; op++ {
+		for i, val := range clientValues {
+			req := proto.ClientReq{Seq: uint64(op)<<8 | uint64(i), Op: op, Key: proto.Key(i + 1),
+				Value: val, Expected: clientValues[len(clientValues)-1-i]}
+			want, err := AppendFrame(nil, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := typedReqFrame(t, req); !bytes.Equal(got, want) {
+				t.Fatalf("%v request, value shape %d: typed door wrote\n%x\nAppendFrame\n%x", op, i, got, want)
+			}
+			var typed []any
+			err = ServeClientReqs(bytes.NewReader(want), func(m *proto.ClientReq) error {
+				typed = append(typed, *m)
+				return nil
+			})
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			if generic := genericDecode(t, want); len(typed) != 1 || !reflect.DeepEqual(typed, generic) {
+				t.Fatalf("%v request, value shape %d: typed loop %+v, generic decoder %+v", op, i, typed, generic)
+			}
+		}
+	}
+	for st := proto.OK; st <= proto.NotOperational; st++ {
+		for i, val := range clientValues {
+			resp := proto.ClientResp{Seq: uint64(st)<<8 | uint64(i), Status: st, Value: val}
+			want, err := AppendFrame(nil, resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendClientResps(nil, []proto.ClientResp{resp})
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%v response, value shape %d: AppendClientResps wrote\n%x (%v)\nAppendFrame\n%x", st, i, got, err, want)
+			}
+			var typed []any
+			l := NewLink(io.Discard, LinkConfig{})
+			err = l.ServeClientResps(bytes.NewReader(want), func(m *proto.ClientResp) { typed = append(typed, *m) })
+			l.Close()
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			if generic := genericDecode(t, want); len(typed) != 1 || !reflect.DeepEqual(typed, generic) {
+				t.Fatalf("%v response, value shape %d: typed loop %+v, generic decoder %+v", st, i, typed, generic)
+			}
+		}
+	}
+	if err := NewLink(io.Discard, LinkConfig{}).SendClientReq(&proto.ClientReq{Op: proto.OpFAA + 1}); !errors.Is(err, ErrBadEnum) {
+		t.Fatalf("typed door accepted op %d: %v", proto.OpFAA+1, err)
+	}
+}
+
+// TestServeClientRespsAcceptsOnlyResponsesAndCredits: the client's loop
+// refuses, by tag, everything a server has no business sending — a request, a
+// mesh message, a batch — and an out-of-range status; what it accepts is
+// counted as Serve counts it and repaid once per frame.
+func TestServeClientRespsAcceptsOnlyResponsesAndCredits(t *testing.T) {
+	for name, msg := range map[string]any{
+		"request": proto.ClientReq{Seq: 1, Op: proto.OpRead},
+		"INV":     inv(1),
+		"batch":   proto.ShardBatch{Msgs: []proto.ShardMsg{{Shard: 1, Msg: ack(1)}}},
+	} {
+		frame, err := AppendFrame(nil, proto.ClientResp{Seq: 7}, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLink(io.Discard, LinkConfig{})
+		seen := 0
+		err = l.ServeClientResps(bytes.NewReader(frame), func(*proto.ClientResp) { seen++ })
+		if !errors.Is(err, ErrUnknownType) || seen != 1 {
+			t.Fatalf("%s after a response: err=%v (want ErrUnknownType), %d responses delivered (want 1)", name, err, seen)
+		}
+	}
+	hostile, _ := AppendFrame(nil, proto.ClientResp{Seq: 7})
+	hostile[len(hostile)-5] = 0xEE // [8B seq][1B status][4B len]: the status byte
+	l := NewLink(io.Discard, LinkConfig{})
+	if err := l.ServeClientResps(bytes.NewReader(hostile), func(*proto.ClientResp) { t.Fatal("hostile status delivered") }); !errors.Is(err, ErrBadEnum) {
+		t.Fatalf("status 0xEE: err=%v, want ErrBadEnum", err)
+	}
+
+	// Three responses and a grant in one frame: credits return in one step,
+	// capped at the window.
+	l = NewLink(io.Discard, LinkConfig{Credits: 4})
+	for i := 0; i < 3; i++ {
+		if err := l.SendClientReq(&proto.ClientReq{Seq: uint64(i), Op: proto.OpRead}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := window(t, l); got != 1 {
+		t.Fatalf("credits after 3 requests = %d, want 1", got)
+	}
+	frame, err := AppendFrame(nil, proto.ClientResp{Seq: 0}, proto.ClientResp{Seq: 1}, proto.ClientResp{Seq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ServeClientResps(bytes.NewReader(frame), func(*proto.ClientResp) {}); err != io.EOF {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if got := window(t, l); got != 4 || st.ImplicitCreditsRecovered != 3 || st.MsgsRecv != 3 || st.FramesRecv != 1 {
+		t.Fatalf("after a 3-response frame: credits %d (want 4), stats %+v", got, st)
+	}
 }

@@ -1,8 +1,11 @@
 package wings
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -40,6 +43,81 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		if _, err := Encode(msg); err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", msg, err)
+		}
+	})
+}
+
+// genericClientReqs is FuzzClientFrames' reference: the frame walk every
+// serve loop does, each message through decodeMsg — the decoder all message
+// types share — and only then asked whether it is a request, which is how the
+// server read its stream before it had a typed loop.
+func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
+	br := bufio.NewReader(bytes.NewReader(stream))
+	for {
+		n, err := readFrameLen(br)
+		if err != nil {
+			return reqs, err
+		}
+		frame := make([]byte, n)
+		if _, err := io.ReadFull(br, frame); err != nil {
+			return reqs, err
+		}
+		count := int(binary.LittleEndian.Uint16(frame))
+		for i, off := 0, 2; i < count; i++ {
+			tag, body, err := nextMsg(frame, &off)
+			if err != nil {
+				return reqs, err
+			}
+			msg, err := decodeMsg(tag, body, nil)
+			if err != nil {
+				return reqs, err
+			}
+			req, ok := msg.(proto.ClientReq)
+			if !ok {
+				return reqs, ErrUnknownType
+			}
+			reqs = append(reqs, req)
+		}
+	}
+}
+
+// FuzzClientFrames holds the server's typed loop to the generic decoder on
+// hostile input: an arbitrary byte stream is accepted or refused alike by
+// both, at the same message, and what they deliver before that are equal
+// requests. (They differ, by design, in how much of a non-request they read
+// before refusing it: the typed loop its tag, the generic decoder all of it.)
+func FuzzClientFrames(f *testing.F) {
+	for _, msgs := range [][]any{
+		{proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 42}},
+		{proto.ClientReq{Seq: 2, Op: proto.OpCAS, Key: 7, Value: proto.Value("new"), Expected: proto.Value("old")},
+			proto.ClientReq{Seq: 3, Op: proto.OpFAA, Key: 8, Value: proto.EncodeInt64(5)}},
+		{proto.ClientReq{Seq: 4, Op: proto.OpWrite, Key: 9, Value: make(proto.Value, 32)},
+			proto.ClientResp{Seq: 4, Status: proto.OK}},
+		{proto.ClientResp{Seq: 5, Status: proto.CASFailed, Value: proto.Value("observed")}},
+		{core.ACK{Epoch: 1, Key: 1}},
+	} {
+		frame, err := AppendFrame(nil, msgs...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	// Hand-built: a credit grant, and an op and a status outside their enums.
+	f.Add([]byte{9, 0, 0, 0, 1, 0, tCredit, 2, 0, 0, 0, 8, 0})
+	f.Add(append([]byte{32, 0, 0, 0, 1, 0, tClientReq, 25, 0, 0, 0}, clientReqBody(1, 0xEE, 2, nil, nil)...))
+	f.Add(append([]byte{20, 0, 0, 0, 1, 0, tClientResp, 13, 0, 0, 0}, clientRespBody(1, 0xEE, nil)...))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var typed []proto.ClientReq
+		typedErr := ServeClientReqs(bytes.NewReader(stream), func(m *proto.ClientReq) error {
+			typed = append(typed, *m)
+			return nil
+		})
+		generic, genericErr := genericClientReqs(stream)
+		if (typedErr == io.EOF) != (genericErr == io.EOF) {
+			t.Fatalf("typed loop ended with %v, generic decoder with %v", typedErr, genericErr)
+		}
+		if !reflect.DeepEqual(typed, generic) {
+			t.Fatalf("typed loop delivered %+v, generic decoder %+v", typed, generic)
 		}
 	})
 }

@@ -146,24 +146,27 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// BenchmarkServeFrames measures the receive path; -benchmem shows the
-// effect of the pooled frame buffers (one fewer allocation per frame).
-func BenchmarkServeFrames(b *testing.B) {
-	var stream bytes.Buffer
-	const frames = 1000
+// BenchmarkServeClientReqs measures a session's receive path, read requests
+// in frames of eight; -benchmem shows what is left per request once the frame
+// buffer is pooled and the request lives in the loop (nothing: a read has no
+// value to copy).
+func BenchmarkServeClientReqs(b *testing.B) {
+	var stream []byte
+	const frames, perFrame = 1000, 8
+	reqs := make([]any, perFrame)
 	for i := 0; i < frames; i++ {
-		f, err := Encode(core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 1}})
-		if err != nil {
+		for j := range reqs {
+			reqs[j] = proto.ClientReq{Seq: uint64(i*perFrame + j), Op: proto.OpRead, Key: proto.Key(j)}
+		}
+		var err error
+		if stream, err = AppendFrame(stream, reqs...); err != nil {
 			b.Fatal(err)
 		}
-		stream.Write(f)
 	}
-	l := NewLink(io.Discard, LinkConfig{})
-	data := stream.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Serve(bytes.NewReader(data), func(any) {}); err != io.EOF {
+		if err := ServeClientReqs(bytes.NewReader(stream), func(*proto.ClientReq) error { return nil }); err != io.EOF {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,12 @@ func (f *frameLog) Write(p []byte) (int, error) {
 		<-wedge
 	}
 	var got []any
-	err := ServeFrames(bytes.NewReader(p), func(m any) error { got = append(got, m); return nil })
+	err := NewLink(io.Discard, LinkConfig{}).Serve(bytes.NewReader(p), func(m any) {
+		if sb, ok := m.(proto.ShardBatch); ok {
+			m = proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)} // the slice is Serve's scratch
+		}
+		got = append(got, m)
+	})
 	if err != io.EOF {
 		return 0, fmt.Errorf("frameLog: one Write is not one whole frame: %v", err)
 	}

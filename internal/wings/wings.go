@@ -227,19 +227,13 @@ func appendColdBody(buf []byte, msg any) (t uint8, _ []byte, err error) {
 		if m.Op > proto.OpFAA {
 			return 0, nil, ErrBadEnum
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-		buf = append(buf, byte(m.Op))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Key))
-		buf = appendBytes(buf, m.Value)
-		buf = appendBytes(buf, m.Expected)
+		buf = appendClientReqBody(buf, &m)
 	case proto.ClientResp:
 		t = tClientResp
 		if m.Status > proto.NotOperational {
 			return 0, nil, ErrBadEnum
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-		buf = append(buf, byte(m.Status))
-		buf = appendBytes(buf, m.Value)
+		buf = appendClientRespBody(buf, &m)
 	case proto.EpochGossip:
 		t = tEpochGossip
 		if len(m.Epochs) > 0xFFFF {
@@ -322,6 +316,65 @@ func readMUpdateBody(r *reader) proto.MUpdate {
 	m.View.Members = r.nodeIDs()
 	m.View.Learners = r.nodeIDs()
 	return m
+}
+
+// The client session pair has one body encoder and one body decoder each,
+// shared by the generic entry points (appendColdBody, decodeMsg) and the typed
+// doors (Link.SendClientReq, ServeClientReqs, Link.ServeClientResps,
+// AppendClientResps), so the two cannot drift. The encoders cannot fail: their
+// callers range-check the enum first — the typed request door before it debits
+// a credit, so it has no encode error to refund.
+
+// appendClientReqBody appends a tClientReq payload:
+// [8B seq][1B op][8B key][4B len][value][4B len][expected].
+func appendClientReqBody(buf []byte, m *proto.ClientReq) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
+	buf = append(buf, byte(m.Op))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Key))
+	buf = appendBytes(buf, m.Value)
+	return appendBytes(buf, m.Expected)
+}
+
+// readClientReq decodes a tClientReq payload into *m, overwriting every
+// field; Value and Expected are private copies, bounded by the bytes present
+// before they are allocated (reader.bytes). An op outside the enum is refused:
+// the server must never see an op kind it cannot dispatch.
+func readClientReq(r *reader, m *proto.ClientReq) error {
+	m.Seq = r.u64()
+	m.Op = proto.OpKind(r.u8())
+	m.Key = proto.Key(r.u64())
+	m.Value = r.bytes()
+	m.Expected = r.bytes()
+	if r.err != nil {
+		return r.err
+	}
+	if m.Op > proto.OpFAA {
+		return ErrBadEnum
+	}
+	return nil
+}
+
+// appendClientRespBody appends a tClientResp payload:
+// [8B seq][1B status][4B len][value].
+func appendClientRespBody(buf []byte, m *proto.ClientResp) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
+	buf = append(buf, byte(m.Status))
+	return appendBytes(buf, m.Value)
+}
+
+// readClientResp decodes a tClientResp payload into *m, overwriting every
+// field; Value is a private copy. A status outside the enum is refused.
+func readClientResp(r *reader, m *proto.ClientResp) error {
+	m.Seq = r.u64()
+	m.Status = proto.Status(r.u8())
+	m.Value = r.bytes()
+	if r.err != nil {
+		return r.err
+	}
+	if m.Status > proto.NotOperational {
+		return ErrBadEnum
+	}
+	return nil
 }
 
 func appendEpochKeyTS(buf []byte, epoch uint32, key proto.Key, ts proto.TS) []byte {
@@ -521,19 +574,15 @@ func decodeMsg(t uint8, body []byte, owner *refbuf.Buf) (any, error) {
 	case tViewLogReq:
 		msg = proto.ViewLogReq{Shard: r.u16(), Since: r.u32()}
 	case tClientReq:
-		m := proto.ClientReq{Seq: r.u64(), Op: proto.OpKind(r.u8())}
-		m.Key = proto.Key(r.u64())
-		m.Value = r.bytes()
-		m.Expected = r.bytes()
-		if r.err == nil && m.Op > proto.OpFAA {
-			return nil, ErrBadEnum
+		var m proto.ClientReq
+		if err := readClientReq(r, &m); err != nil {
+			return nil, err
 		}
 		msg = m
 	case tClientResp:
-		m := proto.ClientResp{Seq: r.u64(), Status: proto.Status(r.u8())}
-		m.Value = r.bytes()
-		if r.err == nil && m.Status > proto.NotOperational {
-			return nil, ErrBadEnum
+		var m proto.ClientResp
+		if err := readClientResp(r, &m); err != nil {
+			return nil, err
 		}
 		msg = m
 	case tEpochGossip:
@@ -872,12 +921,7 @@ func (l *Link) enqueue(msg any, wait bool) error {
 	// in it — parked, as is anything that arrives behind a parked message.
 	park := false
 	if wait {
-		if l.credits < cost && !l.closed {
-			l.stats.creditStalls.Add(1)
-		}
-		for l.credits < cost && !l.closed {
-			l.sendCond.Wait()
-		}
+		l.awaitCredits(cost)
 	} else if park = cost > 0 && (l.credits < cost || l.parkHead < len(l.parked)); park {
 		l.stats.creditStalls.Add(1)
 	}
@@ -913,6 +957,46 @@ func (l *Link) enqueue(msg any, wait bool) error {
 	// buffer; refused, this is the last party holding the references.
 	core.ReleaseMsgOwners(msg)
 	return err
+}
+
+// awaitCredits sleeps, l.mu held, until the window covers cost or the link is
+// closed — Send's wait, and SendClientReq's. The caller checks l.closed and
+// debits.
+func (l *Link) awaitCredits(cost int) {
+	if l.credits < cost && !l.closed {
+		l.stats.creditStalls.Add(1)
+	}
+	for l.credits < cost && !l.closed {
+		l.sendCond.Wait()
+	}
+}
+
+// SendClientReq is Send for a session's requests, minus the interface box:
+// the client's typed door. A request costs one credit — its response repays
+// it (ServeClientResps) — so the caller sleeps while the window is spent, and
+// req is encoded into the outgoing frame before SendClientReq returns: the
+// link keeps no reference to it or to its value bytes.
+func (l *Link) SendClientReq(req *proto.ClientReq) error {
+	if req.Op > proto.OpFAA {
+		return ErrBadEnum
+	}
+	cost := min(1, l.cfg.Credits)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.awaitCredits(cost)
+	if l.closed {
+		return errLinkClosed
+	}
+	l.credits -= cost
+	buf := l.frameStart()
+	s := len(buf)
+	buf = append(buf, tClientReq, 0, 0, 0, 0)
+	buf = appendClientReqBody(buf, req)
+	binary.LittleEndian.PutUint32(buf[s+1:], uint32(len(buf)-s-5))
+	l.pending = buf
+	l.nPending++
+	l.kickLocked()
+	return nil
 }
 
 // encodeOnto appends msg's encoding to buf — *queue, or *queue with a prefix —
@@ -1027,10 +1111,10 @@ func (l *Link) flushLoop() {
 	}
 }
 
-// framePool recycles inbound frame buffers for the copying decode paths
-// (ServeFrames): there the decoder copies every variable-length payload out
-// of the frame, so nothing escapes it and the buffer can be reused as soon
-// as the frame's messages have been dispatched.
+// framePool recycles inbound frame buffers for the client session loops
+// (ServeClientReqs, ServeClientResps): there the decoder copies every
+// variable-length payload out of the frame, so nothing escapes it and the
+// buffer can be reused as soon as the frame's messages have been dispatched.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // frameBufs recycles the refcounted frame buffers of the link serve path,
@@ -1061,6 +1145,22 @@ func readFrameLen(br *bufio.Reader) (int, error) {
 		return 0, fmt.Errorf("wings: bad frame length %d", n)
 	}
 	return n, nil
+}
+
+// nextMsg cuts the [1B type][4B length][body] entry at *off out of frame and
+// moves *off past it; a length the frame does not hold is a truncated or
+// hostile stream.
+func nextMsg(frame []byte, off *int) (t uint8, body []byte, err error) {
+	o := *off
+	if o+5 > len(frame) {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	n := int(binary.LittleEndian.Uint32(frame[o+1:]))
+	if n < 0 || o+5+n > len(frame) {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	*off = o + 5 + n
+	return frame[o], frame[o+5 : o+5+n], nil
 }
 
 // Serve reads frames from rd and dispatches messages to fn until error/EOF.
@@ -1104,20 +1204,13 @@ func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any), batch *[]proto.Sha
 	off := 2
 	l.stats.framesRecv.Add(1)
 	for i := 0; i < count; i++ {
-		if off+5 > len(frame) {
-			return io.ErrUnexpectedEOF
+		t, body, err := nextMsg(frame, &off)
+		if err != nil {
+			return err
 		}
-		t := frame[off]
-		bodyLen := int(binary.LittleEndian.Uint32(frame[off+1:]))
-		off += 5
-		if bodyLen < 0 || off+bodyLen > len(frame) {
-			return io.ErrUnexpectedEOF
-		}
-		body := frame[off : off+bodyLen]
-		off += bodyLen
 		switch t {
 		case tCredit:
-			if bodyLen < 2 {
+			if len(body) < 2 {
 				return io.ErrUnexpectedEOF
 			}
 			grant := int(binary.LittleEndian.Uint16(body))
@@ -1312,28 +1405,87 @@ func AppendFrame(buf []byte, msgs ...any) ([]byte, error) {
 	return buf, nil
 }
 
-// ServeFrames reads frames from rd and dispatches each decoded message to fn
-// until read error, EOF, decode failure, or fn returning a non-nil error
-// (which aborts the stream and is returned). It is Link.Serve without a
-// link: no flow-control accounting, no credit frames — the client serving
-// layer does admission at the session layer, and a tCredit entry from a
-// client is meaningless, so it is rejected like any other protocol
-// violation. The same hostile-input discipline as Link.Serve applies: frame
-// lengths are bounded, per-message lengths validated against the frame, and
-// decoded payloads are copied out (nil decode owner) so the pooled frame
-// buffer never escapes.
-func ServeFrames(rd io.Reader, fn func(msg any) error) error {
+// ServeClientReqs reads a client session's request stream from rd and hands
+// each request to fn until read error, EOF, a malformed frame, or fn returning
+// a non-nil error (which aborts the stream and is returned) — the server's
+// typed door. It is Link.Serve without a link, an interface box or a type
+// switch: admission is the session layer's, so there is no credit accounting,
+// and the only tag a client may send is tClientReq — anything else (a mesh
+// message, a tClientResp, a tCredit) is refused with ErrUnknownType before its
+// body is looked at. The hostile-input discipline is Link.Serve's: frame
+// lengths are bounded, per-message lengths validated against the frame, enum
+// ranges enforced.
+//
+// *req lives in the loop and is overwritten by the next message, so it is
+// valid until fn returns; its Value and Expected are private copies fn may
+// keep (a write's value is the stored value from there on).
+func ServeClientReqs(rd io.Reader, fn func(req *proto.ClientReq) error) error {
 	br := bufio.NewReaderSize(rd, 64<<10)
+	var req proto.ClientReq
+	msg := func(t uint8, body []byte) error {
+		if t != tClientReq {
+			return ErrUnknownType
+		}
+		if err := readClientReq(&reader{b: body}, &req); err != nil {
+			return err
+		}
+		return fn(&req)
+	}
 	for {
-		if err := serveRawFrame(br, fn); err != nil {
+		if err := servePooledFrame(br, msg); err != nil {
 			return err
 		}
 	}
 }
 
-// serveRawFrame reads and dispatches one frame for ServeFrames, holding a
-// pooled buffer for exactly its duration.
-func serveRawFrame(br *bufio.Reader, fn func(msg any) error) error {
+// ServeClientResps is Serve for the client side of a session — the client's
+// typed door: it reads the server's response stream from rd and hands each
+// response to fn until error/EOF. A server sends responses and, at most,
+// credit grants; any other tag is refused with ErrUnknownType before its body
+// is looked at, so a hostile server cannot make the client decode a 16 MiB
+// ChunkResp. Each response repays the credit its request spent
+// (SendClientReq), a frame's worth in one RepayCredits once fn has seen them
+// all. FramesRecv and MsgsRecv count what Serve counts.
+//
+// *resp lives in the loop: valid until fn returns, its Value a private copy
+// fn may keep.
+func (l *Link) ServeClientResps(rd io.Reader, fn func(resp *proto.ClientResp)) error {
+	br := bufio.NewReaderSize(rd, 64<<10)
+	var resp proto.ClientResp
+	resps := 0 // in the frame being served
+	msg := func(t uint8, body []byte) error {
+		switch t {
+		case tCredit:
+			if len(body) < 2 {
+				return io.ErrUnexpectedEOF
+			}
+			l.addCredits(int(binary.LittleEndian.Uint16(body)))
+		case tClientResp:
+			if err := readClientResp(&reader{b: body}, &resp); err != nil {
+				return err
+			}
+			resps++
+			fn(&resp)
+		default:
+			return ErrUnknownType
+		}
+		return nil
+	}
+	for {
+		if err := servePooledFrame(br, msg); err != nil {
+			return err
+		}
+		l.stats.framesRecv.Add(1)
+		l.stats.msgsRecv.Add(uint64(resps))
+		l.RepayCredits(resps)
+		resps = 0
+	}
+}
+
+// servePooledFrame reads one frame for the client session loops, holding a
+// pooled buffer for exactly its duration, and hands each entry's tag and body
+// to msg; a non-nil error from msg ends the frame and is returned.
+func servePooledFrame(br *bufio.Reader, msg func(t uint8, body []byte) error) error {
 	n, err := readFrameLen(br)
 	if err != nil {
 		return err
@@ -1347,24 +1499,13 @@ func serveRawFrame(br *bufio.Reader, fn func(msg any) error) error {
 	if _, err := io.ReadFull(br, frame); err != nil {
 		return err
 	}
-	count := int(binary.LittleEndian.Uint16(frame[:2]))
-	off := 2
-	for i := 0; i < count; i++ {
-		if off+5 > len(frame) {
-			return io.ErrUnexpectedEOF
-		}
-		t := frame[off]
-		bodyLen := int(binary.LittleEndian.Uint32(frame[off+1:]))
-		off += 5
-		if bodyLen < 0 || off+bodyLen > len(frame) {
-			return io.ErrUnexpectedEOF
-		}
-		msg, err := decodeMsg(t, frame[off:off+bodyLen], nil)
+	count := int(binary.LittleEndian.Uint16(frame))
+	for i, off := 0, 2; i < count; i++ {
+		t, body, err := nextMsg(frame, &off)
 		if err != nil {
 			return err
 		}
-		off += bodyLen
-		if err := fn(msg); err != nil {
+		if err := msg(t, body); err != nil {
 			return err
 		}
 	}
@@ -1383,15 +1524,14 @@ func AppendClientResps(buf []byte, resps []proto.ClientResp) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0) // length + count placeholder
-	for _, m := range resps {
+	for i := range resps {
+		m := &resps[i]
 		if m.Status > proto.NotOperational {
 			return nil, ErrBadEnum
 		}
 		s := len(buf)
 		buf = append(buf, tClientResp, 0, 0, 0, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-		buf = append(buf, byte(m.Status))
-		buf = appendBytes(buf, m.Value)
+		buf = appendClientRespBody(buf, m)
 		binary.LittleEndian.PutUint32(buf[s+1:], uint32(len(buf)-s-5))
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
