@@ -38,9 +38,9 @@ func TestGoldenTreeHasFindings(t *testing.T) {
 	if n == 0 {
 		t.Fatal("expected findings in the golden tree, got none")
 	}
-	for _, analyzer := range []string{"eventloop", "atomicfield", "wingscodec", "exhaustive", "determinism", "reftrack", "creditflow", "lockorder"} {
-		if !strings.Contains(out.String(), "["+analyzer+"]") {
-			t.Errorf("no %s finding surfaced through the CLI:\n%s", analyzer, out.String())
+	for _, a := range analysis.All() {
+		if !strings.Contains(out.String(), "["+a.Name+"]") {
+			t.Errorf("no %s finding surfaced through the CLI:\n%s", a.Name, out.String())
 		}
 	}
 }

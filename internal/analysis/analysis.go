@@ -1,13 +1,14 @@
 // Package analysis is hermes-vet: a suite of static analyzers that turn the
 // repository's protocol invariants — conventions that previously lived only
 // in comments and were enforced only by after-the-fact tests — into
-// build-breaking checks. The nine analyzers are:
+// build-breaking checks. The eight analyzers are:
 //
 //   - eventloop: code reachable from protocol message handlers and the live
-//     runtime's event-loop callbacks must never block (PR 6's "only enqueue"
-//     contract).
-//   - atomicfield: a struct field accessed through sync/atomic in one place
-//     must never be accessed plainly in another.
+//     runtime's event-loop callbacks must never block (cluster's "only
+//     enqueue" contract).
+//   - atomicfield: a struct field accessed atomically must be a typed
+//     atomic (atomic.Uint64 etc.), never &x.f passed to a sync/atomic
+//     function, so no plain access to it can compile.
 //   - wingscodec: wire decoders must bound-check wire-declared counts before
 //     allocating, and every wire type needs a registered fuzz target.
 //   - exhaustive: switches over protocol enums and terminal type-switches
@@ -16,24 +17,26 @@
 //   - determinism: the seeded-replay packages (internal/sim, internal/core,
 //     internal/shardhost, internal/bench) must not consult wall clocks,
 //     global randomness, or unordered map iteration for decisions that feed
-//     the network schedule (the PR 4 map-order retransmission bug).
-//   - bufown: values that may alias pooled refcounted frame buffers
-//     (structs carrying an Owner *refbuf.Buf) must not escape into
-//     owner-less destinations without a clone, and adopting literals must
-//     carry the owner (PR 9's zero-copy value path).
+//     the network schedule (the map-order retransmission bug).
 //   - reftrack: interprocedural reference balance — every frame-buffer
 //     reference acquired (Retain, TryRetain, Pool.Get, a call returning a
-//     retained buffer) must be spent exactly once on every path; flags
-//     leaks, double releases and no-clone aliasing through same-package
-//     helpers (the cross-call blindness bufown documents).
+//     retained buffer) must be spent exactly once on every path — and the
+//     owner-escape check of the zero-copy value path: a value that may
+//     alias a pooled buffer (the Value of a struct carrying an Owner
+//     *refbuf.Buf) must not reach an owner-less destination without a
+//     clone, bare or through same-package helpers, and an adopting literal
+//     must carry the owner.
 //   - creditflow: transport credit discipline — error paths of
 //     credit-debiting functions must refund, and one-way/response
-//     classification must be disjoint and all-member (PR 2 post-mortem).
+//     classification must be disjoint and all-member.
 //   - lockorder: no blocking operations while holding a mutex, and the
 //     lock-acquisition-order graph must be acyclic.
 //
-// The last three run on the summary-based interprocedural engine in
-// engine.go (call graph, per-function effect summaries, fixpoint).
+// atomicfield, wingscodec, exhaustive and determinism are lexical: syntax
+// and types, no call graph. eventloop, reftrack, creditflow and lockorder
+// run on the summary-based interprocedural engine in engine.go (call graph,
+// per-function effect summaries, fixpoint); its one blocking scan serves
+// both eventloop's reports and the MayBlock summary lockorder reads.
 //
 // The suite is deliberately built on the standard library only (go/ast,
 // go/types, `go list -export`): the container that grows this repo has no
@@ -48,8 +51,9 @@
 //	//hermesvet:ignore <analyzer>[,<analyzer>...] <justification>
 //
 // The justification is mandatory; a directive without one is itself a
-// diagnostic, and so is a stale directive — one that suppresses no finding
-// of any analyzer in the run. `all` matches every analyzer.
+// diagnostic, and so is one naming no registered analyzer (a typo, a retired
+// name) and a stale directive — one that suppresses no finding of any
+// analyzer in the run. `all` matches every analyzer.
 package analysis
 
 import (
@@ -95,6 +99,17 @@ type Pass struct {
 	Info      *types.Info
 
 	diags *[]Diagnostic
+	// eng is the package's Engine, shared by every analyzer of one run.
+	eng **Engine
+}
+
+// engine returns the package's interprocedural engine, built by the first
+// analyzer that asks for it.
+func (p *Pass) engine() *Engine {
+	if *p.eng == nil {
+		*p.eng = NewEngine(p)
+	}
+	return *p.eng
 }
 
 // Reportf records a finding at pos.
@@ -159,12 +174,28 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*ignoreDirective 
 				default:
 					d.analyzers = strings.Split(fields[0], ",")
 					d.reason = strings.Join(fields[1:], " ")
+					for _, name := range d.analyzers {
+						if name != "all" && !registered(name) {
+							d.malformed = fmt.Sprintf("%q names no registered analyzer", name)
+							break
+						}
+					}
 				}
 				out = append(out, d)
 			}
 		}
 	}
 	return out
+}
+
+// registered reports whether name is an analyzer of the suite.
+func registered(name string) bool {
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // filterIgnored splits diagnostics into kept and suppressed — a directive
@@ -273,6 +304,7 @@ func RunAnalyzersDetail(pkg *Package, analyzers []*Analyzer) VetResult {
 		dirs = append(dirs, d)
 	}
 	var all []Diagnostic
+	var eng *Engine
 	for _, a := range analyzers {
 		var diags []Diagnostic
 		pass := &Pass{
@@ -283,6 +315,7 @@ func RunAnalyzersDetail(pkg *Package, analyzers []*Analyzer) VetResult {
 			Pkg:       pkg.Types,
 			Info:      pkg.Info,
 			diags:     &diags,
+			eng:       &eng,
 		}
 		a.Run(pass)
 		all = append(all, diags...)
@@ -318,7 +351,6 @@ func All() []*Analyzer {
 		WingsCodecAnalyzer,
 		ExhaustiveAnalyzer,
 		DeterminismAnalyzer,
-		BufOwnAnalyzer,
 		RefTrackAnalyzer,
 		CreditFlowAnalyzer,
 		LockOrderAnalyzer,

@@ -1,104 +1,44 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// AtomicFieldAnalyzer flags struct fields that are accessed through
-// sync/atomic in one place and plainly in another within the same package.
-// Mixed access is a data race the race detector only catches when both sides
-// execute in the same run (PR 5's flake): once any access site uses
-// atomic.Load/Store/Add on &s.f, every other access of s.f must too.
+// AtomicFieldAnalyzer requires typed atomics on struct fields: a
+// package-level sync/atomic function (AddUint64, LoadInt32,
+// CompareAndSwapPointer, ...) applied to &x.f is a finding. Declared as
+// atomic.Uint64 (Int32, Bool, Pointer[T], ...) the field cannot be read or
+// written plainly at all — that is a compile error — so a mixed
+// atomic/plain access, a race the detector only catches when both sides run
+// in the same test, cannot be written.
 var AtomicFieldAnalyzer = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "detects mixed atomic/plain access to the same struct field across a package",
+	Doc:  "struct fields accessed atomically must be typed atomics (atomic.Uint64 etc.), not &x.f passed to sync/atomic functions",
 	Run:  runAtomicField,
 }
 
 func runAtomicField(pass *Pass) {
-	type atomicUse struct {
-		pos token.Pos
-		fn  string // the sync/atomic function used
-	}
-	atomicUses := map[*types.Var][]atomicUse{} // field → atomic access sites
-	partOfAtomic := map[*ast.SelectorExpr]bool{}
-
-	// Pass 1: find atomic accesses — sync/atomic calls taking &x.f.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || len(call.Args) == 0 {
 				return true
 			}
 			fn := staticCallee(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || recvTypeName(fn) != "" {
 				return true
 			}
-			for _, arg := range call.Args {
-				u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if fv := fieldOf(pass.Info, sel); fv != nil && fv.Pkg() == pass.Pkg {
-					atomicUses[fv] = append(atomicUses[fv], atomicUse{pos: sel.Pos(), fn: fn.Name()})
-					partOfAtomic[sel] = true
-				}
+			u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
+			if !ok || u.Op != token.AND {
+				return true
+			}
+			sel, _ := ast.Unparen(u.X).(*ast.SelectorExpr)
+			if s := pass.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				pass.Reportf(call.Pos(), "atomic.%s on field %s: use atomic.Uint64 etc. on the field, so no access to it can be plain", fn.Name(), sel.Sel.Name)
 			}
 			return true
 		})
 	}
-	if len(atomicUses) == 0 {
-		return
-	}
-
-	// Pass 2: every other access to those fields is a plain (racy) access.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || partOfAtomic[sel] {
-				return true
-			}
-			fv := fieldOf(pass.Info, sel)
-			if fv == nil {
-				return true
-			}
-			uses, ok := atomicUses[fv]
-			if !ok {
-				return true
-			}
-			first := pass.Fset.Position(uses[0].pos)
-			pass.Reportf(sel.Pos(),
-				"plain access to field %s, which is accessed atomically (atomic.%s at %s:%d); use sync/atomic for every access",
-				fieldPath(pass.Info, sel, fv), uses[0].fn, first.Filename, first.Line)
-			return true
-		})
-	}
-}
-
-// fieldOf resolves a selector to the struct field it denotes, or nil.
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
-}
-
-// fieldPath renders "Type.field" for a selector when the receiver type is
-// named, else just the field name.
-func fieldPath(info *types.Info, sel *ast.SelectorExpr, fv *types.Var) string {
-	if tv, ok := info.Types[sel.X]; ok {
-		if n := namedOf(tv.Type); n != nil {
-			return fmt.Sprintf("%s.%s", n.Obj().Name(), fv.Name())
-		}
-	}
-	return fv.Name()
 }

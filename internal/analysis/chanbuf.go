@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// This file is the channel-headroom prover shared by eventloop and
-// lockorder: the question "can this send block?" answered by tracing the
+// This file is the channel-headroom prover shared by the engine's blocking
+// scan and lockorder: the question "can this send block?" answered by tracing the
 // channel variable to where it is made.
 //
 // A send is provably non-blocking when the channel has buffer headroom by

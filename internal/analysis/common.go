@@ -102,6 +102,32 @@ func namedOf(t types.Type) *types.Named {
 	return n
 }
 
+// typeName renders t's named type for diagnostics ("kvs.Entry", "ChunkRec").
+func typeName(t types.Type) string {
+	if n := namedOf(t); n != nil {
+		if n.Obj().Pkg() != nil {
+			return n.Obj().Pkg().Name() + "." + n.Obj().Name()
+		}
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
+// isRefbufPtr reports whether t is a pointer to refbuf.Buf (matched by
+// name so the golden module's stand-in package qualifies too).
+func isRefbufPtr(t types.Type) bool {
+	p, ok := types.Unalias(t).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := types.Unalias(p.Elem()).(*types.Named)
+	if !ok {
+		return false
+	}
+	o := n.Obj()
+	return o.Name() == "Buf" && o.Pkg() != nil && o.Pkg().Name() == "refbuf"
+}
+
 // isMapType reports whether t's core type is a map.
 func isMapType(t types.Type) bool {
 	if t == nil {
@@ -115,11 +141,12 @@ func isMapType(t types.Type) bool {
 // names the operation ("time.Sleep", "sync.Mutex.Lock", "net socket Read");
 // "" means the call does not block. lock marks the ones that wait for a
 // mutex — Lock, RLock and Cond.Wait, which returns holding its own — and
-// that is where the two users differ: eventloop flags them (the loop must
-// wait on no one), the MayBlock summary leaves them out (lock nesting is the
-// order graph's job, treating every lock as blocking would flood callers,
-// and Cond.Wait releases the mutex it coordinates with — a documented
-// soundness limit for any *other* lock held).
+// that is where the two users of the engine's blocking scan differ:
+// eventloop flags them (the loop must wait on no one), the MayBlock summary
+// leaves them out (lock nesting is the order graph's job, treating every
+// lock as blocking would flood callers, and Cond.Wait releases the mutex it
+// coordinates with — a documented soundness limit for any *other* lock
+// held).
 func blockingStdCall(fn *types.Func) (op string, lock bool) {
 	pkg := fn.Pkg()
 	if pkg == nil {

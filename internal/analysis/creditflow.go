@@ -47,7 +47,7 @@ func runCreditFlow(pass *Pass) {
 	if pass.Pkg.Name() != "wings" && pass.Pkg.Name() != "transport" {
 		return
 	}
-	eng := NewEngine(pass)
+	eng := pass.engine()
 	for _, fn := range eng.Order() {
 		decl := eng.Decls()[fn]
 		if decl.Body == nil {

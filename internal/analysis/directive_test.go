@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -27,12 +28,14 @@ func f() {
 	_ = 4 //hermesvet:ignore
 	_ = 5 //hermesvet:ignoreXX not a directive at all
 	_ = 6 //hermesvet:ignore all blanket waiver with a reason
+	_ = 7 //hermesvet:ignore eventlop a typo names no analyzer
+	_ = 8 //hermesvet:ignore reftrack,bufown a retired name in a list
 }
 `
 	fset, files := parseSrc(t, src)
 	dirs := parseDirectives(fset, files)
-	if len(dirs) != 5 {
-		t.Fatalf("got %d directives, want 5 (the :ignoreXX comment is not one)", len(dirs))
+	if len(dirs) != 7 {
+		t.Fatalf("got %d directives, want 7 (the :ignoreXX comment is not one)", len(dirs))
 	}
 	if !dirs[0].matches("eventloop") || dirs[0].matches("atomicfield") {
 		t.Errorf("directive 0 should match only eventloop: %+v", dirs[0])
@@ -54,10 +57,21 @@ func f() {
 			t.Errorf("'all' directive should match %s", name)
 		}
 	}
-	// With no analyzers ran, only the two malformed directives are
+	// A name no analyzer is registered under — a typo, a retired analyzer —
+	// makes the directive malformed: it could never be used, so it could
+	// never be found stale either.
+	for i, name := range map[int]string{5: "eventlop", 6: "bufown"} {
+		if !strings.Contains(dirs[i].malformed, `"`+name+`" names no registered analyzer`) {
+			t.Errorf("directive %d naming %s: malformed = %q", i, name, dirs[i].malformed)
+		}
+		if dirs[i].matches("reftrack") || dirs[i].matches("eventloop") {
+			t.Errorf("directive %d naming %s must not suppress anything", i, name)
+		}
+	}
+	// With no analyzers ran, only the four malformed directives are
 	// diagnosed — staleness of the others cannot be vouched for.
-	if got := len(directiveDiagnostics(dirs, nil)); got != 2 {
-		t.Fatalf("got %d malformed-directive diagnostics, want 2", got)
+	if got := len(directiveDiagnostics(dirs, nil)); got != 4 {
+		t.Fatalf("got %d malformed-directive diagnostics, want 4", got)
 	}
 }
 
@@ -87,7 +101,7 @@ func TestStaleDirectiveDetection(t *testing.T) {
 	}{
 		{"unused directive, its analyzer ran", mk(false, false, "eventloop"), one, 1},
 		{"used directive", mk(true, false, "eventloop"), one, 0},
-		{"unused but its analyzer did not run", mk(false, false, "bufown"), one, 0},
+		{"unused but its analyzer did not run", mk(false, false, "reftrack"), one, 0},
 		{"unused in a test file", mk(false, true, "eventloop"), one, 0},
 		{"unused 'all' with the full suite", mk(false, false, "all"), full, 1},
 		{"unused 'all' with a partial run", mk(false, false, "all"), one, 0},

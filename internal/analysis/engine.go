@@ -7,15 +7,15 @@ import (
 	"sort"
 )
 
-// This file is the interprocedural dataflow engine the resource analyzers
-// (reftrack, creditflow, lockorder) build on. The per-file lexical checks
-// that preceded it (bufown's own doc comment spells out the limitation)
-// cannot see a leak across a call boundary; the engine closes that gap for
-// one package at a time:
+// This file is the interprocedural dataflow engine the analyzers reftrack,
+// creditflow, lockorder and eventloop build on. A per-file lexical check
+// cannot see a leak, a blocking call or a non-cloning helper across a call
+// boundary; the engine closes that gap for one package at a time:
 //
 //   - a call graph over the package's declared functions (staticCallee
 //     resolution; dynamic calls — function values, interface methods — stay
-//     unresolved and are modeled by an explicit, *reported* assumption);
+//     unresolved and are modeled by an explicit, *reported* assumption),
+//     recorded as the call edges of each function's blocking scan;
 //   - a per-function Summary of resource effects: which *refbuf.Buf
 //     parameters the function consumes, which results carry a reference the
 //     caller inherits, which results alias a parameter's bytes without a
@@ -34,10 +34,18 @@ import (
 // refbuf consuming entry points, "consumes nothing" otherwise, and the
 // analyzers report that assumption rather than silently passing); dynamic
 // dispatch is likewise "consumes nothing, may do anything blocking-wise is
-// NOT assumed"; goroutine bodies run off the analyzed control flow and are
-// walked as independent roots, not as caller effects.
+// NOT assumed"; goroutine bodies and function literals run off the analyzed
+// control flow and are walked as independent roots, not as caller effects.
 
 // Summary is one function's resource-effect summary.
+//
+// Function literals are not part of it — not of the blocking scan behind
+// MayBlock and eventloop, nor of Acquires or the alias summary. A literal is
+// a value whose body runs when something calls it: later, elsewhere, through
+// a dynamic call the package-local graph cannot follow. So a callback stored
+// for later (cluster's post-lock `after` queue) is no false "may block", and
+// a blocking literal invoked on the spot or deferred is a documented blind
+// spot.
 type Summary struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
@@ -52,8 +60,8 @@ type Summary struct {
 	ResultAcquired []bool
 	// ResultAliasesParam[i] is the parameter index whose bytes result i may
 	// alias without an intervening clone, or -1. This is the summary that
-	// catches the "clone hidden behind a helper that doesn't clone" shape
-	// bufown documents as invisible.
+	// catches the "clone hidden behind a helper that doesn't clone" shape a
+	// lexical owner-escape check cannot see.
 	ResultAliasesParam []int
 	// Refunds is true when some path refunds flow-control credits (a
 	// `credits += n` on a credits field, a CreditReturn/RepayCredits call,
@@ -62,7 +70,9 @@ type Summary struct {
 	// MayBlock is true when some statement in the function (or a summarized
 	// callee) can block: channel operations without provable buffer
 	// headroom, default-less selects, time.Sleep, socket I/O,
-	// WaitGroup.Wait.
+	// WaitGroup.Wait. It is derived from the function's blocking scan
+	// (scanBlocking), the same scan eventloop reports from, minus the mutex
+	// waits.
 	MayBlock bool
 	// BlockNote describes the first blocking operation found, for
 	// diagnostics ("time.Sleep", "channel receive", ...).
@@ -121,6 +131,9 @@ type Engine struct {
 	decls map[*types.Func]*ast.FuncDecl
 	sums  map[*types.Func]*Summary
 	order []*types.Func
+	// sites is each function's blocking scan: the call graph's edges and the
+	// operations that can block, computed once (it needs no summaries).
+	sites map[*types.Func][]blockSite
 }
 
 // NewEngine builds the call graph for pass's package and iterates the
@@ -130,9 +143,13 @@ func NewEngine(pass *Pass) *Engine {
 		pass:  pass,
 		decls: declOfFunc(pass),
 		sums:  map[*types.Func]*Summary{},
+		sites: map[*types.Func][]blockSite{},
 	}
-	for fn := range e.decls {
+	for fn, decl := range e.decls {
 		e.order = append(e.order, fn)
+		if decl.Body != nil {
+			e.sites[fn] = e.scanBlocking(decl.Body)
+		}
 	}
 	sort.Slice(e.order, func(i, j int) bool {
 		return e.decls[e.order[i]].Pos() < e.decls[e.order[j]].Pos()
@@ -206,7 +223,7 @@ func (e *Engine) summarize(fn *types.Func) *Summary {
 	e.refSummary(fn, decl, s)
 	e.aliasSummary(fn, decl, s)
 	s.Refunds = e.refundsIn(decl.Body)
-	s.MayBlock, s.BlockNote = e.mayBlockIn(decl.Body)
+	s.MayBlock, s.BlockNote = e.mayBlock(fn)
 	s.Acquires = e.acquiresIn(decl.Body)
 	return s
 }
@@ -272,8 +289,8 @@ func (e *Engine) refSummary(fn *types.Func, decl *ast.FuncDecl, s *Summary) {
 // may alias a parameter's bytes (the parameter itself, one of its fields,
 // or a slice of either) with no clone in between. A call to a same-package
 // function inherits that callee's aliasing summary; cross-package calls are
-// assumed to clone (exactly the lexical rule bufown applies — the point of
-// the summary is that *same-package* helpers no longer get that free pass).
+// assumed to clone (the point of the summary is that *same-package* helpers
+// get no such free pass).
 func (e *Engine) aliasSummary(fn *types.Func, decl *ast.FuncDecl, s *Summary) {
 	sig := fn.Type().(*types.Signature)
 	paramIdx := map[types.Object]int{}
@@ -535,48 +552,80 @@ func calleeSelName(call *ast.CallExpr) string {
 	return ""
 }
 
-// mayBlockIn scans body for blocking operations; goroutine bodies and
-// nested function literals run off this function's control flow and are
-// excluded. Mutex Lock/Unlock acquisition is deliberately NOT in the
-// blocking set here (lock nesting is the order graph's job; treating every
-// lock as blocking would flood callers) — but a select without a default,
-// channel operations without provable headroom, sleeps, socket reads and
-// writes, and WaitGroup.Wait are.
-func (e *Engine) mayBlockIn(body *ast.BlockStmt) (bool, string) {
-	var note string
+// The notes of the three channel sites; blockingStdCall names the calls.
+const (
+	noteSelect = "select without a default case"
+	noteSend   = "channel send (no provable buffer headroom)"
+	noteRecv   = "channel receive"
+)
+
+// blockSite is one entry of a function's blocking scan: an operation that
+// can block (note says which; lock marks a mutex wait — Lock, RLock,
+// Cond.Wait), or, with note empty, a call edge to callee, a same-package
+// function with a body. callee is also set on a blocking std call.
+type blockSite struct {
+	pos    token.Pos
+	note   string
+	lock   bool
+	callee *types.Func
+}
+
+// scanBlocking is the one classifier of blocking operations: it lists, in
+// source order, every select without a default, channel send without
+// provable headroom, channel receive outside a select, blocking std call
+// (blockingStdCall) and same-package call edge in body. Goroutine bodies
+// and function literals are skipped (the policy the Summary doc records).
+func (e *Engine) scanBlocking(body *ast.BlockStmt) []blockSite {
+	var sites []blockSite
 	exempt := map[ast.Node]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if note != "" {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
 		case *ast.SelectStmt:
 			markSelectComms(n, exempt)
 			if !selectHasDefault(n) {
-				note = "select without a default case"
+				sites = append(sites, blockSite{pos: n.Pos(), note: noteSelect})
 			}
 		case *ast.SendStmt:
 			if !exempt[n] && !chanProvablyBuffered(e.pass, n.Chan, body) {
-				note = "channel send (no provable buffer headroom)"
+				sites = append(sites, blockSite{pos: n.Pos(), note: noteSend})
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !exempt[n] {
-				note = "channel receive"
+				sites = append(sites, blockSite{pos: n.Pos(), note: noteRecv})
 			}
 		case *ast.CallExpr:
-			if fn := staticCallee(e.pass.Info, n); fn != nil {
-				if op, lock := blockingStdCall(fn); op != "" && !lock {
-					note = op
-				} else if cs, ok := e.sums[fn]; ok && cs.MayBlock {
-					note = fn.Name() + ": " + cs.BlockNote
-				}
+			fn := staticCallee(e.pass.Info, n)
+			if fn == nil {
+				break
+			}
+			if op, lock := blockingStdCall(fn); op != "" {
+				sites = append(sites, blockSite{pos: n.Pos(), note: op, lock: lock, callee: fn})
+			} else if _, ok := e.decls[fn]; ok {
+				sites = append(sites, blockSite{pos: n.Pos(), callee: fn})
 			}
 		}
 		return true
 	})
-	return note != "", note
+	return sites
+}
+
+// mayBlock derives fn's MayBlock summary from its scan: the first site in
+// source order that is a blocking operation other than a mutex wait, or a
+// call to a callee whose current summary may block.
+func (e *Engine) mayBlock(fn *types.Func) (bool, string) {
+	for _, s := range e.sites[fn] {
+		switch {
+		case s.note == "":
+			if cs := e.sums[s.callee]; cs.MayBlock {
+				return true, s.callee.Name() + ": " + cs.BlockNote
+			}
+		case !s.lock:
+			return true, s.note
+		}
+	}
+	return false, ""
 }
 
 // acquiresIn collects the locks body acquires, directly or through
@@ -612,31 +661,22 @@ func (e *Engine) acquiresIn(body *ast.BlockStmt) []lockID {
 // lockAcquisition reports whether call is a sync.Mutex/RWMutex Lock or
 // RLock, returning the lock's identity.
 func lockAcquisition(pass *Pass, call *ast.CallExpr) (lockID, bool) {
-	fn := staticCallee(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", false
-	}
-	if fn.Name() != "Lock" && fn.Name() != "RLock" {
-		return "", false
-	}
-	rt := recvTypeName(fn)
-	if rt != "Mutex" && rt != "RWMutex" {
-		return "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	return lockIdent(pass, sel.X), true
+	return mutexCall(pass, call, "Lock", "RLock")
 }
 
 // lockRelease is the Unlock/RUnlock counterpart of lockAcquisition.
 func lockRelease(pass *Pass, call *ast.CallExpr) (lockID, bool) {
+	return mutexCall(pass, call, "Unlock", "RUnlock")
+}
+
+// mutexCall reports whether call invokes method name or rname of a
+// sync.Mutex or sync.RWMutex, returning the lock's identity.
+func mutexCall(pass *Pass, call *ast.CallExpr, name, rname string) (lockID, bool) {
 	fn := staticCallee(pass.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", false
 	}
-	if fn.Name() != "Unlock" && fn.Name() != "RUnlock" {
+	if fn.Name() != name && fn.Name() != rname {
 		return "", false
 	}
 	rt := recvTypeName(fn)

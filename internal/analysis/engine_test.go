@@ -126,6 +126,14 @@ func TestEngineRefundBlockAndLockSummaries(t *testing.T) {
 	if sumOf(t, eng, "pure").MayBlock {
 		t.Error("pure must not block")
 	}
+	// A mutex wait is a site of the blocking scan (eventloop reports it) but
+	// not of the MayBlock summary (lockorder's order graph owns locks).
+	if sites := eng.sites[fnNamed(t, eng, "lockIt")]; len(sites) != 1 || !sites[0].lock || sites[0].note != "sync.Mutex.Lock" {
+		t.Errorf("lockIt: scan = %+v, want the one Lock wait", sites)
+	}
+	if sumOf(t, eng, "lockIt").MayBlock || sumOf(t, eng, "indirectLock").MayBlock {
+		t.Error("a mutex wait must not make MayBlock")
+	}
 
 	if sum := sumOf(t, eng, "lockIt"); len(sum.Acquires) != 1 || sum.Acquires[0] != "S.mu" {
 		t.Errorf("lockIt: Acquires = %v, want [S.mu]", sum.Acquires)

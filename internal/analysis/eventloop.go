@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -23,13 +21,13 @@ import (
 //     and their handOff method, which the event loop calls itself to end a
 //     burst of turns (where Send only stages, handOff is the egress).
 //
-// Blocking operations flagged on any statically reachable same-package path:
-// sync mutex/RWMutex Lock and RLock, WaitGroup/Cond Wait, time.Sleep,
-// net socket Read/Write/Accept, channel sends on channels without provable
-// buffer headroom (chanProvablyBuffered: local buffered makes and buffered
-// package vars qualify), channel receives, and selects without a default.
-// Goroutine bodies (`go ...`) are exempt — launching is the sanctioned way
-// to move blocking work off the loop.
+// The analyzer is a client of the Engine: it follows the engine's
+// same-package call edges from the roots and reports every site of the
+// engine's blocking scan (scanBlocking) on a reachable function — including
+// the mutex waits the MayBlock summary leaves out, since the loop must wait
+// on no one. Goroutine bodies (`go ...`) are exempt — launching is the
+// sanctioned way to move blocking work off the loop — and so are function
+// literals, by the engine's policy (see Summary).
 var EventLoopAnalyzer = &Analyzer{
 	Name: "eventloop",
 	Doc:  "flags blocking operations reachable from protocol handlers and event-loop callbacks",
@@ -40,24 +38,28 @@ func runEventLoop(pass *Pass) {
 	if pass.Pkg.Name() != "core" && pass.Pkg.Name() != "cluster" {
 		return
 	}
-	c := &eventLoopChecker{
-		pass:     pass,
-		decls:    declOfFunc(pass),
-		visited:  map[*types.Func]bool{},
-		reported: map[token.Pos]bool{},
-	}
-	for fn, decl := range c.decls {
-		if c.isRoot(fn) {
-			c.visit(fn, decl, nil)
+	eng := pass.engine()
+	visited := map[*types.Func]bool{}
+	var visit func(fn *types.Func, chain []string)
+	visit = func(fn *types.Func, chain []string) {
+		if visited[fn] {
+			return
+		}
+		visited[fn] = true
+		chain = append(chain, fn.Name())
+		for _, s := range eng.sites[fn] {
+			if s.note == "" {
+				visit(s.callee, chain)
+				continue
+			}
+			pass.Reportf(s.pos, "%s (event-loop path: %s)", eventLoopMessage(s), strings.Join(chain, " → "))
 		}
 	}
-}
-
-type eventLoopChecker struct {
-	pass     *Pass
-	decls    map[*types.Func]*ast.FuncDecl
-	visited  map[*types.Func]bool
-	reported map[token.Pos]bool
+	for _, fn := range eng.Order() {
+		if isEventLoopRoot(pass.Pkg.Name(), fn) {
+			visit(fn, nil)
+		}
+	}
 }
 
 var coreHandlerNames = map[string]bool{
@@ -68,93 +70,29 @@ var clusterCallbackNames = map[string]bool{
 	"Send": true, "Complete": true, "handOff": true,
 }
 
-func (c *eventLoopChecker) isRoot(fn *types.Func) bool {
+func isEventLoopRoot(pkg string, fn *types.Func) bool {
 	recv := recvTypeName(fn)
-	if recv == "" {
-		return false
-	}
-	switch c.pass.Pkg.Name() {
+	switch pkg {
 	case "core":
 		return recv == "Hermes" && coreHandlerNames[fn.Name()]
 	case "cluster":
-		if !clusterCallbackNames[fn.Name()] {
-			return false
-		}
-		return strings.Contains(recv, "Env") || strings.Contains(recv, "Transport")
+		return clusterCallbackNames[fn.Name()] && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
 	}
 	return false
 }
 
-func (c *eventLoopChecker) visit(fn *types.Func, decl *ast.FuncDecl, chain []string) {
-	if c.visited[fn] || len(chain) > 20 {
-		return
+// eventLoopMessage phrases a blocking site for the event loop.
+func eventLoopMessage(s blockSite) string {
+	switch s.note {
+	case noteSelect:
+		return "select without a default case blocks the event loop"
+	case noteSend:
+		return "channel send may block the event loop (channel not provably buffered here)"
+	case noteRecv:
+		return "channel receive may block the event loop"
 	}
-	c.visited[fn] = true
-	chain = append(chain, fn.Name())
-	if decl.Body != nil {
-		c.walk(decl.Body, chain, map[ast.Node]bool{}, decl.Body)
+	if s.lock && s.callee.Name() != "Wait" {
+		return s.note + " may block the event loop" // an uncontended Lock returns at once
 	}
-}
-
-// walk inspects one function body. exemptComm holds the send/receive
-// expressions that belong to a select-with-default (non-blocking by
-// construction). funcBody is the enclosing body used to trace channel
-// buffering.
-func (c *eventLoopChecker) walk(n ast.Node, chain []string, exemptComm map[ast.Node]bool, funcBody *ast.BlockStmt) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			// The launched goroutine does not run on the event loop.
-			return false
-		case *ast.SelectStmt:
-			markSelectComms(n, exemptComm)
-			if !selectHasDefault(n) {
-				c.report(n.Pos(), chain, "select without a default case blocks the event loop")
-			}
-			return true
-		case *ast.SendStmt:
-			if !exemptComm[n] && !chanProvablyBuffered(c.pass, n.Chan, funcBody) {
-				c.report(n.Pos(), chain, "channel send may block the event loop (channel not provably buffered here)")
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !exemptComm[n] {
-				c.report(n.Pos(), chain, "channel receive may block the event loop")
-			}
-		case *ast.CallExpr:
-			c.checkCall(n, chain, funcBody)
-		}
-		return true
-	})
-}
-
-func (c *eventLoopChecker) checkCall(call *ast.CallExpr, chain []string, funcBody *ast.BlockStmt) {
-	if isConversion(c.pass.Info, call) || isBuiltinCall(c.pass.Info, call, "") {
-		return
-	}
-	// Function literals invoked (or evaluated as arguments) here run on the
-	// event loop right now; ast.Inspect already descends into them.
-	fn := staticCallee(c.pass.Info, call)
-	if fn == nil {
-		return
-	}
-	if op, lock := blockingStdCall(fn); op != "" {
-		verb := " blocks the event loop"
-		if lock && fn.Name() != "Wait" {
-			verb = " may block the event loop" // an uncontended Lock returns at once
-		}
-		c.report(call.Pos(), chain, op+verb)
-		return
-	}
-	// Descend into same-package callees with bodies.
-	if decl, ok := c.decls[fn]; ok {
-		c.visit(fn, decl, chain)
-	}
-}
-
-func (c *eventLoopChecker) report(pos token.Pos, chain []string, msg string) {
-	if c.reported[pos] {
-		return
-	}
-	c.reported[pos] = true
-	c.pass.Reportf(pos, "%s (event-loop path: %s)", msg, strings.Join(chain, " → "))
+	return s.note + " blocks the event loop"
 }

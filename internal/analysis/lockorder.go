@@ -38,7 +38,7 @@ var LockOrderAnalyzer = &Analyzer{
 func runLockOrder(pass *Pass) {
 	lo := &lockOrderChecker{
 		pass:     pass,
-		eng:      NewEngine(pass),
+		eng:      pass.engine(),
 		edges:    map[lockID]map[lockID]token.Pos{},
 		reported: map[token.Pos]bool{},
 	}

@@ -12,18 +12,28 @@ import (
 // be spent exactly once on every path: released, adopted into an Owner
 // field, passed to a consuming call (known by summary within the package, or
 // by the documented cross-package allowlist: ReleaseMsgOwners,
-// ReleaseOwner), or returned to the caller.
+// ReleaseOwner), or returned to the caller. A same-package helper that
+// consumes its argument is recognized by its summary, so passing a reference
+// to it balances the books.
 //
-// This is the engine-backed successor to the blind spot bufown documents:
-// bufown "cannot see a clone behind a helper call (which is why any wrapping
-// call passes)". reftrack's summaries close both directions of that gap:
+// It also owns the owner-escape check of the zero-copy value path. A struct
+// carrying both a Value field and an `Owner *refbuf.Buf` field — core.INV,
+// kvs.Entry — holds a value that may alias a pooled wire-frame buffer, alive
+// only while its refcount is. Copying that Value out of its owner's side is
+// the exact shape of both historical aliasing bugs (the chunk-transfer
+// ChunkRec and the server response escape): once the entry is replaced, the
+// pool recycles the frame and the escaped slice reads another frame's bytes.
+// One walk over composite literals and field stores reports:
 //
-//   - a same-package helper that consumes its argument is recognized, so
-//     passing a reference to it balances the books (no false leak);
-//   - a same-package helper that does NOT clone is recognized too: a value
-//     escaping into an owner-less destination through such a helper is
-//     reported (the aliasing summary), where bufown's lexical rule gave any
-//     call a free pass.
+//   - escape: into an owner-less literal or field, a bare `x.Value` of an
+//     owner-bearing x (depth 0), or the result of a same-package helper
+//     whose aliasing summary says it returns such an argument's bytes
+//     without a clone (any depth). A cross-package call, or a same-package
+//     one that clones, passes; a local `v := e.Value` stays inside the
+//     event-loop turn and is the legitimate working idiom;
+//   - dropped owner: an owner-bearing literal that takes `Value: x.Value`
+//     from an owner-bearing source without also setting Owner — an adoption
+//     that silently forgets the reference it must hold.
 //
 // Unknown callees — dynamic calls, interface methods, cross-package
 // functions with no body here — are conservatively assumed to consume
@@ -31,18 +41,18 @@ import (
 // than silently weakening the verdict.
 var RefTrackAnalyzer = &Analyzer{
 	Name: "reftrack",
-	Doc:  "frame-buffer references must be spent exactly once on every path (leaks and double releases, across call boundaries)",
+	Doc:  "frame-buffer references must be spent exactly once on every path, and values aliasing them must not escape their owner (leaks, double releases and escapes, across call boundaries)",
 	Run:  runRefTrack,
 }
 
 func runRefTrack(pass *Pass) {
-	eng := NewEngine(pass)
+	eng := pass.engine()
 	for _, fn := range eng.Order() {
 		decl := eng.Decls()[fn]
 		if decl.Body == nil {
 			continue
 		}
-		checkRefBalance(pass, eng, decl)
+		checkRefBalanceBody(pass, eng, decl.Body)
 		// Function literals run their own balance scope (a closure may
 		// legitimately spend at a later time, so references crossing the
 		// boundary are unknown — but references acquired INSIDE the literal
@@ -54,11 +64,7 @@ func runRefTrack(pass *Pass) {
 			return true
 		})
 	}
-	checkAliasEscapes(pass, eng)
-}
-
-func checkRefBalance(pass *Pass, eng *Engine, decl *ast.FuncDecl) {
-	checkRefBalanceBody(pass, eng, decl.Body)
+	checkOwnerEscapes(pass, eng)
 }
 
 func checkRefBalanceBody(pass *Pass, eng *Engine, body *ast.BlockStmt) {
@@ -82,38 +88,13 @@ func checkRefBalanceBody(pass *Pass, eng *Engine, body *ast.BlockStmt) {
 	}
 }
 
-// checkAliasEscapes is the interprocedural owner-escape check: a value that
-// reaches an owner-less destination through a same-package helper whose
-// summary says "result aliases parameter j without a clone" escapes the
-// pooled bytes exactly as if it had been stored directly — the shape bufown
-// documents as invisible.
-func checkAliasEscapes(pass *Pass, eng *Engine) {
-	for _, fn := range eng.Order() {
-		decl := eng.Decls()[fn]
-		if decl.Body == nil {
-			continue
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
+// checkOwnerEscapes is the owner-escape walk described on RefTrackAnalyzer.
+func checkOwnerEscapes(pass *Pass, eng *Engine) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
-				tv, ok := pass.Info.Types[n]
-				if !ok {
-					return true
-				}
-				lt := tv.Type
-				if p, ok := lt.Underlying().(*types.Pointer); ok {
-					lt = p.Elem()
-				}
-				if ownerBearing(lt) {
-					return true // destination carries the owner; adoption is fine
-				}
-				for _, el := range n.Elts {
-					val := el
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						val = kv.Value
-					}
-					reportAliasingCall(pass, eng, val, "a composite literal without an Owner field")
-				}
+				checkLitEscapes(pass, eng, n)
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
 					if i >= len(n.Rhs) {
@@ -124,10 +105,13 @@ func checkAliasEscapes(pass *Pass, eng *Engine) {
 						continue
 					}
 					s, ok := pass.Info.Selections[sel]
-					if !ok || s.Kind() != types.FieldVal {
+					if !ok || s.Kind() != types.FieldVal || ownerBearing(s.Recv()) {
 						continue
 					}
-					if ownerBearing(s.Recv()) {
+					if ownedValueSel(pass.Info, n.Rhs[i]) {
+						pass.Reportf(n.Rhs[i].Pos(),
+							"value aliasing a pooled frame buffer is stored into a field of %s, which carries no owner: Clone() it at the boundary",
+							typeName(s.Recv()))
 						continue
 					}
 					reportAliasingCall(pass, eng, n.Rhs[i], "a struct field with no accompanying owner")
@@ -135,6 +119,53 @@ func checkAliasEscapes(pass *Pass, eng *Engine) {
 			}
 			return true
 		})
+	}
+}
+
+func checkLitEscapes(pass *Pass, eng *Engine, lit *ast.CompositeLit) {
+	tv, ok := pass.Info.Types[lit]
+	if !ok {
+		return
+	}
+	if ownerBearing(tv.Type) {
+		// The destination carries an owner: adoption is fine, as long as the
+		// owner comes along with an adopted Value.
+		var adopted ast.Expr
+		setsOwner := false
+		for _, el := range lit.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if key.Name == "Owner" {
+				setsOwner = true
+			} else if key.Name == "Value" && ownedValueSel(pass.Info, kv.Value) {
+				adopted = kv.Value
+			}
+		}
+		if adopted != nil && !setsOwner {
+			pass.Reportf(adopted.Pos(),
+				"%s adopts a possibly pooled value but drops its owner: set Owner alongside Value (or Clone() the value)",
+				typeName(tv.Type))
+		}
+		return
+	}
+	for _, el := range lit.Elts {
+		val := el
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			val = kv.Value
+		}
+		if ownedValueSel(pass.Info, val) {
+			pass.Reportf(val.Pos(),
+				"value aliasing a pooled frame buffer escapes into %s, which carries no owner: Clone() it at the boundary or give the destination the Owner reference",
+				typeName(tv.Type))
+			continue
+		}
+		reportAliasingCall(pass, eng, val, "a composite literal without an Owner field")
 	}
 }
 
@@ -181,4 +212,46 @@ func aliasesOwnedValue(pass *Pass, expr ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+// ownerBearing reports whether t (through pointers and aliases) is a struct
+// type with a Value field and an Owner field of type *refbuf.Buf.
+func ownerBearing(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	t = types.Unalias(t)
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	hasValue, hasOwner := false, false
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		switch f.Name() {
+		case "Value":
+			hasValue = true
+		case "Owner":
+			hasOwner = isRefbufPtr(f.Type())
+		}
+	}
+	return hasValue && hasOwner
+}
+
+// ownedValueSel reports whether e is a bare `x.Value` selector on an
+// owner-bearing x — the depth-0 escape; wrapped in a call it is the
+// aliasing summary's to judge.
+func ownedValueSel(info *types.Info, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Value" {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	if !ok {
+		return false
+	}
+	return ownerBearing(tv.Type)
 }

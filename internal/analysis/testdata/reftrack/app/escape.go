@@ -1,8 +1,10 @@
-// Golden cases for the bufown analyzer: values that may alias pooled frame
-// buffers escaping their owner-bearing structs.
+// Golden cases for reftrack's depth-0 owner-escape check: values that may
+// alias pooled frame buffers escaping their owner-bearing structs as a bare
+// x.Value, with no helper in between.
+
 package app
 
-import "vettest/bufown/store"
+import "vettest/reftrack/store"
 
 // chunkEscape is the chunk-transfer post-mortem shape: the store entry's
 // value shipped into an owner-less record without a clone.
@@ -45,6 +47,6 @@ func localAlias(e store.Entry) int {
 
 // suppressed documents a site audited by hand.
 func suppressed(e store.Entry) store.Rec {
-	//hermesvet:ignore bufown the entry is snapshot-owned by this call's caller and outlives the record
+	//hermesvet:ignore reftrack the entry is snapshot-owned by this call's caller and outlives the record
 	return store.Rec{Value: e.Value}
 }

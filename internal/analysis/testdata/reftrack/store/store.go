@@ -1,8 +1,8 @@
 // Package store declares the owner-bearing and owner-less record shapes the
-// bufown golden cases move values between.
+// owner-escape golden cases (app/escape.go) move values between.
 package store
 
-import "vettest/bufown/refbuf"
+import "vettest/reftrack/refbuf"
 
 // Entry is owner-bearing: Value may alias a pooled frame buffer pinned by
 // Owner's reference.

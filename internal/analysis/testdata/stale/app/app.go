@@ -4,6 +4,6 @@
 package app
 
 func fine() int {
-	x := 1 //hermesvet:ignore bufown this waiver outlived the refactor that justified it
+	x := 1 //hermesvet:ignore reftrack this waiver outlived the refactor that justified it
 	return x
 }

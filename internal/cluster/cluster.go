@@ -61,11 +61,11 @@ type Transport interface {
 }
 
 // ChanTransport is an in-process mesh of buffered channels with optional
-// fault injection, for tests and single-binary clusters.
+// fault injection, for tests and single-binary clusters. The inbox map is
+// filled once by NewChanTransport and only read afterwards, so it needs no
+// lock.
 type ChanTransport struct {
-	mu      sync.RWMutex
 	inboxes map[proto.NodeID]chan env
-	deliver map[proto.NodeID]func(proto.NodeID, any)
 	drop    atomic.Pointer[func(from, to proto.NodeID, msg any) bool]
 	closed  chan struct{}
 	wg      sync.WaitGroup
@@ -80,7 +80,6 @@ type env struct {
 func NewChanTransport(ids []proto.NodeID) *ChanTransport {
 	t := &ChanTransport{
 		inboxes: make(map[proto.NodeID]chan env),
-		deliver: make(map[proto.NodeID]func(proto.NodeID, any)),
 		closed:  make(chan struct{}),
 	}
 	for _, id := range ids {
@@ -103,9 +102,7 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 	if d := t.drop.Load(); d != nil && (*d)(from, to, msg) {
 		return
 	}
-	t.mu.RLock() //hermesvet:ignore eventloop inbox-map read; writers only touch mu during Register/Close, never on the hot path
 	ch := t.inboxes[to]
-	t.mu.RUnlock()
 	if ch == nil {
 		return
 	}
@@ -127,10 +124,7 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 // SetDeliver implements Transport and starts the pump goroutine, the only
 // consumer of id's inbox: call it once per id.
 func (t *ChanTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) {
-	t.mu.Lock()
-	t.deliver[id] = fn
 	ch := t.inboxes[id]
-	t.mu.Unlock()
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
