@@ -13,23 +13,15 @@ import (
 // per-shard installs — the automatic reconfiguration pipeline of §3.5–3.6.
 // A membership agent (membership.Agent's OnView callback, or a node-wide
 // wire MUpdate) hands it one view per epoch; the controller rolls that view
-// across the node's W shards one at a time, ordered by live shard load
-// (coolest shard first, so the hottest keeps its lock-free read fast path
-// open longest), so **at most one read gate is shut at any moment**. The
-// per-shard install blocks until that shard's §3.4 transition completes
-// before the next gate shuts.
+// across the node's W shards one at a time, by live shard load, so **at most
+// one read gate is shut at any moment**. The per-shard install blocks until
+// that shard's §3.4 transition completes before the next gate shuts.
 //
-// Two escape hatches keep the staggering safe:
-//
-//   - A view that removes the local node (neither member nor learner)
-//     installs node-wide immediately: a fenced node must stop serving every
-//     shard at once, and trickling the fence across shards would keep
-//     serving reads the new membership no longer sanctions.
-//   - A newer view arriving mid-roll supersedes the current one: the roll
-//     restarts with the newest view and each shard lands directly on the
-//     latest epoch (views are complete membership states, so skipping
-//     epochs is a fast-forward, not a gap). The skipped views stay in the
-//     node's view log for peers that need to replay them.
+// The rules — the epoch floor, newest-view-wins supersede, the node-wide
+// install of a view that fences this node, skipping shards already there,
+// coolest shard first — are shardhost.Roller's, the same code the
+// simulator's chaos sweeps run. What stays here needs a goroutine: the roll
+// loop, the blocking installs, the Stagger pause and the gossip loop.
 //
 // The controller does not own the view log or the gossip observer: those
 // are the node's (internal/shardhost), so a node with no controller attached
@@ -44,19 +36,11 @@ type RolloutController struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	mu           sync.Mutex
-	latest       proto.View
-	have         bool
-	lastAccepted uint32
-
-	// prevLoads is the load snapshot of the previous roll; deltas against it
-	// are the "live" load that orders the next roll. Only the roll loop
-	// touches it.
-	prevLoads []uint64
-
-	// Counters (see RolloutStats).
-	views, redelivered, shardInstalls, skippedInstalls atomic.Uint64
-	nodeWideFallbacks, gossipSent                      atomic.Uint64
+	// mu guards roller: views arrive on the callers' goroutines, the roll
+	// loop asks it for installs.
+	mu         sync.Mutex
+	roller     *shardhost.Roller
+	gossipSent atomic.Uint64
 
 	// onInstall is a test hook observing each per-shard install in order.
 	onInstall func(shard int, v proto.View)
@@ -87,18 +71,7 @@ type RolloutConfig struct {
 
 // RolloutStats snapshots the controller's counters.
 type RolloutStats struct {
-	// Views counts accepted (newer-epoch) views; Redelivered counts
-	// duplicate or stale deliveries dropped idempotently — without touching
-	// any read gate (the PR 4 duplicate-install lesson, now enforced one
-	// layer up).
-	Views, Redelivered uint64
-	// ShardInstalls counts per-shard installs performed; SkippedInstalls
-	// counts shards found already at or past the target epoch (fast-forward
-	// landed first, or a superseded roll already covered them).
-	ShardInstalls, SkippedInstalls uint64
-	// NodeWideFallbacks counts views that removed the local node and were
-	// installed on every shard at once.
-	NodeWideFallbacks uint64
+	shardhost.RollerStats
 	// GossipSent counts epoch-gossip frames announced. The receive side
 	// (observations, fast-forward fetches issued and applied) is the node's:
 	// ShardedNode.HostStats.
@@ -106,35 +79,25 @@ type RolloutStats struct {
 }
 
 // NewRolloutController attaches a controller to sn and starts its roll
-// loop. It registers itself as sn's ViewHandlers, so node-wide wire
-// m-updates route through it from now on. Hand OnView to the membership
-// agent (membership.Config.OnView) to complete the automatic pipeline. Close
+// loop. It takes over sn's node-wide view hook, so node-wide wire m-updates
+// route through it from now on. Hand OnView to the membership agent
+// (membership.Config.OnView) to complete the automatic pipeline. Close
 // detaches and stops it.
 func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController {
 	rc := &RolloutController{
-		sn:   sn,
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		sn:     sn,
+		cfg:    cfg,
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		roller: shardhost.NewRoller(sn.id, sn.ShardEpochs(), sn.ShardLoads()),
 	}
-	// Seed the accepted-epoch floor from the node's current state: a
-	// controller attached to a node already at epoch N must treat a
-	// late-redelivered view <= N as a redelivery, not a fresh decision — a
-	// stale pre-rejoin removal view would otherwise fence the node through
-	// the node-wide fallback.
-	for _, e := range sn.ShardEpochs() {
-		if e > rc.lastAccepted {
-			rc.lastAccepted = e
-		}
-	}
-	rc.prevLoads = sn.ShardLoads()
 	if d := cfg.FFDebounce; d > 0 || cfg.GossipEvery > 0 {
 		if d <= 0 {
 			d = 4 * cfg.GossipEvery
 		}
 		sn.withHost(func(h *shardhost.Host) { h.Debounce = d })
 	}
-	sn.SetViewHandlers(&ViewHandlers{View: rc.accept})
+	sn.setNodeView(rc.accept)
 	rc.wg.Add(1)
 	go rc.loop()
 	if cfg.GossipEvery > 0 {
@@ -178,21 +141,11 @@ func (rc *RolloutController) OnView(v proto.View) {
 	rc.accept(v)
 }
 
-// accept queues a newer epoch for rolling (newest wins — an older queued view
-// still unrolled is superseded); duplicates and stale epochs are dropped
-// idempotently and counted, without shutting or republishing any gate.
+// accept hands v to the roller and wakes the roll loop.
 func (rc *RolloutController) accept(v proto.View) {
 	rc.mu.Lock()
-	if v.Epoch <= rc.lastAccepted {
-		rc.mu.Unlock()
-		rc.redelivered.Add(1)
-		return
-	}
-	rc.lastAccepted = v.Epoch
-	rc.latest = v.Clone()
-	rc.have = true
+	rc.roller.Accept(v)
 	rc.mu.Unlock()
-	rc.views.Add(1)
 	select {
 	case rc.kick <- struct{}{}:
 	default:
@@ -201,14 +154,9 @@ func (rc *RolloutController) accept(v proto.View) {
 
 // Stats snapshots the controller's counters; safe mid-traffic.
 func (rc *RolloutController) Stats() RolloutStats {
-	return RolloutStats{
-		Views:             rc.views.Load(),
-		Redelivered:       rc.redelivered.Load(),
-		ShardInstalls:     rc.shardInstalls.Load(),
-		SkippedInstalls:   rc.skippedInstalls.Load(),
-		NodeWideFallbacks: rc.nodeWideFallbacks.Load(),
-		GossipSent:        rc.gossipSent.Load(),
-	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return RolloutStats{RollerStats: rc.roller.Stats(), GossipSent: rc.gossipSent.Load()}
 }
 
 // Close stops the roll loop and detaches the controller from the node, which
@@ -222,10 +170,12 @@ func (rc *RolloutController) Close() {
 		close(rc.stop)
 	}
 	rc.wg.Wait()
-	rc.sn.SetViewHandlers(nil)
+	rc.sn.setNodeView(nil)
 	rc.sn.withHost(func(h *shardhost.Host) { h.Debounce = defaultFFDebounce })
 }
 
+// loop performs the installs the roller calls for, one at a time, until it
+// has nothing left, then waits for the next view.
 func (rc *RolloutController) loop() {
 	defer rc.wg.Done()
 	for {
@@ -235,81 +185,31 @@ func (rc *RolloutController) loop() {
 		case <-rc.kick:
 		}
 		for {
+			epochs, loads := rc.sn.ShardEpochs(), rc.sn.ShardLoads()
 			rc.mu.Lock()
-			if !rc.have {
-				rc.mu.Unlock()
+			m, ok := rc.roller.Next(epochs, loads)
+			rc.mu.Unlock()
+			if !ok {
 				break
 			}
-			v := rc.latest
-			rc.have = false
-			rc.mu.Unlock()
-			if !rc.roll(v) {
-				return // stopped mid-roll
+			if m.Shard == proto.AllShards {
+				rc.sn.InstallView(m.View) // fenced: stop serving everywhere at once
+				continue
+			}
+			if rc.onInstall != nil {
+				rc.onInstall(int(m.Shard), m.View)
+			}
+			// Straight onto the shard: the view is already retained
+			// node-wide, and the recording InstallShardView would log it W
+			// more times.
+			rc.sn.shards[m.Shard].installView(m.View) // blocks until the transition completes
+			if rc.cfg.Stagger > 0 {
+				select {
+				case <-rc.stop:
+					return
+				case <-time.After(rc.cfg.Stagger):
+				}
 			}
 		}
 	}
-}
-
-// roll installs v across the shards, one read gate at a time, coolest shard
-// first. Returns false when the controller was stopped mid-roll.
-func (rc *RolloutController) roll(v proto.View) bool {
-	self := rc.sn.id
-	if !v.Contains(self) && !v.IsLearner(self) {
-		// The view fences this node: stop serving everywhere at once.
-		// Staggering a removal would keep gates open on shards the new
-		// membership no longer sanctions.
-		rc.nodeWideFallbacks.Add(1)
-		rc.sn.InstallView(v)
-		return true
-	}
-	for _, s := range rc.loadOrder() {
-		rc.mu.Lock()
-		superseded := rc.have
-		rc.mu.Unlock()
-		if superseded {
-			// A newer view arrived mid-roll: abandon this epoch. The loop
-			// restarts with the newest view, whose roll covers every shard
-			// still behind — including the ones this pass never reached.
-			return true
-		}
-		if rc.sn.ShardEpochs()[s] >= v.Epoch {
-			// Already there (a fast-forward or a superseded roll landed
-			// first): installing again would shut and republish a healthy
-			// gate for nothing.
-			rc.skippedInstalls.Add(1)
-			continue
-		}
-		if rc.onInstall != nil {
-			rc.onInstall(s, v)
-		}
-		// Straight onto the shard: v is already retained node-wide, and
-		// the recording InstallShardView would log it W more times.
-		rc.sn.shards[s].installView(v) // blocks until the transition completes
-		rc.shardInstalls.Add(1)
-		if rc.cfg.Stagger > 0 {
-			select {
-			case <-rc.stop:
-				return false
-			case <-time.After(rc.cfg.Stagger):
-			}
-		}
-	}
-	return true
-}
-
-// loadOrder returns the shard indices sorted by the load accrued since the
-// previous roll, ascending (ties by index, for determinism): the coolest
-// shard transitions first, the hottest keeps its fast path open longest.
-func (rc *RolloutController) loadOrder() []int {
-	cur := rc.sn.ShardLoads()
-	delta := make([]uint64, len(cur))
-	for i, c := range cur {
-		p := uint64(0)
-		if i < len(rc.prevLoads) {
-			p = rc.prevLoads[i]
-		}
-		delta[i] = c - p
-	}
-	rc.prevLoads = cur
-	return shardhost.OrderByLoad(delta)
 }

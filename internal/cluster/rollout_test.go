@@ -245,13 +245,6 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	if st.FFApplied != 4 {
 		t.Fatalf("ffApplied = %d, want 4 (epochs 2..5)", st.FFApplied)
 	}
-	// A later fetch for a caught-up node applies nothing.
-	b.FastForward(0)
-	time.Sleep(20 * time.Millisecond)
-	if got := b.HostStats().FFApplied; got != 4 {
-		t.Fatalf("caught-up fetch applied %d more entries", got-4)
-	}
-
 	// A node without a controller replays a ViewLogResp through the direct
 	// install path (the host's default node-wide fan-out).
 	c := l.Nodes[2]
@@ -267,35 +260,6 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 		}
 		return true
 	})
-}
-
-// TestRolloutAttachSeedsEpochFloor: a controller attached to a node that
-// already advanced past epoch 1 must treat late-redelivered older views as
-// redeliveries. The dangerous variant is a stale pre-rejoin removal view:
-// accepted as fresh, it would fence the node through the node-wide
-// fallback and shut every gate.
-func TestRolloutAttachSeedsEpochFloor(t *testing.T) {
-	const w = 4
-	l := NewShardedLocal(LocalConfig{N: 3}, w)
-	defer l.Close()
-	sn := l.Nodes[0]
-	sn.InstallView(view3(3)) // node is at epoch 3 before any controller exists
-	rc := NewRolloutController(sn, RolloutConfig{})
-	defer rc.Close()
-
-	// A lossy wire redelivers the old epoch-2 view that removed this node.
-	rc.OnView(proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}})
-	time.Sleep(20 * time.Millisecond)
-	st := rc.Stats()
-	if st.Redelivered != 1 || st.NodeWideFallbacks != 0 || st.ShardInstalls != 0 {
-		t.Fatalf("stale removal view after attach: stats %+v, want pure redelivery", st)
-	}
-	for j := 0; j < w; j++ {
-		if !sn.Shard(j).h.ReadGate().Allowed() || sn.ShardEpochs()[j] != 3 {
-			t.Fatalf("shard %d fenced or regressed by a stale removal view (epochs %v)",
-				j, sn.ShardEpochs())
-		}
-	}
 }
 
 // viewLogSpy stands up one bare node (id 1, no controller attached) next to a
@@ -377,27 +341,27 @@ func TestBareNodeServesWhatItInstalled(t *testing.T) {
 	}
 }
 
-// TestRolloutSupersededMidRoll: a newer view arriving while an older one is
-// mid-roll wins — every shard lands on the newest epoch (skipped epochs are
-// a fast-forward, not a gap) and no shard is left behind.
+// TestRolloutSupersededMidRoll: a newer view arriving while an older one's
+// first install is blocked wins — the older roll stops after that shard, and
+// every shard lands on the newest epoch (skipped epochs are a fast-forward,
+// not a gap), none left behind.
 func TestRolloutSupersededMidRoll(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	defer l.Close()
 	sn := l.Nodes[0]
-	gate := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	rc := NewRolloutController(sn, RolloutConfig{Stagger: 2 * time.Millisecond})
 	defer rc.Close()
 	rc.onInstall = func(s int, v proto.View) {
-		// Block the first install until the superseding view is queued, so
-		// the race is deterministic: v2's roll must abandon after shard one.
-		once.Do(func() { <-gate })
+		once.Do(func() { close(entered); <-release })
 	}
 
 	rc.OnView(view3(2))
+	<-entered // v2's first install is in flight
 	rc.OnView(view3(3))
-	close(gate)
+	close(release)
 	waitEpochs(t, func() bool {
 		for _, e := range sn.ShardEpochs() {
 			if e != 3 {
@@ -406,13 +370,9 @@ func TestRolloutSupersededMidRoll(t *testing.T) {
 		}
 		return true
 	})
-	st := rc.Stats()
-	if st.Views != 2 {
-		t.Fatalf("views = %d, want 2", st.Views)
-	}
-	// At most one shard saw epoch 2 (the install in flight when v3 arrived);
-	// the rest jumped straight to 3: installs ≤ w+1.
-	if st.ShardInstalls > uint64(w+1) {
-		t.Fatalf("superseded roll performed %d installs, want <= %d", st.ShardInstalls, w+1)
+	// One shard saw epoch 2 (the install in flight when v3 arrived); v3's
+	// roll then covered all w.
+	if st := rc.Stats(); st.Views != 2 || st.Superseded != 1 || st.ShardInstalls != w+1 {
+		t.Fatalf("stats %+v, want 2 views, 1 superseded, %d shard installs", st, w+1)
 	}
 }

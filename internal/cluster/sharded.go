@@ -76,14 +76,6 @@ type ShardedNode struct {
 	after []func()
 }
 
-// ViewHandlers routes node-wide membership decisions to an attached rollout
-// controller (or any other membership host).
-type ViewHandlers struct {
-	// View receives node-wide (AllShards) wire m-updates instead of the
-	// default install-on-every-shard fan-out.
-	View func(v proto.View)
-}
-
 // Node is a single-engine replica: the W=1 case of ShardedNode, which puts
 // bare core messages (no shard envelope) on the wire.
 type Node = ShardedNode
@@ -405,16 +397,18 @@ func (d hostDriver) Epoch(shard int) uint32 { return d.sn.shards[shard].h.ReadGa
 // because a response needs no credit itself.
 func (d hostDriver) Send(to proto.NodeID, msg any) { d.sn.tr.Send(d.sn.id, to, msg) }
 
-// SetViewHandlers attaches (or, with nil, detaches) the node-wide view hook.
-// Safe to call while traffic is flowing.
-func (sn *ShardedNode) SetViewHandlers(h *ViewHandlers) {
-	sn.withHost(func(host *shardhost.Host) {
-		if h == nil || h.View == nil {
-			host.NodeView = nil
+// setNodeView routes node-wide m-updates to f instead of the default fan-out
+// to every shard (nil detaches it). f runs once the host call that met the
+// view has released ctlMu, like the installs it replaces. Safe to call while
+// traffic is flowing.
+func (sn *ShardedNode) setNodeView(f func(proto.View)) {
+	sn.withHost(func(h *shardhost.Host) {
+		if f == nil {
+			h.NodeView = nil
 			return
 		}
-		host.NodeView = func(v proto.View) {
-			sn.after = append(sn.after, func() { h.View(v) })
+		h.NodeView = func(v proto.View) {
+			sn.after = append(sn.after, func() { f(v) })
 		}
 	})
 }

@@ -2,8 +2,9 @@
 // hosting W core.Hermes engines (paper §4.1: one worker per keyspace
 // partition): routing an arriving message to the shard that owns its key,
 // installing an m-update on exactly the shards it addresses (§3.4 per-shard
-// epochs), retaining and serving the view log, and the epoch-gossip observer
-// that makes a lagging node fast-forward itself.
+// epochs), retaining and serving the view log, the epoch-gossip observer
+// that makes a lagging node fast-forward itself, and the staggered rollout
+// of node-wide views across the shards.
 //
 // It exists so this code is written once and run by both runtimes. The
 // simulator (internal/sim) calls it directly; the live runtime
@@ -11,7 +12,7 @@
 // The chaos sweeps therefore exercise the code hermes-node ships, not a
 // mirror of it.
 //
-// Two halves:
+// Three parts:
 //
 //   - Route is the data plane and is stateless — a pure function of (w, msg)
 //     — so the live per-message path takes no lock and allocates nothing.
@@ -19,10 +20,13 @@
 //     counters): one struct with no goroutines, no locks and no wall clock.
 //     Time comes in as an argument, effects go out through Driver. A
 //     concurrent runtime serializes calls to it with one mutex of its own.
+//   - Roller holds the rollout's rules (epoch floor, supersede, fenced-node
+//     fallback, coolest-shard-first order) under the same contract: views
+//     and the shards' epochs and loads come in as arguments, and each call
+//     returns the next install for the runtime to perform.
 package shardhost
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -124,8 +128,9 @@ type Host struct {
 
 	// NodeView, when set, receives node-wide (AllShards) m-updates instead of
 	// the default install-on-every-shard fan-out — the one routing decision
-	// with two behaviours: a live rollout controller staggers the view across
-	// the shards one read gate at a time.
+	// with two behaviours: a Roller (the simulator's, or a live rollout
+	// controller's) staggers the view across the shards one read gate at a
+	// time.
 	NodeView func(v proto.View)
 
 	// Debounce rate-limits gossip-triggered fast-forwards: at most one fetch
@@ -320,21 +325,4 @@ func (h *Host) ObserveGossip(from proto.NodeID, epochs []uint32, now time.Durati
 	h.haveCand, h.candEpoch = false, 0
 	h.stats.GossipFF++
 	h.FastForward(peer)
-}
-
-// OrderByLoad returns the shard indices sorted by load ascending, ties by
-// index (for determinism): a staggered rollout transitions the coolest shard
-// first, so the hottest keeps its read fast path open longest.
-func OrderByLoad(load []uint64) []int {
-	order := make([]int, len(load))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if load[order[a]] != load[order[b]] {
-			return load[order[a]] < load[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return order
 }

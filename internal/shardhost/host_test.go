@@ -377,18 +377,3 @@ func TestGossipDebounceNewestPeerPreferred(t *testing.T) {
 		t.Fatalf("gossip alone installed %+v", d.installs)
 	}
 }
-
-func TestOrderByLoad(t *testing.T) {
-	for _, tc := range []struct {
-		load []uint64
-		want []int
-	}{
-		{[]uint64{40, 10, 30, 0}, []int{3, 1, 2, 0}},
-		{[]uint64{5, 5, 1, 5}, []int{2, 0, 1, 3}},
-		{nil, []int{}},
-	} {
-		if got := OrderByLoad(tc.load); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("OrderByLoad(%v) = %v, want %v", tc.load, got, tc.want)
-		}
-	}
-}

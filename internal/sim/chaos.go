@@ -53,9 +53,9 @@ type ChaosConfig struct {
 	// AgentDriven routes every scripted reconfiguration through real
 	// membership.Agents: the script proposes views (ProposeView on the
 	// current coordinator's agent), Paxos decides them over the same lossy
-	// network as the data traffic, and each node's agent commit triggers a
-	// deterministic staggered per-shard rollout ordered by live engine load —
-	// the simulator mirror of cluster.RolloutController. Storms become
+	// network as the data traffic, and each node's agent commit reaches its
+	// replica's shardhost.Roller — the rules cluster.RolloutController runs —
+	// which staggers it across the shards by load. Storms become
 	// node-wide rollout storms (an agent cannot address one shard), so the
 	// single-shard epoch-isolation scenarios keep the default harness mode.
 	AgentDriven bool
@@ -202,6 +202,11 @@ type ChaosResult struct {
 	// the replicas healing themselves; FastForwards is the harness backstop —
 	// a NoInstallBackstop run must converge with FastForwards == 0.
 	GossipSent, GossipBehind, GossipFF uint64
+
+	// Rollout sums the live replicas' roll counters (shardhost.Roller): in
+	// agent-driven runs every node-wide view, decided or fetched, rolls
+	// through them. Fingerprint leaves them out.
+	Rollout shardhost.RollerStats
 
 	// §8 NoLSC instrumentation. FastProbes counts lock-free ReadLocal
 	// attempts by the probe loop; FastHitsNoLSC counts those that hit while
@@ -607,15 +612,12 @@ func (r *chaosRun) propose(members, learners []proto.NodeID) bool {
 }
 
 // onAgentView is the Config.OnView hook of agent-driven runs: one node's
-// agent committed view v. It mirrors cluster.RolloutController inside the
-// simulator — record the view in the node's log, then roll it across the
-// node's shards one at a time, coolest engine first (by ops processed),
-// with a fixed stagger. Everything runs on engine events, so the rollout is
-// deterministic and exactly replayable.
+// agent committed view v. The first commit of an epoch anywhere becomes the
+// harness's current view and every shard's target; the node's replica takes
+// the view as a live node with a rollout controller does — its
+// shardhost.Roller staggers it across the shards (ShardedReplica.Tick).
 func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
 	if v.Epoch > r.epoch {
-		// First commit of this epoch anywhere: it becomes the harness's
-		// current view and every shard's target.
 		r.epoch = v.Epoch
 		r.view = v.Clone()
 		r.res.Installs++
@@ -625,35 +627,9 @@ func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
 			}
 		}
 	}
-	rep, ok := r.c.Replica(id).(*ShardedReplica)
-	if !ok || !r.alive[id] {
-		return
+	if r.alive[id] {
+		r.c.Replica(id).OnViewChange(v)
 	}
-	rep.RecordView(proto.MUpdate{Shard: proto.AllShards, View: v})
-	const rolloutStagger = 150 * time.Microsecond
-	for pos, s := range engineLoadOrder(rep) {
-		s := s
-		r.c.eng.After(time.Duration(pos)*rolloutStagger, func() {
-			if !r.alive[id] {
-				return
-			}
-			if cur, ok := r.c.Replica(id).(*ShardedReplica); ok && cur.Engine(s).View().Epoch < v.Epoch {
-				cur.InstallShard(s, v)
-			}
-		})
-	}
-}
-
-// engineLoadOrder sorts a replica's shard indices by ops processed so far,
-// ascending (ties by index): the deterministic sim stand-in for the live
-// controller's read/write load counters.
-func engineLoadOrder(rep *ShardedReplica) []int {
-	load := make([]uint64, rep.Shards())
-	for i := 0; i < rep.Shards(); i++ {
-		m := rep.Engine(i).Metrics()
-		load[i] = m.Reads + m.Writes + m.RMWs
-	}
-	return shardhost.OrderByLoad(load)
 }
 
 // leaseFlip revokes a serving member's lease for dur — the node rejects
@@ -1228,6 +1204,13 @@ func (r *chaosRun) collectMetrics() {
 		r.res.GossipSent += sent
 		r.res.GossipBehind += behind
 		r.res.GossipFF += ff
+		rs := rep.roller.Stats()
+		r.res.Rollout.Views += rs.Views
+		r.res.Rollout.Redelivered += rs.Redelivered
+		r.res.Rollout.Superseded += rs.Superseded
+		r.res.Rollout.ShardInstalls += rs.ShardInstalls
+		r.res.Rollout.SkippedInstalls += rs.SkippedInstalls
+		r.res.Rollout.NodeWideFallbacks += rs.NodeWideFallbacks
 		r.res.FinalEpochs = append(r.res.FinalEpochs, epochs)
 	}
 	r.res.Reordered = r.c.net.Reordered

@@ -45,9 +45,9 @@ func TestChaosGoldenFingerprints(t *testing.T) {
 		{"gray", 1, 0x10a334b30fb63155, [6]uint64{0, 61, 34, 2609, 24, 10}},
 		{"gray", 2, 0x61bfba5c5d9f878c, [6]uint64{0, 50, 33, 2337, 12, 10}},
 		{"gray", 3, 0x2a95215f21150fcb, [6]uint64{0, 22, 18, 2210, 12, 4}},
-		{"agent-rollout", 1, 0xec6f1297cd8e398a, [6]uint64{0, 9, 5, 0, 25, 5}},
-		{"agent-rollout", 2, 0x42dc692297fada6b, [6]uint64{0, 4, 2, 0, 6, 2}},
-		{"agent-rollout", 3, 0x850af0d678fb0892, [6]uint64{0, 11, 5, 0, 18, 5}},
+		{"agent-rollout", 1, 0x7fbe0fc3daca10d2, [6]uint64{0, 12, 13, 0, 44, 10}},
+		{"agent-rollout", 2, 0xad8f2cc343f3955a, [6]uint64{0, 8, 8, 0, 18, 5}},
+		{"agent-rollout", 3, 0x071b69e494e81e4f, [6]uint64{0, 12, 12, 0, 32, 10}},
 		{"rejoin-behind", 1, 0xa44abe873b359e00, [6]uint64{4, 20, 20, 0, 0, 0}},
 		{"rejoin-behind", 2, 0xa1e15b5643c6077e, [6]uint64{10, 24, 24, 0, 0, 0}},
 		{"rejoin-behind", 3, 0x2462c1a2237a03dd, [6]uint64{11, 25, 25, 0, 0, 0}},

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/shardhost"
 )
 
 // Chaos scenarios for the automatic reconfiguration pipeline: the view-log
@@ -59,40 +61,58 @@ func TestChaosRejoinBehindFastForwardsViaViewLog(t *testing.T) {
 
 // TestChaosAgentDrivenRollout drives every reconfiguration through real
 // membership.Agents: the script proposes, Paxos decides over the lossy
-// network, and each node's commit triggers the staggered per-shard rollout.
-// The full crash/rejoin/promote arc plus node-wide rollout storms must stay
-// linearizable and converge on every shard.
+// network, and each node's commit reaches its replica's shardhost.Roller —
+// the live rollout controller's rules. The full crash/rejoin/promote arc plus
+// node-wide rollout storms must stay linearizable and converge on every
+// shard, alone and with a node rejoining two epochs behind that catches up
+// through gossip-triggered view-log fetches (node-wide entries, which roll
+// too). The sweep must reach the roll's supersede and redelivery rules.
 func TestChaosAgentDrivenRollout(t *testing.T) {
-	for _, seed := range chaosSeeds(t, 3) {
-		res, err := RunChaos(ChaosConfig{
-			Seed:        seed,
-			AgentDriven: true,
-			CrashRejoin: true,
-			ShardStorms: true, // node-wide rollout storms in agent mode
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Installs < 3 {
-			t.Fatalf("seed %d: only %d agent-decided views — the script never reached consensus", seed, res.Installs)
-		}
-		if res.Promotions != 1 {
-			t.Fatalf("seed %d: %d promotions, want 1", seed, res.Promotions)
-		}
-		// Agent decisions are node-wide: after convergence every shard of
-		// every node sits on the same (final) epoch.
-		final := res.FinalEpochs[0][0]
-		for n, epochs := range res.FinalEpochs {
-			for s, e := range epochs {
-				if e != final {
-					t.Fatalf("seed %d: node %d shard %d at epoch %d, want uniform %d",
-						seed, n, s, e, final)
+	var sum shardhost.RollerStats
+	for _, behind := range []bool{false, true} {
+		for _, seed := range chaosSeeds(t, 20) {
+			cfg := ChaosConfig{
+				Seed:        seed,
+				AgentDriven: true,
+				CrashRejoin: true,
+				ShardStorms: true, // node-wide rollout storms in agent mode
+			}
+			if behind {
+				cfg.RejoinBehind, cfg.Gossip = 2, true
+			}
+			res, err := RunChaos(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Installs < 3 {
+				t.Fatalf("seed %d: only %d agent-decided views — the script never reached consensus", seed, res.Installs)
+			}
+			if res.Promotions != 1 {
+				t.Fatalf("seed %d: %d promotions, want 1", seed, res.Promotions)
+			}
+			if res.Rollout.ShardInstalls == 0 {
+				t.Fatalf("seed %d: no staggered installs — views bypassed the roll", seed)
+			}
+			// Agent decisions are node-wide: after convergence every shard of
+			// every node sits on the same (final) epoch.
+			final := res.FinalEpochs[0][0]
+			for n, epochs := range res.FinalEpochs {
+				for s, e := range epochs {
+					if e != final {
+						t.Fatalf("seed %d: node %d shard %d at epoch %d, want uniform %d",
+							seed, n, s, e, final)
+					}
 				}
 			}
+			if res.Ops == 0 {
+				t.Fatalf("seed %d: no operations completed", seed)
+			}
+			sum.Superseded += res.Rollout.Superseded
+			sum.Redelivered += res.Rollout.Redelivered
 		}
-		if res.Ops == 0 {
-			t.Fatalf("seed %d: no operations completed", seed)
-		}
+	}
+	if sum.Superseded == 0 || sum.Redelivered == 0 {
+		t.Fatalf("sweep never superseded a roll or dropped a redelivery: %+v", sum)
 	}
 }
 

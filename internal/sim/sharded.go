@@ -16,17 +16,24 @@ import (
 // machines behind one Replica facade, and CPU parallelism (when wanted) is
 // modeled separately by Config.Workers.
 //
-// Routing, m-update addressing, the view log and the epoch-gossip observer are
-// shardhost's — the very code the live node runs — so the chaos harness
-// exercises what ships. What stays here is the harness's: building the
-// engines, Submit, Tick (timers and the gossip announcement) and the knobs
-// the fault script turns.
+// Routing, m-update addressing, the view log, the epoch-gossip observer and
+// the staggered rollout of node-wide views are shardhost's — the very code the
+// live node runs — so the chaos harness exercises what ships. What stays here
+// is the harness's: building the engines, Submit, Tick (timers, roll steps
+// and the gossip announcement) and the knobs the fault script turns.
 type ShardedReplica struct {
 	id      proto.NodeID
 	w       int
 	env     proto.Env
 	engines []*core.Hermes
 	host    *shardhost.Host
+
+	// roller receives every node-wide view, decided (OnViewChange) or
+	// arriving through Deliver, as a live node's rollout controller does;
+	// Tick performs the installs it calls for, the next one no earlier than
+	// nextRoll.
+	roller   *shardhost.Roller
+	nextRoll time.Duration
 
 	// gossipEvery paces the epoch-vector announcements Tick sends;
 	// nextGossip is the send horizon and gossipSent counts them.
@@ -35,12 +42,16 @@ type ShardedReplica struct {
 	gossipSent  uint64
 }
 
-// ShardedReplicaConfig parameterizes NewShardedReplica. The embedded toggles
-// mean what they do on core.Config.
+// rolloutStagger spaces one replica's per-shard installs of a node-wide view:
+// Tick performs at most one per window.
+const rolloutStagger = 150 * time.Microsecond
+
+// ShardedReplicaConfig parameterizes NewShardedReplica. MLT and NoLSC mean
+// what they do on core.Config.
 type ShardedReplicaConfig struct {
-	Shards                     int
-	MLT                        time.Duration
-	ElideVAL, EarlyACKs, NoLSC bool
+	Shards int
+	MLT    time.Duration
+	NoLSC  bool
 	// Learner starts every engine as a shadow replica (§3.4 Recovery) — the
 	// state a crashed node rejoins in.
 	Learner bool
@@ -49,11 +60,9 @@ type ShardedReplicaConfig struct {
 	// known view on that period, from Tick — the sim counterpart of the live
 	// controller's gossip loop. A receiver that observes itself behind
 	// issues its own debounced view-log fetch: self-healing with no harness
-	// backstop.
+	// backstop. Gossip-triggered fetches are debounced to one per
+	// 4 x GossipEvery.
 	GossipEvery time.Duration
-	// FFDebounce rate-limits gossip-triggered fetches (default
-	// 4 x GossipEvery).
-	FFDebounce time.Duration
 }
 
 // shardReplicaEnv is one engine's window to the host env: it tags outgoing
@@ -86,19 +95,16 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 		r.engines = append(r.engines, core.New(core.Config{
 			ID: id, View: view.Clone(),
 			Env: shardReplicaEnv{env: env, idx: uint16(i), w: w},
-			MLT: cfg.MLT, ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs,
-			NoLSC: cfg.NoLSC, Learner: cfg.Learner,
+			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}
-	debounce := cfg.FFDebounce
-	if debounce <= 0 {
-		debounce = 4 * cfg.GossipEvery
-	}
-	if debounce <= 0 {
-		debounce = 4 * time.Millisecond
-	}
 	r.host = shardhost.New(w, replicaDriver{r})
-	r.host.Debounce = debounce
+	r.host.Debounce = 4 * cfg.GossipEvery
+	if r.host.Debounce <= 0 {
+		r.host.Debounce = 4 * time.Millisecond
+	}
+	r.roller = shardhost.NewRoller(id, r.ShardEpochs(), r.loads())
+	r.host.NodeView = r.roller.Accept
 	return r
 }
 
@@ -151,12 +157,20 @@ func (r *ShardedReplica) Tick() {
 	for _, e := range r.engines {
 		e.Tick()
 	}
-	if r.gossipEvery > 0 {
-		now := r.env.Now()
-		if now >= r.nextGossip {
-			r.nextGossip = now + r.gossipEvery
-			r.gossip()
+	now := r.env.Now()
+	if now >= r.nextRoll && r.roller.Rolling() {
+		if m, ok := r.roller.Next(r.ShardEpochs(), r.loads()); ok {
+			r.nextRoll = now + rolloutStagger
+			for s, e := range r.engines {
+				if m.Shard == proto.AllShards || int(m.Shard) == s {
+					e.OnViewChange(m.View)
+				}
+			}
 		}
+	}
+	if r.gossipEvery > 0 && now >= r.nextGossip {
+		r.nextGossip = now + r.gossipEvery
+		r.gossip()
 	}
 }
 
@@ -215,17 +229,22 @@ func (r *ShardedReplica) SetNoLSC(on bool) {
 	}
 }
 
-// OnViewChange implements proto.Replica: the node-wide m-update fans out to
-// every shard (what a membership agent's decision does). The view is also
-// retained in the log so this node can serve laggards.
+// OnViewChange implements proto.Replica: a membership agent's decision is
+// retained in the log, so this node can serve laggards, and rolled across the
+// engines (see Tick) — the path a live node's rollout controller takes.
 func (r *ShardedReplica) OnViewChange(v proto.View) {
 	r.host.Install(proto.MUpdate{Shard: proto.AllShards, View: v})
 }
 
-// InstallShard advances a single shard's membership epoch, leaving the other
-// shards untouched — the localized reconfiguration the chaos harness storms.
-func (r *ShardedReplica) InstallShard(shard int, v proto.View) {
-	r.host.Install(proto.MUpdate{Shard: uint16(shard), View: v})
+// loads reports each engine's client ops so far — the simulator's counterpart
+// of the live ShardedNode.ShardLoads.
+func (r *ShardedReplica) loads() []uint64 {
+	out := make([]uint64, r.w)
+	for i, e := range r.engines {
+		m := e.Metrics()
+		out[i] = m.Reads + m.Writes + m.RMWs
+	}
+	return out
 }
 
 // SetOperational flips the RM lease on every engine (lease loss is a
