@@ -9,10 +9,10 @@ import (
 
 // Gray is `hermes-bench -exp gray`: the gray-failure vocabulary measured on
 // the deterministic chaos harness. One row per fault class — a clean
-// baseline, each gray fault alone, and everything at once with epoch gossip
-// carrying the healing — so a protocol change that quietly regresses
-// behavior under slow-but-alive nodes or one-way cuts shows up as a
-// throughput or abandonment delta in CI history, not just a pass/fail bit.
+// baseline, each gray fault alone, and everything at once — so a protocol
+// change that quietly regresses behavior under slow-but-alive nodes or
+// one-way cuts shows up as a throughput or abandonment delta in CI history,
+// not just a pass/fail bit.
 // Every run's history still goes through the linearizability checker inside
 // RunChaos; a violation fails the experiment outright.
 func Gray(sc Scale) *stats.Table {
@@ -31,9 +31,9 @@ func Gray(sc Scale) *stats.Table {
 		{"slow-alive", sim.ChaosConfig{SlowNodes: true}},
 		{"clock-skew", sim.ChaosConfig{ClockSkew: true}},
 		{"burst-reorder", sim.ChaosConfig{Reorder: true}},
-		{"all+gossip", sim.ChaosConfig{
+		{"all", sim.ChaosConfig{
 			AsymPartitions: true, SlowNodes: true, ClockSkew: true, Reorder: true,
-			CrashRejoin: true, RejoinBehind: 2, Gossip: true, NoInstallBackstop: true,
+			CrashRejoin: true, RejoinBehind: 2,
 		}},
 	}
 	t := &stats.Table{Header: []string{

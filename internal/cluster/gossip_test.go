@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // Epoch-gossip self-healing on the live runtime: announcements over the real
@@ -73,14 +74,15 @@ func TestGossipSelfHealsLaggard(t *testing.T) {
 // shardhost's TestGossipDebounceNewestPeerPreferred): a vector handed to
 // ObserveGossip — the membership-heartbeat piggyback path — makes the node
 // fetch the peer's view log over the real transport and converge, and the
-// controller's FFDebounce reaches the node's observer, so a second
-// observation inside the window issues no second fetch.
+// host's debounce holds on the live node, so a second observation inside the
+// window issues no second fetch.
 func TestGossipObserveFetchesOverTransport(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	defer l.Close()
-	rc0 := NewRolloutController(l.Nodes[0], RolloutConfig{FFDebounce: time.Hour})
+	rc0 := NewRolloutController(l.Nodes[0], RolloutConfig{})
 	defer rc0.Close()
+	l.Nodes[0].withHost(func(h *shardhost.Host) { h.Debounce = time.Hour })
 	rc2 := NewRolloutController(l.Nodes[2], RolloutConfig{})
 	defer rc2.Close()
 	for e := uint32(2); e <= 7; e++ {

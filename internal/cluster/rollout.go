@@ -57,16 +57,14 @@ type RolloutConfig struct {
 	// with the observer on the receive side this closes the self-healing
 	// loop: a node that missed m-updates learns its lag from any peer's
 	// gossip and fast-forwards itself, no operator or harness required.
+	// It also sets the node's fast-forward debounce to 4 x GossipEvery
+	// (otherwise the bare node's 100ms): within one window at most one
+	// gossip-triggered fetch is issued, to the peer advertising the highest
+	// epoch seen in it.
 	GossipEvery time.Duration
 	// GossipPeers is the mesh peer set gossip is announced to (typically
 	// the full configured node set; self is skipped).
 	GossipPeers []proto.NodeID
-	// FFDebounce rate-limits gossip-triggered fast-forwards: within one
-	// window, at most one fetch is issued, and the candidate peer is the
-	// one advertising the highest epoch seen in the window (newest peer
-	// preferred — it provably retains the longest log suffix). Default
-	// 4 x GossipEvery, or the node's 100ms when gossip is off.
-	FFDebounce time.Duration
 }
 
 // RolloutStats snapshots the controller's counters.
@@ -91,16 +89,11 @@ func NewRolloutController(sn *ShardedNode, cfg RolloutConfig) *RolloutController
 		stop:   make(chan struct{}),
 		roller: shardhost.NewRoller(sn.id, sn.ShardEpochs(), sn.ShardLoads()),
 	}
-	if d := cfg.FFDebounce; d > 0 || cfg.GossipEvery > 0 {
-		if d <= 0 {
-			d = 4 * cfg.GossipEvery
-		}
-		sn.withHost(func(h *shardhost.Host) { h.Debounce = d })
-	}
 	sn.setNodeView(rc.accept)
 	rc.wg.Add(1)
 	go rc.loop()
 	if cfg.GossipEvery > 0 {
+		sn.withHost(func(h *shardhost.Host) { h.Debounce = 4 * cfg.GossipEvery })
 		rc.wg.Add(1)
 		go rc.gossipLoop()
 	}
@@ -171,7 +164,7 @@ func (rc *RolloutController) Close() {
 	}
 	rc.wg.Wait()
 	rc.sn.setNodeView(nil)
-	rc.sn.withHost(func(h *shardhost.Host) { h.Debounce = defaultFFDebounce })
+	rc.sn.withHost(func(h *shardhost.Host) { h.Debounce = defaultGossipDebounce })
 }
 
 // loop performs the installs the roller calls for, one at a time, until it

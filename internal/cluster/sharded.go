@@ -336,14 +336,14 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 	}
 	sn.drv = hostDriver{sn}
 	sn.host = shardhost.New(sn.w, sn.drv)
-	sn.host.Debounce = defaultFFDebounce
+	sn.host.Debounce = defaultGossipDebounce
 	tr.SetDeliver(cfg.ID, sn.dispatch)
 	return sn
 }
 
-// defaultFFDebounce rate-limits gossip-triggered fast-forwards on a node no
-// rollout controller configured (see RolloutConfig.FFDebounce).
-const defaultFFDebounce = 100 * time.Millisecond
+// defaultGossipDebounce rate-limits gossip-triggered fast-forwards on a node with
+// no gossiping rollout controller (see RolloutConfig.GossipEvery).
+const defaultGossipDebounce = 100 * time.Millisecond
 
 // dispatch is the transport's arrival callback. Data-plane traffic is routed
 // statelessly — no lock, no allocation, straight onto the owner shard's

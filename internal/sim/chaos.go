@@ -102,16 +102,6 @@ type ChaosConfig struct {
 	// mid-run (SetNoLSC(false)): queued speculative reads must still drain
 	// and the read gates must reopen (FastHitsRestored > 0, GatesOpen > 0).
 	RestoreLSC bool
-	// Gossip enables replica-level epoch gossip: every replica announces
-	// its per-shard epoch vector to its view's members+learners every
-	// 250µs, and a replica observing a peer ahead issues its own debounced
-	// view-log fetch — through the same shardhost observer the live node runs.
-	Gossip bool
-	// NoInstallBackstop disables the harness's direct lag-recovery path
-	// (ensureInstalled): convergence must come from the replicas' own epoch
-	// gossip and self-triggered fetches. Implies Gossip in harness mode —
-	// without any recovery path a lossy wire guarantees a stuck run.
-	NoInstallBackstop bool
 }
 
 func (cfg *ChaosConfig) defaults() {
@@ -147,13 +137,6 @@ func (cfg *ChaosConfig) defaults() {
 	if cfg.Reorder && cfg.Net.ReorderProb == 0 {
 		cfg.Net.ReorderProb = 0.02
 	}
-	if cfg.NoInstallBackstop && !cfg.AgentDriven {
-		// Without the backstop, epoch gossip is the only recovery path for
-		// installs lost on the lossy wire; running without either would make
-		// every lossy run a guaranteed convergence failure, which tests
-		// nothing.
-		cfg.Gossip = true
-	}
 }
 
 // ChaosResult aggregates a run's observations. History holds every key's
@@ -172,12 +155,10 @@ type ChaosResult struct {
 	Installs                      int // views issued by the harness (or decided by agents)
 	ShardInstalls                 int // single-shard installs among them
 
-	// FastForwards counts view-log fetches issued by lagging shards;
 	// FFServed/FFApplied sum the replicas' log entries served to peers and
 	// fetched entries that actually advanced an epoch. Nonzero FFApplied is
 	// the proof a run recovered skipped epochs through the log rather than a
 	// harness backdoor.
-	FastForwards        uint64
 	FFServed, FFApplied uint64
 
 	Replays, Retransmits, StaleEpochDrops uint64 // summed over engines
@@ -199,8 +180,7 @@ type ChaosResult struct {
 
 	// Epoch-gossip self-healing: announcements sent, behind-observations, and
 	// self-triggered view-log fetches, summed over live replicas. GossipFF is
-	// the replicas healing themselves; FastForwards is the harness backstop —
-	// a NoInstallBackstop run must converge with FastForwards == 0.
+	// the replicas healing themselves — the only lag-recovery path a run has.
 	GossipSent, GossipBehind, GossipFF uint64
 
 	// Rollout sums the live replicas' roll counters (shardhost.Roller): in
@@ -269,7 +249,8 @@ type chaosRun struct {
 
 	// shardTarget is the highest epoch issued for each shard; the run must
 	// drive every live shard to its target (awaitConvergence) — with lost
-	// installs recovered through the view-log fetch, not a direct backstop.
+	// installs recovered by the replicas' own gossip-triggered view-log
+	// fetches.
 	shardTarget []uint32
 
 	alive       []bool
@@ -311,8 +292,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Factory: func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
 			return NewShardedReplica(id, view, env, ShardedReplicaConfig{
 				Shards: cfg.Shards, MLT: cfg.MLT,
-				NoLSC:       cfg.NoLSC,
-				GossipEvery: r.gossipEvery(),
+				NoLSC: cfg.NoLSC,
 			})
 		},
 		Net:       cfg.Net,
@@ -368,7 +348,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	// Epoch convergence: every live shard must reach the highest epoch issued
 	// for it. Installs lost on the wire have exactly one recovery path — the
-	// view-log fetch — so a shard stuck behind here means that path failed.
+	// gossip-triggered view-log fetch — so a shard stuck behind here means
+	// that path failed.
 	if err := r.awaitConvergence(); err != nil {
 		return r.res, err
 	}
@@ -455,15 +436,6 @@ func (r *chaosRun) scheduleFaults() {
 		// run and retires with them.
 		r.c.eng.After(time.Millisecond, r.probeFastPath)
 	}
-}
-
-// gossipEvery is the replica gossip period implied by the config: 250µs when
-// epoch gossip is on, else disabled.
-func (r *chaosRun) gossipEvery() time.Duration {
-	if r.cfg.Gossip {
-		return 250 * time.Microsecond
-	}
-	return 0
 }
 
 // asymPartition installs a one-way cut a->b (b->a stays clean) for dur, then
@@ -715,13 +687,12 @@ func (r *chaosRun) crashCycle() {
 // restartAsLearner revives n as a shadow replica and reconfigures it into
 // the view as a learner. With RejoinBehind the restarted node seeds from its
 // stale pre-crash view and the harness never re-delivers what it missed —
-// the lag recovery (ensureInstalled's view-log fetch) must carry it.
+// the replicas' epoch gossip and the view-log fetch it triggers must carry it.
 func (r *chaosRun) restartAsLearner(n proto.NodeID, stale proto.View) {
 	factory := func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
 		return NewShardedReplica(id, view, env, ShardedReplicaConfig{
 			Shards: r.cfg.Shards, MLT: r.cfg.MLT, Learner: true,
-			NoLSC:       r.cfg.NoLSC && !r.lscRestored,
-			GossipEvery: r.gossipEvery(),
+			NoLSC: r.cfg.NoLSC && !r.lscRestored,
 		})
 	}
 	if r.cfg.AgentDriven {
@@ -856,16 +827,15 @@ func (r *chaosRun) pickVictim() proto.NodeID {
 // shard < 0, to all shards with a per-shard stagger (shards advance epochs
 // independently; nothing requires them to transition together). Each
 // (node, shard) install rides the lossy network as a proto.MUpdate from the
-// current coordinator. There is no direct backstop anymore: a lost m-update
-// is recovered by the lagging shard itself fetching the coordinator's view
-// log (ensureInstalled) — recovery is protocol traffic on the same lossy
-// wire, exactly what the live runtime ships.
+// current coordinator. A lost m-update is recovered by the lagging replica
+// itself: a peer's epoch gossip shows it behind and it fetches that peer's
+// view log — protocol traffic on the same lossy wire, through the shardhost
+// observer the live node runs.
 func (r *chaosRun) install(v proto.View, shard int) { r.installSkip(v, shard, proto.NilNode) }
 
 // installSkip is install with one node excluded from the wire fan-out
-// (modeling a decision made while that node was unreachable); the excluded
-// node still gets a lag check, so its only path to the view is the log
-// fetch.
+// (modeling a decision made while that node was unreachable), so its only
+// path to the view is the gossip-triggered log fetch.
 func (r *chaosRun) installSkip(v proto.View, shard int, skip proto.NodeID) {
 	r.res.Installs++
 	coord := r.coordinator()
@@ -890,7 +860,6 @@ func (r *chaosRun) installSkip(v proto.View, shard int, skip proto.NodeID) {
 	for n := 0; n < r.cfg.Nodes; n++ {
 		node := proto.NodeID(n)
 		for s := lo; s < hi; s++ {
-			s := s
 			mu := proto.MUpdate{Shard: uint16(s), View: v}
 			delay := time.Duration(s)*150*time.Microsecond +
 				time.Duration(r.rng.Intn(200))*time.Microsecond
@@ -901,60 +870,13 @@ func (r *chaosRun) installSkip(v proto.View, shard int, skip proto.NodeID) {
 					}
 				})
 			}
-			if !r.cfg.NoInstallBackstop {
-				r.c.eng.After(delay+5*r.cfg.MLT, func() {
-					r.ensureInstalled(node, s, coord, 0)
-				})
-			}
 		}
 	}
-}
-
-// ensureInstalled is the lag detector + recovery path: if the shard is
-// still behind the highest epoch issued for it, the node fetches the gap
-// from a peer's view log (a proto.ViewLogReq riding the lossy network) and
-// keeps retrying with rotating sources until it converges. A harness-side
-// stand-in for epoch gossip (ChaosConfig.Gossip), which detects the same lag
-// from inside the replica.
-func (r *chaosRun) ensureInstalled(node proto.NodeID, shard int, coord proto.NodeID, attempt int) {
-	if !r.alive[node] {
-		return // a crashed node's rejoin path schedules its own recovery
-	}
-	rep, ok := r.c.Replica(node).(*ShardedReplica)
-	if !ok || rep.Engine(shard).View().Epoch >= r.shardTarget[shard] {
-		return
-	}
-	src := coord
-	if attempt > 0 || !r.alive[src] || src == node {
-		src = r.fetchSource(node, attempt)
-	}
-	if src != proto.NilNode {
-		r.res.FastForwards++
-		req := proto.ViewLogReq{Shard: uint16(shard), Since: rep.Engine(shard).View().Epoch}
-		r.c.net.Send(node, src, req, r.c.sizeOf(req))
-	}
-	r.c.eng.After(5*r.cfg.MLT, func() { r.ensureInstalled(node, shard, coord, attempt+1) })
-}
-
-// fetchSource rotates over live peers so a fetch wedged on one peer's
-// incomplete log eventually reaches a node that applied the epoch (every
-// node records the updates it receives, so any converged peer can serve).
-func (r *chaosRun) fetchSource(node proto.NodeID, attempt int) proto.NodeID {
-	var alive []proto.NodeID
-	for n := 0; n < r.cfg.Nodes; n++ {
-		if id := proto.NodeID(n); id != node && r.alive[id] {
-			alive = append(alive, id)
-		}
-	}
-	if len(alive) == 0 {
-		return proto.NilNode
-	}
-	return alive[attempt%len(alive)]
 }
 
 // awaitConvergence drives the engine until every live shard has reached the
-// highest epoch issued for it. A shard stuck behind means the view-log
-// recovery path failed — that is a finding, reported with the seed.
+// highest epoch issued for it. A shard stuck behind means the gossip-driven
+// view-log recovery path failed — that is a finding, reported with the seed.
 func (r *chaosRun) awaitConvergence() error {
 	deadline := r.c.eng.Now() + 400*time.Millisecond
 	for !r.converged() {

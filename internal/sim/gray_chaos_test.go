@@ -7,7 +7,7 @@ import (
 
 // Gray-failure scenarios: the fault vocabulary beyond fail-stop — one-way
 // partitions, slow-but-alive nodes, clock-rate skew, burst reordering — plus
-// the epoch-gossip self-healing loop and §8 NoLSC mode under all of it.
+// §8 NoLSC mode under all of it.
 // Every run's full history goes through the Wing–Gong checker inside
 // RunChaos; the assertions below are about coverage (did the schedule reach
 // the machinery it names) and about the specific healing/gating claims.
@@ -85,53 +85,6 @@ func TestChaosBurstReorder(t *testing.T) {
 	}
 }
 
-// TestChaosGossipSelfHealsRejoinBehind is the tentpole scenario: a node
-// crashes, misses 3 extra epochs, and rejoins on its stale pre-crash view
-// under an asymmetric partition — with the harness's lag-recovery backstop
-// disabled. Convergence must come entirely from the replicas themselves:
-// peers announce their epoch vectors, the laggard observes itself behind and
-// issues its own view-log fetch. FastForwards == 0 proves no harness
-// backdoor fired; GossipFF > 0 and FFApplied >= 3 prove gossip carried the
-// recovery.
-func TestChaosGossipSelfHealsRejoinBehind(t *testing.T) {
-	for _, seed := range chaosSeeds(t, 3) {
-		res, err := RunChaos(ChaosConfig{
-			Seed:              seed,
-			CrashRejoin:       true,
-			RejoinBehind:      3,
-			AsymPartitions:    true,
-			Gossip:            true,
-			NoInstallBackstop: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FastForwards != 0 {
-			t.Fatalf("seed %d: harness backstop issued %d fetches with NoInstallBackstop set", seed, res.FastForwards)
-		}
-		if res.GossipFF == 0 {
-			t.Fatalf("seed %d: no gossip-triggered fetches — who healed the laggard?", seed)
-		}
-		if res.FFApplied < 3 {
-			t.Fatalf("seed %d: only %d fetched view-log entries applied, want >=3 (the missed epochs)",
-				seed, res.FFApplied)
-		}
-		if res.Promotions != 1 {
-			t.Fatalf("seed %d: %d promotions, want 1", seed, res.Promotions)
-		}
-		// Every live node ended on the same per-shard epochs (awaitConvergence
-		// enforces reaching the target; this pins uniformity).
-		for n := 1; n < len(res.FinalEpochs); n++ {
-			for s := range res.FinalEpochs[n] {
-				if res.FinalEpochs[n][s] != res.FinalEpochs[0][s] {
-					t.Fatalf("seed %d: final epochs diverge: node0=%v node%d=%v",
-						seed, res.FinalEpochs[0], n, res.FinalEpochs[n])
-				}
-			}
-		}
-	}
-}
-
 // TestChaosNoLSCUnderSkew runs every engine in §8 clock-free mode while
 // clocks skew and a node runs slow: reads execute speculatively and release
 // only on a commit flush or an MCheck majority. The read-gate fast path must
@@ -204,8 +157,7 @@ func TestChaosGrayDeterministic(t *testing.T) {
 		{"skew", ChaosConfig{Seed: 103, ClockSkew: true}},
 		{"reorder", ChaosConfig{Seed: 104, Reorder: true}},
 		{"nolsc", ChaosConfig{Seed: 105, NoLSC: true, RestoreLSC: true, ClockSkew: true}},
-		{"gossip", ChaosConfig{Seed: 106, CrashRejoin: true, RejoinBehind: 3,
-			AsymPartitions: true, Gossip: true, NoInstallBackstop: true}},
+		{"gossip", ChaosConfig{Seed: 106, CrashRejoin: true, RejoinBehind: 3, AsymPartitions: true}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -245,7 +197,7 @@ func TestChaosStaleAckIncarnation(t *testing.T) {
 	res, err := RunChaos(ChaosConfig{
 		Seed: 76, OpsPerSession: 80, Net: grayDiscoveryNet,
 		CrashRejoin: true, LeaseFlips: true, ShardStorms: true, StormShard: -1,
-		AsymPartitions: true, SlowNodes: true, ClockSkew: true, Gossip: true,
+		AsymPartitions: true, SlowNodes: true, ClockSkew: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +224,7 @@ func TestChaosTeachingACK(t *testing.T) {
 		res, err := RunChaos(ChaosConfig{
 			Seed: seed, OpsPerSession: 80, Net: grayDiscoveryNet,
 			CrashRejoin: true, LeaseFlips: true, ShardStorms: true, StormShard: -1,
-			AsymPartitions: true, SlowNodes: true, Gossip: true,
+			AsymPartitions: true, SlowNodes: true,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -285,10 +237,10 @@ func TestChaosTeachingACK(t *testing.T) {
 }
 
 // TestChaosGraySweep is the CI gray-failure net: every gray injection on at
-// once — one-way cuts, slow nodes, skewed clocks, burst reorder, epoch
-// gossip, crash-rejoin-behind with the install backstop off — across a wide
-// seed sweep. It runs the full sweep even in -short mode (CI runs exactly
-// this under -race); the per-run workload is trimmed to keep it quick.
+// once — one-way cuts, slow nodes, skewed clocks, burst reorder,
+// crash-rejoin-behind healed by epoch gossip — across a wide seed sweep. It
+// runs the full sweep even in -short mode (CI runs exactly this under
+// -race); the per-run workload is trimmed to keep it quick.
 func TestChaosGraySweep(t *testing.T) {
 	const sweep = 40
 	for seed := int64(1); seed <= sweep; seed++ {
@@ -296,26 +248,20 @@ func TestChaosGraySweep(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			res, err := RunChaos(ChaosConfig{
-				Seed:              seed,
-				OpsPerSession:     60,
-				CrashRejoin:       true,
-				RejoinBehind:      2,
-				AsymPartitions:    true,
-				SlowNodes:         true,
-				ClockSkew:         true,
-				Reorder:           true,
-				Gossip:            true,
-				NoInstallBackstop: true,
+				Seed:           seed,
+				OpsPerSession:  60,
+				CrashRejoin:    true,
+				RejoinBehind:   2,
+				AsymPartitions: true,
+				SlowNodes:      true,
+				ClockSkew:      true,
+				Reorder:        true,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Ops == 0 {
 				t.Fatalf("seed %d: no operations completed", seed)
-			}
-			if res.FastForwards != 0 {
-				t.Fatalf("seed %d: harness backstop fired %d times with NoInstallBackstop set",
-					seed, res.FastForwards)
 			}
 		})
 	}

@@ -6,22 +6,37 @@ import (
 	"repro/internal/shardhost"
 )
 
-// Chaos scenarios for the automatic reconfiguration pipeline: the view-log
-// fast-forward of a node that rejoined epochs behind, and agent-driven
-// staggered rollouts replacing harness-pushed installs.
+// Chaos scenarios for the automatic reconfiguration pipeline: the gossip-
+// triggered view-log fast-forward of a node that rejoined epochs behind, and
+// agent-driven staggered rollouts replacing harness-pushed installs.
 
 // TestChaosRejoinBehindFastForwardsViaViewLog is the acceptance regression
-// for the view log: a node crashes, misses the removal plus three more
-// epochs plus its own learner-add (none of which the harness ever
-// re-delivers), restarts on its stale pre-crash view — and must fast-forward
-// every shard through peers' view logs, catch up by chunk transfer and get
-// promoted, all without a second restart. Red runs embed the seed.
+// for lag recovery: a node crashes, misses the removal plus three more epochs
+// plus its own learner-add (none of which the harness ever re-delivers), and
+// restarts on its stale pre-crash view. Convergence must come from the
+// replicas themselves: peers announce their epoch vectors, the laggard
+// observes itself behind and fetches the gap from a peer's view log, catches
+// up by chunk transfer and is promoted, all without a second restart.
 func TestChaosRejoinBehindFastForwardsViaViewLog(t *testing.T) {
+	checkRejoinBehindSelfHeals(t, false)
+}
+
+// TestChaosGossipSelfHealsRejoinBehind is the same arc under one-way link
+// cuts, which can starve any single announcer or fetch source.
+func TestChaosGossipSelfHealsRejoinBehind(t *testing.T) {
+	checkRejoinBehindSelfHeals(t, true)
+}
+
+// checkRejoinBehindSelfHeals runs the rejoin-behind arc over a few seeds, with
+// or without asymmetric partitions. Red runs embed the seed.
+func checkRejoinBehindSelfHeals(t *testing.T, asym bool) {
+	t.Helper()
 	for _, seed := range chaosSeeds(t, 4) {
 		res, err := RunChaos(ChaosConfig{
-			Seed:         seed,
-			CrashRejoin:  true,
-			RejoinBehind: 3,
+			Seed:           seed,
+			CrashRejoin:    true,
+			RejoinBehind:   3,
+			AsymPartitions: asym,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -30,10 +45,11 @@ func TestChaosRejoinBehindFastForwardsViaViewLog(t *testing.T) {
 			t.Fatalf("seed %d: crash/restart/promote = %d/%d/%d, want 1/1/1",
 				seed, res.Crashes, res.Restarts, res.Promotions)
 		}
-		// The rejoined node was ≥ 3 epochs behind with no wire delivery of
-		// the gap: only view-log fetches can have closed it.
-		if res.FastForwards == 0 {
-			t.Fatalf("seed %d: no view-log fetches issued — the laggard recovered through a backdoor", seed)
+		// The rejoined node was ≥ 3 epochs behind with no wire delivery
+		// of the gap: only gossip-triggered view-log fetches can have
+		// closed it.
+		if res.GossipFF == 0 {
+			t.Fatalf("seed %d: no gossip-triggered fetches — who healed the laggard?", seed)
 		}
 		if res.FFApplied < 3 {
 			t.Fatalf("seed %d: only %d fetched updates applied, want >= 3 (the missed epochs)",
@@ -43,13 +59,13 @@ func TestChaosRejoinBehindFastForwardsViaViewLog(t *testing.T) {
 			t.Fatalf("seed %d: served %d < applied %d — entries applied that nobody served",
 				seed, res.FFServed, res.FFApplied)
 		}
-		// Convergence is asserted inside RunChaos (awaitConvergence); the
-		// epochs here document it.
-		for n, epochs := range res.FinalEpochs {
-			for s, e := range epochs {
-				if e < res.FinalEpochs[0][s] {
-					t.Fatalf("seed %d: node %d shard %d at epoch %d, behind node 0's %d",
-						seed, n, s, e, res.FinalEpochs[0][s])
+		// awaitConvergence enforces reaching the target; this pins that
+		// every live node ended on the same per-shard epochs.
+		for n := 1; n < len(res.FinalEpochs); n++ {
+			for s := range res.FinalEpochs[n] {
+				if res.FinalEpochs[n][s] != res.FinalEpochs[0][s] {
+					t.Fatalf("seed %d: final epochs diverge: node0=%v node%d=%v",
+						seed, res.FinalEpochs[0], n, res.FinalEpochs[n])
 				}
 			}
 		}
@@ -78,7 +94,7 @@ func TestChaosAgentDrivenRollout(t *testing.T) {
 				ShardStorms: true, // node-wide rollout storms in agent mode
 			}
 			if behind {
-				cfg.RejoinBehind, cfg.Gossip = 2, true
+				cfg.RejoinBehind = 2
 			}
 			res, err := RunChaos(cfg)
 			if err != nil {
@@ -156,8 +172,8 @@ func TestChaosRejoinBehindDeterministic(t *testing.T) {
 	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 		t.Fatalf("same seed, different runs: fingerprints %x vs %x", fa, fb)
 	}
-	if a.FastForwards != b.FastForwards || a.FFApplied != b.FFApplied {
+	if a.GossipFF != b.GossipFF || a.FFApplied != b.FFApplied {
 		t.Fatalf("fast-forward counters diverged across identical runs: %d/%d vs %d/%d",
-			a.FastForwards, a.FFApplied, b.FastForwards, b.FFApplied)
+			a.GossipFF, a.FFApplied, b.GossipFF, b.FFApplied)
 	}
 }

@@ -35,16 +35,24 @@ type ShardedReplica struct {
 	roller   *shardhost.Roller
 	nextRoll time.Duration
 
-	// gossipEvery paces the epoch-vector announcements Tick sends;
-	// nextGossip is the send horizon and gossipSent counts them.
-	gossipEvery time.Duration
-	nextGossip  time.Duration
-	gossipSent  uint64
+	// nextGossip is the horizon of the next epoch-vector announcement Tick
+	// sends; gossipSent counts them.
+	nextGossip time.Duration
+	gossipSent uint64
 }
 
-// rolloutStagger spaces one replica's per-shard installs of a node-wide view:
-// Tick performs at most one per window.
-const rolloutStagger = 150 * time.Microsecond
+const (
+	// rolloutStagger spaces one replica's per-shard installs of a node-wide
+	// view: Tick performs at most one per window.
+	rolloutStagger = 150 * time.Microsecond
+	// gossipEvery paces every replica's epoch-vector announcements
+	// (proto.EpochGossip) to the members and learners of its newest known
+	// view — the sim counterpart of the live controller's gossip loop. A
+	// receiver that observes itself behind issues its own view-log fetch,
+	// debounced to one per 4 x gossipEvery: the simulator's only lag-recovery
+	// path.
+	gossipEvery = 250 * time.Microsecond
+)
 
 // ShardedReplicaConfig parameterizes NewShardedReplica. MLT and NoLSC mean
 // what they do on core.Config.
@@ -55,14 +63,6 @@ type ShardedReplicaConfig struct {
 	// Learner starts every engine as a shadow replica (§3.4 Recovery) — the
 	// state a crashed node rejoins in.
 	Learner bool
-	// GossipEvery, when positive, announces this replica's per-shard epoch
-	// vector (proto.EpochGossip) to the members and learners of its newest
-	// known view on that period, from Tick — the sim counterpart of the live
-	// controller's gossip loop. A receiver that observes itself behind
-	// issues its own debounced view-log fetch: self-healing with no harness
-	// backstop. Gossip-triggered fetches are debounced to one per
-	// 4 x GossipEvery.
-	GossipEvery time.Duration
 }
 
 // shardReplicaEnv is one engine's window to the host env: it tags outgoing
@@ -90,7 +90,7 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 	if w < 1 {
 		w = 1
 	}
-	r := &ShardedReplica{id: id, w: w, env: env, gossipEvery: cfg.GossipEvery}
+	r := &ShardedReplica{id: id, w: w, env: env}
 	for i := 0; i < w; i++ {
 		r.engines = append(r.engines, core.New(core.Config{
 			ID: id, View: view.Clone(),
@@ -99,10 +99,7 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 		}))
 	}
 	r.host = shardhost.New(w, replicaDriver{r})
-	r.host.Debounce = 4 * cfg.GossipEvery
-	if r.host.Debounce <= 0 {
-		r.host.Debounce = 4 * time.Millisecond
-	}
+	r.host.Debounce = 4 * gossipEvery
 	r.roller = shardhost.NewRoller(id, r.ShardEpochs(), r.loads())
 	r.host.NodeView = r.roller.Accept
 	return r
@@ -168,8 +165,8 @@ func (r *ShardedReplica) Tick() {
 			}
 		}
 	}
-	if r.gossipEvery > 0 && now >= r.nextGossip {
-		r.nextGossip = now + r.gossipEvery
+	if now >= r.nextGossip {
+		r.nextGossip = now + gossipEvery
 		r.gossip()
 	}
 }
