@@ -12,7 +12,8 @@ import (
 // baseline, each gray fault alone, and everything at once — so a protocol
 // change that quietly regresses behavior under slow-but-alive nodes or
 // one-way cuts shows up as a throughput or abandonment delta in CI history,
-// not just a pass/fail bit.
+// not just a pass/fail bit. Every row runs the membership agents, so the
+// heartbeats and their epoch gossip are part of each row's traffic.
 // Every run's history still goes through the linearizability checker inside
 // RunChaos; a violation fails the experiment outright.
 func Gray(sc Scale) *stats.Table {

@@ -14,15 +14,23 @@ import (
 )
 
 // This file is the deterministic reconfiguration chaos harness: a seeded
-// schedule of node crashes, rejoins as learner, lease flips and per-shard
-// view installs, injected under a live read/write/RMW workload on a sharded
+// schedule of node crashes, rejoins as learner, lease flips, view storms and
+// gray faults, injected under a live read/write/RMW workload on a sharded
 // Hermes cluster, with every key's history checked against the Wing–Gong
-// linearizability oracle (internal/linear). Everything — the fault schedule,
-// the client mix, the network's loss and jitter — derives from ChaosConfig.Seed
-// over virtual time, so a failing run replays exactly from its seed. (The
-// protocol core cooperates: Tick and OnViewChange iterate per-key state in
-// sorted order precisely so retransmission order cannot leak map randomness
-// into the schedule.)
+// linearizability oracle (internal/linear).
+//
+// The harness scripts reconfiguration but never decides it. Every scripted
+// view is a proposal to a real membership.Agent; Paxos decides it over the
+// same lossy network as the data traffic, each node's commit reaches its
+// replica's shardhost.Roller, which staggers it across the shards, and a
+// replica that missed a decision heals itself by epoch gossip and a view-log
+// fetch. That is the code a live node runs.
+//
+// Everything (the fault schedule, the client mix, the network's loss and
+// jitter) derives from ChaosConfig.Seed over virtual time, so a failing run
+// replays exactly from its seed. (The protocol core cooperates: Tick and
+// OnViewChange iterate per-key state in sorted order precisely so
+// retransmission order cannot leak map randomness into the schedule.)
 
 // ChaosConfig parameterizes one chaos run. The zero value of every field
 // gets a sensible default; only Seed is required to vary runs.
@@ -43,29 +51,13 @@ type ChaosConfig struct {
 	// Fault injections. All off yields a plain workload run.
 	CrashRejoin bool // crash a node, remove it, rejoin as learner, promote
 	LeaseFlips  bool // temporarily revoke a node's RM lease
-	ShardStorms bool // back-to-back view installs targeted at single shards
-	// StormShard pins the shard the back-to-back installs target; an
-	// out-of-range value (e.g. -1) picks per-storm at random. The zero value
-	// pins shard 0, which scenario tests exploit to assert the other shards'
-	// epochs never moved.
-	StormShard int
-
-	// AgentDriven routes every scripted reconfiguration through real
-	// membership.Agents: the script proposes views (ProposeView on the
-	// current coordinator's agent), Paxos decides them over the same lossy
-	// network as the data traffic, and each node's agent commit reaches its
-	// replica's shardhost.Roller — the rules cluster.RolloutController runs —
-	// which staggers it across the shards by load. Storms become
-	// node-wide rollout storms (an agent cannot address one shard), so the
-	// single-shard epoch-isolation scenarios keep the default harness mode.
-	AgentDriven bool
+	ShardStorms bool // back-to-back membership-unchanged views, rolled shard by shard
 
 	// RejoinBehind, with CrashRejoin, makes the crashed node miss that many
 	// extra membership epochs while it is down and restart with its stale
 	// pre-crash view — so it rejoins RejoinBehind+2 epochs behind and can
-	// only catch up by fetching the peers' view logs (proto.ViewLogReq);
-	// the harness never re-delivers the missed installs. 0 rejoins at the
-	// current view, as a freshly told learner would.
+	// only catch up by fetching the peers' view logs (proto.ViewLogReq).
+	// 0 rejoins at the current view, as a freshly told learner would.
 	RejoinBehind int
 
 	// Gray-failure vocabulary. These model the failures that hurt real
@@ -152,8 +144,7 @@ type ChaosResult struct {
 	Abandoned                uint64 // ops given up on (crashed server) — pending in the history
 
 	Crashes, Restarts, Promotions int
-	Installs                      int // views issued by the harness (or decided by agents)
-	ShardInstalls                 int // single-shard installs among them
+	Installs                      int // views the agents decided: final epoch − initial epoch
 
 	// FFServed/FFApplied sum the replicas' log entries served to peers and
 	// fetched entries that actually advanced an epoch. Nonzero FFApplied is
@@ -183,9 +174,9 @@ type ChaosResult struct {
 	// the replicas healing themselves — the only lag-recovery path a run has.
 	GossipSent, GossipBehind, GossipFF uint64
 
-	// Rollout sums the live replicas' roll counters (shardhost.Roller): in
-	// agent-driven runs every node-wide view, decided or fetched, rolls
-	// through them. Fingerprint leaves them out.
+	// Rollout sums the live replicas' roll counters (shardhost.Roller):
+	// every view, decided or fetched, rolls through them. Fingerprint leaves
+	// them out.
 	Rollout shardhost.RollerStats
 
 	// §8 NoLSC instrumentation. FastProbes counts lock-free ReadLocal
@@ -244,15 +235,6 @@ type chaosRun struct {
 	hist *linear.History
 	res  *ChaosResult
 
-	view  proto.View // the harness's (= membership service's) current view
-	epoch uint32     // highest epoch issued so far, across all shards
-
-	// shardTarget is the highest epoch issued for each shard; the run must
-	// drive every live shard to its target (awaitConvergence) — with lost
-	// installs recovered by the replicas' own gossip-triggered view-log
-	// fetches.
-	shardTarget []uint32
-
 	alive       []bool
 	leased      []bool
 	learner     proto.NodeID // node currently rejoining, or NilNode
@@ -282,7 +264,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		outstanding: make(map[uint64]func(proto.Completion)),
 	}
 	r.res.History = r.hist
-	r.shardTarget = make([]uint32, cfg.Shards)
 	for i := range r.alive {
 		r.alive[i] = true
 		r.leased[i] = true
@@ -298,26 +279,18 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Net:       cfg.Net,
 		TickEvery: cfg.TickEvery,
 		Seed:      cfg.Seed ^ 0xC0FFEE,
-	}
-	if cfg.AgentDriven {
 		// Real membership agents decide the views; suspicion and lease
 		// windows are pushed out of reach so the *script* stays the only
 		// source of reconfiguration (the agents' own failure detection would
 		// otherwise race the schedule and break replayability of the
 		// scenario shape).
-		simCfg.RM = &RMParams{
+		RM: &RMParams{
 			HeartbeatEvery: 500 * time.Microsecond,
 			SuspectAfter:   time.Hour,
 			LeaseDur:       time.Hour,
-		}
-		simCfg.OnView = func(id proto.NodeID, v proto.View) { r.onAgentView(id, v) }
+		},
 	}
 	r.c = New(simCfg)
-	r.view = r.c.View()
-	r.epoch = r.view.Epoch
-	for s := range r.shardTarget {
-		r.shardTarget[s] = r.epoch
-	}
 
 	// Client sessions: closed-loop read/write/RMW mix.
 	for n := 0; n < cfg.Nodes; n++ {
@@ -346,8 +319,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		r.c.eng.RunUntil(r.c.eng.Now() + 5*time.Millisecond)
 	}
 
-	// Epoch convergence: every live shard must reach the highest epoch issued
-	// for it. Installs lost on the wire have exactly one recovery path — the
+	// Epoch convergence: every live shard must reach the highest decided
+	// epoch. Commits lost on the wire have exactly one recovery path — the
 	// gossip-triggered view-log fetch — so a shard stuck behind here means
 	// that path failed.
 	if err := r.awaitConvergence(); err != nil {
@@ -364,6 +337,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	r.collectMetrics()
+	r.res.Installs = int(r.view().Epoch - r.c.View().Epoch)
 	r.hist.Close()
 	if k, res, ok := r.hist.CheckAll(); !ok {
 		return r.res, fmt.Errorf("history of key %d not linearizable: %s (replay with seed %d)", k, res.Info, cfg.Seed)
@@ -380,14 +354,10 @@ func (r *chaosRun) scheduleFaults() {
 	if r.cfg.ShardStorms {
 		for i := 0; i < 2; i++ {
 			at := time.Duration(5+r.rng.Intn(30)) * time.Millisecond
-			shard := r.cfg.StormShard
-			if shard < 0 || shard >= r.cfg.Shards {
-				shard = r.rng.Intn(r.cfg.Shards)
-			}
 			bursts := 3 + r.rng.Intn(3)
 			gap := time.Duration(200+r.rng.Intn(600)) * time.Microsecond
 			r.scriptOpen++
-			r.c.eng.At(at, func() { r.storm(shard, bursts, gap) })
+			r.c.eng.At(at, func() { r.storm(bursts, gap) })
 		}
 	}
 	if r.cfg.LeaseFlips {
@@ -518,7 +488,7 @@ func (r *chaosRun) restoreLSC() {
 func (r *chaosRun) probeFastPath() {
 	for n := 0; n < r.cfg.Nodes; n++ {
 		id := proto.NodeID(n)
-		if !r.alive[n] || !r.leased[n] || !r.view.Contains(id) {
+		if !r.alive[n] || !r.leased[n] || !r.view().Contains(id) {
 			continue
 		}
 		rep, ok := r.c.Replica(id).(*ShardedReplica)
@@ -541,30 +511,29 @@ func (r *chaosRun) probeFastPath() {
 	}
 }
 
-// storm issues `bursts` back-to-back view installs targeted at one shard:
-// membership unchanged, epoch advancing each time — the §3.4 transition
-// (gate shut, epoch-tagged filtering, replays of in-flight writes) hammered
-// on one shard while every other shard's epoch never moves. In agent-driven
-// mode the bursts are node-wide proposals instead (an agent cannot address
-// one shard); each decision triggers every node's staggered rollout.
-func (r *chaosRun) storm(shard, bursts int, gap time.Duration) {
+// storm proposes `bursts` back-to-back views: membership unchanged, epoch
+// advancing each time. Each decision triggers every node's staggered
+// rollout, so the §3.4 transition (gate shut, epoch-tagged filtering,
+// replays of in-flight writes) runs shard after shard while the next view
+// may already supersede the roll.
+func (r *chaosRun) storm(bursts int, gap time.Duration) {
 	if bursts == 0 {
 		r.scriptOpen--
 		return
 	}
-	if r.cfg.AgentDriven {
-		if !r.propose(r.view.Members, r.view.Learners) {
-			// The coordinator still has a proposal in flight (or is dead):
-			// retry this burst after the gap instead of dropping it.
-			bursts++
-		}
-	} else {
-		r.epoch++
-		v := r.view.Clone()
-		v.Epoch = r.epoch
-		r.install(v, shard)
+	if !r.bump() {
+		// The coordinator still has a proposal in flight (or is dead):
+		// retry this burst after the gap instead of dropping it.
+		bursts++
 	}
-	r.c.eng.After(gap, func() { r.storm(shard, bursts-1, gap) })
+	r.c.eng.After(gap, func() { r.storm(bursts-1, gap) })
+}
+
+// bump proposes the current membership again at the next epoch; false
+// means no proposal was started.
+func (r *chaosRun) bump() bool {
+	v := r.view()
+	return r.propose(v.Members, v.Learners)
 }
 
 // propose asks the current coordinator's membership agent for a new view;
@@ -581,27 +550,6 @@ func (r *chaosRun) propose(members, learners []proto.NodeID) bool {
 	}
 	a.ProposeView(members, learners)
 	return true
-}
-
-// onAgentView is the Config.OnView hook of agent-driven runs: one node's
-// agent committed view v. The first commit of an epoch anywhere becomes the
-// harness's current view and every shard's target; the node's replica takes
-// the view as a live node with a rollout controller does — its
-// shardhost.Roller staggers it across the shards (ShardedReplica.Tick).
-func (r *chaosRun) onAgentView(id proto.NodeID, v proto.View) {
-	if v.Epoch > r.epoch {
-		r.epoch = v.Epoch
-		r.view = v.Clone()
-		r.res.Installs++
-		for s := range r.shardTarget {
-			if v.Epoch > r.shardTarget[s] {
-				r.shardTarget[s] = v.Epoch
-			}
-		}
-	}
-	if r.alive[id] {
-		r.c.Replica(id).OnViewChange(v)
-	}
 }
 
 // leaseFlip revokes a serving member's lease for dur — the node rejects
@@ -628,35 +576,30 @@ func (r *chaosRun) leaseFlip(dur time.Duration) {
 // crashCycle is the full §3.4 recovery arc: crash-stop a member while
 // traffic (and possibly a replay) is in flight, reconfigure it out, restart
 // it as a learner (shadow replica, empty store), wait for chunk-transfer
-// catch-up, then promote it back to a serving member. With RejoinBehind the
-// node additionally misses extra epochs while down and restarts on its
-// stale pre-crash view, so its only way forward is the view-log fetch.
+// catch-up, then promote it back to a serving member. Every step is a view
+// the agents decide. With RejoinBehind the node additionally misses extra
+// epochs while down and restarts on its stale pre-crash view, so its only
+// way forward is the view-log fetch.
 func (r *chaosRun) crashCycle() {
 	n := r.pickVictim()
 	if n == proto.NilNode {
 		r.scriptOpen--
 		return
 	}
-	stale := r.view.Clone() // what n will remember if it rejoins behind
+	stale := r.view().Clone() // what n will remember if it rejoins behind
 	r.c.hosts[n].crashed = true
 	r.alive[n] = false
 	r.res.Crashes++
 
-	// Remove it from the membership a detection-delay later (staggered
-	// per-shard installs on the survivors).
+	// Remove it from the membership a detection-delay later.
 	r.c.eng.After(3*time.Millisecond, func() {
-		if r.cfg.AgentDriven {
-			r.proposeUntil(
-				func() ([]proto.NodeID, []proto.NodeID) { return without(r.view.Members, n), r.view.Learners },
-				func() bool { return !r.view.Contains(n) },
-				func() {})
-			return
-		}
-		r.epoch++
-		v := proto.View{Epoch: r.epoch, Members: without(r.view.Members, n)}
-		v.Learners = append([]proto.NodeID(nil), r.view.Learners...)
-		r.view = v
-		r.install(v, -1)
+		r.proposeUntil(
+			func() ([]proto.NodeID, []proto.NodeID) {
+				v := r.view()
+				return without(v.Members, n), v.Learners
+			},
+			func() bool { return !r.view().Contains(n) },
+			func() {})
 	})
 
 	// Epochs n sleeps through: membership-unchanged bumps decided while it
@@ -667,27 +610,17 @@ func (r *chaosRun) crashCycle() {
 		if after+600*time.Microsecond > restartAfter {
 			restartAfter = after + 600*time.Microsecond
 		}
-		r.c.eng.After(after, func() {
-			if r.cfg.AgentDriven {
-				r.propose(r.view.Members, r.view.Learners)
-				return
-			}
-			r.epoch++
-			v := r.view.Clone()
-			v.Epoch = r.epoch
-			r.view = v
-			r.install(v, -1)
-		})
+		r.c.eng.After(after, func() { r.bump() })
 	}
 
 	// Restart as learner and add it to the view as one.
 	r.c.eng.After(restartAfter, func() { r.restartAsLearner(n, stale) })
 }
 
-// restartAsLearner revives n as a shadow replica and reconfigures it into
-// the view as a learner. With RejoinBehind the restarted node seeds from its
-// stale pre-crash view and the harness never re-delivers what it missed —
-// the replicas' epoch gossip and the view-log fetch it triggers must carry it.
+// restartAsLearner reconfigures n into the view as a learner, then revives
+// it as a shadow replica. With RejoinBehind the restarted node seeds from its
+// stale pre-crash view and nothing re-delivers what it missed — the
+// replicas' epoch gossip and the view-log fetch it triggers must carry it.
 func (r *chaosRun) restartAsLearner(n proto.NodeID, stale proto.View) {
 	factory := func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
 		return NewShardedReplica(id, view, env, ShardedReplicaConfig{
@@ -695,52 +628,29 @@ func (r *chaosRun) restartAsLearner(n proto.NodeID, stale proto.View) {
 			NoLSC: r.cfg.NoLSC && !r.lscRestored,
 		})
 	}
-	if r.cfg.AgentDriven {
-		// Order matters: the learner-add view must COMMIT before the node
-		// starts its chunk transfer. A learner fetching state while the
-		// members' installed views still exclude it from the write set would
-		// miss the writes racing the transfer — a stale store behind a Valid
-		// state, serving stale reads after promotion.
-		r.proposeUntil(
-			func() ([]proto.NodeID, []proto.NodeID) {
-				return r.view.Members, append(append([]proto.NodeID(nil), r.view.Learners...), n)
-			},
-			func() bool { return r.view.IsLearner(n) },
-			func() {
-				r.alive[n] = true
-				r.leased[n] = true
-				r.learner = n
-				r.res.Restarts++
-				restartView := r.view
-				if r.cfg.RejoinBehind > 0 {
-					restartView = stale
-				}
-				r.c.Restart(n, factory, restartView)
-				r.pollPromotion(n)
-			})
-		return
-	}
-	r.epoch++
-	v := proto.View{
-		Epoch:    r.epoch,
-		Members:  append([]proto.NodeID(nil), r.view.Members...),
-		Learners: append(append([]proto.NodeID(nil), r.view.Learners...), n),
-	}
-	r.view = v
-	r.alive[n] = true
-	r.leased[n] = true
-	r.learner = n
-	r.res.Restarts++
-	restartView, skip := v, proto.NilNode
-	if r.cfg.RejoinBehind > 0 {
-		// The node comes back on what it remembered; even the learner-add
-		// m-update does not reach it directly (it was decided while the node
-		// was still unreachable). Its shards fast-forward via the log.
-		restartView, skip = stale, n
-	}
-	r.c.Restart(n, factory, restartView)
-	r.installSkip(v, -1, skip)
-	r.pollPromotion(n)
+	// Order matters: the learner-add view must COMMIT before the node
+	// starts its chunk transfer. A learner fetching state while the
+	// members' installed views still exclude it from the write set would
+	// miss the writes racing the transfer — a stale store behind a Valid
+	// state, serving stale reads after promotion.
+	r.proposeUntil(
+		func() ([]proto.NodeID, []proto.NodeID) {
+			v := r.view()
+			return v.Members, append(append([]proto.NodeID(nil), v.Learners...), n)
+		},
+		func() bool { return r.view().IsLearner(n) },
+		func() {
+			r.alive[n] = true
+			r.leased[n] = true
+			r.learner = n
+			r.res.Restarts++
+			restartView := r.view()
+			if r.cfg.RejoinBehind > 0 {
+				restartView = stale
+			}
+			r.c.Restart(n, factory, restartView)
+			r.pollPromotion(n)
+		})
 }
 
 // pollPromotion waits for the learner's every engine to finish state
@@ -748,33 +658,19 @@ func (r *chaosRun) restartAsLearner(n proto.NodeID, stale proto.View) {
 func (r *chaosRun) pollPromotion(n proto.NodeID) {
 	rep, ok := r.c.Replica(n).(*ShardedReplica)
 	if ok && rep.CaughtUp() {
-		if r.cfg.AgentDriven {
-			r.proposeUntil(
-				func() ([]proto.NodeID, []proto.NodeID) {
-					m := append(append([]proto.NodeID(nil), r.view.Members...), n)
-					sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
-					return m, without(r.view.Learners, n)
-				},
-				func() bool { return r.view.Contains(n) },
-				func() {
-					r.learner = proto.NilNode
-					r.res.Promotions++
-					r.scriptOpen--
-				})
-			return
-		}
-		r.epoch++
-		v := proto.View{
-			Epoch:   r.epoch,
-			Members: append(append([]proto.NodeID(nil), r.view.Members...), n),
-		}
-		sort.Slice(v.Members, func(i, j int) bool { return v.Members[i] < v.Members[j] })
-		v.Learners = without(r.view.Learners, n)
-		r.view = v
-		r.learner = proto.NilNode
-		r.res.Promotions++
-		r.install(v, -1)
-		r.scriptOpen--
+		r.proposeUntil(
+			func() ([]proto.NodeID, []proto.NodeID) {
+				v := r.view()
+				m := append(append([]proto.NodeID(nil), v.Members...), n)
+				sort.Slice(m, func(i, j int) bool { return m[i] < m[j] })
+				return m, without(v.Learners, n)
+			},
+			func() bool { return r.view().Contains(n) },
+			func() {
+				r.learner = proto.NilNode
+				r.res.Promotions++
+				r.scriptOpen--
+			})
 		return
 	}
 	r.c.eng.After(time.Millisecond, func() { r.pollPromotion(n) })
@@ -783,8 +679,8 @@ func (r *chaosRun) pollPromotion(n proto.NodeID) {
 // proposeUntil keeps proposing a view shaped by mk (recomputed from the
 // current committed view on every attempt, so a rival decision folds in)
 // until pred observes the change committed, then runs done. Drives the
-// agent-mode script items through real consensus without wedging on lost
-// proposals or duels.
+// script's membership changes through real consensus without wedging on
+// lost proposals or duels.
 func (r *chaosRun) proposeUntil(mk func() ([]proto.NodeID, []proto.NodeID), pred func() bool, done func()) {
 	var step func()
 	step = func() {
@@ -803,8 +699,9 @@ func (r *chaosRun) proposeUntil(mk func() ([]proto.NodeID, []proto.NodeID), pred
 // standing.
 func (r *chaosRun) pickVictim() proto.NodeID {
 	var cands []proto.NodeID
+	members := r.view().Members
 	healthy := 0
-	for _, m := range r.view.Members {
+	for _, m := range members {
 		if r.alive[m] && r.leased[m] {
 			healthy++
 		}
@@ -812,7 +709,7 @@ func (r *chaosRun) pickVictim() proto.NodeID {
 	if healthy < 2 {
 		return proto.NilNode
 	}
-	for _, m := range r.view.Members {
+	for _, m := range members {
 		if r.alive[m] && r.leased[m] && m != r.learner {
 			cands = append(cands, m)
 		}
@@ -823,66 +720,15 @@ func (r *chaosRun) pickVictim() proto.NodeID {
 	return cands[r.rng.Intn(len(cands))]
 }
 
-// install delivers view v to every live node — to a single shard, or, with
-// shard < 0, to all shards with a per-shard stagger (shards advance epochs
-// independently; nothing requires them to transition together). Each
-// (node, shard) install rides the lossy network as a proto.MUpdate from the
-// current coordinator. A lost m-update is recovered by the lagging replica
-// itself: a peer's epoch gossip shows it behind and it fetches that peer's
-// view log — protocol traffic on the same lossy wire, through the shardhost
-// observer the live node runs.
-func (r *chaosRun) install(v proto.View, shard int) { r.installSkip(v, shard, proto.NilNode) }
-
-// installSkip is install with one node excluded from the wire fan-out
-// (modeling a decision made while that node was unreachable), so its only
-// path to the view is the gossip-triggered log fetch.
-func (r *chaosRun) installSkip(v proto.View, shard int, skip proto.NodeID) {
-	r.res.Installs++
-	coord := r.coordinator()
-	lo, hi := shard, shard+1
-	if shard < 0 {
-		lo, hi = 0, r.cfg.Shards
-	} else {
-		r.res.ShardInstalls++
-	}
-	// The deciding service durably records its own decision: the coordinator
-	// retains every (shard, view) in its log even if the wire loses the
-	// fan-out, so there is always a node laggards can fetch from.
-	crep, crepOK := r.c.Replica(coord).(*ShardedReplica)
-	for s := lo; s < hi; s++ {
-		if v.Epoch > r.shardTarget[s] {
-			r.shardTarget[s] = v.Epoch
-		}
-		if crepOK && r.alive[coord] {
-			crep.RecordView(proto.MUpdate{Shard: uint16(s), View: v})
-		}
-	}
-	for n := 0; n < r.cfg.Nodes; n++ {
-		node := proto.NodeID(n)
-		for s := lo; s < hi; s++ {
-			mu := proto.MUpdate{Shard: uint16(s), View: v}
-			delay := time.Duration(s)*150*time.Microsecond +
-				time.Duration(r.rng.Intn(200))*time.Microsecond
-			if node != skip {
-				r.c.eng.After(delay, func() {
-					if r.alive[node] {
-						r.c.net.Send(coord, node, mu, r.c.sizeOf(mu))
-					}
-				})
-			}
-		}
-	}
-}
-
 // awaitConvergence drives the engine until every live shard has reached the
-// highest epoch issued for it. A shard stuck behind means the gossip-driven
+// highest decided epoch. A shard stuck behind means the gossip-driven
 // view-log recovery path failed — that is a finding, reported with the seed.
 func (r *chaosRun) awaitConvergence() error {
 	deadline := r.c.eng.Now() + 400*time.Millisecond
 	for !r.converged() {
 		if r.c.eng.Now() >= deadline {
-			return fmt.Errorf("shard epochs never converged to %v: [%s] (replay with seed %d)",
-				r.shardTarget, r.lagReport(), r.cfg.Seed)
+			return fmt.Errorf("shard epochs never converged to %d: [%s] (replay with seed %d)",
+				r.view().Epoch, r.lagReport(), r.cfg.Seed)
 		}
 		r.c.eng.RunUntil(r.c.eng.Now() + time.Millisecond)
 	}
@@ -890,6 +736,7 @@ func (r *chaosRun) awaitConvergence() error {
 }
 
 func (r *chaosRun) converged() bool {
+	target := r.view().Epoch
 	for n := 0; n < r.cfg.Nodes; n++ {
 		if !r.alive[n] {
 			continue
@@ -899,7 +746,7 @@ func (r *chaosRun) converged() bool {
 			continue
 		}
 		for s := 0; s < r.cfg.Shards; s++ {
-			if rep.Engine(s).View().Epoch < r.shardTarget[s] {
+			if rep.Engine(s).View().Epoch < target {
 				return false
 			}
 		}
@@ -908,6 +755,7 @@ func (r *chaosRun) converged() bool {
 }
 
 func (r *chaosRun) lagReport() string {
+	target := r.view().Epoch
 	var lags []string
 	for n := 0; n < r.cfg.Nodes; n++ {
 		if !r.alive[n] {
@@ -918,8 +766,8 @@ func (r *chaosRun) lagReport() string {
 			continue
 		}
 		for s := 0; s < r.cfg.Shards; s++ {
-			if e := rep.Engine(s).View().Epoch; e < r.shardTarget[s] {
-				lags = append(lags, fmt.Sprintf("node%d/shard%d@%d<%d", n, s, e, r.shardTarget[s]))
+			if e := rep.Engine(s).View().Epoch; e < target {
+				lags = append(lags, fmt.Sprintf("node%d/shard%d@%d", n, s, e))
 			}
 		}
 	}
@@ -927,12 +775,26 @@ func (r *chaosRun) lagReport() string {
 }
 
 func (r *chaosRun) coordinator() proto.NodeID {
-	for _, m := range r.view.Members {
+	members := r.view().Members
+	for _, m := range members {
 		if r.alive[m] {
 			return m
 		}
 	}
-	return r.view.Members[0]
+	return members[0]
+}
+
+// view returns the current membership: the highest-epoch view any agent has
+// committed. A crashed or lagging agent never holds the maximum, and agents
+// at one epoch hold the same decided view.
+func (r *chaosRun) view() proto.View {
+	best := r.c.Agent(0).View()
+	for n := 1; n < r.cfg.Nodes; n++ {
+		if v := r.c.Agent(proto.NodeID(n)).View(); v.Epoch > best.Epoch {
+			best = v
+		}
+	}
+	return best
 }
 
 // --- client sessions ---
@@ -955,9 +817,9 @@ func (s *chaosSession) next() {
 
 	// Stick to the home node while it serves; fail over otherwise.
 	target := s.node
-	if !r.alive[target] || !r.leased[target] || !r.view.Contains(target) {
+	if v := r.view(); !r.alive[target] || !r.leased[target] || !v.Contains(target) {
 		target = proto.NilNode
-		for _, m := range r.view.Members {
+		for _, m := range v.Members {
 			if r.alive[m] && r.leased[m] {
 				target = m
 				break
@@ -1069,7 +931,7 @@ func (s *chaosSession) complete(comp proto.Completion) {
 // much as a convergence check.
 func (r *chaosRun) finalReads(horizon time.Duration) error {
 	var servers []proto.NodeID
-	for _, m := range r.view.Members {
+	for _, m := range r.view().Members {
 		if r.alive[m] && r.leased[m] {
 			servers = append(servers, m)
 		}

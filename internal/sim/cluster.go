@@ -54,11 +54,6 @@ type Config struct {
 	TickEvery time.Duration // protocol timer granularity (default 100µs)
 	Seed      int64
 	RM        *RMParams
-	// OnView, when set, intercepts the membership agents' decided views
-	// instead of the default direct rep.OnViewChange fan-out: the hook owns
-	// how (and whether) the view reaches the replica — e.g. the chaos
-	// harness's staggered per-shard rollout. Only meaningful with RM set.
-	OnView func(id proto.NodeID, v proto.View)
 	// SizeOf estimates a message's wire payload size for PerByte costs and
 	// bandwidth accounting; nil uses a flat 64 B.
 	SizeOf func(msg any) int
@@ -294,10 +289,6 @@ func (c *Cluster) newAgent(h *host, id proto.NodeID, initial proto.View) *member
 		LeaseDur:       c.cfg.RM.LeaseDur,
 		OnView: func(v proto.View) {
 			c.ViewChanges++
-			if c.cfg.OnView != nil {
-				c.cfg.OnView(id, v)
-				return
-			}
 			h.rep.OnViewChange(v)
 		},
 		OnLease: func(ok bool) {

@@ -124,6 +124,48 @@ func TestClusterCrashWithoutRMBlocksWrites(t *testing.T) {
 	}
 }
 
+// TestClusterStaleAckDoesNotCountForRejoinedNode pins core.OnViewChange's
+// gathered-ACK reset (the bug TestChaosStaleAckIncarnation was found on): a
+// pending write holds node 2's ACK, node 2 crashes, is removed and rejoins as
+// a learner while the write still waits on node 1. The dead incarnation's
+// ACK must not count for the new one, so with the coordinator's link to the
+// restarted node cut, node 1's ACK alone must not commit the write.
+func TestClusterStaleAckDoesNotCountForRejoinedNode(t *testing.T) {
+	c := New(Config{
+		Nodes:   3,
+		Factory: hermesFactory(500 * time.Microsecond),
+		Net:     NetConfig{BaseLatency: 2 * time.Microsecond},
+		Seed:    1,
+	})
+	net, eng := c.Network(), c.Engine()
+	net.SetLinkBlocked(0, 1, true) // the write waits on node 1
+	var done *proto.Completion
+	c.Submit(0, proto.ClientOp{ID: 1, Kind: proto.OpWrite, Key: 1, Value: proto.Value("v")},
+		func(comp proto.Completion) { done = &comp })
+	eng.RunUntil(100 * time.Microsecond) // node 2 has ACKed
+
+	c.CrashAt(2, eng.Now())
+	eng.RunUntil(eng.Now() + time.Microsecond)
+	c.InstallView(proto.View{Epoch: 2, Members: []proto.NodeID{0, 1}})
+	rejoin := proto.View{Epoch: 3, Members: []proto.NodeID{0, 1}, Learners: []proto.NodeID{2}}
+	c.Restart(2, func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
+		return core.New(core.Config{ID: id, View: view, Env: env, MLT: 500 * time.Microsecond, Learner: true})
+	}, rejoin)
+	net.SetLinkBlocked(0, 2, true) // the new incarnation never sees the INV
+	c.InstallView(rejoin)
+	net.SetLinkBlocked(0, 1, false)
+	eng.RunUntil(eng.Now() + 5*time.Millisecond)
+	if done != nil {
+		t.Fatalf("write committed on the dead incarnation's ACK: %+v", done)
+	}
+
+	net.SetLinkBlocked(0, 2, false)
+	eng.RunUntil(eng.Now() + 5*time.Millisecond)
+	if done == nil || done.Status != proto.OK {
+		t.Fatalf("write still blocked once the learner can ACK: %+v", done)
+	}
+}
+
 // End-to-end failure experiment shape (Fig. 9): with RM enabled, a crash
 // stalls writes until suspicion + lease expiry produce an m-update, after
 // which throughput recovers.

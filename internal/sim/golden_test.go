@@ -15,14 +15,14 @@ import (
 func TestChaosGoldenFingerprints(t *testing.T) {
 	configs := map[string]func(seed int64) ChaosConfig{
 		"kitchen-sink": func(seed int64) ChaosConfig {
-			return ChaosConfig{Seed: seed, CrashRejoin: true, LeaseFlips: true, ShardStorms: true, StormShard: -1}
+			return ChaosConfig{Seed: seed, CrashRejoin: true, LeaseFlips: true, ShardStorms: true}
 		},
 		"gray": func(seed int64) ChaosConfig {
 			return ChaosConfig{Seed: seed, OpsPerSession: 60, CrashRejoin: true, RejoinBehind: 2,
 				AsymPartitions: true, SlowNodes: true, ClockSkew: true, Reorder: true}
 		},
-		"agent-rollout": func(seed int64) ChaosConfig {
-			return ChaosConfig{Seed: seed, AgentDriven: true, CrashRejoin: true, ShardStorms: true}
+		"rollout-storms": func(seed int64) ChaosConfig {
+			return ChaosConfig{Seed: seed, CrashRejoin: true, ShardStorms: true}
 		},
 		"rejoin-behind": func(seed int64) ChaosConfig {
 			return ChaosConfig{Seed: seed, CrashRejoin: true, RejoinBehind: 3}
@@ -37,21 +37,21 @@ func TestChaosGoldenFingerprints(t *testing.T) {
 		fingerprint uint64
 		counters    [5]uint64
 	}{
-		{"kitchen-sink", 1, 0xaf3dd2b017aef6a7, [5]uint64{22, 8, 1258, 15, 10}},
-		{"kitchen-sink", 2, 0x5ed08f73423c7c4a, [5]uint64{11, 7, 2942, 15, 8}},
-		{"kitchen-sink", 3, 0xe9d61d8402d1031d, [5]uint64{6, 3, 2736, 9, 4}},
-		{"gray", 1, 0x10a334b30fb63155, [5]uint64{61, 34, 2609, 24, 10}},
-		{"gray", 2, 0x61bfba5c5d9f878c, [5]uint64{50, 33, 2337, 12, 10}},
-		{"gray", 3, 0x2a95215f21150fcb, [5]uint64{22, 18, 2210, 12, 4}},
-		{"agent-rollout", 1, 0x5ac4f7352bf273de, [5]uint64{27, 28, 2830, 89, 19}},
-		{"agent-rollout", 2, 0xc3f8316e58c82116, [5]uint64{25, 26, 2920, 41, 13}},
-		{"agent-rollout", 3, 0xfa929d4c5595e954, [5]uint64{18, 20, 2810, 93, 18}},
-		{"rejoin-behind", 1, 0x27dc61709e76d1b2, [5]uint64{38, 28, 2743, 21, 8}},
-		{"rejoin-behind", 2, 0xe532741c8d8f7eca, [5]uint64{40, 27, 2934, 17, 6}},
-		{"rejoin-behind", 3, 0x4894cf7ec89df6e9, [5]uint64{28, 22, 1222, 23, 6}},
-		{"gossip-self-heal", 1, 0x763695943737191b, [5]uint64{42, 27, 2843, 14, 6}},
-		{"gossip-self-heal", 2, 0x94720ffecd081018, [5]uint64{42, 27, 2934, 8, 6}},
-		{"gossip-self-heal", 3, 0x2c1e19115680f48c, [5]uint64{27, 23, 1323, 12, 5}},
+		{"kitchen-sink", 1, 0xc12554b498ac1b7a, [5]uint64{24, 22, 1222, 113, 20}},
+		{"kitchen-sink", 2, 0x01dd34ce52439cf5, [5]uint64{11, 11, 1122, 29, 9}},
+		{"kitchen-sink", 3, 0x0e0b044c66fa815f, [5]uint64{20, 20, 2730, 84, 16}},
+		{"gray", 1, 0xf030b4d17c9dbc61, [5]uint64{8, 8, 2210, 56, 6}},
+		{"gray", 2, 0xfc36157d0d923a52, [5]uint64{10, 10, 2310, 54, 7}},
+		{"gray", 3, 0x25e9d445a1834cc8, [5]uint64{6, 6, 2263, 36, 3}},
+		{"rollout-storms", 1, 0x5ac4f7352bf273de, [5]uint64{27, 28, 2830, 89, 19}},
+		{"rollout-storms", 2, 0xc3f8316e58c82116, [5]uint64{25, 26, 2920, 41, 13}},
+		{"rollout-storms", 3, 0xfa929d4c5595e954, [5]uint64{18, 20, 2810, 93, 18}},
+		{"rejoin-behind", 1, 0x1a9fdf1ed140a58c, [5]uint64{16, 17, 2838, 41, 10}},
+		{"rejoin-behind", 2, 0xf2ec92bdc7008c25, [5]uint64{15, 15, 2830, 31, 8}},
+		{"rejoin-behind", 3, 0xf0224955baf0f389, [5]uint64{17, 17, 1216, 42, 10}},
+		{"gossip-self-heal", 1, 0xe32e4ab6c1db7fbe, [5]uint64{16, 16, 2934, 38, 10}},
+		{"gossip-self-heal", 2, 0xee06b58a5e6462a9, [5]uint64{12, 12, 3030, 28, 8}},
+		{"gossip-self-heal", 3, 0x30fb146f858064dc, [5]uint64{19, 19, 2818, 37, 8}},
 	}
 	for _, g := range golden {
 		g := g

@@ -191,12 +191,16 @@ var grayDiscoveryNet = NetConfig{BaseLatency: 2000, Jitter: 500, LossProb: 0.05,
 // incarnation, so the write committed without ever re-invalidating the
 // restarted (empty) replica, and a later read there returned the old value.
 // OnViewChange now resets every pending's gathered-ACK set so commit
-// accounting restarts under the new membership; the linearizability check
-// inside RunChaos is the assertion.
+// accounting restarts under the new membership. The schedule was found with
+// harness-pushed views; under agent-decided views the node restarts only
+// after its learner-add commits, and no seed of this config reaches the bug
+// any more. The run stays as a regression net (the linearizability check
+// inside RunChaos), and TestClusterStaleAckDoesNotCountForRejoinedNode is
+// the scenario that goes red without the reset.
 func TestChaosStaleAckIncarnation(t *testing.T) {
 	res, err := RunChaos(ChaosConfig{
 		Seed: 76, OpsPerSession: 80, Net: grayDiscoveryNet,
-		CrashRejoin: true, LeaseFlips: true, ShardStorms: true, StormShard: -1,
+		CrashRejoin: true, LeaseFlips: true, ShardStorms: true,
 		AsymPartitions: true, SlowNodes: true, ClockSkew: true,
 	})
 	if err != nil {
@@ -223,7 +227,7 @@ func TestChaosTeachingACK(t *testing.T) {
 	for seed := int64(200); seed <= 214; seed++ {
 		res, err := RunChaos(ChaosConfig{
 			Seed: seed, OpsPerSession: 80, Net: grayDiscoveryNet,
-			CrashRejoin: true, LeaseFlips: true, ShardStorms: true, StormShard: -1,
+			CrashRejoin: true, LeaseFlips: true, ShardStorms: true,
 			AsymPartitions: true, SlowNodes: true,
 		})
 		if err != nil {

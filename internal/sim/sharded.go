@@ -136,12 +136,6 @@ func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
 	r.host.Dispatch(from, msg, r.env.Now())
 }
 
-// RecordView retains a membership update in the replica's view log without
-// installing it. The chaos harness calls it on the deciding coordinator — the
-// membership service durably knows its own decisions even when the wire
-// loses the fan-out.
-func (r *ShardedReplica) RecordView(m proto.MUpdate) { r.host.Record(m) }
-
 // FastForwardStats reports the view-log counters: entries served to peers
 // and fetched entries that advanced a local epoch.
 func (r *ShardedReplica) FastForwardStats() (served, applied uint64) {
