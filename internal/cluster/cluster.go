@@ -10,12 +10,14 @@
 // event-loop goroutine per shard, each owning one protocol state machine
 // (Submit/Deliver/Tick/OnViewChange are never called concurrently on it).
 // Which shard a message belongs to, what an m-update installs where, the
-// view log and the gossip observer are internal/shardhost's — the code the
-// simulator runs too. Local linearizable reads take the HermesKV fast path
-// (§4.1): gated by core.ReadGate they consult the shared kvs.Store directly
-// on the caller's goroutine, and only enter the event loop when the key is
-// not Valid, the gate is shut (view installation in flight, non-serving
-// replica) or NoLSC mode demands the §8 speculative path.
+// view log, the staggered roll of node-wide views and epoch gossip are
+// internal/shardhost's — the code the simulator runs too; one control-plane
+// goroutine per node steps it (ShardedNode.control). Local linearizable
+// reads take the HermesKV fast path (§4.1): gated by core.ReadGate they
+// consult the shared kvs.Store directly on the caller's goroutine, and only
+// enter the event loop when the key is not Valid, the gate is shut (view
+// installation in flight, non-serving replica) or NoLSC mode demands the §8
+// speculative path.
 package cluster
 
 import (
@@ -171,8 +173,8 @@ type Shard struct {
 	wg     sync.WaitGroup
 	nextOp atomic.Uint64
 	// updates counts submitted update ops (writes, CAS, FAA); together with
-	// the read counters it is the live load signal the rollout controller
-	// orders shards by.
+	// the read counters it is the live load signal the roll orders shards
+	// by.
 	updates atomic.Uint64
 
 	// pending holds the completion callback of every op the engine has been

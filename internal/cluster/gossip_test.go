@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/proto"
-	"repro/internal/shardhost"
 )
 
 // Epoch-gossip self-healing on the live runtime: announcements over the real
@@ -14,27 +13,34 @@ import (
 // under faults, here pinned deterministically against the goroutine/channel
 // stack.
 
+// gossipingLocal is NewShardedLocal(LocalConfig{N: 3}, w) with node 0
+// announcing epoch gossip to the whole group every gossipEvery.
+func gossipingLocal(w int, gossipEvery time.Duration) *ShardedLocal {
+	ids := []proto.NodeID{0, 1, 2}
+	l := &ShardedLocal{Tr: NewChanTransport(ids)}
+	for _, id := range ids {
+		cfg := ShardedConfig{ID: id, View: view3(1), Shards: w}
+		if id == 0 {
+			cfg.GossipEvery, cfg.GossipPeers = gossipEvery, ids
+		}
+		l.Nodes = append(l.Nodes, NewShardedNode(cfg, l.Tr))
+	}
+	return l
+}
+
 // TestGossipSelfHealsLaggard closes the loop end to end with no operator and
-// no test backdoor: node 0's controller announces its per-shard epoch vector
-// on a timer; node 1's controller — which missed every decided view — must
-// observe itself behind from the announcements alone, issue its own view-log
-// fetch, and converge.
+// no test backdoor: node 0 announces its per-shard epoch vector on a timer;
+// node 1 — which missed every decided view — must observe itself behind from
+// the announcements alone, issue its own view-log fetch, and converge.
 func TestGossipSelfHealsLaggard(t *testing.T) {
 	const w = 4
-	l := NewShardedLocal(LocalConfig{N: 3}, w)
+	l := gossipingLocal(w, 5*time.Millisecond)
 	defer l.Close()
 	a, b := l.Nodes[0], l.Nodes[1]
-	rcA := NewRolloutController(a, RolloutConfig{
-		GossipEvery: 5 * time.Millisecond,
-		GossipPeers: []proto.NodeID{0, 1, 2},
-	})
-	defer rcA.Close()
-	rcB := NewRolloutController(b, RolloutConfig{})
-	defer rcB.Close()
 
 	// Epochs 2..5 reach only node 0; node 1's agent missed them all.
 	for e := uint32(2); e <= 5; e++ {
-		rcA.OnView(view3(e))
+		a.OnView(view3(e))
 	}
 	waitEpochs(t, func() bool {
 		for _, e := range a.ShardEpochs() {
@@ -54,7 +60,7 @@ func TestGossipSelfHealsLaggard(t *testing.T) {
 		}
 		return true
 	})
-	if st := rcA.Stats(); st.GossipSent == 0 {
+	if st := a.HostStats(); st.GossipSent == 0 {
 		t.Fatalf("announcer sent no gossip: %+v", st)
 	}
 	st := b.HostStats()
@@ -78,15 +84,11 @@ func TestGossipSelfHealsLaggard(t *testing.T) {
 // window issues no second fetch.
 func TestGossipObserveFetchesOverTransport(t *testing.T) {
 	const w = 4
-	l := NewShardedLocal(LocalConfig{N: 3}, w)
+	// Node 0 announces once an hour: its debounce window is four hours.
+	l := gossipingLocal(w, time.Hour)
 	defer l.Close()
-	rc0 := NewRolloutController(l.Nodes[0], RolloutConfig{})
-	defer rc0.Close()
-	l.Nodes[0].withHost(func(h *shardhost.Host) { h.Debounce = time.Hour })
-	rc2 := NewRolloutController(l.Nodes[2], RolloutConfig{})
-	defer rc2.Close()
 	for e := uint32(2); e <= 7; e++ {
-		rc2.OnView(view3(e))
+		l.Nodes[2].OnView(view3(e))
 	}
 	allAt := func(n *ShardedNode, want uint32) func() bool {
 		return func() bool {

@@ -10,22 +10,39 @@ import (
 	"repro/internal/proto"
 )
 
-// The rollout controller: agent-decided views staggered across shards by
-// live load, at most one read gate shut at a time, idempotent redelivery,
-// node-wide fencing on removal, and view-log fast-forward for laggards.
+// The live roll: agent-decided views staggered across shards by live load by
+// the node's control goroutine, at most one read gate shut at a time,
+// idempotent redelivery, node-wide fencing on removal, and view-log
+// fast-forward for laggards.
 
 func view3(e uint32) proto.View {
 	return proto.View{Epoch: e, Members: []proto.NodeID{0, 1, 2}}
 }
 
+// wedge parks shard's event loop until release is called, at the latest
+// when the test ends: an install queued behind it stays in flight, its read
+// gate shut. The node must be closed by a cleanup registered earlier, which
+// runs after this one.
+func wedge(t *testing.T, sn *ShardedNode, shard int) (release func()) {
+	ch, entered := make(chan struct{}), make(chan struct{})
+	sn.Shard(shard).enqueueFn(func() { close(entered); <-ch })
+	<-entered
+	var once sync.Once
+	release = func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(release)
+	return release
+}
+
 // TestRolloutOrdersByLoadOneGateAtATime pins the two tentpole properties of
 // a roll: shards install coolest-first (per the live read/write counters),
-// and whenever the next shard's install begins, every other shard's gate is
-// open again — at most one gate is ever shut.
+// and at most one gate is ever shut. Every shard's event loop is wedged, so an
+// install handed out keeps its gate shut until the test releases that shard:
+// an install handed out before the previous one landed would show as a
+// second shut gate and a second install counted.
 func TestRolloutOrdersByLoadOneGateAtATime(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
-	defer l.Close()
+	t.Cleanup(l.Close)
 	ctx := context.Background()
 	sn := l.Nodes[0]
 	keys := keysOnDistinctShards(w)
@@ -34,27 +51,7 @@ func TestRolloutOrdersByLoadOneGateAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	var mu sync.Mutex
-	var order []int
-	rc := NewRolloutController(sn, RolloutConfig{})
-	defer rc.Close()
-	rc.onInstall = func(s int, v proto.View) {
-		mu.Lock()
-		order = append(order, s)
-		mu.Unlock()
-		// The hook fires before shard s's gate shuts; every gate must be
-		// open here — the previous install's transition completed before
-		// this one begins.
-		for j := 0; j < w; j++ {
-			if !sn.Shard(j).h.ReadGate().Allowed() {
-				t.Errorf("shard %d's gate shut while shard %d's install begins", j, s)
-			}
-		}
-	}
-
-	// Skew the load after the controller snapshotted its baseline:
-	// shard order by reads becomes 3 < 1 < 2 < 0.
+	// Skew the load: shard order by reads becomes 3 < 1 < 2 < 0.
 	reads := map[int]int{0: 40, 1: 10, 2: 30, 3: 0}
 	for s, n := range reads {
 		for i := 0; i < n; i++ {
@@ -63,33 +60,46 @@ func TestRolloutOrdersByLoadOneGateAtATime(t *testing.T) {
 			}
 		}
 	}
-
-	rc.OnView(view3(2))
-	waitEpochs(t, func() bool {
-		for _, e := range sn.ShardEpochs() {
-			if e != 2 {
-				return false
+	release := make([]func(), w)
+	for s := range release {
+		release[s] = wedge(t, sn, s)
+	}
+	shutGates := func() (shut []int) {
+		for j := 0; j < w; j++ {
+			if !sn.Shard(j).h.ReadGate().Allowed() {
+				shut = append(shut, j)
 			}
 		}
-		return true
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{3, 1, 2, 0}
-	if len(order) != len(want) {
-		t.Fatalf("installed %v, want %v", order, want)
+		return shut
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("install order %v, want coolest-first %v", order, want)
+
+	sn.OnView(view3(2))
+	var order []int
+	for len(order) < w {
+		waitEpochs(t, func() bool { return len(shutGates()) > 0 })
+		// Give the control goroutine several steps to misbehave.
+		time.Sleep(5 * rollStagger)
+		shut := shutGates()
+		if len(shut) != 1 {
+			t.Fatalf("gates %v shut at once after installs %v, want one at a time", shut, order)
 		}
+		if got := sn.HostStats().ShardInstalls; got != uint64(len(order)+1) {
+			t.Fatalf("%d installs handed out with %d landed, want one in flight", got, len(order))
+		}
+		s := shut[0]
+		order = append(order, s)
+		release[s]()
+		waitEpochs(t, func() bool { return sn.ShardEpochs()[s] == 2 })
 	}
-	if st := rc.Stats(); st.Views != 1 || st.ShardInstalls != uint64(w) {
+	if want := []int{3, 1, 2, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("install order %v, want coolest-first %v", order, want)
+	}
+	if st := sn.HostStats(); st.Views != 1 || st.ShardInstalls != uint64(w) {
 		t.Fatalf("stats %+v, want 1 view / %d shard installs", st, w)
 	}
 }
 
-// TestRolloutRedeliveryDoesNotReShutGates is the controller-level regression
+// TestRolloutRedeliveryDoesNotReShutGates is the roll-level regression
 // mirroring PR 4's duplicate-install read-gate bug: a redelivered view (a
 // lossy wire re-sends MUpdates, an agent re-fires a commit) must be dropped
 // idempotently — counted, but with no gate shut, no install performed, and
@@ -106,12 +116,10 @@ func TestRolloutRedeliveryDoesNotReShutGates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rc := NewRolloutController(sn, RolloutConfig{})
-	defer rc.Close()
 
 	// First delivery arrives over the wire as a node-wide MUpdate — the
-	// dispatch path must route it through the controller, not shut all four
-	// gates at once.
+	// dispatch path must route it through the roll, not shut all four gates
+	// at once.
 	l.Tr.Send(1, 0, proto.MUpdate{Shard: proto.AllShards, View: view3(2)})
 	waitEpochs(t, func() bool {
 		for _, e := range sn.ShardEpochs() {
@@ -121,19 +129,19 @@ func TestRolloutRedeliveryDoesNotReShutGates(t *testing.T) {
 		}
 		return true
 	})
-	installs := rc.Stats().ShardInstalls
+	installs := sn.HostStats().ShardInstalls
 
 	// Redeliver the same view: directly and over the wire.
-	rc.OnView(view3(2))
+	sn.OnView(view3(2))
 	l.Tr.Send(1, 0, proto.MUpdate{Shard: proto.AllShards, View: view3(2)})
 	deadline := time.Now().Add(200 * time.Millisecond)
-	for rc.Stats().Redelivered < 2 && time.Now().Before(deadline) {
+	for sn.HostStats().Redelivered < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := rc.Stats().Redelivered; got != 2 {
+	if got := sn.HostStats().Redelivered; got != 2 {
 		t.Fatalf("redelivered = %d, want 2", got)
 	}
-	if got := rc.Stats().ShardInstalls; got != installs {
+	if got := sn.HostStats().ShardInstalls; got != installs {
 		t.Fatalf("redelivery performed %d extra installs", got-installs)
 	}
 	for j := 0; j < w; j++ {
@@ -159,10 +167,8 @@ func TestRolloutNodeWideFallbackOnRemoval(t *testing.T) {
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	defer l.Close()
 	sn := l.Nodes[0]
-	rc := NewRolloutController(sn, RolloutConfig{})
-	defer rc.Close()
 
-	rc.OnView(proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}})
+	sn.OnView(proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}})
 	waitEpochs(t, func() bool {
 		for _, e := range sn.ShardEpochs() {
 			if e != 2 {
@@ -171,7 +177,7 @@ func TestRolloutNodeWideFallbackOnRemoval(t *testing.T) {
 		}
 		return true
 	})
-	if st := rc.Stats(); st.NodeWideFallbacks != 1 || st.ShardInstalls != 0 {
+	if st := sn.HostStats(); st.NodeWideFallbacks != 1 || st.ShardInstalls != 0 {
 		t.Fatalf("stats %+v, want exactly one node-wide fallback and no staggered installs", st)
 	}
 	for j := 0; j < w; j++ {
@@ -180,7 +186,7 @@ func TestRolloutNodeWideFallbackOnRemoval(t *testing.T) {
 		}
 	}
 	// Re-adding the node resumes the staggered path and reopens the gates.
-	rc.OnView(view3(3))
+	sn.OnView(view3(3))
 	waitEpochs(t, func() bool {
 		for j := 0; j < w; j++ {
 			if !sn.Shard(j).h.ReadGate().Allowed() || sn.ShardEpochs()[j] != 3 {
@@ -189,29 +195,25 @@ func TestRolloutNodeWideFallbackOnRemoval(t *testing.T) {
 		}
 		return true
 	})
-	if st := rc.Stats(); st.ShardInstalls != w {
+	if st := sn.HostStats(); st.ShardInstalls != w {
 		t.Fatalf("re-add rolled %d shard installs, want %d", st.ShardInstalls, w)
 	}
 }
 
-// TestRolloutFastForwardViaViewLog: a node whose controller missed several
-// decided views (its agent was down) pulls the gap from a peer's view log
-// over the transport and fast-forwards every shard — without a restart and
-// without any out-of-band install.
+// TestRolloutFastForwardViaViewLog: a node that missed several decided views
+// (its agent was down) pulls the gap from a peer's view log over the
+// transport and fast-forwards every shard — without a restart and without
+// any out-of-band install.
 func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	defer l.Close()
 	a, b := l.Nodes[0], l.Nodes[1]
-	rcA := NewRolloutController(a, RolloutConfig{})
-	defer rcA.Close()
-	rcB := NewRolloutController(b, RolloutConfig{})
-	defer rcB.Close()
 
-	// Epochs 2..5 reach only node 0's controller (node 1's agent missed the
-	// decisions entirely).
+	// Epochs 2..5 reach only node 0 (node 1's agent missed the decisions
+	// entirely).
 	for e := uint32(2); e <= 5; e++ {
-		rcA.OnView(view3(e))
+		a.OnView(view3(e))
 	}
 	waitEpochs(t, func() bool {
 		for _, e := range a.ShardEpochs() {
@@ -245,8 +247,8 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	if st.FFApplied != 4 {
 		t.Fatalf("ffApplied = %d, want 4 (epochs 2..5)", st.FFApplied)
 	}
-	// A node without a controller replays a ViewLogResp through the direct
-	// install path (the host's default node-wide fan-out).
+	// A ViewLogResp pushed at node 2 replays through the same install path:
+	// its node-wide entries roll.
 	c := l.Nodes[2]
 	l.Tr.Send(0, 2, proto.ViewLogResp{Updates: []proto.MUpdate{
 		{Shard: proto.AllShards, View: view3(4)},
@@ -262,9 +264,9 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	})
 }
 
-// viewLogSpy stands up one bare node (id 1, no controller attached) next to a
-// raw transport endpoint (id 0) that records every ViewLogResp the node sends
-// it: the wire-level view of the node's view log.
+// viewLogSpy stands up one bare node (id 1, no membership agent, no gossip)
+// next to a raw transport endpoint (id 0) that records every ViewLogResp the
+// node sends it: the wire-level view of the node's view log.
 func viewLogSpy(t *testing.T, shards int) (*ShardedNode, *ChanTransport, func(proto.ViewLogReq) [][2]uint32) {
 	t.Helper()
 	tr := NewChanTransport([]proto.NodeID{0, 1})
@@ -315,7 +317,7 @@ func TestViewLogReqAlwaysAnswered(t *testing.T) {
 
 // TestBareNodeServesWhatItInstalled pins three places the live runtime used
 // to disagree with the simulator (each assertion failed before the shared
-// host): a node with NO controller attached — what cmd/hermes-node runs —
+// host): a node with no membership agent — what cmd/hermes-node runs —
 // retains a view log at all; a shard-scoped wire MUpdate it installed is
 // retained, not just node-wide views; and a ViewLogReq scoped to one shard
 // is filtered by that shard instead of answered with everything.
@@ -342,26 +344,22 @@ func TestBareNodeServesWhatItInstalled(t *testing.T) {
 }
 
 // TestRolloutSupersededMidRoll: a newer view arriving while an older one's
-// first install is blocked wins — the older roll stops after that shard, and
-// every shard lands on the newest epoch (skipped epochs are a fast-forward,
-// not a gap), none left behind.
+// first install is in flight wins — the older roll stops after that shard,
+// the newer one waits for it to land, and every shard lands on the newest
+// epoch (skipped epochs are a fast-forward, not a gap), none left behind.
 func TestRolloutSupersededMidRoll(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
-	defer l.Close()
+	t.Cleanup(l.Close)
 	sn := l.Nodes[0]
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	rc := NewRolloutController(sn, RolloutConfig{Stagger: 2 * time.Millisecond})
-	defer rc.Close()
-	rc.onInstall = func(s int, v proto.View) {
-		once.Do(func() { close(entered); <-release })
-	}
+	// No load anywhere: shard 0 rolls first, and its wedged event loop keeps
+	// that install in flight.
+	release := wedge(t, sn, 0)
 
-	rc.OnView(view3(2))
-	<-entered // v2's first install is in flight
-	rc.OnView(view3(3))
-	close(release)
+	sn.OnView(view3(2))
+	waitEpochs(t, func() bool { return sn.HostStats().ShardInstalls == 1 })
+	sn.OnView(view3(3))
+	release()
 	waitEpochs(t, func() bool {
 		for _, e := range sn.ShardEpochs() {
 			if e != 3 {
@@ -372,7 +370,7 @@ func TestRolloutSupersededMidRoll(t *testing.T) {
 	})
 	// One shard saw epoch 2 (the install in flight when v3 arrived); v3's
 	// roll then covered all w.
-	if st := rc.Stats(); st.Views != 2 || st.Superseded != 1 || st.ShardInstalls != w+1 {
+	if st := sn.HostStats(); st.Views != 2 || st.Superseded != 1 || st.ShardInstalls != w+1 {
 		t.Fatalf("stats %+v, want 2 views, 1 superseded, %d shard installs", st, w+1)
 	}
 }

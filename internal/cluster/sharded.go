@@ -25,10 +25,11 @@ import (
 //
 // The node is the live driver of internal/shardhost, which owns everything
 // deterministic about hosting W engines: routing an arrival to the shard
-// owning its key, m-update addressing, the view log and the epoch-gossip
-// observer — the same code the simulator runs. What this type adds is what
-// only a live runtime has: inbox goroutines, per-shard egress stages,
-// wall-clock time and one mutex serializing the host's control-plane state.
+// owning its key, m-update addressing, the view log, the staggered roll of
+// node-wide views and epoch gossip — the same code the simulator runs. What
+// this type adds is what only a live runtime has: inbox goroutines, per-shard
+// egress stages, wall-clock time, one mutex serializing the host's
+// control-plane state and one control-plane goroutine stepping it (control).
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
@@ -47,12 +48,16 @@ import (
 // otherwise multiply. Arriving batches fan back out to owner shards in
 // dispatch.
 //
-// Membership epochs are per shard: a node-wide m-update fans out to every
-// shard (InstallView), while InstallShardView — or a wire proto.MUpdate
-// addressing one shard — advances a single shard's epoch. Either way the
-// §3.4 fault-tolerance machinery — epoch filtering, write replays,
-// shadow-replica catch-up — operates per shard over that shard's slice of
-// the keyspace, so one shard's reconfiguration never pauses the others.
+// Membership epochs are per shard. A node-wide view a membership agent
+// decides (OnView), or one arriving as a wire proto.MUpdate or in a fetched
+// view log, rolls across the shards one at a time, coolest first, so at most
+// one read gate is shut at any moment; a view that fences the node installs
+// on every shard at once. InstallShardView — or a wire proto.MUpdate
+// addressing one shard — advances a single shard's epoch, and InstallView
+// installs on every shard directly. Either way the §3.4 fault-tolerance
+// machinery — epoch filtering, write replays, shadow-replica catch-up —
+// operates per shard over that shard's slice of the keyspace, so one shard's
+// reconfiguration never pauses the others.
 type ShardedNode struct {
 	id     proto.NodeID
 	w      int
@@ -66,14 +71,22 @@ type ShardedNode struct {
 	// drv lends the host this node's shards and transport. Data-plane
 	// routing (shardhost.Route) goes through it with no lock.
 	drv shardhost.Driver
-	// host is the control-plane state (view log, gossip observer, counters).
-	// It is single-threaded by design; ctlMu serializes the transport pumps,
-	// the rollout controller and API callers that reach it (withHost). after
-	// collects the installs and hook calls the driver queued during one host
-	// call; they run once ctlMu is released.
+	// host is the control-plane state (view log, roll, gossip, counters). It
+	// is single-threaded by design; ctlMu serializes the transport pumps, the
+	// control goroutine and API callers that reach it (withHost). after
+	// collects the installs the driver queued during one host call; they run
+	// once ctlMu is released.
 	ctlMu sync.Mutex
 	host  *shardhost.Host
 	after []func()
+	peers []proto.NodeID // gossip destinations (ShardedConfig.GossipPeers)
+
+	// The control goroutine: wake is poked when a host call leaves a view
+	// rolling, ctlStop (closed once, by Close) stops it, ctlDone closes when
+	// it has returned.
+	wake             chan struct{}
+	ctlStop, ctlDone chan struct{}
+	stopOnce         sync.Once
 }
 
 // Node is a single-engine replica: the W=1 case of ShardedNode, which puts
@@ -99,6 +112,15 @@ type ShardedConfig struct {
 	ElideVAL, EarlyACKs, NoLSC bool
 	TickEvery                  time.Duration // protocol timer granularity (default 2ms)
 	Shards                     int
+	// GossipEvery, when positive, announces this node's per-shard epoch
+	// vector (proto.EpochGossip) to GossipPeers on that period (self is
+	// skipped). With the observer on the receive side this closes the
+	// self-healing loop: a node that missed m-updates learns its lag from any
+	// peer's gossip and fast-forwards itself. It also sets the fast-forward
+	// debounce to 4 x GossipEvery (100ms when gossip is off). Zero, the
+	// default, starts no timer.
+	GossipEvery time.Duration
+	GossipPeers []proto.NodeID
 }
 
 // DefaultShards picks a worker count for deployments that do not choose one:
@@ -326,24 +348,56 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		cfg.TickEvery = 2 * time.Millisecond
 	}
 	sn := &ShardedNode{
-		id:    cfg.ID,
-		w:     cfg.Shards,
-		tr:    tr,
-		start: time.Now(),
+		id:      cfg.ID,
+		w:       cfg.Shards,
+		tr:      tr,
+		start:   time.Now(),
+		peers:   append([]proto.NodeID(nil), cfg.GossipPeers...),
+		wake:    make(chan struct{}, 1),
+		ctlStop: make(chan struct{}),
+		ctlDone: make(chan struct{}),
 	}
 	for i := 0; i < sn.w; i++ {
 		sn.shards = append(sn.shards, newShard(cfg, &shardTransport{sn: sn, idx: uint16(i)}))
 	}
 	sn.drv = hostDriver{sn}
-	sn.host = shardhost.New(sn.w, sn.drv)
-	sn.host.Debounce = defaultGossipDebounce
+	sn.host = shardhost.New(cfg.ID, sn.w, sn.drv)
+	sn.host.Stagger = rollStagger
+	sn.host.GossipEvery = cfg.GossipEvery
+	go sn.control(cfg.GossipEvery)
 	tr.SetDeliver(cfg.ID, sn.dispatch)
 	return sn
 }
 
-// defaultGossipDebounce rate-limits gossip-triggered fast-forwards on a node with
-// no gossiping rollout controller (see RolloutConfig.GossipEvery).
-const defaultGossipDebounce = 100 * time.Millisecond
+// rollStagger spaces a live roll's installs. Each install is also held back
+// until the previous one has landed, so this is only the floor between them,
+// and the period at which the control goroutine polls for that while a view
+// rolls.
+const rollStagger = time.Millisecond
+
+// control is the node's control-plane clock: it steps the host when a view
+// is accepted, every rollStagger while one rolls and every gossipEvery while
+// gossip is on. Otherwise it parks: a node with gossip off and no views
+// takes no timer wakeups.
+func (sn *ShardedNode) control(gossipEvery time.Duration) {
+	defer close(sn.ctlDone)
+	for {
+		rolling := sn.runHost(func(h *shardhost.Host) { h.Step(time.Since(sn.start)) })
+		var tick <-chan time.Time
+		switch {
+		case rolling:
+			tick = time.After(rollStagger)
+		case gossipEvery > 0:
+			tick = time.After(gossipEvery)
+		}
+		select {
+		case <-sn.ctlStop:
+			return
+		case <-sn.wake:
+		case <-tick:
+		}
+	}
+}
 
 // dispatch is the transport's arrival callback. Data-plane traffic is routed
 // statelessly — no lock, no allocation, straight onto the owner shard's
@@ -356,19 +410,32 @@ func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
 	sn.withHost(func(h *shardhost.Host) { h.Dispatch(from, msg, time.Since(sn.start)) })
 }
 
-// withHost runs fn on the control-plane host under ctlMu, then performs the
-// effects the driver queued during it with the mutex released: an install
-// enqueues on a shard inbox and may wait behind a busy event loop, and a
-// mutex must not be held across that.
+// withHost runs fn on the control-plane host (runHost) and wakes the
+// control goroutine if a view is left rolling — fn may have accepted one.
 func (sn *ShardedNode) withHost(fn func(h *shardhost.Host)) {
+	if sn.runHost(fn) {
+		select {
+		case sn.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// runHost runs fn on the host under ctlMu, then performs the effects the
+// driver queued during it with the mutex released: an install enqueues on a
+// shard inbox and may wait behind a busy event loop, and a mutex must not be
+// held across that. It reports whether a view is rolling.
+func (sn *ShardedNode) runHost(fn func(h *shardhost.Host)) (rolling bool) {
 	sn.ctlMu.Lock()
 	fn(sn.host)
+	rolling = sn.host.Rolling()
 	after := sn.after
 	sn.after = nil
 	sn.ctlMu.Unlock()
 	for _, f := range after {
 		f()
 	}
+	return rolling
 }
 
 // hostDriver lends the host this node's shards and transport.
@@ -379,9 +446,10 @@ func (d hostDriver) Deliver(shard int, from proto.NodeID, msg any) {
 }
 
 // Install queues an asynchronous install on one shard (called under ctlMu;
-// withHost performs it). Asynchronous because the caller may be a transport
+// runHost performs it). Asynchronous because the caller may be a transport
 // pump, which must not block behind one busy shard's event loop — that would
-// re-couple the shards the per-shard epochs decouple.
+// re-couple the shards the per-shard epochs decouple. The roll waits for the
+// shard's gate epoch to move before it hands out the next install.
 func (d hostDriver) Install(shard int, v proto.View) {
 	s := d.sn.shards[shard]
 	d.sn.after = append(d.sn.after, func() { s.installAsync(v) })
@@ -390,27 +458,31 @@ func (d hostDriver) Install(shard int, v proto.View) {
 // Epoch reads the shard's atomic read-gate word; safe mid-traffic.
 func (d hostDriver) Epoch(shard int) uint32 { return d.sn.shards[shard].h.ReadGate().Epoch() }
 
-// Send is called on a transport read pump, under ctlMu. Transport.Send never
-// blocks, so neither the data traffic behind this pump nor the other callers
-// of the host wait on the peer; and a ViewLogResp, which repays the send
+// Load is the shard's total reads served (fast path + event loop) plus
+// update ops submitted; safe mid-traffic.
+func (d hostDriver) Load(shard int) uint64 {
+	s := d.sn.shards[shard]
+	reads, _, _ := s.h.ReadStats()
+	return reads + s.updates.Load()
+}
+
+// Peers are ShardedConfig.GossipPeers.
+func (d hostDriver) Peers() []proto.NodeID { return d.sn.peers }
+
+// Send is called under ctlMu, on a transport read pump or the control
+// goroutine. Transport.Send never blocks, so neither the data traffic behind
+// a pump nor the other callers of the host wait on the peer; and a
+// ViewLogResp, which repays the send
 // credit its request consumed on the requester's link, always gets out,
 // because a response needs no credit itself.
 func (d hostDriver) Send(to proto.NodeID, msg any) { d.sn.tr.Send(d.sn.id, to, msg) }
 
-// setNodeView routes node-wide m-updates to f instead of the default fan-out
-// to every shard (nil detaches it). f runs once the host call that met the
-// view has released ctlMu, like the installs it replaces. Safe to call while
-// traffic is flowing.
-func (sn *ShardedNode) setNodeView(f func(proto.View)) {
-	sn.withHost(func(h *shardhost.Host) {
-		if f == nil {
-			h.NodeView = nil
-			return
-		}
-		h.NodeView = func(v proto.View) {
-			sn.after = append(sn.after, func() { f(v) })
-		}
-	})
+// OnView is the membership agent's entry (membership.Config.OnView): the
+// decided view is retained in the node's view log — so this node can serve
+// it to a laggard even if it turns out a redelivery or is superseded before
+// rolling — and handed to the roll, which the control goroutine performs.
+func (sn *ShardedNode) OnView(v proto.View) {
+	sn.withHost(func(h *shardhost.Host) { h.Install(proto.MUpdate{Shard: proto.AllShards, View: v}) })
 }
 
 // FastForward asks peer for the epochs this node's most lagging shard has
@@ -428,8 +500,8 @@ func (sn *ShardedNode) ObserveGossip(from proto.NodeID, epochs []uint32) {
 	sn.withHost(func(h *shardhost.Host) { h.ObserveGossip(from, epochs, time.Since(sn.start)) })
 }
 
-// HostStats snapshots the host's control-plane counters (view-log fetches
-// served and applied, gossip observations); safe mid-traffic.
+// HostStats snapshots the host's control-plane counters (roll, view-log
+// fetches served and applied, gossip); safe mid-traffic.
 func (sn *ShardedNode) HostStats() (st shardhost.Stats) {
 	sn.withHost(func(h *shardhost.Host) { st = h.Stats() })
 	return st
@@ -596,13 +668,11 @@ func (sn *ShardedNode) InstallShardView(shard int, v proto.View) {
 
 // ShardLoads reports each shard's live client-op load — total reads served
 // (fast path + event loop) plus update ops submitted since construction;
-// safe mid-traffic. The rollout controller orders installs by deltas of
-// these.
+// safe mid-traffic. The roll orders installs by deltas of these.
 func (sn *ShardedNode) ShardLoads() []uint64 {
 	out := make([]uint64, sn.w)
-	for i, s := range sn.shards {
-		reads, _, _ := s.h.ReadStats()
-		out[i] = reads + s.updates.Load()
+	for i := range out {
+		out[i] = sn.drv.Load(i)
 	}
 	return out
 }
@@ -613,8 +683,11 @@ func (sn *ShardedNode) ShardLoads() []uint64 {
 // node.
 func (sn *ShardedNode) ShardEpochs() []uint32 { return sn.host.Epochs() }
 
-// Close stops all shard engines (the transport is the caller's to close).
+// Close stops the control goroutine and all shard engines (the transport is
+// the caller's to close). A roll still under way is abandoned.
 func (sn *ShardedNode) Close() {
+	sn.stopOnce.Do(func() { close(sn.ctlStop) })
+	<-sn.ctlDone
 	for _, s := range sn.shards {
 		s.close()
 	}

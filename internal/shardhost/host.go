@@ -2,28 +2,32 @@
 // hosting W core.Hermes engines (paper §4.1: one worker per keyspace
 // partition): routing an arriving message to the shard that owns its key,
 // installing an m-update on exactly the shards it addresses (§3.4 per-shard
-// epochs), retaining and serving the view log, the epoch-gossip observer
-// that makes a lagging node fast-forward itself, and the staggered rollout
-// of node-wide views across the shards.
+// epochs), retaining and serving the view log, rolling node-wide views across
+// the shards, announcing the node's epochs and observing its peers' — the
+// epoch gossip that makes a lagging node fast-forward itself.
 //
 // It exists so this code is written once and run by both runtimes. The
-// simulator (internal/sim) calls it directly; the live runtime
-// (internal/cluster) wraps it with inbox goroutines, coalescers and timers.
-// The chaos sweeps therefore exercise the code hermes-node ships, not a
-// mirror of it.
+// simulator (internal/sim) calls it from virtual time; the live runtime
+// (internal/cluster) wraps it with inbox goroutines, coalescers and one
+// control-plane goroutine. The chaos sweeps therefore exercise the code
+// hermes-node ships, not a mirror of it.
 //
 // Three parts:
 //
 //   - Route is the data plane and is stateless — a pure function of (w, msg)
 //     — so the live per-message path takes no lock and allocates nothing.
-//   - Host is the control plane (view log, gossip candidate and debounce,
-//     counters): one struct with no goroutines, no locks and no wall clock.
-//     Time comes in as an argument, effects go out through Driver. A
-//     concurrent runtime serializes calls to it with one mutex of its own.
+//   - Host is the control plane: one struct with no goroutines, no locks and
+//     no wall clock. Messages come in through Dispatch, time through Step,
+//     and effects go out through Driver. Step is the control plane's clock:
+//     it performs the roll's next install and the gossip announcement when
+//     they are due. A concurrent runtime serializes calls with one mutex of
+//     its own.
 //   - Roller holds the rollout's rules (epoch floor, supersede, fenced-node
-//     fallback, coolest-shard-first order) under the same contract: views
-//     and the shards' epochs and loads come in as arguments, and each call
-//     returns the next install for the runtime to perform.
+//     fallback, coolest-shard-first order, one install in flight) under the
+//     same contract. Every node-wide view the Host meets — an agent's
+//     decision, a wire MUpdate, a fetched log entry — goes to it; nothing
+//     fans a node-wide view out to every shard at once except a view that
+//     fences the node.
 package shardhost
 
 import (
@@ -37,10 +41,16 @@ import (
 type Driver interface {
 	// Deliver hands a protocol message to shard's engine.
 	Deliver(shard int, from proto.NodeID, msg any)
-	// Install applies an m-update to shard's engine (OnViewChange).
+	// Install applies an m-update to shard's engine (OnViewChange). It may
+	// return before the transition runs; Epoch reports when it has.
 	Install(shard int, v proto.View)
 	// Epoch reports shard's current membership epoch.
 	Epoch(shard int) uint32
+	// Load reports the client ops shard has served so far; the roll orders
+	// shards by its growth.
+	Load(shard int) uint64
+	// Peers lists the nodes epoch gossip is announced to (self is skipped).
+	Peers() []proto.NodeID
 	// Send puts a node-level (never shard-tagged) message on the wire.
 	Send(to proto.NodeID, msg any)
 }
@@ -108,34 +118,39 @@ func routeTagged(w int, d Driver, from proto.NodeID, sm proto.ShardMsg) {
 // rare, and a laggard further behind rejoins through the learner arc anyway.
 const ViewLogCap = 64
 
-// Stats are the host's control-plane counters.
+// Stats are the node's control-plane counters.
 type Stats struct {
+	// The roll's counters.
+	RollerStats
 	// FFRequests counts view-log fetches issued (FastForward); FFServed
 	// counts log entries served to peers; FFApplied counts fetched entries
 	// whose replay advanced a local shard's epoch.
 	FFRequests, FFServed, FFApplied uint64
-	// GossipRecv counts epoch vectors observed; GossipBehind counts those
-	// showing a peer strictly ahead; GossipFF counts the debounced fetches
-	// they issued (the self-healing trigger firing).
-	GossipRecv, GossipBehind, GossipFF uint64
+	// GossipSent counts epoch vectors announced; GossipRecv counts those
+	// observed; GossipBehind counts observations showing a peer strictly
+	// ahead; GossipFF counts the debounced fetches they issued (the
+	// self-healing trigger firing).
+	GossipSent, GossipRecv, GossipBehind, GossipFF uint64
 }
 
 // Host is the control-plane state of one W-shard node. Not safe for
 // concurrent use.
 type Host struct {
-	w   int
-	drv Driver
+	self proto.NodeID
+	w    int
+	drv  Driver
 
-	// NodeView, when set, receives node-wide (AllShards) m-updates instead of
-	// the default install-on-every-shard fan-out — the one routing decision
-	// with two behaviours: a Roller (the simulator's, or a live rollout
-	// controller's) staggers the view across the shards one read gate at a
-	// time.
-	NodeView func(v proto.View)
+	// Stagger spaces the roll's installs: Step performs at most one per
+	// window.
+	Stagger time.Duration
+	// GossipEvery, when positive, is the period at which Step announces this
+	// node's per-shard epochs (proto.EpochGossip) to Driver.Peers. It also
+	// sets the fast-forward debounce: four periods, or 100ms on a node that
+	// does not announce (see ObserveGossip).
+	GossipEvery time.Duration
 
-	// Debounce rate-limits gossip-triggered fast-forwards: at most one fetch
-	// per window (see ObserveGossip).
-	Debounce time.Duration
+	roller               *Roller
+	nextRoll, nextGossip time.Duration
 
 	// vlog is the bounded view log: every membership update this node has
 	// seen, in arrival order with exact duplicates elided. A rejoining or
@@ -153,14 +168,52 @@ type Host struct {
 	stats Stats
 }
 
-// New builds the host of a w-shard node over drv; the runtime sets NodeView
-// and Debounce as it needs them.
-func New(w int, drv Driver) *Host {
-	return &Host{w: w, drv: drv}
+// New builds the host of node self with w shards over drv; the runtime sets
+// Stagger and GossipEvery. The roll's epoch floor and load baseline are the
+// shards' as they stand now.
+func New(self proto.NodeID, w int, drv Driver) *Host {
+	h := &Host{self: self, w: w, drv: drv}
+	h.roller = NewRoller(self, h.Epochs(), h.loads())
+	return h
 }
 
 // Stats snapshots the counters.
-func (h *Host) Stats() Stats { return h.stats }
+func (h *Host) Stats() Stats {
+	st := h.stats
+	st.RollerStats = h.roller.Stats()
+	return st
+}
+
+// Rolling reports whether a node-wide view is queued or under way, so Step
+// has installs left to perform.
+func (h *Host) Rolling() bool { return h.roller.Rolling() }
+
+// Step advances the control plane to now: the roll's next install, if one is
+// due and the previous one has landed, and the epoch-gossip announcement, if
+// its period has passed. Epochs and loads are read only while a view rolls,
+// so an idle Step reads nothing and allocates nothing.
+func (h *Host) Step(now time.Duration) {
+	if now >= h.nextRoll && h.roller.Rolling() {
+		if m, ok := h.roller.Next(h.Epochs(), h.loads()); ok {
+			h.nextRoll = now + h.Stagger
+			for s := 0; s < h.w; s++ {
+				if m.Shard == proto.AllShards || int(m.Shard) == s {
+					h.drv.Install(s, m.View)
+				}
+			}
+		}
+	}
+	if h.GossipEvery > 0 && now >= h.nextGossip {
+		h.nextGossip = now + h.GossipEvery
+		eg := proto.EpochGossip{Epochs: h.Epochs()}
+		for _, p := range h.drv.Peers() {
+			if p != h.self {
+				h.stats.GossipSent++
+				h.drv.Send(p, eg)
+			}
+		}
+	}
+}
 
 // Dispatch is the arrival path: node-level control messages are handled
 // here, everything else is data plane and goes through Route. A
@@ -202,21 +255,16 @@ func (h *Host) Dispatch(from proto.NodeID, msg any, now time.Duration) {
 	}
 }
 
-// Install retains an m-update in the view log and installs it on exactly the
-// shards it addresses; out-of-range targets drop, like a mis-tagged
-// ShardMsg. Wire m-updates and replayed fetches come through here, and a
-// single-threaded runtime uses it for its direct installs too.
+// Install retains an m-update in the view log and applies it: a node-wide
+// view goes to the roll (Step performs it), a shard-scoped one installs on
+// its shard at once, and an out-of-range target drops, like a mis-tagged
+// ShardMsg. Agent decisions, wire m-updates and replayed fetches all come
+// through here.
 func (h *Host) Install(m proto.MUpdate) {
 	h.Record(m)
 	switch {
 	case m.Shard == proto.AllShards:
-		if h.NodeView != nil {
-			h.NodeView(m.View)
-			return
-		}
-		for s := 0; s < h.w; s++ {
-			h.drv.Install(s, m.View)
-		}
+		h.roller.Accept(m.View)
 	case int(m.Shard) < h.w:
 		h.drv.Install(int(m.Shard), m.View)
 	}
@@ -240,8 +288,8 @@ func (h *Host) advances(m proto.MUpdate) bool {
 
 // Record retains a membership update in the bounded view log (exact
 // duplicates elided) without installing it: for a view the runtime installs
-// by its own means (a blocking install, a staggered rollout) or merely knows
-// was decided, so any node that saw an epoch can serve it to a laggard.
+// by its own means (a blocking install), so any node that saw an epoch can
+// serve it to a laggard.
 func (h *Host) Record(m proto.MUpdate) {
 	for _, have := range h.vlog {
 		if have.Shard == m.Shard && have.View.Epoch == m.View.Epoch {
@@ -265,6 +313,15 @@ func (h *Host) Epochs() []uint32 {
 	return out
 }
 
+// loads reports each shard's client ops so far.
+func (h *Host) loads() []uint64 {
+	out := make([]uint64, h.w)
+	for s := range out {
+		out[s] = h.drv.Load(s)
+	}
+	return out
+}
+
 // FastForward asks peer for the epochs this node's most lagging shard has
 // missed; the answer replays through Dispatch. Callers are whoever detects
 // the lag: a rejoin path, the gossip observer, or a harness.
@@ -282,10 +339,10 @@ func (h *Host) FastForward(peer proto.NodeID) {
 // ObserveGossip is the receive side of epoch gossip (wire EpochGossip frames
 // and membership-heartbeat piggybacks alike). If the peer's vector is
 // strictly ahead of any local shard the peer becomes a fast-forward
-// candidate; at most one fetch fires per debounce window, at the candidate
-// advertising the highest epoch seen within it. Advisory only: the fetch's
-// answer replays through the normal install path, so a lying vector can waste
-// one request, never corrupt state.
+// candidate; at most one fetch fires per debounce window (see GossipEvery),
+// at the candidate advertising the highest epoch seen within it. Advisory
+// only: the fetch's answer replays through the normal install path, so a
+// lying vector can waste one request, never corrupt state.
 func (h *Host) ObserveGossip(from proto.NodeID, epochs []uint32, now time.Duration) {
 	h.stats.GossipRecv++
 	behind := false
@@ -320,7 +377,10 @@ func (h *Host) ObserveGossip(from proto.NodeID, epochs []uint32, now time.Durati
 	if now < h.ffNotBefore {
 		return
 	}
-	h.ffNotBefore = now + h.Debounce
+	h.ffNotBefore = now + 100*time.Millisecond
+	if h.GossipEvery > 0 {
+		h.ffNotBefore = now + 4*h.GossipEvery
+	}
 	peer := h.candPeer
 	h.haveCand, h.candEpoch = false, 0
 	h.stats.GossipFF++

@@ -15,10 +15,12 @@ import (
 // core.Hermes.OnViewChange does. No goroutines anywhere: the host is driven
 // with explicit virtual time.
 type recDriver struct {
-	epochs   []uint32
-	delivers []delivery
-	installs []install
-	sends    []sent
+	epochs    []uint32
+	peers     []proto.NodeID
+	delivers  []delivery
+	installs  []install
+	sends     []sent
+	loadCalls int
 }
 
 type delivery struct {
@@ -45,15 +47,19 @@ func (d *recDriver) Install(shard int, v proto.View) {
 	}
 }
 func (d *recDriver) Epoch(shard int) uint32        { return d.epochs[shard] }
+func (d *recDriver) Load(int) uint64               { d.loadCalls++; return 0 }
+func (d *recDriver) Peers() []proto.NodeID         { return d.peers }
 func (d *recDriver) Send(to proto.NodeID, msg any) { d.sends = append(d.sends, sent{to, msg}) }
 
+// newHost builds node 0's host over w shards at epoch 1, with no stagger and
+// gossip every 2.5ms (so a 10ms fast-forward debounce).
 func newHost(w int) (*Host, *recDriver) {
 	d := &recDriver{epochs: make([]uint32, w)}
 	for i := range d.epochs {
 		d.epochs[i] = 1
 	}
-	h := New(w, d)
-	h.Debounce = 10 * time.Millisecond
+	h := New(0, w, d)
+	h.GossipEvery = 2500 * time.Microsecond
 	return h, d
 }
 
@@ -157,41 +163,130 @@ func TestRouteMisTaggedReleasesOwner(t *testing.T) {
 
 // TestMUpdateAddressing: an m-update installs on exactly the shards it
 // addresses — one shard, AllShards, nothing when out of range — at W=4 and on
-// a W=1 node (its own shard 0), and NodeView diverts only the node-wide form.
+// a W=1 node (its own shard 0). Dispatch installs a shard-scoped update
+// itself; a node-wide one goes to the roll, and each Step performs one
+// install of it — every shard at once only for a view that fences the node.
 func TestMUpdateAddressing(t *testing.T) {
+	fence := proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}}
 	cases := []struct {
-		name     string
-		w        int
-		nodeView bool
-		m        proto.MUpdate
-		installs []install
-		diverted []uint32
+		name   string
+		w      int
+		m      proto.MUpdate
+		direct []install   // performed by Dispatch
+		steps  [][]install // performed by each Step after it
 	}{
-		{"one shard", 4, false, proto.MUpdate{Shard: 3, View: view(2)}, []install{{3, 2}}, nil},
-		{"all shards", 4, false, proto.MUpdate{Shard: proto.AllShards, View: view(2)},
-			[]install{{0, 2}, {1, 2}, {2, 2}, {3, 2}}, nil},
-		{"out of range drops", 4, false, proto.MUpdate{Shard: 4, View: view(2)}, nil, nil},
-		{"W=1: shard 0", 1, false, proto.MUpdate{Shard: 0, View: view(2)}, []install{{0, 2}}, nil},
-		{"W=1: all shards", 1, false, proto.MUpdate{Shard: proto.AllShards, View: view(2)}, []install{{0, 2}}, nil},
-		{"W=1: shard 1 is not ours", 1, false, proto.MUpdate{Shard: 1, View: view(2)}, nil, nil},
-		{"node-wide goes to NodeView", 4, true, proto.MUpdate{Shard: proto.AllShards, View: view(2)}, nil, []uint32{2}},
-		{"shard-scoped bypasses NodeView", 4, true, proto.MUpdate{Shard: 1, View: view(2)}, []install{{1, 2}}, nil},
+		{"one shard", 4, proto.MUpdate{Shard: 3, View: view(2)}, []install{{3, 2}}, nil},
+		{"all shards", 4, proto.MUpdate{Shard: proto.AllShards, View: view(2)},
+			nil, [][]install{{{0, 2}}, {{1, 2}}, {{2, 2}}, {{3, 2}}}},
+		{"out of range drops", 4, proto.MUpdate{Shard: 4, View: view(2)}, nil, nil},
+		{"W=1: shard 0", 1, proto.MUpdate{Shard: 0, View: view(2)}, []install{{0, 2}}, nil},
+		{"W=1: all shards", 1, proto.MUpdate{Shard: proto.AllShards, View: view(2)}, nil, [][]install{{{0, 2}}}},
+		{"W=1: shard 1 is not ours", 1, proto.MUpdate{Shard: 1, View: view(2)}, nil, nil},
+		{"node-wide fence installs every shard in one step", 4, proto.MUpdate{Shard: proto.AllShards, View: fence},
+			nil, [][]install{{{0, 2}, {1, 2}, {2, 2}, {3, 2}}}},
+		{"shard-scoped bypasses the roll", 4, proto.MUpdate{Shard: 1, View: view(2)}, []install{{1, 2}}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h, d := newHost(tc.w)
-			var diverted []uint32
-			if tc.nodeView {
-				h.NodeView = func(v proto.View) { diverted = append(diverted, v.Epoch) }
-			}
 			h.Dispatch(1, tc.m, 0)
-			if !reflect.DeepEqual(d.installs, tc.installs) {
-				t.Errorf("installs %+v, want %+v", d.installs, tc.installs)
+			if !reflect.DeepEqual(d.installs, tc.direct) {
+				t.Errorf("Dispatch installed %+v, want %+v", d.installs, tc.direct)
 			}
-			if !reflect.DeepEqual(diverted, tc.diverted) {
-				t.Errorf("NodeView saw %v, want %v", diverted, tc.diverted)
+			var steps [][]install
+			for h.Rolling() {
+				d.installs = nil
+				h.Step(0)
+				steps = append(steps, d.installs)
+			}
+			if !reflect.DeepEqual(steps, tc.steps) {
+				t.Errorf("steps installed %+v, want %+v", steps, tc.steps)
 			}
 		})
+	}
+}
+
+// TestHostStep drives the control plane's clock by hand: the roll's installs
+// spaced by Stagger, gossip announced every GossipEvery to every peer but
+// self, and a fetched view log rolling rather than fanning out.
+func TestHostStep(t *testing.T) {
+	const us = time.Microsecond
+	t.Run("stagger spacing", func(t *testing.T) {
+		h, d := newHost(4)
+		h.Stagger, h.GossipEvery = 150*us, 0
+		h.Dispatch(1, proto.MUpdate{Shard: proto.AllShards, View: view(2)}, 0)
+		var at []time.Duration
+		for now := time.Duration(0); now <= 600*us; now += 50 * us {
+			n := len(d.installs)
+			h.Step(now)
+			if len(d.installs) > n {
+				at = append(at, now)
+			}
+		}
+		if want := []time.Duration{0, 150 * us, 300 * us, 450 * us}; !reflect.DeepEqual(at, want) {
+			t.Fatalf("installs at %v, want %v", at, want)
+		}
+		if h.Rolling() || len(d.installs) != 4 {
+			t.Fatalf("rolling=%v after %+v, want the roll done in 4 installs", h.Rolling(), d.installs)
+		}
+	})
+	t.Run("gossip cadence and destinations", func(t *testing.T) {
+		h, d := newHost(2)
+		h.GossipEvery = 250 * us
+		d.peers = []proto.NodeID{1, 0, 2, 5} // self (0) among them
+		d.epochs = []uint32{3, 2}
+		for now := time.Duration(0); now < 600*us; now += 100 * us {
+			h.Step(now)
+		}
+		// Steps at 0, 100, ..., 500: announcements at 0 and at 300, the first
+		// step past 250; the next falls due at 550.
+		want := []sent{}
+		for round := 0; round < 2; round++ {
+			for _, p := range []proto.NodeID{1, 2, 5} {
+				want = append(want, sent{p, proto.EpochGossip{Epochs: []uint32{3, 2}}})
+			}
+		}
+		if !reflect.DeepEqual(d.sends, want) {
+			t.Fatalf("sends %+v, want %+v", d.sends, want)
+		}
+		if got := h.Stats().GossipSent; got != 6 {
+			t.Fatalf("GossipSent = %d, want 6", got)
+		}
+	})
+	t.Run("view-log replay rolls", func(t *testing.T) {
+		h, d := newHost(4)
+		h.Dispatch(2, proto.ViewLogResp{Updates: []proto.MUpdate{
+			{Shard: proto.AllShards, View: view(3)},
+			{Shard: proto.AllShards, View: view(4)},
+		}}, 0)
+		if len(d.installs) != 0 || !h.Rolling() {
+			t.Fatalf("replay installed %+v (rolling=%v), want it queued for the roll", d.installs, h.Rolling())
+		}
+		for h.Rolling() {
+			h.Step(0)
+		}
+		if want := []install{{0, 4}, {1, 4}, {2, 4}, {3, 4}}; !reflect.DeepEqual(d.installs, want) {
+			t.Fatalf("rolled %+v, want %+v (the newest view, one shard a step)", d.installs, want)
+		}
+		st := h.Stats()
+		if st.FFApplied != 2 || st.Views != 2 || st.Superseded != 1 || st.ShardInstalls != 4 {
+			t.Fatalf("stats %+v, want 2 applied, 2 views, 1 superseded, 4 installs", st)
+		}
+	})
+}
+
+// TestIdleStepIsFree: a Step with no view rolling and no announcement due
+// allocates nothing and reads no load. The simulator steps every replica
+// every tick, and asking an idle roller there cost 12 % more allocations.
+func TestIdleStepIsFree(t *testing.T) {
+	h, d := newHost(4)
+	h.Step(0) // the first announcement
+	d.loadCalls = 0
+	if n := testing.AllocsPerRun(100, func() { h.Step(time.Millisecond) }); n != 0 {
+		t.Errorf("idle Step allocates %.0f times, want 0", n)
+	}
+	if d.loadCalls != 0 {
+		t.Errorf("idle Step read %d loads, want 0", d.loadCalls)
 	}
 }
 
@@ -261,19 +356,24 @@ func TestViewLog(t *testing.T) {
 	}
 }
 
-// TestViewLogRespReplay: a fetched gap replays through the install path,
-// is retained for the next laggard, and FFApplied counts only entries that
-// moved an addressed shard's epoch forward.
+// TestViewLogRespReplay: a fetched gap replays through the install path
+// (node-wide entries through the roll), is retained for the next laggard, and
+// FFApplied counts only entries that moved an addressed shard's epoch
+// forward.
 func TestViewLogRespReplay(t *testing.T) {
 	h, d := newHost(4)
 	d.epochs = []uint32{3, 1, 1, 1}
 	h.Dispatch(2, proto.ViewLogResp{Updates: []proto.MUpdate{
 		{Shard: 0, View: view(2)},               // stale for shard 0: installed (idempotent) but not counted
 		{Shard: 1, View: view(2)},               // advances shard 1
-		{Shard: proto.AllShards, View: view(3)}, // advances shards 1..3
-		{Shard: proto.AllShards, View: view(3)}, // redelivery: nobody is behind anymore
+		{Shard: proto.AllShards, View: view(3)}, // advances shards 1..3 once rolled
 		{Shard: 7, View: view(9)},               // out of range
 	}}, 0)
+	for h.Rolling() {
+		h.Step(0)
+	}
+	// Redelivery: nobody is behind anymore.
+	h.Dispatch(2, proto.ViewLogResp{Updates: []proto.MUpdate{{Shard: proto.AllShards, View: view(3)}}}, 0)
 	if got := h.Stats().FFApplied; got != 2 {
 		t.Errorf("FFApplied = %d, want 2", got)
 	}
@@ -346,7 +446,7 @@ func TestObserveGossip(t *testing.T) {
 // ObserveGossip calls share the one observer.
 func TestGossipDebounceNewestPeerPreferred(t *testing.T) {
 	const ms = time.Millisecond
-	h, d := newHost(4) // debounce 10ms
+	h, d := newHost(4) // debounce 4 x 2.5ms
 	two, seven := []uint32{2, 2, 2, 2}, []uint32{7, 7, 7, 7}
 
 	h.ObserveGossip(1, two, 100*ms) // idle: fires at peer 1

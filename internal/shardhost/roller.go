@@ -25,11 +25,9 @@ type RollerStats struct {
 // Roller decides how node-wide membership views roll across a node's W
 // shards: one shard at a time, coolest first, so at most one read gate is
 // shut at any moment and the hottest shard keeps its lock-free fast path
-// open longest. Like Host it has no goroutines, no locks and no clock: the
-// runtime hands it views (Accept), asks for the next install (Next) with the
-// shards' current epochs and loads, and performs each install itself —
-// blocking on the shard's transition live, one per tick window in the
-// simulator.
+// open longest. Like Host it has no goroutines, no locks and no clock: Host
+// hands it views (Accept), asks for the next install (Next) with the shards'
+// current epochs and loads, and performs each install through its Driver.
 //
 // The rules:
 //
@@ -47,6 +45,12 @@ type RollerStats struct {
 //   - A shard already at or past the view's epoch is skipped.
 //   - Shards roll in ascending order of the load accrued since the previous
 //     roll, ties by index.
+//   - Nothing is handed out while the previous install is in flight: a shard
+//     it covered still reports an epoch below that install's. A shard's epoch
+//     moves inside its transition (core.Hermes.OnViewChange republishes the
+//     read gate under it), so a runtime that installs asynchronously still
+//     shuts one gate at a time. Synchronous installs land before Next is asked
+//     again, so there the rule never holds anything back.
 type Roller struct {
 	self  proto.NodeID
 	floor uint32 // highest epoch accepted
@@ -54,6 +58,10 @@ type Roller struct {
 	view    proto.View // newest accepted view
 	pending bool       // view's roll has not started
 	order   []int      // view's shards not yet visited, coolest first
+
+	// The last install handed out: its shard (or AllShards) and epoch.
+	inShard uint16
+	inEpoch uint32
 
 	prevLoads []uint64 // the loads at the previous roll's start
 	stats     RollerStats
@@ -93,13 +101,19 @@ func (r *Roller) Rolling() bool { return r.pending || len(r.order) > 0 }
 
 // Next returns the install the roll calls for now — one shard, or
 // proto.AllShards for a fenced node — given each shard's current epoch and
-// load; false means nothing is left to roll.
+// load; false means nothing is left to roll, or the previous install is
+// still in flight.
 func (r *Roller) Next(epochs []uint32, loads []uint64) (proto.MUpdate, bool) {
+	for s, e := range epochs {
+		if (r.inShard == proto.AllShards || int(r.inShard) == s) && e < r.inEpoch {
+			return proto.MUpdate{}, false
+		}
+	}
 	if r.pending {
 		r.pending = false
 		if !r.view.Contains(r.self) && !r.view.IsLearner(r.self) {
 			r.stats.NodeWideFallbacks++
-			return proto.MUpdate{Shard: proto.AllShards, View: r.view}, true
+			return r.handOut(proto.AllShards), true
 		}
 		r.order = r.loadOrder(loads)
 	}
@@ -111,9 +125,15 @@ func (r *Roller) Next(epochs []uint32, loads []uint64) (proto.MUpdate, bool) {
 			continue
 		}
 		r.stats.ShardInstalls++
-		return proto.MUpdate{Shard: uint16(s), View: r.view}, true
+		return r.handOut(uint16(s)), true
 	}
 	return proto.MUpdate{}, false
+}
+
+// handOut records the install of the current view on shard as in flight.
+func (r *Roller) handOut(shard uint16) proto.MUpdate {
+	r.inShard, r.inEpoch = shard, r.view.Epoch
+	return proto.MUpdate{Shard: shard, View: r.view}
 }
 
 // loadOrder sorts the shard indices by the load accrued since the previous

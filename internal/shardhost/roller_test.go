@@ -9,18 +9,21 @@ import (
 
 // TestRoller pins the rollout's rules on plain epochs and loads, with no
 // goroutines: each case accepts views, asks for installs as a runtime would
-// (applying each one to the modeled shard epochs), and checks the exact
-// install sequence and counters. Node 0 is self; a node-wide install is
-// reported on shard AllShards.
+// (applying each one to the modeled shard epochs, at once or — for a hold
+// step — only when a later step lands it), and checks the exact install
+// sequence and counters. Node 0 is self; a node-wide install is reported on
+// shard AllShards.
 func TestRoller(t *testing.T) {
 	const all = int(proto.AllShards)
 	removal := proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}}
 	asLearner := proto.View{Epoch: 2, Members: []proto.NodeID{1, 2}, Learners: []proto.NodeID{0}}
 	type step struct {
+		land   bool         // first apply the installs earlier steps held in flight
 		accept []proto.View // accepted, in order, before this step's installs
 		epochs []uint32     // if set, the shard epochs other installs left (a shard-scoped fetch)
 		loads  []uint64     // shard loads passed to Next (nil: all zero)
 		n      int          // Next calls to make; 0 runs the roll dry
+		hold   bool         // this step's installs stay in flight until a land step
 	}
 	cases := []struct {
 		name   string
@@ -74,13 +77,46 @@ func TestRoller(t *testing.T) {
 		{"no shards, nothing to roll", nil,
 			[]step{{accept: []proto.View{view(2)}}},
 			nil, RollerStats{Views: 1}},
+		{"an install in flight withholds the next", []uint32{1, 1, 1, 1},
+			[]step{{accept: []proto.View{view(2)}, hold: true}, {land: true}},
+			[]install{{0, 2}, {1, 2}, {2, 2}, {3, 2}},
+			RollerStats{Views: 1, ShardInstalls: 4}},
+		{"a view superseding mid-roll waits for the shard in flight", []uint32{1, 1, 1, 1},
+			[]step{
+				{accept: []proto.View{view(2)}, hold: true},
+				{accept: []proto.View{view(3)}, hold: true},
+				{land: true},
+			},
+			[]install{{0, 2}, {0, 3}, {1, 3}, {2, 3}, {3, 3}},
+			RollerStats{Views: 2, Superseded: 1, ShardInstalls: 5}},
+		{"a fence in flight holds the re-add until every shard lands", []uint32{1, 1, 1, 1},
+			[]step{
+				{accept: []proto.View{removal}, hold: true},
+				{epochs: []uint32{2, 2, 1, 1}, accept: []proto.View{view(3)}, hold: true},
+				{land: true},
+			},
+			[]install{{all, 2}, {0, 3}, {1, 3}, {2, 3}, {3, 3}},
+			RollerStats{Views: 2, NodeWideFallbacks: 1, ShardInstalls: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			epochs := append([]uint32(nil), tc.epochs...)
 			r := NewRoller(0, epochs, make([]uint64, len(epochs)))
-			var got []install
+			apply := func(m install) {
+				for s := range epochs {
+					if (m.shard == all || m.shard == s) && m.epoch > epochs[s] {
+						epochs[s] = m.epoch
+					}
+				}
+			}
+			var got, inFlight []install
 			for _, st := range tc.steps {
+				if st.land {
+					for _, m := range inFlight {
+						apply(m)
+					}
+					inFlight = nil
+				}
 				if st.epochs != nil {
 					copy(epochs, st.epochs)
 				}
@@ -96,11 +132,12 @@ func TestRoller(t *testing.T) {
 					if !ok {
 						break
 					}
-					got = append(got, install{int(m.Shard), m.View.Epoch})
-					for s := range epochs {
-						if (m.Shard == proto.AllShards || int(m.Shard) == s) && m.View.Epoch > epochs[s] {
-							epochs[s] = m.View.Epoch
-						}
+					in := install{int(m.Shard), m.View.Epoch}
+					got = append(got, in)
+					if st.hold {
+						inFlight = append(inFlight, in)
+					} else {
+						apply(in)
 					}
 				}
 			}

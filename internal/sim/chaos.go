@@ -981,14 +981,13 @@ func (r *chaosRun) collectMetrics() {
 			}
 			epochs = append(epochs, rep.Engine(i).View().Epoch)
 		}
-		served, applied := rep.FastForwardStats()
-		r.res.FFServed += served
-		r.res.FFApplied += applied
-		sent, behind, ff := rep.GossipStats()
-		r.res.GossipSent += sent
-		r.res.GossipBehind += behind
-		r.res.GossipFF += ff
-		rs := rep.roller.Stats()
+		st := rep.HostStats()
+		r.res.FFServed += st.FFServed
+		r.res.FFApplied += st.FFApplied
+		r.res.GossipSent += st.GossipSent
+		r.res.GossipBehind += st.GossipBehind
+		r.res.GossipFF += st.GossipFF
+		rs := st.RollerStats
 		r.res.Rollout.Views += rs.Views
 		r.res.Rollout.Redelivered += rs.Redelivered
 		r.res.Rollout.Superseded += rs.Superseded

@@ -79,8 +79,8 @@ func checkRejoinBehindSelfHeals(t *testing.T, asym bool) {
 
 // TestChaosAgentDrivenRollout drives every reconfiguration through real
 // membership.Agents: the script proposes, Paxos decides over the lossy
-// network, and each node's commit reaches its replica's shardhost.Roller —
-// the live rollout controller's rules. The full crash/rejoin/promote arc plus
+// network, and each node's commit reaches its replica's shardhost.Host —
+// the roll the live node runs. The full crash/rejoin/promote arc plus
 // node-wide rollout storms must stay linearizable and converge on every
 // shard, alone and with a node rejoining two epochs behind that catches up
 // through gossip-triggered view-log fetches (node-wide entries, which roll

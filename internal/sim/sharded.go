@@ -16,41 +16,29 @@ import (
 // machines behind one Replica facade, and CPU parallelism (when wanted) is
 // modeled separately by Config.Workers.
 //
-// Routing, m-update addressing, the view log, the epoch-gossip observer and
-// the staggered rollout of node-wide views are shardhost's — the very code the
-// live node runs — so the chaos harness exercises what ships. What stays here
-// is the harness's: building the engines, Submit, Tick (timers, roll steps
-// and the gossip announcement) and the knobs the fault script turns.
+// Routing, m-update addressing, the view log, the staggered rollout of
+// node-wide views and epoch gossip are shardhost's — the very code the live
+// node runs, stepped here from virtual time — so the chaos harness exercises
+// what ships. What stays here is the harness's: building the engines, Submit,
+// Tick and the knobs the fault script turns.
 type ShardedReplica struct {
 	id      proto.NodeID
 	w       int
 	env     proto.Env
 	engines []*core.Hermes
 	host    *shardhost.Host
-
-	// roller receives every node-wide view, decided (OnViewChange) or
-	// arriving through Deliver, as a live node's rollout controller does;
-	// Tick performs the installs it calls for, the next one no earlier than
-	// nextRoll.
-	roller   *shardhost.Roller
-	nextRoll time.Duration
-
-	// nextGossip is the horizon of the next epoch-vector announcement Tick
-	// sends; gossipSent counts them.
-	nextGossip time.Duration
-	gossipSent uint64
+	peers   []proto.NodeID // Peers' buffer
 }
 
 const (
 	// rolloutStagger spaces one replica's per-shard installs of a node-wide
-	// view: Tick performs at most one per window.
+	// view (shardhost.Host.Stagger).
 	rolloutStagger = 150 * time.Microsecond
-	// gossipEvery paces every replica's epoch-vector announcements
-	// (proto.EpochGossip) to the members and learners of its newest known
-	// view — the sim counterpart of the live controller's gossip loop. A
-	// receiver that observes itself behind issues its own view-log fetch,
-	// debounced to one per 4 x gossipEvery: the simulator's only lag-recovery
-	// path.
+	// gossipEvery paces every replica's epoch-vector announcements to the
+	// members and learners of its newest known view
+	// (shardhost.Host.GossipEvery). A receiver that observes itself behind
+	// issues its own view-log fetch, debounced to one per 4 x gossipEvery: the
+	// simulator's only lag-recovery path.
 	gossipEvery = 250 * time.Microsecond
 )
 
@@ -98,15 +86,15 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}
-	r.host = shardhost.New(w, replicaDriver{r})
-	r.host.Debounce = 4 * gossipEvery
-	r.roller = shardhost.NewRoller(id, r.ShardEpochs(), r.loads())
-	r.host.NodeView = r.roller.Accept
+	r.host = shardhost.New(id, w, replicaDriver{r})
+	r.host.Stagger = rolloutStagger
+	r.host.GossipEvery = gossipEvery
 	return r
 }
 
 // replicaDriver lends the host the engines and the wire: deliveries and
-// installs are direct calls into the state machines.
+// installs are direct calls into the state machines, so an install has landed
+// when it returns.
 type replicaDriver struct{ r *ShardedReplica }
 
 func (d replicaDriver) Deliver(shard int, from proto.NodeID, msg any) {
@@ -115,6 +103,27 @@ func (d replicaDriver) Deliver(shard int, from proto.NodeID, msg any) {
 func (d replicaDriver) Install(shard int, v proto.View) { d.r.engines[shard].OnViewChange(v) }
 func (d replicaDriver) Epoch(shard int) uint32          { return d.r.engines[shard].View().Epoch }
 func (d replicaDriver) Send(to proto.NodeID, msg any)   { d.r.env.Send(to, msg) }
+
+// Load is the engine's client ops so far — the simulator's counterpart of
+// the live ShardedNode.ShardLoads.
+func (d replicaDriver) Load(shard int) uint64 {
+	m := d.r.engines[shard].Metrics()
+	return m.Reads + m.Writes + m.RMWs
+}
+
+// Peers are the members, then the learners, of the replica's newest known
+// view: the shards may differ mid-roll, and the highest epoch is the best
+// notion this node has of current membership.
+func (d replicaDriver) Peers() []proto.NodeID {
+	v := d.r.engines[0].View()
+	for _, e := range d.r.engines[1:] {
+		if ev := e.View(); ev.Epoch > v.Epoch {
+			v = ev
+		}
+	}
+	d.r.peers = append(append(d.r.peers[:0], v.Members...), v.Learners...)
+	return d.r.peers
+}
 
 // ID implements proto.Replica.
 func (r *ShardedReplica) ID() proto.NodeID { return r.id }
@@ -136,66 +145,16 @@ func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
 	r.host.Dispatch(from, msg, r.env.Now())
 }
 
-// FastForwardStats reports the view-log counters: entries served to peers
-// and fetched entries that advanced a local epoch.
-func (r *ShardedReplica) FastForwardStats() (served, applied uint64) {
-	st := r.host.Stats()
-	return st.FFServed, st.FFApplied
-}
+// HostStats snapshots the control-plane counters (roll, view log, gossip).
+func (r *ShardedReplica) HostStats() shardhost.Stats { return r.host.Stats() }
 
-// Tick implements proto.Replica.
+// Tick implements proto.Replica: the engines' timers, then the control
+// plane's step (roll install, gossip announcement).
 func (r *ShardedReplica) Tick() {
 	for _, e := range r.engines {
 		e.Tick()
 	}
-	now := r.env.Now()
-	if now >= r.nextRoll && r.roller.Rolling() {
-		if m, ok := r.roller.Next(r.ShardEpochs(), r.loads()); ok {
-			r.nextRoll = now + rolloutStagger
-			for s, e := range r.engines {
-				if m.Shard == proto.AllShards || int(m.Shard) == s {
-					e.OnViewChange(m.View)
-				}
-			}
-		}
-	}
-	if now >= r.nextGossip {
-		r.nextGossip = now + gossipEvery
-		r.gossip()
-	}
-}
-
-// gossip announces this replica's per-shard epoch vector to the members and
-// learners of its newest known view (minus self) — the sim counterpart of
-// the live controller's gossip loop. Gossip is node-level routing: it is
-// sent bare, never shard-tagged.
-func (r *ShardedReplica) gossip() {
-	v := r.newestView()
-	eg := proto.EpochGossip{Epochs: r.ShardEpochs()}
-	for _, n := range v.Members {
-		if n != r.id {
-			r.gossipSent++
-			r.env.Send(n, eg)
-		}
-	}
-	for _, n := range v.Learners {
-		if n != r.id {
-			r.gossipSent++
-			r.env.Send(n, eg)
-		}
-	}
-}
-
-// newestView returns the highest-epoch view among the engines — the best
-// notion this node has of current membership (shards may differ mid-roll).
-func (r *ShardedReplica) newestView() proto.View {
-	best := r.engines[0].View()
-	for _, e := range r.engines[1:] {
-		if v := e.View(); v.Epoch > best.Epoch {
-			best = v
-		}
-	}
-	return best
+	r.host.Step(r.env.Now())
 }
 
 // ObserveEpochGossip feeds a heartbeat-piggybacked epoch vector
@@ -203,13 +162,6 @@ func (r *ShardedReplica) newestView() proto.View {
 // reach through Deliver.
 func (r *ShardedReplica) ObserveEpochGossip(from proto.NodeID, epochs []uint32) {
 	r.host.ObserveGossip(from, epochs, r.env.Now())
-}
-
-// GossipStats reports the epoch-gossip counters: vectors announced, peer-
-// ahead observations, and debounced fetches issued.
-func (r *ShardedReplica) GossipStats() (sent, behind, ff uint64) {
-	st := r.host.Stats()
-	return r.gossipSent, st.GossipBehind, st.GossipFF
 }
 
 // SetNoLSC flips §8 clock-free read mode on every engine at runtime (the
@@ -222,20 +174,9 @@ func (r *ShardedReplica) SetNoLSC(on bool) {
 
 // OnViewChange implements proto.Replica: a membership agent's decision is
 // retained in the log, so this node can serve laggards, and rolled across the
-// engines (see Tick) — the path a live node's rollout controller takes.
+// engines (see Tick) — the path a live node's agent decisions take.
 func (r *ShardedReplica) OnViewChange(v proto.View) {
 	r.host.Install(proto.MUpdate{Shard: proto.AllShards, View: v})
-}
-
-// loads reports each engine's client ops so far — the simulator's counterpart
-// of the live ShardedNode.ShardLoads.
-func (r *ShardedReplica) loads() []uint64 {
-	out := make([]uint64, r.w)
-	for i, e := range r.engines {
-		m := e.Metrics()
-		out[i] = m.Reads + m.Writes + m.RMWs
-	}
-	return out
 }
 
 // SetOperational flips the RM lease on every engine (lease loss is a
