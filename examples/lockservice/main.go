@@ -21,7 +21,7 @@ import (
 
 // LockManager wraps one replica's view of the lock table.
 type LockManager struct {
-	node *cluster.Node
+	node *cluster.ShardedNode
 }
 
 // Acquire takes the lock for owner; returns false (and the holder) if held.
@@ -54,7 +54,7 @@ func (lm *LockManager) Release(ctx context.Context, lock proto.Key, owner string
 }
 
 func main() {
-	group := cluster.NewLocal(cluster.LocalConfig{N: 3})
+	group := cluster.NewShardedLocal(cluster.LocalConfig{N: 3}, 1)
 	defer group.Close()
 	ctx := context.Background()
 	const lock = proto.Key(100)
@@ -66,7 +66,7 @@ func main() {
 	var mu sync.Mutex // protects the trace only; the lock protects the CS
 	for i, n := range group.Nodes {
 		wg.Add(1)
-		go func(i int, n *cluster.Node) {
+		go func(i int, n *cluster.ShardedNode) {
 			defer wg.Done()
 			lm := &LockManager{node: n}
 			me := fmt.Sprintf("client-%d", i)

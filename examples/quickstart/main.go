@@ -17,9 +17,9 @@ import (
 )
 
 func main() {
-	// Three replicas over an in-process transport. For a real deployment
-	// over TCP see cmd/hermes-node.
-	group := cluster.NewLocal(cluster.LocalConfig{N: 3})
+	// Three single-shard replicas over an in-process transport. For a real
+	// deployment over TCP see cmd/hermes-node.
+	group := cluster.NewShardedLocal(cluster.LocalConfig{N: 3}, 1)
 	defer group.Close()
 	ctx := context.Background()
 

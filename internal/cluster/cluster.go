@@ -3,11 +3,11 @@
 // pluggable transport — an in-process channel mesh for single-binary
 // deployments and tests, or TCP via internal/transport for a real
 // distributed deployment (cmd/hermes-node). This is the library surface a
-// downstream user embeds: NewLocal to stand up a replica group, Client for
-// blocking linearizable reads, writes and RMWs.
+// downstream user embeds: NewShardedLocal to stand up a replica group, and
+// ShardedNode's Read, Write, CAS and FAA for blocking linearizable ops.
 //
-// Architecture: a replica (ShardedNode; Node is its W=1 case) runs one
-// event-loop goroutine per shard, each owning one protocol state machine
+// Architecture: a replica (ShardedNode) runs one event-loop goroutine per
+// shard, each owning one protocol state machine
 // (Submit/Deliver/Tick/OnViewChange are never called concurrently on it).
 // Which shard a message belongs to, what an m-update installs where, the
 // view log, the staggered roll of node-wide views and epoch gossip are

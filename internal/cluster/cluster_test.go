@@ -12,7 +12,7 @@ import (
 )
 
 func TestLocalReadWrite(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 
@@ -33,7 +33,7 @@ func TestLocalReadWrite(t *testing.T) {
 }
 
 func TestReadMissingKey(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	v, err := l.Nodes[1].Read(context.Background(), 999)
 	if err != nil || v != nil {
@@ -42,13 +42,13 @@ func TestReadMissingKey(t *testing.T) {
 }
 
 func TestConcurrentWritersConverge(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i, n := range l.Nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n *ShardedNode) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				val := proto.Value(fmt.Sprintf("n%d-%d", i, j))
@@ -77,7 +77,7 @@ func TestConcurrentWritersConverge(t *testing.T) {
 }
 
 func TestFAAIsAtomicUnderContention(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	const perNode = 30
@@ -85,7 +85,7 @@ func TestFAAIsAtomicUnderContention(t *testing.T) {
 	var committed atomic64
 	for _, n := range l.Nodes {
 		wg.Add(1)
-		go func(n *Node) {
+		go func(n *ShardedNode) {
 			defer wg.Done()
 			for j := 0; j < perNode; j++ {
 				for { // retry aborts: standard RMW usage
@@ -121,7 +121,7 @@ func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 
 func TestCASLockSemantics(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	// Two contenders attempt to acquire a lock key via CAS(nil -> owner).
@@ -145,13 +145,13 @@ func TestCASLockSemantics(t *testing.T) {
 }
 
 func TestWriteStormOnManyKeys(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 5})
+	l := NewShardedLocal(LocalConfig{N: 5}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i, n := range l.Nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, n *ShardedNode) {
 			defer wg.Done()
 			for k := proto.Key(0); k < 40; k++ {
 				if err := n.Write(ctx, proto.Key(i)*100+k, proto.Value("v")); err != nil {
@@ -173,7 +173,7 @@ func TestWriteStormOnManyKeys(t *testing.T) {
 }
 
 func TestMessageLossRecoveredLive(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: 30 * time.Millisecond})
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: 30 * time.Millisecond}, 1)
 	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -201,7 +201,7 @@ func TestMessageLossRecoveredLive(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: time.Hour}) // never recover
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: time.Hour}, 1) // never recover
 	defer l.Close()
 	// Block all traffic: the write can never commit.
 	l.Tr.SetDrop(func(from, to proto.NodeID, msg any) bool { return true })
@@ -214,7 +214,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestViewChangeReleasesBlockedWrite(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond})
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond}, 1)
 	defer l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -241,7 +241,7 @@ func TestViewChangeReleasesBlockedWrite(t *testing.T) {
 // commits. It must not be handed to whichever op reuses the sink, and it must
 // not wedge the event loop.
 func TestLateCompletionOfCancelledOpReachesNobodyElse(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond})
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: 20 * time.Millisecond}, 1)
 	defer l.Close()
 	n := l.Nodes[0]
 	l.Tr.SetDrop(func(from, to proto.NodeID, msg any) bool { return true })
@@ -289,7 +289,7 @@ func TestLateCompletionOfCancelledOpReachesNobodyElse(t *testing.T) {
 }
 
 func TestClosedNodeReturnsErrClosed(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: time.Hour})
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: time.Hour}, 1)
 	n := l.Nodes[0]
 	// Two ops in flight across Close (nothing gets through, so they cannot
 	// commit): both must hear about it, exactly once.
@@ -395,7 +395,7 @@ func TestClosedNodeReturnsErrClosed(t *testing.T) {
 // shows in every run, while a pool miss (under -race sync.Pool drops a
 // quarter of what it is given) shows in some.
 func TestBlockingOpAllocatesNothingOverAsync(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 1})
+	l := NewShardedLocal(LocalConfig{N: 1}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	if err := l.Nodes[0].Write(ctx, 7, proto.Value("v")); err != nil {
@@ -429,7 +429,7 @@ func TestBlockingOpAllocatesNothingOverAsync(t *testing.T) {
 }
 
 func TestFastPathReadAvoidsEventLoop(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	if err := l.Nodes[0].Write(ctx, 3, proto.Value("fp")); err != nil {

@@ -171,7 +171,7 @@ func TestWireMUpdateInstallsAsync(t *testing.T) {
 		return true
 	})
 
-	pl := NewLocal(LocalConfig{N: 3})
+	pl := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer pl.Close()
 	n := pl.Nodes[0]
 	pl.Tr.Send(1, 0, proto.MUpdate{Shard: 0, View: view3(3)})
@@ -186,7 +186,7 @@ func TestWireMUpdateInstallsAsync(t *testing.T) {
 // the fast path stays shut forever after the first duplicate on a lossy
 // wire.
 func TestDuplicateInstallReopensGate(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	n := l.Nodes[0]

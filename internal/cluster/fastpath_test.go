@@ -12,7 +12,7 @@ import (
 )
 
 func TestFastPathHitCounters(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	n := l.Nodes[0]
@@ -33,7 +33,7 @@ func TestFastPathHitCounters(t *testing.T) {
 }
 
 func TestFastPathDisabledUnderNoLSC(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, NoLSC: true})
+	l := NewShardedLocal(LocalConfig{N: 3, NoLSC: true}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	n := l.Nodes[0]
@@ -56,7 +56,7 @@ func TestFastPathDisabledUnderNoLSC(t *testing.T) {
 // from the moment InstallView is called until the event loop finishes
 // OnViewChange, the gate is shut and reads fall back to the Submit path.
 func TestReadGateClosesDuringViewChange(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	n := l.Nodes[0]
@@ -118,7 +118,7 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 // reads racing writes, CAS, FAA and m-update epoch bumps, then checks the
 // recorded history against the Wing–Gong oracle. Run with -race.
 func TestFastPathLinearizableUnderViewChanges(t *testing.T) {
-	l := NewLocal(LocalConfig{N: 3, MLT: 5 * time.Millisecond})
+	l := NewShardedLocal(LocalConfig{N: 3, MLT: 5 * time.Millisecond}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	const key = proto.Key(42)
@@ -147,9 +147,9 @@ func TestFastPathLinearizableUnderViewChanges(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Two fast-path readers on different replicas.
-	for _, n := range []*Node{l.Nodes[0], l.Nodes[1]} {
+	for _, n := range []*ShardedNode{l.Nodes[0], l.Nodes[1]} {
 		wg.Add(1)
-		go func(n *Node) {
+		go func(n *ShardedNode) {
 			defer wg.Done()
 			for i := 0; i < 75; i++ {
 				id := invoke(linear.KRead, nil, nil)
@@ -243,7 +243,7 @@ func TestFastPathLinearizableUnderViewChanges(t *testing.T) {
 // BenchmarkLiveFastRead measures the lock-free read fast path end to end on
 // the live runtime; run with -benchmem to see it allocation-free.
 func BenchmarkLiveFastRead(b *testing.B) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	if err := l.Nodes[0].Write(ctx, 1, proto.Value("v")); err != nil {
@@ -263,7 +263,7 @@ func BenchmarkLiveFastRead(b *testing.B) {
 // BenchmarkLiveWrite covers the Submit slow path (completion-channel pool):
 // -benchmem shows the per-op allocation drop from pooling.
 func BenchmarkLiveWrite(b *testing.B) {
-	l := NewLocal(LocalConfig{N: 3})
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
 	defer l.Close()
 	ctx := context.Background()
 	val := proto.Value("v")

@@ -21,7 +21,7 @@ import (
 // Writes and RMWs to keys on different shards commit fully in parallel —
 // there is no cross-shard serialization point — and linearizable local reads
 // are served lock-free from the owning shard's store on the caller's
-// goroutine. A plain single-engine node is the W=1 case (Node, NewNode).
+// goroutine. A single-engine node is the Shards=1 configuration of this type.
 //
 // The node is the live driver of internal/shardhost, which owns everything
 // deterministic about hosting W engines: routing an arrival to the shard
@@ -34,9 +34,7 @@ import (
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
 // of one node only ever converses with shard s of the others. All nodes of
-// a cluster must therefore be configured with the same shard count. With
-// Shards=1 the envelope is elided entirely: a single-shard node puts bare
-// core messages on the wire.
+// a cluster must therefore be configured with the same shard count.
 //
 // Small messages (INVs, ACKs, VALs) are not sent one by one: each engine
 // stages what one burst of its turns sent, per peer and flow-control class,
@@ -89,19 +87,6 @@ type ShardedNode struct {
 	stopOnce         sync.Once
 }
 
-// Node is a single-engine replica: the W=1 case of ShardedNode, which puts
-// bare core messages (no shard envelope) on the wire.
-type Node = ShardedNode
-
-// NodeConfig parameterizes NewNode; Shards is ignored (always 1).
-type NodeConfig = ShardedConfig
-
-// NewNode builds and starts a single-engine live Hermes replica on tr.
-func NewNode(cfg NodeConfig, tr Transport) *Node {
-	cfg.Shards = 1
-	return NewShardedNode(cfg, tr)
-}
-
 // ShardedConfig parameterizes a live replica. Shards is the worker count W
 // (values < 1 become 1, so the zero value is a plain single-engine node).
 type ShardedConfig struct {
@@ -139,8 +124,8 @@ func DefaultShards() int {
 }
 
 // shardTransport is one shard's egress onto the node's transport: it tags
-// outgoing messages with the shard index (unless W=1), gathers the small ones
-// of a burst per peer and class, and sends each gathering as one batch.
+// outgoing messages with the shard index, gathers the small ones of a burst
+// per peer and class, and sends each gathering as one batch.
 type shardTransport struct {
 	sn  *ShardedNode
 	idx uint16
@@ -162,10 +147,6 @@ type egressStage struct {
 }
 
 func (t *shardTransport) Send(to proto.NodeID, msg any) {
-	if t.sn.w == 1 {
-		t.sn.tr.Send(t.sn.id, to, msg)
-		return
-	}
 	sm := proto.ShardMsg{Shard: t.idx, Msg: msg}
 	if core.Coalescable(msg) {
 		// Small messages are the coalescing targets: at W shards they
@@ -700,10 +681,7 @@ type ShardedLocal struct {
 	Tr    *ChanTransport
 }
 
-// Local is a ShardedLocal of single-engine nodes.
-type Local = ShardedLocal
-
-// LocalConfig parameterizes NewLocal and NewShardedLocal.
+// LocalConfig parameterizes NewShardedLocal.
 type LocalConfig struct {
 	N         int
 	MLT       time.Duration
@@ -711,9 +689,6 @@ type LocalConfig struct {
 	EarlyACKs bool
 	NoLSC     bool
 }
-
-// NewLocal stands up an n-replica group of single-engine nodes in-process.
-func NewLocal(cfg LocalConfig) *Local { return NewShardedLocal(cfg, 1) }
 
 // NewShardedLocal stands up an n-replica, W-shard Hermes group in-process.
 func NewShardedLocal(cfg LocalConfig, shards int) *ShardedLocal {

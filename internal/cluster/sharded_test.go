@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/linear"
 	"repro/internal/proto"
 )
@@ -157,32 +158,45 @@ func TestShardedConcurrentLinearizable(t *testing.T) {
 	}
 }
 
-// TestW1NodeSpeaksBareCoreMessages: a W=1 node — however it was built — emits
-// and accepts bare core messages: no ShardMsg or ShardBatch envelope ever
-// appears on the wire, and W=1 peers interoperate in both directions. (A
-// plain Node used to be a second type this had to stay byte-compatible with;
-// it is now the same type, and this pins the wire shape itself.)
-func TestW1NodeSpeaksBareCoreMessages(t *testing.T) {
+// TestW1NodeSpeaksShardEnvelopes: a W=1 node — however it was built — speaks
+// the one wire shape every shard host does. Each protocol message it puts on
+// the transport is a ShardMsg or ShardBatch tagged shard 0; only the
+// node-level control messages travel bare.
+func TestW1NodeSpeaksShardEnvelopes(t *testing.T) {
 	ids := []proto.NodeID{0, 1, 2}
 	view := proto.View{Epoch: 1, Members: ids}
 	tr := NewChanTransport(ids)
 	defer tr.Close()
 
 	var mu sync.Mutex
-	var enveloped any
+	var outside []any
+	var enveloped int
 	tr.SetDrop(func(from, to proto.NodeID, msg any) bool {
-		switch msg.(type) {
-		case proto.ShardMsg, proto.ShardBatch:
-			mu.Lock()
-			enveloped = msg
-			mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		switch m := msg.(type) {
+		case proto.ShardMsg:
+			enveloped++
+			if m.Shard != 0 {
+				outside = append(outside, msg)
+			}
+		case proto.ShardBatch:
+			enveloped++
+			for _, sm := range m.Msgs {
+				if sm.Shard != 0 {
+					outside = append(outside, msg)
+				}
+			}
+		case proto.MUpdate, proto.ViewLogReq, proto.ViewLogResp, proto.EpochGossip:
+		default:
+			outside = append(outside, msg)
 		}
 		return false
 	})
 
-	nodes := []*Node{
+	nodes := []*ShardedNode{
 		NewShardedNode(ShardedConfig{ID: 0, View: view, Shards: 1}, tr),
-		NewNode(NodeConfig{ID: 1, View: view}, tr),
+		NewShardedNode(ShardedConfig{ID: 1, View: view, Shards: 1}, tr),
 		NewShardedNode(ShardedConfig{ID: 2, View: view}, tr), // zero Shards = 1
 	}
 	for _, n := range nodes {
@@ -210,8 +224,41 @@ func TestW1NodeSpeaksBareCoreMessages(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if enveloped != nil {
-		t.Fatalf("a W=1 node put a shard envelope on the wire: %#v", enveloped)
+	if len(outside) > 0 {
+		t.Fatalf("a W=1 node put %d messages on the wire outside a shard-0 envelope, first %#v", len(outside), outside[0])
+	}
+	if enveloped == 0 {
+		t.Fatal("no shard envelope crossed the transport")
+	}
+}
+
+// TestStrayFramesDoNotCrashNode: what reaches a node outside a shard envelope
+// — client-session traffic, or engine messages no shard host sends — is
+// dropped at routing instead of reaching an engine, which panics on a type it
+// does not know. The W=1 case over ChanTransport; transport's test of the
+// same name covers W=2 over TCP.
+func TestStrayFramesDoNotCrashNode(t *testing.T) {
+	l := NewShardedLocal(LocalConfig{N: 3}, 1)
+	defer l.Close()
+	for _, msg := range []any{
+		proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 3},
+		proto.ClientResp{Seq: 1, Status: proto.OK},
+		core.MCheck{Epoch: 1, Seq: 1},
+		core.INV{Epoch: 1, Key: 3, TS: proto.TS{Version: 1, CID: 1}, Value: proto.Value("forged")},
+	} {
+		l.Tr.Send(1, 0, msg)
+	}
+	// The write's ACKs reach node 0's one shard through the same FIFO inbox,
+	// behind the strays: it cannot commit before they were handled.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := l.Nodes[0].Write(ctx, 42, proto.Value("after")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range l.Nodes {
+		if v, err := n.Read(ctx, 42); err != nil || string(v) != "after" {
+			t.Fatalf("node %d: %q %v", n.ID(), v, err)
+		}
 	}
 }
 

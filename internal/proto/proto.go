@@ -293,8 +293,8 @@ type Env interface {
 // owning a partition of the keyspace). A sharded node wraps every outgoing
 // protocol message so the receiver can route it to the shard replica that
 // owns the key — shard s on one node only ever talks to shard s on its
-// peers. Nodes running a single shard send messages unwrapped, so W=1
-// deployments are wire-identical to the unsharded engine.
+// peers. This holds at every W: a single-shard node tags shard 0, and a
+// receiving host drops protocol messages that arrive outside an envelope.
 type ShardMsg struct {
 	Shard uint16
 	Msg   any
@@ -305,8 +305,7 @@ type ShardMsg struct {
 // VALs) from all of its shard engines and ships them as a single wire frame
 // under a single flow-control credit, instead of W independent ShardMsg
 // frames with independent credit traffic. Msgs is never empty and its
-// elements never nest another envelope. Single-shard (W=1) nodes never emit
-// batches, preserving wire compatibility with the unsharded engine.
+// elements never nest another envelope.
 type ShardBatch struct {
 	Msgs []ShardMsg
 }

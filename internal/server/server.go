@@ -42,8 +42,7 @@ import (
 
 // Backend is the op-serving surface a session needs from the node: the
 // lock-free local-read fast path and asynchronous submission to the owning
-// shard. cluster.ShardedNode (of which cluster.Node is the W=1 case)
-// satisfies it.
+// shard. cluster.ShardedNode satisfies it.
 type Backend interface {
 	// ReadLocal attempts the §4.1 lock-free read on the caller's goroutine;
 	// ok=false means fall back to SubmitAsync.

@@ -57,13 +57,8 @@ type Driver interface {
 
 // OwnerOf maps a protocol message to the shard owning it on a w-shard node.
 // Key-carrying messages hash their key; instance-scoped traffic (membership
-// checks, state-transfer chunks) has no key and keeps dflt — the sender's
-// tag for tagged messages, shard 0 (where a W=1 peer's single engine lives)
-// for untagged ones.
-func OwnerOf(w int, msg any, dflt uint16) uint16 {
-	if w == 1 {
-		return 0
-	}
+// checks, state-transfer chunks) has no key and keeps tag, the sender's.
+func OwnerOf(w int, msg any, tag uint16) uint16 {
 	switch m := msg.(type) {
 	case core.INV:
 		return proto.ShardOf(m.Key, w)
@@ -72,20 +67,22 @@ func OwnerOf(w int, msg any, dflt uint16) uint16 {
 	case core.VAL:
 		return proto.ShardOf(m.Key, w)
 	}
-	return dflt
+	return tag
 }
 
 // Route delivers a data-plane message to the shard that owns it and reports
 // true; node-level control messages (MUpdate, ViewLogReq, ViewLogResp,
 // EpochGossip) are left for Host.Dispatch and report false.
 //
-// Tagged messages are delivered only when the tag matches the local owner of
-// the key they carry: a peer configured with a different W computes
+// Every shard host sends its data plane inside a ShardMsg or ShardBatch, at
+// every W. A tagged message is delivered only when the tag matches the local
+// owner of the key it carries: a peer configured with a different W computes
 // different owners, and delivering its traffic to a non-owner shard would
 // store values no reader ever consults — silent lost updates. Dropping
 // instead makes a W mismatch stall safely (the sender's MLT keeps
-// retransmitting) rather than corrupt. Untagged messages — from a W=1 peer,
-// the one supported mixed deployment — route by key the same way.
+// retransmitting) rather than corrupt. Anything else is not shard-host
+// traffic (a stray client frame, a bare engine message) and drops too, so an
+// engine is only ever handed what arrived inside an envelope.
 func Route(w int, d Driver, from proto.NodeID, msg any) bool {
 	switch m := msg.(type) {
 	case proto.ShardBatch:
@@ -99,7 +96,9 @@ func Route(w int, d Driver, from proto.NodeID, msg any) bool {
 	case proto.MUpdate, proto.ViewLogReq, proto.ViewLogResp, proto.EpochGossip:
 		return false
 	default:
-		d.Deliver(int(OwnerOf(w, msg, 0)), from, msg)
+		// Untagged drop: spend the frame references wings decode retained for
+		// the message's values, like every other drop path.
+		core.ReleaseMsgOwners(msg)
 	}
 	return true
 }
@@ -109,8 +108,7 @@ func routeTagged(w int, d Driver, from proto.NodeID, sm proto.ShardMsg) {
 		d.Deliver(int(sm.Shard), from, sm.Msg)
 		return
 	}
-	// Mis-tagged drop (W mismatch): spend the frame references wings decode
-	// retained for the message's values, like every other drop path.
+	// Mis-tagged drop (W mismatch), released like the untagged one.
 	core.ReleaseMsgOwners(sm.Msg)
 }
 

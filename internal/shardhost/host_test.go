@@ -75,8 +75,8 @@ func keyOn(w int, shard uint16) proto.Key {
 }
 
 // TestRoute covers the data plane: tagged, mis-tagged and out-of-range
-// ShardMsgs, ShardBatch fan-out, untagged traffic from a W=1 peer, keyless
-// instance-scoped traffic, and control messages being declined.
+// ShardMsgs, ShardBatch fan-out, keyless instance-scoped traffic, untagged
+// traffic being dropped at every W, and control messages being declined.
 func TestRoute(t *testing.T) {
 	const w = 4
 	ack := func(shard uint16) core.ACK { return core.ACK{Epoch: 1, Key: keyOn(w, shard), TS: proto.TS{Version: 1}} }
@@ -97,9 +97,10 @@ func TestRoute(t *testing.T) {
 		{"batch fans out, mis-owned entry drops", w, proto.ShardBatch{Msgs: []proto.ShardMsg{
 			{Shard: 1, Msg: ack(1)}, {Shard: 3, Msg: val(3)}, {Shard: 0, Msg: ack(2)},
 		}}, true, []delivery{{1, 7, ack(1)}, {3, 7, val(3)}}},
-		{"untagged from a W=1 peer routes by key", w, val(2), true, []delivery{{2, 7, val(2)}}},
-		{"untagged keyless lands on shard 0", w, core.MCheck{Epoch: 1}, true, []delivery{{0, 7, core.MCheck{Epoch: 1}}}},
-		{"W=1 node: everything is shard 0", 1, ack(3), true, []delivery{{0, 7, ack(3)}}},
+		{"untagged keyed drops", w, val(2), true, nil},
+		{"untagged keyless drops", w, core.MCheck{Epoch: 1}, true, nil},
+		{"untagged client request drops", w, proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 3}, true, nil},
+		{"W=1 node drops untagged too", 1, ack(3), true, nil},
 		{"W=1 node still unwraps a tag-0 envelope", 1, proto.ShardMsg{Shard: 0, Msg: ack(3)}, true, []delivery{{0, 7, ack(3)}}},
 		{"MUpdate is control", w, proto.MUpdate{Shard: 0, View: view(2)}, false, nil},
 		{"ViewLogReq is control", w, proto.ViewLogReq{}, false, nil},
@@ -126,7 +127,8 @@ func (*nopDriver) Deliver(int, proto.NodeID, any) {}
 
 // TestRouteAllocatesNothing guards the live per-message path: Route runs on
 // transport pump goroutines for every protocol message, so routing an
-// already-boxed message — bare, tagged or batched — must not allocate.
+// already-boxed message — tagged or batched — or dropping a bare one must not
+// allocate.
 func TestRouteAllocatesNothing(t *testing.T) {
 	const w = 4
 	var d Driver = &nopDriver{}
@@ -142,23 +144,28 @@ func TestRouteAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRouteMisTaggedReleasesOwner: a dropped ShardMsg spends the frame
-// reference its INV carries, like every other drop path (the simulator's copy
-// of this code used to skip that).
+// TestRouteMisTaggedReleasesOwner: a dropped INV — mis-tagged, or untagged —
+// spends the frame reference it carries, like every other drop path (the
+// simulator's copy of this code used to skip that).
 func TestRouteMisTaggedReleasesOwner(t *testing.T) {
 	const w = 4
-	buf := refbuf.NewPool().Get(8)
-	buf.Retain() // one reference for the INV, one kept to observe the count
-	inv := core.INV{Epoch: 1, Key: keyOn(w, 2), Value: buf.Bytes(), Owner: buf}
-	d := &recDriver{}
-	Route(w, d, 1, proto.ShardMsg{Shard: 0, Msg: inv})
-	if len(d.delivers) != 0 {
-		t.Fatalf("mis-tagged INV delivered: %+v", d.delivers)
+	for name, wrap := range map[string]func(core.INV) any{
+		"mis-tagged": func(inv core.INV) any { return proto.ShardMsg{Shard: 0, Msg: inv} },
+		"untagged":   func(inv core.INV) any { return inv },
+	} {
+		buf := refbuf.NewPool().Get(8)
+		buf.Retain() // one reference for the INV, one kept to observe the count
+		inv := core.INV{Epoch: 1, Key: keyOn(w, 2), Value: buf.Bytes(), Owner: buf}
+		d := &recDriver{}
+		Route(w, d, 1, wrap(inv))
+		if len(d.delivers) != 0 {
+			t.Fatalf("%s INV delivered: %+v", name, d.delivers)
+		}
+		if got := buf.Refs(); got != 1 {
+			t.Fatalf("%s: frame refs after the drop = %d, want 1 (the INV's reference spent)", name, got)
+		}
+		buf.Release()
 	}
-	if got := buf.Refs(); got != 1 {
-		t.Fatalf("frame refs after the drop = %d, want 1 (the INV's reference spent)", got)
-	}
-	buf.Release()
 }
 
 // TestMUpdateAddressing: an m-update installs on exactly the shards it

@@ -54,20 +54,14 @@ type ShardedReplicaConfig struct {
 }
 
 // shardReplicaEnv is one engine's window to the host env: it tags outgoing
-// messages with the engine's shard index (unless W=1, which stays
-// wire-identical to an unsharded replica).
+// messages with the engine's shard index.
 type shardReplicaEnv struct {
 	env proto.Env
 	idx uint16
-	w   int
 }
 
 func (e shardReplicaEnv) Now() time.Duration { return e.env.Now() }
 func (e shardReplicaEnv) Send(to proto.NodeID, msg any) {
-	if e.w == 1 {
-		e.env.Send(to, msg)
-		return
-	}
 	e.env.Send(to, proto.ShardMsg{Shard: e.idx, Msg: msg})
 }
 func (e shardReplicaEnv) Complete(c proto.Completion) { e.env.Complete(c) }
@@ -82,7 +76,7 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 	for i := 0; i < w; i++ {
 		r.engines = append(r.engines, core.New(core.Config{
 			ID: id, View: view.Clone(),
-			Env: shardReplicaEnv{env: env, idx: uint16(i), w: w},
+			Env: shardReplicaEnv{env: env, idx: uint16(i)},
 			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}

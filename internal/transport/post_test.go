@@ -151,8 +151,9 @@ func within(t *testing.T, what string, fn func()) {
 // cooperating — it accepts and never reads, so the send window is spent and
 // never repaid; or its address swallows the dial — keeps running its event
 // loops: ops that need no peer complete, Tick keeps retransmitting, Close
-// returns. A W=1 node calls Transport.Send from its event loop, so a Send
-// that waits for credits or for the dial stalls the whole engine.
+// returns. At every W a shard's event loop calls Transport.Send itself, at
+// the end of each burst, so a Send that waits for credits or for the dial
+// stalls that shard's whole engine.
 func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		for _, fault := range []string{"window spent", "dial hangs"} {

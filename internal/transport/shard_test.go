@@ -3,12 +3,15 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/wings"
 )
 
 // shardedMeshGroup stands up n live W-shard Hermes replicas over loopback
@@ -109,6 +112,75 @@ func TestShardMsgTCPConcurrentWriters(t *testing.T) {
 				t.Fatalf("divergence on key %d: node %d has %q, node 0 has %q (%v)",
 					k, n.ID(), v, ref, err)
 			}
+		}
+	}
+}
+
+// TestStrayFramesDoNotCrashNode: a replica port takes frames from anyone who
+// sends a valid hello, so what arrives on it outside a shard envelope —
+// client-session traffic, or engine messages no shard host sends — is dropped
+// at routing instead of reaching an engine, which panics on a type it does
+// not know. The node keeps committing and replicating afterwards.
+func TestStrayFramesDoNotCrashNode(t *testing.T) {
+	const w = 2
+	nodes, meshes, done := shardedMeshGroup(t, 3, w)
+	defer done()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	conn, err := net.Dial("tcp", meshes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{1}); err != nil { // hello: "I am node 1"
+		t.Fatal(err)
+	}
+	stray := wings.NewLink(conn, DefaultLinkConfig())
+	defer stray.Close()
+	// The probe is a well-formed tagged write to a key of shard 0, where every
+	// keyless untagged frame used to land: once node 0 serves it, shard 0's
+	// event loop has taken the strays posted before it.
+	probe := keyOn(w, 0)
+	ts := proto.TS{Version: 1, CID: 1}
+	for _, msg := range []any{
+		proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 3},
+		proto.ClientResp{Seq: 1, Status: proto.OK},
+		core.MCheck{Epoch: 1, Seq: 1},
+		core.INV{Epoch: 1, Key: probe, TS: ts, Value: proto.Value("forged")},
+		proto.ShardMsg{Shard: 0, Msg: core.INV{Epoch: 1, Key: probe, TS: ts, Value: proto.Value("probe")}},
+		proto.ShardMsg{Shard: 0, Msg: core.VAL{Epoch: 1, Key: probe, TS: ts}},
+	} {
+		if err := stray.Post(msg); err != nil {
+			t.Fatalf("post %T: %v", msg, err)
+		}
+	}
+	for {
+		if v, ok := nodes[0].ReadLocal(probe); ok && string(v) == "probe" {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("node 0 never served the probe")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const k = proto.Key(42)
+	if err := nodes[0].Write(ctx, k, proto.Value("after")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if v, err := n.Read(ctx, k); err != nil || string(v) != "after" {
+			t.Fatalf("node %d: %q %v", n.ID(), v, err)
+		}
+	}
+}
+
+// keyOn returns the smallest key shard owns on a w-shard node.
+func keyOn(w int, shard uint16) proto.Key {
+	for k := proto.Key(1); ; k++ {
+		if proto.ShardOf(k, w) == shard {
+			return k
 		}
 	}
 }

@@ -9,47 +9,8 @@ import (
 	"repro/internal/proto"
 )
 
-// meshGroup stands up n live Hermes replicas over loopback TCP.
-func meshGroup(t *testing.T, n int) ([]*cluster.Node, func()) {
-	t.Helper()
-	// First bind listeners on :0 to learn addresses.
-	addrs := make(map[proto.NodeID]string)
-	meshes := make([]*Mesh, n)
-	for i := 0; i < n; i++ {
-		m, err := NewMesh(proto.NodeID(i), map[proto.NodeID]string{proto.NodeID(i): "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		meshes[i] = m
-		addrs[proto.NodeID(i)] = m.Addr()
-	}
-	// Publish the full address map.
-	for _, m := range meshes {
-		m.addrs = addrs
-	}
-	members := make([]proto.NodeID, n)
-	for i := range members {
-		members[i] = proto.NodeID(i)
-	}
-	view := proto.View{Epoch: 1, Members: members}
-	nodes := make([]*cluster.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = cluster.NewNode(cluster.NodeConfig{
-			ID: proto.NodeID(i), View: view, MLT: 50 * time.Millisecond,
-		}, meshes[i])
-	}
-	return nodes, func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		for _, m := range meshes {
-			m.Close()
-		}
-	}
-}
-
 func TestTCPWriteReadAcrossNodes(t *testing.T) {
-	nodes, done := meshGroup(t, 3)
+	nodes, _, done := shardedMeshGroup(t, 3, 1)
 	defer done()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -65,7 +26,7 @@ func TestTCPWriteReadAcrossNodes(t *testing.T) {
 }
 
 func TestTCPManyWrites(t *testing.T) {
-	nodes, done := meshGroup(t, 3)
+	nodes, _, done := shardedMeshGroup(t, 3, 1)
 	defer done()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -89,7 +50,7 @@ func TestTCPManyWrites(t *testing.T) {
 }
 
 func TestTCPFAA(t *testing.T) {
-	nodes, done := meshGroup(t, 3)
+	nodes, _, done := shardedMeshGroup(t, 3, 1)
 	defer done()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
