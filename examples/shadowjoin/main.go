@@ -7,7 +7,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -72,25 +74,22 @@ func main() {
 	c.Engine().RunUntil(c.Engine().Now() + 2*time.Millisecond)
 	if got == nil || got.Status != proto.OK {
 		fmt.Println("promoted replica failed to serve!")
-		return
+		os.Exit(1)
 	}
 	fmt.Printf("promoted replica serves reads (key 42 -> %d bytes)\n", len(got.Value))
 
-	// Cross-check a sample of keys against member 0.
-	mismatches := 0
-	checked := 0
+	// Cross-check every key of member 0 against the promoted replica: a key
+	// it lacks, or holds at another timestamp or value, is a mismatch.
+	mismatches, checked := 0, 0
 	c.Replica(0).(*core.Hermes).Store().Range(func(k proto.Key, e kvs.Entry) bool {
-		if le, ok := learner.Store().Get(k); ok && le.TS == e.TS {
-			checked++
-			return checked < 500
-		}
-		// Keys still settling (in-flight VALs) are not mismatches; compare
-		// timestamps only when both are valid.
-		if le, ok := learner.Store().Get(k); ok && le.TS != e.TS {
+		checked++
+		if le, ok := learner.Store().Get(k); !ok || le.TS != e.TS || !bytes.Equal(le.Value, e.Value) {
 			mismatches++
 		}
-		checked++
-		return checked < 500
+		return true
 	})
-	fmt.Printf("sampled %d keys against a member: %d timestamp mismatches\n", checked, mismatches)
+	fmt.Printf("checked %d keys against a member: %d mismatches\n", checked, mismatches)
+	if mismatches > 0 {
+		os.Exit(1)
+	}
 }

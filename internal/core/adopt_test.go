@@ -165,8 +165,8 @@ func (captureEnv) Complete(proto.Completion)    {}
 
 // TestINVAdoptAllocsSizeIndependent is the testing.AllocsPerRun satellite:
 // the decode→store-adopt path performs zero per-value-byte allocations. The
-// irreducible steady-state allocations (the RCU *Entry publication and the
-// ACK's interface boxing into Env.Send) are size-independent, so the
+// irreducible steady-state allocations (the published *Entry and the ACK's
+// interface boxing into Env.Send) are size-independent, so the
 // assertion is equality across a 128× value-size spread — a copy anywhere in
 // the path would show up as extra allocations at 4 KiB.
 func TestINVAdoptAllocsSizeIndependent(t *testing.T) {

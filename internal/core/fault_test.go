@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -372,6 +373,45 @@ func TestLearnerChunkRetryAfterLoss(t *testing.T) {
 	}
 	if !l.CaughtUp() {
 		t.Fatal("chunk retry never recovered")
+	}
+}
+
+// TestLearnerCatchUpCoversEveryKey: a store spanning several chunks, read
+// from different members in turn, arrives whole at the learner — no key is
+// skipped because two members iterate their stores in different orders. A
+// key the learner lacked would read as empty after promotion.
+func TestLearnerCatchUpCoversEveryKey(t *testing.T) {
+	const keys = 3000
+	h := newHarness(t, 3, nil)
+	rng := rand.New(rand.NewSource(1))
+	want := map[proto.Key]proto.TS{math.MaxUint64: {Version: 2}, 0: {Version: 2}}
+	for len(want) < keys {
+		want[proto.Key(rng.Uint64())] = proto.TS{Version: 2 + 2*uint32(rng.Intn(3)), CID: uint16(rng.Intn(3))}
+	}
+	// Every member holds the same committed records, inserted in its own
+	// order.
+	for id := proto.NodeID(0); id < 3; id++ {
+		for k, ts := range want {
+			h.nodes[id].Store().Update(k, kvs.Entry{Value: proto.Value("v"), TS: ts, State: kvs.Valid})
+		}
+	}
+
+	l := h.addLearner(3)
+	for i := 0; i < 100 && !l.CaughtUp(); i++ {
+		h.advance(time.Millisecond)
+		h.run()
+	}
+	if !l.CaughtUp() {
+		t.Fatal("learner never caught up")
+	}
+	missing := 0
+	for k, ts := range want {
+		if e, ok := l.Store().Get(k); !ok || e.TS != ts || e.State != kvs.Valid || string(e.Value) != "v" {
+			missing++
+		}
+	}
+	if missing > 0 || l.Store().Len() != keys {
+		t.Fatalf("caught-up learner lacks %d of %d keys (holds %d)", missing, keys, l.Store().Len())
 	}
 }
 

@@ -18,7 +18,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -141,7 +143,8 @@ type Hermes struct {
 
 	// Learner (shadow replica) catch-up state.
 	learner      bool
-	fetchCursor  uint64
+	fetchCursor  uint64 // lowest key the transfer still needs
+	fetchChunks  int    // chunks applied so far; picks the next member asked
 	fetchBusy    bool
 	fetchRetryAt time.Duration
 	fetchDone    bool
@@ -1166,9 +1169,7 @@ func (h *Hermes) releaseSpecReads(n int) {
 
 // --- §3.4 Recovery: shadow replica state transfer ---
 
-// fetchChunkKeys is the state-transfer chunk size: both the member-rotation
-// arithmetic and the per-request MaxKeys derive from it so the two cannot
-// drift apart.
+// fetchChunkKeys is the state-transfer chunk size (ChunkReq.MaxKeys).
 const fetchChunkKeys = 512
 
 func (h *Hermes) fetchNextChunk() {
@@ -1177,7 +1178,7 @@ func (h *Hermes) fetchNextChunk() {
 		return
 	}
 	// Spread chunk reads across members, as the paper's recovery does.
-	from := members[int(h.fetchCursor/fetchChunkKeys)%len(members)]
+	from := members[h.fetchChunks%len(members)]
 	h.fetchBusy = true
 	h.fetchRetryAt = h.env.Now() + h.cfg.MLT
 	h.env.Send(from, ChunkReq{Epoch: h.view.Epoch, Cursor: h.fetchCursor, MaxKeys: fetchChunkKeys})
@@ -1187,17 +1188,32 @@ func (h *Hermes) onChunkReq(from proto.NodeID, req ChunkReq) {
 	if h.staleEpoch(req.Epoch) {
 		return
 	}
-	resp := ChunkResp{Epoch: h.view.Epoch}
-	// Cursor is the count of keys already transferred, interpreted against
-	// this store's iteration order. Keys added concurrently are also pushed
-	// to the learner via INVs, so skew between members' iteration orders
-	// only risks re-sending records, which the timestamp check absorbs.
-	skip := req.Cursor
-	h.store.Range(func(k proto.Key, e kvs.Entry) bool {
-		if skip > 0 {
-			skip--
-			return true
+	// Cursor is the lowest key the learner still needs; the reply holds the
+	// MaxKeys smallest keys at or above it, ascending. Key order is the one
+	// order every member agrees on, so chunks read from different members
+	// tile the keyspace; keys added concurrently also reach the learner via
+	// INVs, and the timestamp check absorbs any overlap.
+	limit := max(req.MaxKeys, 1)
+	var keys []proto.Key
+	more := false // keys beyond the reply exist
+	trim := func() {
+		slices.Sort(keys)
+		if len(keys) > limit {
+			keys, more = keys[:limit], true
 		}
+	}
+	h.store.Range(func(k proto.Key, _ kvs.Entry) bool {
+		if uint64(k) >= req.Cursor {
+			if keys = append(keys, k); len(keys) >= 2*limit {
+				trim()
+			}
+		}
+		return true
+	})
+	trim()
+	resp := ChunkResp{Epoch: h.view.Epoch, Cursor: req.Cursor, Done: !more}
+	for _, k := range keys {
+		e, _ := h.store.Get(k)
 		// safeVal, not e.Value: the response is encoded asynchronously by the
 		// transport, and an owner-backed value's pooled frame may be recycled
 		// the moment a newer update replaces this entry — shipping the live
@@ -1205,10 +1221,7 @@ func (h *Hermes) onChunkReq(from proto.NodeID, req ChunkReq) {
 		// learner's store (the chunk-transfer aliasing bug).
 		resp.Keys = append(resp.Keys, k)
 		resp.Recs = append(resp.Recs, ChunkRec{TS: e.TS, Value: safeVal(e), RMW: e.RMW, Invalid: e.State != kvs.Valid})
-		return len(resp.Keys) < req.MaxKeys
-	})
-	resp.Done = len(resp.Keys) < req.MaxKeys
-	resp.Cursor = req.Cursor + uint64(len(resp.Keys))
+	}
 	h.env.Send(from, resp)
 }
 
@@ -1216,7 +1229,7 @@ func (h *Hermes) onChunkResp(from proto.NodeID, resp ChunkResp) {
 	if h.staleEpoch(resp.Epoch) || !h.learner || h.fetchDone {
 		return
 	}
-	if start := resp.Cursor - uint64(len(resp.Keys)); start != h.fetchCursor {
+	if resp.Cursor != h.fetchCursor {
 		return // response to a superseded (retried) request
 	}
 	h.fetchBusy = false
@@ -1233,7 +1246,12 @@ func (h *Hermes) onChunkResp(from proto.NodeID, resp ChunkResp) {
 		// and an in-process sender built them with safeVal — adopt directly.
 		h.store.Update(k, kvs.Entry{Value: rec.Value, TS: rec.TS, State: st, RMW: rec.RMW})
 	}
-	h.fetchCursor = resp.Cursor
+	h.fetchChunks++
+	if n := len(resp.Keys); n > 0 {
+		last := uint64(resp.Keys[n-1])
+		resp.Done = resp.Done || last == math.MaxUint64
+		h.fetchCursor = last + 1
+	}
 	if resp.Done {
 		h.fetchDone = true
 		// Republish the read gate at the catch-up transition: still shut

@@ -116,18 +116,20 @@ type MCheckAck struct {
 
 // ChunkReq asks a member for a range of the datastore; used by shadow
 // replicas (learners) to reconstruct state while they catch up
-// (§3.4 Recovery). Cursor is an opaque continuation token (0 starts);
-// MaxKeys bounds the reply size.
+// (§3.4 Recovery). Cursor is an opaque continuation token (0 starts); a
+// replica reads it as the lowest key still needed and replies with the
+// MaxKeys smallest keys at or above it, in ascending order.
 type ChunkReq struct {
 	Epoch   uint32
 	Cursor  uint64
 	MaxKeys int
 }
 
-// ChunkResp returns a batch of key records. Done indicates the transfer is
-// complete. Receivers apply each record only if its timestamp is newer than
-// the local one, so chunk transfer never regresses concurrently replicated
-// writes.
+// ChunkResp returns a batch of key records. Cursor echoes the request's, so
+// a learner drops answers to superseded requests. Done indicates the
+// transfer is complete. Receivers apply each record only if its timestamp
+// is newer than the local one, so chunk transfer never regresses
+// concurrently replicated writes.
 type ChunkResp struct {
 	Epoch  uint32
 	Cursor uint64

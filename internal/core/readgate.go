@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
 )
@@ -82,13 +81,15 @@ func (h *Hermes) publishGate() {
 // them. Safe to call from any goroutine, concurrently with the event loop.
 //
 // Linearizability argument: a Valid record's value is the latest committed
-// value at the instant of the atomic record load (in-flight higher-TS
-// writes mark the key non-Valid before any replica acknowledges them), so
-// the read linearizes at that load — provided this replica is still a
-// serving member. The gate is loaded on both sides of the record load and
-// the read falls back unless the two snapshots are identical and open, so a
-// concurrent view installation (which shuts the gate first) can never have
-// its transition window straddle the lookup unnoticed.
+// value at the instant its slot's state word is loaded (in-flight higher-TS
+// writes mark the key non-Valid before any replica acknowledges them), and
+// kvs.Store.GetValid returns the entry only if the word is unchanged after
+// the entry is loaded and pinned, so the read linearizes at that load —
+// provided this replica is still a serving member. The gate is loaded on
+// both sides of the record load and the read falls back unless the two
+// snapshots are identical and open, so a concurrent view installation
+// (which shuts the gate first) can never have its transition window
+// straddle the lookup unnoticed.
 func (h *Hermes) ReadLocal(k proto.Key) (proto.Value, bool) {
 	v, owner, ok := h.ReadLocalRetained(k)
 	if !ok {
@@ -116,11 +117,8 @@ func (h *Hermes) ReadLocalRetained(k proto.Key) (proto.Value, *refbuf.Buf, bool)
 		h.fastMisses.Inc()
 		return nil, nil, false
 	}
-	e, ok := h.store.GetRetained(k)
-	if ok && e.State != kvs.Valid {
-		if e.Owner != nil {
-			e.Owner.Release()
-		}
+	e, ok := h.store.GetValid(k)
+	if !ok {
 		h.fastMisses.Inc()
 		return nil, nil, false
 	}

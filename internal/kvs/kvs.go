@@ -1,21 +1,31 @@
 // Package kvs implements the in-memory key-value store substrate that
 // HermesKV builds on (paper §4.1): a sharded hash table supporting
 // concurrent-read / concurrent-write (CRCW) access with lock-free readers,
-// in the style of ccKVS/MICA. The paper's C implementation uses seqlocks for
-// torn-read detection; Go cannot express seqlock field reads without data
-// races, so this package provides the same semantics — single writer per
-// key, readers never block writers, readers always observe a consistent
-// record — via RCU-style atomic publication of immutable records. The
-// concurrency structure the evaluation depends on is preserved: local
-// linearizable reads are served on the read path without entering the
-// protocol's critical path, by checking State==Valid on the loaded record.
+// in the style of ccKVS/MICA.
 //
-// Beyond the raw value, every entry carries the Hermes per-key metadata the
-// read path needs: the logical timestamp, the replica state and the RMW flag
-// of the last update (used by write replays, §3.1/§3.6).
+// Each store shard is an open-addressing index (linear probing, load at most
+// 3/4) whose entries hold a key and a pointer to its Slot inline. The table is
+// published through an atomic pointer, so readers probe it without a lock;
+// inserts and table doubling take the shard's mutex. Slots live by value in
+// chunks that never move, so a *Slot handle stays valid for the store's
+// lifetime.
+//
+// A slot is the paper's seqlock, built only from sync/atomic: a state word
+// next to a pointer to an immutable Entry (value, timestamp, RMW flag of the
+// last update, owner). The word packs the key's replica State, a
+// publication-in-progress ("busy") bit and a version. The key's single writer
+// changes State with one atomic store of the word (SetState) and installs an
+// entry by setting the busy bit, swapping the pointer and publishing the next
+// version with the entry's State (Update). A reader loads the word, then the
+// entry, then the word again: the snapshot is consistent iff the two words are
+// equal and not busy. The lock-free local-read fast path (GetValid) refuses a
+// busy or non-Valid word before touching the entry, so local linearizable
+// reads never enter the protocol's critical path and never spin.
 package kvs
 
 import (
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +75,9 @@ func (s KeyState) String() string {
 func (s KeyState) Readable() bool { return s == Valid }
 
 // Entry is a snapshot of one key's replicated record. Entries are immutable
-// once published; Value must not be mutated after Update.
+// once published; Value must not be mutated after Update. A published
+// entry's State is superseded by the slot's state word: readers always get
+// the word's State in the snapshot they return.
 type Entry struct {
 	Value proto.Value
 	TS    proto.TS
@@ -77,8 +89,8 @@ type Entry struct {
 	// reference, transferred from the INV that carried the value. Update
 	// releases the replaced entry's reference after publishing the new one,
 	// so lock-free readers that pinned the old buffer (GetRetained) always
-	// see a republished slot before the count can drop. Nil means Value is
-	// a private immutable heap slice.
+	// see a changed state word before the count can drop. Nil means Value
+	// is a private immutable heap slice.
 	Owner *refbuf.Buf
 }
 
@@ -88,25 +100,77 @@ type Store struct {
 	mask   uint64
 }
 
+// shard is one segment of the store: an index readers probe lock-free and
+// the slot chunks the index points into.
 type shard struct {
-	mu sync.RWMutex // guards the index map only
-	m  map[proto.Key]*Slot
+	tab atomic.Pointer[table]
+	mu  sync.Mutex // serializes inserts and doubling; readers never take it
+	n   int        // keys indexed (guarded by mu)
+	// free is the unused tail of the newest slot chunk (guarded by mu).
+	// Chunks are never reallocated, so every handed-out *Slot stays put.
+	free []Slot
 }
+
+// table is one published generation of a shard's index. Its length is a
+// power of two and at most 3/4 full, so every probe meets an empty entry.
+// Entries are only ever filled in, never cleared or moved, and a doubling
+// publishes a fresh table, so a reader's snapshot never shows a key twice.
+type table struct {
+	shift uint // 64 - log2(len(ents)): a key's probe starts at hash >> shift
+	ents  []indexEntry
+}
+
+// indexEntry maps a key to its slot. The inserter stores key before slot,
+// and readers load slot before key: a non-nil slot means the key is final.
+type indexEntry struct {
+	key  atomic.Uint64
+	slot atomic.Pointer[Slot]
+}
+
+// emptyTable is every shard's initial index: one empty entry, so a probe
+// ends at once, and full for inserts, so the first one doubles it.
+var emptyTable = &table{shift: 64, ents: make([]indexEntry, 1)}
+
+// Slot chunks start small, so a store shard holding a handful of keys costs
+// a handful of slots, and stop growing at maxChunk, so a large shard wastes
+// at most a partial chunk.
+const (
+	minChunk = 8
+	maxChunk = 64
+)
 
 // Slot holds the atomically published current record for one key. The
 // protocol goroutine is the only writer per key (single-writer discipline,
 // as in the paper's per-worker key ownership); readers Load concurrently.
 //
 // A *Slot is also the writer's handle on the key: Lookup or Ensure resolves
-// it once — the only step that touches the index map and its lock — and
-// Load, Update and SetState then act on it directly, so a handler turn that
-// reads, installs and revalidates one key pays for one lookup. Slots are
-// never removed from the store, so a handle stays valid for the store's
-// lifetime and may be cached across turns. The keyed Store methods are the
-// same operations with the lookup folded in; both views observe each other.
+// it once — the only step that touches the index — and Load, Update and
+// SetState then act on it directly, so a handler turn that reads, installs
+// and revalidates one key pays for one lookup. Slots are never removed from
+// the store, so a handle stays valid for the store's lifetime and may be
+// cached across turns. The keyed Store methods are the same operations with
+// the lookup folded in; both views observe each other.
 type Slot struct {
+	// w is the state word:
+	//
+	//	bits 0..7   the key's KeyState
+	//	bit 8       busy: an Update is swapping the entry pointer
+	//	bits 9..63  version, bumped by every Update and SetState
+	//
+	// Version 0 means no entry has been published yet.
+	w atomic.Uint64
 	p atomic.Pointer[Entry]
 }
+
+const (
+	wordState   uint64 = 1<<8 - 1
+	wordBusy    uint64 = 1 << 8
+	wordLow            = wordState | wordBusy
+	wordVersion        = wordLow + 1
+)
+
+// nextWord is the word publishing state st one version after w.
+func nextWord(w uint64, st KeyState) uint64 { return (w | wordLow) + 1 | uint64(st) }
 
 // New returns a Store with the given shard count (rounded up to a power of
 // two; minimum 1).
@@ -117,46 +181,93 @@ func New(shards int) *Store {
 	}
 	s := &Store{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range s.shards {
-		s.shards[i].m = make(map[proto.Key]*Slot)
+		s.shards[i].tab.Store(emptyTable)
 	}
 	return s
 }
 
-func (s *Store) shardOf(k proto.Key) *shard {
+// hash mixes a key: its low bits pick the store shard, its high bits the
+// probe start inside the shard's index.
+func hash(k proto.Key) uint64 {
 	h := uint64(k)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return &s.shards[h&s.mask]
+	return h
+}
+
+// find probes t for k, nil when the key is not indexed.
+func (t *table) find(h uint64, k proto.Key) *Slot {
+	mask := uint64(len(t.ents) - 1)
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		e := &t.ents[i]
+		sl := e.slot.Load()
+		if sl == nil || e.key.Load() == uint64(k) {
+			return sl
+		}
+	}
+}
+
+// insert indexes k (absent from t) at the first empty entry of its probe.
+func (t *table) insert(h uint64, k proto.Key, sl *Slot) {
+	mask := uint64(len(t.ents) - 1)
+	i := h >> t.shift
+	for t.ents[i].slot.Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.ents[i].key.Store(uint64(k))
+	t.ents[i].slot.Store(sl)
 }
 
 // Lookup resolves k's slot, nil when the key has never been written. A nil
 // *Slot is a usable handle: Load reports the key absent and SetState is a
 // no-op, exactly as the keyed methods treat a missing key.
 func (s *Store) Lookup(k proto.Key) *Slot {
-	sh := s.shardOf(k)
-	sh.mu.RLock()
-	sl := sh.m[k]
-	sh.mu.RUnlock()
-	return sl
+	h := hash(k)
+	return s.shards[h&s.mask].tab.Load().find(h, k)
 }
 
 // Ensure resolves k's slot, creating an empty one (Load reports absent until
 // the first Update) when the key is new. The caller must be the key's single
 // writer.
 func (s *Store) Ensure(k proto.Key) *Slot {
-	if sl := s.Lookup(k); sl != nil {
+	h := hash(k)
+	sh := &s.shards[h&s.mask]
+	if sl := sh.tab.Load().find(h, k); sl != nil {
 		return sl
 	}
-	sh := s.shardOf(k)
 	sh.mu.Lock()
-	sl := sh.m[k]
-	if sl == nil {
-		sl = &Slot{}
-		sh.m[k] = sl
+	defer sh.mu.Unlock()
+	t := sh.tab.Load()
+	if sl := t.find(h, k); sl != nil {
+		return sl
 	}
-	sh.mu.Unlock()
+	if (sh.n+1)*4 > len(t.ents)*3 {
+		t = sh.double(t)
+	}
+	if len(sh.free) == 0 {
+		sh.free = make([]Slot, min(max(sh.n, minChunk), maxChunk))
+	}
+	sl := &sh.free[0]
+	sh.free = sh.free[1:]
+	t.insert(h, k, sl)
+	sh.n++
 	return sl
+}
+
+// double publishes a copy of t at twice its size (at least 8 entries).
+// Readers still probing t see it unchanged: it is never written again.
+func (sh *shard) double(t *table) *table {
+	n := max(2*len(t.ents), 8)
+	nt := &table{shift: 64 - uint(bits.TrailingZeros(uint(n))), ents: make([]indexEntry, n)}
+	for i := range t.ents {
+		if sl := t.ents[i].slot.Load(); sl != nil {
+			k := proto.Key(t.ents[i].key.Load())
+			nt.insert(hash(k), k, sl)
+		}
+	}
+	sh.tab.Store(nt)
+	return nt
 }
 
 // Load returns a consistent snapshot of the slot's entry and whether one has
@@ -165,11 +276,23 @@ func (sl *Slot) Load() (Entry, bool) {
 	if sl == nil {
 		return Entry{}, false
 	}
-	e := sl.p.Load()
-	if e == nil {
-		return Entry{}, false
+	for {
+		w := sl.w.Load()
+		if w&wordBusy != 0 {
+			runtime.Gosched() // the writer is between two stores
+			continue
+		}
+		p := sl.p.Load()
+		if sl.w.Load() != w {
+			continue
+		}
+		if p == nil {
+			return Entry{}, false
+		}
+		e := *p
+		e.State = KeyState(w & wordState)
+		return e, true
 	}
-	return *e, true
 }
 
 // Get returns a consistent snapshot of the key's entry and whether the key
@@ -181,15 +304,18 @@ func (s *Store) Get(k proto.Key) (Entry, bool) {
 // Update installs a full entry for k (value, timestamp, state, rmw flag),
 // adopting e.Owner's reference if set. The caller must be the key's single
 // writer. The replaced entry's buffer reference is released only after the
-// new entry is published: a concurrent GetRetained that pinned the old
-// buffer before the swap keeps it alive, and one that loses the
-// TryRetain race is guaranteed to observe the new entry on reload.
+// new word is published: a concurrent GetRetained that pinned the old
+// buffer before the swap keeps it alive, and one that loses the TryRetain
+// race is guaranteed to observe the new word on reload.
 func (s *Store) Update(k proto.Key, e Entry) { s.Ensure(k).Update(e) }
 
 // Update is Store.Update on a resolved slot (from Ensure: a nil handle has
 // no slot to publish into).
 func (sl *Slot) Update(e Entry) {
+	w := sl.w.Load()
+	sl.w.Store(w | wordBusy)
 	old := sl.p.Swap(&e)
+	sl.w.Store(nextWord(w, e.State))
 	if old != nil && old.Owner != nil {
 		// Each published entry holds its own reference, so this release is
 		// unconditional even when old and new alias the same frame buffer.
@@ -199,23 +325,18 @@ func (sl *Slot) Update(e Entry) {
 
 // SetState transitions only the replica state of k (e.g. Invalid -> Valid on
 // a VAL message) leaving value and timestamp untouched. No-op if the key is
-// absent. The caller must be the key's single writer. The republished entry
-// inherits the old one's buffer reference — a transfer, not a new retain,
-// so no release happens here.
+// absent. The caller must be the key's single writer. The entry and its
+// buffer reference stay as they are: only the state word changes.
 func (s *Store) SetState(k proto.Key, st KeyState) { s.Lookup(k).SetState(st) }
 
-// SetState is Store.SetState on a resolved slot.
+// SetState is Store.SetState on a resolved slot: one atomic store.
 func (sl *Slot) SetState(st KeyState) {
 	if sl == nil {
 		return
 	}
-	cur := sl.p.Load()
-	if cur == nil {
-		return
+	if w := sl.w.Load(); w >= wordVersion {
+		sl.w.Store(nextWord(w, st))
 	}
-	e := *cur
-	e.State = st
-	sl.p.Store(&e)
 }
 
 // GetRetained is Get for readers that will use the value outside the key's
@@ -224,32 +345,75 @@ func (sl *Slot) SetState(st KeyState) {
 // done with the bytes). An owner-less entry needs no pin — its value is
 // immutable heap memory — and returns Owner nil.
 //
-// The pin protocol: TryRetain the loaded entry's buffer, then re-load the
-// slot and require the same entry. Update releases a replaced entry's
-// reference only after publishing its successor, so a successful retain on
-// a stale entry is always caught by the pointer re-check (the transient
-// extra reference is balance-neutral), and a failed TryRetain means a
-// fresher entry is already published.
+// The pin protocol: load the word, TryRetain the loaded entry's buffer, then
+// re-load the word and require it unchanged. Update releases a replaced
+// entry's reference only after publishing the next word, so a successful
+// retain on a stale entry is always caught by the word re-check (the
+// transient extra reference is balance-neutral), and a failed TryRetain
+// means a fresher entry is already on its way.
 func (s *Store) GetRetained(k proto.Key) (Entry, bool) {
 	sl := s.Lookup(k)
 	if sl == nil {
 		return Entry{}, false
 	}
 	for {
-		ep := sl.p.Load()
-		if ep == nil {
-			return Entry{}, false
+		w := sl.w.Load()
+		if w&wordBusy != 0 {
+			runtime.Gosched()
+			continue
 		}
-		if ep.Owner == nil {
-			return *ep, true
-		}
-		if ep.Owner.TryRetain() {
-			if sl.p.Load() == ep {
-				return *ep, true
-			}
-			ep.Owner.Release()
+		if e, ok, done := sl.pin(w); done {
+			return e, ok
 		}
 	}
+}
+
+// GetValid is GetRetained for the lock-free local-read fast path, which
+// needs only Valid entries: it returns the key's entry, owner pinned as
+// GetRetained pins it, when the key is Valid, and a zero entry when the key
+// is missing (the store's implicit initial state, Valid with a nil value).
+// ok is false when the key is not Valid or an Update is publishing it; the
+// caller then falls back to the protocol's path. A busy or non-Valid word
+// is refused before the entry is touched or its owner pinned, so GetValid
+// never waits for the writer.
+func (s *Store) GetValid(k proto.Key) (Entry, bool) {
+	sl := s.Lookup(k)
+	if sl == nil {
+		return Entry{}, true
+	}
+	for {
+		w := sl.w.Load()
+		if w&wordLow != uint64(Valid) {
+			return Entry{}, false
+		}
+		if e, _, done := sl.pin(w); done {
+			return e, true
+		}
+	}
+}
+
+// pin is one attempt of the pin protocol against the non-busy word w: it
+// loads the entry, pins its owner and re-checks the word. done is false when
+// the attempt must be retried (the word moved on).
+func (sl *Slot) pin(w uint64) (e Entry, ok, done bool) {
+	p := sl.p.Load()
+	if p == nil {
+		// Nothing published when the pointer was loaded: the key was absent
+		// at that instant.
+		return Entry{}, false, true
+	}
+	if p.Owner != nil && !p.Owner.TryRetain() {
+		return Entry{}, false, false
+	}
+	if sl.w.Load() != w {
+		if p.Owner != nil {
+			p.Owner.Release()
+		}
+		return Entry{}, false, false
+	}
+	e = *p
+	e.State = KeyState(w & wordState)
+	return e, true, true
 }
 
 // Len returns the number of keys stored.
@@ -257,33 +421,30 @@ func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		n += sh.n
+		sh.mu.Unlock()
 	}
 	return n
 }
 
 // Range calls fn for a snapshot of every entry; used by shadow-replica state
-// transfer (paper §3.4 Recovery) to read chunks of the datastore. Iteration
-// order is unspecified; fn must not call back into the Store. Returns early
-// if fn returns false.
+// transfer (paper §3.4 Recovery) to read chunks of the datastore. It walks
+// each shard's published index without a lock, so inserts and doublings may
+// run concurrently: every key present when Range starts is visited exactly
+// once, a key inserted meanwhile at most once. Iteration order is
+// unspecified. Returns early if fn returns false.
 func (s *Store) Range(fn func(k proto.Key, e Entry) bool) {
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		keys := make([]proto.Key, 0, len(sh.m))
-		slots := make([]*Slot, 0, len(sh.m))
-		for k, sl := range sh.m {
-			keys = append(keys, k)
-			slots = append(slots, sl)
-		}
-		sh.mu.RUnlock()
-		for j, sl := range slots {
-			if e := sl.p.Load(); e != nil {
-				if !fn(keys[j], *e) {
-					return
-				}
+		t := s.shards[i].tab.Load()
+		for j := range t.ents {
+			ie := &t.ents[j]
+			sl := ie.slot.Load()
+			if sl == nil {
+				continue
+			}
+			if e, ok := sl.Load(); ok && !fn(proto.Key(ie.key.Load()), e) {
+				return
 			}
 		}
 	}
