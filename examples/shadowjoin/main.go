@@ -81,8 +81,9 @@ func main() {
 	// Cross-check every key of member 0 against the promoted replica: a key
 	// it lacks, or holds at another timestamp or value, is a mismatch.
 	mismatches, checked := 0, 0
-	c.Replica(0).(*core.Hermes).Store().Range(func(k proto.Key, e kvs.Entry) bool {
+	c.Replica(0).(*core.Hermes).Store().Range(func(k proto.Key, sl *kvs.Slot) bool {
 		checked++
+		e, _ := sl.Load()
 		if le, ok := learner.Store().Get(k); !ok || le.TS != e.TS || !bytes.Equal(le.Value, e.Value) {
 			mismatches++
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kvs"
 	"repro/internal/linear"
 	"repro/internal/proto"
 )
@@ -29,6 +30,33 @@ func TestFastPathHitCounters(t *testing.T) {
 	total, hits, misses := n.ReadStats()
 	if hits-hits0 != reads {
 		t.Fatalf("fast-path hits %d, want %d (misses=%d total=%d)", hits-hits0, reads, misses, total)
+	}
+}
+
+// TestReadLocalIntoAllocatesNothing: the read-into door on an inline key —
+// gate load, index probe, word, meta and value words copied into the caller's
+// buffer, word, gate re-load, one striped counter bump — allocates nothing
+// and pins nothing.
+func TestReadLocalIntoAllocatesNothing(t *testing.T) {
+	l := NewShardedLocal(LocalConfig{N: 3}, 2)
+	defer l.Close()
+	val := make(proto.Value, kvs.InlineCap)
+	for i := range val {
+		val[i] = byte(i + 1)
+	}
+	n := l.Nodes[0]
+	if err := n.Write(context.Background(), 1, val); err != nil {
+		t.Fatal(err)
+	}
+	var buf [kvs.InlineCap]byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		got, v, owner, ok := n.ReadLocalInto(1, &buf)
+		if !ok || got != len(val) || v != nil || owner != nil || string(buf[:got]) != string(val) {
+			t.Fatalf("ReadLocalInto: n=%d v=%v owner=%v ok=%v", got, v, owner, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadLocalInto of a %d B value allocates %.1f/op; want 0", kvs.InlineCap, allocs)
 	}
 }
 

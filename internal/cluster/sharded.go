@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
 	"repro/internal/shardhost"
@@ -545,6 +546,14 @@ func (sn *ShardedNode) ReadLocal(key proto.Key) (proto.Value, bool) {
 // across its response-encode flush). See core.Hermes.ReadLocalRetained.
 func (sn *ShardedNode) ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Buf, bool) {
 	return sn.shardFor(key).h.ReadLocalRetained(key)
+}
+
+// ReadLocalInto is the fast path's read-into door: a value of at most
+// kvs.InlineCap bytes is copied into the caller's buf (n bytes, v nil), with
+// nothing pinned and nothing allocated; a larger one comes back as
+// ReadLocalRetained returns it. See core.Hermes.ReadLocalInto.
+func (sn *ShardedNode) ReadLocalInto(key proto.Key, buf *[kvs.InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool) {
+	return sn.shardFor(key).h.ReadLocalInto(key, buf)
 }
 
 // SubmitAsync submits op to its owning shard's event loop and invokes fn

@@ -33,21 +33,25 @@ func newFollower(t testing.TB, st *kvs.Store) *Hermes {
 	})
 }
 
-// TestINVAdoptZeroCopy pins the tentpole: an owner-backed INV's value is
-// adopted into the store without a copy (the published entry aliases the
-// frame buffer), and replacing the entry releases the frame back to its
-// pool.
+// bigVal is a value above kvs.InlineCap: the only size whose INV frame the
+// store adopts (smaller values are copied into the slot).
+const bigVal = "hello-zero-copy: an INV value above the inline cap"
+
+// TestINVAdoptZeroCopy pins the zero-copy regime above the inline cap: an
+// owner-backed INV's value is adopted into the store without a copy (the
+// published entry aliases the frame buffer), and replacing the entry
+// releases the frame back to its pool.
 func TestINVAdoptZeroCopy(t *testing.T) {
 	st := kvs.New(16)
 	h := newFollower(t, st)
 	pool := refbuf.NewPool()
 
-	inv := ownedINV(pool, 7, 2, []byte("hello-zero-copy"))
+	inv := ownedINV(pool, 7, 2, []byte(bigVal))
 	fb := inv.Owner
 	h.Deliver(0, inv)
 
 	e, ok := st.Get(7)
-	if !ok || string(e.Value) != "hello-zero-copy" {
+	if !ok || string(e.Value) != bigVal {
 		t.Fatalf("entry after adopt: %+v ok=%v", e, ok)
 	}
 	if &e.Value[0] != &fb.Bytes()[0] {
@@ -73,17 +77,18 @@ func TestINVAdoptZeroCopy(t *testing.T) {
 
 // TestINVDropPathsReleaseOwner covers the three non-adopt paths of onINV —
 // stale epoch, outranked/duplicate timestamp, and the FRMW-ACK reply — each
-// of which must spend the INV's frame reference instead of leaking it.
+// of which must spend the INV's frame reference instead of leaking it. The
+// values are above the inline cap, where the apply path adopts the frame.
 func TestINVDropPathsReleaseOwner(t *testing.T) {
 	st := kvs.New(16)
 	h := newFollower(t, st)
 	pool := refbuf.NewPool()
 
 	// Seed the key at version 6 so lower timestamps lose.
-	h.Deliver(0, ownedINV(pool, 9, 6, []byte("current")))
+	h.Deliver(0, ownedINV(pool, 9, 6, []byte(bigVal)))
 
 	t.Run("stale epoch", func(t *testing.T) {
-		inv := ownedINV(pool, 9, 8, []byte("x"))
+		inv := ownedINV(pool, 9, 8, []byte(bigVal))
 		inv.Epoch = 99
 		fb := inv.Owner
 		h.Deliver(0, inv)
@@ -92,7 +97,7 @@ func TestINVDropPathsReleaseOwner(t *testing.T) {
 		}
 	})
 	t.Run("outranked duplicate", func(t *testing.T) {
-		inv := ownedINV(pool, 9, 4, []byte("old"))
+		inv := ownedINV(pool, 9, 4, []byte(bigVal))
 		fb := inv.Owner
 		h.Deliver(0, inv)
 		if got := fb.Refs(); got != 0 {
@@ -100,7 +105,7 @@ func TestINVDropPathsReleaseOwner(t *testing.T) {
 		}
 	})
 	t.Run("FRMW-ACK reply", func(t *testing.T) {
-		inv := ownedINV(pool, 9, 5, []byte("rmw"))
+		inv := ownedINV(pool, 9, 5, []byte(bigVal))
 		inv.RMW = true
 		fb := inv.Owner
 		h.Deliver(0, inv)
@@ -108,6 +113,31 @@ func TestINVDropPathsReleaseOwner(t *testing.T) {
 			t.Fatalf("refs after FRMW-ACK drop = %d, want 0", got)
 		}
 	})
+}
+
+// TestSmallINVFrameRecyclesInTurn: a value of at most kvs.InlineCap bytes is
+// copied into the slot, so the INV's frame reference is spent inside the
+// turn that applies it — the frame goes back to its pool at once instead of
+// staying pinned by the stored value — and the stored copy survives the
+// frame's reuse.
+func TestSmallINVFrameRecyclesInTurn(t *testing.T) {
+	st := kvs.New(16)
+	h := newFollower(t, st)
+	pool := refbuf.NewPool()
+
+	inv := ownedINV(pool, 5, 2, bytes.Repeat([]byte{'s'}, kvs.InlineCap))
+	fb := inv.Owner
+	h.Deliver(0, inv)
+	if got := fb.Refs(); got != 0 {
+		t.Fatalf("frame refs after applying a %d B INV = %d, want 0", kvs.InlineCap, got)
+	}
+	for i := range fb.Bytes() {
+		fb.Bytes()[i] = 0xEE // what the frame's next user would do
+	}
+	e, ok := st.Get(5)
+	if !ok || !bytes.Equal(e.Value, bytes.Repeat([]byte{'s'}, kvs.InlineCap)) || e.Owner != nil || e.State != kvs.Invalid {
+		t.Fatalf("entry after a small INV: %+v ok=%v", e, ok)
+	}
 }
 
 // TestChunkRespDoesNotAliasStore is the chunk-transfer aliasing regression:
@@ -163,12 +193,12 @@ func (captureEnv) Now() time.Duration           { return 0 }
 func (e captureEnv) Send(_ proto.NodeID, m any) { e.onSend(m) }
 func (captureEnv) Complete(proto.Completion)    {}
 
-// TestINVAdoptAllocsSizeIndependent is the testing.AllocsPerRun satellite:
-// the decode→store-adopt path performs zero per-value-byte allocations. The
+// TestINVAdoptAllocsSizeIndependent: above the inline cap, the
+// decode→store-adopt path performs zero per-value-byte allocations. The
 // irreducible steady-state allocations (the published *Entry and the ACK's
-// interface boxing into Env.Send) are size-independent, so the
-// assertion is equality across a 128× value-size spread — a copy anywhere in
-// the path would show up as extra allocations at 4 KiB.
+// interface boxing into Env.Send) are size-independent, so the assertion is
+// equality across a 64× value-size spread — a copy anywhere in the path
+// would show up as extra allocations at 4 KiB.
 func TestINVAdoptAllocsSizeIndependent(t *testing.T) {
 	measure := func(valSize int) float64 {
 		st := kvs.New(16)
@@ -185,12 +215,12 @@ func TestINVAdoptAllocsSizeIndependent(t *testing.T) {
 		}
 		return testing.AllocsPerRun(200, deliver)
 	}
-	small := measure(32)
-	large := measure(32 * 128)
+	small := measure(64)
+	large := measure(64 * 64)
 	// The make() above is one alloc in both runs; subtract nothing, just
 	// compare. Round to absorb sync.Pool's occasional per-P cache miss.
 	if math.Round(small) != math.Round(large) {
-		t.Fatalf("adopt allocs scale with value size: %v at 32B vs %v at 4KiB", small, large)
+		t.Fatalf("adopt allocs scale with value size: %v at 64B vs %v at 4KiB", small, large)
 	}
 	if small > 4.5 {
 		t.Fatalf("adopt path allocates %v per op; want the irreducible few", small)

@@ -31,11 +31,11 @@ func (e *nullEnv) Complete(proto.Completion) {}
 func allocView() proto.View { return proto.View{Epoch: 1, Members: []proto.NodeID{0, 1, 2}} }
 
 // TestCoordinatorTurnAllocationBudget: Submit plus the two followers' ACKs
-// costs three allocations, all of them forced — the published store entry
-// (Write) and the INV and the VAL boxed once each for Env.Send(any). The
-// return to Valid is one store of the slot's state word. The key's meta, its
-// pending update and its store slot come from the free list and the one
-// lookup of the first turn.
+// costs two allocations, both forced — the INV and the VAL boxed once each
+// for Env.Send(any). The 32 B value is written into the slot's inline words,
+// so no store entry is published, and the return to Valid is one store of
+// the slot's state word. The key's meta, its pending update and its store
+// slot come from the free list and the one lookup of the first turn.
 func TestCoordinatorTurnAllocationBudget(t *testing.T) {
 	env := &nullEnv{}
 	h := New(Config{ID: 0, View: allocView(), Env: env, MLT: time.Second})
@@ -51,8 +51,8 @@ func TestCoordinatorTurnAllocationBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		turn() // every key gets its store slot
 	}
-	if n := testing.AllocsPerRun(500, turn); n > 3 {
-		t.Fatalf("coordinator Submit + 2×ACK allocates %.0f times, want <= 3", n)
+	if n := testing.AllocsPerRun(500, turn); n > 2 {
+		t.Fatalf("coordinator Submit + 2×ACK allocates %.0f times, want <= 2", n)
 	}
 	if len(h.meta) != 0 {
 		t.Fatalf("%d metas left behind by committed writes", len(h.meta))
@@ -62,10 +62,10 @@ func TestCoordinatorTurnAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestFollowerTurnAllocationBudget: an INV and its VAL cost two — the
-// published entry (Invalid) and the ACK boxed for Env.Send. The VAL
-// allocates nothing: it looks the key's coordination state up and, finding
-// none, only stores the slot's state word.
+// TestFollowerTurnAllocationBudget: an INV and its VAL cost one — the ACK
+// boxed for Env.Send. The INV's 32 B value is copied into the slot's inline
+// words (no store entry), and the VAL allocates nothing: it looks the key's
+// coordination state up and, finding none, only stores the slot's state word.
 func TestFollowerTurnAllocationBudget(t *testing.T) {
 	h := New(Config{ID: 1, View: allocView(), Env: &nullEnv{}, MLT: time.Second})
 	val := make(proto.Value, 32)
@@ -80,8 +80,8 @@ func TestFollowerTurnAllocationBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		turn()
 	}
-	if n := testing.AllocsPerRun(500, turn); n > 2 {
-		t.Fatalf("follower INV + VAL allocates %.0f times, want <= 2", n)
+	if n := testing.AllocsPerRun(500, turn); n > 1 {
+		t.Fatalf("follower INV + VAL allocates %.0f times, want <= 1", n)
 	}
 	if len(h.meta) != 0 || len(h.freeMeta) != 0 {
 		t.Fatalf("follower turns touched coordination state: %d metas, %d recycled", len(h.meta), len(h.freeMeta))

@@ -313,7 +313,9 @@ func (h *Hermes) SetNoLSC(on bool) {
 func (h *Hermes) SetOnCaughtUp(fn func()) { h.onCaughtUp = fn }
 
 // entry fetches the key's record; missing keys read as Valid with a zero
-// timestamp and nil value (the store's implicit initial state).
+// timestamp and nil value (the store's implicit initial state). It
+// materialises the value (a copy, for an inline one): turns that only compare
+// timestamps and states read headOf instead.
 func (h *Hermes) entry(k proto.Key) kvs.Entry { return entryOf(h.store.Lookup(k)) }
 
 // entryOf is entry on an already resolved slot (nil: the key is missing).
@@ -324,6 +326,21 @@ func entryOf(sl *kvs.Slot) kvs.Entry {
 	}
 	return e
 }
+
+// headOf is entryOf without the value: the slot's timestamp, State and RMW
+// flag, read from its state and meta words alone.
+func headOf(sl *kvs.Slot) kvs.Head {
+	hd, ok := sl.Head()
+	if !ok {
+		return kvs.Head{State: kvs.Valid}
+	}
+	return hd
+}
+
+// valueOf is the slot's value in a form that may outlive the turn (see
+// safeVal): an inline value is copied out of the slot, an owner-backed one
+// cloned, a private heap one aliased.
+func valueOf(sl *kvs.Slot) proto.Value { return safeVal(entryOf(sl)) }
 
 // slotOf resolves k's store slot — nil while the key has never been written
 // — consulting the store's index only when m (the key's meta, nil if none)
@@ -343,10 +360,10 @@ func (h *Hermes) slotOf(k proto.Key, m *keyMeta) *kvs.Slot {
 // safeVal returns an entry's value in a form that may outlive the current
 // event-loop turn: owner-backed values (zero-copy adopted from a pooled wire
 // frame) are cloned, because the pool reclaims the frame once a newer entry
-// replaces this one; owner-less values are immutable private heap slices and
-// alias freely. Every value that escapes the turn — completions, messages
-// encoded asynchronously by the transport, spec-read and pending buffers —
-// must pass through here.
+// replaces this one; owner-less values are immutable private heap slices (an
+// inline value's view is a fresh copy already) and alias freely. Every value
+// that escapes the turn — completions, messages encoded asynchronously by
+// the transport, spec-read and pending buffers — must pass through here.
 func safeVal(e kvs.Entry) proto.Value {
 	if e.Owner != nil {
 		return e.Value.Clone()
@@ -433,36 +450,36 @@ func (h *Hermes) Submit(op proto.ClientOp) {
 	}
 	m := h.meta[op.Key]
 	sl := h.slotOf(op.Key, m)
-	e := entryOf(sl)
-	if e.State != kvs.Valid || (m != nil && m.pend != nil) {
-		if op.Kind == proto.OpRead && e.State == kvs.Valid {
+	hd := headOf(sl)
+	if hd.State != kvs.Valid || (m != nil && m.pend != nil) {
+		if op.Kind == proto.OpRead && hd.State == kvs.Valid {
 			// Valid but this node coordinates an in-flight update whose
 			// local apply is imminent; still safe to read the Valid value.
-			h.completeRead(op, safeVal(e))
+			h.completeRead(op, valueOf(sl))
 			return
 		}
 		if op.Kind == proto.OpRead {
 			h.stalledReads.Add(1)
 		}
-		h.stall(op, e, m)
+		h.stall(op, hd.State, m)
 		return
 	}
 	if op.Kind == proto.OpRead {
-		h.completeRead(op, safeVal(e))
+		h.completeRead(op, valueOf(sl))
 		return
 	}
-	h.startUpdate(op, e, m, sl)
+	h.startUpdate(op, hd.TS, m, sl)
 }
 
 // stall queues op on its key and arms the replay timer: if the key is still
 // Invalid after the message-loss timeout, the missing VAL is presumed lost
 // and the write is replayed (§3.4 Imperfect Links).
-func (h *Hermes) stall(op proto.ClientOp, e kvs.Entry, m *keyMeta) {
+func (h *Hermes) stall(op proto.ClientOp, st kvs.KeyState, m *keyMeta) {
 	if m == nil {
 		m = h.newMeta(op.Key)
 	}
 	m.waiters = append(m.waiters, op)
-	if e.State == kvs.Invalid && m.pend == nil && m.replayAt == 0 {
+	if st == kvs.Invalid && m.pend == nil && m.replayAt == 0 {
 		m.replayAt = h.env.Now() + h.cfg.MLT
 	}
 }
@@ -478,30 +495,30 @@ func (h *Hermes) completeRead(op proto.ClientOp, val proto.Value) {
 
 // startUpdate begins coordinating a write or RMW for a key currently in
 // Valid state with no local pending update (§3.2 coordinator steps CTS,
-// CINV). m and sl are the key's meta and store slot as the caller resolved
-// them, nil where the key has none yet.
+// CINV), whose record is at timestamp cur. m and sl are the key's meta and
+// store slot as the caller resolved them, nil where the key has none yet.
 //
 // op.Value is handed over: it becomes the stored and broadcast value as is,
 // so the submitter must not mutate it afterwards. Wire-decoded requests
 // arrive in private copies already; the blocking API, whose callers keep
 // their buffers, clones at its own boundary (cluster.ShardedNode.Write).
-func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry, m *keyMeta, sl *kvs.Slot) {
+func (h *Hermes) startUpdate(op proto.ClientOp, cur proto.TS, m *keyMeta, sl *kvs.Slot) {
 	var newVal, oldVal proto.Value
 	rmw := op.Kind.IsRMW()
 	switch op.Kind {
 	case proto.OpWrite:
 		newVal = op.Value
 	case proto.OpCAS:
-		if !bytes.Equal(e.Value, op.Expected) {
+		if v := valueOf(sl); !bytes.Equal(v, op.Expected) {
 			// Failed CAS is a linearizable read of the current value; no
 			// protocol action needed since the key is Valid.
-			h.env.Complete(proto.Completion{OpID: op.ID, Kind: op.Kind, Key: op.Key, Status: proto.CASFailed, Value: safeVal(e)})
+			h.env.Complete(proto.Completion{OpID: op.ID, Kind: op.Kind, Key: op.Key, Status: proto.CASFailed, Value: v})
 			return
 		}
 		newVal = op.Value
 	case proto.OpFAA:
-		oldVal = safeVal(e)
-		newVal = proto.EncodeInt64(proto.DecodeInt64(e.Value) + proto.DecodeInt64(op.Value))
+		oldVal = valueOf(sl)
+		newVal = proto.EncodeInt64(proto.DecodeInt64(oldVal) + proto.DecodeInt64(op.Value))
 	default:
 		// Reads are served from the local Valid copy and never coordinate.
 		panic("core: non-update op kind reached startUpdate")
@@ -510,9 +527,9 @@ func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry, m *keyMeta, sl *kvs
 	// CTS: writes advance the version by 2, RMWs by 1, so a write racing an
 	// RMW from the same base version always outranks it and the RMW safely
 	// aborts (§3.6).
-	ts := proto.TS{Version: e.TS.Version + 2, CID: h.pickCID()}
+	ts := proto.TS{Version: cur.Version + 2, CID: h.pickCID()}
 	if rmw {
-		ts.Version = e.TS.Version + 1
+		ts.Version = cur.Version + 1
 	}
 
 	if m == nil {
@@ -527,7 +544,8 @@ func (h *Hermes) startUpdate(op proto.ClientOp, e kvs.Entry, m *keyMeta, sl *kvs
 		hasOp: true, op: op, oldVal: oldVal,
 		resendAt: h.env.Now() + h.cfg.MLT,
 	})
-	// CINV: apply locally and broadcast the invalidation with the value.
+	// CINV: apply locally and broadcast the invalidation with the value (a
+	// small one is copied into the slot; the pending keeps op.Value).
 	sl.Update(kvs.Entry{Value: newVal, TS: ts, State: kvs.Write, RMW: rmw})
 	h.broadcastINV(op.Key, p)
 	h.checkCommit(op.Key, m)
@@ -557,9 +575,11 @@ func (h *Hermes) broadcastINV(k proto.Key, p *pending) {
 // is linearized exactly where the failed coordinator would have put it
 // (§3.2 Write Replays). Early value propagation in INVs is what makes this
 // possible: every invalidated node already holds the value.
-func (h *Hermes) startReplay(k proto.Key, m *keyMeta, e kvs.Entry) {
+func (h *Hermes) startReplay(k proto.Key, m *keyMeta) {
 	h.metrics.Replays++
 	m.replayAt = 0
+	sl := h.slotOf(k, m)
+	e := entryOf(sl)
 	p := m.setPend(pending{
 		// The replay value escapes the turn: it is rebroadcast from timers
 		// and encoded asynchronously, so an owner-backed store value must be
@@ -567,7 +587,7 @@ func (h *Hermes) startReplay(k proto.Key, m *keyMeta, e kvs.Entry) {
 		ts: e.TS, val: safeVal(e), rmw: e.RMW, replay: true,
 		resendAt: h.env.Now() + h.cfg.MLT,
 	})
-	h.slotOf(k, m).SetState(kvs.Replay)
+	sl.SetState(kvs.Replay)
 	h.broadcastINV(k, p)
 	h.checkCommit(k, m)
 }
@@ -613,14 +633,14 @@ func (h *Hermes) onINV(from proto.NodeID, inv INV) {
 	}
 	m := h.meta[inv.Key]
 	sl := h.slotOf(inv.Key, m)
-	e := entryOf(sl)
-	cmp := inv.TS.Compare(e.TS)
+	cmp := inv.TS.Compare(headOf(sl).TS)
 
 	if inv.RMW && cmp < 0 {
 		// FRMW-ACK: an RMW that has already lost. Respond with the local
 		// state as an INV (the same message a write replay uses) so the RMW
 		// coordinator observes the higher timestamp and aborts.
 		inv.ReleaseOwner()
+		e := entryOf(sl)
 		h.env.Send(from, INV{Epoch: h.view.Epoch, Key: inv.Key, TS: e.TS, Value: safeVal(e), RMW: e.RMW})
 		h.metrics.INVsSent++
 		return
@@ -631,7 +651,7 @@ func (h *Hermes) onINV(from proto.NodeID, inv INV) {
 	} else {
 		inv.ReleaseOwner()
 	}
-	h.sendACK(from, inv, cmp, e)
+	h.sendACK(from, inv, cmp, sl)
 }
 
 // applyINV installs a higher-timestamped update: FINV's state transition
@@ -694,10 +714,12 @@ func (h *Hermes) applyINV(inv INV, m *keyMeta, sl *kvs.Slot) {
 			st = kvs.Trans
 		}
 	}
-	// Zero-copy adoption: the entry takes over the INV's frame-buffer
-	// reference (nil for sim/heap-decoded INVs, where Value is already a
-	// private immutable slice). The store releases it when a newer entry
-	// replaces this one.
+	// A value of at most kvs.InlineCap bytes is copied into the slot and the
+	// INV's frame reference released in this turn, so the frame recycles at
+	// once. A larger one is adopted zero-copy: the entry takes over the
+	// frame reference (nil for sim/heap-decoded INVs, where Value is already
+	// a private immutable slice), and the store releases it when a newer
+	// entry replaces this one.
 	if sl == nil {
 		sl = h.store.Ensure(inv.Key)
 	}
@@ -718,13 +740,15 @@ func (h *Hermes) applyINV(inv INV, m *keyMeta, sl *kvs.Slot) {
 
 // sendACK acknowledges an INV: to the coordinator only, or — under O3 — to
 // every replica so followers can validate without the VAL round. cmp is the
-// INV's timestamp compared against e, the local entry before the INV; when
-// the local entry outranked the INV (cmp < 0, ACK-without-apply: e still
-// stands) the ACK teaches the sender the rival entry so the losing write's
-// coordinator never validates its copy blind to the in-flight chain above it.
-func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int, e kvs.Entry) {
+// INV's timestamp compared against the local entry before the INV; when the
+// local entry outranked the INV (cmp < 0, ACK-without-apply: the entry in sl
+// still stands) the ACK teaches the sender the rival entry so the losing
+// write's coordinator never validates its copy blind to the in-flight chain
+// above it.
+func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int, sl *kvs.Slot) {
 	ack := ACK{Epoch: h.view.Epoch, Key: inv.Key, TS: inv.TS}
 	if cmp < 0 {
+		e := entryOf(sl)
 		ack.Higher = true
 		ack.HTS = e.TS
 		ack.HVal = safeVal(e)
@@ -784,7 +808,7 @@ func (h *Hermes) onACK(from proto.NodeID, ack ACK) {
 func (h *Hermes) learnHigher(ack ACK) {
 	m := h.meta[ack.Key]
 	sl := h.slotOf(ack.Key, m)
-	if !entryOf(sl).TS.Before(ack.HTS) {
+	if !headOf(sl).TS.Before(ack.HTS) {
 		return
 	}
 	h.metrics.TaughtApplied++
@@ -797,8 +821,7 @@ func (h *Hermes) learnHigher(ack ACK) {
 // local timestamp, the write is globally visible and this follower may
 // validate without waiting for a VAL (O3, §3.3).
 func (h *Hermes) recordEarlyACK(from proto.NodeID, k proto.Key, ts proto.TS) {
-	e := h.entry(k)
-	if ts.Before(e.TS) {
+	if ts.Before(headOf(h.store.Lookup(k)).TS) {
 		return // stale: a newer update superseded this write locally
 	}
 	m := h.metaOf(k)
@@ -822,11 +845,11 @@ func (h *Hermes) tryEarlyValidate(k proto.Key, m *keyMeta) {
 		return
 	}
 	sl := h.slotOf(k, m)
-	e := entryOf(sl)
-	if m.ackTS != e.TS || e.State != kvs.Invalid {
+	hd := headOf(sl)
+	if m.ackTS != hd.TS || hd.State != kvs.Invalid {
 		return
 	}
-	coord := h.cidOwner(e.TS.CID)
+	coord := h.cidOwner(hd.TS.CID)
 	for _, n := range h.view.WriteSet(coord) {
 		if !m.ackers[n] {
 			return
@@ -846,8 +869,7 @@ func (h *Hermes) onVAL(from proto.NodeID, val VAL) {
 	// (nothing stalled on the key, no timer armed) and only flips the state.
 	m := h.meta[val.Key]
 	sl := h.slotOf(val.Key, m)
-	e := entryOf(sl)
-	if e.TS != val.TS || e.State == kvs.Valid {
+	if hd := headOf(sl); hd.TS != val.TS || hd.State == kvs.Valid {
 		return
 	}
 	if m != nil && m.pend != nil && m.pend.ts == val.TS {
@@ -893,14 +915,14 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	h.flushSpecReadsOnCommit()
 
 	sl := h.slotOf(k, m)
-	e := entryOf(sl)
+	hd := headOf(sl)
 	switch {
-	case e.TS == ts:
+	case hd.TS == ts:
 		if !h.cfg.EarlyACKs {
 			h.broadcastVAL(k, ts)
 		}
 		h.validate(k, m, sl)
-	case e.State == kvs.Valid:
+	case hd.State == kvs.Valid:
 		// The superseding write already validated the key (its VAL or early
 		// ACKs arrived before our last ACK). Our write committed; nothing to
 		// validate, and O1 applies to our own VAL.
@@ -982,17 +1004,18 @@ func (h *Hermes) validate(k proto.Key, m *keyMeta, sl *kvs.Slot) {
 // after which the key is no longer Valid and the rest keep waiting.
 func (h *Hermes) drainWaiters(k proto.Key, m *keyMeta) {
 	for len(m.waiters) > 0 {
-		e := entryOf(h.slotOf(k, m))
-		if e.State != kvs.Valid || m.pend != nil {
+		sl := h.slotOf(k, m)
+		hd := headOf(sl)
+		if hd.State != kvs.Valid || m.pend != nil {
 			return
 		}
 		op := m.waiters[0]
 		m.waiters = m.waiters[1:]
 		if op.Kind == proto.OpRead {
-			h.completeRead(op, safeVal(e))
+			h.completeRead(op, valueOf(sl))
 			continue
 		}
-		h.startUpdate(op, e, m, m.slot)
+		h.startUpdate(op, hd.TS, m, sl)
 	}
 }
 
@@ -1015,8 +1038,8 @@ func (h *Hermes) Tick() {
 			continue
 		}
 		if m.replayAt != 0 && now >= m.replayAt {
-			if e := h.entry(k); e.State == kvs.Invalid {
-				h.startReplay(k, m, e)
+			if headOf(h.slotOf(k, m)).State == kvs.Invalid {
+				h.startReplay(k, m)
 			} else {
 				m.replayAt = 0
 				h.gc(k, m)
@@ -1202,7 +1225,7 @@ func (h *Hermes) onChunkReq(from proto.NodeID, req ChunkReq) {
 			keys, more = keys[:limit], true
 		}
 	}
-	h.store.Range(func(k proto.Key, _ kvs.Entry) bool {
+	h.store.Range(func(k proto.Key, _ *kvs.Slot) bool {
 		if uint64(k) >= req.Cursor {
 			if keys = append(keys, k); len(keys) >= 2*limit {
 				trim()
@@ -1235,7 +1258,7 @@ func (h *Hermes) onChunkResp(from proto.NodeID, resp ChunkResp) {
 	h.fetchBusy = false
 	for i, k := range resp.Keys {
 		rec := resp.Recs[i]
-		if e, ok := h.store.Get(k); ok && !rec.TS.After(e.TS) {
+		if hd, ok := h.store.Lookup(k).Head(); ok && !rec.TS.After(hd.TS) {
 			continue // local copy is as new or newer (heard via INV)
 		}
 		st := kvs.Valid

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"sync/atomic"
 
+	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
 )
@@ -83,13 +85,13 @@ func (h *Hermes) publishGate() {
 // Linearizability argument: a Valid record's value is the latest committed
 // value at the instant its slot's state word is loaded (in-flight higher-TS
 // writes mark the key non-Valid before any replica acknowledges them), and
-// kvs.Store.GetValid returns the entry only if the word is unchanged after
-// the entry is loaded and pinned, so the read linearizes at that load —
-// provided this replica is still a serving member. The gate is loaded on
-// both sides of the record load and the read falls back unless the two
-// snapshots are identical and open, so a concurrent view installation
-// (which shuts the gate first) can never have its transition window
-// straddle the lookup unnoticed.
+// kvs.Store.GetValidInto returns the value only if the word is unchanged
+// after the value is copied (or its entry loaded and pinned), so the read
+// linearizes at that load — provided this replica is still a serving member.
+// The gate is loaded on both sides of the record load and the read falls
+// back unless the two snapshots are identical and open, so a concurrent view
+// installation (which shuts the gate first) can never have its transition
+// window straddle the lookup unnoticed.
 func (h *Hermes) ReadLocal(k proto.Key) (proto.Value, bool) {
 	v, owner, ok := h.ReadLocalRetained(k)
 	if !ok {
@@ -110,30 +112,47 @@ func (h *Hermes) ReadLocal(k proto.Key) (proto.Value, bool) {
 // wire-frame buffer pinned with one reference the caller must Release after
 // its last use of the bytes — skipping the defensive copy ReadLocal would
 // make. A nil owner means the value is immutable heap memory with no
-// lifetime obligation. ok=false follows ReadLocal's fallback contract.
+// lifetime obligation (a value of at most kvs.InlineCap bytes comes back in
+// a fresh copy). ok=false follows ReadLocal's fallback contract.
 func (h *Hermes) ReadLocalRetained(k proto.Key) (proto.Value, *refbuf.Buf, bool) {
+	var buf [kvs.InlineCap]byte
+	n, v, owner, ok := h.ReadLocalInto(k, &buf)
+	if ok && v == nil && n > 0 {
+		v = bytes.Clone(buf[:n])
+	}
+	return v, owner, ok
+}
+
+// ReadLocalInto is the fast path's read-into door, for callers that bring
+// their own buffer and copy the value out before reusing it: a value of at
+// most kvs.InlineCap bytes is copied into buf and its length returned as n,
+// with v and owner nil — the read pins nothing and writes no shared memory.
+// A larger value comes back as ReadLocalRetained returns it, owner pinned. A
+// missing key reads as n 0 and v nil. ok=false follows ReadLocal's fallback
+// contract.
+func (h *Hermes) ReadLocalInto(k proto.Key, buf *[kvs.InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool) {
 	g := h.gate.v.Load()
 	if !gateAllows(g) {
 		h.fastMisses.Inc()
-		return nil, nil, false
+		return 0, nil, nil, false
 	}
-	e, ok := h.store.GetValid(k)
+	n, v, owner, ok = h.store.GetValidInto(k, buf)
 	if !ok {
 		h.fastMisses.Inc()
-		return nil, nil, false
+		return 0, nil, nil, false
 	}
 	if h.gate.v.Load() != g {
-		if e.Owner != nil {
-			e.Owner.Release()
+		if owner != nil {
+			owner.Release()
 		}
 		h.fastMisses.Inc()
-		return nil, nil, false
+		return 0, nil, nil, false
 	}
 	// One counter bump, not two: the read total is derived as
 	// submitted + fastReads when reported, keeping the hit hot path at a
 	// single striped increment (see readCounter).
 	h.fastReads.Inc()
-	return e.Value, e.Owner, true
+	return n, v, owner, true
 }
 
 // ReadStats returns the read-side counters: total reads served (fast path +

@@ -10,20 +10,33 @@
 // chunks that never move, so a *Slot handle stays valid for the store's
 // lifetime.
 //
-// A slot is the paper's seqlock, built only from sync/atomic: a state word
-// next to a pointer to an immutable Entry (value, timestamp, RMW flag of the
-// last update, owner). The word packs the key's replica State, a
-// publication-in-progress ("busy") bit and a version. The key's single writer
-// changes State with one atomic store of the word (SetState) and installs an
-// entry by setting the busy bit, swapping the pointer and publishing the next
-// version with the entry's State (Update). A reader loads the word, then the
-// entry, then the word again: the snapshot is consistent iff the two words are
-// equal and not busy. The lock-free local-read fast path (GetValid) refuses a
-// busy or non-Valid word before touching the entry, so local linearizable
-// reads never enter the protocol's critical path and never spin.
+// A slot is the paper's seqlocked record, one 64-byte cache line built only
+// from sync/atomic words:
+//
+//	w       state word: the key's replica State, a publication-in-progress
+//	        ("busy") bit and a version
+//	p       nil, or a pointer to an immutable Entry holding a value larger
+//	        than InlineCap (and the pooled frame buffer it aliases, if any)
+//	meta    the last update's timestamp and RMW flag, and the length of an
+//	        inline value
+//	val[4]  an inline value of at most InlineCap bytes, little-endian
+//
+// The key's single writer changes State with one atomic store of the word
+// (SetState). Update sets the busy bit, stores the meta word and either the
+// value words (p set to nil) or a new Entry pointer, then publishes the next
+// version with the update's State. A reader loads the word, copies what it
+// needs, and loads the word again: the copy is consistent iff the two words
+// are equal and not busy. An inline value is therefore read as word → meta and
+// value words → word, writing no shared memory; a larger value is read as
+// word → entry → pin its owner → word. The lock-free local-read fast path
+// (GetValid, GetValidInto) refuses a busy or non-Valid word before touching
+// the record, so local linearizable reads never enter the protocol's critical
+// path and never spin.
 package kvs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -74,8 +87,10 @@ func (s KeyState) String() string {
 // Readable reports whether a local linearizable read may be served.
 func (s KeyState) Readable() bool { return s == Valid }
 
-// Entry is a snapshot of one key's replicated record. Entries are immutable
-// once published; Value must not be mutated after Update. A published
+// Entry is a snapshot of one key's replicated record: what Update takes and
+// the views (Load, Get, GetRetained, GetValid, Range) return. A slot
+// publishes an Entry only for a value larger than InlineCap, and such an
+// entry is immutable; Value must not be mutated after Update. A published
 // entry's State is superseded by the slot's state word: readers always get
 // the word's State in the snapshot they return.
 type Entry struct {
@@ -89,8 +104,9 @@ type Entry struct {
 	// reference, transferred from the INV that carried the value. Update
 	// releases the replaced entry's reference after publishing the new one,
 	// so lock-free readers that pinned the old buffer (GetRetained) always
-	// see a changed state word before the count can drop. Nil means Value
-	// is a private immutable heap slice.
+	// see a changed state word before the count can drop. A value of at most
+	// InlineCap bytes is copied into the slot instead, and Update releases
+	// its Owner at once. Nil means Value is a private immutable heap slice.
 	Owner *refbuf.Buf
 }
 
@@ -131,20 +147,23 @@ type indexEntry struct {
 // ends at once, and full for inserts, so the first one doubles it.
 var emptyTable = &table{shift: 64, ents: make([]indexEntry, 1)}
 
-// Slot chunks start small, so a store shard holding a handful of keys costs
-// a handful of slots, and stop growing at maxChunk, so a large shard wastes
-// at most a partial chunk.
-const (
-	minChunk = 8
-	maxChunk = 64
-)
+// chunkSlots is the length of a slot chunk: 512 B, the largest allocation
+// Go places on a size-class boundary without a malloc header in front, so
+// every slot of every chunk starts a cache line. A shard holding a handful
+// of keys wastes at most seven slots.
+const chunkSlots = 8
+
+// InlineCap is the largest value a slot holds inline: the four value words
+// that fill its cache line after the state word, entry pointer and meta word.
+// Larger values live in a published Entry.
+const InlineCap = 32
 
 // Slot holds the atomically published current record for one key. The
 // protocol goroutine is the only writer per key (single-writer discipline,
 // as in the paper's per-worker key ownership); readers Load concurrently.
 //
 // A *Slot is also the writer's handle on the key: Lookup or Ensure resolves
-// it once — the only step that touches the index — and Load, Update and
+// it once — the only step that touches the index — and Head, Load, Update and
 // SetState then act on it directly, so a handler turn that reads, installs
 // and revalidates one key pays for one lookup. Slots are never removed from
 // the store, so a handle stays valid for the store's lifetime and may be
@@ -154,12 +173,23 @@ type Slot struct {
 	// w is the state word:
 	//
 	//	bits 0..7   the key's KeyState
-	//	bit 8       busy: an Update is swapping the entry pointer
+	//	bit 8       busy: an Update is rewriting the record
 	//	bits 9..63  version, bumped by every Update and SetState
 	//
-	// Version 0 means no entry has been published yet.
+	// Version 0 means nothing has been published yet.
 	w atomic.Uint64
+	// p is the Entry of a value larger than InlineCap, nil while the value
+	// is inline.
 	p atomic.Pointer[Entry]
+	// meta packs the last update's timestamp, RMW flag and inline length:
+	//
+	//	bits 0..31   TS.Version
+	//	bits 32..47  TS.CID
+	//	bits 48..53  inline value length (0 when p is set)
+	//	bit 54       RMW
+	meta atomic.Uint64
+	val  [InlineCap / 8]atomic.Uint64
+	_    [8]byte // pads the slot to one 64-byte cache line
 }
 
 const (
@@ -167,10 +197,41 @@ const (
 	wordBusy    uint64 = 1 << 8
 	wordLow            = wordState | wordBusy
 	wordVersion        = wordLow + 1
+
+	metaLenShift        = 48
+	metaLen      uint64 = 63 << metaLenShift
+	metaRMW      uint64 = 1 << 54
 )
 
 // nextWord is the word publishing state st one version after w.
 func nextWord(w uint64, st KeyState) uint64 { return (w | wordLow) + 1 | uint64(st) }
+
+// packMeta is the meta word of an update at ts carrying an n-byte inline
+// value (n is 0 for an entry-held value).
+func packMeta(ts proto.TS, rmw bool, n int) uint64 {
+	m := uint64(ts.Version) | uint64(ts.CID)<<32 | uint64(n)<<metaLenShift
+	if rmw {
+		m |= metaRMW
+	}
+	return m
+}
+
+// Head is a record without its value: what a protocol turn reads to compare
+// timestamps and states.
+type Head struct {
+	TS    proto.TS
+	State KeyState
+	RMW   bool
+}
+
+// headOf unpacks a meta word under the state word w.
+func headOf(m, w uint64) Head {
+	return Head{
+		TS:    proto.TS{Version: uint32(m), CID: uint16(m >> 32)},
+		State: KeyState(w & wordState),
+		RMW:   m&metaRMW != 0,
+	}
+}
 
 // New returns a Store with the given shard count (rounded up to a power of
 // two; minimum 1).
@@ -246,7 +307,7 @@ func (s *Store) Ensure(k proto.Key) *Slot {
 		t = sh.double(t)
 	}
 	if len(sh.free) == 0 {
-		sh.free = make([]Slot, min(max(sh.n, minChunk), maxChunk))
+		sh.free = make([]Slot, chunkSlots)
 	}
 	sl := &sh.free[0]
 	sh.free = sh.free[1:]
@@ -270,8 +331,8 @@ func (sh *shard) double(t *table) *table {
 	return nt
 }
 
-// Load returns a consistent snapshot of the slot's entry and whether one has
-// been published.
+// Load returns a consistent snapshot of the slot's record and whether one has
+// been published. An inline value comes back in a fresh copy.
 func (sl *Slot) Load() (Entry, bool) {
 	if sl == nil {
 		return Entry{}, false
@@ -282,16 +343,30 @@ func (sl *Slot) Load() (Entry, bool) {
 			runtime.Gosched() // the writer is between two stores
 			continue
 		}
-		p := sl.p.Load()
+		if e, ok, done := sl.read(w, false); done {
+			return e, ok
+		}
+	}
+}
+
+// Head is Load without the value: the timestamp, State and RMW flag of the
+// slot's record, and whether one has been published. It reads only the state
+// and meta words, so it neither allocates nor touches an Entry.
+func (sl *Slot) Head() (Head, bool) {
+	if sl == nil {
+		return Head{}, false
+	}
+	for {
+		w := sl.w.Load()
+		if w&wordBusy != 0 {
+			runtime.Gosched()
+			continue
+		}
+		m := sl.meta.Load()
 		if sl.w.Load() != w {
 			continue
 		}
-		if p == nil {
-			return Entry{}, false
-		}
-		e := *p
-		e.State = KeyState(w & wordState)
-		return e, true
+		return headOf(m, w), w >= wordVersion
 	}
 }
 
@@ -301,31 +376,73 @@ func (s *Store) Get(k proto.Key) (Entry, bool) {
 	return s.Lookup(k).Load()
 }
 
-// Update installs a full entry for k (value, timestamp, state, rmw flag),
-// adopting e.Owner's reference if set. The caller must be the key's single
-// writer. The replaced entry's buffer reference is released only after the
-// new word is published: a concurrent GetRetained that pinned the old
-// buffer before the swap keeps it alive, and one that loses the TryRetain
-// race is guaranteed to observe the new word on reload.
+// Update installs a full entry for k (value, timestamp, state, rmw flag).
+// The caller must be the key's single writer. A value of at most InlineCap
+// bytes is copied into the slot and e.Owner, if set, released at once; a
+// larger one is published as an Entry that adopts e.Owner's reference. The
+// replaced entry's buffer reference is released only after the new word is
+// published: a concurrent GetRetained that pinned the old buffer before the
+// swap keeps it alive, and one that loses the TryRetain race is guaranteed
+// to observe the new word on reload.
 func (s *Store) Update(k proto.Key, e Entry) { s.Ensure(k).Update(e) }
 
 // Update is Store.Update on a resolved slot (from Ensure: a nil handle has
 // no slot to publish into).
 func (sl *Slot) Update(e Entry) {
+	var p *Entry
+	n := len(e.Value)
+	if n > InlineCap {
+		p = new(Entry)
+		*p = e
+		n = 0
+	}
 	w := sl.w.Load()
 	sl.w.Store(w | wordBusy)
-	old := sl.p.Swap(&e)
+	sl.meta.Store(packMeta(e.TS, e.RMW, n))
+	for i := 0; i*8 < n; i++ {
+		sl.val[i].Store(packWord(e.Value[i*8 : min(i*8+8, n)]))
+	}
+	var old *Entry
+	if p != nil || sl.p.Load() != nil {
+		old = sl.p.Swap(p)
+	}
 	sl.w.Store(nextWord(w, e.State))
 	if old != nil && old.Owner != nil {
 		// Each published entry holds its own reference, so this release is
 		// unconditional even when old and new alias the same frame buffer.
 		old.Owner.Release()
 	}
+	if p == nil && e.Owner != nil {
+		e.Owner.Release() // the bytes were copied into the slot
+	}
+}
+
+// packWord packs up to 8 bytes into a value word, little-endian.
+func packWord(b []byte) uint64 {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var x uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		x = x<<8 | uint64(b[i])
+	}
+	return x
+}
+
+// copyInline copies the inline value described by meta word m into buf and
+// returns its length. The copy is consistent only if the state word is
+// unchanged afterwards.
+func (sl *Slot) copyInline(m uint64, buf *[InlineCap]byte) int {
+	n := min(int(m&metaLen>>metaLenShift), InlineCap)
+	for i := 0; i*8 < n; i++ {
+		binary.LittleEndian.PutUint64(buf[i*8:], sl.val[i].Load())
+	}
+	return n
 }
 
 // SetState transitions only the replica state of k (e.g. Invalid -> Valid on
 // a VAL message) leaving value and timestamp untouched. No-op if the key is
-// absent. The caller must be the key's single writer. The entry and its
+// absent. The caller must be the key's single writer. The record and its
 // buffer reference stay as they are: only the state word changes.
 func (s *Store) SetState(k proto.Key, st KeyState) { s.Lookup(k).SetState(st) }
 
@@ -343,7 +460,8 @@ func (sl *Slot) SetState(st KeyState) {
 // event-loop turn: when the entry's value aliases a pooled frame buffer,
 // the buffer comes back pinned (one reference the caller must Release when
 // done with the bytes). An owner-less entry needs no pin — its value is
-// immutable heap memory — and returns Owner nil.
+// immutable heap memory — and returns Owner nil; an inline value comes back
+// in a fresh copy, also with Owner nil.
 //
 // The pin protocol: load the word, TryRetain the loaded entry's buffer, then
 // re-load the word and require it unchanged. Update releases a replaced
@@ -362,7 +480,7 @@ func (s *Store) GetRetained(k proto.Key) (Entry, bool) {
 			runtime.Gosched()
 			continue
 		}
-		if e, ok, done := sl.pin(w); done {
+		if e, ok, done := sl.read(w, true); done {
 			return e, ok
 		}
 	}
@@ -374,7 +492,7 @@ func (s *Store) GetRetained(k proto.Key) (Entry, bool) {
 // is missing (the store's implicit initial state, Valid with a nil value).
 // ok is false when the key is not Valid or an Update is publishing it; the
 // caller then falls back to the protocol's path. A busy or non-Valid word
-// is refused before the entry is touched or its owner pinned, so GetValid
+// is refused before the record is touched or its owner pinned, so GetValid
 // never waits for the writer.
 func (s *Store) GetValid(k proto.Key) (Entry, bool) {
 	sl := s.Lookup(k)
@@ -386,34 +504,88 @@ func (s *Store) GetValid(k proto.Key) (Entry, bool) {
 		if w&wordLow != uint64(Valid) {
 			return Entry{}, false
 		}
-		if e, _, done := sl.pin(w); done {
+		if e, _, done := sl.read(w, true); done {
 			return e, true
 		}
 	}
 }
 
-// pin is one attempt of the pin protocol against the non-busy word w: it
-// loads the entry, pins its owner and re-checks the word. done is false when
-// the attempt must be retried (the word moved on).
-func (sl *Slot) pin(w uint64) (e Entry, ok, done bool) {
-	p := sl.p.Load()
-	if p == nil {
-		// Nothing published when the pointer was loaded: the key was absent
-		// at that instant.
+// GetValidInto is GetValid without the copy: a Valid inline value is copied
+// into buf and its length returned as n, with v nil; a larger value comes
+// back as v, owner pinned as GetValid pins it. A missing key reads as n 0 and
+// v nil. The inline read writes no shared memory: word, meta and value words,
+// word.
+func (s *Store) GetValidInto(k proto.Key, buf *[InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool) {
+	sl := s.Lookup(k)
+	if sl == nil {
+		return 0, nil, nil, true
+	}
+	for {
+		w := sl.w.Load()
+		if w&wordLow != uint64(Valid) {
+			return 0, nil, nil, false
+		}
+		p := sl.p.Load()
+		if p == nil {
+			n := sl.copyInline(sl.meta.Load(), buf)
+			if sl.w.Load() == w {
+				return n, nil, nil, true
+			}
+			continue
+		}
+		if sl.pin(p, w, true) {
+			return 0, p.Value, p.Owner, true
+		}
+	}
+}
+
+// read is one snapshot attempt against the non-busy word w: the record as
+// published at w, a large value's owner pinned when retain is set. done is
+// false when the attempt must be retried (the word moved on).
+func (sl *Slot) read(w uint64, retain bool) (e Entry, ok, done bool) {
+	if w < wordVersion {
+		// Nothing published when the word was loaded: the key was absent at
+		// that instant.
 		return Entry{}, false, true
 	}
-	if p.Owner != nil && !p.Owner.TryRetain() {
-		return Entry{}, false, false
-	}
-	if sl.w.Load() != w {
-		if p.Owner != nil {
-			p.Owner.Release()
+	p := sl.p.Load()
+	if p == nil {
+		var buf [InlineCap]byte
+		m := sl.meta.Load()
+		n := sl.copyInline(m, &buf)
+		if sl.w.Load() != w {
+			return Entry{}, false, false
 		}
+		h := headOf(m, w)
+		e = Entry{TS: h.TS, State: h.State, RMW: h.RMW}
+		if n > 0 {
+			e.Value = bytes.Clone(buf[:n])
+		}
+		return e, true, true
+	}
+	if !sl.pin(p, w, retain) {
 		return Entry{}, false, false
 	}
 	e = *p
 	e.State = KeyState(w & wordState)
 	return e, true, true
+}
+
+// pin is the second half of a read of entry p against word w: it pins p's
+// owner when retain is set and re-checks the word, reporting whether p is
+// still the published entry (if not, nothing stays pinned).
+func (sl *Slot) pin(p *Entry, w uint64, retain bool) bool {
+	retain = retain && p.Owner != nil
+	if retain && !p.Owner.TryRetain() {
+		return false
+	}
+	if sl.w.Load() != w {
+		if retain {
+			p.Owner.Release()
+		}
+		return false
+	}
+	return true
 }
 
 // Len returns the number of keys stored.
@@ -428,22 +600,24 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Range calls fn for a snapshot of every entry; used by shadow-replica state
-// transfer (paper §3.4 Recovery) to read chunks of the datastore. It walks
-// each shard's published index without a lock, so inserts and doublings may
-// run concurrently: every key present when Range starts is visited exactly
-// once, a key inserted meanwhile at most once. Iteration order is
-// unspecified. Returns early if fn returns false.
-func (s *Store) Range(fn func(k proto.Key, e Entry) bool) {
+// Range calls fn for every key holding a published record, with its slot;
+// fn reads what it needs of the record (Head, Load), so a walk that wants
+// only keys copies no value. Used by shadow-replica state transfer (paper
+// §3.4 Recovery) to read chunks of the datastore. It walks each shard's
+// published index without a lock, so inserts and doublings may run
+// concurrently: every key present when Range starts is visited exactly once,
+// a key inserted meanwhile at most once. Iteration order is unspecified.
+// Returns early if fn returns false.
+func (s *Store) Range(fn func(k proto.Key, sl *Slot) bool) {
 	for i := range s.shards {
 		t := s.shards[i].tab.Load()
 		for j := range t.ents {
 			ie := &t.ents[j]
 			sl := ie.slot.Load()
-			if sl == nil {
+			if sl == nil || sl.w.Load() < wordVersion {
 				continue
 			}
-			if e, ok := sl.Load(); ok && !fn(proto.Key(ie.key.Load()), e) {
+			if !fn(proto.Key(ie.key.Load()), sl) {
 				return
 			}
 		}

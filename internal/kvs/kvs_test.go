@@ -80,7 +80,8 @@ func TestRange(t *testing.T) {
 		s.Update(i, Entry{Value: proto.Value{byte(i)}, TS: proto.TS{Version: uint32(i)}})
 	}
 	seen := make(map[proto.Key]bool)
-	s.Range(func(k proto.Key, e Entry) bool {
+	s.Range(func(k proto.Key, sl *Slot) bool {
+		e, _ := sl.Load()
 		if e.TS.Version != uint32(k) {
 			t.Fatalf("entry mismatch for %d: %+v", k, e)
 		}
@@ -92,7 +93,7 @@ func TestRange(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	s.Range(func(proto.Key, Entry) bool { n++; return n < 10 })
+	s.Range(func(proto.Key, *Slot) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Fatalf("early stop visited %d", n)
 	}

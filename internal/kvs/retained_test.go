@@ -17,9 +17,11 @@ func TestGetRetainedPinsAcrossReplacement(t *testing.T) {
 	st := New(4)
 	pool := refbuf.NewPool()
 
-	fb := pool.Get(8)
-	copy(fb.Bytes(), "original")
-	st.Update(1, Entry{Value: fb.Bytes()[0:8:8], TS: proto.TS{Version: 2}, Owner: fb})
+	// Above InlineCap: an owner is adopted only by an entry-held value.
+	const original = "original value, above the inline cap"
+	fb := pool.Get(len(original))
+	copy(fb.Bytes(), original)
+	st.Update(1, Entry{Value: fb.Bytes()[0:len(original):len(original)], TS: proto.TS{Version: 2}, Owner: fb})
 
 	e, ok := st.GetRetained(1)
 	if !ok || e.Owner != fb {
@@ -34,7 +36,7 @@ func TestGetRetainedPinsAcrossReplacement(t *testing.T) {
 	if got := fb.Refs(); got != 1 {
 		t.Fatalf("refs after replacement = %d, want 1 (reader's pin)", got)
 	}
-	if string(e.Value) != "original" {
+	if string(e.Value) != original {
 		t.Fatalf("pinned value changed: %q", e.Value)
 	}
 	e.Owner.Release()
@@ -166,9 +168,8 @@ func TestGetRetainedRace(t *testing.T) {
 func TestSetStateTransfersOwnership(t *testing.T) {
 	st := New(4)
 	pool := refbuf.NewPool()
-	fb := pool.Get(4)
-	copy(fb.Bytes(), "vvvv")
-	st.Update(2, Entry{Value: fb.Bytes()[0:4:4], TS: proto.TS{Version: 2}, State: Invalid, Owner: fb})
+	fb := pool.Get(InlineCap + 1)
+	st.Update(2, Entry{Value: fb.Bytes()[0 : InlineCap+1 : InlineCap+1], TS: proto.TS{Version: 2}, State: Invalid, Owner: fb})
 
 	st.SetState(2, Valid)
 	e, _ := st.Get(2)

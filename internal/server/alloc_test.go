@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
 )
@@ -83,9 +84,21 @@ func (b pinnedBackend) ReadLocalRetained(proto.Key) (proto.Value, *refbuf.Buf, b
 	return b.entry.Bytes(), b.entry, true
 }
 
+// inlineBackend is an IntoReader whose every read hits one 32 B inline
+// value — the store's answer for a Valid key of a 32 B workload.
+type inlineBackend struct{ nullBackend }
+
+func (inlineBackend) ReadLocalInto(_ proto.Key, buf *[kvs.InlineCap]byte) (int, proto.Value, *refbuf.Buf, bool) {
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	return kvs.InlineCap, nil, nil, true
+}
+
 // wireReader is one client session to a server over loopback TCP, reading
 // through the whole wire path: client.Do → typed request door → socket →
-// session → retained read → response flush → socket → client pump → callback.
+// session → read-into or retained read → response flush → socket → client
+// pump → callback.
 type wireReader struct {
 	c            *client.Client
 	issued, done atomic.Int64
@@ -95,12 +108,12 @@ type wireReader struct {
 
 const wireReaderWindow = 64
 
-func newWireReader(tb testing.TB) *wireReader {
+func newWireReader(tb testing.TB, be Backend) *wireReader {
 	tb.Helper()
 	// A window under maxSpareResps, so that a full-window burst does not grow
 	// the session's queue halves past what it keeps: every byte counted is
 	// then a read's own.
-	srv := New(Config{Backend: pinnedBackend{entry: refbuf.NewPool().Get(32)}, Window: wireReaderWindow})
+	srv := New(Config{Backend: be, Window: wireReaderWindow})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -145,27 +158,39 @@ func (w *wireReader) drain(tb testing.TB) {
 // TestWireReadAllocatesOnce: a pipelined read allocates once from end to end,
 // both processes' sides counted — the value the client hands its caller. The
 // request is encoded from Do's stack, decoded into the session loop's own,
-// answered from the pinned store entry through recycled queue halves and
-// frames, and decoded into the client pump's own. (With a box at Link.Send, a
-// box at each decode it was four.)
+// answered through recycled queue halves and frames — from a slot's inline
+// copy carried in the queue (the read-into door), or from a pinned store
+// entry (a RetainedReader backend) — and decoded into the client pump's own.
+// (With a box at Link.Send, a box at each decode it was four.)
 func TestWireReadAllocatesOnce(t *testing.T) {
-	w := newWireReader(t)
-	w.read(t, 4*wireReaderWindow) // size every buffer on the way
-	w.drain(t)
-	const batch = 200
-	perBatch := testing.AllocsPerRun(50, func() { w.read(t, batch) })
-	w.drain(t)
-	// Slack for what is per burst, not per read: a collection emptying the
-	// frame pool, a goroutine descriptor when both flushers start at once.
-	if perRead := perBatch / batch; perRead > 1.1 {
-		t.Fatalf("a wire read allocates %.2f times, want 1 (the returned value)", perRead)
+	for _, tc := range []struct {
+		name string
+		be   Backend
+	}{
+		{"read-into", inlineBackend{}},
+		{"retained", pinnedBackend{entry: refbuf.NewPool().Get(32)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWireReader(t, tc.be)
+			w.read(t, 4*wireReaderWindow) // size every buffer on the way
+			w.drain(t)
+			const batch = 200
+			perBatch := testing.AllocsPerRun(50, func() { w.read(t, batch) })
+			w.drain(t)
+			// Slack for what is per burst, not per read: a collection
+			// emptying the frame pool, a goroutine descriptor when both
+			// flushers start at once.
+			if perRead := perBatch / batch; perRead > 1.1 {
+				t.Fatalf("a wire read allocates %.2f times, want 1 (the returned value)", perRead)
+			}
+		})
 	}
 }
 
-// BenchmarkWireRead is the same path timed: run it with -benchmem while
-// changing anything a read crosses.
+// BenchmarkWireRead is the same path timed, through the read-into door: run
+// it with -benchmem while changing anything a read crosses.
 func BenchmarkWireRead(b *testing.B) {
-	w := newWireReader(b)
+	w := newWireReader(b, inlineBackend{})
 	w.read(b, 4*wireReaderWindow)
 	w.drain(b)
 	b.ReportAllocs()

@@ -62,17 +62,24 @@ func liveMeshGroup(t *testing.T, n, shards int) ([]*cluster.ShardedNode, func())
 
 // TestHotKeyRetainedReadsUnderWriteStorm is the server response-escape
 // regression, end to end and under -race: node 1 storms writes to one hot
-// key, so node 0's store continuously adopts and releases wire frame buffers,
-// while 64 pipelined readers drain that key through node 0's wire server —
-// whose fast path pins the store buffer (ReadLocalRetained) across the
-// session flusher's batch encode. Every write fills the value with one
-// repeated byte: a response encoded from a buffer that was released early
-// (recycled mid-encode) comes back torn, and the race detector sees the
-// unsynchronized reuse.
+// key while 64 pipelined readers drain that key through node 0's wire server.
+// It runs twice. With 32 B values node 0's store copies every INV value into
+// the key's slot words and the read-into door copies them back out into the
+// session's queue, so a torn response means a seqlock copy the word check
+// let through. With 64 B values node 0's store continuously adopts and
+// releases wire frame buffers, and the fast path pins the store buffer across
+// the session flusher's batch encode, so a torn response means a buffer
+// released early (recycled mid-encode). Every write fills the value with one
+// repeated byte, and the race detector sees any unsynchronized reuse.
 func TestHotKeyRetainedReadsUnderWriteStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP storm")
 	}
+	t.Run("32B-inline", func(t *testing.T) { hotKeyStorm(t, 32) })
+	t.Run("64B-owned", func(t *testing.T) { hotKeyStorm(t, 64) })
+}
+
+func hotKeyStorm(t *testing.T, valLen int) {
 	nodes, down := liveMeshGroup(t, 3, 2)
 	defer down()
 	srv := New(Config{Backend: nodes[0]})
@@ -86,7 +93,6 @@ func TestHotKeyRetainedReadsUnderWriteStorm(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	const hot = proto.Key(99)
-	const valLen = 96
 	seed := make(proto.Value, valLen)
 	for i := range seed {
 		seed[i] = 1
@@ -164,11 +170,11 @@ func TestHotKeyRetainedReadsUnderWriteStorm(t *testing.T) {
 		t.Fatal("storm finished before any read completed")
 	}
 
-	// Post-storm the key settles Valid with its last value adopted from a
-	// wire INV — owner-backed store memory. Reads now take the retained fast
-	// path: pin, coalesce, encode, release. During the storm the key is
-	// Invalid at the follower almost continuously, so this is where the
-	// retained path is provably exercised.
+	// Post-storm the key settles Valid with its last value from a wire INV —
+	// slot words, or owner-backed store memory. Reads now take the fast path:
+	// copy or pin, coalesce, encode, release. During the storm the key is
+	// Invalid at the follower almost continuously, so this is where the fast
+	// path is provably exercised.
 	c, err := client.Dial(ln.Addr().String(), client.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +196,7 @@ func TestHotKeyRetainedReadsUnderWriteStorm(t *testing.T) {
 		}
 		select {
 		case <-settle:
-			t.Fatal("no fast reads: the retained-read path was never exercised")
+			t.Fatal("no fast reads: the fast-read path was never exercised")
 		default:
 		}
 	}

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
 	"repro/internal/wings"
@@ -65,6 +66,16 @@ type RetainedReader interface {
 	ReadLocalRetained(key proto.Key) (proto.Value, *refbuf.Buf, bool)
 }
 
+// IntoReader is the read-into door, preferred over RetainedReader when the
+// backend has it: a fast read of a value of at most kvs.InlineCap bytes is
+// copied into the session's buffer (n bytes, v nil), pinning and allocating
+// nothing, and the response carries those bytes inline to the flusher. A
+// larger value comes back as RetainedReader returns it. cluster.ShardedNode
+// implements it.
+type IntoReader interface {
+	ReadLocalInto(key proto.Key, buf *[kvs.InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool)
+}
+
 // DefaultWindow is the pipelining window granted to clients at handshake.
 const DefaultWindow = 256
 
@@ -89,8 +100,10 @@ type Config struct {
 // (plain or sharded); construct with New, drive with Serve, stop with Close.
 type Server struct {
 	cfg Config
-	// rr is cfg.Backend's RetainedReader upgrade, nil when the backend only
-	// offers the copying ReadLocal (test fakes, third-party backends).
+	// ir and rr are cfg.Backend's IntoReader and RetainedReader upgrades,
+	// nil when the backend lacks them (test fakes, third-party backends,
+	// wrappers that only pass RetainedReader on).
+	ir IntoReader
 	rr RetainedReader
 
 	mu       sync.Mutex
@@ -119,8 +132,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight <= cfg.Window {
 		cfg.MaxInflight = cfg.Window * 4
 	}
+	ir, _ := cfg.Backend.(IntoReader)
 	rr, _ := cfg.Backend.(RetainedReader)
-	return &Server{cfg: cfg, rr: rr, sessions: make(map[*session]struct{})}
+	return &Server{cfg: cfg, ir: ir, rr: rr, sessions: make(map[*session]struct{})}
 }
 
 // ErrServerClosed is returned by Serve after Close.
@@ -242,6 +256,12 @@ type session struct {
 	// a time, and each start is ordered after the last exit by mu.
 	resps []proto.ClientResp
 	frame []byte
+
+	// rbuf is the read-into door's buffer; the session goroutine copies each
+	// fast read out of it before the next. It lives in the session because a
+	// queued response's own array, passed through the interface call, would
+	// escape to the heap on every read.
+	rbuf [kvs.InlineCap]byte
 }
 
 // Retained-capacity caps for a session's queue halves, response scratch and
@@ -255,10 +275,14 @@ const (
 // queuedResp is one response awaiting flush. A non-nil owner pins the pooled
 // frame buffer resp.Value aliases (the zero-copy fast-read path); the
 // session releases it after the flusher encodes the bytes — or on any drop
-// path (dead enqueue, kill) that means the bytes will never be encoded.
+// path (dead enqueue, kill) that means the bytes will never be encoded. A
+// nil resp.Value means the value is inline[:n]: a small fast read carries
+// its bytes in the queue itself.
 type queuedResp struct {
-	resp  proto.ClientResp
-	owner *refbuf.Buf
+	resp   proto.ClientResp
+	owner  *refbuf.Buf
+	inline [kvs.InlineCap]byte
+	n      uint8
 }
 
 // errTooManyInflight kills a session that exceeded its outstanding bound.
@@ -304,7 +328,15 @@ func (se *session) handle(req *proto.ClientReq) error {
 	}
 	se.srv.reqs.Add(1)
 	if req.Op == proto.OpRead {
-		if rr := se.srv.rr; rr != nil {
+		if ir := se.srv.ir; ir != nil {
+			if n, v, owner, ok := ir.ReadLocalInto(req.Key, &se.rbuf); ok {
+				se.srv.fastReads.Add(1)
+				qr := queuedResp{resp: proto.ClientResp{Seq: req.Seq, Status: proto.OK, Value: v}, owner: owner, n: uint8(n)}
+				copy(qr.inline[:], se.rbuf[:n])
+				se.enqueue(qr)
+				return nil
+			}
+		} else if rr := se.srv.rr; rr != nil {
 			if v, owner, ok := rr.ReadLocalRetained(req.Key); ok {
 				se.srv.fastReads.Add(1)
 				se.enqueue(queuedResp{resp: proto.ClientResp{Seq: req.Seq, Status: proto.OK, Value: v}, owner: owner})
@@ -385,8 +417,12 @@ func (se *session) flushLoop() {
 		se.mu.Unlock()
 
 		resps := se.resps[:0]
-		for _, qr := range batch {
-			resps = append(resps, qr.resp)
+		for i := range batch {
+			r := batch[i].resp
+			if r.Value == nil {
+				r.Value = batch[i].inline[:batch[i].n]
+			}
+			resps = append(resps, r)
 		}
 		// Monomorphic encode: no per-response interface boxing, so a flush
 		// with warm scratch buffers allocates nothing.
