@@ -90,7 +90,7 @@ func (fs *fakeServer) serve(conn net.Conn) {
 	if _, err := conn.Write(reply[:]); err != nil {
 		return
 	}
-	wings.ServeClientReqs(conn, func(req *proto.ClientReq) error {
+	wings.ServeClientReqs(conn, nil, func(req *proto.ClientReq) error {
 		if hostile := fs.hostile.Load(); hostile != nil && req.Key == hostileKey {
 			_, err := conn.Write(*hostile)
 			return err

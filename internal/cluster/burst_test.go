@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,7 +122,7 @@ func TestBurstIsBounded(t *testing.T) {
 
 	sent := invsSent(tr, key, 1)
 	waitFor(t, "MLT retransmissions under a full inbox", func() bool { return invsSent(tr, key, 1) >= sent+2 })
-	if len(s.msgs) < cap(s.msgs)-1 {
+	if len(s.msgs) < cap(s.msgs)-burstWindow {
 		t.Fatalf("inbox holds %d of %d: the test lost its premise", len(s.msgs), cap(s.msgs))
 	}
 
@@ -130,5 +132,48 @@ func TestBurstIsBounded(t *testing.T) {
 	case <-closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return with the inbox kept full")
+	}
+}
+
+// TestBurstWindowsKeepArrivalOrder: a burst longer than two windows runs its
+// messages in arrival order and its ops in arrival order, across every window
+// boundary. The loop is held inside one turn while the burst queues, so the
+// whole burst is waiting at the next wake-up.
+func TestBurstWindowsKeepArrivalOrder(t *testing.T) {
+	sn, _ := quietNode(t, time.Hour, time.Hour)
+	s := sn.shardFor(7)
+	const burst = 2*burstWindow + 5
+
+	release := make(chan struct{})
+	held := make(chan struct{})
+	s.enqueueFn(func() { close(held); <-release })
+	<-held
+
+	var ran []int // msgs as i, ops as burst+i; appended on the loop only
+	var wg sync.WaitGroup
+	wg.Add(2 * burst)
+	for i := 0; i < burst; i++ {
+		s.enqueueFn(func() { ran = append(ran, i); wg.Done() })
+		op := proto.ClientOp{Kind: proto.OpRead, Key: proto.Key(1000 + i)}
+		if err := s.submit(context.Background(), op, func(proto.Completion) { ran = append(ran, burst+i); wg.Done() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.msgs) != burst || len(s.ops) != burst {
+		t.Fatalf("queued %d messages and %d ops, want %d of each", len(s.msgs), len(s.ops), burst)
+	}
+	close(release)
+	wg.Wait()
+
+	nextMsg, nextOp := 0, burst
+	for _, r := range ran {
+		switch {
+		case r < burst && r == nextMsg:
+			nextMsg++
+		case r >= burst && r == nextOp:
+			nextOp++
+		default:
+			t.Fatalf("turns ran as %v: %d out of arrival order", ran, r)
+		}
 	}
 }

@@ -181,8 +181,30 @@ type Shard struct {
 	// handed and not yet completed. Only the event-loop goroutine touches it.
 	pending map[uint64]func(proto.Completion)
 
+	// win is the burst window the event loop drains its queues into; only
+	// the loop touches it.
+	win burstWin
+
 	start time.Time
 }
+
+// burstWindow bounds the queued messages and ops one window of a burst takes
+// (see Shard.loop). Fixed, so the window's arrays live on the Shard and a
+// burst allocates nothing.
+const burstWindow = 32
+
+// burstWin is one window of a burst: msgs[:nm] then ops[:no], in arrival
+// order, and keys, the store keys their turns will resolve.
+type burstWin struct {
+	msgs [burstWindow]env
+	ops  [burstWindow]submitted
+	keys [burstWindow]proto.Key
+	nm   int
+	no   int
+}
+
+// full reports whether the window holds burstWindow entries.
+func (w *burstWin) full() bool { return w.nm+w.no == burstWindow }
 
 // submitted is one client op on its way to the event loop, carrying the
 // callback its completion goes to.
@@ -256,6 +278,13 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 // and stop reachable under a producer that never lets the inbox run dry. Every
 // iteration ends with the hand-off, whichever arm woke it, so nothing is
 // staged while the loop blocks.
+//
+// A burst runs in windows of at most burstWindow entries, the wake-up's own
+// message or op first. Each window is received in full, then the keys its
+// turns will touch are prefetched in one pass (MICA's batched lookups), and
+// only then do its turns run, in arrival order: the store misses of a
+// window's keys overlap instead of queueing one turn at a time behind each
+// other.
 func (n *Shard) loop(tickEvery time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(tickEvery)
@@ -271,23 +300,59 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			n.failQueued()
 			return
 		case e := <-n.msgs:
-			n.handle(e)
+			n.win.msgs[0], n.win.nm = e, 1
 		case s := <-n.ops:
-			n.accept(s)
+			n.win.ops[0], n.win.no = s, 1
 		case <-ticker.C:
 			n.h.Tick()
 		}
 		// This goroutine is the only consumer of both queues, so as many plain
 		// receives as len reported cannot block.
 		queuedMsgs, queuedOps := len(n.msgs), len(n.ops)
-		for ; queuedMsgs > 0; queuedMsgs-- {
-			n.handle(<-n.msgs)
-		}
-		for ; queuedOps > 0; queuedOps-- {
-			n.accept(<-n.ops)
+		for {
+			w := &n.win
+			for ; queuedMsgs > 0 && !w.full(); queuedMsgs-- {
+				w.msgs[w.nm] = <-n.msgs
+				w.nm++
+			}
+			for ; queuedOps > 0 && !w.full(); queuedOps-- {
+				w.ops[w.no] = <-n.ops
+				w.no++
+			}
+			if w.nm+w.no == 0 {
+				break
+			}
+			n.runWindow()
 		}
 		n.out.handOff()
 	}
+}
+
+// runWindow prefetches the keys of the window's turns, runs the turns —
+// messages, then ops, each in arrival order — and empties the window.
+func (n *Shard) runWindow() {
+	w := &n.win
+	nk := 0
+	for _, e := range w.msgs[:w.nm] {
+		if k, ok := core.MsgKey(e.msg); ok {
+			w.keys[nk] = k
+			nk++
+		}
+	}
+	for i := range w.ops[:w.no] {
+		w.keys[nk] = w.ops[i].op.Key
+		nk++
+	}
+	n.h.Prefetch(w.keys[:nk])
+	for i := range w.msgs[:w.nm] {
+		n.handle(w.msgs[i])
+		w.msgs[i] = env{} // the window must not keep a turn's message alive
+	}
+	for i := range w.ops[:w.no] {
+		n.accept(w.ops[i])
+		w.ops[i] = submitted{}
+	}
+	w.nm, w.no = 0, 0
 }
 
 // handle runs one arrived message's turn.

@@ -60,6 +60,33 @@ func TestReadLocalIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNodePrefetchAllocatesNothing: the session's per-frame pass over a
+// node's shard stores — present keys and absent ones, more than one batch —
+// allocates nothing and leaves every key as it was.
+func TestNodePrefetchAllocatesNothing(t *testing.T) {
+	l := NewShardedLocal(LocalConfig{N: 3}, 2)
+	defer l.Close()
+	n := l.Nodes[0]
+	keys := make([]proto.Key, 2*burstWindow+3)
+	for i := range keys {
+		keys[i] = proto.Key(i)
+		if i%2 == 0 {
+			if err := n.Write(context.Background(), keys[i], proto.Value("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { n.Prefetch(keys) }); allocs != 0 {
+		t.Fatalf("ShardedNode.Prefetch allocates %.1f/op; want 0", allocs)
+	}
+	for i, k := range keys {
+		sl := n.shardFor(k).h.Store().Lookup(k)
+		if (sl != nil) != (i%2 == 0) {
+			t.Fatalf("key %d: slot %p after Prefetch", k, sl)
+		}
+	}
+}
+
 func TestFastPathDisabledUnderNoLSC(t *testing.T) {
 	l := NewShardedLocal(LocalConfig{N: 3, NoLSC: true}, 1)
 	defer l.Close()

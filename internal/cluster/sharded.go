@@ -556,6 +556,26 @@ func (sn *ShardedNode) ReadLocalInto(key proto.Key, buf *[kvs.InlineCap]byte) (n
 	return sn.shardFor(key).h.ReadLocalInto(key, buf)
 }
 
+// Prefetch warms the store index entries and slots of keys, each in its
+// owning shard's store, ahead of the reads and submits that will act on them:
+// the serving layer calls it with the keys of a request frame before it
+// handles the frame's first request. It changes no state and allocates
+// nothing, and like kvs.Store.Prefetch it leaves a lone key alone.
+func (sn *ShardedNode) Prefetch(keys []proto.Key) {
+	if len(keys) < 2 {
+		return
+	}
+	var slots [burstWindow]*kvs.Slot
+	for len(keys) > 0 {
+		n := min(len(keys), burstWindow)
+		for i, k := range keys[:n] {
+			slots[i] = sn.shardFor(k).h.Store().Lookup(k)
+		}
+		kvs.Touch(slots[:n])
+		keys = keys[n:]
+	}
+}
+
 // SubmitAsync submits op to its owning shard's event loop and invokes fn
 // with its completion instead of blocking the caller — the pipelined serving
 // layer's path: one session goroutine keeps hundreds of ops in flight

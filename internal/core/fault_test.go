@@ -433,3 +433,62 @@ func TestChunkTransferDoesNotRegressNewerLocalData(t *testing.T) {
 		t.Fatalf("chunk transfer regressed key: %+v", e)
 	}
 }
+
+// TestTimersFireOnFirstTickAtDeadline: Tick skips its walk of the metas while
+// no armed deadline can be due, and this pins the skip to no behaviour. With a
+// Tick every millisecond, each retransmission and the replay fire on the first
+// Tick at or after their deadline, no earlier and no later — key 2's deadline
+// among them, armed before the walk key 1's timer sets off.
+func TestTimersFireOnFirstTickAtDeadline(t *testing.T) {
+	h := newHarness(t, 3, nil) // MLT 10ms
+	toNode2 := func(e envelope) bool { _, is := e.msg.(INV); return is && e.to == 2 }
+	// Keys 1 (armed at 0ms) and 2 (at 3ms): node 2 never sees their INVs, so
+	// node 0 retransmits each every MLT.
+	h.write(0, 1, "a")
+	h.dropWhere(toNode2)
+	h.run()
+	h.now = 3 * time.Millisecond
+	h.write(0, 2, "b")
+	h.dropWhere(toNode2)
+	h.run()
+	// Key 3 (at 5ms): its VALs are lost, and a read stalls at node 1.
+	h.now = 5 * time.Millisecond
+	h.write(0, 3, "c")
+	for {
+		if h.dropWhere(func(e envelope) bool { _, is := e.msg.(VAL); return is }) > 0 {
+			continue
+		}
+		if !h.step() {
+			break
+		}
+	}
+	h.read(1, 3)
+
+	retransmitsAt := func(now time.Duration) uint64 {
+		n := uint64(0)
+		for _, armed := range []time.Duration{0, 3 * time.Millisecond} {
+			if now >= armed+10*time.Millisecond {
+				n += uint64((now - armed) / (10 * time.Millisecond)) // every MLT since
+			}
+		}
+		return n
+	}
+	for h.now < 35*time.Millisecond {
+		h.advance(time.Millisecond)
+		h.msgs = nil // nothing the timers send is delivered
+		if got, want := h.nodes[0].Metrics().Retransmits, retransmitsAt(h.now); got != want {
+			t.Fatalf("at %v: node 0 retransmitted %d times, want %d", h.now, got, want)
+		}
+		want := uint64(0)
+		if h.now >= 15*time.Millisecond {
+			want = 1
+		}
+		if got := h.nodes[1].Metrics().Replays; got != want {
+			t.Fatalf("at %v: node 1 replayed %d times, want %d", h.now, got, want)
+		}
+	}
+	// The replay's own INVs were lost too: it retransmits at 25ms and 35ms.
+	if got := h.nodes[1].Metrics().Retransmits; got != 2 {
+		t.Fatalf("node 1 retransmitted its replay %d times by %v, want 2", got, h.now)
+	}
+}

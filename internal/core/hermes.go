@@ -116,6 +116,11 @@ type Hermes struct {
 	// observable order depends on which object a key gets.
 	freeMeta []*keyMeta
 
+	// nextDue is a lower bound on every armed deadline (each pending
+	// update's resendAt, each meta's replayAt): Tick walks the meta map only
+	// once now reaches it. arm lowers it, and each walk recomputes it.
+	nextDue time.Duration
+
 	// gate is the atomically-published condition for the lock-free read
 	// fast path; the read-side counters beneath it are the Metrics fields
 	// two goroutine classes bump (see ReadLocal). reads counts only
@@ -281,6 +286,11 @@ func (h *Hermes) Metrics() Metrics {
 // Store exposes the underlying record store (the live runtime's lock-free
 // read path and tests read it).
 func (h *Hermes) Store() *kvs.Store { return h.store }
+
+// Prefetch warms the store's index entries and slots for keys ahead of the
+// turns that will act on them (kvs.Store.Prefetch). It changes no state, so
+// it may run from any goroutine, before any turns or none.
+func (h *Hermes) Prefetch(keys []proto.Key) { h.store.Prefetch(keys) }
 
 // SetOperational marks the replica as holding (or not holding) a valid RM
 // lease. Non-operational replicas reject client requests (§2.4: nodes on a
@@ -480,7 +490,7 @@ func (h *Hermes) stall(op proto.ClientOp, st kvs.KeyState, m *keyMeta) {
 	}
 	m.waiters = append(m.waiters, op)
 	if st == kvs.Invalid && m.pend == nil && m.replayAt == 0 {
-		m.replayAt = h.env.Now() + h.cfg.MLT
+		m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 	}
 }
 
@@ -542,7 +552,7 @@ func (h *Hermes) startUpdate(op proto.ClientOp, cur proto.TS, m *keyMeta, sl *kv
 	p := m.setPend(pending{
 		ts: ts, val: newVal, rmw: rmw,
 		hasOp: true, op: op, oldVal: oldVal,
-		resendAt: h.env.Now() + h.cfg.MLT,
+		resendAt: h.arm(h.env.Now() + h.cfg.MLT),
 	})
 	// CINV: apply locally and broadcast the invalidation with the value (a
 	// small one is copied into the slot; the pending keeps op.Value).
@@ -585,7 +595,7 @@ func (h *Hermes) startReplay(k proto.Key, m *keyMeta) {
 		// and encoded asynchronously, so an owner-backed store value must be
 		// cloned out of its pooled frame first.
 		ts: e.TS, val: safeVal(e), rmw: e.RMW, replay: true,
-		resendAt: h.env.Now() + h.cfg.MLT,
+		resendAt: h.arm(h.env.Now() + h.cfg.MLT),
 	})
 	sl.SetState(kvs.Replay)
 	h.broadcastINV(k, p)
@@ -728,7 +738,7 @@ func (h *Hermes) applyINV(inv INV, m *keyMeta, sl *kvs.Slot) {
 		m.slot = sl
 		// Stalled requests now wait for the newer write; re-arm its timer.
 		if len(m.waiters) > 0 && st == kvs.Invalid && m.pend == nil {
-			m.replayAt = h.env.Now() + h.cfg.MLT
+			m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 		}
 		// O3: ACKs gathered for a different timestamp are obsolete.
 		if m.ackers != nil && m.ackTS != inv.TS {
@@ -940,7 +950,7 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 		// it knows; the rival's own VAL or a replay validates it.
 		sl.SetState(kvs.Invalid)
 		if len(m.waiters) > 0 && m.replayAt == 0 {
-			m.replayAt = h.env.Now() + h.cfg.MLT
+			m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 		}
 		if h.cfg.ElideVAL || h.cfg.EarlyACKs {
 			// O1/O3 already sent nothing here; followers stuck on our
@@ -1024,25 +1034,18 @@ func (h *Hermes) drainWaiters(k proto.Key, m *keyMeta) {
 // membership checks.
 func (h *Hermes) Tick() {
 	now := h.env.Now()
-	for _, k := range h.sortedMetaKeys() {
-		m := h.meta[k]
-		if m == nil {
-			continue // gc'd while handling an earlier key this tick
-		}
-		if p := m.pend; p != nil {
-			if now >= p.resendAt {
-				h.metrics.Retransmits++
-				p.resendAt = now + h.cfg.MLT
-				h.broadcastINV(k, p)
+	if now >= h.nextDue {
+		// The walk re-counts every deadline it leaves armed; the ones it
+		// re-arms are counted by arm.
+		h.nextDue = noDeadline
+		for _, k := range h.sortedMetaKeys() {
+			m := h.meta[k]
+			if m == nil {
+				continue // gc'd while handling an earlier key this tick
 			}
-			continue
-		}
-		if m.replayAt != 0 && now >= m.replayAt {
-			if headOf(h.slotOf(k, m)).State == kvs.Invalid {
-				h.startReplay(k, m)
-			} else {
-				m.replayAt = 0
-				h.gc(k, m)
+			h.tickKey(k, m, now)
+			if m := h.meta[k]; m != nil {
+				h.nextDue = min(h.nextDue, m.due())
 			}
 		}
 	}
@@ -1055,6 +1058,49 @@ func (h *Hermes) Tick() {
 	if h.learner && !h.fetchDone && (!h.fetchBusy || now >= h.fetchRetryAt) {
 		h.fetchNextChunk()
 	}
+}
+
+// tickKey fires k's retransmission or replay if its deadline has passed.
+func (h *Hermes) tickKey(k proto.Key, m *keyMeta, now time.Duration) {
+	if p := m.pend; p != nil {
+		if now >= p.resendAt {
+			h.metrics.Retransmits++
+			p.resendAt = h.arm(now + h.cfg.MLT)
+			h.broadcastINV(k, p)
+		}
+		return
+	}
+	if m.replayAt != 0 && now >= m.replayAt {
+		if headOf(h.slotOf(k, m)).State == kvs.Invalid {
+			h.startReplay(k, m)
+		} else {
+			m.replayAt = 0
+			h.gc(k, m)
+		}
+	}
+}
+
+// noDeadline is nextDue while nothing is armed.
+const noDeadline = time.Duration(math.MaxInt64)
+
+// arm lowers nextDue to the deadline at, which the caller is arming, and
+// returns at.
+func (h *Hermes) arm(at time.Duration) time.Duration {
+	h.nextDue = min(h.nextDue, at)
+	return at
+}
+
+// due is the earliest deadline armed on m: its pending update's resendAt,
+// its replayAt, or noDeadline.
+func (m *keyMeta) due() time.Duration {
+	d := noDeadline
+	if m.pend != nil {
+		d = m.pend.resendAt
+	}
+	if m.replayAt != 0 {
+		d = min(d, m.replayAt)
+	}
+	return d
 }
 
 // OnViewChange implements proto.Replica: install the m-update (§3.4).
@@ -1111,7 +1157,7 @@ func (h *Hermes) OnViewChange(v proto.View) {
 			p.slipped = true
 		}
 		p.acked.clear()
-		p.resendAt = h.env.Now() + h.cfg.MLT
+		p.resendAt = h.arm(h.env.Now() + h.cfg.MLT)
 		h.broadcastINV(k, p)
 		h.checkCommit(k, m)
 	}

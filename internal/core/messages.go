@@ -62,6 +62,21 @@ func ReleaseMsgOwners(msg any) {
 	}
 }
 
+// MsgKey names the key a message's turn resolves in the store: the key of an
+// INV or a VAL, and false for every other message. An ACK is left out: its
+// coordinator reaches the key's slot through the key's meta, which the update
+// it acknowledges cached. The live event loop prefetches the named keys of a
+// burst before it runs the burst's turns (Hermes.Prefetch).
+func MsgKey(msg any) (proto.Key, bool) {
+	switch m := msg.(type) {
+	case INV:
+		return m.Key, true
+	case VAL:
+		return m.Key, true
+	}
+	return 0, false
+}
+
 // ACK acknowledges an INV. The follower echoes the INV's timestamp so the
 // coordinator can match it to the pending update. Under optimization O3
 // (§3.3) ACKs are broadcast to every replica rather than unicast to the

@@ -32,6 +32,16 @@
 // (GetValid, GetValidInto) refuses a busy or non-Valid word before touching
 // the record, so local linearizable reads never enter the protocol's critical
 // path and never spin.
+//
+// Reaching a cold key costs two dependent cache misses: the index entry, then
+// the slot line it points to. Prefetch pays them for a batch of keys at once,
+// MICA-style: one loop probes the index for every key, a second loads every
+// found slot's state word. Within each loop the loads are independent, so the
+// CPU keeps many misses in flight, and the turns that then act on the keys hit
+// the cache. Nothing between two keys may be a locked instruction or a channel
+// operation (which takes a lock): a locked instruction waits for every earlier
+// load, so a pass interleaved with the inbox receives — prefetch a key, receive
+// the next message — pays its misses one after another again.
 package kvs
 
 import (
@@ -286,6 +296,44 @@ func (t *table) insert(h uint64, k proto.Key, sl *Slot) {
 func (s *Store) Lookup(k proto.Key) *Slot {
 	h := hash(k)
 	return s.shards[h&s.mask].tab.Load().find(h, k)
+}
+
+// prefetchBatch is how many keys one Prefetch pass resolves before it touches
+// their slots: the size of the stack array the first pass fills.
+const prefetchBatch = 32
+
+// Prefetch resolves every key of keys and touches its slot, so that the turns
+// which then act on those keys find the index entries and slot lines cached.
+// It runs two loops per batch of keys: the first probes the index for each
+// key, the second loads each found slot's state word and discards it. Keys
+// never written stay absent: Prefetch never inserts, never spins, takes no
+// lock and allocates nothing, and it has no effect a reader could observe. A
+// lone key is left alone: with no other miss to overlap, the pass would only
+// add a second probe to its turn's.
+func (s *Store) Prefetch(keys []proto.Key) {
+	if len(keys) < 2 {
+		return
+	}
+	var slots [prefetchBatch]*Slot
+	for len(keys) > 0 {
+		n := min(len(keys), prefetchBatch)
+		for i, k := range keys[:n] {
+			slots[i] = s.Lookup(k)
+		}
+		Touch(slots[:n])
+		keys = keys[n:]
+	}
+}
+
+// Touch is Prefetch's second loop, for a caller whose keys span several
+// stores and who resolved their slots with Lookup itself: it loads the state
+// word of every non-nil slot and discards it.
+func Touch(slots []*Slot) {
+	for _, sl := range slots {
+		if sl != nil {
+			sl.w.Load()
+		}
+	}
 }
 
 // Ensure resolves k's slot, creating an empty one (Load reports absent until

@@ -187,6 +187,34 @@ func TestWireReadAllocatesOnce(t *testing.T) {
 	}
 }
 
+// prefetchBackend is inlineBackend with the Prefetcher upgrade; it counts
+// the keys it is handed.
+type prefetchBackend struct {
+	inlineBackend
+	keys *atomic.Int64
+}
+
+func (b prefetchBackend) Prefetch(keys []proto.Key) { b.keys.Add(int64(len(keys))) }
+
+// TestPrefetchingSessionReadAllocatesOnce: a backend with the Prefetcher
+// upgrade is handed every request's key, and the frame scan that collects
+// them adds nothing to a wire read's one allocation.
+func TestPrefetchingSessionReadAllocatesOnce(t *testing.T) {
+	be := prefetchBackend{keys: new(atomic.Int64)}
+	w := newWireReader(t, be)
+	w.read(t, 4*wireReaderWindow)
+	w.drain(t)
+	const batch = 200
+	perBatch := testing.AllocsPerRun(50, func() { w.read(t, batch) })
+	w.drain(t)
+	if perRead := perBatch / batch; perRead > 1.1 {
+		t.Fatalf("a wire read allocates %.2f times, want 1 (the returned value)", perRead)
+	}
+	if got, want := be.keys.Load(), w.issued.Load(); got != want {
+		t.Fatalf("the backend was handed %d keys for %d requests", got, want)
+	}
+}
+
 // BenchmarkWireRead is the same path timed, through the read-into door: run
 // it with -benchmem while changing anything a read crosses.
 func BenchmarkWireRead(b *testing.B) {

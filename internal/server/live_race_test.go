@@ -103,37 +103,27 @@ func hotKeyStorm(t *testing.T, valLen int) {
 
 	var storming atomic.Bool
 	storming.Store(true)
-	writerErr := make(chan error, 1)
-	go func() {
-		defer storming.Store(false)
-		val := make(proto.Value, valLen)
-		for i := 0; i < 400; i++ {
-			fill := byte(i%250 + 1)
-			for j := range val {
-				val[j] = fill
-			}
-			if err := nodes[1].Write(ctx, hot, val); err != nil {
-				writerErr <- err
-				return
-			}
-		}
-		writerErr <- nil
-	}()
 
+	// The readers dial first and the storm starts once all have: 400 writes
+	// can finish in tens of milliseconds, less than 64 dials may take.
 	const readers = 64
-	var wg sync.WaitGroup
+	var wg, dialed sync.WaitGroup
+	start := make(chan struct{})
 	var reads, torn atomic.Int64
 	errs := make(chan error, readers)
+	dialed.Add(readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			c, err := client.Dial(ln.Addr().String(), client.Config{})
+			dialed.Done()
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer c.Close()
+			<-start
 			for storming.Load() {
 				v, err := c.Read(hot)
 				if err != nil {
@@ -155,6 +145,25 @@ func hotKeyStorm(t *testing.T, valLen int) {
 			}
 		}()
 	}
+	dialed.Wait()
+
+	writerErr := make(chan error, 1)
+	go func() {
+		defer storming.Store(false)
+		val := make(proto.Value, valLen)
+		for i := 0; i < 400; i++ {
+			fill := byte(i%250 + 1)
+			for j := range val {
+				val[j] = fill
+			}
+			if err := nodes[1].Write(ctx, hot, val); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+		writerErr <- nil
+	}()
+	close(start)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

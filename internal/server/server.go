@@ -76,6 +76,14 @@ type IntoReader interface {
 	ReadLocalInto(key proto.Key, buf *[kvs.InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool)
 }
 
+// Prefetcher is the backend's store prefetch, detected by type assertion at
+// New: a session hands it the keys of each request frame before it handles
+// the frame's first request, so the frame's store misses overlap instead of
+// being paid one request at a time. cluster.ShardedNode implements it.
+type Prefetcher interface {
+	Prefetch(keys []proto.Key)
+}
+
 // DefaultWindow is the pipelining window granted to clients at handshake.
 const DefaultWindow = 256
 
@@ -100,11 +108,12 @@ type Config struct {
 // (plain or sharded); construct with New, drive with Serve, stop with Close.
 type Server struct {
 	cfg Config
-	// ir and rr are cfg.Backend's IntoReader and RetainedReader upgrades,
-	// nil when the backend lacks them (test fakes, third-party backends,
-	// wrappers that only pass RetainedReader on).
+	// ir, rr and pf are cfg.Backend's IntoReader, RetainedReader and
+	// Prefetcher upgrades, nil when the backend lacks them (test fakes,
+	// third-party backends, wrappers that only pass RetainedReader on).
 	ir IntoReader
 	rr RetainedReader
+	pf Prefetcher
 
 	mu       sync.Mutex
 	lns      []net.Listener
@@ -134,7 +143,8 @@ func New(cfg Config) *Server {
 	}
 	ir, _ := cfg.Backend.(IntoReader)
 	rr, _ := cfg.Backend.(RetainedReader)
-	return &Server{cfg: cfg, ir: ir, rr: rr, sessions: make(map[*session]struct{})}
+	pf, _ := cfg.Backend.(Prefetcher)
+	return &Server{cfg: cfg, ir: ir, rr: rr, pf: pf, sessions: make(map[*session]struct{})}
 }
 
 // ErrServerClosed is returned by Serve after Close.
@@ -294,9 +304,13 @@ func (se *session) run() {
 	if !se.handshake() {
 		return
 	}
+	var prefetch func([]proto.Key)
+	if pf := se.srv.pf; pf != nil {
+		prefetch = pf.Prefetch
+	}
 	// Protocol violations (bad frames, anything but a request, the inflight
 	// bound) are terminal here; only the last is counted.
-	if err := wings.ServeClientReqs(se.conn, se.handle); errors.Is(err, errTooManyInflight) {
+	if err := wings.ServeClientReqs(se.conn, prefetch, se.handle); errors.Is(err, errTooManyInflight) {
 		se.srv.killed.Add(1)
 	}
 }

@@ -201,7 +201,7 @@ func TestServeClientReqsRejectsCredit(t *testing.T) {
 	frame = append(frame, tCredit)
 	frame = binary.LittleEndian.AppendUint32(frame, 2)
 	frame = binary.LittleEndian.AppendUint16(frame, 8)
-	err := ServeClientReqs(bytes.NewReader(frame), func(*proto.ClientReq) error { return nil })
+	err := ServeClientReqs(bytes.NewReader(frame), nil, func(*proto.ClientReq) error { return nil })
 	if !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("tCredit on client session: err=%v, want ErrUnknownType", err)
 	}
@@ -219,7 +219,7 @@ func TestAppendFrameServeClientReqsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []any
-	err = ServeClientReqs(bytes.NewReader(frame), func(m *proto.ClientReq) error {
+	err = ServeClientReqs(bytes.NewReader(frame), nil, func(m *proto.ClientReq) error {
 		got = append(got, *m)
 		return nil
 	})
@@ -282,7 +282,7 @@ func TestClientTypedDoorsMatchGenericCodec(t *testing.T) {
 				t.Fatalf("%v request, value shape %d: typed door wrote\n%x\nAppendFrame\n%x", op, i, got, want)
 			}
 			var typed []any
-			err = ServeClientReqs(bytes.NewReader(want), func(m *proto.ClientReq) error {
+			err = ServeClientReqs(bytes.NewReader(want), nil, func(m *proto.ClientReq) error {
 				typed = append(typed, *m)
 				return nil
 			})

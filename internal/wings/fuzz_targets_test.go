@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -86,6 +87,9 @@ func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
 // both, at the same message, and what they deliver before that are equal
 // requests. (They differ, by design, in how much of a non-request they read
 // before refusing it: the typed loop its tag, the generic decoder all of it.)
+// The typed loop runs twice, without and with a key hook: the hook changes
+// nothing it delivers or refuses, sees each served request's key before that
+// request is delivered, and sees no other key.
 func FuzzClientFrames(f *testing.F) {
 	for _, msgs := range [][]any{
 		{proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 42}},
@@ -106,9 +110,29 @@ func FuzzClientFrames(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0, 1, 0, tCredit, 2, 0, 0, 0, 8, 0})
 	f.Add(append([]byte{32, 0, 0, 0, 1, 0, tClientReq, 25, 0, 0, 0}, clientReqBody(1, 0xEE, 2, nil, nil)...))
 	f.Add(append([]byte{20, 0, 0, 0, 1, 0, tClientResp, 13, 0, 0, 0}, clientRespBody(1, 0xEE, nil)...))
+	// A request body cut short inside its key (16 of 17 bytes), after a good
+	// request; and a count of 0xFFFF over a frame holding one request.
+	good := clientReqBody(1, byte(proto.OpRead), 5, nil, nil)
+	cut := append(append([]byte{0, 0, 0, 0, 2, 0, tClientReq, byte(len(good)), 0, 0, 0}, good...), tClientReq, 16, 0, 0, 0)
+	cut = append(cut, good[:16]...)
+	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
+	f.Add(cut)
+	hostile := append([]byte{0, 0, 0, 0, 0xFF, 0xFF, tClientReq, byte(len(good)), 0, 0, 0}, good...)
+	binary.LittleEndian.PutUint32(hostile, uint32(len(hostile)-4))
+	f.Add(hostile)
+	// More requests in one frame than one call of the hook carries.
+	var many []any
+	for i := 0; i < 2*keyWindow+3; i++ {
+		many = append(many, proto.ClientReq{Seq: uint64(i), Op: proto.OpRead, Key: proto.Key(i * 3)})
+	}
+	manyFrame, err := AppendFrame(nil, many...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(manyFrame)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var typed []proto.ClientReq
-		typedErr := ServeClientReqs(bytes.NewReader(stream), func(m *proto.ClientReq) error {
+		typedErr := ServeClientReqs(bytes.NewReader(stream), nil, func(m *proto.ClientReq) error {
 			typed = append(typed, *m)
 			return nil
 		})
@@ -118,6 +142,27 @@ func FuzzClientFrames(f *testing.F) {
 		}
 		if !reflect.DeepEqual(typed, generic) {
 			t.Fatalf("typed loop delivered %+v, generic decoder %+v", typed, generic)
+		}
+
+		var hooked []proto.ClientReq
+		var seen []proto.Key
+		hookedErr := ServeClientReqs(bytes.NewReader(stream), func(keys []proto.Key) {
+			seen = append(seen, keys...)
+		}, func(m *proto.ClientReq) error {
+			if len(seen) <= len(hooked) || seen[len(hooked)] != m.Key {
+				t.Fatalf("request %d (key %d) delivered before the hook saw its key (saw %v)", len(hooked), m.Key, seen)
+			}
+			hooked = append(hooked, *m)
+			return nil
+		})
+		if fmt.Sprint(hookedErr) != fmt.Sprint(typedErr) {
+			t.Fatalf("with the key hook the loop ended with %v, without it with %v", hookedErr, typedErr)
+		}
+		if !reflect.DeepEqual(hooked, typed) {
+			t.Fatalf("with the key hook the loop delivered %+v, without it %+v", hooked, typed)
+		}
+		if len(seen) != len(hooked) {
+			t.Fatalf("the hook saw %d keys for %d served requests: %v", len(seen), len(hooked), seen)
 		}
 	})
 }

@@ -339,6 +339,18 @@ func appendClientReqBody(buf []byte, m *proto.ClientReq) []byte {
 // field; Value and Expected are private copies, bounded by the bytes present
 // before they are allocated (reader.bytes). An op outside the enum is refused:
 // the server must never see an op kind it cannot dispatch.
+// clientReqKey is readClientReq's verdict on body without its copies: the
+// request's key, and whether readClientReq accepts the body.
+func clientReqKey(body []byte) (proto.Key, bool) {
+	r := reader{b: body}
+	r.u64()
+	op := proto.OpKind(r.u8())
+	k := proto.Key(r.u64())
+	r.bytesRef()
+	r.bytesRef()
+	return k, r.err == nil && op <= proto.OpFAA
+}
+
 func readClientReq(r *reader, m *proto.ClientReq) error {
 	m.Seq = r.u64()
 	m.Op = proto.OpKind(r.u8())
@@ -1419,7 +1431,13 @@ func AppendFrame(buf []byte, msgs ...any) ([]byte, error) {
 // *req lives in the loop and is overwritten by the next message, so it is
 // valid until fn returns; its Value and Expected are private copies fn may
 // keep (a write's value is the stored value from there on).
-func ServeClientReqs(rd io.Reader, fn func(req *proto.ClientReq) error) error {
+//
+// keys, when non-nil, is handed the keys of a frame's requests before the
+// first of them reaches fn, keyWindow at a time (the server prefetches them
+// from its store). It sees only keys of requests the decoder accepts: the
+// look-ahead stops at the first entry that would end the stream. The slice
+// is valid until keys returns.
+func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.ClientReq) error) error {
 	br := bufio.NewReaderSize(rd, 64<<10)
 	var req proto.ClientReq
 	msg := func(t uint8, body []byte) error {
@@ -1431,10 +1449,46 @@ func ServeClientReqs(rd io.Reader, fn func(req *proto.ClientReq) error) error {
 		}
 		return fn(&req)
 	}
+	var ahead *keyAhead
+	if keys != nil {
+		ahead = &keyAhead{fn: keys}
+	}
 	for {
-		if err := servePooledFrame(br, msg); err != nil {
+		if err := servePooledFrame(br, ahead, msg); err != nil {
 			return err
 		}
+	}
+}
+
+// keyWindow is how many requests' keys one call of ServeClientReqs' key hook
+// carries.
+const keyWindow = 32
+
+// keyAhead is ServeClientReqs' key hook and the buffer it is handed.
+type keyAhead struct {
+	fn  func([]proto.Key)
+	buf [keyWindow]proto.Key
+}
+
+// scan hands fn the keys of up to keyWindow entries of frame, the first at
+// off and left of them still in the frame. It stops at the first entry the
+// serve loop would refuse — a broken length, another tag, a body
+// readClientReq rejects — so fn never sees a key the decoder refuses.
+func (a *keyAhead) scan(frame []byte, off, left int) {
+	keys := a.buf[:0]
+	for ; left > 0 && len(keys) < keyWindow; left-- {
+		t, body, err := nextMsg(frame, &off)
+		if err != nil || t != tClientReq {
+			break
+		}
+		k, ok := clientReqKey(body)
+		if !ok {
+			break
+		}
+		keys = append(keys, k)
+	}
+	if len(keys) > 0 {
+		a.fn(keys)
 	}
 }
 
@@ -1472,7 +1526,7 @@ func (l *Link) ServeClientResps(rd io.Reader, fn func(resp *proto.ClientResp)) e
 		return nil
 	}
 	for {
-		if err := servePooledFrame(br, msg); err != nil {
+		if err := servePooledFrame(br, nil, msg); err != nil {
 			return err
 		}
 		l.stats.framesRecv.Add(1)
@@ -1484,8 +1538,10 @@ func (l *Link) ServeClientResps(rd io.Reader, fn func(resp *proto.ClientResp)) e
 
 // servePooledFrame reads one frame for the client session loops, holding a
 // pooled buffer for exactly its duration, and hands each entry's tag and body
-// to msg; a non-nil error from msg ends the frame and is returned.
-func servePooledFrame(br *bufio.Reader, msg func(t uint8, body []byte) error) error {
+// to msg; a non-nil error from msg ends the frame and is returned. A non-nil
+// ahead scans the next keyWindow entries before every keyWindow-th entry is
+// handed over.
+func servePooledFrame(br *bufio.Reader, ahead *keyAhead, msg func(t uint8, body []byte) error) error {
 	n, err := readFrameLen(br)
 	if err != nil {
 		return err
@@ -1501,6 +1557,9 @@ func servePooledFrame(br *bufio.Reader, msg func(t uint8, body []byte) error) er
 	}
 	count := int(binary.LittleEndian.Uint16(frame))
 	for i, off := 0, 2; i < count; i++ {
+		if ahead != nil && i%keyWindow == 0 {
+			ahead.scan(frame, off, count-i)
+		}
 		t, body, err := nextMsg(frame, &off)
 		if err != nil {
 			return err
