@@ -1,8 +1,6 @@
 package wings
 
 import (
-	"bufio"
-	"bytes"
 	"runtime"
 	"testing"
 
@@ -93,7 +91,8 @@ func TestSendBufferRecycledNotRetainedPastCap(t *testing.T) {
 // TestServeShardBatchAllocationBudget: a received 16-ACK batch costs one box
 // per inner message — forced by proto.ShardMsg.Msg being an interface — and
 // one for the envelope handed to fn (func(any)); the slice holding the
-// entries is the serve loop's scratch and the frame buffer is pooled.
+// entries is the serve loop's scratch and the frame buffer is pooled. The
+// frame handler is called with the body as the stream reader hands it over.
 func TestServeShardBatchAllocationBudget(t *testing.T) {
 	var sb proto.ShardBatch
 	for i := 0; i < 16; i++ {
@@ -105,14 +104,10 @@ func TestServeShardBatchAllocationBudget(t *testing.T) {
 	}
 	l := NewLink(sink{}, LinkConfig{})
 	defer l.Close()
-	rd := bytes.NewReader(frame)
-	br := bufio.NewReader(rd)
 	var scratch []proto.ShardMsg
 	got := 0
 	serve := func() {
-		rd.Reset(frame)
-		br.Reset(rd)
-		if err := l.serveFrame(br, func(m any) { got += len(m.(proto.ShardBatch).Msgs) }, &scratch); err != nil {
+		if err := l.serveFrame(frame[4:], func(m any) { got += len(m.(proto.ShardBatch).Msgs) }, &scratch); err != nil {
 			t.Fatal(err)
 		}
 	}

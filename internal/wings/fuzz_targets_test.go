@@ -1,7 +1,6 @@
 package wings
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -48,21 +47,25 @@ func FuzzDecodeMsg(f *testing.F) {
 	})
 }
 
-// genericClientReqs is FuzzClientFrames' reference: the frame walk every
-// serve loop does, each message through decodeMsg — the decoder all message
-// types share — and only then asked whether it is a request, which is how the
-// server read its stream before it had a typed loop.
+// genericClientReqs is FuzzClientFrames' reference: a frame walk of its own
+// over the whole stream, sharing no code with the stream reader under test,
+// each message through decodeMsg — the decoder all message types share — and
+// only then asked whether it is a request, which is how the server read its
+// stream before it had a typed loop.
 func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
-	br := bufio.NewReader(bytes.NewReader(stream))
-	for {
-		n, err := readFrameLen(br)
-		if err != nil {
-			return reqs, err
+	for len(stream) > 0 {
+		if len(stream) < 4 {
+			return reqs, io.ErrUnexpectedEOF
 		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return reqs, err
+		n := int(binary.LittleEndian.Uint32(stream))
+		if n < 2 || n > maxFrame {
+			return reqs, fmt.Errorf("bad frame length %d", n)
 		}
+		if len(stream)-4 < n {
+			return reqs, io.ErrUnexpectedEOF
+		}
+		frame := stream[4 : 4+n]
+		stream = stream[4+n:]
 		count := int(binary.LittleEndian.Uint16(frame))
 		for i, off := 0, 2; i < count; i++ {
 			tag, body, err := nextMsg(frame, &off)
@@ -80,6 +83,7 @@ func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
 			reqs = append(reqs, req)
 		}
 	}
+	return reqs, io.EOF
 }
 
 // FuzzClientFrames holds the server's typed loop to the generic decoder on
@@ -91,45 +95,9 @@ func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
 // nothing it delivers or refuses, sees each served request's key before that
 // request is delivered, and sees no other key.
 func FuzzClientFrames(f *testing.F) {
-	for _, msgs := range [][]any{
-		{proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 42}},
-		{proto.ClientReq{Seq: 2, Op: proto.OpCAS, Key: 7, Value: proto.Value("new"), Expected: proto.Value("old")},
-			proto.ClientReq{Seq: 3, Op: proto.OpFAA, Key: 8, Value: proto.EncodeInt64(5)}},
-		{proto.ClientReq{Seq: 4, Op: proto.OpWrite, Key: 9, Value: make(proto.Value, 32)},
-			proto.ClientResp{Seq: 4, Status: proto.OK}},
-		{proto.ClientResp{Seq: 5, Status: proto.CASFailed, Value: proto.Value("observed")}},
-		{core.ACK{Epoch: 1, Key: 1}},
-	} {
-		frame, err := AppendFrame(nil, msgs...)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame)
+	for _, seed := range clientFrameSeeds(f) {
+		f.Add(seed)
 	}
-	// Hand-built: a credit grant, and an op and a status outside their enums.
-	f.Add([]byte{9, 0, 0, 0, 1, 0, tCredit, 2, 0, 0, 0, 8, 0})
-	f.Add(append([]byte{32, 0, 0, 0, 1, 0, tClientReq, 25, 0, 0, 0}, clientReqBody(1, 0xEE, 2, nil, nil)...))
-	f.Add(append([]byte{20, 0, 0, 0, 1, 0, tClientResp, 13, 0, 0, 0}, clientRespBody(1, 0xEE, nil)...))
-	// A request body cut short inside its key (16 of 17 bytes), after a good
-	// request; and a count of 0xFFFF over a frame holding one request.
-	good := clientReqBody(1, byte(proto.OpRead), 5, nil, nil)
-	cut := append(append([]byte{0, 0, 0, 0, 2, 0, tClientReq, byte(len(good)), 0, 0, 0}, good...), tClientReq, 16, 0, 0, 0)
-	cut = append(cut, good[:16]...)
-	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
-	f.Add(cut)
-	hostile := append([]byte{0, 0, 0, 0, 0xFF, 0xFF, tClientReq, byte(len(good)), 0, 0, 0}, good...)
-	binary.LittleEndian.PutUint32(hostile, uint32(len(hostile)-4))
-	f.Add(hostile)
-	// More requests in one frame than one call of the hook carries.
-	var many []any
-	for i := 0; i < 2*keyWindow+3; i++ {
-		many = append(many, proto.ClientReq{Seq: uint64(i), Op: proto.OpRead, Key: proto.Key(i * 3)})
-	}
-	manyFrame, err := AppendFrame(nil, many...)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(manyFrame)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var typed []proto.ClientReq
 		typedErr := ServeClientReqs(bytes.NewReader(stream), nil, func(m *proto.ClientReq) error {
@@ -167,21 +135,74 @@ func FuzzClientFrames(f *testing.F) {
 	})
 }
 
+// clientFrameSeeds is FuzzClientFrames' seed corpus: client-session streams,
+// well-formed and hostile.
+func clientFrameSeeds(tb testing.TB) (seeds [][]byte) {
+	for _, msgs := range [][]any{
+		{proto.ClientReq{Seq: 1, Op: proto.OpRead, Key: 42}},
+		{proto.ClientReq{Seq: 2, Op: proto.OpCAS, Key: 7, Value: proto.Value("new"), Expected: proto.Value("old")},
+			proto.ClientReq{Seq: 3, Op: proto.OpFAA, Key: 8, Value: proto.EncodeInt64(5)}},
+		{proto.ClientReq{Seq: 4, Op: proto.OpWrite, Key: 9, Value: make(proto.Value, 32)},
+			proto.ClientResp{Seq: 4, Status: proto.OK}},
+		{proto.ClientResp{Seq: 5, Status: proto.CASFailed, Value: proto.Value("observed")}},
+		{core.ACK{Epoch: 1, Key: 1}},
+	} {
+		frame, err := AppendFrame(nil, msgs...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, frame)
+	}
+	// Hand-built: a credit grant, and an op and a status outside their enums.
+	seeds = append(seeds, []byte{9, 0, 0, 0, 1, 0, tCredit, 2, 0, 0, 0, 8, 0})
+	seeds = append(seeds, append([]byte{32, 0, 0, 0, 1, 0, tClientReq, 25, 0, 0, 0}, clientReqBody(1, 0xEE, 2, nil, nil)...))
+	seeds = append(seeds, append([]byte{20, 0, 0, 0, 1, 0, tClientResp, 13, 0, 0, 0}, clientRespBody(1, 0xEE, nil)...))
+	// A request body cut short inside its key (16 of 17 bytes), after a good
+	// request; and a count of 0xFFFF over a frame holding one request.
+	good := clientReqBody(1, byte(proto.OpRead), 5, nil, nil)
+	cut := append(append([]byte{0, 0, 0, 0, 2, 0, tClientReq, byte(len(good)), 0, 0, 0}, good...), tClientReq, 16, 0, 0, 0)
+	cut = append(cut, good[:16]...)
+	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
+	seeds = append(seeds, cut)
+	hostile := append([]byte{0, 0, 0, 0, 0xFF, 0xFF, tClientReq, byte(len(good)), 0, 0, 0}, good...)
+	binary.LittleEndian.PutUint32(hostile, uint32(len(hostile)-4))
+	seeds = append(seeds, hostile)
+	// More requests in one frame than one call of the hook carries.
+	var many []any
+	for i := 0; i < 2*keyWindow+3; i++ {
+		many = append(many, proto.ClientReq{Seq: uint64(i), Op: proto.OpRead, Key: proto.Key(i * 3)})
+	}
+	manyFrame, err := AppendFrame(nil, many...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, manyFrame)
+	return seeds
+}
+
 // FuzzDecodeOne drives the whole-frame decoder (length header included).
 func FuzzDecodeOne(f *testing.F) {
-	for _, m := range sampleMessages() {
-		frame, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame)
+	for _, seed := range linkFrameSeeds(f) {
+		f.Add(seed)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
-	f.Add(hdr[:])
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		_, _ = DecodeOne(frame) // must not panic
 	})
+}
+
+// linkFrameSeeds is FuzzDecodeOne's seed corpus: one frame of every sample
+// message, and a length header past maxFrame.
+func linkFrameSeeds(tb testing.TB) (seeds [][]byte) {
+	for _, m := range sampleMessages() {
+		frame, err := Encode(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, frame)
+	}
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
+	return append(seeds, hdr[:])
 }
 
 // FuzzEpochGossipCount targets the tEpochGossip shard-count bound: a count

@@ -12,10 +12,17 @@
 // packets) have no software-visible protocol effect and are represented by
 // their closest stream analogue: one syscall per batch and a 1-byte credit
 // frame.
+//
+// One syscall per batch holds on the read side too. Every serve loop — the
+// mesh link's Serve and the client session's two typed loops — runs on one
+// frame reader (serveFrames) with a fixed 64 KiB buffer. On a Linux TCP
+// socket it receives inside a single RawConn.Read, which arms the poller
+// once, and parks on readiness as soon as TCP_INQ says the socket is
+// drained: a net.Conn.Read re-arms the poller on every call, so a caught-up
+// loop pays a second, probing read per frame only to be told EAGAIN.
 package wings
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -1123,41 +1130,12 @@ func (l *Link) flushLoop() {
 	}
 }
 
-// framePool recycles inbound frame buffers for the client session loops
-// (ServeClientReqs, ServeClientResps): there the decoder copies every
-// variable-length payload out of the frame, so nothing escapes it and the
-// buffer can be reused as soon as the frame's messages have been dispatched.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
 // frameBufs recycles the refcounted frame buffers of the link serve path,
 // where decoded INV values alias the frame (see decodeMsg): the serve loop
 // holds the initial reference for the frame's duration and each zero-copy
 // value holds its own, so the buffer returns to the pool only when the
 // store (or a drop path) releases the last adopted value.
 var frameBufs = refbuf.NewPool()
-
-// readFrameLen reads a frame's 4-byte length prefix and bounds it. It peeks
-// into the reader's own buffer instead of reading into a local array, which
-// would escape through the io.Reader call and cost an allocation per frame.
-// A stream that ends on a frame boundary reports io.EOF, inside the prefix
-// io.ErrUnexpectedEOF — what io.ReadFull reported.
-func readFrameLen(br *bufio.Reader) (int, error) {
-	hdr, err := br.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr))
-	if _, err := br.Discard(4); err != nil {
-		return 0, err
-	}
-	if n < 2 || n > maxFrame {
-		return 0, fmt.Errorf("wings: bad frame length %d", n)
-	}
-	return n, nil
-}
 
 // nextMsg cuts the [1B type][4B length][body] entry at *off out of frame and
 // moves *off past it; a length the frame does not hold is a truncated or
@@ -1182,36 +1160,31 @@ func nextMsg(frame []byte, off *int) (t uint8, body []byte, err error) {
 // reuses for the next batch (and clears once fn is back), so fn must copy out
 // whatever it keeps: the inner messages — what every router forwards — are
 // values of their own and stay valid; the slice holding them does not.
+//
+// rd is read by serveFrames; on a TCP conn on Linux the loop owns the conn's
+// read deadline until it returns, as do ServeClientReqs and ServeClientResps.
 func (l *Link) Serve(rd io.Reader, fn func(msg any)) error {
-	br := bufio.NewReaderSize(rd, 64<<10)
 	var batch []proto.ShardMsg
-	for {
-		if err := l.serveFrame(br, fn, &batch); err != nil {
-			return err
-		}
-	}
+	return serveFrames(rd, func(body []byte) error {
+		return l.serveFrame(body, fn, &batch)
+	})
 }
 
 // maxBatchScratch caps the decoded-batch scratch a serve loop keeps between
 // frames (24 B an entry); a larger batch decodes into a slice of its own.
 const maxBatchScratch = 1024
 
-// serveFrame reads and dispatches one frame. The frame buffer is refcounted:
-// the serve loop's own reference lasts exactly the frame's duration, while
-// zero-copy INV values decoded out of it carry their own references, so a
-// frame with adopted values outlives this call and is pooled again only when
-// the store releases the last one. batch is Serve's ShardBatch scratch.
-func (l *Link) serveFrame(br *bufio.Reader, fn func(msg any), batch *[]proto.ShardMsg) error {
-	n, err := readFrameLen(br)
-	if err != nil {
-		return err
-	}
-	fb := frameBufs.Get(n)
+// serveFrame dispatches one frame body. It is copied out of the read buffer
+// into a refcounted frame buffer: the serve loop's own reference lasts
+// exactly the frame's duration, while zero-copy INV values decoded out of it
+// carry their own references, so a frame with adopted values outlives this
+// call and is pooled again only when the store releases the last one. batch
+// is Serve's ShardBatch scratch.
+func (l *Link) serveFrame(body []byte, fn func(msg any), batch *[]proto.ShardMsg) error {
+	fb := frameBufs.Get(len(body))
 	defer fb.Release()
 	frame := fb.Bytes()
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return err
-	}
+	copy(frame, body)
 	count := int(binary.LittleEndian.Uint16(frame[:2]))
 	off := 2
 	l.stats.framesRecv.Add(1)
@@ -1438,7 +1411,6 @@ func AppendFrame(buf []byte, msgs ...any) ([]byte, error) {
 // look-ahead stops at the first entry that would end the stream. The slice
 // is valid until keys returns.
 func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.ClientReq) error) error {
-	br := bufio.NewReaderSize(rd, 64<<10)
 	var req proto.ClientReq
 	msg := func(t uint8, body []byte) error {
 		if t != tClientReq {
@@ -1453,11 +1425,9 @@ func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.Cl
 	if keys != nil {
 		ahead = &keyAhead{fn: keys}
 	}
-	for {
-		if err := servePooledFrame(br, ahead, msg); err != nil {
-			return err
-		}
-	}
+	return serveFrames(rd, func(frame []byte) error {
+		return eachMsg(frame, ahead, msg)
+	})
 }
 
 // keyWindow is how many requests' keys one call of ServeClientReqs' key hook
@@ -1504,7 +1474,11 @@ func (a *keyAhead) scan(frame []byte, off, left int) {
 // *resp lives in the loop: valid until fn returns, its Value a private copy
 // fn may keep.
 func (l *Link) ServeClientResps(rd io.Reader, fn func(resp *proto.ClientResp)) error {
-	br := bufio.NewReaderSize(rd, 64<<10)
+	return serveFrames(rd, l.clientRespFrames(fn))
+}
+
+// clientRespFrames is ServeClientResps' frame handler.
+func (l *Link) clientRespFrames(fn func(resp *proto.ClientResp)) func(frame []byte) error {
 	var resp proto.ClientResp
 	resps := 0 // in the frame being served
 	msg := func(t uint8, body []byte) error {
@@ -1525,36 +1499,23 @@ func (l *Link) ServeClientResps(rd io.Reader, fn func(resp *proto.ClientResp)) e
 		}
 		return nil
 	}
-	for {
-		if err := servePooledFrame(br, nil, msg); err != nil {
+	return func(frame []byte) error {
+		resps = 0
+		if err := eachMsg(frame, nil, msg); err != nil {
 			return err
 		}
 		l.stats.framesRecv.Add(1)
 		l.stats.msgsRecv.Add(uint64(resps))
 		l.RepayCredits(resps)
-		resps = 0
+		return nil
 	}
 }
 
-// servePooledFrame reads one frame for the client session loops, holding a
-// pooled buffer for exactly its duration, and hands each entry's tag and body
-// to msg; a non-nil error from msg ends the frame and is returned. A non-nil
-// ahead scans the next keyWindow entries before every keyWindow-th entry is
-// handed over.
-func servePooledFrame(br *bufio.Reader, ahead *keyAhead, msg func(t uint8, body []byte) error) error {
-	n, err := readFrameLen(br)
-	if err != nil {
-		return err
-	}
-	bufp := framePool.Get().(*[]byte)
-	defer framePool.Put(bufp)
-	if cap(*bufp) < n {
-		*bufp = make([]byte, n)
-	}
-	frame := (*bufp)[:n]
-	if _, err := io.ReadFull(br, frame); err != nil {
-		return err
-	}
+// eachMsg hands msg the tag and body of each entry of a client-session frame
+// body, in place; a non-nil error from msg ends the frame and is returned.
+// A non-nil ahead scans the next keyWindow entries before every keyWindow-th
+// entry is handed over.
+func eachMsg(frame []byte, ahead *keyAhead, msg func(t uint8, body []byte) error) error {
 	count := int(binary.LittleEndian.Uint16(frame))
 	for i, off := 0, 2; i < count; i++ {
 		if ahead != nil && i%keyWindow == 0 {
