@@ -16,10 +16,15 @@ import (
 //     OnViewChange on the Hermes state machine (the on* handlers are reached
 //     transitively);
 //   - in a package named "cluster": Send/Complete methods on types whose
-//     name contains "Env" or "Transport" — the proto.Env and Transport
-//     implementations the state machine calls back into from handler code —
-//     and their handOff method, which the event loop calls itself to end a
-//     burst of turns (where Send only stages, handOff is the egress).
+//     name contains "Env" or "Transport" — the Transport implementations
+//     and the engine's clock and completion sink, which handler code calls
+//     back into — and handOff, which the event loop calls itself to end a
+//     burst of turns;
+//   - in a package named "shardhost": Send and Flush on Egress, the stager
+//     every shard engine has as its proto.Env. Send stages or puts a message
+//     on the wire from handler code, and Flush is the egress handOff
+//     performs. The stager lives outside cluster, and the analyzer follows
+//     same-package edges only, so it is rooted where it is defined.
 //
 // The analyzer is a client of the Engine: it follows the engine's
 // same-package call edges from the roots and reports every site of the
@@ -35,7 +40,9 @@ var EventLoopAnalyzer = &Analyzer{
 }
 
 func runEventLoop(pass *Pass) {
-	if pass.Pkg.Name() != "core" && pass.Pkg.Name() != "cluster" {
+	switch pass.Pkg.Name() {
+	case "core", "cluster", "shardhost":
+	default:
 		return
 	}
 	eng := pass.engine()
@@ -66,17 +73,16 @@ var coreHandlerNames = map[string]bool{
 	"Deliver": true, "Submit": true, "Tick": true, "OnViewChange": true,
 }
 
-var clusterCallbackNames = map[string]bool{
-	"Send": true, "Complete": true, "handOff": true,
-}
-
 func isEventLoopRoot(pkg string, fn *types.Func) bool {
-	recv := recvTypeName(fn)
+	recv, name := recvTypeName(fn), fn.Name()
 	switch pkg {
 	case "core":
-		return recv == "Hermes" && coreHandlerNames[fn.Name()]
+		return recv == "Hermes" && coreHandlerNames[name]
 	case "cluster":
-		return clusterCallbackNames[fn.Name()] && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
+		return name == "handOff" ||
+			(name == "Send" || name == "Complete") && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
+	case "shardhost":
+		return recv == "Egress" && (name == "Send" || name == "Flush")
 	}
 	return false
 }

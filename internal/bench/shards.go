@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -13,28 +12,16 @@ import (
 
 // ShardWorkerOf routes simulated work to the host worker owning its key —
 // the cost-model counterpart of the live ShardedNode's dispatch: client ops
-// and key-carrying protocol messages go to ShardOf(key); instance-scoped
-// traffic (membership checks, chunk transfer) to worker 0.
+// and key-carrying protocol messages go to ShardOf(key) (shardhost.OwnerOf);
+// instance-scoped traffic (membership checks, chunk transfer) to worker 0.
 func ShardWorkerOf(w int) func(msg any) int {
 	return func(msg any) int {
-		switch m := msg.(type) {
-		case proto.ClientOp:
-			return int(proto.ShardOf(m.Key, w))
-		case core.INV:
-			return int(proto.ShardOf(m.Key, w))
-		case core.ACK:
-			return int(proto.ShardOf(m.Key, w))
-		case core.VAL:
-			return int(proto.ShardOf(m.Key, w))
+		if op, ok := msg.(proto.ClientOp); ok {
+			return int(proto.ShardOf(op.Key, w))
 		}
-		return 0
+		return int(shardhost.OwnerOf(w, msg, 0))
 	}
 }
-
-// coalesceWindow approximates how long the live per-peer flusher gathers
-// messages while its previous wire write is in flight — on the order of the
-// fabric's base latency.
-const coalesceWindow = time.Microsecond
 
 // shardCounts are the x-axis of the scaling run: 1 worker up to the paper's
 // multi-worker regime.
@@ -48,21 +35,20 @@ var shardCounts = []int{1, 2, 4, 8}
 // shards commit fully in parallel and throughput scales with W until the
 // offered load (closed-loop sessions) runs out. Per-shard columns report
 // the min/max committed-writes/s across shards (uniform keys keep them
-// close) and the worker utilization spread.
-//
-// At W>1 cross-shard egress coalescing is on, as in the live ShardedNode:
-// frames/wr counts wire frames per committed write (what the coalescer
-// cuts), msgs/wr counts protocol messages per committed write (invariant
-// under coalescing — the protocol still exchanges the same INVs and ACKs).
+// close) and the worker utilization spread; msgs/wr counts protocol
+// messages per committed write. Each node is a plain core.Hermes with its
+// workers modeled by sim.Config.Workers, so every message is its own frame:
+// the live egress stager's frame savings are pinned by cluster's
+// TestOneWritePerPeerPerBurst, not modeled here.
 func ShardScaling(sc Scale) *stats.Table {
 	t := &stats.Table{Header: []string{
 		"shards", "writes/s(M)", "speedup", "p50(us)", "p99(us)",
-		"frames/wr", "msgs/wr", "shard-min(M/s)", "shard-max(M/s)", "util%",
+		"msgs/wr", "shard-min(M/s)", "shard-max(M/s)", "util%",
 	}}
 	var base float64
 	for _, w := range shardCounts {
 		perShard := make([]uint64, w)
-		res, c := runShardPoint(sc, w, w > 1, func(comp proto.Completion) {
+		res, c := runShardPoint(sc, w, func(comp proto.Completion) {
 			perShard[proto.ShardOf(comp.Key, w)]++
 		})
 		if w == shardCounts[0] {
@@ -86,7 +72,6 @@ func ShardScaling(sc Scale) *stats.Table {
 		t.AddRow(w, Mops(res.Throughput),
 			fmt.Sprintf("%.2fx", res.Throughput/base),
 			Micros(res.All.Median()), Micros(res.All.P99()),
-			fmt.Sprintf("%.2f", float64(res.FramesSent)/float64(res.Ops)),
 			fmt.Sprintf("%.2f", float64(res.MsgsSent)/float64(res.Ops)),
 			Mops(float64(minC)/secs), Mops(float64(maxC)/secs),
 			fmt.Sprintf("%.0f", util*100))
@@ -98,8 +83,8 @@ func ShardScaling(sc Scale) *stats.Table {
 // 3-node Hermes group, write-only uniform workload, with enough closed-loop
 // concurrency (32× the scale's sessions) to saturate the widest engine —
 // closed-loop sessions must cover capacity × latency.
-func runShardPoint(sc Scale, w int, coalesce bool, observer func(proto.Completion)) (sim.Result, *sim.Cluster) {
-	cfg := sim.Config{
+func runShardPoint(sc Scale, w int, observer func(proto.Completion)) (sim.Result, *sim.Cluster) {
+	c := sim.New(sim.Config{
 		Nodes:    3,
 		Factory:  Factory(Hermes),
 		Net:      sim.DefaultNet(),
@@ -108,14 +93,7 @@ func runShardPoint(sc Scale, w int, coalesce bool, observer func(proto.Completio
 		SizeOf:   SizeOf,
 		Workers:  w,
 		WorkerOf: ShardWorkerOf(w),
-	}
-	if coalesce {
-		// core.Coalescable is the live coalescer's own target predicate, so
-		// the simulated wire models exactly what ShardedNode batches.
-		cfg.CoalesceWindow = coalesceWindow
-		cfg.Coalescable = core.Coalescable
-	}
-	c := sim.New(cfg)
+	})
 	res := c.RunWorkload(sim.WorkloadParams{
 		Workload: workload.Config{
 			Keys:       sc.Keys,
@@ -135,17 +113,7 @@ func runShardPoint(sc Scale, w int, coalesce bool, observer func(proto.Completio
 // returns their aggregate committed-write throughputs (the acceptance
 // check W=4 ≥ 2×W=1 uses it; keeps the table rendering out of tests).
 func ShardScalingSpeedup(sc Scale, w1, w2 int) (float64, float64) {
-	r1, _ := runShardPoint(sc, w1, w1 > 1, nil)
-	r2, _ := runShardPoint(sc, w2, w2 > 1, nil)
+	r1, _ := runShardPoint(sc, w1, nil)
+	r2, _ := runShardPoint(sc, w2, nil)
 	return r1.Throughput, r2.Throughput
-}
-
-// ShardCoalescingSavings measures frames per committed write at shard count
-// w with coalescing off (the pre-coalescing wire: every ACK/VAL its own
-// frame) and on. The coalesced figure must come out measurably lower — that
-// is the point of the ShardBatch envelope.
-func ShardCoalescingSavings(sc Scale, w int) (framesPerWriteOff, framesPerWriteOn float64) {
-	off, _ := runShardPoint(sc, w, false, nil)
-	on, _ := runShardPoint(sc, w, true, nil)
-	return float64(off.FramesSent) / float64(off.Ops), float64(on.FramesSent) / float64(on.Ops)
 }

@@ -25,19 +25,3 @@ func TestShardScalingTableRenders(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
-
-// The tentpole claim of cross-shard ACK coalescing: at W=4 the coalesced
-// path ships measurably fewer wire frames per committed write than the
-// uncoalesced baseline (which is byte-identical to the pre-coalescing
-// protocol) — at least 10% fewer, at quick scale.
-func TestShardCoalescingCutsFramesPerWrite(t *testing.T) {
-	off, on := ShardCoalescingSavings(QuickScale(), 4)
-	if off <= 0 || on <= 0 {
-		t.Fatalf("degenerate measurements: off=%.2f on=%.2f", off, on)
-	}
-	if on >= off*0.9 {
-		t.Fatalf("coalescing saved too little at W=4: %.2f frames/write vs %.2f baseline", on, off)
-	}
-	t.Logf("W=4 frames/write: %.2f uncoalesced -> %.2f coalesced (%.0f%% fewer)",
-		off, on, (1-on/off)*100)
-}

@@ -81,6 +81,24 @@ func TestNothingStaysStaged(t *testing.T) {
 		waitFor(t, "the write's INV", func() bool { return invsSent(tr, key, 1) == 1 })
 		sn.InstallView(proto.View{Epoch: 2, Members: []proto.NodeID{0, 1}})
 		waitFor(t, "the install's replayed INV", func() bool { return invsSent(tr, key, 2) == 1 })
+		// CoalesceStats counts at the hand-off exactly what left the stages.
+		waitFor(t, "CoalesceStats to count the sends", func() bool {
+			var want [4]uint64
+			for _, s := range tr.sends() {
+				switch f := s.msg.(type) {
+				case proto.ShardBatch:
+					want[0]++
+					want[1] += uint64(len(f.Msgs))
+				case proto.ShardMsg:
+					switch f.Msg.(type) {
+					case core.INV, core.ACK, core.VAL:
+						want[2]++
+					}
+				}
+			}
+			b, c, singles, dropped := sn.CoalesceStats()
+			return [4]uint64{b, c, singles, dropped} == want && want[2] >= 2
+		})
 	})
 
 	t.Run("tick", func(t *testing.T) {

@@ -10,9 +10,11 @@
 // shard, each owning one protocol state machine
 // (Submit/Deliver/Tick/OnViewChange are never called concurrently on it).
 // Which shard a message belongs to, what an m-update installs where, the
-// view log, the staggered roll of node-wide views and epoch gossip are
-// internal/shardhost's — the code the simulator runs too; one control-plane
-// goroutine per node steps it (ShardedNode.control). Local linearizable
+// view log, the staggered roll of node-wide views, epoch gossip and how an
+// engine's sends are staged into batches are internal/shardhost's — the code
+// the simulator runs too; one control-plane goroutine per node steps it
+// (ShardedNode.control), and each event loop flushes its engine's stager at
+// the end of every burst (Shard.loop). Local linearizable
 // reads take the HermesKV fast path (§4.1): gated by core.ReadGate they
 // consult the shared kvs.Store directly on the caller's goroutine, and only
 // enter the event loop when the key is not Valid, the gate is shut (view
@@ -30,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvs"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // Transport delivers messages between replica processes.
@@ -161,12 +164,13 @@ func (t *ChanTransport) Close() error {
 
 // Shard hosts one core.Hermes engine — one keyspace partition of a
 // ShardedNode — on its own event-loop goroutine. It owns no transport-facing
-// dispatch: the node routes arrivals to it (deliver) and its outgoing
-// messages leave through the node's per-shard egress.
+// dispatch: the node routes arrivals to it (deliver), and its outgoing
+// messages leave through its shardhost.Egress, the engine's Env.
 type Shard struct {
 	id     proto.NodeID
+	sn     *ShardedNode
 	h      *core.Hermes
-	out    *shardTransport
+	out    *shardhost.Egress
 	ops    chan submitted
 	msgs   chan env
 	stop   chan struct{}
@@ -213,14 +217,11 @@ type submitted struct {
 	done func(proto.Completion)
 }
 
-// nodeEnv adapts the Shard to proto.Env. Only the event-loop goroutine
-// invokes it.
+// nodeEnv is the Shard's clock and completion sink, the shardhost.Base of
+// its egress. Only the event-loop goroutine invokes it.
 type nodeEnv struct{ n *Shard }
 
 func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
-func (e nodeEnv) Send(to proto.NodeID, msg any) {
-	e.n.out.Send(to, msg)
-}
 func (e nodeEnv) Complete(c proto.Completion) {
 	// An OpID with no entry is a no-op. done runs here, on the event-loop
 	// goroutine, so it must not block — the contract SubmitAsync documents.
@@ -230,19 +231,20 @@ func (e nodeEnv) Complete(c proto.Completion) {
 	}
 }
 
-// newShard builds and starts one shard engine of a node; out is its egress.
-func newShard(cfg ShardedConfig, out *shardTransport) *Shard {
+// newShard builds and starts shard idx of node sn.
+func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 	n := &Shard{
 		id:      cfg.ID,
-		out:     out,
+		sn:      sn,
 		ops:     make(chan submitted, 1024),
 		msgs:    make(chan env, 8192),
 		stop:    make(chan struct{}),
 		pending: make(map[uint64]func(proto.Completion)),
 		start:   time.Now(),
 	}
+	n.out = shardhost.NewEgress(uint16(idx), nodeEnv{n: n}, func(to proto.NodeID, msg any) { sn.tr.Send(sn.id, to, msg) })
 	n.h = core.New(core.Config{
-		ID: cfg.ID, View: cfg.View.Clone(), Env: nodeEnv{n: n}, Store: kvs.New(64),
+		ID: cfg.ID, View: cfg.View.Clone(), Env: n.out, Store: kvs.New(64),
 		MLT: cfg.MLT, ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
 	})
 	n.wg.Add(1)
@@ -273,9 +275,9 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 // paper's Wings workers (§4.2): after any wake-up it takes everything that was
 // already queued — messages, then ops — runs one engine turn for each, and
 // only then sends what those turns staged, one batch per peer and class
-// (shardTransport.handOff). Batching is opportunistic: a burst is what was
-// queued at wake-up, never waited for, and that bound is also what keeps Tick
-// and stop reachable under a producer that never lets the inbox run dry. Every
+// (handOff). Batching is opportunistic: a burst is what was queued at
+// wake-up, never waited for, and that bound is also what keeps Tick and stop
+// reachable under a producer that never lets the inbox run dry. Every
 // iteration ends with the hand-off, whichever arm woke it, so nothing is
 // staged while the loop blocks.
 //
@@ -324,7 +326,18 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			}
 			n.runWindow()
 		}
-		n.out.handOff()
+		n.handOff()
+	}
+}
+
+// handOff ends a burst: it flushes the egress and adds what left to the
+// node's counters. Transport.Send does not block and does not keep what it
+// is given, so the flush runs on the event loop.
+func (n *Shard) handOff() {
+	if batches, coalesced, singles := n.out.Flush(); batches+singles > 0 {
+		n.sn.batchesOut.Add(batches)
+		n.sn.coalescedOut.Add(coalesced)
+		n.sn.singlesOut.Add(singles)
 	}
 }
 

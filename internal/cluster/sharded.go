@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kvs"
 	"repro/internal/proto"
 	"repro/internal/refbuf"
@@ -27,25 +26,26 @@ import (
 // The node is the live driver of internal/shardhost, which owns everything
 // deterministic about hosting W engines: routing an arrival to the shard
 // owning its key, m-update addressing, the view log, the staggered roll of
-// node-wide views and epoch gossip — the same code the simulator runs. What
-// this type adds is what only a live runtime has: inbox goroutines, per-shard
-// egress stages, wall-clock time, one mutex serializing the host's
-// control-plane state and one control-plane goroutine stepping it (control).
+// node-wide views, epoch gossip and each engine's egress stager
+// (shardhost.Egress) — the same code the simulator runs. What this type adds
+// is what only a live runtime has: inbox goroutines and their burst windows,
+// wall-clock time, one mutex serializing the host's control-plane state and
+// one control-plane goroutine stepping it (control).
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
 // of one node only ever converses with shard s of the others. All nodes of
 // a cluster must therefore be configured with the same shard count.
 //
-// Small messages (INVs, ACKs, VALs) are not sent one by one: each engine
-// stages what one burst of its turns sent, per peer and flow-control class,
-// and at the end of the burst (Shard.loop) sends each stage itself as one
-// proto.ShardBatch. Transport.Send never blocks, so the event loop can afford
-// to; the transport's per-peer link is the only egress queue, and there the
-// stages of one burst — and of the other shards' concurrent bursts — meet in
-// one frame and one write, cutting the per-write frame rate that W would
-// otherwise multiply. Arriving batches fan back out to owner shards in
-// dispatch.
+// Small messages (INVs, ACKs, VALs) are not sent one by one: each engine's
+// Egress stages what one burst of its turns sent, per peer and flow-control
+// class, and the event loop flushes it at the end of the burst (Shard.loop),
+// each stage as one proto.ShardBatch. Transport.Send never blocks, so the
+// event loop can afford to; the transport's per-peer link is the only egress
+// queue, and there the stages of one burst — and of the other shards'
+// concurrent bursts — meet in one frame and one write, cutting the per-write
+// frame rate that W would otherwise multiply. Arriving batches fan back out
+// to owner shards in dispatch.
 //
 // Membership epochs are per shard. A node-wide view a membership agent
 // decides (OnView), or one arriving as a wire proto.MUpdate or in a fetched
@@ -124,192 +124,7 @@ func DefaultShards() int {
 	return w
 }
 
-// shardTransport is one shard's egress onto the node's transport: it tags
-// outgoing messages with the shard index, gathers the small ones of a burst
-// per peer and class, and sends each gathering as one batch.
-type shardTransport struct {
-	sn  *ShardedNode
-	idx uint16
-	// stages holds what the current burst of engine turns has sent so far,
-	// one entry per (peer, class) this shard has ever addressed — a handful,
-	// so lookup is a scan — ordered by peer, so that the sends handOff makes
-	// to one peer are adjacent. Only the shard's event loop touches it, so
-	// Send takes no lock; handOff empties it at the end of every loop
-	// iteration.
-	stages []egressStage
-}
-
-// egressStage is what one burst sends one peer in one flow-control class, in
-// send order.
-type egressStage struct {
-	to    proto.NodeID
-	class msgClass
-	msgs  []proto.ShardMsg
-}
-
-func (t *shardTransport) Send(to proto.NodeID, msg any) {
-	sm := proto.ShardMsg{Shard: t.idx, Msg: msg}
-	if core.Coalescable(msg) {
-		// Small messages are the coalescing targets: at W shards they
-		// dominate the frame rate, and no protocol property depends on
-		// their ordering relative to the direct path (links are lossy and
-		// reordering anyway).
-		st := t.stage(to, classOf(msg))
-		st.msgs = append(st.msgs, sm)
-		return
-	}
-	t.sn.tr.Send(t.sn.id, to, sm)
-}
-
-// stage returns the stage for a peer and class, inserting it in (peer, class)
-// order on first contact. The pointer is good until the next call.
-func (t *shardTransport) stage(to proto.NodeID, class msgClass) *egressStage {
-	i := 0
-	for ; i < len(t.stages); i++ {
-		st := &t.stages[i]
-		if st.to == to && st.class == class {
-			return st
-		}
-		if st.to > to || (st.to == to && st.class > class) {
-			break
-		}
-	}
-	t.stages = append(t.stages, egressStage{})
-	copy(t.stages[i+1:], t.stages[i:])
-	t.stages[i] = egressStage{to: to, class: class}
-	return &t.stages[i]
-}
-
-// handOff ends a burst: every non-empty stage leaves in one Transport.Send —
-// several past a class's frame budget — peer by peer, responses first. Send
-// does not block and does not keep what it is given, so this runs on the event
-// loop, which calls it before it blocks again, every time. Over a
-// transport.Mesh the first send to a peer starts that peer's link flusher and
-// the rest are queued before it runs: one wake-up, one frame, one write per
-// peer per burst.
-func (t *shardTransport) handOff() {
-	sn := t.sn
-	var batches, coalesced, singles uint64
-	for i := range t.stages {
-		st := &t.stages[i]
-		if len(st.msgs) == 0 {
-			continue
-		}
-		for rest := st.msgs; len(rest) > 0; {
-			n := st.class.frameLen(rest)
-			if n == 1 {
-				// A lone message ships as a plain ShardMsg: no envelope
-				// overhead, and the wire stays identical to the
-				// pre-coalescing protocol whenever there is nothing to
-				// coalesce.
-				singles++
-				sn.tr.Send(sn.id, st.to, rest[0])
-			} else {
-				batches++
-				coalesced += uint64(n)
-				sn.tr.Send(sn.id, st.to, proto.ShardBatch{Msgs: rest[:n]})
-			}
-			rest = rest[n:]
-		}
-		if cap(st.msgs) > maxSpareMsgs {
-			st.msgs = nil
-			continue
-		}
-		// Send has encoded or copied the messages and spent their buffer
-		// references; a sent INV must not stay reachable through the stage's
-		// array.
-		clear(st.msgs)
-		st.msgs = st.msgs[:0]
-	}
-	if batches+singles > 0 {
-		sn.batchesOut.Add(batches)
-		sn.coalescedOut.Add(coalesced)
-		sn.singlesOut.Add(singles)
-	}
-}
-
-// msgClass is the flow-control class of a staged message; one batch carries
-// exactly one class, because the classes settle credits differently and a
-// mixed batch would have no coherent price.
-type msgClass uint8
-
-const (
-	// classResponse: ACKs. A homogeneous response batch consumes no send
-	// credit, so ACK egress — the traffic that repays the peer's credits —
-	// never waits behind a credit-starved batch of another class in the
-	// transport's queue (mixing could deadlock two mutually starved peers,
-	// each holding the other's repayments behind its own starved requests).
-	classResponse msgClass = iota
-	// classOneWay: VALs. One credit per batch, repaid by the receiver's
-	// explicit grants counting the batch once.
-	classOneWay
-	// classRequest: INVs. One credit per inner message (wings prices the
-	// batch via LinkConfig.CreditCost), each repaid implicitly by its ACK.
-	// Request batches are additionally budgeted, by bytes and by count.
-	classRequest
-)
-
-func classOf(msg any) msgClass {
-	if core.IsResponseMsg(msg) {
-		return classResponse
-	}
-	if _, ok := msg.(core.INV); ok {
-		return classRequest
-	}
-	return classOneWay
-}
-
-// maxBatchMsgs caps one ShardBatch at the codec's 2-byte count; a fuller
-// stage leaves as several batches.
-const maxBatchMsgs = 0xFFFF
-
-// maxBatchBytes budgets one request-class (INV) batch. INVs carry values, so
-// unlike the fixed-size ACK/VAL batches theirs can grow arbitrarily; past the
-// budget the stage leaves as several batches, keeping per-message encode
-// latency bounded while still amortizing the framing and credit overhead. A
-// single oversized INV still ships alone.
-const maxBatchBytes = 64 << 10
-
-// maxRequestBatch caps a request batch by count, because its credit price is
-// its count: the price has to stay far below the send window (1024 in
-// transport.DefaultLinkConfig, of which one-way traffic the peer has not yet
-// granted for can hold 63), or the batch would wait for a level of credits
-// the window never reaches — and every later INV and VAL behind it.
-const maxRequestBatch = 256
-
-// shardMsgSize estimates one coalesced message's wire footprint for the
-// request-class byte budget: fixed header plus the value an INV carries.
-func shardMsgSize(sm proto.ShardMsg) int {
-	const overhead = 32
-	if inv, ok := sm.Msg.(core.INV); ok {
-		return overhead + len(inv.Value)
-	}
-	return overhead
-}
-
-// maxSpareMsgs caps the capacity of a stage buffer kept for reuse (24 B an
-// entry): one grown past it by one huge burst goes back to the collector once
-// it has been sent.
-const maxSpareMsgs = 4096
-
-// frameLen is how many of the staged messages go into the next batch: all
-// that the codec's count allows and, for requests, the two budgets.
-func (c msgClass) frameLen(staged []proto.ShardMsg) int {
-	if c != classRequest {
-		return min(len(staged), maxBatchMsgs)
-	}
-	n := min(len(staged), maxRequestBatch)
-	size := 0
-	for i := 0; i < n; i++ {
-		size += shardMsgSize(staged[i])
-		if size > maxBatchBytes && i > 0 {
-			return i
-		}
-	}
-	return n
-}
-
-// CoalesceStats reports the egress stages' work, counted at the hand-off:
+// CoalesceStats reports the egress stages' work, counted at each flush:
 // batches sent, messages carried inside them, messages that left alone. The
 // fourth result is always 0: nothing is queued here, so nothing is shed here —
 // a transport that queues counts its own (wings.Stats.Shed).
@@ -340,7 +155,7 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		ctlDone: make(chan struct{}),
 	}
 	for i := 0; i < sn.w; i++ {
-		sn.shards = append(sn.shards, newShard(cfg, &shardTransport{sn: sn, idx: uint16(i)}))
+		sn.shards = append(sn.shards, newShard(cfg, sn, i))
 	}
 	sn.drv = hostDriver{sn}
 	sn.host = shardhost.New(cfg.ID, sn.w, sn.drv)

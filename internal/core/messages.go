@@ -164,28 +164,10 @@ type ChunkRec struct {
 	Invalid bool
 }
 
-// Coalescable marks the messages a sharded node's egress layer gathers into
-// cross-shard batch frames: ACKs and VALs (small and fixed-size, dominant in
-// the per-write frame rate at W shards) and INVs (value-bearing, batched
-// under a byte budget so one jumbo write cannot starve the frame). One
-// predicate serves both the live coalescer (cluster) and the simulator's
-// model of it (bench), so the two cannot drift. The flow-control class
-// differs per type — ACKs are responses (consume no send credit, repay
-// one), VALs are one-way (a batch costs one credit), INVs are requests
-// (a batch costs one credit per inner INV, each repaid by its ACK) — so
-// the coalescer never mixes classes in one batch.
-func Coalescable(msg any) bool {
-	switch msg.(type) {
-	case ACK, VAL, INV:
-		return true
-	}
-	return false
-}
-
 // IsResponseMsg reports whether msg implicitly repays a flow-control credit
 // to its sender's peer (paper §4.2): responses ride the buffer space the
 // requester reserved. The transport's credit discipline and the egress
-// coalescer's batch classing both derive from it.
+// stager's batch classing (shardhost.Egress) both derive from it.
 func IsResponseMsg(msg any) bool {
 	switch msg.(type) {
 	case ACK, MCheckAck, ChunkResp:

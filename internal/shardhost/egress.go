@@ -1,0 +1,216 @@
+package shardhost
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/proto"
+)
+
+// Base is what a runtime lends a shard engine besides the wire: its clock
+// and where its completions go. With Egress.Send it makes a proto.Env.
+type Base interface {
+	Now() time.Duration
+	Complete(proto.Completion)
+}
+
+// Egress is one shard engine's proto.Env and the node's egress policy: which
+// messages are staged, in which class, and where a stage is split. Send tags
+// every message with the shard index; the small protocol messages (INVs,
+// ACKs, VALs) are staged per peer and flow-control class, everything else
+// goes straight to the wire. Flush ends a window of engine turns: each
+// non-empty stage leaves as one proto.ShardBatch (several past a class's
+// budget), or as a plain ShardMsg when it holds one message. The live shard
+// loop flushes at the end of every burst; the simulator when each of its
+// replica's entry points returns.
+//
+// Not safe for concurrent use: only the engine's own event loop touches it.
+type Egress struct {
+	base  Base
+	wire  func(to proto.NodeID, msg any)
+	shard uint16
+	// stages holds what the current window has staged, one entry per (peer,
+	// class) this shard has ever addressed — a handful, so lookup is a scan —
+	// ordered by peer, so that the sends Flush makes to one peer are
+	// adjacent.
+	stages []stage
+}
+
+// stage is what one window sends one peer in one class, in send order.
+type stage struct {
+	to    proto.NodeID
+	class msgClass
+	msgs  []proto.ShardMsg
+}
+
+// NewEgress builds shard's egress: base supplies the engine's clock and
+// completions, wire puts a message on the network. wire must not retain a
+// ShardBatch's slice after it returns: Flush recycles it.
+func NewEgress(shard uint16, base Base, wire func(to proto.NodeID, msg any)) *Egress {
+	return &Egress{base: base, wire: wire, shard: shard}
+}
+
+// Now implements proto.Env.
+func (e *Egress) Now() time.Duration { return e.base.Now() }
+
+// Complete implements proto.Env.
+func (e *Egress) Complete(c proto.Completion) { e.base.Complete(c) }
+
+// Send implements proto.Env. Small messages are staged: at W shards they
+// dominate the frame rate, and no protocol property depends on their order
+// relative to the direct path (links are lossy and reordering anyway).
+func (e *Egress) Send(to proto.NodeID, msg any) {
+	sm := proto.ShardMsg{Shard: e.shard, Msg: msg}
+	class, staged := classOf(msg)
+	if !staged {
+		e.wire(to, sm)
+		return
+	}
+	st := e.stage(to, class)
+	st.msgs = append(st.msgs, sm)
+}
+
+// stage returns the stage for a peer and class, inserting it in (peer, class)
+// order on first contact. The pointer is good until the next call.
+func (e *Egress) stage(to proto.NodeID, class msgClass) *stage {
+	i := 0
+	for ; i < len(e.stages); i++ {
+		st := &e.stages[i]
+		if st.to == to && st.class == class {
+			return st
+		}
+		if st.to > to || (st.to == to && st.class > class) {
+			break
+		}
+	}
+	e.stages = append(e.stages, stage{})
+	copy(e.stages[i+1:], e.stages[i:])
+	e.stages[i] = stage{to: to, class: class}
+	return &e.stages[i]
+}
+
+// Flush sends every non-empty stage — several batches past a class's budget
+// — peer by peer, responses first, and reports what left: batches, the
+// messages inside them, and messages that left alone. Over a
+// transport.Mesh the first send to a peer starts that peer's link flusher
+// and the rest are queued before it runs: one wake-up, one frame, one write
+// per peer per window.
+func (e *Egress) Flush() (batches, coalesced, singles uint64) {
+	for i := range e.stages {
+		st := &e.stages[i]
+		if len(st.msgs) == 0 {
+			continue
+		}
+		for rest := st.msgs; len(rest) > 0; {
+			n := st.class.frameLen(rest)
+			if n == 1 {
+				// A lone message ships as a plain ShardMsg: no envelope
+				// overhead.
+				singles++
+				e.wire(st.to, rest[0])
+			} else {
+				batches++
+				coalesced += uint64(n)
+				e.wire(st.to, proto.ShardBatch{Msgs: rest[:n]})
+			}
+			rest = rest[n:]
+		}
+		if cap(st.msgs) > maxSpareMsgs {
+			st.msgs = nil
+			continue
+		}
+		// The wire has encoded or copied the messages and spent their buffer
+		// references; a sent INV must not stay reachable through the stage's
+		// array.
+		clear(st.msgs)
+		st.msgs = st.msgs[:0]
+	}
+	return batches, coalesced, singles
+}
+
+// msgClass is the flow-control class of a staged message; one batch carries
+// exactly one class, because the classes settle credits differently and a
+// mixed batch would have no coherent price.
+type msgClass uint8
+
+const (
+	// classResponse: ACKs. A homogeneous response batch consumes no send
+	// credit, so ACK egress — the traffic that repays the peer's credits —
+	// never waits behind a credit-starved batch of another class in the
+	// transport's queue (mixing could deadlock two mutually starved peers,
+	// each holding the other's repayments behind its own starved requests).
+	classResponse msgClass = iota
+	// classOneWay: VALs. One credit per batch, repaid by the receiver's
+	// explicit grants counting the batch once.
+	classOneWay
+	// classRequest: INVs. One credit per inner message (wings prices the
+	// batch via LinkConfig.CreditCost), each repaid implicitly by its ACK.
+	// Request batches are additionally budgeted, by bytes and by count.
+	classRequest
+)
+
+// classOf reports the class a message is staged in, and false for one that
+// is not staged. The response class must be what core.IsResponseMsg, the
+// predicate the transport prices by, calls a response
+// (TestCoalescerSeparatesCreditClasses).
+func classOf(msg any) (msgClass, bool) {
+	switch msg.(type) {
+	case core.ACK:
+		return classResponse, true
+	case core.VAL:
+		return classOneWay, true
+	case core.INV:
+		return classRequest, true
+	}
+	return 0, false
+}
+
+// maxBatchMsgs caps one ShardBatch at the codec's 2-byte count; a fuller
+// stage leaves as several batches.
+const maxBatchMsgs = 0xFFFF
+
+// maxBatchBytes budgets one request-class (INV) batch. INVs carry values, so
+// unlike the fixed-size ACK/VAL batches theirs can grow arbitrarily; past the
+// budget the stage leaves as several batches, keeping per-message encode
+// latency bounded while still amortizing the framing and credit overhead. A
+// single oversized INV still ships alone.
+const maxBatchBytes = 64 << 10
+
+// maxRequestBatch caps a request batch by count, because its credit price is
+// its count: the price has to stay far below the send window (1024 in
+// transport.DefaultLinkConfig, of which one-way traffic the peer has not yet
+// granted for can hold 63), or the batch would wait for a level of credits
+// the window never reaches — and every later INV and VAL behind it.
+const maxRequestBatch = 256
+
+// shardMsgSize estimates one staged message's wire footprint for the
+// request-class byte budget: fixed header plus the value an INV carries.
+func shardMsgSize(sm proto.ShardMsg) int {
+	const overhead = 32
+	if inv, ok := sm.Msg.(core.INV); ok {
+		return overhead + len(inv.Value)
+	}
+	return overhead
+}
+
+// maxSpareMsgs caps the capacity of a stage buffer kept for reuse (24 B an
+// entry): one grown past it by one huge window goes back to the collector
+// once it has been sent.
+const maxSpareMsgs = 4096
+
+// frameLen is how many of the staged messages go into the next batch: all
+// that the codec's count allows and, for requests, the two budgets.
+func (c msgClass) frameLen(staged []proto.ShardMsg) int {
+	if c != classRequest {
+		return min(len(staged), maxBatchMsgs)
+	}
+	n := min(len(staged), maxRequestBatch)
+	size := 0
+	for i := 0; i < n; i++ {
+		size += shardMsgSize(staged[i])
+		if size > maxBatchBytes && i > 0 {
+			return i
+		}
+	}
+	return n
+}

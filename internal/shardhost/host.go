@@ -4,15 +4,16 @@
 // installing an m-update on exactly the shards it addresses (§3.4 per-shard
 // epochs), retaining and serving the view log, rolling node-wide views across
 // the shards, announcing the node's epochs and observing its peers' — the
-// epoch gossip that makes a lagging node fast-forward itself.
+// epoch gossip that makes a lagging node fast-forward itself — and staging
+// each engine's outgoing messages into per-peer batches.
 //
 // It exists so this code is written once and run by both runtimes. The
 // simulator (internal/sim) calls it from virtual time; the live runtime
-// (internal/cluster) wraps it with inbox goroutines, coalescers and one
-// control-plane goroutine. The chaos sweeps therefore exercise the code
+// (internal/cluster) wraps it with inbox goroutines, their burst windows and
+// one control-plane goroutine. The chaos sweeps therefore exercise the code
 // hermes-node ships, not a mirror of it.
 //
-// Three parts:
+// Four parts:
 //
 //   - Route is the data plane and is stateless — a pure function of (w, msg)
 //     — so the live per-message path takes no lock and allocates nothing.
@@ -28,6 +29,11 @@
 //     decision, a wire MUpdate, a fetched log entry — goes to it; nothing
 //     fans a node-wide view out to every shard at once except a view that
 //     fences the node.
+//   - Egress is each engine's proto.Env and the node's egress policy: which
+//     messages are staged (INVs, ACKs, VALs), in which flow-control class,
+//     and where a stage is split. It holds no lock, atomic or map; the
+//     engine's own loop calls it, and Flush ends a window of turns — a live
+//     burst, or one simulator event.
 package shardhost
 
 import (

@@ -163,6 +163,10 @@ type ChaosResult struct {
 
 	Reordered uint64 // messages held back for burst reordering (Network.Reordered)
 
+	// Batches counts the proto.ShardBatches the replicas' egress stagers
+	// sent, over every incarnation (Network.Batches).
+	Batches uint64
+
 	// Teaching ACKs (summed over engines): ACK-without-apply responses that
 	// carried the acker's outranking entry, and rival entries a coordinator
 	// installed from them. Nonzero TaughtApplied means a run actually
@@ -997,6 +1001,7 @@ func (r *chaosRun) collectMetrics() {
 		r.res.FinalEpochs = append(r.res.FinalEpochs, epochs)
 	}
 	r.res.Reordered = r.c.net.Reordered
+	r.res.Batches = r.c.net.Batches
 }
 
 // without returns ns minus x (non-destructive).

@@ -68,20 +68,6 @@ type Config struct {
 	// extra cores sit idle, so callers wanting parallelism must route by
 	// key (see bench.ShardWorkerOf).
 	WorkerOf func(msg any) int
-	// CoalesceWindow models the live ShardedNode's cross-shard egress
-	// coalescing: messages matching Coalescable that one host emits to the
-	// same peer within the window ship as a single network frame (one
-	// Network.Sent event, summed bytes), the way a coalesced ShardBatch is
-	// one wire frame under one credit. Zero disables — every message is its
-	// own frame, the pre-coalescing wire. The window stands in for the
-	// "while the previous flush is in flight" gathering of the live path.
-	CoalesceWindow time.Duration
-	// Coalescable selects the messages eligible for coalescing (live: ACKs
-	// and VALs). Nil with a nonzero window coalesces nothing. All eligible
-	// messages to one peer share a frame here; the live coalescer
-	// additionally keeps credit classes (ACKs vs VALs) in separate frames,
-	// a distinction that only shows when VAL elision (O1) is off.
-	Coalescable func(msg any) bool
 }
 
 // Cluster is a simulated deployment: engine + network + hosts + sessions.
@@ -111,9 +97,6 @@ type host struct {
 	// utilization accounting; WorkerBusy breaks it out per worker.
 	Busy       time.Duration
 	WorkerBusy []time.Duration
-	// egress buffers coalescable messages per destination until the
-	// CoalesceWindow flush event ships them as one frame.
-	egress map[proto.NodeID]*egressQueue
 	// Clock skew: the time this host's protocol code observes is
 	// skewAccum + (engineNow - skewBase) * skewRate. Rate 1 is nominal;
 	// SetClockRate re-bases so perceived time stays continuous and (for
@@ -121,20 +104,6 @@ type host struct {
 	// hardware clock, not process state.
 	skewRate            float64
 	skewBase, skewAccum time.Duration
-}
-
-// egressQueue is one peer's pending coalesced messages.
-type egressQueue struct {
-	msgs  []any
-	bytes int
-}
-
-// coalescedFrame is the simulator's stand-in for a wings tShardBatch: one
-// network send event carrying several protocol messages. The receiving host
-// charges CPU per inner message at that message's worker, as the live
-// dispatcher fans a batch out to its owner shards.
-type coalescedFrame struct {
-	msgs []any
 }
 
 // hostEnv adapts a host to proto.Env. Handlers execute at their CPU
@@ -168,46 +137,7 @@ func (c *Cluster) SetClockRate(id proto.NodeID, rate float64) {
 }
 
 func (e hostEnv) Send(to proto.NodeID, msg any) {
-	c := e.h.c
-	if c.cfg.CoalesceWindow > 0 && c.cfg.Coalescable != nil && c.cfg.Coalescable(msg) {
-		e.h.enqueueCoalesced(to, msg)
-		return
-	}
-	c.net.Send(e.h.id, to, msg, c.sizeOf(msg))
-}
-
-// enqueueCoalesced buffers msg for peer to; the first message of a buffer
-// schedules the flush event one CoalesceWindow out.
-func (h *host) enqueueCoalesced(to proto.NodeID, msg any) {
-	q := h.egress[to]
-	if q == nil {
-		q = &egressQueue{}
-		h.egress[to] = q
-	}
-	q.msgs = append(q.msgs, msg)
-	q.bytes += h.c.sizeOf(msg)
-	if len(q.msgs) == 1 {
-		h.c.eng.After(h.c.cfg.CoalesceWindow, func() { h.flushEgress(to) })
-	}
-}
-
-func (h *host) flushEgress(to proto.NodeID) {
-	q := h.egress[to]
-	if q == nil || len(q.msgs) == 0 {
-		return
-	}
-	msgs, bytes := q.msgs, q.bytes
-	q.msgs, q.bytes = nil, 0
-	if h.crashed {
-		return // a crash-stop host's buffered egress dies with it
-	}
-	if len(msgs) == 1 {
-		// A lone message ships plain, as the live coalescer does.
-		h.c.net.Send(h.id, to, msgs[0], bytes)
-		return
-	}
-	// Envelope overhead: 2 B count plus a 2 B shard tag per entry.
-	h.c.net.Send(h.id, to, coalescedFrame{msgs: msgs}, bytes+2+2*len(msgs))
+	e.h.c.net.Send(e.h.id, to, msg, e.h.c.sizeOf(msg))
 }
 
 func (e hostEnv) Complete(comp proto.Completion) {
@@ -248,7 +178,6 @@ func New(cfg Config) *Cluster {
 		h := &host{c: c, id: id,
 			busyUntil:  make([]time.Duration, cfg.Workers),
 			WorkerBusy: make([]time.Duration, cfg.Workers),
-			egress:     make(map[proto.NodeID]*egressQueue),
 			skewRate:   1,
 		}
 		env := hostEnv{h: h}
@@ -379,25 +308,19 @@ func (h *host) exec(w int, cost time.Duration, fn func()) {
 	})
 }
 
-// deliver is the network's arrival callback. Coalesced frames fan out to
-// one CPU charge per inner message, each at that message's worker — the
-// counterpart of the live node dispatching a ShardBatch to its owner shards.
+// deliver is the network's arrival callback. A ShardBatch costs one
+// Message per inner message, and the replica's host fans it out to the
+// owner engines.
 func (c *Cluster) deliver(to, from proto.NodeID, msg any, bytes int) {
-	if cf, ok := msg.(coalescedFrame); ok {
-		for _, m := range cf.msgs {
-			c.deliverOne(to, from, m, c.sizeOf(m))
-		}
-		return
-	}
-	c.deliverOne(to, from, msg, bytes)
-}
-
-func (c *Cluster) deliverOne(to, from proto.NodeID, msg any, bytes int) {
 	h := c.hosts[to]
 	if h.crashed {
 		return
 	}
-	cost := c.cfg.Costs.Message + time.Duration(bytes)*c.cfg.Costs.PerByte
+	msgs := 1
+	if sb, ok := msg.(proto.ShardBatch); ok {
+		msgs = len(sb.Msgs)
+	}
+	cost := time.Duration(msgs)*c.cfg.Costs.Message + time.Duration(bytes)*c.cfg.Costs.PerByte
 	h.exec(c.workerOf(msg), cost, func() {
 		if membership.IsMsg(msg) {
 			if h.agent != nil {
@@ -454,7 +377,6 @@ func (c *Cluster) Restart(id proto.NodeID, f Factory, view proto.View) {
 	for i := range h.busyUntil {
 		h.busyUntil[i] = 0
 	}
-	h.egress = make(map[proto.NodeID]*egressQueue) // buffered egress died with the process
 	h.rep = f(id, view, hostEnv{h: h})
 	if c.cfg.RM != nil {
 		// The agent's volatile state died with the process too; the rebuilt

@@ -56,11 +56,11 @@ type Network struct {
 	slow    map[proto.NodeID]float64
 	deliver func(to proto.NodeID, from proto.NodeID, msg any, bytes int)
 
-	// Counters for bandwidth accounting. Sent counts wire frames (a
-	// coalesced frame is one); Msgs counts protocol messages, so with
-	// coalescing enabled Msgs ≥ Sent and their ratio is the mean batch size.
-	// Reordered counts messages held back by ReorderProb.
-	Sent, Msgs, Dropped, Duplicated, Reordered uint64
+	// Counters for bandwidth accounting. Sent counts wire frames, Batches
+	// the proto.ShardBatches among them; Msgs counts protocol messages (a
+	// batch's inner ones), so Msgs ≥ Sent and their ratio is the mean batch
+	// size. Reordered counts messages held back by ReorderProb.
+	Sent, Batches, Msgs, Dropped, Duplicated, Reordered uint64
 }
 
 // NewNetwork builds a network; deliver is invoked at arrival time.
@@ -104,8 +104,9 @@ func (n *Network) SetNodeSlow(id proto.NodeID, factor float64) {
 // delay for large objects.
 func (n *Network) Send(from, to proto.NodeID, msg any, bytes int) {
 	n.Sent++
-	if cf, ok := msg.(coalescedFrame); ok {
-		n.Msgs += uint64(len(cf.msgs))
+	if sb, ok := msg.(proto.ShardBatch); ok {
+		n.Batches++
+		n.Msgs += uint64(len(sb.Msgs))
 	} else {
 		n.Msgs++
 	}

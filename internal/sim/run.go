@@ -45,10 +45,8 @@ type Result struct {
 	Aborts, NotOperational uint64
 	// Series is the completion-rate series when requested.
 	Series *stats.Series
-	// MsgsSent is total protocol messages over the whole run; FramesSent is
-	// wire frames. They differ only when egress coalescing is on (a
-	// coalesced batch is one frame carrying several messages).
-	MsgsSent, FramesSent uint64
+	// MsgsSent is total protocol messages over the whole run.
+	MsgsSent uint64
 }
 
 type session struct {
@@ -86,7 +84,7 @@ func (c *Cluster) RunWorkload(p WorkloadParams) Result {
 	if p.SeriesBucket > 0 {
 		rs.res.Series = stats.NewSeries(p.SeriesBucket)
 	}
-	sentBefore, msgsBefore := c.net.Sent, c.net.Msgs
+	msgsBefore := c.net.Msgs
 
 	for _, h := range c.hosts {
 		for s := 0; s < p.SessionsPerNode; s++ {
@@ -105,7 +103,6 @@ func (c *Cluster) RunWorkload(p WorkloadParams) Result {
 	c.eng.RunUntil(rs.end)
 	elapsed := p.Duration.Seconds()
 	rs.res.Throughput = float64(rs.res.Ops) / elapsed
-	rs.res.FramesSent = c.net.Sent - sentBefore
 	rs.res.MsgsSent = c.net.Msgs - msgsBefore
 	return rs.res
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -17,15 +18,23 @@ import (
 // modeled separately by Config.Workers.
 //
 // Routing, m-update addressing, the view log, the staggered rollout of
-// node-wide views and epoch gossip are shardhost's — the very code the live
-// node runs, stepped here from virtual time — so the chaos harness exercises
-// what ships. What stays here is the harness's: building the engines, Submit,
-// Tick and the knobs the fault script turns.
+// node-wide views, epoch gossip and each engine's egress stager are
+// shardhost's — the very code the live node runs, stepped here from virtual
+// time — so the chaos harness exercises what ships. What stays here is the
+// harness's: building the engines, Submit, Tick and the knobs the fault
+// script turns.
+//
+// Every exported method that can reach an engine flushes the stagers when it
+// returns, so one simulator event is one egress window: what the live shard
+// loop does when its inbox holds one entry. The live loop never waits for
+// company, and neither does this; gathering over a tick instead would hold
+// every message for up to a tick (50 base latencies in the chaos suite).
 type ShardedReplica struct {
 	id      proto.NodeID
 	w       int
 	env     proto.Env
 	engines []*core.Hermes
+	out     []*shardhost.Egress // engine i's Env
 	host    *shardhost.Host
 	peers   []proto.NodeID // Peers' buffer
 }
@@ -53,19 +62,6 @@ type ShardedReplicaConfig struct {
 	Learner bool
 }
 
-// shardReplicaEnv is one engine's window to the host env: it tags outgoing
-// messages with the engine's shard index.
-type shardReplicaEnv struct {
-	env proto.Env
-	idx uint16
-}
-
-func (e shardReplicaEnv) Now() time.Duration { return e.env.Now() }
-func (e shardReplicaEnv) Send(to proto.NodeID, msg any) {
-	e.env.Send(to, proto.ShardMsg{Shard: e.idx, Msg: msg})
-}
-func (e shardReplicaEnv) Complete(c proto.Completion) { e.env.Complete(c) }
-
 // NewShardedReplica builds a W-engine replica for host id on env.
 func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg ShardedReplicaConfig) *ShardedReplica {
 	w := cfg.Shards
@@ -73,10 +69,19 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 		w = 1
 	}
 	r := &ShardedReplica{id: id, w: w, env: env}
+	// The network keeps what it is sent until delivery; the stager recycles
+	// a batch's slice once wire returns, so a batch leaves with a copy.
+	wire := func(to proto.NodeID, msg any) {
+		if sb, ok := msg.(proto.ShardBatch); ok {
+			msg = proto.ShardBatch{Msgs: slices.Clone(sb.Msgs)}
+		}
+		env.Send(to, msg)
+	}
 	for i := 0; i < w; i++ {
+		out := shardhost.NewEgress(uint16(i), env, wire)
+		r.out = append(r.out, out)
 		r.engines = append(r.engines, core.New(core.Config{
-			ID: id, View: view.Clone(),
-			Env: shardReplicaEnv{env: env, idx: uint16(i)},
+			ID: id, View: view.Clone(), Env: out,
 			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}
@@ -130,13 +135,22 @@ func (r *ShardedReplica) Engine(i int) *core.Hermes { return r.engines[i] }
 
 // Submit implements proto.Replica: ops route to the engine owning the key.
 func (r *ShardedReplica) Submit(op proto.ClientOp) {
+	defer r.flush()
 	r.engines[proto.ShardOf(op.Key, r.w)].Submit(op)
 }
 
 // Deliver implements proto.Replica: the host routes data-plane traffic to the
 // owning engine and handles node-level membership messages itself.
 func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
+	defer r.flush()
 	r.host.Dispatch(from, msg, r.env.Now())
+}
+
+// flush ends an egress window: every engine's stages leave, engine by engine.
+func (r *ShardedReplica) flush() {
+	for _, out := range r.out {
+		out.Flush()
+	}
 }
 
 // HostStats snapshots the control-plane counters (roll, view log, gossip).
@@ -145,6 +159,7 @@ func (r *ShardedReplica) HostStats() shardhost.Stats { return r.host.Stats() }
 // Tick implements proto.Replica: the engines' timers, then the control
 // plane's step (roll install, gossip announcement).
 func (r *ShardedReplica) Tick() {
+	defer r.flush()
 	for _, e := range r.engines {
 		e.Tick()
 	}
@@ -155,12 +170,14 @@ func (r *ShardedReplica) Tick() {
 // (membership.Config.OnPeerAhead) to the same observer wire gossip frames
 // reach through Deliver.
 func (r *ShardedReplica) ObserveEpochGossip(from proto.NodeID, epochs []uint32) {
+	defer r.flush()
 	r.host.ObserveGossip(from, epochs, r.env.Now())
 }
 
 // SetNoLSC flips §8 clock-free read mode on every engine at runtime (the
 // gate closes or reopens accordingly; queued speculative reads still drain).
 func (r *ShardedReplica) SetNoLSC(on bool) {
+	defer r.flush()
 	for _, e := range r.engines {
 		e.SetNoLSC(on)
 	}
@@ -170,12 +187,14 @@ func (r *ShardedReplica) SetNoLSC(on bool) {
 // retained in the log, so this node can serve laggards, and rolled across the
 // engines (see Tick) — the path a live node's agent decisions take.
 func (r *ShardedReplica) OnViewChange(v proto.View) {
+	defer r.flush()
 	r.host.Install(proto.MUpdate{Shard: proto.AllShards, View: v})
 }
 
 // SetOperational flips the RM lease on every engine (lease loss is a
 // node-level event).
 func (r *ShardedReplica) SetOperational(ok bool) {
+	defer r.flush()
 	for _, e := range r.engines {
 		e.SetOperational(ok)
 	}
