@@ -191,21 +191,7 @@ func minimum(xs []float64) float64 {
 	return m
 }
 
-// --- Ablations (optimizations O1–O3 and NoLSC reads; see internal/README.md, "Simulator scale and ablations") ---
-
-func BenchmarkAblationO1_VALElision(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := bench.AblationO1(quick())
-		_ = tb
-	}
-}
-
-func BenchmarkAblationO3_EarlyACKs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tb := bench.AblationO3(quick())
-		_ = tb
-	}
-}
+// --- Ablations (NoLSC reads; O2's fairness table runs under hermes-bench -exp ablation-o2; see internal/README.md, "Simulator scale and ablations") ---
 
 func BenchmarkAblationNoLSC(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@
 //	hermes-bench -exp fig9 -quick    # reduced scale
 //
 // Experiments: table2 fig5a fig5b fig6a fig6b fig6c fig7 fig8 fig9 shards
-// gray ablation-o1 ablation-o2 ablation-o3 ablation-nolsc
+// gray ablation-o2 ablation-nolsc
 package main
 
 import (
@@ -54,12 +54,8 @@ var experiments = []experiment{
 		func(sc bench.Scale) fmt.Stringer { return bench.ShardScaling(sc) }},
 	{"gray", "Gray failures on the chaos harness: asym partitions, slow-but-alive, clock skew, burst reorder, epoch-gossip healing",
 		func(sc bench.Scale) fmt.Stringer { return bench.Gray(sc) }},
-	{"ablation-o1", "O1: VAL elision savings (paper §3.3)",
-		func(sc bench.Scale) fmt.Stringer { return bench.AblationO1(sc) }},
 	{"ablation-o2", "O2: virtual node ID fairness (paper §3.3)",
 		func(sc bench.Scale) fmt.Stringer { return bench.AblationO2(sc) }},
-	{"ablation-o3", "O3: broadcast-ACK early validation (paper §3.3)",
-		func(sc bench.Scale) fmt.Stringer { return bench.AblationO3(sc) }},
 	{"ablation-nolsc", "§8: reads without loosely synchronized clocks",
 		func(sc bench.Scale) fmt.Stringer { return bench.AblationNoLSC(sc) }},
 }

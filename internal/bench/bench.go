@@ -27,7 +27,7 @@ type System uint8
 
 const (
 	// Hermes is HermesKV: local reads, decentralized inter-key-concurrent
-	// invalidating writes (O1 on, O3 off, as in the paper's §5.1).
+	// invalidating writes: the protocol hermes-node ships.
 	Hermes System = iota
 	// CRAQ is rCRAQ: chain replication with apportioned queries.
 	CRAQ
@@ -60,9 +60,7 @@ const protocolMLT = 10 * time.Millisecond
 func Factory(s System) sim.Factory {
 	switch s {
 	case Hermes:
-		return func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
-			return core.New(core.Config{ID: id, View: view, Env: env, MLT: protocolMLT, ElideVAL: true})
-		}
+		return HermesFactory(nil)
 	case CRAQ:
 		return func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
 			return craq.New(craq.Config{ID: id, View: view, Env: env, MLT: protocolMLT})
@@ -81,10 +79,11 @@ func Factory(s System) sim.Factory {
 	}
 }
 
-// HermesFactory builds Hermes with explicit toggles (ablations).
+// HermesFactory builds Hermes as the figures run it; mut, if non-nil,
+// adjusts each replica's Config for an ablation.
 func HermesFactory(mut func(*core.Config)) sim.Factory {
 	return func(id proto.NodeID, view proto.View, env proto.Env) proto.Replica {
-		cfg := core.Config{ID: id, View: view, Env: env, MLT: protocolMLT, ElideVAL: true}
+		cfg := core.Config{ID: id, View: view, Env: env, MLT: protocolMLT}
 		if mut != nil {
 			mut(&cfg)
 		}

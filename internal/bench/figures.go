@@ -215,37 +215,6 @@ func Table2() *stats.Table {
 
 // --- Ablations beyond the paper's figures (design-choice benches) ---
 
-// AblationO1 measures VAL traffic saved by eliding unnecessary validations
-// under heavy same-key contention.
-func AblationO1(sc Scale) *stats.Table {
-	t := &stats.Table{Header: []string{"elideVAL", "tput(M/s)", "VALs", "elided"}}
-	for _, elide := range []bool{false, true} {
-		elide := elide
-		c := sim.New(sim.Config{
-			Nodes:   5,
-			Factory: HermesFactory(func(cc *core.Config) { cc.ElideVAL = elide }),
-			Net:     sim.DefaultNet(),
-			Seed:    4,
-			SizeOf:  SizeOf,
-		})
-		res := c.RunWorkload(sim.WorkloadParams{
-			Workload:        workload.Config{Keys: 8, WriteRatio: 1, ValueSize: 32}, // hot keys: constant conflicts
-			SessionsPerNode: sessionsOr(sc, 4),
-			Warmup:          sc.Warmup,
-			Duration:        sc.Duration,
-			Seed:            2,
-		})
-		var vals, elided uint64
-		for id := proto.NodeID(0); id < 5; id++ {
-			m := c.Replica(id).(*core.Hermes).Metrics()
-			vals += m.VALsSent
-			elided += m.VALsElided
-		}
-		t.AddRow(elide, Mops(res.Throughput), vals, elided)
-	}
-	return t
-}
-
 // AblationO2 measures conflict-win fairness with and without virtual node
 // IDs: the share of same-version conflicts won by the lowest-ID node.
 func AblationO2(sc Scale) *stats.Table {
@@ -257,7 +226,6 @@ func AblationO2(sc Scale) *stats.Table {
 			Factory: HermesFactory(func(cc *core.Config) {
 				if k > 1 {
 					cc.VirtualIDs = core.VirtualIDs(cc.ID, 5, k)
-					cc.CIDOwner = core.StrideOwner(5)
 				}
 			}),
 			Net:    sim.DefaultNet(),
@@ -291,37 +259,6 @@ func AblationO2(sc Scale) *stats.Table {
 		}
 		sm := stats.Summarize(wins)
 		t.AddRow(k > 1, p0, p4, sm.Stdev/total*100)
-	}
-	return t
-}
-
-// AblationO3 measures the read-blocking latency reduction of broadcast
-// ACKs under contention.
-func AblationO3(sc Scale) *stats.Table {
-	t := &stats.Table{Header: []string{"earlyACKs", "rd-p99(us)", "wr-p50(us)", "VALs", "ACKs"}}
-	for _, early := range []bool{false, true} {
-		early := early
-		c := sim.New(sim.Config{
-			Nodes:   5,
-			Factory: HermesFactory(func(cc *core.Config) { cc.EarlyACKs = early; cc.ElideVAL = false }),
-			Net:     sim.DefaultNet(),
-			Seed:    7,
-			SizeOf:  SizeOf,
-		})
-		res := c.RunWorkload(sim.WorkloadParams{
-			Workload:        workload.Config{Keys: 64, WriteRatio: 0.5, ValueSize: 32, Zipf: true, ZipfTheta: 0.99},
-			SessionsPerNode: sessionsOr(sc, 4),
-			Warmup:          sc.Warmup,
-			Duration:        sc.Duration,
-			Seed:            8,
-		})
-		var vals, acks uint64
-		for id := proto.NodeID(0); id < 5; id++ {
-			m := c.Replica(id).(*core.Hermes).Metrics()
-			vals += m.VALsSent
-			acks += m.ACKsSent
-		}
-		t.AddRow(early, Micros(res.Read.P99()), Micros(res.Write.Median()), vals, acks)
 	}
 	return t
 }

@@ -245,7 +245,7 @@ func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 	n.out = shardhost.NewEgress(uint16(idx), nodeEnv{n: n}, func(to proto.NodeID, msg any) { sn.tr.Send(sn.id, to, msg) })
 	n.h = core.New(core.Config{
 		ID: cfg.ID, View: cfg.View.Clone(), Env: n.out, Store: kvs.New(64),
-		MLT: cfg.MLT, ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
+		MLT: cfg.MLT, NoLSC: cfg.NoLSC,
 	})
 	n.wg.Add(1)
 	go n.loop(cfg.TickEvery)

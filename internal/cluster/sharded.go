@@ -91,13 +91,12 @@ type ShardedNode struct {
 // ShardedConfig parameterizes a live replica. Shards is the worker count W
 // (values < 1 become 1, so the zero value is a plain single-engine node).
 type ShardedConfig struct {
-	ID   proto.NodeID
-	View proto.View
-	MLT  time.Duration // message-loss timeout (default 20ms)
-	// Hermes toggles (see core.Config).
-	ElideVAL, EarlyACKs, NoLSC bool
-	TickEvery                  time.Duration // protocol timer granularity (default 2ms)
-	Shards                     int
+	ID        proto.NodeID
+	View      proto.View
+	MLT       time.Duration // message-loss timeout (default 20ms)
+	NoLSC     bool          // §8 clock-free reads (see core.Config)
+	TickEvery time.Duration // protocol timer granularity (default 2ms)
+	Shards    int
 	// GossipEvery, when positive, announces this node's per-shard epoch
 	// vector (proto.EpochGossip) to GossipPeers on that period (self is
 	// skipped). With the observer on the receive side this closes the
@@ -527,11 +526,9 @@ type ShardedLocal struct {
 
 // LocalConfig parameterizes NewShardedLocal.
 type LocalConfig struct {
-	N         int
-	MLT       time.Duration
-	ElideVAL  bool
-	EarlyACKs bool
-	NoLSC     bool
+	N     int
+	MLT   time.Duration
+	NoLSC bool
 }
 
 // NewShardedLocal stands up an n-replica, W-shard Hermes group in-process.
@@ -545,8 +542,7 @@ func NewShardedLocal(cfg LocalConfig, shards int) *ShardedLocal {
 	l := &ShardedLocal{Tr: tr}
 	for _, id := range ids {
 		l.Nodes = append(l.Nodes, NewShardedNode(ShardedConfig{
-			ID: id, View: view, MLT: cfg.MLT,
-			ElideVAL: cfg.ElideVAL, EarlyACKs: cfg.EarlyACKs, NoLSC: cfg.NoLSC,
+			ID: id, View: view, MLT: cfg.MLT, NoLSC: cfg.NoLSC,
 			Shards: shards,
 		}, tr))
 	}

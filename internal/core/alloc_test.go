@@ -116,7 +116,7 @@ func TestMetaRecycledAndReset(t *testing.T) {
 	if m2 != m1 {
 		t.Fatal("the recycled meta was not reused")
 	}
-	if m2.pend == nil || m2.pend.slipped || m2.pend.acked != (nodeSet{}) || len(m2.waiters) != 0 || m2.replayAt != 0 || m2.ackers != nil {
+	if m2.pend == nil || m2.pend.slipped || m2.pend.acked != (nodeSet{}) || len(m2.waiters) != 0 || m2.replayAt != 0 {
 		t.Fatalf("reused meta not reset: %+v pend %+v", m2, m2.pend)
 	}
 	h.run()

@@ -49,18 +49,18 @@ package core
 //	                                                          all ACKs, re-bcast   (same)
 //	any message, epoch mismatch  —                            drop                 (same)
 //
-//	*  VAL elided under O1 when superseded (Trans path) and always under O3.
+//	*  In the Trans case the coordinator relays the rival's INV instead of
+//	   a VAL for its outranked timestamp.
 //	†  Invalid instead if a higher-ts INV superseded us while gathering ACKs
 //	   (the Trans case); Valid-with-drain if the newer write validated first.
 //
-// Optimizations (§3.3), each switchable in Config:
-//
-//	O1 ElideVAL:  a superseded coordinator skips its VAL broadcast.
-//	O2 VirtualIDs/CIDOwner: writes stamp a random virtual cid owned by the
-//	   node, spreading same-version tiebreak wins fairly.
-//	O3 EarlyACKs: followers broadcast ACKs; a follower validates once every
-//	   non-coordinator replica ACKed — half an RTT before any VAL — and VALs
-//	   are not sent at all.
+// Optimizations (§3.3): O2, switchable in Config as VirtualIDs, has writes
+// stamp a random virtual cid owned by the node, spreading same-version
+// tiebreak wins fairly. O1 (a superseded coordinator elides its VAL) and O3
+// (followers broadcast ACKs and validate without a VAL) were priced on the
+// live benchmark at N = 3 and deleted: O3 cost CPU and latency on every
+// workload, and O1 saved messages no end-to-end metric saw while dropping
+// the Trans relay above.
 //
 // §8 (NoLSC) read validation: reads execute speculatively and are released
 // when a subsequent local commit (ACKs from all live ⊇ majority) or an

@@ -113,24 +113,6 @@ func TestDuelingReplaysConverge(t *testing.T) {
 	}
 }
 
-// O1+O3 combined still converge under contention.
-func TestO1PlusO3Converge(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	h := newHarness(t, 5, func(c *Config) { c.ElideVAL = true; c.EarlyACKs = true })
-	for i := 0; i < 10; i++ {
-		h.write(proto.NodeID(rng.Intn(5)), 1, string(rune('a'+i)))
-		if rng.Intn(2) == 0 {
-			h.runShuffled(rng)
-		}
-	}
-	for round := 0; round < 30; round++ {
-		h.runShuffled(rng)
-		h.advance(11 * time.Millisecond)
-	}
-	h.forceConverge(1)
-	h.requireConverged(1)
-}
-
 // During the m-update transient, a node that was removed must not serve,
 // and one that remains must.
 func TestPartialMUpdateServingRules(t *testing.T) {

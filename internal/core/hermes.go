@@ -11,9 +11,9 @@
 // A Hermes replica is a deterministic single-threaded state machine
 // implementing proto.Replica; the same code runs under the discrete-event
 // simulator (internal/sim) and the live goroutine runtime
-// (internal/cluster). Optimizations O1 (VAL elision), O2 (virtual node IDs)
-// and O3 (broadcast ACKs) from §3.3, and the clock-free read validation of
-// §8, are all implemented and individually switchable for ablation.
+// (internal/cluster). Optimization O2 (virtual node IDs) from §3.3 and the
+// clock-free read validation of §8 are implemented and switchable for
+// ablation; see doc.go for why O1 and O3 are not.
 package core
 
 import (
@@ -44,22 +44,10 @@ type Config struct {
 	// an Invalid key, or an INV broadcast may go unacknowledged, before the
 	// replica suspects loss and retransmits or replays.
 	MLT time.Duration
-	// ElideVAL enables optimization O1: a coordinator whose write was
-	// superseded by a higher-timestamp concurrent write (Trans state) skips
-	// the VAL broadcast for it.
-	ElideVAL bool
 	// VirtualIDs enables optimization O2: the set of coordinator IDs this
 	// node may stamp writes with, improving conflict-resolution fairness.
-	// Empty means {uint16(ID)}. All nodes' sets must be disjoint and
-	// CIDOwner must invert the assignment.
+	// Empty means {uint16(ID)}. All nodes' sets must be disjoint.
 	VirtualIDs []uint16
-	// CIDOwner maps a timestamp's cid back to the physical node that owns
-	// it; nil means the identity mapping cid -> NodeID(cid).
-	CIDOwner func(cid uint16) proto.NodeID
-	// EarlyACKs enables optimization O3: followers broadcast ACKs to all
-	// replicas and validate once all ACKs are seen, halving read-blocking
-	// latency; VALs are not sent (their role is subsumed).
-	EarlyACKs bool
 	// NoLSC disables reliance on loosely synchronized clocks for reads
 	// (§8): reads execute speculatively and are released when a subsequent
 	// local update commit — or an explicit membership check acknowledged by
@@ -72,7 +60,8 @@ type Config struct {
 	Rand *rand.Rand
 }
 
-// Metrics counts protocol events; the ablation benches read them. The
+// Metrics counts protocol events; the live benchmark's per-layer metrics,
+// the chaos suite's fingerprints and the NoLSC ablation read them. The
 // read-side fields (Reads, StalledReads, FastPathReads, FastPathMisses) are
 // backed by atomics so both the event loop and fast-path caller goroutines
 // can bump them; everything else is event-loop-private, so Metrics must be
@@ -81,7 +70,6 @@ type Metrics struct {
 	Reads, Writes, RMWs     uint64 // client ops submitted
 	INVsSent, ACKsSent      uint64
 	VALsSent                uint64
-	VALsElided              uint64 // O1 savings
 	Replays                 uint64 // write replays started
 	Retransmits             uint64 // INV rebroadcasts after mlt
 	RMWAborts               uint64
@@ -90,7 +78,6 @@ type Metrics struct {
 	StalledReads            uint64 // reads that found the key not Valid
 	FastPathReads           uint64 // reads served lock-free by ReadLocal
 	FastPathMisses          uint64 // ReadLocal fallbacks to the Submit path
-	EarlyValidations        uint64 // O3: validated from ACKs before any VAL
 	MChecks                 uint64 // §8 membership checks issued
 	SpecReadsFlushedByWrite uint64 // §8 reads released by a local commit
 	TeachACKs               uint64 // ACK-without-apply carrying the rival entry
@@ -131,7 +118,6 @@ type Hermes struct {
 	fastReads, fastMisses readCounter
 	stalledReads          atomic.Uint64
 
-	cidOwner   func(uint16) proto.NodeID
 	virtualIDs []uint16
 
 	// wset caches h.view.WriteSet(h.id), recomputed on every view install:
@@ -162,8 +148,8 @@ type specRead struct {
 }
 
 // keyMeta holds the transient coordination state of one key. A meta exists
-// only while the key has an in-flight update, stalled requests, an armed
-// replay timer or buffered early ACKs; quiescent keys carry no overhead.
+// only while the key has an in-flight update, stalled requests or an armed
+// replay timer; quiescent keys carry no overhead.
 type keyMeta struct {
 	pend *pending // nil, or &pendBuf (see setPend)
 	// pendBuf backs pend so that starting an update allocates nothing beyond
@@ -176,9 +162,6 @@ type keyMeta struct {
 	slot     *kvs.Slot
 	waiters  []proto.ClientOp
 	replayAt time.Duration // when non-zero: replay if still Invalid then
-	// O3 early-validation bookkeeping for the follower side.
-	ackTS  proto.TS
-	ackers map[proto.NodeID]bool
 }
 
 // nodeSet is an allocation-free set of node IDs (the ID space is 8-bit).
@@ -237,13 +220,9 @@ func New(cfg Config) *Hermes {
 		oper:       !cfg.Learner,
 		learner:    cfg.Learner,
 		virtualIDs: cfg.VirtualIDs,
-		cidOwner:   cfg.CIDOwner,
 	}
 	if len(h.virtualIDs) == 0 {
 		h.virtualIDs = []uint16{uint16(cfg.ID)}
-	}
-	if h.cidOwner == nil {
-		h.cidOwner = func(cid uint16) proto.NodeID { return proto.NodeID(cid) }
 	}
 	h.wset = h.view.WriteSet(h.id)
 	h.publishGate()
@@ -261,8 +240,9 @@ func VirtualIDs(id proto.NodeID, n, k int) []uint16 {
 	return out
 }
 
-// StrideOwner returns the CIDOwner inverse of VirtualIDs for an n-node
-// cluster.
+// StrideOwner maps a cid stamped under VirtualIDs back to the physical node
+// of an n-node cluster that owns it. The protocol never needs the owner; the
+// O2 ablation uses it to attribute conflict wins to nodes.
 func StrideOwner(n int) func(uint16) proto.NodeID {
 	return func(cid uint16) proto.NodeID { return proto.NodeID(int(cid) % n) }
 }
@@ -381,13 +361,6 @@ func safeVal(e kvs.Entry) proto.Value {
 	return e.Value
 }
 
-func (h *Hermes) metaOf(k proto.Key) *keyMeta {
-	if m := h.meta[k]; m != nil {
-		return m
-	}
-	return h.newMeta(k)
-}
-
 // maxFreeMeta bounds the recycled-meta stack: enough for every update a
 // shard can have in flight at once, small enough that a one-off burst of
 // stalled keys does not stay resident.
@@ -433,7 +406,7 @@ func (h *Hermes) sortedMetaKeys() []proto.Key {
 // may reach gc twice for one meta in a turn (validate, then their own tail);
 // the identity check makes the second a no-op instead of a double free.
 func (h *Hermes) gc(k proto.Key, m *keyMeta) {
-	if m.pend != nil || len(m.waiters) > 0 || m.replayAt != 0 || m.ackers != nil || h.meta[k] != m {
+	if m.pend != nil || len(m.waiters) > 0 || m.replayAt != 0 || h.meta[k] != m {
 		return
 	}
 	delete(h.meta, k)
@@ -740,20 +713,15 @@ func (h *Hermes) applyINV(inv INV, m *keyMeta, sl *kvs.Slot) {
 		if len(m.waiters) > 0 && st == kvs.Invalid && m.pend == nil {
 			m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 		}
-		// O3: ACKs gathered for a different timestamp are obsolete.
-		if m.ackers != nil && m.ackTS != inv.TS {
-			m.ackers = nil
-		}
 		h.gc(inv.Key, m)
 	}
 }
 
-// sendACK acknowledges an INV: to the coordinator only, or — under O3 — to
-// every replica so followers can validate without the VAL round. cmp is the
-// INV's timestamp compared against the local entry before the INV; when the
-// local entry outranked the INV (cmp < 0, ACK-without-apply: the entry in sl
-// still stands) the ACK teaches the sender the rival entry so the losing
-// write's coordinator never validates its copy blind to the in-flight chain
+// sendACK acknowledges an INV to its coordinator. cmp is the INV's timestamp
+// compared against the local entry before the INV; when the local entry
+// outranked the INV (cmp < 0, ACK-without-apply: the entry in sl still
+// stands) the ACK teaches the sender the rival entry so the losing write's
+// coordinator never validates its copy blind to the in-flight chain
 // above it.
 func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int, sl *kvs.Slot) {
 	ack := ACK{Epoch: h.view.Epoch, Key: inv.Key, TS: inv.TS}
@@ -765,22 +733,11 @@ func (h *Hermes) sendACK(from proto.NodeID, inv INV, cmp int, sl *kvs.Slot) {
 		ack.HRMW = e.RMW
 		h.metrics.TeachACKs++
 	}
-	if !h.cfg.EarlyACKs {
-		h.env.Send(from, ack)
-		h.metrics.ACKsSent++
-		return
-	}
-	var msg any = ack // boxed once for the whole broadcast
-	for _, n := range h.wset {
-		h.env.Send(n, msg)
-		h.metrics.ACKsSent++
-	}
-	// Count our own ACK toward early validation.
-	h.recordEarlyACK(h.id, inv.Key, inv.TS)
+	h.env.Send(from, ack)
+	h.metrics.ACKsSent++
 }
 
-// onACK implements CACK on the coordinator and O3 early validation on
-// followers.
+// onACK implements CACK on the coordinator.
 func (h *Hermes) onACK(from proto.NodeID, ack ACK) {
 	if h.staleEpoch(ack.Epoch) {
 		return
@@ -791,10 +748,6 @@ func (h *Hermes) onACK(from proto.NodeID, ack ACK) {
 	if m := h.meta[ack.Key]; m != nil && m.pend != nil && m.pend.ts == ack.TS {
 		m.pend.acked.add(from)
 		h.checkCommit(ack.Key, m)
-		return
-	}
-	if h.cfg.EarlyACKs {
-		h.recordEarlyACK(from, ack.Key, ack.TS)
 	}
 }
 
@@ -823,51 +776,6 @@ func (h *Hermes) learnHigher(ack ACK) {
 	}
 	h.metrics.TaughtApplied++
 	h.applyINV(INV{Epoch: ack.Epoch, Key: ack.Key, TS: ack.HTS, Value: ack.HVal, RMW: ack.HRMW}, m, sl)
-}
-
-// recordEarlyACK tracks which replicas have acknowledged (key, ts). ACKs may
-// race ahead of their INV, so acknowledgments for a timestamp newer than the
-// local one are buffered. Once every non-coordinator replica has ACKed the
-// local timestamp, the write is globally visible and this follower may
-// validate without waiting for a VAL (O3, §3.3).
-func (h *Hermes) recordEarlyACK(from proto.NodeID, k proto.Key, ts proto.TS) {
-	if ts.Before(headOf(h.store.Lookup(k)).TS) {
-		return // stale: a newer update superseded this write locally
-	}
-	m := h.metaOf(k)
-	if m.ackers == nil || m.ackTS != ts {
-		if m.ackers != nil && m.ackTS.After(ts) {
-			h.gc(k, m)
-			return // buffer already tracks a newer write
-		}
-		m.ackTS = ts
-		m.ackers = make(map[proto.NodeID]bool)
-	}
-	m.ackers[from] = true
-	h.tryEarlyValidate(k, m)
-	h.gc(k, m)
-}
-
-// tryEarlyValidate validates the key if it is Invalid at the buffered ACK
-// timestamp and every required replica has acknowledged.
-func (h *Hermes) tryEarlyValidate(k proto.Key, m *keyMeta) {
-	if m.ackers == nil {
-		return
-	}
-	sl := h.slotOf(k, m)
-	hd := headOf(sl)
-	if m.ackTS != hd.TS || hd.State != kvs.Invalid {
-		return
-	}
-	coord := h.cidOwner(hd.TS.CID)
-	for _, n := range h.view.WriteSet(coord) {
-		if !m.ackers[n] {
-			return
-		}
-	}
-	h.metrics.EarlyValidations++
-	m.ackers = nil
-	h.validate(k, m, sl)
 }
 
 // onVAL implements FVAL: validate iff the timestamps match exactly.
@@ -908,8 +816,8 @@ func (h *Hermes) checkCommit(k proto.Key, m *keyMeta) {
 
 // finishPending completes a gathered update: answer the client, then
 // validate — or fall back to Invalid if a concurrent higher-timestamped
-// write superseded ours while we gathered ACKs (Trans), in which case O1
-// elides the now-unnecessary VAL broadcast.
+// write superseded ours while we gathered ACKs (Trans), in which case the
+// rival's INV goes out in place of our VAL.
 func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	p := m.pend
 	m.pend = nil
@@ -928,15 +836,12 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	hd := headOf(sl)
 	switch {
 	case hd.TS == ts:
-		if !h.cfg.EarlyACKs {
-			h.broadcastVAL(k, ts)
-		}
+		h.broadcastVAL(k, ts)
 		h.validate(k, m, sl)
 	case hd.State == kvs.Valid:
-		// The superseding write already validated the key (its VAL or early
-		// ACKs arrived before our last ACK). Our write committed; nothing to
-		// validate, and O1 applies to our own VAL.
-		h.elideOrBroadcastVAL(k, ts)
+		// The superseding write already validated the key (its VAL arrived
+		// before our last ACK). Our write committed; nothing to validate.
+		h.broadcastVAL(k, ts)
 		h.drainWaiters(k, m)
 		h.gc(k, m)
 	default:
@@ -952,14 +857,7 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 		if len(m.waiters) > 0 && m.replayAt == 0 {
 			m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 		}
-		if h.cfg.ElideVAL || h.cfg.EarlyACKs {
-			// O1/O3 already sent nothing here; followers stuck on our
-			// timestamp cure via broadcast ACKs or replay + teaching.
-			h.metrics.VALsElided++
-		} else {
-			h.relayHigherINV(k)
-		}
-		h.tryEarlyValidate(k, m)
+		h.relayHigherINV(k)
 		h.gc(k, m)
 	}
 }
@@ -975,14 +873,6 @@ func (h *Hermes) relayHigherINV(k proto.Key) {
 		h.env.Send(n, msg)
 		h.metrics.INVsSent++
 	}
-}
-
-func (h *Hermes) elideOrBroadcastVAL(k proto.Key, ts proto.TS) {
-	if h.cfg.ElideVAL || h.cfg.EarlyACKs {
-		h.metrics.VALsElided++
-		return
-	}
-	h.broadcastVAL(k, ts)
 }
 
 func (h *Hermes) broadcastVAL(k proto.Key, ts proto.TS) {
@@ -1002,7 +892,6 @@ func (h *Hermes) validate(k proto.Key, m *keyMeta, sl *kvs.Slot) {
 		return
 	}
 	m.replayAt = 0
-	m.ackers = nil
 	if m.pend == nil {
 		h.drainWaiters(k, m)
 	}

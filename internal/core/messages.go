@@ -78,9 +78,7 @@ func MsgKey(msg any) (proto.Key, bool) {
 }
 
 // ACK acknowledges an INV. The follower echoes the INV's timestamp so the
-// coordinator can match it to the pending update. Under optimization O3
-// (§3.3) ACKs are broadcast to every replica rather than unicast to the
-// coordinator, letting followers validate a half round-trip early.
+// coordinator can match it to the pending update.
 //
 // When the acker's local timestamp outranks the INV (an ACK-without-apply:
 // the write still commits but is serialized before the acker's chain), the

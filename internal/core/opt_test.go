@@ -5,61 +5,54 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/kvs"
 	"repro/internal/proto"
 )
 
-// O1: a coordinator that finished in Trans state (its write superseded)
-// skips the outgoing broadcast, saving bandwidth (§3.3). Without O1 the
-// Trans commit relays the superseding write's INV — not a VAL for its own
-// outranked timestamp, which would let a follower validate a copy the rival
-// is about to splice past (see finishPending).
-func TestO1ElidesUnnecessaryVALs(t *testing.T) {
-	run := func(elide bool) (sent, elided uint64) {
-		h := newHarness(t, 3, func(c *Config) { c.ElideVAL = elide })
-		h.write(0, 1, "low")  // (2,0) — will be superseded
-		h.write(2, 1, "high") // (2,2)
-		// Deliver INVs first so node 0 lands in Trans, then everything.
-		for {
-			h.dropWhere(func(e envelope) bool { _, is := e.msg.(ACK); return is })
-			if len(h.msgs) == 0 {
-				break
-			}
-			h.step()
+// A coordinator whose write was superseded while it gathered ACKs commits
+// in Trans. It sends no VAL for its outranked timestamp — a follower still
+// holding that copy would validate it while the rival is in flight — and
+// relays the rival's INV to its write set in its place (see finishPending).
+func TestTransCommitRelaysRivalINV(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	low := h.write(0, 1, "low") // (2,0) — will be superseded
+	h.write(2, 1, "high")       // (2,2)
+	rival := proto.TS{Version: 2, CID: 2}
+	// Deliver INVs only, so node 0 applies the rival's and lands in Trans.
+	for {
+		h.dropWhere(func(e envelope) bool { _, is := e.msg.(ACK); return is })
+		if len(h.msgs) == 0 {
+			break
 		}
-		// Now re-run the writes' ACK phases via retransmission.
-		h.advance(15 * time.Millisecond)
-		h.run()
-		h.advance(15 * time.Millisecond)
-		h.run()
-		m := h.nodes[0].Metrics()
-		return m.VALsSent + m.INVsSent, m.VALsElided
+		h.step()
 	}
-	sentOff, elidedOff := run(false)
-	sentOn, elidedOn := run(true)
-	if elidedOff != 0 {
-		t.Fatalf("baseline elided %d broadcasts", elidedOff)
+	// Retransmission gathers the ACKs; keep what node 0's commit turn sends.
+	h.advance(15 * time.Millisecond)
+	var sent []envelope
+	for !h.hasCompletion(0, low) {
+		before := len(h.msgs)
+		if !h.step() {
+			t.Fatal("node 0's superseded write never committed")
+		}
+		sent = h.msgs[before-1:]
 	}
-	if elidedOn == 0 {
-		t.Fatal("O1 never elided a broadcast in a Trans commit")
+	relayed := map[proto.NodeID]bool{}
+	for _, e := range sent {
+		inv, ok := e.msg.(INV)
+		if !ok || e.from != 0 || inv.TS != rival || string(inv.Value) != "high" {
+			t.Fatalf("Trans commit sent %T %+v to %d, want only the rival's INV", e.msg, e.msg, e.to)
+		}
+		relayed[e.to] = true
 	}
-	if sentOn >= sentOff {
-		t.Fatalf("O1 did not reduce outgoing broadcasts: %d vs %d", sentOn, sentOff)
-	}
-}
-
-func TestO1StillConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	h := newHarness(t, 5, func(c *Config) { c.ElideVAL = true })
-	for i := 0; i < 10; i++ {
-		h.write(proto.NodeID(rng.Intn(5)), 1, string(rune('a'+i)))
-	}
-	for round := 0; round < 30; round++ {
-		h.runShuffled(rng)
-		h.advance(11 * time.Millisecond)
+	if !relayed[1] || !relayed[2] || len(sent) != 2 {
+		t.Fatalf("rival's INV relayed to %v in %d messages, want nodes 1 and 2", relayed, len(sent))
 	}
 	h.run()
-	h.requireConverged(1)
+	if n := h.nodes[0].Metrics().VALsSent; n != 0 {
+		t.Fatalf("node 0 sent %d VALs for its outranked write", n)
+	}
+	if e := h.requireConverged(1); e.TS != rival || string(e.Value) != "high" {
+		t.Fatalf("converged on %+v, want the rival", e)
+	}
 }
 
 // O2: virtual node IDs spread conflict-resolution wins across physical
@@ -95,7 +88,6 @@ func TestO2ImprovesFairness(t *testing.T) {
 			h := newHarness(t, 2, func(c *Config) {
 				if k > 1 {
 					c.VirtualIDs = VirtualIDs(c.ID, 2, k)
-					c.CIDOwner = StrideOwner(2)
 					c.Rand = rand.New(rand.NewSource(int64(trial*10) + int64(c.ID)))
 				}
 			})
@@ -120,107 +112,6 @@ func TestO2ImprovesFairness(t *testing.T) {
 	virt := winsFor(8)
 	if virt[0] < 40 || virt[1] < 40 {
 		t.Fatalf("with O2 wins should spread, got %v", virt)
-	}
-}
-
-// O3: followers broadcast ACKs and validate as soon as all ACKs are seen —
-// no VAL needed, and a stalled read completes a half round-trip earlier.
-func TestO3EarlyACKsValidateWithoutVAL(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.EarlyACKs = true })
-	op := h.write(0, 1, "v")
-	h.run()
-	if c := h.completion(0, op); c.Status != proto.OK {
-		t.Fatalf("completion: %+v", c)
-	}
-	e := h.requireConverged(1)
-	if string(e.Value) != "v" {
-		t.Fatalf("value=%q", e.Value)
-	}
-	var vals, early uint64
-	for _, n := range h.nodes {
-		m := n.Metrics()
-		vals += m.VALsSent
-		early += m.EarlyValidations
-	}
-	if vals != 0 {
-		t.Fatalf("O3 sent %d VALs, want 0", vals)
-	}
-	if early == 0 {
-		t.Fatal("no early validations recorded")
-	}
-}
-
-func TestO3StalledReadCompletesOnACKs(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.EarlyACKs = true })
-	h.write(0, 1, "v")
-	// Deliver INVs only.
-	h.step()
-	h.step()
-	op := h.read(1, 1)
-	if h.hasCompletion(1, op) {
-		t.Fatal("read served while Invalid")
-	}
-	// Deliver the broadcast ACKs; node 1 should validate from them alone,
-	// never seeing a VAL.
-	h.run()
-	c := h.completion(1, op)
-	if c.Status != proto.OK || string(c.Value) != "v" {
-		t.Fatalf("read after early ACKs: %+v", c)
-	}
-}
-
-func TestO3ACKBeforeINVIsBuffered(t *testing.T) {
-	h := newHarness(t, 3, func(c *Config) { c.EarlyACKs = true })
-	h.write(0, 1, "v")
-	// Reorder: deliver node 2's INV, then its broadcast ACK to node 1,
-	// and only then node 1's own INV.
-	var inv1 envelope
-	found := false
-	h.dropWhere(func(e envelope) bool {
-		if _, is := e.msg.(INV); is && e.to == 1 {
-			inv1, found = e, true
-			return true
-		}
-		return false
-	})
-	if !found {
-		t.Fatal("INV to node 1 not found")
-	}
-	h.run() // node 2 ACKs to all; node 1 buffers the early ACK
-	if e := h.entry(1, 1); e.State == kvs.Invalid {
-		t.Fatal("node 1 should not be invalidated yet")
-	}
-	// Now the delayed INV arrives; with the buffered ACK plus its own, node
-	// 1 validates immediately.
-	h.nodes[1].Deliver(inv1.from, inv1.msg)
-	h.run()
-	e := h.entry(1, 1)
-	if e.State != kvs.Valid || string(e.Value) != "v" {
-		t.Fatalf("after reordered ACK/INV: %+v", e)
-	}
-	if h.nodes[1].Metrics().EarlyValidations != 1 {
-		t.Fatal("validation should have come from buffered ACKs")
-	}
-}
-
-func TestO3ConvergesUnderStress(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := newHarness(t, 5, func(c *Config) { c.EarlyACKs = true })
-		for i := 0; i < 8; i++ {
-			h.write(proto.NodeID(rng.Intn(5)), 1, string(rune('a'+i)))
-			if rng.Intn(2) == 0 {
-				h.runShuffled(rng)
-			}
-		}
-		for round := 0; round < 40; round++ {
-			h.dropWhere(func(envelope) bool { return rng.Float64() < 0.1 })
-			h.runShuffled(rng)
-			h.advance(11 * time.Millisecond)
-		}
-		h.run()
-		h.forceConverge(1)
-		h.requireConverged(1)
 	}
 }
 

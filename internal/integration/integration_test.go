@@ -163,18 +163,9 @@ func TestHermesLinearizableUnderNemesis(t *testing.T) {
 	}
 }
 
-func TestHermesO1LinearizableUnderNemesis(t *testing.T) {
-	runLinCheck(t, hermesFactory(func(c *core.Config) { c.ElideVAL = true }), 77)
-}
-
-func TestHermesO3LinearizableUnderNemesis(t *testing.T) {
-	runLinCheck(t, hermesFactory(func(c *core.Config) { c.EarlyACKs = true }), 78)
-}
-
 func TestHermesO2LinearizableUnderNemesis(t *testing.T) {
 	runLinCheck(t, hermesFactory(func(c *core.Config) {
 		c.VirtualIDs = core.VirtualIDs(c.ID, 5, 4)
-		c.CIDOwner = core.StrideOwner(5)
 	}), 79)
 }
 
