@@ -49,18 +49,21 @@ package core
 //	                                                          all ACKs, re-bcast   (same)
 //	any message, epoch mismatch  —                            drop                 (same)
 //
-//	*  In the Trans case the coordinator relays the rival's INV instead of
-//	   a VAL for its outranked timestamp.
+//	*  Only when the key still holds our timestamp: a superseded write
+//	   commits in silence (O1 below).
 //	†  Invalid instead if a higher-ts INV superseded us while gathering ACKs
 //	   (the Trans case); Valid-with-drain if the newer write validated first.
 //
-// Optimizations (§3.3): O2, switchable in Config as VirtualIDs, has writes
-// stamp a random virtual cid owned by the node, spreading same-version
-// tiebreak wins fairly. O1 (a superseded coordinator elides its VAL) and O3
-// (followers broadcast ACKs and validate without a VAL) were priced on the
-// live benchmark at N = 3 and deleted: O3 cost CPU and latency on every
-// workload, and O1 saved messages no end-to-end metric saw while dropping
-// the Trans relay above.
+// Optimizations (§3.3): O1 is the only behaviour: a coordinator whose write
+// was superseded while it gathered ACKs sends no VAL and nothing in its
+// place. Followers validate only on an exact timestamp match and no VAL for
+// the outranked timestamp exists, so a follower still holding that copy
+// stays Invalid until the rival's retransmission, its VAL or a §3.4 replay
+// moves it on. O2, switchable in Config as VirtualIDs, has writes stamp a
+// random virtual cid owned by the node, spreading same-version tiebreak
+// wins fairly. O3 (followers broadcast ACKs and validate without a VAL) was
+// priced on the live benchmark at N = 3 and deleted: it cost CPU and
+// latency on every workload.
 //
 // §8 (NoLSC) read validation: reads execute speculatively and are released
 // when a subsequent local commit (ACKs from all live ⊇ majority) or an

@@ -11,9 +11,10 @@
 // A Hermes replica is a deterministic single-threaded state machine
 // implementing proto.Replica; the same code runs under the discrete-event
 // simulator (internal/sim) and the live goroutine runtime
-// (internal/cluster). Optimization O2 (virtual node IDs) from §3.3 and the
-// clock-free read validation of §8 are implemented and switchable for
-// ablation; see doc.go for why O1 and O3 are not.
+// (internal/cluster). Of the §3.3 optimizations, O1 (a superseded write
+// sends no VAL) is the only behaviour, and O2 (virtual node IDs) and the
+// clock-free read validation of §8 are switchable for ablation; see doc.go
+// for why O3 is neither.
 package core
 
 import (
@@ -815,9 +816,13 @@ func (h *Hermes) checkCommit(k proto.Key, m *keyMeta) {
 }
 
 // finishPending completes a gathered update: answer the client, then
-// validate — or fall back to Invalid if a concurrent higher-timestamped
-// write superseded ours while we gathered ACKs (Trans), in which case the
-// rival's INV goes out in place of our VAL.
+// validate — unless a concurrent higher-timestamped write superseded ours
+// while we gathered ACKs, in which case nothing is sent (§3.3 O1). If the
+// rival already validated the key, every other member acknowledged it and
+// its head is past our timestamp, so a VAL for ours could validate nothing.
+// In Trans a follower may still hold our outranked copy, which a VAL would
+// validate under the rival in flight; sent nothing, it stays Invalid until
+// the rival's retransmission, its VAL or a §3.4 replay moves it on.
 func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	p := m.pend
 	m.pend = nil
@@ -841,37 +846,15 @@ func (h *Hermes) finishPending(k proto.Key, m *keyMeta) {
 	case hd.State == kvs.Valid:
 		// The superseding write already validated the key (its VAL arrived
 		// before our last ACK). Our write committed; nothing to validate.
-		h.broadcastVAL(k, ts)
 		h.drainWaiters(k, m)
 		h.gc(k, m)
 	default:
-		// Trans: key stays Invalid until the newer write validates it. In
-		// place of a VAL for our outranked timestamp we relay the newer
-		// entry's INV: a naked VAL would let a follower still holding our
-		// copy validate it while the rival is in flight, and an RMW minted
-		// from that Valid copy reads a chain the rival splices into below
-		// the RMW's timestamp — the same hole teaching ACKs close at the
-		// coordinator. §3.4 lets any invalidated node re-broadcast a write
-		// it knows; the rival's own VAL or a replay validates it.
+		// Trans: the key stays Invalid until the newer write validates it.
 		sl.SetState(kvs.Invalid)
 		if len(m.waiters) > 0 && m.replayAt == 0 {
 			m.replayAt = h.arm(h.env.Now() + h.cfg.MLT)
 		}
-		h.relayHigherINV(k)
 		h.gc(k, m)
-	}
-}
-
-// relayHigherINV re-broadcasts the entry that superseded a just-committed
-// local write. Receivers still holding the outranked copy advance onto the
-// rival's chain instead of waiting to validate a timestamp that never will;
-// receivers already past it ACK harmlessly.
-func (h *Hermes) relayHigherINV(k proto.Key) {
-	e := h.entry(k)
-	var msg any = INV{Epoch: h.view.Epoch, Key: k, TS: e.TS, Value: safeVal(e), RMW: e.RMW}
-	for _, n := range h.wset {
-		h.env.Send(n, msg)
-		h.metrics.INVsSent++
 	}
 }
 

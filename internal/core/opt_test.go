@@ -5,14 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kvs"
 	"repro/internal/proto"
 )
 
 // A coordinator whose write was superseded while it gathered ACKs commits
-// in Trans. It sends no VAL for its outranked timestamp — a follower still
-// holding that copy would validate it while the rival is in flight — and
-// relays the rival's INV to its write set in its place (see finishPending).
-func TestTransCommitRelaysRivalINV(t *testing.T) {
+// in Trans and sends nothing (§3.3 O1): every write-set member acknowledged
+// the rival, so no follower can apply a VAL for the outranked timestamp,
+// and the rival's own VAL validates the key (see finishPending).
+func TestTransCommitSendsNothing(t *testing.T) {
 	h := newHarness(t, 3, nil)
 	low := h.write(0, 1, "low") // (2,0) — will be superseded
 	h.write(2, 1, "high")       // (2,2)
@@ -35,20 +36,113 @@ func TestTransCommitRelaysRivalINV(t *testing.T) {
 		}
 		sent = h.msgs[before-1:]
 	}
-	relayed := map[proto.NodeID]bool{}
-	for _, e := range sent {
-		inv, ok := e.msg.(INV)
-		if !ok || e.from != 0 || inv.TS != rival || string(inv.Value) != "high" {
-			t.Fatalf("Trans commit sent %T %+v to %d, want only the rival's INV", e.msg, e.msg, e.to)
-		}
-		relayed[e.to] = true
+	if e := h.entry(0, 1); e.TS != rival || e.State != kvs.Invalid {
+		t.Fatalf("node 0 committed holding %v %v, want the rival's Invalid copy (Trans)", e.TS, e.State)
 	}
-	if !relayed[1] || !relayed[2] || len(sent) != 2 {
-		t.Fatalf("rival's INV relayed to %v in %d messages, want nodes 1 and 2", relayed, len(sent))
+	if len(sent) != 0 {
+		t.Fatalf("Trans commit sent %s, want nothing", describe(sent))
 	}
 	h.run()
 	if n := h.nodes[0].Metrics().VALsSent; n != 0 {
 		t.Fatalf("node 0 sent %d VALs for its outranked write", n)
+	}
+	if e := h.requireConverged(1); e.TS != rival || string(e.Value) != "high" {
+		t.Fatalf("converged on %+v, want the rival", e)
+	}
+}
+
+// deliverFirst delivers the oldest in-flight message matching the predicate,
+// leaving the others in order.
+func deliverFirst(h *harness, match func(envelope) bool) {
+	h.t.Helper()
+	for i, e := range h.msgs {
+		if match(e) {
+			copy(h.msgs[1:i+1], h.msgs[:i])
+			h.msgs[0] = e
+			h.step()
+			return
+		}
+	}
+	h.t.Fatalf("no in-flight message matches; have %s", describe(h.msgs))
+}
+
+func isMsg[M any](from, to proto.NodeID) func(envelope) bool {
+	return func(e envelope) bool { _, is := e.msg.(M); return is && e.from == from && e.to == to }
+}
+
+// The rival's VAL reaches the superseded coordinator before its last ACK, so
+// the key is already Valid at commit time. That commit sends no VAL: every
+// follower acknowledged the rival and holds a head past our timestamp.
+func TestCommitAfterRivalValidatedSendsNoVAL(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	low := h.write(0, 1, "low") // (2,0)
+	h.write(2, 1, "high")       // (2,2)
+	rival := proto.TS{Version: 2, CID: 2}
+	deliverFirst(h, isMsg[INV](2, 0)) // node 0 applies the rival: Trans
+	deliverFirst(h, isMsg[INV](2, 1))
+	deliverFirst(h, isMsg[ACK](0, 2))
+	deliverFirst(h, isMsg[ACK](1, 2)) // the rival commits
+	deliverFirst(h, isMsg[VAL](2, 0)) // and validates node 0's copy
+	deliverFirst(h, isMsg[VAL](2, 1))
+	if e := h.entry(0, 1); e.TS != rival || e.State != kvs.Valid {
+		t.Fatalf("node 0 holds %v %v before its commit, want the rival Valid", e.TS, e.State)
+	}
+	deliverFirst(h, isMsg[INV](0, 1))
+	deliverFirst(h, isMsg[INV](0, 2))
+	deliverFirst(h, isMsg[ACK](1, 0))
+	before := len(h.msgs)
+	deliverFirst(h, isMsg[ACK](2, 0))
+	if !h.hasCompletion(0, low) {
+		t.Fatal("node 0's write did not commit on its last ACK")
+	}
+	if sent := h.msgs[before-1:]; len(sent) != 0 {
+		t.Fatalf("commit on a Valid key sent %s, want nothing", describe(sent))
+	}
+	h.run()
+	h.requireNoInflight()
+	if n := h.nodes[0].Metrics().VALsSent; n != 0 {
+		t.Fatalf("node 0 sent %d VALs for its outranked write", n)
+	}
+	if e := h.requireConverged(1); e.TS != rival {
+		t.Fatalf("converged on %+v, want the rival", e)
+	}
+}
+
+// Follower 1 holds the outranked copy and the rival's first INV to it is
+// lost. The superseded coordinator's silent commit must not let follower 1
+// validate that copy at any point; the rival's retransmission moves it onto
+// the rival's chain, and its VAL validates it there.
+func TestOutrankedCopyNeverValidatesAtFollower(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	low := h.write(0, 1, "low") // (2,0)
+	h.write(2, 1, "high")       // (2,2)
+	outranked, rival := proto.TS{Version: 2, CID: 0}, proto.TS{Version: 2, CID: 2}
+	if h.dropWhere(isMsg[INV](2, 1)) != 1 {
+		t.Fatal("rival's INV to node 1 not in flight")
+	}
+	runChecked := func() {
+		for h.step() {
+			if e := h.entry(1, 1); e.TS == outranked && e.State == kvs.Valid {
+				t.Fatal("node 1 validated the outranked copy")
+			}
+		}
+	}
+	runChecked()
+	if !h.hasCompletion(0, low) {
+		t.Fatal("node 0's superseded write never committed")
+	}
+	if e := h.entry(1, 1); e.TS != outranked || e.State != kvs.Invalid {
+		t.Fatalf("before the rival's retransmission node 1 holds %v %v, want the outranked copy Invalid", e.TS, e.State)
+	}
+	h.advance(15 * time.Millisecond)
+	runChecked()
+	if h.nodes[2].Metrics().Retransmits == 0 {
+		t.Fatal("the rival never retransmitted its INV")
+	}
+	for id, n := range h.nodes {
+		if r := n.Metrics().Replays; r != 0 {
+			t.Fatalf("node %d started %d replays; the retransmission alone should converge", id, r)
+		}
 	}
 	if e := h.requireConverged(1); e.TS != rival || string(e.Value) != "high" {
 		t.Fatalf("converged on %+v, want the rival", e)

@@ -40,21 +40,21 @@ func TestChaosGoldenFingerprints(t *testing.T) {
 		fingerprint uint64
 		counters    [6]uint64
 	}{
-		{"kitchen-sink", 1, 0xa016b61ac8180f36, [6]uint64{28, 26, 1222, 121, 19, 19}},
-		{"kitchen-sink", 2, 0x7e0d602346b6dc36, [6]uint64{11, 11, 1222, 39, 9, 7}},
-		{"kitchen-sink", 3, 0x3bd64626497f94b0, [6]uint64{17, 17, 2830, 79, 16, 20}},
-		{"gray", 1, 0x007e57e99911bf9b, [6]uint64{9, 9, 2210, 55, 7, 9}},
-		{"gray", 2, 0x3126fb7d8ac5bcef, [6]uint64{9, 9, 2272, 54, 7, 6}},
-		{"gray", 3, 0x9ca5050e1f77d97c, [6]uint64{6, 6, 2263, 36, 3, 0}},
-		{"rollout-storms", 1, 0xed5caaacd92227ab, [6]uint64{26, 27, 2830, 98, 19, 1}},
-		{"rollout-storms", 2, 0xa27affa82f609801, [6]uint64{25, 26, 2920, 41, 13, 0}},
-		{"rollout-storms", 3, 0x6d7396755a7b15ff, [6]uint64{23, 25, 2810, 100, 18, 4}},
-		{"rejoin-behind", 1, 0x00a7e0bd4e6c2217, [6]uint64{16, 17, 2934, 41, 10, 0}},
-		{"rejoin-behind", 2, 0xdf776d15dc04121c, [6]uint64{15, 15, 3030, 31, 8, 6}},
-		{"rejoin-behind", 3, 0xf1408a0d954a16c8, [6]uint64{17, 17, 1318, 43, 10, 4}},
+		{"kitchen-sink", 1, 0x3366042c40ba222b, [6]uint64{29, 26, 1222, 108, 19, 13}},
+		{"kitchen-sink", 2, 0x06fba8b1e85166f7, [6]uint64{21, 21, 1136, 29, 9, 33}},
+		{"kitchen-sink", 3, 0x5e50b156112d4289, [6]uint64{20, 20, 2868, 97, 15, 6}},
+		{"gray", 1, 0x9f8c926625f3db99, [6]uint64{9, 9, 2210, 55, 7, 9}},
+		{"gray", 2, 0xa552225c35d43b64, [6]uint64{10, 10, 2272, 50, 6, 13}},
+		{"gray", 3, 0x0729284df0d398f7, [6]uint64{8, 8, 2165, 43, 5, 3}},
+		{"rollout-storms", 1, 0xd647aec622285809, [6]uint64{28, 29, 2830, 107, 19, 3}},
+		{"rollout-storms", 2, 0x215279eabe0cef0a, [6]uint64{20, 20, 1094, 44, 13, 5}},
+		{"rollout-storms", 3, 0x6d7ec12092da7c31, [6]uint64{19, 16, 2848, 83, 15, 6}},
+		{"rejoin-behind", 1, 0x39de28f97963cecc, [6]uint64{16, 16, 2838, 42, 10, 4}},
+		{"rejoin-behind", 2, 0xad862d604aa67693, [6]uint64{15, 15, 1230, 40, 8, 6}},
+		{"rejoin-behind", 3, 0x9e87edb30d3fa1e2, [6]uint64{13, 13, 2914, 33, 8, 0}},
 		{"gossip-self-heal", 1, 0x25c1414c0e5d8b6d, [6]uint64{16, 16, 2934, 40, 10, 3}},
-		{"gossip-self-heal", 2, 0x03964a285446ab6c, [6]uint64{13, 13, 2928, 29, 8, 3}},
-		{"gossip-self-heal", 3, 0x970007240036c707, [6]uint64{19, 19, 2818, 36, 8, 15}},
+		{"gossip-self-heal", 2, 0x79d95aa1a32903a8, [6]uint64{11, 11, 2928, 28, 6, 7}},
+		{"gossip-self-heal", 3, 0x3db03940462830ff, [6]uint64{14, 14, 2818, 32, 8, 0}},
 	}
 	var batches uint64
 	for _, g := range golden {
