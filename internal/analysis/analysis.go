@@ -27,8 +27,7 @@
 //     clone, bare or through same-package helpers, and an adopting literal
 //     must carry the owner.
 //   - creditflow: transport credit discipline — error paths of
-//     credit-debiting functions must refund, and one-way/response
-//     classification must be disjoint and all-member.
+//     credit-debiting functions must refund.
 //   - lockorder: no blocking operations while holding a mutex, and the
 //     lock-acquisition-order graph must be acyclic.
 //

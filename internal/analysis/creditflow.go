@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CreditFlowAnalyzer mechanizes the PR 2 credit-discipline post-mortem for
@@ -23,15 +22,8 @@ import (
 //     inverse failure (the window grows past the receiver's buffer
 //     reservation, which is flow-control in name only).
 //
-// It also checks the classifier agreement the coalescer assumes:
-//
-//   - a concrete message type classified `true` by both the one-way and the
-//     response classifier would have its credit repaid twice — once by the
-//     explicit grant counter, once implicitly by its "response" arriving;
-//   - a `return true` inside a classifier's range loop classifies a whole
-//     batch by its first member ("any" semantics); the discipline prices
-//     and repays batches by ALL-member semantics, so the early true
-//     misclassifies every mixed batch.
+// The windows it polices are the ones left: Link.Send's and the client
+// session's (Link.SendClientReq); the replica mesh runs without one.
 //
 // Path merging is lenient by design: a refund on any incoming branch
 // satisfies the error path (guard correlation such as wings.Send's
@@ -39,7 +31,7 @@ import (
 // remain are the unconditional misses.
 var CreditFlowAnalyzer = &Analyzer{
 	Name: "creditflow",
-	Doc:  "transport error paths must refund or consume debited flow-control credits, and one-way/response classification must be disjoint and all-member",
+	Doc:  "transport error paths must refund or consume debited flow-control credits",
 	Run:  runCreditFlow,
 }
 
@@ -55,7 +47,6 @@ func runCreditFlow(pass *Pass) {
 		}
 		checkCreditPaths(pass, eng, fn, decl)
 	}
-	checkClassifiers(pass, eng)
 }
 
 // --- debit/refund path check ----------------------------------------------
@@ -279,128 +270,4 @@ func (w *creditWalker) ret(s *ast.ReturnStmt, st *creditState) {
 		w.pass.Reportf(s.Pos(),
 			"error path returns without refunding the debited credit: the send window shrinks permanently (refund with credits += cost or a CreditReturn/RepayCredits call before returning)")
 	}
-}
-
-// --- classifier agreement --------------------------------------------------
-
-// checkClassifiers audits the one-way/response classifier pair: the
-// concrete types each answers `return true` for must be disjoint, and no
-// classifier may answer true from inside a range over batch members.
-func checkClassifiers(pass *Pass, eng *Engine) {
-	type classifier struct {
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var oneWay, response []classifier
-	for _, fn := range eng.Order() {
-		decl := eng.Decls()[fn]
-		if decl.Body == nil {
-			continue
-		}
-		switch strings.ToLower(fn.Name()) {
-		case "isoneway":
-			oneWay = append(oneWay, classifier{fn, decl})
-		case "isresponse":
-			response = append(response, classifier{fn, decl})
-		}
-	}
-	for _, c := range append(append([]classifier{}, oneWay...), response...) {
-		checkAllMemberSemantics(pass, c.decl)
-	}
-	for _, ow := range oneWay {
-		owTrue := classifierTrueTypes(pass, ow.decl)
-		for _, rs := range response {
-			rsTrue := classifierTrueTypes(pass, rs.decl)
-			for tname, pos := range owTrue {
-				if _, both := rsTrue[tname]; both {
-					pass.Reportf(pos,
-						"%s is classified true by both %s and %s: its credit would be repaid twice (explicit grant and implicit response repayment) — the classes must be disjoint",
-						tname, ow.fn.Name(), rs.fn.Name())
-				}
-			}
-		}
-	}
-}
-
-// checkAllMemberSemantics flags `return true` inside a range loop of a
-// classifier: a batch is classified by ALL of its members (the coalescer
-// prices and repays on that assumption), so answering true at the first
-// matching member misclassifies every mixed batch.
-func checkAllMemberSemantics(pass *Pass, decl *ast.FuncDecl) {
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		ast.Inspect(rng.Body, func(n ast.Node) bool {
-			if _, isFn := n.(*ast.FuncLit); isFn {
-				return false
-			}
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok || len(ret.Results) != 1 {
-				return true
-			}
-			if id, ok := ast.Unparen(ret.Results[0]).(*ast.Ident); ok && id.Name == "true" {
-				pass.Reportf(ret.Pos(),
-					"classifier answers true from inside a range over batch members: a batch is classified by ALL members (return false on the first mismatch, true after the loop)")
-			}
-			return true
-		})
-		return false // the inner Inspect covered the body
-	})
-}
-
-// classifierTrueTypes collects the concrete type names a classifier
-// answers a literal `true` for: `case T1, T2:` clauses and
-// `if _, ok := m.(T); ok` guards whose body returns true.
-func classifierTrueTypes(pass *Pass, decl *ast.FuncDecl) map[string]token.Pos {
-	out := map[string]token.Pos{}
-	record := func(texpr ast.Expr) {
-		if tv, ok := pass.Info.Types[texpr]; ok && tv.IsType() {
-			out[typeName(tv.Type)] = texpr.Pos()
-		}
-	}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CaseClause:
-			if n.List == nil || !bodyReturnsTrue(n.Body) {
-				return true
-			}
-			for _, texpr := range n.List {
-				record(texpr)
-			}
-		case *ast.IfStmt:
-			// if _, ok := m.(T); ok { return true }
-			as, ok := n.Init.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 {
-				return true
-			}
-			ta, ok := ast.Unparen(as.Rhs[0]).(*ast.TypeAssertExpr)
-			if !ok || ta.Type == nil || !bodyReturnsTrue(n.Body.List) {
-				return true
-			}
-			record(ta.Type)
-		}
-		return true
-	})
-	return out
-}
-
-// bodyReturnsTrue reports whether the clause body's terminal statement is
-// `return true`.
-func bodyReturnsTrue(body []ast.Stmt) bool {
-	for i := len(body) - 1; i >= 0; i-- {
-		ret, ok := body[i].(*ast.ReturnStmt)
-		if !ok {
-			continue
-		}
-		if len(ret.Results) != 1 {
-			return false
-		}
-		id, ok := ast.Unparen(ret.Results[0]).(*ast.Ident)
-		return ok && id.Name == "true"
-	}
-	return false
 }

@@ -6,8 +6,8 @@
 // wire unchanged; the callback API (Do) is what the benchmark's thousands of
 // sessions use to keep the pipeline full without a goroutine per request.
 //
-// Flow control reuses the wings link credit discipline: each request costs
-// one send credit and each response repays one (a frame's worth at a time), so
+// Flow control is the wings link's credit window: each request costs one
+// send credit and each response repays one (a frame's worth at a time), so
 // a send past the window blocks the caller — the client-side half of the
 // server's admission contract, which guarantees a compliant client is never
 // killed for overrunning its window.
@@ -130,8 +130,8 @@ func (c *Client) connect() error {
 // client disconnected — the next request lazily reconnects.
 func (c *Client) pump(conn net.Conn, link *wings.Link) {
 	defer c.wg.Done()
-	// Anything but a response (or a credit grant) on the stream ends it here,
-	// like any other stream error.
+	// Anything but a response on the stream ends it here, like any other
+	// stream error.
 	link.ServeClientResps(conn, func(resp *proto.ClientResp) {
 		c.mu.Lock()
 		fn := c.pending[resp.Seq]
@@ -184,7 +184,7 @@ func (c *Client) Close() error {
 // read-pump goroutine; fn must not block. This is the pipelined path: a
 // single goroutine can keep the whole window in flight. It lazily reconnects
 // a dead session first, and blocks when the window is exhausted (the link's
-// credit discipline). fn runs exactly once if Do returns nil and never if it
+// credit window). fn runs exactly once if Do returns nil and never if it
 // returns an error.
 func (c *Client) Do(op proto.OpKind, key proto.Key, val, exp proto.Value, fn func(proto.ClientResp, error)) error {
 	if fn == nil {

@@ -347,7 +347,7 @@ func TestReconnectStormIsSingleFlight(t *testing.T) {
 }
 
 // TestHostileResponseStreamTearsSessionDown: a server has no business sending
-// anything but responses (and credit grants). An INV, a ShardBatch or a
+// anything but responses. An INV, a ShardBatch or a
 // status outside the enum on the response stream ends the session — every
 // in-flight callback hears ErrClosed — instead of being decoded and dropped.
 func TestHostileResponseStreamTearsSessionDown(t *testing.T) {

@@ -38,7 +38,7 @@ import (
 // Transport delivers messages between replica processes.
 //
 // Send never blocks: the shard event loops call it, and one that waited on a
-// peer — a dial, a spent credit window, a full socket — would stall every key
+// peer — a dial, a full socket — would stall every key
 // its shard owns. A transport that must wait queues, and sheds past its bound
 // (transport.Mesh queues in the peer's wings.Link; ChanTransport drops on a
 // full inbox).

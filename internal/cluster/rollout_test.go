@@ -300,8 +300,7 @@ func viewLogSpy(t *testing.T, shards int) (*ShardedNode, *ChanTransport, func(pr
 }
 
 // TestViewLogReqAlwaysAnswered: every ViewLogReq gets a ViewLogResp — empty
-// when the node retains nothing — because the request spent a send credit
-// that only the response repays. Both a W=4 and a plain W=1 node answer, off
+// when the node retains nothing. Both a W=4 and a plain W=1 node answer, off
 // the transport pump.
 func TestViewLogReqAlwaysAnswered(t *testing.T) {
 	for _, w := range []int{4, 1} {

@@ -267,10 +267,7 @@ func (d hostDriver) Peers() []proto.NodeID { return d.sn.peers }
 
 // Send is called under ctlMu, on a transport read pump or the control
 // goroutine. Transport.Send never blocks, so neither the data traffic behind
-// a pump nor the other callers of the host wait on the peer; and a
-// ViewLogResp, which repays the send
-// credit its request consumed on the requester's link, always gets out,
-// because a response needs no credit itself.
+// a pump nor the other callers of the host wait on the peer.
 func (d hostDriver) Send(to proto.NodeID, msg any) { d.sn.tr.Send(d.sn.id, to, msg) }
 
 // OnView is the membership agent's entry (membership.Config.OnView): the

@@ -161,15 +161,3 @@ type ChunkRec struct {
 	RMW     bool
 	Invalid bool
 }
-
-// IsResponseMsg reports whether msg implicitly repays a flow-control credit
-// to its sender's peer (paper §4.2): responses ride the buffer space the
-// requester reserved. The transport's credit discipline and the egress
-// stager's batch classing (shardhost.Egress) both derive from it.
-func IsResponseMsg(msg any) bool {
-	switch msg.(type) {
-	case ACK, MCheckAck, ChunkResp:
-		return true
-	}
-	return false
-}

@@ -301,10 +301,9 @@ type ShardMsg struct {
 }
 
 // ShardBatch is a coalesced frame of shard-tagged messages bound for one
-// peer: the egress layer of a sharded node gathers small messages (ACKs,
-// VALs) from all of its shard engines and ships them as a single wire frame
-// under a single flow-control credit, instead of W independent ShardMsg
-// frames with independent credit traffic. Msgs is never empty and its
+// peer: the egress layer of a sharded node gathers a window's small messages
+// (INVs, ACKs, VALs) for that peer and ships them as a single wire message,
+// in send order, instead of one ShardMsg each. Msgs is never empty and its
 // elements never nest another envelope.
 type ShardBatch struct {
 	Msgs []ShardMsg
@@ -411,14 +410,6 @@ func ShardOf(k Key, w int) uint16 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return uint16(h % uint64(w))
-}
-
-// Broadcast sends msg to every node in targets via env. A convenience used
-// by all protocols; the wire layer may implement true multicast underneath.
-func Broadcast(env Env, targets []NodeID, msg any) {
-	for _, t := range targets {
-		env.Send(t, msg)
-	}
 }
 
 // EncodeInt64 encodes an int64 as an 8-byte little-endian value — the

@@ -3,7 +3,6 @@ package proto
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTSOrdering(t *testing.T) {
@@ -144,22 +143,6 @@ func TestOpKindPredicates(t *testing.T) {
 		if !k.IsUpdate() || !k.IsRMW() {
 			t.Fatalf("%v misclassified", k)
 		}
-	}
-}
-
-type recordingEnv struct {
-	sent []NodeID
-}
-
-func (r *recordingEnv) Now() time.Duration    { return 0 }
-func (r *recordingEnv) Complete(c Completion) {}
-func (r *recordingEnv) Send(to NodeID, m any) { r.sent = append(r.sent, to) }
-
-func TestBroadcast(t *testing.T) {
-	env := &recordingEnv{}
-	Broadcast(env, []NodeID{2, 3, 5}, "m")
-	if len(env.sent) != 3 || env.sent[0] != 2 || env.sent[2] != 5 {
-		t.Fatalf("Broadcast sent to %v", env.sent)
 	}
 }
 

@@ -15,32 +15,29 @@ type Base interface {
 }
 
 // Egress is one shard engine's proto.Env and the node's egress policy: which
-// messages are staged, in which class, and where a stage is split. Send tags
-// every message with the shard index; the small protocol messages (INVs,
-// ACKs, VALs) are staged per peer and flow-control class, everything else
-// goes straight to the wire. Flush ends a window of engine turns: each
-// non-empty stage leaves as one proto.ShardBatch (several past a class's
-// budget), or as a plain ShardMsg when it holds one message. The live shard
-// loop flushes at the end of every burst; the simulator when each of its
-// replica's entry points returns.
+// messages are staged, and where a stage is split. Send tags every message
+// with the shard index; the small protocol messages (INVs, ACKs, VALs) are
+// staged per peer, in send order, everything else goes straight to the wire.
+// Flush ends a window of engine turns: each non-empty stage leaves as one
+// proto.ShardBatch (several past the byte budget), or as a plain ShardMsg
+// when it holds one message. The live shard loop flushes at the end of every
+// burst; the simulator when each of its replica's entry points returns.
 //
 // Not safe for concurrent use: only the engine's own event loop touches it.
 type Egress struct {
 	base  Base
 	wire  func(to proto.NodeID, msg any)
 	shard uint16
-	// stages holds what the current window has staged, one entry per (peer,
-	// class) this shard has ever addressed — a handful, so lookup is a scan —
-	// ordered by peer, so that the sends Flush makes to one peer are
-	// adjacent.
+	// stages holds what the current window has staged, one entry per peer
+	// this shard has ever addressed — a handful, so lookup is a scan —
+	// ordered by peer.
 	stages []stage
 }
 
-// stage is what one window sends one peer in one class, in send order.
+// stage is what one window sends one peer, in send order.
 type stage struct {
-	to    proto.NodeID
-	class msgClass
-	msgs  []proto.ShardMsg
+	to   proto.NodeID
+	msgs []proto.ShardMsg
 }
 
 // NewEgress builds shard's egress: base supplies the engine's clock and
@@ -61,40 +58,37 @@ func (e *Egress) Complete(c proto.Completion) { e.base.Complete(c) }
 // relative to the direct path (links are lossy and reordering anyway).
 func (e *Egress) Send(to proto.NodeID, msg any) {
 	sm := proto.ShardMsg{Shard: e.shard, Msg: msg}
-	class, staged := classOf(msg)
-	if !staged {
+	switch msg.(type) {
+	case core.INV, core.ACK, core.VAL:
+		st := e.stage(to)
+		st.msgs = append(st.msgs, sm)
+	default:
 		e.wire(to, sm)
-		return
 	}
-	st := e.stage(to, class)
-	st.msgs = append(st.msgs, sm)
 }
 
-// stage returns the stage for a peer and class, inserting it in (peer, class)
-// order on first contact. The pointer is good until the next call.
-func (e *Egress) stage(to proto.NodeID, class msgClass) *stage {
+// stage returns the stage for a peer, inserting it in peer order on first
+// contact. The pointer is good until the next call.
+func (e *Egress) stage(to proto.NodeID) *stage {
 	i := 0
 	for ; i < len(e.stages); i++ {
-		st := &e.stages[i]
-		if st.to == to && st.class == class {
+		if st := &e.stages[i]; st.to == to {
 			return st
-		}
-		if st.to > to || (st.to == to && st.class > class) {
+		} else if st.to > to {
 			break
 		}
 	}
 	e.stages = append(e.stages, stage{})
 	copy(e.stages[i+1:], e.stages[i:])
-	e.stages[i] = stage{to: to, class: class}
+	e.stages[i] = stage{to: to}
 	return &e.stages[i]
 }
 
-// Flush sends every non-empty stage — several batches past a class's budget
-// — peer by peer, responses first, and reports what left: batches, the
-// messages inside them, and messages that left alone. Over a
-// transport.Mesh the first send to a peer starts that peer's link flusher
-// and the rest are queued before it runs: one wake-up, one frame, one write
-// per peer per window.
+// Flush sends every non-empty stage — several batches past the byte budget —
+// peer by peer, and reports what left: batches, the messages inside them,
+// and messages that left alone. Over a transport.Mesh the first send to a
+// peer starts that peer's link flusher and the rest are queued before it
+// runs: one wake-up, one frame, one write per peer per window.
 func (e *Egress) Flush() (batches, coalesced, singles uint64) {
 	for i := range e.stages {
 		st := &e.stages[i]
@@ -102,7 +96,7 @@ func (e *Egress) Flush() (batches, coalesced, singles uint64) {
 			continue
 		}
 		for rest := st.msgs; len(rest) > 0; {
-			n := st.class.frameLen(rest)
+			n := frameLen(rest)
 			if n == 1 {
 				// A lone message ships as a plain ShardMsg: no envelope
 				// overhead.
@@ -128,63 +122,18 @@ func (e *Egress) Flush() (batches, coalesced, singles uint64) {
 	return batches, coalesced, singles
 }
 
-// msgClass is the flow-control class of a staged message; one batch carries
-// exactly one class, because the classes settle credits differently and a
-// mixed batch would have no coherent price.
-type msgClass uint8
-
-const (
-	// classResponse: ACKs. A homogeneous response batch consumes no send
-	// credit, so ACK egress — the traffic that repays the peer's credits —
-	// never waits behind a credit-starved batch of another class in the
-	// transport's queue (mixing could deadlock two mutually starved peers,
-	// each holding the other's repayments behind its own starved requests).
-	classResponse msgClass = iota
-	// classOneWay: VALs. One credit per batch, repaid by the receiver's
-	// explicit grants counting the batch once.
-	classOneWay
-	// classRequest: INVs. One credit per inner message (wings prices the
-	// batch via LinkConfig.CreditCost), each repaid implicitly by its ACK.
-	// Request batches are additionally budgeted, by bytes and by count.
-	classRequest
-)
-
-// classOf reports the class a message is staged in, and false for one that
-// is not staged. The response class must be what core.IsResponseMsg, the
-// predicate the transport prices by, calls a response
-// (TestCoalescerSeparatesCreditClasses).
-func classOf(msg any) (msgClass, bool) {
-	switch msg.(type) {
-	case core.ACK:
-		return classResponse, true
-	case core.VAL:
-		return classOneWay, true
-	case core.INV:
-		return classRequest, true
-	}
-	return 0, false
-}
-
 // maxBatchMsgs caps one ShardBatch at the codec's 2-byte count; a fuller
 // stage leaves as several batches.
 const maxBatchMsgs = 0xFFFF
 
-// maxBatchBytes budgets one request-class (INV) batch. INVs carry values, so
-// unlike the fixed-size ACK/VAL batches theirs can grow arbitrarily; past the
-// budget the stage leaves as several batches, keeping per-message encode
-// latency bounded while still amortizing the framing and credit overhead. A
+// maxBatchBytes budgets one batch. INVs carry values, so a stage can grow
+// arbitrarily; past the budget it leaves as several batches, keeping
+// per-message encode latency bounded while still amortizing the framing. A
 // single oversized INV still ships alone.
 const maxBatchBytes = 64 << 10
 
-// maxRequestBatch caps a request batch by count, because its credit price is
-// its count: the price has to stay far below the send window (1024 in
-// transport.DefaultLinkConfig, of which one-way traffic the peer has not yet
-// granted for can hold 63), or the batch would wait for a level of credits
-// the window never reaches — and every later INV and VAL behind it.
-const maxRequestBatch = 256
-
-// shardMsgSize estimates one staged message's wire footprint for the
-// request-class byte budget: fixed header plus the value an INV carries.
+// shardMsgSize estimates one staged message's wire footprint for the byte
+// budget: fixed header plus the value an INV carries.
 func shardMsgSize(sm proto.ShardMsg) int {
 	const overhead = 32
 	if inv, ok := sm.Msg.(core.INV); ok {
@@ -199,12 +148,9 @@ func shardMsgSize(sm proto.ShardMsg) int {
 const maxSpareMsgs = 4096
 
 // frameLen is how many of the staged messages go into the next batch: all
-// that the codec's count allows and, for requests, the two budgets.
-func (c msgClass) frameLen(staged []proto.ShardMsg) int {
-	if c != classRequest {
-		return min(len(staged), maxBatchMsgs)
-	}
-	n := min(len(staged), maxRequestBatch)
+// that the codec's count and the byte budget allow.
+func frameLen(staged []proto.ShardMsg) int {
+	n := min(len(staged), maxBatchMsgs)
 	size := 0
 	for i := 0; i < n; i++ {
 		size += shardMsgSize(staged[i])

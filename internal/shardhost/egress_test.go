@@ -47,10 +47,10 @@ func entries(t *testing.T, m any) []proto.ShardMsg {
 }
 
 // TestStagedFlushSendsOncePerStage: a window leaves as one wire send per
-// non-empty (peer, class) stage — a lone message as a plain ShardMsg, company
-// as one ShardBatch in send order — peer by peer with responses first,
-// whatever order the engine addressed them in; and Flush counts what left.
-// What is not staged goes to the wire at once.
+// peer it addressed — a lone message as a plain ShardMsg, company as one
+// ShardBatch in send order, INVs, ACKs and VALs mixed as they came — peer by
+// peer, whatever order the engine addressed them in; and Flush counts what
+// left. What is not staged goes to the wire at once.
 func TestStagedFlushSendsOncePerStage(t *testing.T) {
 	e, w := stagingEgress()
 	ack := func(key proto.Key) core.ACK { return core.ACK{Epoch: 1, Key: key, TS: proto.TS{Version: 1}} }
@@ -86,72 +86,59 @@ func TestStagedFlushSendsOncePerStage(t *testing.T) {
 		t.Fatalf("sends:\n got %#v\nwant %#v", w.sent, want)
 	}
 
-	// Addressed INV-first and far peer first; sent by peer, ACK VAL INV.
+	// Addressed far peer first; sent by peer, each in the order addressed.
 	e.Send(2, inv(20))
 	e.Send(2, val(21))
 	e.Send(1, inv(22))
 	e.Send(1, val(23))
 	e.Send(2, ack(24))
 	e.Send(1, inv(25))
-	flush([3]uint64{1, 2, 4})
+	flush([3]uint64{2, 6, 0})
 	want = append(want,
-		sent{1, tag(val(23))}, sent{1, tag(inv(22), inv(25))},
-		sent{2, tag(ack(24))}, sent{2, tag(val(21))}, sent{2, tag(inv(20))})
+		sent{1, tag(inv(22), val(23), inv(25))},
+		sent{2, tag(inv(20), val(21), ack(24))})
 	if !reflect.DeepEqual(w.sent, want) {
 		t.Fatalf("sends after the mixed window:\n got %#v\nwant %#v", w.sent, want)
 	}
 }
 
-// TestCoalescerSeparatesCreditClasses drives ACKs, VALs and INVs for one peer
-// through four shards' egresses and checks no send ever mixes the classes: a
-// batch is priced as a whole, and an all-ACK batch must stay free of charge
-// so that ACK egress (which repays the peer) never waits for credits. The
-// response class must be exactly what core.IsResponseMsg, the transport's
-// pricing predicate, calls a response.
-func TestCoalescerSeparatesCreditClasses(t *testing.T) {
+// TestCoalescerKeepsSendOrder drives ACKs, VALs and INVs for one peer
+// through four shards' egresses: each window leaves as one batch, its
+// entries the shard's messages in the order the engine sent them.
+func TestCoalescerKeepsSendOrder(t *testing.T) {
 	w := &recWire{}
+	var want []sent
 	for i := uint16(0); i < 4; i++ {
 		e := NewEgress(i, noBase{}, w.send)
+		var sb proto.ShardBatch
 		for j := 0; j < 3; j++ {
 			k := proto.Key(10*int(i) + j)
-			e.Send(1, core.ACK{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
-			e.Send(1, core.VAL{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
-			e.Send(1, core.INV{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
+			for _, m := range []any{
+				core.ACK{Epoch: 1, Key: k, TS: proto.TS{Version: 1}},
+				core.VAL{Epoch: 1, Key: k, TS: proto.TS{Version: 1}},
+				core.INV{Epoch: 1, Key: k, TS: proto.TS{Version: 1}},
+			} {
+				e.Send(1, m)
+				sb.Msgs = append(sb.Msgs, proto.ShardMsg{Shard: i, Msg: m})
+			}
 		}
 		e.Flush()
+		want = append(want, sent{1, sb})
 	}
-	total := 0
-	for _, s := range w.sent {
-		classes := map[msgClass]int{}
-		for _, sm := range entries(t, s.msg) {
-			c, staged := classOf(sm.Msg)
-			if !staged || core.IsResponseMsg(sm.Msg) != (c == classResponse) {
-				t.Fatalf("%T staged=%v in class %d disagrees with core.IsResponseMsg", sm.Msg, staged, c)
-			}
-			classes[c]++
-			total++
-		}
-		if len(classes) != 1 {
-			t.Fatalf("one send mixes credit classes: %v", classes)
-		}
-	}
-	if total != 4*3*3 {
-		t.Fatalf("%d messages sent, want %d", total, 4*3*3)
+	if !reflect.DeepEqual(w.sent, want) {
+		t.Fatalf("sends:\n got %#v\nwant %#v", w.sent, want)
 	}
 }
 
 // TestCoalescerBudgetsRequestBatches stages value-bearing INVs and checks the
-// request class's two budgets. Bytes: a stage leaves as several batches none
-// of which exceeds maxBatchBytes, while an INV too big for the budget on its
-// own still ships, alone. Count: a batch's credit price is its count, so a
-// 1000-INV stage must not leave as one batch priced at a level the window
-// (1024, less what one-way traffic holds) may never reach.
+// batch budgets. Bytes: a stage leaves as several batches none of which
+// exceeds maxBatchBytes, while an INV too big for the budget on its own still
+// ships, alone. Count: nothing caps a batch below the byte budget — 1000
+// small INVs leave as one batch — and every message counts toward it, so
+// 3000 VALs leave as two, in order.
 func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 	inv := func(key proto.Key, valLen int) core.INV {
 		return core.INV{Epoch: 1, Key: key, TS: proto.TS{Version: 1}, Value: make(proto.Value, valLen)}
-	}
-	if c, _ := classOf(inv(0, 8)); c != classRequest {
-		t.Fatal("INVs must be staged in the request class")
 	}
 	sizes := func(w *recWire) (msgs, bytes []int) {
 		for _, s := range w.sent {
@@ -193,22 +180,31 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 	})
 
 	t.Run("count", func(t *testing.T) {
-		e, w := stagingEgress()
-		for k := proto.Key(0); k < 1000; k++ {
-			e.Send(1, inv(k, 8))
-		}
-		e.Flush()
-		msgs, _ := sizes(w)
-		if want := []int{256, 256, 256, 232}; !reflect.DeepEqual(msgs, want) {
-			t.Fatalf("1000 INVs left as batches of %v, want %v", msgs, want)
-		}
-		next := proto.Key(0)
-		for _, s := range w.sent {
-			for _, sm := range entries(t, s.msg) {
-				if k := sm.Msg.(core.INV).Key; k != next {
-					t.Fatalf("INV %d sent where %d was due: the split reordered the stage", k, next)
+		for _, c := range []struct {
+			name string
+			n    int
+			msg  func(proto.Key) any
+			want []int
+		}{
+			{"INVs", 1000, func(k proto.Key) any { return inv(k, 8) }, []int{1000}},
+			{"VALs", 3000, func(k proto.Key) any { return core.VAL{Epoch: 1, Key: k, TS: proto.TS{Version: 1}} }, []int{2048, 952}},
+		} {
+			e, w := stagingEgress()
+			for k := proto.Key(0); k < proto.Key(c.n); k++ {
+				e.Send(1, c.msg(k))
+			}
+			e.Flush()
+			if msgs, _ := sizes(w); !reflect.DeepEqual(msgs, c.want) {
+				t.Fatalf("%d %s left as batches of %v, want %v", c.n, c.name, msgs, c.want)
+			}
+			next := proto.Key(0)
+			for _, s := range w.sent {
+				for _, sm := range entries(t, s.msg) {
+					if k, _ := core.MsgKey(sm.Msg); k != next {
+						t.Fatalf("%s %d sent where %d was due: the split reordered the stage", c.name, k, next)
+					}
+					next++
 				}
-				next++
 			}
 		}
 	})
@@ -216,8 +212,8 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 
 // TestCoalescerBurstAllocationBudget: staging and flushing a window
 // allocates nothing in the egress — the stages are warm arrays — so what is
-// left is one box per non-empty stage: the ShardBatch (or lone ShardMsg)
-// envelope boxed for the wire's any.
+// left is one box per non-empty stage, one stage per peer: the ShardBatch (or
+// lone ShardMsg) envelope boxed for the wire's any.
 func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	var seen uint64
 	e := NewEgress(1, noBase{}, func(to proto.NodeID, msg any) {
@@ -233,11 +229,11 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 		acks[i] = core.ACK{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
 		vals[i] = core.VAL{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 2}}
 	}
-	burst := func(stages ...[16]any) func() {
+	burst := func(stages ...[16]any) func() { // stage i goes to peer i+1
 		return func() {
-			for _, msgs := range stages {
+			for i, msgs := range stages {
 				for _, m := range msgs {
-					e.Send(1, m)
+					e.Send(proto.NodeID(i+1), m)
 				}
 			}
 			e.Flush()

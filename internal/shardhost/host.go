@@ -230,10 +230,8 @@ func (h *Host) Dispatch(from proto.NodeID, msg any, now time.Duration) {
 		h.Install(m)
 	case proto.ViewLogReq:
 		// A lagging peer's fast-forward fetch: answer with the retained
-		// updates above its epoch that concern the shard it asks about.
-		// ALWAYS answer — an empty ViewLogResp is the legal "nothing newer" —
-		// because the request consumed a send credit on the requester's link
-		// that only the response repays.
+		// updates above its epoch that concern the shard it asks about —
+		// always, an empty ViewLogResp being the legal "nothing newer".
 		var ups []proto.MUpdate
 		for _, mu := range h.vlog {
 			if mu.View.Epoch > m.Since &&

@@ -40,21 +40,21 @@ func TestChaosGoldenFingerprints(t *testing.T) {
 		fingerprint uint64
 		counters    [6]uint64
 	}{
-		{"kitchen-sink", 1, 0x3366042c40ba222b, [6]uint64{29, 26, 1222, 108, 19, 13}},
-		{"kitchen-sink", 2, 0x06fba8b1e85166f7, [6]uint64{21, 21, 1136, 29, 9, 33}},
-		{"kitchen-sink", 3, 0x5e50b156112d4289, [6]uint64{20, 20, 2868, 97, 15, 6}},
-		{"gray", 1, 0x9f8c926625f3db99, [6]uint64{9, 9, 2210, 55, 7, 9}},
-		{"gray", 2, 0xa552225c35d43b64, [6]uint64{10, 10, 2272, 50, 6, 13}},
-		{"gray", 3, 0x0729284df0d398f7, [6]uint64{8, 8, 2165, 43, 5, 3}},
-		{"rollout-storms", 1, 0xd647aec622285809, [6]uint64{28, 29, 2830, 107, 19, 3}},
-		{"rollout-storms", 2, 0x215279eabe0cef0a, [6]uint64{20, 20, 1094, 44, 13, 5}},
-		{"rollout-storms", 3, 0x6d7ec12092da7c31, [6]uint64{19, 16, 2848, 83, 15, 6}},
-		{"rejoin-behind", 1, 0x39de28f97963cecc, [6]uint64{16, 16, 2838, 42, 10, 4}},
-		{"rejoin-behind", 2, 0xad862d604aa67693, [6]uint64{15, 15, 1230, 40, 8, 6}},
-		{"rejoin-behind", 3, 0x9e87edb30d3fa1e2, [6]uint64{13, 13, 2914, 33, 8, 0}},
-		{"gossip-self-heal", 1, 0x25c1414c0e5d8b6d, [6]uint64{16, 16, 2934, 40, 10, 3}},
-		{"gossip-self-heal", 2, 0x79d95aa1a32903a8, [6]uint64{11, 11, 2928, 28, 6, 7}},
-		{"gossip-self-heal", 3, 0x3db03940462830ff, [6]uint64{14, 14, 2818, 32, 8, 0}},
+		{"kitchen-sink", 1, 0xa2a40bfc575df1da, [6]uint64{31, 30, 1222, 129, 21, 45}},
+		{"kitchen-sink", 2, 0x6e2b83d3740a956c, [6]uint64{15, 15, 1162, 46, 12, 29}},
+		{"kitchen-sink", 3, 0xca3335ad425994ab, [6]uint64{20, 20, 2830, 89, 16, 8}},
+		{"gray", 1, 0x6201cd5b51b96e17, [6]uint64{11, 11, 2303, 67, 7, 24}},
+		{"gray", 2, 0xa02df97a48d9fe5e, [6]uint64{11, 11, 2272, 55, 7, 12}},
+		{"gray", 3, 0x8409a4a16d37a3ec, [6]uint64{8, 8, 2165, 44, 5, 12}},
+		{"rollout-storms", 1, 0xc5a3916b1920d040, [6]uint64{24, 23, 2928, 121, 19, 31}},
+		{"rollout-storms", 2, 0xbfc6e092cbc1aab0, [6]uint64{28, 28, 3022, 46, 13, 24}},
+		{"rollout-storms", 3, 0x0bbb30f8266ed7f9, [6]uint64{22, 18, 2810, 98, 17, 17}},
+		{"rejoin-behind", 1, 0x6364e9106d51751d, [6]uint64{17, 17, 2838, 52, 10, 13}},
+		{"rejoin-behind", 2, 0xcf430f5dec27223d, [6]uint64{17, 17, 1128, 45, 10, 17}},
+		{"rejoin-behind", 3, 0x1fbe48e34bbb27d7, [6]uint64{13, 13, 2914, 33, 8, 15}},
+		{"gossip-self-heal", 1, 0x3ae84c4ae52e42fa, [6]uint64{16, 16, 2948, 47, 10, 20}},
+		{"gossip-self-heal", 2, 0xc7b67f926ff87f3b, [6]uint64{17, 17, 2970, 36, 9, 7}},
+		{"gossip-self-heal", 3, 0x11e91ae53dddd90d, [6]uint64{15, 15, 2818, 35, 10, 11}},
 	}
 	var batches uint64
 	for _, g := range golden {

@@ -148,12 +148,12 @@ func within(t *testing.T, what string, fn func()) {
 }
 
 // TestNoEventLoopBlocksOnAPeer: a node whose only peer has stopped
-// cooperating — it accepts and never reads, so the send window is spent and
-// never repaid; or its address swallows the dial — keeps running its event
-// loops: ops that need no peer complete, Tick keeps retransmitting, Close
-// returns. At every W a shard's event loop calls Transport.Send itself, at
-// the end of each burst, so a Send that waits for credits or for the dial
-// stalls that shard's whole engine.
+// cooperating — it accepts and never reads, so its TCP window is spent, the
+// socket fills and the link sheds; or its address swallows the dial — keeps
+// running its event loops: ops that need no peer complete, Tick keeps
+// retransmitting, Close returns. At every W a shard's event loop calls
+// Transport.Send itself, at the end of each burst, so a Send that waits for
+// the socket or for the dial stalls that shard's whole engine.
 func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		for _, fault := range []string{"window spent", "dial hangs"} {
@@ -177,7 +177,6 @@ func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer m.Close()
-				m.cfg.Credits = 16
 				if fault == "dial hangs" {
 					m.dial = func(ctx context.Context, addr string) (net.Conn, error) {
 						<-ctx.Done()
@@ -191,11 +190,13 @@ func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 				}, tr)
 				defer node.Close()
 
-				// Four windows' worth of writes the peer will never ACK.
+				// Writes the peer will never ACK, their INVs (and each MLT
+				// their retransmissions) large enough to fill the socket.
 				const writes = 64
+				value := make(proto.Value, 64<<10)
 				within(t, "submitting the writes", func() {
 					for k := proto.Key(0); k < writes; k++ {
-						err := node.SubmitAsync(proto.ClientOp{Kind: proto.OpWrite, Key: k, Value: proto.Value("v")}, func(proto.Completion) {})
+						err := node.SubmitAsync(proto.ClientOp{Kind: proto.OpWrite, Key: k, Value: value}, func(proto.Completion) {})
 						if err != nil {
 							t.Error(err)
 						}
@@ -205,7 +206,7 @@ func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 					for {
 						if l := m.links[1].Load(); l != nil {
 							st := l.Stats()
-							if (fault == "window spent" && st.CreditStalls > 0) || (fault == "dial hangs" && st.FramesSent > 0) {
+							if (fault == "window spent" && st.Shed > 0) || (fault == "dial hangs" && st.FramesSent > 0) {
 								return
 							}
 						}
@@ -240,5 +241,32 @@ func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestUnansweredRequestsAllArrive: a peer that answers no request — each INV
+// it gets is stale, or a losing RMW's — still receives everything sent to it.
+// TCP's window and the link's byte bound are the mesh's flow control; a
+// credit window repaid only by responses would let 1024 INVs through and hold
+// the rest.
+func TestUnansweredRequestsAllArrive(t *testing.T) {
+	a, b, _ := meshPair(t)
+	var got atomic.Int64
+	b.SetDeliver(1, func(from proto.NodeID, msg any) {
+		if _, ok := msg.(core.INV); ok {
+			got.Add(1)
+		}
+		core.ReleaseMsgOwners(msg)
+	})
+	const n = 1100
+	for k := proto.Key(0); k < n; k++ {
+		a.Send(0, 1, core.INV{Epoch: 1, Key: k, TS: proto.TS{Version: 1}})
+	}
+	deadline := time.Now().Add(time.Second)
+	for got.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d INVs arrived within 1s", got.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 
 // shardedMeshGroup stands up n live W-shard Hermes replicas over loopback
 // TCP. Every replication message crosses the wire inside a ShardMsg
-// envelope under the wings credit discipline.
+// envelope.
 func shardedMeshGroup(t *testing.T, n, w int) ([]*cluster.ShardedNode, []*Mesh, func()) {
 	t.Helper()
 	addrs := make(map[proto.NodeID]string)
@@ -77,8 +79,8 @@ func TestShardMsgOverTCP(t *testing.T) {
 }
 
 // TestShardMsgTCPConcurrentWriters drives enough shard-tagged traffic
-// through the links to exercise batching and the credit window, from
-// concurrent writers on every node.
+// through the links to exercise batching, from concurrent writers on every
+// node.
 func TestShardMsgTCPConcurrentWriters(t *testing.T) {
 	const w = 4
 	nodes, _, done := shardedMeshGroup(t, 3, w)
@@ -136,7 +138,7 @@ func TestStrayFramesDoNotCrashNode(t *testing.T) {
 	if _, err := conn.Write([]byte{1}); err != nil { // hello: "I am node 1"
 		t.Fatal(err)
 	}
-	stray := wings.NewLink(conn, DefaultLinkConfig())
+	stray := wings.NewLink(conn, wings.LinkConfig{})
 	defer stray.Close()
 	// The probe is a well-formed tagged write to a key of shard 0, where every
 	// keyless untagged frame used to land: once node 0 serves it, shard 0's
@@ -237,4 +239,84 @@ func TestShardMsgTCPReconnect(t *testing.T) {
 			t.Fatalf("restarted node read key %d: %q %v", k, v, err)
 		}
 	}
+}
+
+// TestContendedRMWsKeepCompleting is the live form of unanswered requests:
+// for 10 s, FAAs race on two keys from two coordinators, and every losing
+// RMW INV is answered with an INV (core's FRMW-ACK path), not an ACK, so it
+// draws no response. Ops must keep completing — committed or aborted — none
+// taking longer than 3 s, floor of them in all. A send window repaid only by
+// responses would leak one credit per such INV and, 1024 of them later, stop
+// the cluster for good.
+func TestContendedRMWsKeepCompleting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10 s live load; runs without -short")
+	}
+	floor := int64(150_000)
+	if raceEnabled() {
+		floor = 30_000 // the detector slows every op about fivefold
+	}
+	const (
+		perNode = 16
+		run     = 10 * time.Second
+		opLimit = 3 * time.Second
+	)
+	nodes, _, done := shardedMeshGroup(t, 3, 1)
+	defer done()
+	var completed, aborted atomic.Int64
+	stop := make(chan struct{})
+	var once sync.Once
+	halt := func() { once.Do(func() { close(stop) }) }
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, n := range nodes[:2] {
+		for g := 0; g < perNode; g++ {
+			wg.Add(1)
+			go func(key proto.Key) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), opLimit)
+					_, err := n.FAA(ctx, key, 1)
+					cancel()
+					switch err {
+					case nil:
+					case cluster.ErrAborted:
+						aborted.Add(1)
+					default:
+						t.Errorf("FAA on key %d, %v in, after %d completed ops: %v", key, time.Since(start).Round(time.Millisecond), completed.Load(), err)
+						halt()
+						return
+					}
+					completed.Add(1)
+				}
+			}(proto.Key(g % 2))
+		}
+	}
+	select {
+	case <-stop:
+	case <-time.After(run):
+		halt()
+	}
+	wg.Wait()
+	t.Logf("%d RMWs (%d aborted) in %v", completed.Load(), aborted.Load(), time.Since(start).Round(time.Millisecond))
+	if c := completed.Load(); c < floor {
+		t.Errorf("%d RMWs completed, want at least %d", c, floor)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -1,8 +1,14 @@
 // Package transport provides the TCP mesh transport for real deployments
 // (cmd/hermes-node): every node listens on its address and maintains one
-// wings.Link per peer, with lazy dialing, reconnection, and the Hermes
-// credit discipline (ACKs repay INVs implicitly; VALs are paid back by
-// explicit credit updates — §4.2).
+// wings.Link per peer, with lazy dialing and reconnection.
+//
+// The links run without a credit window (wings.LinkConfig{}). The paper's
+// Wings layer (§4.2) needs one over RDMA; over TCP three bounds already hold
+// both ends: the kernel's window, each link's byte bound past which Post
+// sheds (with Hermes' retransmission behind it), and each shard's bounded
+// inbox. A window repaid by responses would also leak a credit on every
+// request that draws none — a stale-epoch INV, a losing RMW's INV — and stop
+// a healthy connection once the window is gone.
 package transport
 
 import (
@@ -19,19 +25,18 @@ import (
 
 // Mesh is a TCP transport implementing cluster.Transport for one local
 // node. Send never blocks: it runs on the shard event loops, so everything
-// that can wait on a peer — the dial, the credit window, the socket — waits
-// on that peer's link flusher, behind the link's bounded queue.
+// that can wait on a peer — the dial, the socket — waits on that peer's link
+// flusher, behind the link's bounded queue.
 type Mesh struct {
 	self  proto.NodeID
 	addrs map[proto.NodeID]string
-	cfg   wings.LinkConfig
 	// dial opens the stream to a peer's address. A field so that tests can
 	// make it hang.
 	dial func(ctx context.Context, addr string) (net.Conn, error)
 
-	// The per-message path takes no lock: Send and the serve pumps' credit
-	// repayments load the peer's outbound link (nil until the first Send, and
-	// again once its stream has died), the pumps load deliver.
+	// The per-message path takes no lock: Send loads the peer's outbound link
+	// (nil until the first Send, and again once its stream has died), the
+	// serve pumps load deliver.
 	links   [1 << 8]atomic.Pointer[wings.Link] // indexed by proto.NodeID
 	deliver atomic.Pointer[func(from proto.NodeID, msg any)]
 
@@ -46,105 +51,6 @@ type Mesh struct {
 	wg     sync.WaitGroup
 }
 
-// DefaultLinkConfig applies the paper's credit discipline: responses repay
-// implicitly; only one-way traffic (VALs) is paid back by explicit credit
-// frames. Granting for implicitly-repaid requests too would return every
-// credit twice.
-func DefaultLinkConfig() wings.LinkConfig {
-	return wings.LinkConfig{
-		Credits:       1024,
-		ExplicitEvery: 64,
-		IsResponse:    isResponse,
-		IsOneWay:      isOneWay,
-		CreditCost:    creditCost,
-	}
-}
-
-// creditCost prices a credit-consuming message: a coalesced request batch
-// (INVs) costs one send-window slot per inner request, because each inner
-// INV occupies receiver buffer space and is repaid individually by its ACK
-// — charging the batch a single credit would let W shards overrun the
-// window W-fold and collect W repayments for one debit. One-way batches
-// (VALs) keep the PR 2 pricing: one credit per frame, repaid by explicit
-// grants that count the batch once (see isOneWay). Only consulted for
-// non-responses.
-func creditCost(m any) int {
-	sb, ok := m.(proto.ShardBatch)
-	if !ok || isOneWay(sb) {
-		return 1
-	}
-	n := 0
-	for _, sm := range sb.Msgs {
-		if !isResponse(sm.Msg) {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// isOneWay marks credit-consuming messages that draw no response: VALs,
-// bare or shard-tagged, and coalesced batches of them. A batch is one-way
-// only when every inner message is — with INVs now coalescable, a
-// non-response batch may be a request batch, and counting it toward
-// explicit grants would repay credits its ACKs already repay implicitly.
-// Requests that a response will repay — INVs, MChecks, ChunkReqs — are
-// deliberately excluded. A request dropped without a response (stale epoch
-// during reconfiguration) leaks its credit until the connection is rebuilt,
-// which node failure — the common cause of epoch change — does anyway.
-func isOneWay(m any) bool {
-	if sb, ok := m.(proto.ShardBatch); ok {
-		for _, sm := range sb.Msgs {
-			if !isOneWay(sm.Msg) {
-				return false
-			}
-		}
-		return len(sb.Msgs) > 0
-	}
-	if sm, ok := m.(proto.ShardMsg); ok {
-		m = sm.Msg
-	}
-	switch m.(type) {
-	case core.VAL, proto.MUpdate, proto.EpochGossip:
-		// All consume a credit and draw no response; without counting them
-		// toward explicit grants each one would shrink the send window
-		// permanently (MUpdates are rare, but reconfiguration storms are
-		// exactly when the window must not erode — and epoch gossip is
-		// periodic, so an eroding window would wedge the mesh in steady
-		// state).
-		return true
-	}
-	return false
-}
-
-// isResponse implements the credit discipline's response classification. A
-// shard-tagged response repays credit the same as a bare one: the envelope
-// is routing, not flow-control semantics. A coalesced batch is a response —
-// and consumes no send credit — only when every inner message is one; wings
-// counts the inner responses individually for implicit repayment.
-func isResponse(m any) bool {
-	if sb, ok := m.(proto.ShardBatch); ok {
-		for _, sm := range sb.Msgs {
-			if !isResponse(sm.Msg) {
-				return false
-			}
-		}
-		return len(sb.Msgs) > 0
-	}
-	if sm, ok := m.(proto.ShardMsg); ok {
-		m = sm.Msg
-	}
-	if _, ok := m.(proto.ViewLogResp); ok {
-		// A view-log answer repays the ViewLogReq's credit, like any other
-		// response; the requester reserved the buffer slot when it spent a
-		// credit on the fetch.
-		return true
-	}
-	return core.IsResponseMsg(m)
-}
-
 // NewMesh starts a mesh node listening on addrs[self].
 func NewMesh(self proto.NodeID, addrs map[proto.NodeID]string) (*Mesh, error) {
 	ln, err := net.Listen("tcp", addrs[self])
@@ -154,7 +60,6 @@ func NewMesh(self proto.NodeID, addrs map[proto.NodeID]string) (*Mesh, error) {
 	m := &Mesh{
 		self:  self,
 		addrs: addrs,
-		cfg:   DefaultLinkConfig(),
 		dial:  dialTCP,
 		conns: make(map[net.Conn]struct{}),
 		ln:    ln,
@@ -220,12 +125,8 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	from := proto.NodeID(hello[0])
-	// This link only ever writes credit frames; responses read here repaid
-	// credits that the *outbound* link to the peer spent, so route them
-	// there (looked up per repayment — it survives reconnects).
-	cfg := m.cfg
-	cfg.CreditReturn = func(n int) { m.repayCredits(from, n) }
-	wings.NewLink(conn, cfg).Serve(conn, m.deliverFrom(from))
+	// An inbound connection only carries traffic in: this link never writes.
+	wings.NewLink(conn, wings.LinkConfig{}).Serve(conn, m.deliverFrom(from))
 }
 
 // deliverFrom is a serve pump's callback for traffic arriving from one peer.
@@ -262,14 +163,14 @@ func (o *outbound) Write(p []byte) (n int, err error) {
 	if err != nil {
 		o.m.forget(o.to, o.link)
 		if o.conn != nil {
-			o.conn.Close() // ends the return-traffic pump too
+			o.conn.Close() // ends the connection's pump too
 		}
 	}
 	return n, err
 }
 
-// open dials the peer, says hello and starts the pump for the return traffic
-// an outbound connection carries (credit frames).
+// open dials the peer, says hello and starts a pump on the connection, which
+// carries nothing back but notices when the peer goes away.
 func (o *outbound) open() error {
 	m := o.m
 	conn, err := m.dial(m.ctx, m.addrs[o.to])
@@ -306,11 +207,7 @@ func (m *Mesh) connect(to proto.NodeID) *wings.Link {
 		return l
 	}
 	o := &outbound{m: m, to: to}
-	cfg := m.cfg
-	// Route repayments through the mesh here too: after a reconnect the
-	// registered outbound link may be a newer one than this.
-	cfg.CreditReturn = func(n int) { m.repayCredits(to, n) }
-	o.link = wings.NewLink(o, cfg)
+	o.link = wings.NewLink(o, wings.LinkConfig{})
 	m.links[to].Store(o.link)
 	return o.link
 }
@@ -321,20 +218,9 @@ func (m *Mesh) forget(to proto.NodeID, l *wings.Link) {
 	m.links[to].CompareAndSwap(l, nil)
 }
 
-// repayCredits routes n implicit credit repayments to the outbound link for
-// peer — the link whose Sends spent them — regardless of which connection
-// the responses arrived on. With no outbound link (nothing was spent, or it
-// died) the repayment is moot and dropped; a fresh link starts with a full
-// window anyway.
-func (m *Mesh) repayCredits(peer proto.NodeID, n int) {
-	if l := m.links[peer].Load(); l != nil {
-		l.RepayCredits(n)
-	}
-}
-
 // Send implements cluster.Transport and never blocks: msg is encoded into the
-// peer's link, which ships it when the dial, the window and the socket allow,
-// and sheds past its bound (wings.Link.Post). Like Post it consumes msg's
+// peer's link, which ships it when the dial and the socket allow, and sheds
+// past its bound (wings.Link.Post). Like Post it consumes msg's
 // pooled-buffer value references on every path, including the drops.
 func (m *Mesh) Send(from, to proto.NodeID, msg any) {
 	l := m.links[to].Load()

@@ -11,81 +11,9 @@ import (
 	"repro/internal/proto"
 )
 
-// TestPiggybackedCreditGrants pins the grant-deferral path deterministically:
-// b's flusher is wedged on a write (nobody reads its end yet), so a grant
-// falling due while the flush is in flight must ride the outbound queue
-// instead of paying for a standalone credit frame — and must still reach the
-// peer once the flusher drains.
-func TestPiggybackedCreditGrants(t *testing.T) {
-	ca, cb := net.Pipe()
-	defer ca.Close()
-	defer cb.Close()
-	a := NewLink(ca, LinkConfig{Credits: 4})
-	b := NewLink(cb, LinkConfig{Credits: 4, ExplicitEvery: 1})
-	defer a.Close()
-	defer b.Close()
-
-	recvB := make(chan any, 64)
-	go b.Serve(cb, func(m any) { recvB <- m })
-
-	// Wedge b's flusher: its write to cb blocks until ca is read, which
-	// nothing does yet. FramesSent is bumped before the socket write, so
-	// once it reads 1 the flush is provably in flight.
-	if err := b.Send(core.VAL{Epoch: 1, Key: 100, TS: proto.TS{Version: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return b.Stats().FramesSent == 1 })
-
-	// One-way traffic into b makes a grant fall due mid-flush: it must be
-	// deferred onto the wedged flusher, not shipped standalone. recvB fires
-	// after onReceive, so once it delivers, the deferral has happened.
-	if err := a.Send(core.VAL{Epoch: 1, Key: 1, TS: proto.TS{Version: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	<-recvB
-	// Queue a data message behind the wedge so the deferred grant has a
-	// frame to ride when the flusher drains.
-	if err := b.Send(core.VAL{Epoch: 1, Key: 101, TS: proto.TS{Version: 1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unwedge: reading a's end lets b's flusher drain, which must now ship
-	// the deferred grant with the queued VAL; a's window reopens and far
-	// more one-way VALs than the 4-credit window complete.
-	go a.Serve(ca, func(any) {})
-	waitFor(t, func() bool { return b.Stats().PiggybackedGrants == 1 })
-	const n = 12
-	errCh := make(chan error, 1)
-	go func() {
-		for i := 2; i <= n; i++ {
-			if err := a.Send(core.VAL{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 1}}); err != nil {
-				errCh <- err
-				return
-			}
-		}
-		errCh <- nil
-	}()
-	for got := 1; got < n; {
-		select {
-		case <-recvB:
-			got++
-		case err := <-errCh:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("one-way traffic stalled at %d/%d (piggybacked grant lost?)", got, n)
-		}
-	}
-	if st := b.Stats(); st.ExplicitCreditsSent < st.PiggybackedGrants {
-		t.Fatalf("piggybacked grants (%d) not counted in ExplicitCreditsSent (%d)",
-			st.PiggybackedGrants, st.ExplicitCreditsSent)
-	}
-}
-
 // TestHugePendingBacklogSplitsFrames pins the frame-count bound: more
 // messages than a frame's 2-byte count can carry may accumulate while a
-// flush is wedged (responses are credit-exempt, so nothing backpressures
+// flush is wedged (responses cost no credit, so nothing backpressures
 // them), and the backlog must ship as several frames rather than silently
 // truncating the count to uint16 and losing the overflow.
 func TestHugePendingBacklogSplitsFrames(t *testing.T) {

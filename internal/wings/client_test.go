@@ -322,11 +322,11 @@ func TestClientTypedDoorsMatchGenericCodec(t *testing.T) {
 	}
 }
 
-// TestServeClientRespsAcceptsOnlyResponsesAndCredits: the client's loop
-// refuses, by tag, everything a server has no business sending — a request, a
-// mesh message, a batch — and an out-of-range status; what it accepts is
-// counted as Serve counts it and repaid once per frame.
-func TestServeClientRespsAcceptsOnlyResponsesAndCredits(t *testing.T) {
+// TestServeClientRespsAcceptsOnlyResponses: the client's loop refuses, by
+// tag, everything a server has no business sending — a request, a mesh
+// message, a batch, the retired credit grant — and an out-of-range status;
+// what it accepts is counted as Serve counts it and repaid once per frame.
+func TestServeClientRespsAcceptsOnlyResponses(t *testing.T) {
 	for name, msg := range map[string]any{
 		"request": proto.ClientReq{Seq: 1, Op: proto.OpRead},
 		"INV":     inv(1),
@@ -343,15 +343,22 @@ func TestServeClientRespsAcceptsOnlyResponsesAndCredits(t *testing.T) {
 			t.Fatalf("%s after a response: err=%v (want ErrUnknownType), %d responses delivered (want 1)", name, err, seen)
 		}
 	}
+	grant, _ := AppendFrame(nil, proto.ClientResp{Seq: 7})
+	grant = append(grant, tCredit, 2, 0, 0, 0, 16, 0)
+	binary.LittleEndian.PutUint32(grant, uint32(len(grant)-4))
+	binary.LittleEndian.PutUint16(grant[4:], 2)
+	l := NewLink(io.Discard, LinkConfig{Credits: 4})
+	if err := l.ServeClientResps(bytes.NewReader(grant), func(*proto.ClientResp) {}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("a credit grant after a response: err=%v, want ErrUnknownType", err)
+	}
 	hostile, _ := AppendFrame(nil, proto.ClientResp{Seq: 7})
 	hostile[len(hostile)-5] = 0xEE // [8B seq][1B status][4B len]: the status byte
-	l := NewLink(io.Discard, LinkConfig{})
+	l = NewLink(io.Discard, LinkConfig{})
 	if err := l.ServeClientResps(bytes.NewReader(hostile), func(*proto.ClientResp) { t.Fatal("hostile status delivered") }); !errors.Is(err, ErrBadEnum) {
 		t.Fatalf("status 0xEE: err=%v, want ErrBadEnum", err)
 	}
 
-	// Three responses and a grant in one frame: credits return in one step,
-	// capped at the window.
+	// Three responses in one frame: credits return in one step.
 	l = NewLink(io.Discard, LinkConfig{Credits: 4})
 	for i := 0; i < 3; i++ {
 		if err := l.SendClientReq(&proto.ClientReq{Seq: uint64(i), Op: proto.OpRead}); err != nil {

@@ -4,14 +4,16 @@
 //   - compact hand-rolled binary codecs for every Hermes message,
 //   - opportunistic batching: messages accumulate while a send is in flight
 //     and ship as one framed batch — never stalling to fill a batch,
-//   - credit-based flow control with implicit credits (responses) and
-//     explicit credit-update frames for one-way traffic like VALs,
-//   - a broadcast primitive implemented as unicasts to a peer group.
+//   - an optional credit window with implicit repayment (each response
+//     repays its request), which the client session uses as its pipelining
+//     window.
 //
-// PCIe-level RDMA tricks (doorbell batching, inlining, header-only credit
-// packets) have no software-visible protocol effect and are represented by
-// their closest stream analogue: one syscall per batch and a 1-byte credit
-// frame.
+// Wings' explicit credit updates are left out: over a byte stream the
+// transport's own window, Post's byte bound and the receiver's bounded inbox
+// already bound both ends, so the replica mesh runs its links with no window
+// at all. PCIe-level RDMA tricks (doorbell batching, inlining) have no
+// software-visible protocol effect and are represented by their closest
+// stream analogue: one syscall per batch.
 //
 // One syscall per batch holds on the read side too. Every serve loop — the
 // mesh link's Serve and the client session's two typed loops — runs on one
@@ -39,9 +41,6 @@ import (
 //
 //	[4B total length][2B message count] then per message:
 //	[1B type][4B length][payload]
-//
-// A credit-update frame is a regular frame whose single message has type
-// tCredit and a 2-byte grant payload.
 
 const (
 	tINV uint8 = iota + 1
@@ -51,14 +50,16 @@ const (
 	tMCheckAck
 	tChunkReq
 	tChunkResp
+	// tCredit was Wings' explicit credit update. Nothing sends it and every
+	// decoder refuses it; the tag stays reserved so that the tags after it
+	// keep their wire values.
 	tCredit
 	// tShard wraps any other message with a 2-byte shard tag — the
 	// proto.ShardMsg envelope of the multi-worker engine. Payload:
 	// [2B shard][1B inner type][4B inner length][inner payload].
 	tShard
 	// tShardBatch coalesces shard-tagged small messages from many shard
-	// engines into one frame under one flow-control credit — the
-	// proto.ShardBatch envelope. Payload:
+	// engines into one frame — the proto.ShardBatch envelope. Payload:
 	// [2B count] then per entry [2B shard][1B inner type][4B len][payload].
 	tShardBatch
 	// tMUpdate is a shard-routable membership update (proto.MUpdate):
@@ -744,18 +745,14 @@ func decodeTagged(r *reader, owner *refbuf.Buf) (proto.ShardMsg, error) {
 
 // Stats counts link-level events.
 type Stats struct {
-	FramesSent, MsgsSent uint64
-	FramesRecv, MsgsRecv uint64
-	BatchedMsgs          uint64 // messages that shipped with company
-	CreditStalls         uint64 // sends that waited for credits (Send asleep, Post parked)
-	ExplicitCreditsSent  uint64
-	// PiggybackedGrants counts the ExplicitCreditsSent subset that rode an
-	// outgoing data frame instead of paying for a standalone credit frame.
-	PiggybackedGrants        uint64
+	FramesSent, MsgsSent     uint64
+	FramesRecv, MsgsRecv     uint64
+	BatchedMsgs              uint64 // messages that shipped with company
+	CreditStalls             uint64 // Sends that slept for credits
 	ImplicitCreditsRecovered uint64
 	// CoalescedSent/CoalescedRecv count the inner messages carried inside
 	// ShardBatch envelopes; the envelope itself counts once in MsgsSent or
-	// MsgsRecv, matching its single flow-control credit.
+	// MsgsRecv.
 	CoalescedSent, CoalescedRecv uint64
 	// CreditsRefunded counts credits returned on Send error paths (link
 	// closed while waiting, or encode failure after the debit).
@@ -773,59 +770,33 @@ type linkCounters struct {
 	framesRecv, msgsRecv         atomic.Uint64
 	batchedMsgs                  atomic.Uint64
 	creditStalls                 atomic.Uint64
-	explicitCreditsSent          atomic.Uint64
-	piggybackedGrants            atomic.Uint64
 	implicitCreditsRecovered     atomic.Uint64
 	coalescedSent, coalescedRecv atomic.Uint64
 	creditsRefunded              atomic.Uint64
 	shed                         atomic.Uint64
 }
 
-// LinkConfig tunes one peer link.
+// LinkConfig tunes one link. The zero value — no window — is the replica
+// mesh's: TCP's window, Post's byte bound and the receiver's bounded inbox
+// are its flow control.
 type LinkConfig struct {
-	// Credits is the send window (receiver buffer slots). 0 disables flow
-	// control.
+	// Credits is the send window: Send and SendClientReq sleep while it is
+	// spent. 0 disables it. Post never consults it.
 	Credits int
-	// ExplicitEvery makes the receiver grant an explicit credit update
-	// after that many received one-way messages (see IsOneWay). 0 disables.
-	ExplicitEvery int
-	// IsOneWay marks credit-consuming messages that never draw a response
-	// (e.g. a VAL, or a coalesced batch of them): only those count toward
-	// ExplicitEvery. Requests like INVs are excluded — their responses
-	// repay them implicitly, and granting for them too would repay every
-	// credit twice, collapsing the flow-control window into a no-op. Nil
-	// counts every received message (correct only when nothing is repaid
-	// implicitly).
-	IsOneWay func(msg any) bool
-	// IsResponse marks message types that implicitly return one credit to
-	// the peer that sent the request (e.g. an ACK repays an INV). Responses
-	// do not consume send credits themselves: the requester reserved their
+	// IsResponse marks message types that implicitly repay one credit to the
+	// link they arrive on (a ClientResp repays its ClientReq). Responses do
+	// not consume send credits themselves: the requester reserved their
 	// buffer space when it spent a credit on the request. A ShardBatch is a
 	// response (consumes no credit) only when every inner message is one;
 	// on receive each inner response repays one credit individually (the
 	// hook is asked about each inner message bare, outside its ShardMsg).
 	IsResponse func(msg any) bool
-	// CreditReturn, when set, receives implicit credit repayments instead
-	// of this link. A TCP mesh sets it so that a response arriving on an
-	// inbound-only connection repays the outbound link that actually spent
-	// the credit (see transport.Mesh); nil keeps repayments local, which is
-	// correct when one link both sends and receives.
-	CreditReturn func(n int)
-	// CreditCost prices a credit-consuming message in send-window slots;
-	// nil charges 1. A coalesced batch of requests (INVs) costs one slot
-	// per inner request — each is repaid individually by its response —
-	// while a batch of one-way messages (VALs) still costs one, matching
-	// the receiver counting the whole batch once toward ExplicitEvery.
-	// Responses are never charged, regardless of this hook. Costs above the
-	// window size are clamped so an oversized batch cannot deadlock the
-	// sender.
-	CreditCost func(msg any) int
 }
 
-// Link is one flow-controlled, batching connection to a peer. It is the only
-// egress queue between a sender and the stream, and its flusher the only
-// goroutine that ever waits on the peer: Send sleeps for credits (a session's
-// backpressure), Post never does (see Post).
+// Link is one batching connection to a peer, optionally under a send window.
+// It is the only egress queue between a sender and the stream, and its
+// flusher the only goroutine that ever waits on the peer: Send sleeps for
+// credits (a session's backpressure), Post never does (see Post).
 type Link struct {
 	cfg LinkConfig
 
@@ -840,45 +811,35 @@ type Link struct {
 	// it in for pending when it takes a batch, and hands the flushed buffer
 	// back here once the write has returned, so steady-state encoding never
 	// grows a buffer from zero. Nil while that buffer is out with the flusher.
-	spare []byte
-	// parked holds, oldest first from parkHead, the credit-consuming messages
-	// Post could not afford, each as [4B cost][encoded message]. Nothing is
-	// debited for a parked message until addCredits moves it into pending.
-	parked   []byte
-	parkHead int
+	spare    []byte
 	credits  int
 	closed   bool
 	flushing bool
 	// flush is flushLoop bound once: `go l.flush()` starts the flusher
 	// without the closure a `go l.flushLoop()` statement allocates per start.
 	flush func()
-	// pendingGrant holds explicit credits owed to the peer; they ride the next
-	// outgoing frame, or one of their own if nothing else is queued.
-	pendingGrant int
 
 	// w is written by the flusher alone, and flushing admits one flusher at a
 	// time. Never under mu, so a slow peer stalls only the flusher — senders
 	// keep queueing.
 	w io.Writer
 
-	recvSinceCredit int
-	stats           linkCounters
+	stats linkCounters
 }
 
 // frameHdrLen is the [4B length][2B count] prefix of a frame.
 const frameHdrLen = 6
 
 // maxSpareBuf caps the capacity of a send buffer the link keeps for reuse
-// (pending, spare, parked): one grown past it by a one-off burst goes back to
-// the collector instead of staying resident.
+// (pending, spare): one grown past it by a one-off burst goes back to the
+// collector instead of staying resident.
 const maxSpareBuf = 256 << 10
 
-// maxQueuedBytes bounds what Post lets wait in a link, pending and parked
-// together. Post never blocks its caller, so behind a stalled peer — window
-// spent, socket full, dial hanging — the queue must not grow without bound;
-// past the cap messages are shed, the bounded-queue discipline of
-// cluster.ChanTransport's full inbox, and the protocols' retransmission
-// recovers. The message that crosses the bound is still admitted, so one
+// maxQueuedBytes bounds what Post lets wait in a link. Post never blocks its
+// caller, so behind a stalled peer — socket full, dial hanging — the queue
+// must not grow without bound; past the cap messages are shed, the
+// bounded-queue discipline of cluster.ChanTransport's full inbox, and the
+// protocols' retransmission recovers. The message that crosses the bound is still admitted, so one
 // larger than the cap ships alone.
 const maxQueuedBytes = 4 << 20
 
@@ -898,70 +859,51 @@ func NewLink(w io.Writer, cfg LinkConfig) *Link {
 }
 
 // Send encodes msg and queues it; it ships in the next batch. Blocks only
-// when flow-control credits are exhausted — the backpressure a client session
-// wants. A coalesced one-way batch costs one credit for the whole frame —
-// that is the point of coalescing — while a request batch is priced per inner
-// request via cfg.CreditCost.
+// while the credit window is spent — the backpressure a client session wants.
+// A message cfg.IsResponse marks costs nothing; any other costs one credit.
 //
 // Send consumes msg's pooled-buffer value references (core.INV.Owner and
 // friends) on every path, success or failure: the encoder copies value
 // bytes into the send buffer synchronously, so the references are spent the
 // moment Send returns and callers must never release them afterward. For
 // the same reason a message holding frame references must be Sent at most
-// once (Broadcast is for owner-less messages).
+// once.
 func (l *Link) Send(msg any) error { return l.enqueue(msg, true) }
 
-// Post is Send for callers that must never wait on a peer — event loops. A
-// credit-consuming message the window cannot cover, or that arrives behind
-// one already waiting, is encoded into the parked queue instead; credit
-// repayments move parked messages into the outgoing frame oldest first
-// (addCredits), debiting each as it moves. Responses never park: they cost
-// nothing, so the traffic that repays the peer's window cannot queue behind
-// this side's own credit-starved requests — two mutually starved peers always
-// drain. With maxQueuedBytes already waiting, Post sheds msg and says so.
-// Ownership is Send's: msg's buffer references are spent on every path.
+// Post is Send for callers that must never wait on a peer — event loops. It
+// never debits the window and never waits: with maxQueuedBytes already
+// queued it sheds msg and says so. Ownership is Send's: msg's buffer
+// references are spent on every path.
 func (l *Link) Post(msg any) error { return l.enqueue(msg, false) }
 
 func (l *Link) enqueue(msg any, wait bool) error {
 	cost := 0
-	if l.cfg.Credits > 0 && !(l.cfg.IsResponse != nil && l.cfg.IsResponse(msg)) {
+	if wait && l.cfg.Credits > 0 && !(l.cfg.IsResponse != nil && l.cfg.IsResponse(msg)) {
 		cost = 1
-		if l.cfg.CreditCost != nil {
-			if c := l.cfg.CreditCost(msg); c > 1 {
-				cost = c
-			}
-		}
-		if cost > l.cfg.Credits {
-			cost = l.cfg.Credits
-		}
 	}
 	l.mu.Lock()
-	// Short of credits, Send's caller waits on the link; Post's message waits
-	// in it — parked, as is anything that arrives behind a parked message.
-	park := false
-	if wait {
-		l.awaitCredits(cost)
-	} else if park = cost > 0 && (l.credits < cost || l.parkHead < len(l.parked)); park {
-		l.stats.creditStalls.Add(1)
-	}
+	l.awaitCredits(cost)
 	err := error(nil)
 	switch {
 	case l.closed:
 		// No debit happened (or the closed-wakeup interrupted the wait
 		// before one): nothing to refund.
 		err = errLinkClosed
-	case !wait && len(l.pending)+len(l.parked)-l.parkHead >= maxQueuedBytes:
+	case !wait && len(l.pending) >= maxQueuedBytes:
 		l.stats.shed.Add(1)
 		err = errQueueFull
-	case park:
-		err = encodeOnto(&l.parked, binary.LittleEndian.AppendUint32(l.parked, uint32(cost)), msg)
 	default:
 		l.credits -= cost
-		if err = encodeOnto(&l.pending, l.frameStart(), msg); err == nil {
+		// appendMsg returns nil on error, so pending is stored only on
+		// success: an encode failure cannot wipe messages other senders
+		// queued.
+		var buf []byte
+		if buf, err = appendMsg(l.frameStart(), msg); err == nil {
+			l.pending = buf
 			l.nPending++
 			l.kickLocked()
 		} else if cost > 0 {
-			// The message never shipped; give the credits back so the window
+			// The message never shipped; give the credit back so the window
 			// does not shrink permanently on encode errors.
 			l.credits += cost
 			l.stats.creditsRefunded.Add(uint64(cost))
@@ -1018,18 +960,6 @@ func (l *Link) SendClientReq(req *proto.ClientReq) error {
 	return nil
 }
 
-// encodeOnto appends msg's encoding to buf — *queue, or *queue with a prefix —
-// and stores the result in *queue. appendMsg returns nil on error, so the
-// store happens only on success: an encode failure cannot wipe messages
-// already queued by other senders.
-func encodeOnto(queue *[]byte, buf []byte, msg any) error {
-	encoded, err := appendMsg(buf, msg)
-	if err == nil {
-		*queue = encoded
-	}
-	return err
-}
-
 // frameStart returns pending ready for a message: an empty buffer first gets
 // the frame header's placeholder.
 func (l *Link) frameStart() []byte {
@@ -1043,19 +973,18 @@ func (l *Link) frameStart() []byte {
 // flush is in flight — or has been started and not yet run — further messages
 // pile into pending and ship together.
 func (l *Link) kickLocked() {
-	if l.flushing || (l.nPending == 0 && l.pendingGrant == 0) {
+	if l.flushing || l.nPending == 0 {
 		return
 	}
 	l.flushing = true
 	go l.flush()
 }
 
-// maxFrameMsgs caps one frame at the header's 2-byte message count, leaving
-// room for a piggybacked credit grant. Credit-exempt responses can pile into
-// pending while a flush is wedged on a slow peer, so an over-full buffer must
-// ship as several frames — truncating the count to uint16 would make the
-// receiver skip the overflowed messages silently.
-const maxFrameMsgs = 0xFFFF - 1
+// maxFrameMsgs caps one frame at the header's 2-byte message count. Messages
+// can pile into pending while a flush is wedged on a slow peer, so an
+// over-full buffer must ship as several frames — truncating the count to
+// uint16 would make the receiver skip the overflowed messages silently.
+const maxFrameMsgs = 0xFFFF
 
 func (l *Link) flushLoop() {
 	// flushed is the buffer the previous iteration wrote out, handed back as
@@ -1067,13 +996,11 @@ func (l *Link) flushLoop() {
 			l.spare = flushed[:0]
 		}
 		flushed = nil
-		grant := min(l.pendingGrant, 0xFFFF) // the grant payload is a u16; carry the rest over
-		if (l.nPending == 0 && grant == 0) || l.closed {
+		if l.nPending == 0 || l.closed {
 			l.flushing = false
 			l.mu.Unlock()
 			return
 		}
-		l.pendingGrant -= grant
 		frame, count := l.pending, l.nPending
 		l.pending, l.nPending = l.spare[:0], 0
 		l.spare = nil
@@ -1090,34 +1017,13 @@ func (l *Link) flushLoop() {
 		}
 		l.mu.Unlock()
 
-		if count == 0 {
-			frame = append(frame[:0], make([]byte, frameHdrLen)...) // a grant alone
-		}
-		wireCount := count
-		if grant > 0 {
-			// A grant is one more message in the frame. Receivers process
-			// tCredit entries inline wherever they appear. The stat is counted
-			// here — where the grant provably ships — and as piggybacked only
-			// when it rides a data frame.
-			frame = append(frame, tCredit, 2, 0, 0, 0, byte(grant), byte(grant>>8))
-			wireCount++
-			l.stats.explicitCreditsSent.Add(1)
-			if count > 0 {
-				l.stats.piggybackedGrants.Add(1)
-			}
-		}
 		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-		binary.LittleEndian.PutUint16(frame[4:], uint16(wireCount))
+		binary.LittleEndian.PutUint16(frame[4:], uint16(count))
 
 		// Count the frame before shipping it so a peer that has received the
-		// messages can never observe sender stats that miss them. Stats
-		// track protocol messages only: a grant counts toward the credit
-		// counters (see onReceive), not MsgsSent, and a grant-only frame not
-		// at all, keeping MsgsSent == messages queued.
-		if count > 0 {
-			l.stats.framesSent.Add(1)
-			l.stats.msgsSent.Add(uint64(count))
-		}
+		// messages can never observe sender stats that miss them.
+		l.stats.framesSent.Add(1)
+		l.stats.msgsSent.Add(uint64(count))
 		if count > 1 {
 			l.stats.batchedMsgs.Add(uint64(count))
 		}
@@ -1194,12 +1100,6 @@ func (l *Link) serveFrame(body []byte, fn func(msg any), batch *[]proto.ShardMsg
 			return err
 		}
 		switch t {
-		case tCredit:
-			if len(body) < 2 {
-				return io.ErrUnexpectedEOF
-			}
-			grant := int(binary.LittleEndian.Uint16(body))
-			l.addCredits(grant)
 		case tShardBatch:
 			sb, err := decodeShardBatch(&reader{b: body}, fb, *batch)
 			if err != nil {
@@ -1208,7 +1108,7 @@ func (l *Link) serveFrame(body []byte, fn func(msg any), batch *[]proto.ShardMsg
 			l.stats.msgsRecv.Add(1)
 			l.stats.coalescedRecv.Add(uint64(len(sb.Msgs)))
 			var msg any = sb // boxed once for both consumers
-			l.onReceive(msg)
+			l.RepayCredits(l.implicitCredits(msg))
 			fn(msg)
 			if cap(sb.Msgs) <= maxBatchScratch {
 				clear(sb.Msgs) // an idle link must not pin the last batch's messages
@@ -1220,37 +1120,11 @@ func (l *Link) serveFrame(body []byte, fn func(msg any), batch *[]proto.ShardMsg
 				return err
 			}
 			l.stats.msgsRecv.Add(1)
-			l.onReceive(msg)
+			l.RepayCredits(l.implicitCredits(msg))
 			fn(msg)
 		}
 	}
 	return nil
-}
-
-// onReceive applies flow-control accounting for an incoming message.
-// Implicit repayments go through cfg.CreditReturn when set — in a TCP mesh
-// the link that spent the credit (the outbound one) is usually not the link
-// the response arrives on.
-func (l *Link) onReceive(msg any) {
-	if n := l.implicitCredits(msg); n > 0 {
-		if l.cfg.CreditReturn != nil {
-			l.cfg.CreditReturn(n)
-		} else {
-			l.RepayCredits(n)
-		}
-	}
-	if l.cfg.ExplicitEvery > 0 && (l.cfg.IsOneWay == nil || l.cfg.IsOneWay(msg)) {
-		l.mu.Lock()
-		l.recvSinceCredit++
-		if l.recvSinceCredit >= l.cfg.ExplicitEvery {
-			l.recvSinceCredit = 0
-			// The flusher ships the grant: on the data frame queued or in
-			// flight if there is one, else in a frame of its own.
-			l.pendingGrant += l.cfg.ExplicitEvery
-			l.kickLocked()
-		}
-		l.mu.Unlock()
-	}
 }
 
 // implicitCredits counts the credit repayments msg carries: one for a plain
@@ -1276,61 +1150,25 @@ func (l *Link) implicitCredits(msg any) int {
 }
 
 // RepayCredits returns n implicitly recovered credits to this link's send
-// window. The mesh calls it on the outbound link when responses arrive on a
-// different connection than the requests left on.
+// window, capped at its size, and wakes the Sends waiting for them.
 func (l *Link) RepayCredits(n int) {
 	if n <= 0 {
 		return
 	}
-	l.addCredits(n)
 	l.stats.implicitCreditsRecovered.Add(uint64(n))
-}
-
-// addCredits reopens the window by n and lets what was waiting for it go:
-// parked messages first, oldest first, as far as the window now covers them —
-// each debited here, as it joins the outgoing frame, so nothing ships
-// undebited and nothing parked is debited twice — then blocked Sends.
-func (l *Link) addCredits(n int) {
 	if l.cfg.Credits == 0 {
 		return
 	}
 	l.mu.Lock()
 	l.credits = min(l.credits+n, l.cfg.Credits)
-	for l.parkHead < len(l.parked) { // a closed link has nothing parked
-		entry := l.parked[l.parkHead:]
-		cost := int(binary.LittleEndian.Uint32(entry))
-		if cost > l.credits {
-			break
-		}
-		end := 4 + 5 + int(binary.LittleEndian.Uint32(entry[5:])) // [4B cost][1B type][4B len][payload]
-		l.credits -= cost
-		l.pending = append(l.frameStart(), entry[4:end]...)
-		l.nPending++
-		l.parkHead += end
-	}
-	switch {
-	case l.parkHead == len(l.parked):
-		l.parkHead = 0
-		if l.parked = l.parked[:0]; cap(l.parked) > maxSpareBuf {
-			l.parked = nil
-		}
-	case l.parkHead > len(l.parked)/2:
-		// Slide the live tail down once it is the smaller half, so the moves
-		// stay proportional to what was consumed.
-		l.parked = l.parked[:copy(l.parked, l.parked[l.parkHead:])]
-		l.parkHead = 0
-	}
-	l.kickLocked()
 	l.mu.Unlock()
 	l.sendCond.Broadcast()
 }
 
-// Close shuts the link: blocked senders return, what is queued or parked is
-// dropped.
+// Close shuts the link: blocked senders return, what is queued is dropped.
 func (l *Link) Close() {
 	l.mu.Lock()
 	l.closed = true
-	l.parked, l.parkHead = nil, 0
 	l.mu.Unlock()
 	l.sendCond.Broadcast()
 }
@@ -1345,25 +1183,12 @@ func (l *Link) Stats() Stats {
 		FramesRecv: c.framesRecv.Load(), MsgsRecv: c.msgsRecv.Load(),
 		BatchedMsgs:              c.batchedMsgs.Load(),
 		CreditStalls:             c.creditStalls.Load(),
-		ExplicitCreditsSent:      c.explicitCreditsSent.Load(),
-		PiggybackedGrants:        c.piggybackedGrants.Load(),
 		ImplicitCreditsRecovered: c.implicitCreditsRecovered.Load(),
 		CoalescedSent:            c.coalescedSent.Load(),
 		CoalescedRecv:            c.coalescedRecv.Load(),
 		CreditsRefunded:          c.creditsRefunded.Load(),
 		Shed:                     c.shed.Load(),
 	}
-}
-
-// Broadcast sends msg on every link; unicast fan-out, as Wings implements
-// software broadcast over UD sends.
-func Broadcast(links []*Link, msg any) error {
-	for _, l := range links {
-		if err := l.Send(msg); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AppendFrame appends one wire frame carrying msgs to buf and returns the
@@ -1396,8 +1221,8 @@ func AppendFrame(buf []byte, msgs ...any) ([]byte, error) {
 // typed door. It is Link.Serve without a link, an interface box or a type
 // switch: admission is the session layer's, so there is no credit accounting,
 // and the only tag a client may send is tClientReq — anything else (a mesh
-// message, a tClientResp, a tCredit) is refused with ErrUnknownType before its
-// body is looked at. The hostile-input discipline is Link.Serve's: frame
+// message, a tClientResp, the retired tCredit) is refused with
+// ErrUnknownType before its body is looked at. The hostile-input discipline is Link.Serve's: frame
 // lengths are bounded, per-message lengths validated against the frame, enum
 // ranges enforced.
 //
@@ -1464,12 +1289,12 @@ func (a *keyAhead) scan(frame []byte, off, left int) {
 
 // ServeClientResps is Serve for the client side of a session — the client's
 // typed door: it reads the server's response stream from rd and hands each
-// response to fn until error/EOF. A server sends responses and, at most,
-// credit grants; any other tag is refused with ErrUnknownType before its body
-// is looked at, so a hostile server cannot make the client decode a 16 MiB
-// ChunkResp. Each response repays the credit its request spent
-// (SendClientReq), a frame's worth in one RepayCredits once fn has seen them
-// all. FramesRecv and MsgsRecv count what Serve counts.
+// response to fn until error/EOF. A server sends responses only; any other
+// tag is refused with ErrUnknownType before its body is looked at, so a
+// hostile server cannot make the client decode a 16 MiB ChunkResp. Each
+// response repays the credit its request spent (SendClientReq), a frame's
+// worth in one RepayCredits once fn has seen them all. FramesRecv and
+// MsgsRecv count what Serve counts.
 //
 // *resp lives in the loop: valid until fn returns, its Value a private copy
 // fn may keep.
@@ -1482,21 +1307,14 @@ func (l *Link) clientRespFrames(fn func(resp *proto.ClientResp)) func(frame []by
 	var resp proto.ClientResp
 	resps := 0 // in the frame being served
 	msg := func(t uint8, body []byte) error {
-		switch t {
-		case tCredit:
-			if len(body) < 2 {
-				return io.ErrUnexpectedEOF
-			}
-			l.addCredits(int(binary.LittleEndian.Uint16(body)))
-		case tClientResp:
-			if err := readClientResp(&reader{b: body}, &resp); err != nil {
-				return err
-			}
-			resps++
-			fn(&resp)
-		default:
+		if t != tClientResp {
 			return ErrUnknownType
 		}
+		if err := readClientResp(&reader{b: body}, &resp); err != nil {
+			return err
+		}
+		resps++
+		fn(&resp)
 		return nil
 	}
 	return func(frame []byte) error {

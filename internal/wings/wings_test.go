@@ -241,57 +241,6 @@ func TestLinkImplicitCredits(t *testing.T) {
 	}
 }
 
-func TestLinkExplicitCredits(t *testing.T) {
-	cfg := LinkConfig{Credits: 4, ExplicitEvery: 2}
-	a, _, _, recvB, done := pipePair(t, cfg)
-	defer done()
-	// One-way traffic (like VALs): only explicit credit updates keep the
-	// sender's window open.
-	const n = 40
-	errCh := make(chan error, 1)
-	go func() {
-		for i := 0; i < n; i++ {
-			if err := a.Send(core.VAL{Epoch: 1, Key: proto.Key(i), TS: proto.TS{Version: 1}}); err != nil {
-				errCh <- err
-				return
-			}
-		}
-		errCh <- nil
-	}()
-	for i := 0; i < n; i++ {
-		select {
-		case <-recvB:
-		case err := <-errCh:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("one-way traffic stalled at %d (explicit credits broken)", i)
-		}
-	}
-}
-
-func TestBroadcastFansOut(t *testing.T) {
-	a1, _, _, recv1, done1 := pipePair(t, LinkConfig{})
-	defer done1()
-	a2, _, _, recv2, done2 := pipePair(t, LinkConfig{})
-	defer done2()
-	msg := core.VAL{Epoch: 1, Key: 5, TS: proto.TS{Version: 2}}
-	if err := Broadcast([]*Link{a1, a2}, msg); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range []chan any{recv1, recv2} {
-		select {
-		case got := <-ch:
-			if !reflect.DeepEqual(got, msg) {
-				t.Fatalf("peer %d got %+v", i, got)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("timeout")
-		}
-	}
-}
-
 func TestServeRejectsGarbage(t *testing.T) {
 	ca, cb := net.Pipe()
 	defer ca.Close()

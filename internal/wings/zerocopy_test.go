@@ -80,15 +80,15 @@ func sliceWithin(sub, outer []byte) bool {
 // whose second entry cannot be encoded fails after the first entry's INV (and
 // its frame reference) entered appendMsg. Send owns the references on every
 // path, so the failure must release them exactly once — refs hit zero, no
-// panic from a double release — refund the debited credits, and leave the
-// link usable.
+// panic from a double release — refund what Send debited, and leave the link
+// usable.
 func TestSendReleasesOwnersOnEncodeError(t *testing.T) {
 	var sink bytes.Buffer
 	l := NewLink(&sink, LinkConfig{Credits: 4})
 	pool := refbuf.NewPool()
 
-	// Through either door: the debit, the failed encode and the refund are in
-	// the body Send and Post share.
+	// Through either door: the failed encode is in the body Send and Post
+	// share. Only Send debits, so only its failure has a credit to refund.
 	for i, door := range []func(any) error{l.Send, l.Post} {
 		fb := pool.Get(8)
 		copy(fb.Bytes(), "payload!")
@@ -103,7 +103,7 @@ func TestSendReleasesOwnersOnEncodeError(t *testing.T) {
 		if got := fb.Refs(); got != 0 {
 			t.Fatalf("frame refs after the encode error = %d, want 0", got)
 		}
-		if st := l.Stats(); st.CreditsRefunded != uint64(i+1) {
+		if st := l.Stats(); st.CreditsRefunded != 1 {
 			t.Fatalf("CreditsRefunded = %d after %d encode failures: %+v", st.CreditsRefunded, i+1, st)
 		}
 	}
