@@ -203,11 +203,17 @@ func TestRolloutNodeWideFallbackOnRemoval(t *testing.T) {
 // TestRolloutFastForwardViaViewLog: a node that missed several decided views
 // (its agent was down) pulls the gap from a peer's view log over the
 // transport and fast-forwards every shard — without a restart and without
-// any out-of-band install.
+// any out-of-band install. The transport drops every epoch-gossip frame, so
+// the node stays behind until FastForward asks: this pins the manual path
+// alone (TestGossipOnByDefaultHealsLaggard pins the one gossip drives).
 func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	const w = 4
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	defer l.Close()
+	l.Tr.SetDrop(func(_, _ proto.NodeID, msg any) bool {
+		_, gossip := msg.(proto.EpochGossip)
+		return gossip
+	})
 	a, b := l.Nodes[0], l.Nodes[1]
 
 	// Epochs 2..5 reach only node 0 (node 1's agent missed the decisions
@@ -229,8 +235,8 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 		}
 	}
 
-	// Node 1 detects the lag (live: epoch gossip; here: the test) and
-	// fetches the gap from node 0.
+	// Node 1 detects the lag (live: epoch gossip; here: the test, gossip
+	// being dropped) and fetches the gap from node 0.
 	b.FastForward(0)
 	waitEpochs(t, func() bool {
 		for _, e := range b.ShardEpochs() {
@@ -264,9 +270,10 @@ func TestRolloutFastForwardViaViewLog(t *testing.T) {
 	})
 }
 
-// viewLogSpy stands up one bare node (id 1, no membership agent, no gossip)
-// next to a raw transport endpoint (id 0) that records every ViewLogResp the
-// node sends it: the wire-level view of the node's view log.
+// viewLogSpy stands up one bare node (id 1, no membership agent) next to a
+// raw transport endpoint (id 0) that records every ViewLogResp the node sends
+// it — and ignores its epoch gossip: the wire-level view of the node's view
+// log.
 func viewLogSpy(t *testing.T, shards int) (*ShardedNode, *ChanTransport, func(proto.ViewLogReq) [][2]uint32) {
 	t.Helper()
 	tr := NewChanTransport([]proto.NodeID{0, 1})

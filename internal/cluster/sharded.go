@@ -78,7 +78,6 @@ type ShardedNode struct {
 	ctlMu sync.Mutex
 	host  *shardhost.Host
 	after []func()
-	peers []proto.NodeID // gossip destinations (ShardedConfig.GossipPeers)
 
 	// The control goroutine: wake is poked when a host call leaves a view
 	// rolling, ctlStop (closed once, by Close) stops it, ctlDone closes when
@@ -97,15 +96,6 @@ type ShardedConfig struct {
 	NoLSC     bool          // §8 clock-free reads (see core.Config)
 	TickEvery time.Duration // protocol timer granularity (default 2ms)
 	Shards    int
-	// GossipEvery, when positive, announces this node's per-shard epoch
-	// vector (proto.EpochGossip) to GossipPeers on that period (self is
-	// skipped). With the observer on the receive side this closes the
-	// self-healing loop: a node that missed m-updates learns its lag from any
-	// peer's gossip and fast-forwards itself. It also sets the fast-forward
-	// debounce to 4 x GossipEvery (100ms when gossip is off). Zero, the
-	// default, starts no timer.
-	GossipEvery time.Duration
-	GossipPeers []proto.NodeID
 }
 
 // DefaultShards picks a worker count for deployments that do not choose one:
@@ -148,7 +138,6 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		w:       cfg.Shards,
 		tr:      tr,
 		start:   time.Now(),
-		peers:   append([]proto.NodeID(nil), cfg.GossipPeers...),
 		wake:    make(chan struct{}, 1),
 		ctlStop: make(chan struct{}),
 		ctlDone: make(chan struct{}),
@@ -157,10 +146,9 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		sn.shards = append(sn.shards, newShard(cfg, sn, i))
 	}
 	sn.drv = hostDriver{sn}
-	sn.host = shardhost.New(cfg.ID, sn.w, sn.drv)
+	sn.host = shardhost.New(cfg.ID, sn.w, cfg.View, cfg.MLT, sn.drv)
 	sn.host.Stagger = rollStagger
-	sn.host.GossipEvery = cfg.GossipEvery
-	go sn.control(cfg.GossipEvery)
+	go sn.control(shardhost.GossipPeriod(cfg.MLT))
 	tr.SetDeliver(cfg.ID, sn.dispatch)
 	return sn
 }
@@ -172,25 +160,23 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 const rollStagger = time.Millisecond
 
 // control is the node's control-plane clock: it steps the host when a view
-// is accepted, every rollStagger while one rolls and every gossipEvery while
-// gossip is on. Otherwise it parks: a node with gossip off and no views
-// takes no timer wakeups.
+// is accepted, every rollStagger while one rolls, and every gossip period
+// (the host announces the node's epochs when one has passed).
 func (sn *ShardedNode) control(gossipEvery time.Duration) {
 	defer close(sn.ctlDone)
+	gossip := time.NewTicker(gossipEvery)
+	defer gossip.Stop()
 	for {
-		rolling := sn.runHost(func(h *shardhost.Host) { h.Step(time.Since(sn.start)) })
-		var tick <-chan time.Time
-		switch {
-		case rolling:
-			tick = time.After(rollStagger)
-		case gossipEvery > 0:
-			tick = time.After(gossipEvery)
+		var roll <-chan time.Time
+		if sn.runHost(func(h *shardhost.Host) { h.Step(time.Since(sn.start)) }) {
+			roll = time.After(rollStagger)
 		}
 		select {
 		case <-sn.ctlStop:
 			return
 		case <-sn.wake:
-		case <-tick:
+		case <-roll:
+		case <-gossip.C:
 		}
 	}
 }
@@ -262,9 +248,6 @@ func (d hostDriver) Load(shard int) uint64 {
 	return reads + s.updates.Load()
 }
 
-// Peers are ShardedConfig.GossipPeers.
-func (d hostDriver) Peers() []proto.NodeID { return d.sn.peers }
-
 // Send is called under ctlMu, on a transport read pump or the control
 // goroutine. Transport.Send never blocks, so neither the data traffic behind
 // a pump nor the other callers of the host wait on the peer.
@@ -284,13 +267,6 @@ func (sn *ShardedNode) OnView(v proto.View) {
 // observer calls the host's directly.
 func (sn *ShardedNode) FastForward(peer proto.NodeID) {
 	sn.withHost(func(h *shardhost.Host) { h.FastForward(peer) })
-}
-
-// ObserveGossip feeds a peer's per-shard epoch vector that arrived outside
-// the mesh (a membership heartbeat piggyback: membership.Config.OnPeerAhead)
-// to the observer wire EpochGossip frames reach through dispatch.
-func (sn *ShardedNode) ObserveGossip(from proto.NodeID, epochs []uint32) {
-	sn.withHost(func(h *shardhost.Host) { h.ObserveGossip(from, epochs, time.Since(sn.start)) })
 }
 
 // HostStats snapshots the host's control-plane counters (roll, view-log

@@ -57,8 +57,6 @@ type Config struct {
 	// Learner starts the replica as a shadow replica (§3.4 Recovery): it
 	// follows writes but serves no client requests until promoted.
 	Learner bool
-	// Rand seeds virtual-ID selection; nil uses a fixed per-node seed.
-	Rand *rand.Rand
 }
 
 // Metrics counts protocol events; the live benchmark's per-layer metrics,
@@ -206,10 +204,6 @@ func New(cfg Config) *Hermes {
 	if st == nil {
 		st = kvs.New(16)
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(int64(cfg.ID) + 1))
-	}
 	h := &Hermes{
 		cfg:        cfg,
 		id:         cfg.ID,
@@ -217,7 +211,7 @@ func New(cfg Config) *Hermes {
 		store:      st,
 		view:       cfg.View.Clone(),
 		meta:       make(map[proto.Key]*keyMeta),
-		rng:        rng,
+		rng:        rand.New(rand.NewSource(int64(cfg.ID) + 1)), // virtual-ID choice, seeded per node
 		oper:       !cfg.Learner,
 		learner:    cfg.Learner,
 		virtualIDs: cfg.VirtualIDs,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -173,25 +172,28 @@ func TestO2VirtualIDMappingRoundTrips(t *testing.T) {
 }
 
 func TestO2ImprovesFairness(t *testing.T) {
-	// Count which node wins same-version conflicts over many trials, with
-	// and without virtual IDs. Node 0 can never win without them (lowest
-	// cid always loses the tiebreak); with them it must win sometimes.
+	// Count which node wins same-version conflicts over many keys, with and
+	// without virtual IDs. Node 0 can never win without them (lowest cid
+	// always loses the tiebreak); with them it must win sometimes. Each key
+	// is one conflict, and each write draws the next virtual ID from its
+	// node's own seeded stream.
 	winsFor := func(k int) [2]int {
 		var wins [2]int
-		for trial := 0; trial < 200; trial++ {
-			h := newHarness(t, 2, func(c *Config) {
-				if k > 1 {
-					c.VirtualIDs = VirtualIDs(c.ID, 2, k)
-					c.Rand = rand.New(rand.NewSource(int64(trial*10) + int64(c.ID)))
-				}
-			})
-			h.write(0, 1, "n0")
-			h.write(1, 1, "n1")
+		h := newHarness(t, 2, func(c *Config) {
+			if k > 1 {
+				c.VirtualIDs = VirtualIDs(c.ID, 2, k)
+			}
+		})
+		const conflicts = 200
+		for key := proto.Key(1); key <= conflicts; key++ {
+			h.write(0, key, "n0")
+			h.write(1, key, "n1")
 			h.run()
-			h.advance(15 * time.Millisecond)
-			h.run()
-			e := h.requireConverged(1)
-			if string(e.Value) == "n0" {
+		}
+		h.advance(15 * time.Millisecond)
+		h.run()
+		for key := proto.Key(1); key <= conflicts; key++ {
+			if e := h.requireConverged(key); string(e.Value) == "n0" {
 				wins[0]++
 			} else {
 				wins[1]++

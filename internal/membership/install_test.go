@@ -7,18 +7,8 @@ import (
 	"repro/internal/proto"
 )
 
-// The view log + redelivery counter + without-aliasing fixes, unit-tested
-// against a directly driven Agent (no harness network needed).
-
-func testAgent(t *testing.T) *Agent {
-	t.Helper()
-	all := []proto.NodeID{0, 1, 2}
-	return New(Config{
-		ID: 0, All: all,
-		Initial: proto.View{Epoch: 1, Members: append([]proto.NodeID(nil), all...)},
-		Env:     &magentEnv{h: &mharness{t: t}, id: 0},
-	})
-}
+// The redelivery counter and the without-aliasing fixes, unit-tested
+// against a directly driven Agent.
 
 // without must return a fresh slice: the previous in-place filter wrote
 // through the input's backing array, silently corrupting whatever view (or
@@ -98,54 +88,5 @@ func TestInstallRedeliveryIdempotentButCounted(t *testing.T) {
 	}
 	if a.View().Epoch != 2 {
 		t.Fatalf("view regressed to epoch %d", a.View().Epoch)
-	}
-}
-
-// The view log retains installed views in epoch order, serves only the gap
-// above `since`, and stays bounded.
-func TestViewLogRetainsAndBounds(t *testing.T) {
-	h := newMHarness(t, 3)
-	a := h.agents[0]
-	members := []proto.NodeID{0, 1, 2}
-	for e := uint32(2); e <= 10; e++ {
-		a.Deliver(1, ViewCommit{View: proto.View{Epoch: e, Members: members}})
-	}
-	got := a.ViewLog(6)
-	if len(got) != 4 {
-		t.Fatalf("ViewLog(6) returned %d views, want 4 (epochs 7..10)", len(got))
-	}
-	for i, v := range got {
-		if want := uint32(7 + i); v.Epoch != want {
-			t.Fatalf("ViewLog(6)[%d].Epoch = %d, want %d", i, v.Epoch, want)
-		}
-	}
-	// Mutating a returned view must not reach the log (clones only).
-	got[0].Members[0] = proto.NilNode
-	if a.ViewLog(6)[0].Members[0] == proto.NilNode {
-		t.Fatal("ViewLog returned an aliased member list")
-	}
-	// Blow past the cap; the log keeps only the newest viewLogCap entries.
-	for e := uint32(11); e <= 11+2*viewLogCap; e++ {
-		a.Deliver(1, ViewCommit{View: proto.View{Epoch: e, Members: members}})
-	}
-	all := a.ViewLog(0)
-	if len(all) != viewLogCap {
-		t.Fatalf("log holds %d views after overflow, want %d", len(all), viewLogCap)
-	}
-	if newest := all[len(all)-1].Epoch; newest != 11+2*viewLogCap {
-		t.Fatalf("newest retained epoch %d, want %d", newest, 11+2*uint32(viewLogCap))
-	}
-	if oldest := all[0].Epoch; oldest != 11+2*viewLogCap-(viewLogCap-1) {
-		t.Fatalf("oldest retained epoch %d, want %d", oldest, 11+2*viewLogCap-(viewLogCap-1))
-	}
-}
-
-// A fresh agent logs its initial view, so a peer one epoch ahead of a
-// rejoiner can serve the full gap including the view it booted with.
-func TestViewLogIncludesInitialView(t *testing.T) {
-	a := testAgent(t)
-	log := a.ViewLog(0)
-	if len(log) != 1 || log[0].Epoch != 1 {
-		t.Fatalf("fresh agent's log = %+v, want exactly the initial epoch-1 view", log)
 	}
 }

@@ -27,14 +27,11 @@ import (
 // --- Messages ---
 
 // Heartbeat announces liveness and the sender's current epoch; a receiver
-// that sees a higher epoch asks for the committed view. ShardEpochs gossips
-// the sender's per-shard membership epoch vector (Config.Epochs) so a node
-// whose individual shards lag the cluster — invisible in the node-level
-// Epoch — can detect its own gap and fast-forward without an operator
-// (Config.OnPeerAhead). Empty when the host has no per-shard epochs.
+// that sees a higher epoch asks for the committed view. A shard that lags
+// inside a node is the replica host's to find: its epoch gossip
+// (shardhost) compares per-shard epochs.
 type Heartbeat struct {
-	Epoch       uint32
-	ShardEpochs []uint32
+	Epoch uint32
 }
 
 // ViewReq asks a more up-to-date peer for its committed view.
@@ -111,14 +108,6 @@ type Config struct {
 	OnView func(proto.View)
 	// OnLease is invoked when this node's operational status changes.
 	OnLease func(ok bool)
-	// Epochs, when set, supplies the host's per-shard membership epoch
-	// vector; it is attached to every outgoing heartbeat (epoch gossip).
-	Epochs func() []uint32
-	// OnPeerAhead is invoked when an incoming heartbeat's shard-epoch vector
-	// shows the sender strictly ahead of this host on some shard (compared
-	// against Epochs()). The hook owns debouncing and the actual
-	// fast-forward; the agent only detects the lag.
-	OnPeerAhead func(from proto.NodeID, epochs []uint32)
 }
 
 // instance is one single-decree Paxos consensus (deciding one epoch).
@@ -155,23 +144,12 @@ type Agent struct {
 	prop      *proposal
 	ballotGen uint64
 
-	// vlog is the bounded view log: every view this agent has installed, in
-	// ascending epoch order, capped at viewLogCap. A node or shard that
-	// skipped epochs replays the gap from a peer's log (proto.ViewLogReq)
-	// instead of wedging on the <=-epoch install guard.
-	vlog []proto.View
 	// redelivered counts installs dropped by the <=-epoch guard: duplicate
 	// deliveries of the current view (a lossy wire redelivers ViewCommits)
 	// and stale ones. Redelivery stays idempotent — OnView never re-fires —
 	// but is observable here.
 	redelivered uint64
 }
-
-// viewLogCap bounds the retained view log. Reconfigurations are rare (node
-// churn, not data-path traffic), so 64 epochs of history is far more than
-// any live gap; a laggard behind by more must have been down long enough
-// that it rejoins through the full learner arc anyway.
-const viewLogCap = 64
 
 // New builds an Agent. The caller must invoke Tick periodically and route
 // membership messages to Deliver.
@@ -198,7 +176,6 @@ func New(cfg Config) *Agent {
 	for _, n := range cfg.All {
 		a.lastHeard[n] = a.env.Now()
 	}
-	a.logView(a.view)
 	return a
 }
 
@@ -220,9 +197,6 @@ func (a *Agent) Tick() {
 	if now-a.lastBeat >= a.cfg.HeartbeatEvery {
 		a.lastBeat = now
 		hb := Heartbeat{Epoch: a.view.Epoch}
-		if a.cfg.Epochs != nil {
-			hb.ShardEpochs = a.cfg.Epochs()
-		}
 		for _, n := range a.cfg.All {
 			if n != a.id {
 				a.env.Send(n, hb)
@@ -371,23 +345,6 @@ func (a *Agent) onHeartbeat(from proto.NodeID, hb Heartbeat) {
 	if hb.Epoch > a.view.Epoch {
 		a.env.Send(from, ViewReq{})
 	}
-	if a.cfg.OnPeerAhead == nil || a.cfg.Epochs == nil || len(hb.ShardEpochs) == 0 {
-		return
-	}
-	// Per-shard lag detection: the node-level epoch check above cannot see a
-	// single shard stuck behind (the agent's view may match while a shard
-	// missed its install). Compare vectors elementwise; a peer ahead anywhere
-	// hands the whole vector to the hook.
-	mine := a.cfg.Epochs()
-	for i, e := range hb.ShardEpochs {
-		if i >= len(mine) {
-			break
-		}
-		if e > mine[i] {
-			a.cfg.OnPeerAhead(from, hb.ShardEpochs)
-			return
-		}
-	}
 }
 
 func (a *Agent) inst(i uint32) *instance {
@@ -495,20 +452,6 @@ func (a *Agent) send(to proto.NodeID, msg any) {
 	a.env.Send(to, msg)
 }
 
-// ViewLog returns the retained views with epochs strictly above since, in
-// ascending epoch order (cloned; callers may hold them across installs).
-// This is what a peer serves to a rejoining or lagging node so it can
-// replay the epochs it missed.
-func (a *Agent) ViewLog(since uint32) []proto.View {
-	var out []proto.View
-	for _, v := range a.vlog {
-		if v.Epoch > since {
-			out = append(out, v.Clone())
-		}
-	}
-	return out
-}
-
 // Redelivered reports how many installs the <=-epoch guard dropped —
 // duplicate or stale ViewCommit deliveries. Redelivery is idempotent (OnView
 // fires once per epoch) but must not be invisible: a rising counter under a
@@ -519,21 +462,12 @@ func (a *Agent) Redelivered() uint64 { return a.redelivered }
 // flight (phase 1 or 2 of its Paxos instance).
 func (a *Agent) Proposing() bool { return a.prop != nil }
 
-func (a *Agent) logView(v proto.View) {
-	a.vlog = append(a.vlog, v.Clone())
-	if len(a.vlog) > viewLogCap {
-		// Drop the oldest; copy so the backing array does not pin them.
-		a.vlog = append(a.vlog[:0:0], a.vlog[len(a.vlog)-viewLogCap:]...)
-	}
-}
-
 func (a *Agent) install(v proto.View) {
 	if v.Epoch <= a.view.Epoch {
 		a.redelivered++
 		return
 	}
 	a.view = v.Clone()
-	a.logView(a.view)
 	// Drop consensus state for decided instances.
 	for i := range a.instances {
 		if i <= v.Epoch {

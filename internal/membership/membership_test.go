@@ -384,56 +384,3 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal("single node should be operational (is its own majority)")
 	}
 }
-
-// TestHeartbeatGossipsShardEpochs pins the heartbeat leg of epoch-gossip
-// self-healing: an agent configured with a per-shard epoch vector attaches
-// it to every heartbeat, and a receiver whose own vector lags anywhere hands
-// the peer's whole vector to OnPeerAhead — even when the node-level view
-// epochs match, which is exactly the gap the node-level check cannot see. A
-// caught-up receiver must never fire the hook.
-func TestHeartbeatGossipsShardEpochs(t *testing.T) {
-	h := newMHarness(t, 3)
-	all := []proto.NodeID{0, 1, 2}
-	view := proto.View{Epoch: 1, Members: append([]proto.NodeID(nil), all...)}
-	base := Config{
-		All: all, Initial: view,
-		HeartbeatEvery: 10 * time.Millisecond,
-		SuspectAfter:   50 * time.Millisecond,
-		LeaseDur:       100 * time.Millisecond,
-	}
-	type obs struct {
-		from   proto.NodeID
-		epochs []uint32
-	}
-	var seen []obs
-	// Node 1 lags on shard 2; node 2 runs ahead there. Node 0 keeps the
-	// harness default config (no vector at all) — its heartbeats must be
-	// inert on both sides of the hook.
-	cfg1 := base
-	cfg1.ID, cfg1.Env = 1, &magentEnv{h: h, id: 1}
-	cfg1.Epochs = func() []uint32 { return []uint32{1, 1, 1, 1} }
-	cfg1.OnPeerAhead = func(from proto.NodeID, epochs []uint32) {
-		seen = append(seen, obs{from, append([]uint32(nil), epochs...)})
-	}
-	h.agents[1] = New(cfg1)
-	cfg2 := base
-	cfg2.ID, cfg2.Env = 2, &magentEnv{h: h, id: 2}
-	cfg2.Epochs = func() []uint32 { return []uint32{1, 1, 3, 1} }
-	cfg2.OnPeerAhead = func(from proto.NodeID, epochs []uint32) {
-		t.Errorf("ahead-of-everyone node 2 observed peer %d ahead (%v)", from, epochs)
-	}
-	h.agents[2] = New(cfg2)
-
-	h.runFor(100 * time.Millisecond)
-	if len(seen) == 0 {
-		t.Fatal("laggard never observed the ahead peer via heartbeats")
-	}
-	for _, o := range seen {
-		if o.from != 2 {
-			t.Fatalf("OnPeerAhead fired for node %d (vector %v); only node 2 is ahead", o.from, o.epochs)
-		}
-		if len(o.epochs) != 4 || o.epochs[2] != 3 {
-			t.Fatalf("hook handed vector %v, want node 2's [1 1 3 1]", o.epochs)
-		}
-	}
-}

@@ -122,24 +122,28 @@ func (e *Egress) Flush() (batches, coalesced, singles uint64) {
 	return batches, coalesced, singles
 }
 
-// maxBatchMsgs caps one ShardBatch at the codec's 2-byte count; a fuller
-// stage leaves as several batches.
-const maxBatchMsgs = 0xFFFF
-
 // maxBatchBytes budgets one batch. INVs carry values, so a stage can grow
 // arbitrarily; past the budget it leaves as several batches, keeping
 // per-message encode latency bounded while still amortizing the framing. A
 // single oversized INV still ships alone.
 const maxBatchBytes = 64 << 10
 
+// msgOverhead is the fixed header shardMsgSize charges every message.
+const msgOverhead = 32
+
+// Every message is charged at least msgOverhead, so the byte budget alone
+// keeps a batch within maxBatchBytes/msgOverhead messages (2048): inside the
+// codec's 2-byte count. This conversion stops compiling if either constant
+// moves past that.
+const _ = uint16(maxBatchBytes / msgOverhead)
+
 // shardMsgSize estimates one staged message's wire footprint for the byte
 // budget: fixed header plus the value an INV carries.
 func shardMsgSize(sm proto.ShardMsg) int {
-	const overhead = 32
 	if inv, ok := sm.Msg.(core.INV); ok {
-		return overhead + len(inv.Value)
+		return msgOverhead + len(inv.Value)
 	}
-	return overhead
+	return msgOverhead
 }
 
 // maxSpareMsgs caps the capacity of a stage buffer kept for reuse (24 B an
@@ -148,15 +152,14 @@ func shardMsgSize(sm proto.ShardMsg) int {
 const maxSpareMsgs = 4096
 
 // frameLen is how many of the staged messages go into the next batch: all
-// that the codec's count and the byte budget allow.
+// that the byte budget allows.
 func frameLen(staged []proto.ShardMsg) int {
-	n := min(len(staged), maxBatchMsgs)
 	size := 0
-	for i := 0; i < n; i++ {
-		size += shardMsgSize(staged[i])
+	for i, sm := range staged {
+		size += shardMsgSize(sm)
 		if size > maxBatchBytes && i > 0 {
 			return i
 		}
 	}
-	return n
+	return len(staged)
 }

@@ -21,8 +21,9 @@
 //     no wall clock. Messages come in through Dispatch, time through Step,
 //     and effects go out through Driver. Step is the control plane's clock:
 //     it performs the roll's next install and the gossip announcement when
-//     they are due. A concurrent runtime serializes calls with one mutex of
-//     its own.
+//     they are due. Gossip has no setting: its destinations are the newest
+//     view the host holds and its period is GossipPeriod of the engines'
+//     MLT. A concurrent runtime serializes calls with one mutex of its own.
 //   - Roller holds the rollout's rules (epoch floor, supersede, fenced-node
 //     fallback, coolest-shard-first order, one install in flight) under the
 //     same contract. Every node-wide view the Host meets — an agent's
@@ -55,8 +56,6 @@ type Driver interface {
 	// Load reports the client ops shard has served so far; the roll orders
 	// shards by its growth.
 	Load(shard int) uint64
-	// Peers lists the nodes epoch gossip is announced to (self is skipped).
-	Peers() []proto.NodeID
 	// Send puts a node-level (never shard-tagged) message on the wire.
 	Send(to proto.NodeID, msg any)
 }
@@ -137,6 +136,12 @@ type Stats struct {
 	GossipSent, GossipRecv, GossipBehind, GossipFF uint64
 }
 
+// GossipPeriod is how often a node whose engines run with message-loss
+// timeout mlt announces its per-shard epochs: MLT/8, so a laggard hears of
+// its gap well inside the time a stalled write waits before it retransmits.
+// ObserveGossip's fast-forward debounce is four periods (MLT/2).
+func GossipPeriod(mlt time.Duration) time.Duration { return mlt / 8 }
+
 // Host is the control-plane state of one W-shard node. Not safe for
 // concurrent use.
 type Host struct {
@@ -147,19 +152,20 @@ type Host struct {
 	// Stagger spaces the roll's installs: Step performs at most one per
 	// window.
 	Stagger time.Duration
-	// GossipEvery, when positive, is the period at which Step announces this
-	// node's per-shard epochs (proto.EpochGossip) to Driver.Peers. It also
-	// sets the fast-forward debounce: four periods, or 100ms on a node that
-	// does not announce (see ObserveGossip).
-	GossipEvery time.Duration
 
 	roller               *Roller
+	gossipEvery          time.Duration
 	nextRoll, nextGossip time.Duration
 
 	// vlog is the bounded view log: every membership update this node has
 	// seen, in arrival order with exact duplicates elided. A rejoining or
 	// lagging peer replays its gap from here via proto.ViewLogReq.
 	vlog []proto.MUpdate
+	// view is the newest view the host holds — the initial one, or the
+	// highest-epoch one it has recorded — whose members, then learners,
+	// gossip is announced to: the shards may differ mid-roll, and the
+	// highest epoch is the best notion this node has of current membership.
+	view proto.View
 
 	// The debounce horizon and the best fast-forward candidate seen during
 	// the current window (newest peer preferred — the one advertising the
@@ -172,11 +178,12 @@ type Host struct {
 	stats Stats
 }
 
-// New builds the host of node self with w shards over drv; the runtime sets
-// Stagger and GossipEvery. The roll's epoch floor and load baseline are the
+// New builds the host of node self with w shards over drv, starting from
+// view, whose engines run with message-loss timeout mlt (see GossipPeriod);
+// the runtime sets Stagger. The roll's epoch floor and load baseline are the
 // shards' as they stand now.
-func New(self proto.NodeID, w int, drv Driver) *Host {
-	h := &Host{self: self, w: w, drv: drv}
+func New(self proto.NodeID, w int, view proto.View, mlt time.Duration, drv Driver) *Host {
+	h := &Host{self: self, w: w, drv: drv, view: view.Clone(), gossipEvery: GossipPeriod(mlt)}
 	h.roller = NewRoller(self, h.Epochs(), h.loads())
 	return h
 }
@@ -207,14 +214,26 @@ func (h *Host) Step(now time.Duration) {
 			}
 		}
 	}
-	if h.GossipEvery > 0 && now >= h.nextGossip {
-		h.nextGossip = now + h.GossipEvery
-		eg := proto.EpochGossip{Epochs: h.Epochs()}
-		for _, p := range h.drv.Peers() {
-			if p != h.self {
-				h.stats.GossipSent++
-				h.drv.Send(p, eg)
+	if now >= h.nextGossip {
+		h.nextGossip = now + h.gossipEvery
+		h.announce()
+	}
+}
+
+// announce sends this node's per-shard epochs to every member, then every
+// learner, of the newest view it holds, self skipped.
+func (h *Host) announce() {
+	var eg proto.EpochGossip
+	for _, ids := range [2][]proto.NodeID{h.view.Members, h.view.Learners} {
+		for _, p := range ids {
+			if p == h.self {
+				continue
 			}
+			if eg.Epochs == nil {
+				eg.Epochs = h.Epochs()
+			}
+			h.stats.GossipSent++
+			h.drv.Send(p, eg)
 		}
 	}
 }
@@ -291,14 +310,19 @@ func (h *Host) advances(m proto.MUpdate) bool {
 // Record retains a membership update in the bounded view log (exact
 // duplicates elided) without installing it: for a view the runtime installs
 // by its own means (a blocking install), so any node that saw an epoch can
-// serve it to a laggard.
+// serve it to a laggard. A view newer than any the host holds also becomes
+// gossip's destination list.
 func (h *Host) Record(m proto.MUpdate) {
 	for _, have := range h.vlog {
 		if have.Shard == m.Shard && have.View.Epoch == m.View.Epoch {
 			return
 		}
 	}
-	h.vlog = append(h.vlog, proto.MUpdate{Shard: m.Shard, View: m.View.Clone()})
+	mu := proto.MUpdate{Shard: m.Shard, View: m.View.Clone()}
+	if mu.View.Epoch > h.view.Epoch {
+		h.view = mu.View
+	}
+	h.vlog = append(h.vlog, mu)
 	if len(h.vlog) > ViewLogCap {
 		h.vlog = append(h.vlog[:0:0], h.vlog[len(h.vlog)-ViewLogCap:]...)
 	}
@@ -338,13 +362,13 @@ func (h *Host) FastForward(peer proto.NodeID) {
 	h.drv.Send(peer, proto.ViewLogReq{Shard: proto.AllShards, Since: since})
 }
 
-// ObserveGossip is the receive side of epoch gossip (wire EpochGossip frames
-// and membership-heartbeat piggybacks alike). If the peer's vector is
-// strictly ahead of any local shard the peer becomes a fast-forward
-// candidate; at most one fetch fires per debounce window (see GossipEvery),
-// at the candidate advertising the highest epoch seen within it. Advisory
-// only: the fetch's answer replays through the normal install path, so a
-// lying vector can waste one request, never corrupt state.
+// ObserveGossip is the receive side of epoch gossip: Dispatch hands it every
+// EpochGossip frame. If the peer's vector is strictly ahead of any local
+// shard the peer becomes a fast-forward candidate; at most one fetch fires
+// per debounce window of four gossip periods, at the candidate advertising
+// the highest epoch seen within it. Advisory only: the fetch's answer
+// replays through the normal install path, so a lying vector can waste one
+// request, never corrupt state.
 func (h *Host) ObserveGossip(from proto.NodeID, epochs []uint32, now time.Duration) {
 	h.stats.GossipRecv++
 	behind := false
@@ -379,10 +403,7 @@ func (h *Host) ObserveGossip(from proto.NodeID, epochs []uint32, now time.Durati
 	if now < h.ffNotBefore {
 		return
 	}
-	h.ffNotBefore = now + 100*time.Millisecond
-	if h.GossipEvery > 0 {
-		h.ffNotBefore = now + 4*h.GossipEvery
-	}
+	h.ffNotBefore = now + 4*h.gossipEvery
 	peer := h.candPeer
 	h.haveCand, h.candEpoch = false, 0
 	h.stats.GossipFF++

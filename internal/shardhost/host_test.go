@@ -16,7 +16,6 @@ import (
 // with explicit virtual time.
 type recDriver struct {
 	epochs    []uint32
-	peers     []proto.NodeID
 	delivers  []delivery
 	installs  []install
 	sends     []sent
@@ -48,19 +47,21 @@ func (d *recDriver) Install(shard int, v proto.View) {
 }
 func (d *recDriver) Epoch(shard int) uint32        { return d.epochs[shard] }
 func (d *recDriver) Load(int) uint64               { d.loadCalls++; return 0 }
-func (d *recDriver) Peers() []proto.NodeID         { return d.peers }
 func (d *recDriver) Send(to proto.NodeID, msg any) { d.sends = append(d.sends, sent{to, msg}) }
 
-// newHost builds node 0's host over w shards at epoch 1, with no stagger and
-// gossip every 2.5ms (so a 10ms fast-forward debounce).
+// newHost builds node 0's host over w shards at epoch 1 of view(1), with no
+// stagger and a 20ms MLT: gossip every 2.5ms, a 10ms fast-forward debounce.
 func newHost(w int) (*Host, *recDriver) {
+	return newHostIn(w, view(1), 20*time.Millisecond)
+}
+
+// newHostIn is newHost starting from v with engines whose MLT is mlt.
+func newHostIn(w int, v proto.View, mlt time.Duration) (*Host, *recDriver) {
 	d := &recDriver{epochs: make([]uint32, w)}
 	for i := range d.epochs {
 		d.epochs[i] = 1
 	}
-	h := New(0, w, d)
-	h.GossipEvery = 2500 * time.Microsecond
-	return h, d
+	return New(0, w, v, mlt, d), d
 }
 
 func view(e uint32) proto.View { return proto.View{Epoch: e, Members: []proto.NodeID{0, 1, 2}} }
@@ -214,13 +215,14 @@ func TestMUpdateAddressing(t *testing.T) {
 }
 
 // TestHostStep drives the control plane's clock by hand: the roll's installs
-// spaced by Stagger, gossip announced every GossipEvery to every peer but
-// self, and a fetched view log rolling rather than fanning out.
+// spaced by Stagger, gossip announced every MLT/8 to the members, then the
+// learners, of the newest view held, self skipped, and a fetched view log
+// rolling rather than fanning out.
 func TestHostStep(t *testing.T) {
 	const us = time.Microsecond
 	t.Run("stagger spacing", func(t *testing.T) {
 		h, d := newHost(4)
-		h.Stagger, h.GossipEvery = 150*us, 0
+		h.Stagger = 150 * us
 		h.Dispatch(1, proto.MUpdate{Shard: proto.AllShards, View: view(2)}, 0)
 		var at []time.Duration
 		for now := time.Duration(0); now <= 600*us; now += 50 * us {
@@ -238,26 +240,33 @@ func TestHostStep(t *testing.T) {
 		}
 	})
 	t.Run("gossip cadence and destinations", func(t *testing.T) {
-		h, d := newHost(2)
-		h.GossipEvery = 250 * us
-		d.peers = []proto.NodeID{1, 0, 2, 5} // self (0) among them
+		// A 2ms MLT gossips every 250us; self (0) is among the members.
+		h, d := newHostIn(2, proto.View{Epoch: 1, Members: []proto.NodeID{1, 0, 2}, Learners: []proto.NodeID{5}}, 2*time.Millisecond)
 		d.epochs = []uint32{3, 2}
+		gossip := func(to ...proto.NodeID) (out []sent) {
+			for _, p := range to {
+				out = append(out, sent{p, proto.EpochGossip{Epochs: []uint32{3, 2}}})
+			}
+			return out
+		}
 		for now := time.Duration(0); now < 600*us; now += 100 * us {
 			h.Step(now)
 		}
 		// Steps at 0, 100, ..., 500: announcements at 0 and at 300, the first
 		// step past 250; the next falls due at 550.
-		want := []sent{}
-		for round := 0; round < 2; round++ {
-			for _, p := range []proto.NodeID{1, 2, 5} {
-				want = append(want, sent{p, proto.EpochGossip{Epochs: []uint32{3, 2}}})
-			}
-		}
-		if !reflect.DeepEqual(d.sends, want) {
+		if want := append(gossip(1, 2, 5), gossip(1, 2, 5)...); !reflect.DeepEqual(d.sends, want) {
 			t.Fatalf("sends %+v, want %+v", d.sends, want)
 		}
 		if got := h.Stats().GossipSent; got != 6 {
 			t.Fatalf("GossipSent = %d, want 6", got)
+		}
+		// A newer recorded view redirects the gossip; an older one does not.
+		h.Record(proto.MUpdate{Shard: proto.AllShards, View: proto.View{Epoch: 4, Members: []proto.NodeID{0, 3}, Learners: []proto.NodeID{2}}})
+		h.Record(proto.MUpdate{Shard: 1, View: view(3)})
+		d.sends = nil
+		h.Step(600 * us)
+		if want := gossip(3, 2); !reflect.DeepEqual(d.sends, want) {
+			t.Fatalf("after a newer view: sends %+v, want %+v", d.sends, want)
 		}
 	})
 	t.Run("view-log replay rolls", func(t *testing.T) {

@@ -225,23 +225,6 @@ func (c *Cluster) newAgent(h *host, id proto.NodeID, initial proto.View) *member
 				la.SetOperational(ok)
 			}
 		},
-		// Epoch gossip rides the heartbeats when the replica has per-shard
-		// epochs: the vector goes out with every beat, and a beat showing a
-		// peer ahead routes to the replica's own debounced fast-forward
-		// observer — self-healing through the membership plane.
-		Epochs: func() []uint32 {
-			if se, is := h.rep.(interface{ ShardEpochs() []uint32 }); is {
-				return se.ShardEpochs()
-			}
-			return nil
-		},
-		OnPeerAhead: func(from proto.NodeID, epochs []uint32) {
-			if ob, is := h.rep.(interface {
-				ObserveEpochGossip(proto.NodeID, []uint32)
-			}); is {
-				ob.ObserveEpochGossip(from, epochs)
-			}
-		},
 	})
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -240,32 +241,31 @@ func TestChaosTeachingACK(t *testing.T) {
 	}
 }
 
-// TestChaosGraySweep is the CI gray-failure net: every gray injection on at
-// once — one-way cuts, slow nodes, skewed clocks, burst reorder,
-// crash-rejoin-behind healed by epoch gossip — across a wide seed sweep. It
-// runs the full sweep even in -short mode (CI runs exactly this under
-// -race); the per-run workload is trimmed to keep it quick.
+// TestChaosGraySweep is the CI chaos net: every golden configuration — the
+// gray one with every gray injection on at once (one-way cuts, slow nodes,
+// skewed clocks, burst reorder, crash-rejoin-behind healed by epoch gossip)
+// and the four others — across 40 seeds, 200 runs, each of which must stay
+// linearizable and converge. It runs the full sweep even in -short mode (CI
+// runs exactly this under -race).
 func TestChaosGraySweep(t *testing.T) {
 	const sweep = 40
+	names := make([]string, 0, len(goldenConfigs))
+	for name := range goldenConfigs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	for seed := int64(1); seed <= sweep; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			res, err := RunChaos(ChaosConfig{
-				Seed:           seed,
-				OpsPerSession:  60,
-				CrashRejoin:    true,
-				RejoinBehind:   2,
-				AsymPartitions: true,
-				SlowNodes:      true,
-				ClockSkew:      true,
-				Reorder:        true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops == 0 {
-				t.Fatalf("seed %d: no operations completed", seed)
+			for _, name := range names {
+				res, err := RunChaos(goldenConfigs[name](seed))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Ops == 0 {
+					t.Fatalf("%s seed %d: no operations completed", name, seed)
+				}
 			}
 		})
 	}

@@ -36,20 +36,11 @@ type ShardedReplica struct {
 	engines []*core.Hermes
 	out     []*shardhost.Egress // engine i's Env
 	host    *shardhost.Host
-	peers   []proto.NodeID // Peers' buffer
 }
 
-const (
-	// rolloutStagger spaces one replica's per-shard installs of a node-wide
-	// view (shardhost.Host.Stagger).
-	rolloutStagger = 150 * time.Microsecond
-	// gossipEvery paces every replica's epoch-vector announcements to the
-	// members and learners of its newest known view
-	// (shardhost.Host.GossipEvery). A receiver that observes itself behind
-	// issues its own view-log fetch, debounced to one per 4 x gossipEvery: the
-	// simulator's only lag-recovery path.
-	gossipEvery = 250 * time.Microsecond
-)
+// rolloutStagger spaces one replica's per-shard installs of a node-wide view
+// (shardhost.Host.Stagger).
+const rolloutStagger = 150 * time.Microsecond
 
 // ShardedReplicaConfig parameterizes NewShardedReplica. MLT and NoLSC mean
 // what they do on core.Config.
@@ -85,9 +76,8 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
 		}))
 	}
-	r.host = shardhost.New(id, w, replicaDriver{r})
+	r.host = shardhost.New(id, w, view, cfg.MLT, replicaDriver{r})
 	r.host.Stagger = rolloutStagger
-	r.host.GossipEvery = gossipEvery
 	return r
 }
 
@@ -108,20 +98,6 @@ func (d replicaDriver) Send(to proto.NodeID, msg any)   { d.r.env.Send(to, msg) 
 func (d replicaDriver) Load(shard int) uint64 {
 	m := d.r.engines[shard].Metrics()
 	return m.Reads + m.Writes + m.RMWs
-}
-
-// Peers are the members, then the learners, of the replica's newest known
-// view: the shards may differ mid-roll, and the highest epoch is the best
-// notion this node has of current membership.
-func (d replicaDriver) Peers() []proto.NodeID {
-	v := d.r.engines[0].View()
-	for _, e := range d.r.engines[1:] {
-		if ev := e.View(); ev.Epoch > v.Epoch {
-			v = ev
-		}
-	}
-	d.r.peers = append(append(d.r.peers[:0], v.Members...), v.Learners...)
-	return d.r.peers
 }
 
 // ID implements proto.Replica.
@@ -164,14 +140,6 @@ func (r *ShardedReplica) Tick() {
 		e.Tick()
 	}
 	r.host.Step(r.env.Now())
-}
-
-// ObserveEpochGossip feeds a heartbeat-piggybacked epoch vector
-// (membership.Config.OnPeerAhead) to the same observer wire gossip frames
-// reach through Deliver.
-func (r *ShardedReplica) ObserveEpochGossip(from proto.NodeID, epochs []uint32) {
-	defer r.flush()
-	r.host.ObserveGossip(from, epochs, r.env.Now())
 }
 
 // SetNoLSC flips §8 clock-free read mode on every engine at runtime (the

@@ -41,7 +41,6 @@ func TestShardedReplicaFlushesOnEveryEntryPoint(t *testing.T) {
 		}},
 		{"Tick", func() { env.now += 10 * time.Millisecond; r.Tick() }},
 		{"OnViewChange", func() { r.OnViewChange(proto.View{Epoch: 2, Members: view.Members}) }},
-		{"ObserveEpochGossip", func() { r.ObserveEpochGossip(1, []uint32{3, 3}) }},
 		{"SetOperational", func() { r.SetOperational(false) }},
 		{"SetNoLSC", func() { r.SetNoLSC(true) }},
 	}
