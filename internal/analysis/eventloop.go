@@ -20,11 +20,12 @@ import (
 //     and the engine's clock and completion sink, which handler code calls
 //     back into — and handOff, which the event loop calls itself to end a
 //     burst of turns;
-//   - in a package named "shardhost": Send and Flush on Egress, the stager
-//     every shard engine has as its proto.Env. Send stages or puts a message
-//     on the wire from handler code, and Flush is the egress handOff
-//     performs. The stager lives outside cluster, and the analyzer follows
-//     same-package edges only, so it is rooted where it is defined.
+//   - in a package named "shardhost": Send, Flush and FlushAll on Egress,
+//     the stager every shard engine has as its proto.Env. Send stages or puts
+//     a message on the wire from handler code, and Flush and FlushAll are the
+//     egress handOff performs. The stager lives outside cluster, and the
+//     analyzer follows same-package edges only, so it is rooted where it is
+//     defined.
 //
 // The analyzer is a client of the Engine: it follows the engine's
 // same-package call edges from the roots and reports every site of the
@@ -82,7 +83,7 @@ func isEventLoopRoot(pkg string, fn *types.Func) bool {
 		return name == "handOff" ||
 			(name == "Send" || name == "Complete") && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
 	case "shardhost":
-		return recv == "Egress" && (name == "Send" || name == "Flush")
+		return recv == "Egress" && (name == "Send" || name == "Flush" || name == "FlushAll")
 	}
 	return false
 }

@@ -1,5 +1,5 @@
-// Golden cases for the eventloop analyzer's shardhost roots: Send and Flush
-// on Egress, the stager every shard engine has as its proto.Env.
+// Golden cases for the eventloop analyzer's shardhost roots: Send, Flush and
+// FlushAll on Egress, the stager every shard engine has as its proto.Env.
 package shardhost
 
 type Egress struct {
@@ -17,6 +17,11 @@ func (e *Egress) Flush() {
 	}
 	e.staged = e.staged[:0]
 	e.signal()
+}
+
+func (e *Egress) FlushAll() {
+	<-e.done // want `channel receive may block the event loop \(event-loop path: FlushAll\)`
+	e.Flush()
 }
 
 func (e *Egress) signal() {

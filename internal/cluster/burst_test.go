@@ -11,22 +11,25 @@ import (
 	"repro/internal/proto"
 )
 
+// shardMsgs unpacks one wire send into the shard messages it carries.
+func shardMsgs(msg any) []proto.ShardMsg {
+	switch f := msg.(type) {
+	case proto.ShardMsg:
+		return []proto.ShardMsg{f}
+	case proto.ShardBatch:
+		return f.Msgs
+	}
+	return nil
+}
+
 // invsSent counts the INVs for key, under epoch, that have reached the
 // recording transport so far, alone or inside a batch.
 func invsSent(tr *recTransport, key proto.Key, epoch uint32) int {
 	n := 0
-	count := func(sm proto.ShardMsg) {
-		if inv, ok := sm.Msg.(core.INV); ok && inv.Key == key && inv.Epoch == epoch {
-			n++
-		}
-	}
 	for _, s := range tr.sends() {
-		switch f := s.msg.(type) {
-		case proto.ShardMsg:
-			count(f)
-		case proto.ShardBatch:
-			for _, sm := range f.Msgs {
-				count(sm)
+		for _, sm := range shardMsgs(s.msg) {
+			if inv, ok := sm.Msg.(core.INV); ok && inv.Key == key && inv.Epoch == epoch {
+				n++
 			}
 		}
 	}
@@ -68,8 +71,55 @@ func submitWrite(t *testing.T, sn *ShardedNode, key proto.Key) {
 	}
 }
 
+// sendsOf returns, as their shard messages, the wire sends that carry a
+// message match accepts, alone or inside a batch.
+func sendsOf(tr *recTransport, match func(any) bool) [][]proto.ShardMsg {
+	var out [][]proto.ShardMsg
+	for _, s := range tr.sends() {
+		sms := shardMsgs(s.msg)
+		for _, sm := range sms {
+			if match(sm.Msg) {
+				out = append(out, sms)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// isVAL matches the VAL of key under epoch.
+func isVAL(key proto.Key, epoch uint32) func(any) bool {
+	return func(m any) bool { v, ok := m.(core.VAL); return ok && v.Key == key && v.Epoch == epoch }
+}
+
+// commitWrite writes key on a quiet node and commits it with the silent
+// peer's ACK, handed to the node as if it had arrived; it returns once the
+// write has completed.
+func commitWrite(t *testing.T, sn *ShardedNode, tr *recTransport, key proto.Key) {
+	t.Helper()
+	done := make(chan proto.Completion, 1)
+	err := sn.SubmitAsync(proto.ClientOp{Kind: proto.OpWrite, Key: key, Value: proto.Value("v")}, func(c proto.Completion) { done <- c })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inv core.INV
+	isINV := func(m any) bool {
+		i, ok := m.(core.INV)
+		if ok && i.Key == key {
+			inv = i
+		}
+		return ok && i.Key == key
+	}
+	waitFor(t, "the write's INV", func() bool { return len(sendsOf(tr, isINV)) > 0 })
+	sn.dispatch(1, proto.ShardMsg{Shard: proto.ShardOf(key, sn.w), Msg: core.ACK{Epoch: inv.Epoch, Key: key, TS: inv.TS}})
+	if c := <-done; c.Status != proto.OK {
+		t.Fatalf("write of %d: %v", key, c.Status)
+	}
+}
+
 // TestNothingStaysStaged: the event loop sends what its turns staged
-// before it blocks, whichever select arm woke it. Each step below is the only
+// before it blocks, whichever select arm woke it, except VALs waiting for
+// company, and those leave at the next tick. Each step below is the only
 // input the node gets, so a message still staged after it would stay there —
 // an arm that forgot the hand-off fails its step's wait.
 func TestNothingStaysStaged(t *testing.T) {
@@ -107,6 +157,43 @@ func TestNothingStaysStaged(t *testing.T) {
 		// The peer never ACKs: every INV after the first is a retransmission,
 		// sent by a Tick turn.
 		waitFor(t, "an MLT retransmission", func() bool { return invsSent(tr, key, 1) >= 2 })
+	})
+
+	t.Run("lone VAL", func(t *testing.T) {
+		// The committed write's VAL is the only message left: the tick sends
+		// it, alone.
+		sn, tr := quietNode(t, time.Hour, 5*time.Millisecond)
+		commitWrite(t, sn, tr, key)
+		committed := time.Now()
+		waitFor(t, "the VAL at a tick", func() bool { return len(sendsOf(tr, isVAL(key, 1))) == 1 })
+		t.Logf("VAL on the wire %v after the commit, at a 5ms tick", time.Since(committed))
+		if sms := sendsOf(tr, isVAL(key, 1))[0]; len(sms) != 1 {
+			t.Fatalf("the VAL left in a batch of %d with nothing else staged", len(sms))
+		}
+
+		// With no tick, it rides the shard's next INV to the peer, ahead of
+		// it in one batch; and the next one leaves before an install.
+		sn, tr = quietNode(t, time.Hour, time.Hour)
+		other := key + 1
+		for proto.ShardOf(other, sn.w) != proto.ShardOf(key, sn.w) {
+			other++
+		}
+		commitWrite(t, sn, tr, key)
+		commitWrite(t, sn, tr, other)
+		sms := sendsOf(tr, isVAL(key, 1))
+		if len(sms) != 1 || len(sms[0]) != 2 || !isVAL(key, 1)(sms[0][0].Msg) {
+			t.Fatalf("the VAL left as %v, want [VAL, INV] in one batch", sms)
+		}
+		if inv, ok := sms[0][1].Msg.(core.INV); !ok || inv.Key != other {
+			t.Fatalf("the VAL's company is %#v, want the INV of %d", sms[0][1].Msg, other)
+		}
+		if n := len(sendsOf(tr, isVAL(other, 1))); n != 0 {
+			t.Fatalf("a lone VAL left at a burst's end (%d sends)", n)
+		}
+		sn.InstallView(proto.View{Epoch: 2, Members: []proto.NodeID{0, 1}})
+		if n := len(sendsOf(tr, isVAL(other, 1))); n != 1 {
+			t.Fatalf("the install returned with the epoch-1 VAL sent %d times, want 1", n)
+		}
 	})
 }
 

@@ -278,8 +278,9 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 // (handOff). Batching is opportunistic: a burst is what was queued at
 // wake-up, never waited for, and that bound is also what keeps Tick and stop
 // reachable under a producer that never lets the inbox run dry. Every
-// iteration ends with the hand-off, whichever arm woke it, so nothing is
-// staged while the loop blocks.
+// iteration ends with the hand-off, whichever arm woke it, so nothing but
+// VALs waiting for company is staged while the loop blocks, and the ticker
+// arm's hand-off sends those too: a lone VAL waits at most one tick.
 //
 // A burst runs in windows of at most burstWindow entries, the wake-up's own
 // message or op first. Each window is received in full, then the keys its
@@ -292,6 +293,7 @@ func (n *Shard) loop(tickEvery time.Duration) {
 	ticker := time.NewTicker(tickEvery)
 	defer ticker.Stop()
 	for {
+		tick := false
 		select {
 		case <-n.stop:
 			// Nothing completes an op once the loop is gone: fail the ones
@@ -307,6 +309,7 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			n.win.ops[0], n.win.no = s, 1
 		case <-ticker.C:
 			n.h.Tick()
+			tick = true
 		}
 		// This goroutine is the only consumer of both queues, so as many plain
 		// receives as len reported cannot block.
@@ -326,15 +329,20 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			}
 			n.runWindow()
 		}
-		n.handOff()
+		n.handOff(tick)
 	}
 }
 
-// handOff ends a burst: it flushes the egress and adds what left to the
-// node's counters. Transport.Send does not block and does not keep what it
-// is given, so the flush runs on the event loop.
-func (n *Shard) handOff() {
-	if batches, coalesced, singles := n.out.Flush(); batches+singles > 0 {
+// handOff ends a burst: it flushes the egress — every stage when all is set,
+// else the ones not holding VALs alone (shardhost.Egress) — and adds what
+// left to the node's counters. Transport.Send does not block and does not
+// keep what it is given, so the flush runs on the event loop.
+func (n *Shard) handOff(all bool) {
+	flush := n.out.Flush
+	if all {
+		flush = n.out.FlushAll
+	}
+	if batches, coalesced, singles := flush(); batches+singles > 0 {
 		n.sn.batchesOut.Add(batches)
 		n.sn.coalescedOut.Add(coalesced)
 		n.sn.singlesOut.Add(singles)
@@ -409,7 +417,7 @@ func (n *Shard) Hermes() *core.Hermes { return n.h }
 func (n *Shard) installView(v proto.View) {
 	n.h.ReadGate().Shut()
 	done := make(chan struct{})
-	n.enqueueFn(func() { n.h.OnViewChange(v); close(done) })
+	n.enqueueFn(func() { n.install(v); close(done) })
 	<-done
 }
 
@@ -421,7 +429,15 @@ func (n *Shard) installView(v proto.View) {
 // shut).
 func (n *Shard) installAsync(v proto.View) {
 	n.h.ReadGate().Shut()
-	n.enqueueFn(func() { n.h.OnViewChange(v) })
+	n.enqueueFn(func() { n.install(v) })
+}
+
+// install is an install's turn on the event loop. The VALs the egress holds
+// leave first, under the epoch they were sent in; held across the transition
+// they would reach peers that had moved on, and be dropped as stale.
+func (n *Shard) install(v proto.View) {
+	n.handOff(true)
+	n.h.OnViewChange(v)
 }
 
 // enqueueFn runs fn on the event loop by disguising it as a message.

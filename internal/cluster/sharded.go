@@ -38,14 +38,15 @@ import (
 // a cluster must therefore be configured with the same shard count.
 //
 // Small messages (INVs, ACKs, VALs) are not sent one by one: each engine's
-// Egress stages what one burst of its turns sent, per peer and flow-control
-// class, and the event loop flushes it at the end of the burst (Shard.loop),
-// each stage as one proto.ShardBatch. Transport.Send never blocks, so the
-// event loop can afford to; the transport's per-peer link is the only egress
-// queue, and there the stages of one burst — and of the other shards'
-// concurrent bursts — meet in one frame and one write, cutting the per-write
-// frame rate that W would otherwise multiply. Arriving batches fan back out
-// to owner shards in dispatch.
+// Egress stages what one burst of its turns sent, per peer, and the event
+// loop flushes it at the end of the burst (Shard.loop), each stage as one
+// proto.ShardBatch — except a stage of VALs alone, which waits for the
+// shard's next INV or ACK to that peer, or the end of the next tick.
+// Transport.Send never blocks, so the event loop can afford to; the
+// transport's per-peer link is the only egress queue, and there the stages of
+// one burst — and of the other shards' concurrent bursts — meet in one frame
+// and one write, cutting the per-write frame rate that W would otherwise
+// multiply. Arriving batches fan back out to owner shards in dispatch.
 //
 // Membership epochs are per shard. A node-wide view a membership agent
 // decides (OnView), or one arriving as a wire proto.MUpdate or in a fetched
@@ -90,11 +91,15 @@ type ShardedNode struct {
 // ShardedConfig parameterizes a live replica. Shards is the worker count W
 // (values < 1 become 1, so the zero value is a plain single-engine node).
 type ShardedConfig struct {
-	ID        proto.NodeID
-	View      proto.View
-	MLT       time.Duration // message-loss timeout (default 20ms)
-	NoLSC     bool          // §8 clock-free reads (see core.Config)
-	TickEvery time.Duration // protocol timer granularity (default 2ms)
+	ID    proto.NodeID
+	View  proto.View
+	MLT   time.Duration // message-loss timeout (default 20ms)
+	NoLSC bool          // §8 clock-free reads (see core.Config)
+	// TickEvery is the protocol timer granularity (default 1ms, the Go
+	// runtime's idle timer resolution). It also bounds how long a VAL with
+	// no INV or ACK to ride waits in the egress (shardhost.Egress), so how
+	// long an idle follower sees a committed key as Invalid.
+	TickEvery time.Duration
 	Shards    int
 }
 
@@ -131,7 +136,7 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		cfg.MLT = 20 * time.Millisecond
 	}
 	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 2 * time.Millisecond
+		cfg.TickEvery = time.Millisecond
 	}
 	sn := &ShardedNode{
 		id:      cfg.ID,

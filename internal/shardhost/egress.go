@@ -15,13 +15,24 @@ type Base interface {
 }
 
 // Egress is one shard engine's proto.Env and the node's egress policy: which
-// messages are staged, and where a stage is split. Send tags every message
-// with the shard index; the small protocol messages (INVs, ACKs, VALs) are
-// staged per peer, in send order, everything else goes straight to the wire.
-// Flush ends a window of engine turns: each non-empty stage leaves as one
-// proto.ShardBatch (several past the byte budget), or as a plain ShardMsg
-// when it holds one message. The live shard loop flushes at the end of every
-// burst; the simulator when each of its replica's entry points returns.
+// messages are staged, when a stage leaves, and where it is split. Send tags
+// every message with the shard index; the small protocol messages (INVs,
+// ACKs, VALs) are staged per peer, in send order, everything else goes
+// straight to the wire. A stage leaves as one proto.ShardBatch (several past
+// the byte budget), or as a plain ShardMsg when it holds one message.
+//
+// Flush ends a window of engine turns: every stage holding an INV or an ACK
+// leaves, and a stage holding only VALs stays. A VAL is off its write's
+// critical path — the write committed when its ACKs arrived (paper §3.2) —
+// so it waits for company: it leaves in the same batch as the next INV or
+// ACK this shard stages for that peer, or at FlushAll, which sends every
+// stage. The live shard loop runs Flush at the end of every burst and
+// FlushAll at the end of a tick's, and both runtimes run FlushAll before an
+// install, so a held VAL never outlives its epoch. The simulator runs Flush
+// when each of its replica's entry points returns, FlushAll when Tick does.
+// The tick period therefore bounds how long a lone VAL waits, and with it how
+// long an idle follower sees a committed key as Invalid. Only VALs are held:
+// they carry no value, so holding one pins no pooled buffer.
 //
 // Not safe for concurrent use: only the engine's own event loop touches it.
 type Egress struct {
@@ -34,10 +45,14 @@ type Egress struct {
 	stages []stage
 }
 
-// stage is what one window sends one peer, in send order.
+// stage is what one window sends one peer, in send order, after the VALs
+// held from earlier windows.
 type stage struct {
 	to   proto.NodeID
 	msgs []proto.ShardMsg
+	// company counts the staged INVs and ACKs: a non-empty stage with none
+	// holds only VALs, which Flush keeps.
+	company int
 }
 
 // NewEgress builds shard's egress: base supplies the engine's clock and
@@ -59,7 +74,11 @@ func (e *Egress) Complete(c proto.Completion) { e.base.Complete(c) }
 func (e *Egress) Send(to proto.NodeID, msg any) {
 	sm := proto.ShardMsg{Shard: e.shard, Msg: msg}
 	switch msg.(type) {
-	case core.INV, core.ACK, core.VAL:
+	case core.INV, core.ACK:
+		st := e.stage(to)
+		st.msgs = append(st.msgs, sm)
+		st.company++
+	case core.VAL:
 		st := e.stage(to)
 		st.msgs = append(st.msgs, sm)
 	default:
@@ -84,17 +103,26 @@ func (e *Egress) stage(to proto.NodeID) *stage {
 	return &e.stages[i]
 }
 
-// Flush sends every non-empty stage — several batches past the byte budget —
-// peer by peer, and reports what left: batches, the messages inside them,
-// and messages that left alone. Over a transport.Mesh the first send to a
-// peer starts that peer's link flusher and the rest are queued before it
-// runs: one wake-up, one frame, one write per peer per window.
-func (e *Egress) Flush() (batches, coalesced, singles uint64) {
+// Flush sends every stage that holds an INV or an ACK — several batches past
+// the byte budget — peer by peer, VALs held from earlier windows included,
+// and reports what left: batches, the messages inside them, and messages that
+// left alone. A stage of VALs alone stays staged. Over a transport.Mesh the
+// first send to a peer starts that peer's link flusher and the rest are
+// queued before it runs: one wake-up, one frame, one write per peer per
+// window.
+func (e *Egress) Flush() (batches, coalesced, singles uint64) { return e.flush(false) }
+
+// FlushAll is Flush that also sends the stages of VALs alone: the end of a
+// tick, and what runs before an install.
+func (e *Egress) FlushAll() (batches, coalesced, singles uint64) { return e.flush(true) }
+
+func (e *Egress) flush(all bool) (batches, coalesced, singles uint64) {
 	for i := range e.stages {
 		st := &e.stages[i]
-		if len(st.msgs) == 0 {
+		if len(st.msgs) == 0 || st.company == 0 && !all {
 			continue
 		}
+		st.company = 0
 		for rest := st.msgs; len(rest) > 0; {
 			n := frameLen(rest)
 			if n == 1 {

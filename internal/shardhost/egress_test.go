@@ -135,7 +135,7 @@ func TestCoalescerKeepsSendOrder(t *testing.T) {
 // exceeds maxBatchBytes, while an INV too big for the budget on its own still
 // ships, alone. Count: nothing caps a batch below the byte budget — 1000
 // small INVs leave as one batch — and every message counts toward it, so
-// 3000 VALs leave as two, in order.
+// 3000 VALs leave as two, in order, when FlushAll releases them.
 func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 	inv := func(key proto.Key, valLen int) core.INV {
 		return core.INV{Epoch: 1, Key: key, TS: proto.TS{Version: 1}, Value: make(proto.Value, valLen)}
@@ -193,7 +193,7 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 			for k := proto.Key(0); k < proto.Key(c.n); k++ {
 				e.Send(1, c.msg(k))
 			}
-			e.Flush()
+			e.FlushAll()
 			if msgs, _ := sizes(w); !reflect.DeepEqual(msgs, c.want) {
 				t.Fatalf("%d %s left as batches of %v, want %v", c.n, c.name, msgs, c.want)
 			}
@@ -213,7 +213,8 @@ func TestCoalescerBudgetsRequestBatches(t *testing.T) {
 // TestCoalescerBurstAllocationBudget: staging and flushing a window
 // allocates nothing in the egress — the stages are warm arrays — so what is
 // left is one box per non-empty stage, one stage per peer: the ShardBatch (or
-// lone ShardMsg) envelope boxed for the wire's any.
+// lone ShardMsg) envelope boxed for the wire's any. The window ends with
+// FlushAll, so its VAL-only stage leaves too.
 func TestCoalescerBurstAllocationBudget(t *testing.T) {
 	var seen uint64
 	e := NewEgress(1, noBase{}, func(to proto.NodeID, msg any) {
@@ -236,7 +237,7 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 					e.Send(proto.NodeID(i+1), m)
 				}
 			}
-			e.Flush()
+			e.FlushAll()
 		}
 	}
 	burst(acks, vals)() // grows the stages
@@ -255,5 +256,86 @@ func TestCoalescerBurstAllocationBudget(t *testing.T) {
 				t.Fatalf("recycled stage entry %d still references a sent message", i)
 			}
 		}
+	}
+}
+
+// TestHeldVALsWaitForCompany: a stage of VALs alone survives Flush; it leaves
+// with the next INV or ACK staged for that peer, in one batch in send order,
+// while other peers' stages are untouched; and FlushAll sends what is still
+// held. Flush counts only what left.
+func TestHeldVALsWaitForCompany(t *testing.T) {
+	e, w := stagingEgress()
+	tagged := func(m any) proto.ShardMsg { return proto.ShardMsg{Shard: 3, Msg: m} }
+	val := func(key proto.Key) proto.ShardMsg {
+		return tagged(core.VAL{Epoch: 1, Key: key, TS: proto.TS{Version: 1}})
+	}
+	inv := tagged(core.INV{Epoch: 1, Key: 30, TS: proto.TS{Version: 2}})
+	ack := tagged(core.ACK{Epoch: 1, Key: 31, TS: proto.TS{Version: 2}})
+	send := func(to proto.NodeID, sms ...proto.ShardMsg) {
+		for _, sm := range sms {
+			e.Send(to, sm.Msg)
+		}
+	}
+	flush := func(f func() (uint64, uint64, uint64), want [3]uint64) {
+		t.Helper()
+		if b, c, s := f(); [3]uint64{b, c, s} != want {
+			t.Fatalf("flush = (%d,%d,%d), want %v", b, c, s, want)
+		}
+	}
+	batch := func(sms ...proto.ShardMsg) proto.ShardBatch { return proto.ShardBatch{Msgs: sms} }
+
+	send(1, val(10))
+	send(2, val(11))
+	flush(e.Flush, [3]uint64{})
+	send(1, val(12))
+	flush(e.Flush, [3]uint64{})
+	if len(w.sent) != 0 {
+		t.Fatalf("VAL-only stages left at Flush: %v", w.sent)
+	}
+
+	send(1, inv)
+	flush(e.Flush, [3]uint64{1, 3, 0})
+	send(2, ack, val(13))
+	flush(e.Flush, [3]uint64{1, 3, 0})
+	want := []sent{{1, batch(val(10), val(12), inv)}, {2, batch(val(11), ack, val(13))}}
+	if !reflect.DeepEqual(w.sent, want) {
+		t.Fatalf("sends:\n got %#v\nwant %#v", w.sent, want)
+	}
+
+	// A stage that left with company holds VALs alone again afterwards.
+	send(1, val(14))
+	send(2, val(15), val(16))
+	flush(e.Flush, [3]uint64{})
+	flush(e.FlushAll, [3]uint64{1, 2, 1})
+	flush(e.FlushAll, [3]uint64{})
+	want = append(want, sent{1, val(14)}, sent{2, batch(val(15), val(16))})
+	if !reflect.DeepEqual(w.sent, want) {
+		t.Fatalf("sends after FlushAll:\n got %#v\nwant %#v", w.sent, want)
+	}
+}
+
+// TestHeldVALsAllocateNothing: holding a VAL across Flush allocates nothing,
+// and sending it — with its company, or alone at FlushAll — allocates only
+// the envelope the stage leaves in, boxed for the wire's any.
+func TestHeldVALsAllocateNothing(t *testing.T) {
+	e := NewEgress(1, noBase{}, func(proto.NodeID, any) {})
+	// Boxed once, as the engine's Send argument already is.
+	var val, inv any = core.VAL{Epoch: 1, Key: 1, TS: proto.TS{Version: 2}}, core.INV{Epoch: 1, Key: 2, TS: proto.TS{Version: 2}}
+	hold := func() { e.Send(1, val); e.Flush() }
+	withCompany := func() { hold(); e.Send(1, inv); e.Flush() }
+	atTick := func() { hold(); e.FlushAll() }
+	for i := 0; i < 256; i++ { // grows the stage past the runs below
+		e.Send(1, val)
+	}
+	e.FlushAll()
+	if n := testing.AllocsPerRun(200, hold); n != 0 {
+		t.Fatalf("holding a VAL allocates %.0f times, want 0", n)
+	}
+	e.FlushAll()
+	if n := testing.AllocsPerRun(200, withCompany); n > 1 {
+		t.Fatalf("a held VAL leaving with an INV allocates %.0f times, want <= 1 (the boxed batch)", n)
+	}
+	if n := testing.AllocsPerRun(200, atTick); n > 1 {
+		t.Fatalf("a held VAL leaving at FlushAll allocates %.0f times, want <= 1 (the boxed ShardMsg)", n)
 	}
 }

@@ -31,10 +31,11 @@
 //     fans a node-wide view out to every shard at once except a view that
 //     fences the node.
 //   - Egress is each engine's proto.Env and the node's egress policy: which
-//     messages are staged (INVs, ACKs, VALs), in which flow-control class,
-//     and where a stage is split. It holds no lock, atomic or map; the
-//     engine's own loop calls it, and Flush ends a window of turns — a live
-//     burst, or one simulator event.
+//     messages are staged (INVs, ACKs, VALs), when a stage leaves (one of
+//     VALs alone waits for company), and where it is split. It holds no
+//     lock, atomic or map; the engine's own loop calls it, Flush ends a
+//     window of turns — a live burst, or one simulator event — and FlushAll
+//     ends a tick.
 package shardhost
 
 import (

@@ -43,21 +43,21 @@ func TestChaosGoldenFingerprints(t *testing.T) {
 		fingerprint uint64
 		counters    [6]uint64
 	}{
-		{"kitchen-sink", 1, 0x0fd0cb3bed5293b5, [6]uint64{33, 31, 1222, 82, 21, 45}},
-		{"kitchen-sink", 2, 0xef8cc0809ab9752b, [6]uint64{11, 11, 1024, 30, 10, 14}},
-		{"kitchen-sink", 3, 0xc93fee9cf95e26ce, [6]uint64{20, 20, 2830, 59, 16, 8}},
-		{"gray", 1, 0x6201cd5b51b96e17, [6]uint64{11, 11, 2303, 42, 7, 24}},
-		{"gray", 2, 0xa02df97a48d9fe5e, [6]uint64{11, 11, 2272, 34, 7, 12}},
-		{"gray", 3, 0x8409a4a16d37a3ec, [6]uint64{8, 8, 2165, 28, 5, 12}},
-		{"rollout-storms", 1, 0x15463752dbdfe057, [6]uint64{23, 24, 2928, 80, 19, 31}},
-		{"rollout-storms", 2, 0x6130e8da71e27f50, [6]uint64{25, 25, 2822, 27, 12, 18}},
-		{"rollout-storms", 3, 0xef9ec2082d595314, [6]uint64{22, 18, 2810, 62, 17, 17}},
-		{"rejoin-behind", 1, 0x6364e9106d51751d, [6]uint64{17, 17, 2838, 36, 10, 13}},
-		{"rejoin-behind", 2, 0xcf430f5dec27223d, [6]uint64{17, 17, 1128, 29, 10, 17}},
-		{"rejoin-behind", 3, 0x1fbe48e34bbb27d7, [6]uint64{13, 13, 2914, 22, 8, 15}},
-		{"gossip-self-heal", 1, 0x3ae84c4ae52e42fa, [6]uint64{16, 16, 2948, 28, 10, 20}},
-		{"gossip-self-heal", 2, 0x78262da3ed77098a, [6]uint64{17, 17, 2970, 23, 9, 7}},
-		{"gossip-self-heal", 3, 0x11e91ae53dddd90d, [6]uint64{15, 15, 2818, 22, 10, 11}},
+		{"kitchen-sink", 1, 0x7a326c6b872a42fa, [6]uint64{22, 25, 1222, 59, 18, 94}},
+		{"kitchen-sink", 2, 0xdd483c23e709ce15, [6]uint64{12, 12, 1122, 13, 9, 133}},
+		{"kitchen-sink", 3, 0x2b42e8e109cd69fb, [6]uint64{20, 20, 2742, 47, 14, 60}},
+		{"gray", 1, 0xdf9fe39e8cf95e64, [6]uint64{12, 12, 2303, 42, 8, 27}},
+		{"gray", 2, 0x18d7dba704b13b37, [6]uint64{10, 10, 2170, 33, 7, 58}},
+		{"gray", 3, 0xc637ca1180401a1a, [6]uint64{8, 8, 2263, 29, 5, 38}},
+		{"rollout-storms", 1, 0x95f2fb20795f480d, [6]uint64{28, 26, 1230, 78, 19, 85}},
+		{"rollout-storms", 2, 0x8dd1fdafca841a46, [6]uint64{31, 31, 1322, 29, 13, 104}},
+		{"rollout-storms", 3, 0x454ab2546a209be1, [6]uint64{22, 20, 1210, 58, 19, 103}},
+		{"rejoin-behind", 1, 0x29fc8b9f27c2c865, [6]uint64{15, 15, 2934, 29, 10, 71}},
+		{"rejoin-behind", 2, 0xcdfdc75218e0a5f0, [6]uint64{15, 15, 2928, 21, 8, 77}},
+		{"rejoin-behind", 3, 0xb0a6906752323604, [6]uint64{20, 20, 1414, 29, 10, 95}},
+		{"gossip-self-heal", 1, 0xd853f74dcc4ce3ea, [6]uint64{14, 12, 3036, 18, 8, 62}},
+		{"gossip-self-heal", 2, 0x6ee236d4f11084b0, [6]uint64{15, 15, 2928, 24, 10, 76}},
+		{"gossip-self-heal", 3, 0x064ad3bb9a1b6163, [6]uint64{18, 18, 2716, 27, 10, 74}},
 	}
 	var batches uint64
 	for _, g := range golden {

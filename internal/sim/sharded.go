@@ -26,9 +26,10 @@ import (
 //
 // Every exported method that can reach an engine flushes the stagers when it
 // returns, so one simulator event is one egress window: what the live shard
-// loop does when its inbox holds one entry. The live loop never waits for
-// company, and neither does this; gathering over a tick instead would hold
-// every message for up to a tick (50 base latencies in the chaos suite).
+// loop does when its inbox holds one entry. Like the live loop, it gathers
+// nothing over a tick except VALs alone, which wait for company until the
+// next INV or ACK to their peer or the end of the next Tick
+// (shardhost.Egress), and leave before an install.
 type ShardedReplica struct {
 	id      proto.NodeID
 	w       int
@@ -89,9 +90,15 @@ type replicaDriver struct{ r *ShardedReplica }
 func (d replicaDriver) Deliver(shard int, from proto.NodeID, msg any) {
 	d.r.engines[shard].Deliver(from, msg)
 }
-func (d replicaDriver) Install(shard int, v proto.View) { d.r.engines[shard].OnViewChange(v) }
-func (d replicaDriver) Epoch(shard int) uint32          { return d.r.engines[shard].View().Epoch }
-func (d replicaDriver) Send(to proto.NodeID, msg any)   { d.r.env.Send(to, msg) }
+func (d replicaDriver) Epoch(shard int) uint32        { return d.r.engines[shard].View().Epoch }
+func (d replicaDriver) Send(to proto.NodeID, msg any) { d.r.env.Send(to, msg) }
+
+// Install sends the VALs the shard's egress holds, under the epoch they were
+// sent in, then runs the transition.
+func (d replicaDriver) Install(shard int, v proto.View) {
+	d.r.out[shard].FlushAll()
+	d.r.engines[shard].OnViewChange(v)
+}
 
 // Load is the engine's client ops so far — the simulator's counterpart of
 // the live ShardedNode.ShardLoads.
@@ -133,13 +140,16 @@ func (r *ShardedReplica) flush() {
 func (r *ShardedReplica) HostStats() shardhost.Stats { return r.host.Stats() }
 
 // Tick implements proto.Replica: the engines' timers, then the control
-// plane's step (roll install, gossip announcement).
+// plane's step (roll install, gossip announcement), then every stage leaves,
+// the VALs still waiting for company included.
 func (r *ShardedReplica) Tick() {
-	defer r.flush()
 	for _, e := range r.engines {
 		e.Tick()
 	}
 	r.host.Step(r.env.Now())
+	for _, out := range r.out {
+		out.FlushAll()
+	}
 }
 
 // SetNoLSC flips §8 clock-free read mode on every engine at runtime (the

@@ -22,9 +22,10 @@ func (e *recEnv) Complete(proto.Completion)    {}
 
 // TestShardedReplicaFlushesOnEveryEntryPoint: one simulator event is one
 // egress window, so no exported method that can reach an engine returns with
-// a message still staged. Each step stages a VAL behind the method's back
-// first, so a method that forgot to flush fails its step even when its own
-// turns send nothing.
+// a message still staged but VALs waiting for company, and Tick returns with
+// none at all. Each step stages an ACK behind the method's back first, so a
+// method that forgot to flush fails its step even when its own turns send
+// nothing.
 func TestShardedReplicaFlushesOnEveryEntryPoint(t *testing.T) {
 	env := &recEnv{}
 	view := proto.View{Epoch: 1, Members: []proto.NodeID{0, 1, 2}}
@@ -45,17 +46,45 @@ func TestShardedReplicaFlushesOnEveryEntryPoint(t *testing.T) {
 		{"SetNoLSC", func() { r.SetNoLSC(true) }},
 	}
 	for _, st := range steps {
-		r.out[1].Send(2, core.VAL{Epoch: 1, Key: 1, TS: proto.TS{Version: 1}})
+		r.out[1].Send(2, core.ACK{Epoch: 1, Key: 1, TS: proto.TS{Version: 1}})
 		before := len(env.sent)
 		st.call()
 		for i, out := range r.out {
-			if b, c, s := out.Flush(); b+c+s != 0 {
+			flush := out.Flush
+			if st.name == "Tick" {
+				flush = out.FlushAll
+			}
+			if b, c, s := flush(); b+c+s != 0 {
 				t.Fatalf("%s returned with messages staged on shard %d: a flush sent (%d,%d,%d)", st.name, i, b, c, s)
 			}
 		}
 		if len(env.sent) == before {
 			t.Fatalf("%s sent nothing", st.name)
 		}
+	}
+}
+
+// TestHeldVALLeavesBeforeInstall: a VAL waiting for company leaves before an
+// install runs on its shard, under the epoch it was sent in, and the other
+// shard's held VAL stays.
+func TestHeldVALLeavesBeforeInstall(t *testing.T) {
+	env := &recEnv{}
+	view := proto.View{Epoch: 1, Members: []proto.NodeID{0, 1, 2}}
+	r := NewShardedReplica(0, view, env, ShardedReplicaConfig{Shards: 2, MLT: time.Hour})
+	held := core.VAL{Epoch: 1, Key: 1, TS: proto.TS{Version: 1}}
+	for _, out := range r.out {
+		out.Send(2, held)
+		out.Flush()
+	}
+	if len(env.sent) != 0 {
+		t.Fatalf("VALs alone left at Flush: %v", env.sent)
+	}
+	r.Deliver(1, proto.MUpdate{Shard: 1, View: proto.View{Epoch: 2, Members: view.Members}})
+	if want := []any{proto.ShardMsg{Shard: 1, Msg: held}}; !reflect.DeepEqual(env.sent, want) || r.Engine(1).View().Epoch != 2 {
+		t.Fatalf("install on shard 1 (epoch now %d) sent %v, want %v", r.Engine(1).View().Epoch, env.sent, want)
+	}
+	if b, c, s := r.out[0].FlushAll(); b+c+s != 1 {
+		t.Fatalf("shard 0's held VAL: FlushAll sent (%d,%d,%d), want one single", b, c, s)
 	}
 }
 
