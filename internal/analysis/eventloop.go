@@ -18,8 +18,9 @@ import (
 //   - in a package named "cluster": Send/Complete methods on types whose
 //     name contains "Env" or "Transport" — the Transport implementations
 //     and the engine's clock and completion sink, which handler code calls
-//     back into — and handOff, which the event loop calls itself to end a
-//     burst of turns;
+//     back into — handOff, which ends every burst of turns, and kick, the
+//     burst a transport pump runs inline on arrival: a turn blocked there
+//     stalls the whole stream of the peer behind it, not only the shard;
 //   - in a package named "shardhost": Send, Flush and FlushAll on Egress,
 //     the stager every shard engine has as its proto.Env. Send stages or puts
 //     a message on the wire from handler code, and Flush and FlushAll are the
@@ -80,7 +81,7 @@ func isEventLoopRoot(pkg string, fn *types.Func) bool {
 	case "core":
 		return recv == "Hermes" && coreHandlerNames[name]
 	case "cluster":
-		return name == "handOff" ||
+		return name == "handOff" || name == "kick" ||
 			(name == "Send" || name == "Complete") && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
 	case "shardhost":
 		return recv == "Egress" && (name == "Send" || name == "Flush" || name == "FlushAll")

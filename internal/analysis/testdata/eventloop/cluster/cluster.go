@@ -1,5 +1,5 @@
 // Golden cases for the eventloop analyzer's cluster roots: Send/Complete on
-// Env and Transport implementations, and handOff.
+// Env and Transport implementations, handOff, and kick.
 package cluster
 
 import "sync"
@@ -37,7 +37,8 @@ func (t *ChanTransport) Complete(msg any) {
 // Shard's handOff ends a burst on the event loop: a root whatever its
 // receiver is called.
 type Shard struct {
-	mu sync.Mutex
+	mu    sync.Mutex
+	inbox chan any
 }
 
 func (n *Shard) handOff() {
@@ -47,4 +48,24 @@ func (n *Shard) handOff() {
 func (n *Shard) count() {
 	n.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: handOff → count\)`
 	defer n.mu.Unlock()
+}
+
+// kick runs a burst on the transport pump that delivered it: a root too. The
+// non-blocking receive is the green shape; a plain one under the engine lock
+// is red.
+func (n *Shard) kick() {
+	if !n.mu.TryLock() {
+		return
+	}
+	defer n.mu.Unlock()
+	select {
+	case m := <-n.inbox:
+		_ = m
+	default:
+	}
+	n.take()
+}
+
+func (n *Shard) take() {
+	_ = <-n.inbox // want `channel receive may block the event loop \(event-loop path: kick → take\)`
 }

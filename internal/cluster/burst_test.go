@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,37 +199,37 @@ func TestNothingStaysStaged(t *testing.T) {
 }
 
 // TestBurstIsBounded: a producer that never lets the inbox run dry must not
-// keep the loop inside one burst. Here every turn puts back the message it
-// took, so the inbox is full whenever the loop looks and a drain that ran
-// "until empty" would never end. The drain takes what was queued at wake-up and
-// no more, so timers still fire — the unACKed write keeps retransmitting — and
-// Close still returns.
+// keep the engine inside one burst. A drain that ran "until empty" would
+// never end, and its holder would never let go of the engine; a burst takes
+// what was queued when it started and no more, so timers still fire — the
+// unACKed write keeps retransmitting — and Close still returns. The producer
+// is a peer whose requests are answered by turns that queue its next request
+// before they return, so the inbox is never empty under whoever holds the
+// engine: the goroutine that dispatched the first requests, in its inline
+// burst, or the loop.
 func TestBurstIsBounded(t *testing.T) {
 	const key = proto.Key(7)
-	sn, tr := quietNode(t, 5*time.Millisecond, time.Millisecond)
+	tr := &chunkEcho{key: key}
+	sn := NewShardedNode(ShardedConfig{
+		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
+		Shards: 2, MLT: 5 * time.Millisecond, TickEvery: time.Millisecond,
+	}, tr)
+	t.Cleanup(sn.Close)
 	s := sn.shardFor(key)
+	tr.inbox = s.msgs
 	submitWrite(t, sn, key)
 
-	var quit atomic.Bool
-	defer quit.Store(true)
-	var refill loopFn
-	refill = func() {
-		if quit.Load() {
-			return
-		}
-		select {
-		case s.msgs <- env{from: s.id, msg: refill}:
-		default:
-		}
+	const primed = 64
+	reqs := make([]proto.ShardMsg, primed)
+	for i := range reqs {
+		reqs[i] = proto.ShardMsg{Shard: proto.ShardOf(key, sn.w), Msg: core.ChunkReq{Epoch: 1, MaxKeys: 1}}
 	}
-	for i := 0; i < cap(s.msgs); i++ {
-		s.enqueueFn(refill)
-	}
+	go sn.dispatch(1, proto.ShardBatch{Msgs: reqs}) // may never return if a burst is unbounded
 
-	sent := invsSent(tr, key, 1)
-	waitFor(t, "MLT retransmissions under a full inbox", func() bool { return invsSent(tr, key, 1) >= sent+2 })
-	if len(s.msgs) < cap(s.msgs)-burstWindow {
-		t.Fatalf("inbox holds %d of %d: the test lost its premise", len(s.msgs), cap(s.msgs))
+	sent := tr.invs.Load()
+	waitFor(t, "MLT retransmissions under a never-empty inbox", func() bool { return tr.invs.Load() >= sent+2 })
+	if n, queued := tr.answers.Load(), len(s.msgs); n < 2*primed || queued == 0 {
+		t.Fatalf("%d requests answered, %d queued: the test lost its premise", n, queued)
 	}
 
 	closed := make(chan struct{})
@@ -240,45 +241,75 @@ func TestBurstIsBounded(t *testing.T) {
 	}
 }
 
+// chunkEcho is a transport to a peer that asks again the moment it is
+// answered: each ChunkResp the shard sends puts a new ChunkReq on the
+// shard's inbox before the turn that sent it returns, so the inbox holds as
+// many requests as it was primed with, forever. It keeps nothing, and counts
+// the INVs of one key and the answers.
+type chunkEcho struct {
+	key     proto.Key
+	inbox   chan env
+	invs    atomic.Int64
+	answers atomic.Int64
+}
+
+func (c *chunkEcho) Send(from, to proto.NodeID, msg any) {
+	for _, sm := range shardMsgs(msg) {
+		switch m := sm.Msg.(type) {
+		case core.INV:
+			if m.Key == c.key {
+				c.invs.Add(1)
+			}
+		case core.ChunkResp:
+			c.answers.Add(1)
+			select { // never full: a request is taken for every answer
+			case c.inbox <- env{from: to, msg: core.ChunkReq{Epoch: m.Epoch, MaxKeys: 1}}:
+			default:
+			}
+		}
+	}
+}
+func (c *chunkEcho) SetDeliver(proto.NodeID, func(proto.NodeID, any)) {}
+func (c *chunkEcho) Close() error                                     { return nil }
+
 // TestBurstWindowsKeepArrivalOrder: a burst longer than two windows runs its
 // messages in arrival order and its ops in arrival order, across every window
-// boundary. The loop is held inside one turn while the burst queues, so the
-// whole burst is waiting at the next wake-up.
+// boundary. The engine is held while the burst queues — the arrivals find it
+// held and stay queued — so the whole burst is waiting when it is released.
+// Each message is an INV from the peer, whose turn stages an ACK to it: the
+// ACKs leave in the order their INVs ran.
 func TestBurstWindowsKeepArrivalOrder(t *testing.T) {
-	sn, _ := quietNode(t, time.Hour, time.Hour)
-	s := sn.shardFor(7)
+	sn, tr := quietNode(t, time.Hour, time.Hour)
+	const shard = 0
+	s := sn.Shard(shard)
 	const burst = 2*burstWindow + 5
 
-	release := make(chan struct{})
-	held := make(chan struct{})
-	s.enqueueFn(func() { close(held); <-release })
-	<-held
+	release := wedge(t, sn, shard)
 
-	var ran []int // msgs as i, ops as burst+i; appended on the loop only
+	keys := shardKeys(sn, shard, 1, burst)
+	var ran []int // ops as i; appended on the loop only
 	var wg sync.WaitGroup
-	wg.Add(2 * burst)
-	for i := 0; i < burst; i++ {
-		s.enqueueFn(func() { ran = append(ran, i); wg.Done() })
+	wg.Add(burst)
+	for i, k := range keys {
+		sn.dispatch(1, proto.ShardMsg{Shard: shard, Msg: peerINV(k)})
 		op := proto.ClientOp{Kind: proto.OpRead, Key: proto.Key(1000 + i)}
-		if err := s.submit(context.Background(), op, func(proto.Completion) { ran = append(ran, burst+i); wg.Done() }); err != nil {
+		if err := s.submit(context.Background(), op, func(proto.Completion) { ran = append(ran, i); wg.Done() }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(s.msgs) != burst || len(s.ops) != burst {
 		t.Fatalf("queued %d messages and %d ops, want %d of each", len(s.msgs), len(s.ops), burst)
 	}
-	close(release)
+	release()
 	wg.Wait()
 
-	nextMsg, nextOp := 0, burst
-	for _, r := range ran {
-		switch {
-		case r < burst && r == nextMsg:
-			nextMsg++
-		case r >= burst && r == nextOp:
-			nextOp++
-		default:
-			t.Fatalf("turns ran as %v: %d out of arrival order", ran, r)
+	for i, r := range ran {
+		if r != i {
+			t.Fatalf("ops ran as %v: %d out of arrival order", ran, r)
 		}
+	}
+	waitFor(t, "an ACK for every INV", func() bool { return len(ackedKeys(tr)) == burst })
+	if acked := ackedKeys(tr); !slices.Equal(acked, keys) {
+		t.Fatalf("ACKs left as %v, want the INVs' arrival order %v", acked, keys)
 	}
 }

@@ -6,20 +6,24 @@
 // downstream user embeds: NewShardedLocal to stand up a replica group, and
 // ShardedNode's Read, Write, CAS and FAA for blocking linearizable ops.
 //
-// Architecture: a replica (ShardedNode) runs one event-loop goroutine per
-// shard, each owning one protocol state machine
-// (Submit/Deliver/Tick/OnViewChange are never called concurrently on it).
-// Which shard a message belongs to, what an m-update installs where, the
-// view log, the staggered roll of node-wide views, epoch gossip and how an
-// engine's sends are staged into batches are internal/shardhost's — the code
-// the simulator runs too; one control-plane goroutine per node steps it
-// (ShardedNode.control), and each event loop flushes its engine's stager at
-// the end of every burst (Shard.loop). Local linearizable
-// reads take the HermesKV fast path (§4.1): gated by core.ReadGate they
-// consult the shared kvs.Store directly on the caller's goroutine, and only
-// enter the event loop when the key is not Valid, the gate is shut (view
-// installation in flight, non-serving replica) or NoLSC mode demands the §8
-// speculative path.
+// Architecture: a replica (ShardedNode) hosts one protocol state machine per
+// shard behind an engine lock: Submit/Deliver/Tick/OnViewChange are never
+// called concurrently on it. Arrivals run where the transport delivers them —
+// the goroutine that decoded a batch takes a free shard's lock and runs its
+// turns on the spot, as HermesKV's workers do (§4.1–4.2) — and each shard's
+// event-loop goroutine runs the rest: ticks, submitted ops, and the arrivals
+// that found the engine held (Shard.kick, Shard.loop). Installs queue with the
+// arrivals and run in their order, wherever those run. Which shard a
+// message belongs to, what an m-update installs where, the view log, the
+// staggered roll of node-wide views, epoch gossip and how an engine's sends
+// are staged into batches are internal/shardhost's — the code the simulator
+// runs too; one control-plane goroutine per node steps it
+// (ShardedNode.control), and every burst of turns ends by flushing its
+// engine's stager (Shard.handOff). Local linearizable reads take the HermesKV
+// fast path (§4.1): gated by core.ReadGate they consult the shared kvs.Store
+// directly on the caller's goroutine, and only enter the event loop when the
+// key is not Valid, the gate is shut (view installation in flight,
+// non-serving replica) or NoLSC mode demands the §8 speculative path.
 package cluster
 
 import (
@@ -37,11 +41,17 @@ import (
 
 // Transport delivers messages between replica processes.
 //
-// Send never blocks: the shard event loops call it, and one that waited on a
-// peer — a dial, a full socket — would stall every key
-// its shard owns. A transport that must wait queues, and sheds past its bound
-// (transport.Mesh queues in the peer's wings.Link; ChanTransport drops on a
-// full inbox).
+// Send never blocks: it is called from engine turns, and one that waited on
+// a peer — a dial, a full socket — would stall every key its shard owns. A
+// transport that must wait queues, and sheds past its bound (transport.Mesh
+// queues in the peer's wings.Link; ChanTransport drops on a full inbox).
+//
+// The deliver callback runs engine turns: the node runs the arrivals of a
+// free shard on the calling goroutine, and those turns call Send, re-entrantly
+// on that goroutine, before the callback returns. An implementation must
+// therefore hold no lock across the callback that Send takes, and the
+// goroutine calling it stalls only the traffic queued behind it while the
+// turns run.
 //
 // Ownership, both directions: a message belongs to whoever hands it over
 // only for the duration of the call. Send must not retain msg — nor the
@@ -163,9 +173,19 @@ func (t *ChanTransport) Close() error {
 }
 
 // Shard hosts one core.Hermes engine — one keyspace partition of a
-// ShardedNode — on its own event-loop goroutine. It owns no transport-facing
-// dispatch: the node routes arrivals to it (deliver), and its outgoing
+// ShardedNode. It owns no transport-facing dispatch: the node routes arrivals
+// to it (deliver) and runs them where they arrive (kick), and its outgoing
 // messages leave through its shardhost.Egress, the engine's Env.
+//
+// The engine lock decides who runs the engine's turns: the transport pump
+// delivering a batch of arrivals, when the lock is free (kick), or the
+// shard's event-loop goroutine (loop), which keeps the ticks, the submitted
+// ops, an inbox that overflowed and the stop. Installs travel on the inbox
+// (installMsg), so they run in order with the arrivals around them, on
+// whichever goroutine holds the engine. Whoever holds the lock re-checks the
+// queues after releasing it and rings the loop's bell if work arrived
+// meanwhile (release), so a deliverer that finds the lock taken leaves its
+// arrivals to the holder.
 type Shard struct {
 	id     proto.NodeID
 	sn     *ShardedNode
@@ -173,6 +193,7 @@ type Shard struct {
 	out    *shardhost.Egress
 	ops    chan submitted
 	msgs   chan env
+	bell   chan struct{}
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	nextOp atomic.Uint64
@@ -181,19 +202,27 @@ type Shard struct {
 	// by.
 	updates atomic.Uint64
 
+	// engine is the engine lock. Its holder alone runs turns and touches h's
+	// state, out, pending, win and untimed.
+	engine sync.Mutex
+
 	// pending holds the completion callback of every op the engine has been
-	// handed and not yet completed. Only the event-loop goroutine touches it.
+	// handed and not yet completed.
 	pending map[uint64]func(proto.Completion)
 
-	// win is the burst window the event loop drains its queues into; only
-	// the loop touches it.
+	// win is the burst window the holder drains the queues into.
 	win burstWin
+
+	// untimed is set while the loop's ticker is stopped: the engine was idle
+	// and the egress held nothing. A holder whose turns arm something rings
+	// the bell so the loop restarts it.
+	untimed bool
 
 	start time.Time
 }
 
 // burstWindow bounds the queued messages and ops one window of a burst takes
-// (see Shard.loop). Fixed, so the window's arrays live on the Shard and a
+// (see Shard.burst). Fixed, so the window's arrays live on the Shard and a
 // burst allocates nothing.
 const burstWindow = 32
 
@@ -218,13 +247,14 @@ type submitted struct {
 }
 
 // nodeEnv is the Shard's clock and completion sink, the shardhost.Base of
-// its egress. Only the event-loop goroutine invokes it.
+// its egress. Only the holder of the engine lock invokes it.
 type nodeEnv struct{ n *Shard }
 
 func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
 func (e nodeEnv) Complete(c proto.Completion) {
-	// An OpID with no entry is a no-op. done runs here, on the event-loop
-	// goroutine, so it must not block — the contract SubmitAsync documents.
+	// An OpID with no entry is a no-op. done runs here, on whichever
+	// goroutine runs the turn, so it must not block — the contract
+	// SubmitAsync documents.
 	if done := e.n.pending[c.OpID]; done != nil {
 		delete(e.n.pending, c.OpID)
 		done(c)
@@ -238,6 +268,7 @@ func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 		sn:      sn,
 		ops:     make(chan submitted, 1024),
 		msgs:    make(chan env, 8192),
+		bell:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		pending: make(map[uint64]func(proto.Completion)),
 		start:   time.Now(),
@@ -252,9 +283,11 @@ func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 	return n
 }
 
-// deliver queues an arrived protocol message for the event loop. The inbox
-// almost always has room, so the send is tried on its own first: a lone
-// non-blocking send costs a fraction of a two-way select.
+// deliver queues an arrived protocol message; the dispatch that called it
+// runs it (kick). The inbox almost always has room, so the send is tried on
+// its own first: a lone non-blocking send costs a fraction of a two-way
+// select. A full inbox is the event loop's to drain, so the bell rings before
+// the wait for room.
 func (n *Shard) deliver(from proto.NodeID, msg any) {
 	e := env{from: from, msg: msg}
 	select {
@@ -262,6 +295,7 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 		return
 	default:
 	}
+	n.ring()
 	select {
 	case n.msgs <- e:
 	case <-n.stop:
@@ -271,23 +305,82 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 	}
 }
 
-// loop is the shard's event loop, a burst machine in the manner of the
-// paper's Wings workers (§4.2): after any wake-up it takes everything that was
-// already queued — messages, then ops — runs one engine turn for each, and
-// only then sends what those turns staged, one batch per peer and class
-// (handOff). Batching is opportunistic: a burst is what was queued at
-// wake-up, never waited for, and that bound is also what keeps Tick and stop
-// reachable under a producer that never lets the inbox run dry. Every
-// iteration ends with the hand-off, whichever arm woke it, so nothing but
-// VALs waiting for company is staged while the loop blocks, and the ticker
-// arm's hand-off sends those too: a lone VAL waits at most one tick.
-//
-// A burst runs in windows of at most burstWindow entries, the wake-up's own
-// message or op first. Each window is received in full, then the keys its
-// turns will touch are prefetched in one pass (MICA's batched lookups), and
-// only then do its turns run, in arrival order: the store misses of a
-// window's keys overlap instead of queueing one turn at a time behind each
-// other.
+// kick runs the queued arrivals on the calling goroutine — a transport pump,
+// inside dispatch — as one burst, when nobody holds the engine; when someone
+// does, that holder passes them on (release). HermesKV's workers run a
+// message's handler where they poll it off the wire (paper §4.1–4.2); so does
+// this, and an arrival costs no event-loop wake-up.
+func (n *Shard) kick() {
+	if len(n.msgs) == 0 || !n.engine.TryLock() {
+		return
+	}
+	armed := false
+	if n.stopped() {
+		n.discard()
+	} else {
+		n.burst(0)
+		n.handOff(false)
+		armed = n.untimed && !n.idle()
+	}
+	n.release(armed)
+}
+
+// release unlocks the engine and passes on what arrived while it was held —
+// queued by deliverers whose TryLock failed, or submitted — by ringing the
+// loop's bell; ring asks for the bell regardless (a turn armed a timer the
+// stopped ticker would miss). Once the shard has stopped there is no loop to
+// ring, so the releaser discards what is queued itself, for as long as it
+// can take the lock back; a holder that beat it to the lock re-checks in
+// turn. A deliverer queues before it tries the lock and a holder looks after
+// it unlocks, so one of the two always sees the arrival.
+func (n *Shard) release(ring bool) {
+	for {
+		n.engine.Unlock()
+		if !ring && len(n.msgs)+len(n.ops) == 0 {
+			return
+		}
+		if !n.stopped() {
+			n.ring()
+			return
+		}
+		if !n.engine.TryLock() {
+			return
+		}
+		n.discard()
+		ring = false
+	}
+}
+
+// ring wakes the event loop, if it is not already due to wake.
+func (n *Shard) ring() {
+	select {
+	case n.bell <- struct{}{}:
+	default:
+	}
+}
+
+// stopped reports whether the stop signal is up.
+func (n *Shard) stopped() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// idle reports whether the engine needs no tick: nothing armed, and nothing
+// held in the egress for the tick's FlushAll.
+func (n *Shard) idle() bool { return n.h.Idle() && !n.out.Holding() }
+
+// loop is the shard's event loop. It sleeps until its bell rings, its ticker
+// fires or the stop signal goes up, takes the engine lock, and runs a tick's
+// turn if the ticker woke it, then one burst of the queued messages and ops,
+// and ends with the hand-off: everything staged leaves, VALs waiting for
+// company too after a tick (handOff). Arrivals mostly run on the pumps that
+// deliver them (kick); the loop takes those that found the engine held. It
+// stops its ticker while the engine is idle and the egress holds nothing,
+// and restarts it when a turn arms a timer again.
 func (n *Shard) loop(tickEvery time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(tickEvery)
@@ -296,47 +389,79 @@ func (n *Shard) loop(tickEvery time.Duration) {
 		tick := false
 		select {
 		case <-n.stop:
-			// Nothing completes an op once the loop is gone: fail the ones
-			// the engine holds, then the ones still queued.
-			for id, done := range n.pending {
-				done(proto.Completion{OpID: id, Status: proto.NotOperational})
-			}
-			n.failQueued()
+			n.engine.Lock()
+			n.discard()
+			n.release(false)
 			return
-		case e := <-n.msgs:
-			n.win.msgs[0], n.win.nm = e, 1
-		case s := <-n.ops:
-			n.win.ops[0], n.win.no = s, 1
+		case <-n.bell:
 		case <-ticker.C:
-			n.h.Tick()
 			tick = true
 		}
-		// This goroutine is the only consumer of both queues, so as many plain
-		// receives as len reported cannot block.
-		queuedMsgs, queuedOps := len(n.msgs), len(n.ops)
-		for {
-			w := &n.win
-			for ; queuedMsgs > 0 && !w.full(); queuedMsgs-- {
-				w.msgs[w.nm] = <-n.msgs
-				w.nm++
-			}
-			for ; queuedOps > 0 && !w.full(); queuedOps-- {
-				w.ops[w.no] = <-n.ops
-				w.no++
-			}
-			if w.nm+w.no == 0 {
-				break
-			}
-			n.runWindow()
+		n.engine.Lock()
+		if tick {
+			n.h.Tick()
 		}
+		n.burst(len(n.ops))
 		n.handOff(tick)
+		if idle := n.idle(); idle != n.untimed {
+			n.untimed = idle
+			if idle {
+				ticker.Stop()
+			} else {
+				ticker.Reset(tickEvery)
+			}
+		}
+		n.release(false)
+	}
+}
+
+// burst is a burst machine's turns in the manner of the paper's Wings
+// workers (§4.2): everything that was queued when it starts — the messages,
+// and the first ops of the ops queue, the loop's only — runs one engine turn
+// each. Batching is opportunistic: a burst is what was queued, never waited
+// for, and that bound is also what keeps the tick and the stop reachable
+// under a producer that never lets the inbox run dry. The caller sends what
+// the turns staged when it returns (handOff).
+//
+// A burst runs in windows of at most burstWindow entries. Each window is
+// received in full, then the keys its turns will touch are prefetched in one
+// pass (MICA's batched lookups), and only then do its turns run, messages
+// then ops, each in arrival order: the store misses of a window's keys
+// overlap instead of queueing one turn at a time behind each other. Only the
+// engine's holder receives from the queues, so as many receives as len
+// reported find an entry; they are non-blocking all the same, since a
+// receive must never wait under the engine lock.
+func (n *Shard) burst(queuedOps int) {
+	queuedMsgs := len(n.msgs)
+	w := &n.win
+	for {
+		for ; queuedMsgs > 0 && !w.full(); queuedMsgs-- {
+			select {
+			case e := <-n.msgs:
+				w.msgs[w.nm] = e
+				w.nm++
+			default:
+			}
+		}
+		for ; queuedOps > 0 && !w.full(); queuedOps-- {
+			select {
+			case s := <-n.ops:
+				w.ops[w.no] = s
+				w.no++
+			default:
+			}
+		}
+		if w.nm+w.no == 0 {
+			return
+		}
+		n.runWindow()
 	}
 }
 
 // handOff ends a burst: it flushes the egress — every stage when all is set,
 // else the ones not holding VALs alone (shardhost.Egress) — and adds what
 // left to the node's counters. Transport.Send does not block and does not
-// keep what it is given, so the flush runs on the event loop.
+// keep what it is given, so the flush runs under the engine lock.
 func (n *Shard) handOff(all bool) {
 	flush := n.out.Flush
 	if all {
@@ -366,7 +491,11 @@ func (n *Shard) runWindow() {
 	}
 	n.h.Prefetch(w.keys[:nk])
 	for i := range w.msgs[:w.nm] {
-		n.handle(w.msgs[i])
+		if im, ok := w.msgs[i].msg.(installMsg); ok {
+			n.install(im)
+		} else {
+			n.h.Deliver(w.msgs[i].from, w.msgs[i].msg)
+		}
 		w.msgs[i] = env{} // the window must not keep a turn's message alive
 	}
 	for i := range w.ops[:w.no] {
@@ -376,15 +505,6 @@ func (n *Shard) runWindow() {
 	w.nm, w.no = 0, 0
 }
 
-// handle runs one arrived message's turn.
-func (n *Shard) handle(e env) {
-	if fn, ok := e.msg.(loopFn); ok {
-		fn()
-		return
-	}
-	n.h.Deliver(e.from, e.msg)
-}
-
 // accept runs one submitted op's turn.
 func (n *Shard) accept(s submitted) {
 	// Recorded before Submit: a local read completes within the call.
@@ -392,9 +512,29 @@ func (n *Shard) accept(s submitted) {
 	n.h.Submit(s.op)
 }
 
+// discard is what holds the engine once the stop signal is up, instead of
+// turns: nothing completes an op once the loop is gone, so it fails the ops
+// the engine holds and the queued ones and releases the frame references the
+// queued messages carry.
+func (n *Shard) discard() {
+	for id, done := range n.pending {
+		delete(n.pending, id)
+		done(proto.Completion{OpID: id, Status: proto.NotOperational})
+	}
+	n.failQueued()
+	for {
+		select {
+		case e := <-n.msgs:
+			core.ReleaseMsgOwners(e.msg)
+		default:
+			return
+		}
+	}
+}
+
 // failQueued fails every op still in the queue. Only for after the stop
-// signal: the loop calls it on its way out, and so does a submitter whose
-// enqueue may have landed behind that.
+// signal: discard calls it, and so does a submitter whose enqueue may have
+// landed behind that.
 func (n *Shard) failQueued() {
 	for {
 		select {
@@ -410,46 +550,56 @@ func (n *Shard) failQueued() {
 func (n *Shard) Hermes() *core.Hermes { return n.h }
 
 // installView delivers an m-update to the engine and blocks until its §3.4
-// transition completes. The lock-free read gate is shut before the m-update
-// enters the event loop, so fast-path reads fall back to the Submit path for
-// the entire transition window; OnViewChange republishes the gate under the
-// new epoch.
+// transition completes, or the shard stops. The lock-free read gate is shut
+// before the m-update enters the event loop, so fast-path reads fall back to
+// the Submit path for the entire transition window; OnViewChange republishes
+// the gate under the new epoch.
 func (n *Shard) installView(v proto.View) {
 	n.h.ReadGate().Shut()
 	done := make(chan struct{})
-	n.enqueueFn(func() { n.install(v); close(done) })
-	<-done
-}
-
-// installAsync is installView without the completion wait: the gate shuts
-// immediately and the m-update is queued behind whatever the event loop is
-// doing. Used when the caller is a transport pump that must not block on a
-// busy shard (OnViewChange republishes the gate when it runs — including for
-// duplicate or stale epochs, so a redelivered MUpdate cannot wedge the gate
-// shut).
-func (n *Shard) installAsync(v proto.View) {
-	n.h.ReadGate().Shut()
-	n.enqueueFn(func() { n.install(v) })
-}
-
-// install is an install's turn on the event loop. The VALs the egress holds
-// leave first, under the epoch they were sent in; held across the transition
-// they would reach peers that had moved on, and be dropped as stale.
-func (n *Shard) install(v proto.View) {
-	n.handOff(true)
-	n.h.OnViewChange(v)
-}
-
-// enqueueFn runs fn on the event loop by disguising it as a message.
-func (n *Shard) enqueueFn(fn func()) {
+	n.queueInstall(installMsg{v: v, done: done})
 	select {
-	case n.msgs <- env{from: n.id, msg: loopFn(fn)}:
+	case <-done:
 	case <-n.stop:
 	}
 }
 
-// loopFn is an internal message type executed by Deliver interception.
-type loopFn func()
+// installAsync is installView without the completion wait: the gate shuts
+// immediately and the m-update is queued behind the shard's arrivals. Used
+// when the caller is a transport pump that must not block on a busy shard
+// (OnViewChange republishes the gate when it runs — including for duplicate
+// or stale epochs, so a redelivered MUpdate cannot wedge the gate shut).
+func (n *Shard) installAsync(v proto.View) {
+	n.h.ReadGate().Shut()
+	n.queueInstall(installMsg{v: v})
+}
+
+// installMsg is an m-update on its way to the engine. It is queued on the
+// inbox like an arrival, so it keeps its place among them: a peer's messages
+// sent before its MUpdate still run under the old epoch, and those sent
+// after it under the new one, whichever goroutine runs them.
+type installMsg struct {
+	v    proto.View
+	done chan struct{} // closed once installed; nil if nobody waits
+}
+
+// queueInstall puts m on the inbox and rings the loop: the goroutine queueing
+// it need not be a transport pump that kicks the shard afterwards.
+func (n *Shard) queueInstall(m installMsg) {
+	n.deliver(n.id, m)
+	n.ring()
+}
+
+// install is an install's turn. The VALs the egress holds leave first, under
+// the epoch they were sent in; held across the transition they would reach
+// peers that had moved on, and be dropped as stale.
+func (n *Shard) install(m installMsg) {
+	n.handOff(true)
+	n.h.OnViewChange(m.v)
+	if m.done != nil {
+		close(m.done)
+	}
+}
 
 func (n *Shard) close() {
 	select {
@@ -497,6 +647,7 @@ func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.C
 			return ErrClosed
 		}
 	}
+	n.ring()
 	// The stop signal may have fired between the check above and the enqueue,
 	// and the loop's parting sweep may have run before the op landed. If the
 	// signal is up, wait the loop out and sweep again: whatever is queued then
@@ -518,7 +669,7 @@ type opSink struct {
 }
 
 // opSinks recycles them, callback bound once, so the blocking API allocates
-// nothing SubmitAsync does not. done runs on the event loop and must not
+// nothing SubmitAsync does not. done runs in an engine turn and must not
 // block: ch has room for one completion and done runs once per op, so a sink
 // may go back to the pool only when it is provably empty — its completion
 // was received, or its op was never queued.

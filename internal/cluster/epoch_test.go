@@ -62,7 +62,7 @@ func TestInstallShardViewAdvancesOnlyThatShard(t *testing.T) {
 }
 
 // TestStaggeredGateIsolation is the satellite acceptance check: while shard
-// i's read gate is shut mid-install (its event loop deliberately wedged so
+// i's read gate is shut mid-install (its engine deliberately wedged so
 // the transition window stays open), every other shard keeps serving
 // fast-path reads at a 100% hit rate.
 func TestStaggeredGateIsolation(t *testing.T) {
@@ -79,12 +79,9 @@ func TestStaggeredGateIsolation(t *testing.T) {
 	}
 	const hot = 1
 
-	// Wedge shard hot's event loop, then start its install: the gate shuts
-	// immediately and cannot reopen until the loop resumes.
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	sn.Shard(hot).enqueueFn(func() { close(entered); <-block })
-	<-entered
+	// Wedge shard hot's engine, then start its install: the gate shuts
+	// immediately and cannot reopen until the engine is released.
+	release := wedge(t, sn, hot)
 	installed := make(chan struct{})
 	go func() {
 		sn.InstallShardView(hot, proto.View{Epoch: 2, Members: []proto.NodeID{0, 1, 2}})
@@ -132,7 +129,7 @@ func TestStaggeredGateIsolation(t *testing.T) {
 		t.Fatalf("hot-shard read during install: err=%v, want deadline exceeded", err)
 	}
 
-	close(block)
+	release()
 	<-installed
 	if got := sn.ShardEpochs()[hot]; got != 2 {
 		t.Fatalf("hot shard epoch after install: %d, want 2", got)

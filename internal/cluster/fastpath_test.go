@@ -108,7 +108,7 @@ func TestFastPathDisabledUnderNoLSC(t *testing.T) {
 }
 
 // TestReadGateClosesDuringViewChange pins the transition-window behaviour:
-// from the moment InstallView is called until the event loop finishes
+// from the moment InstallView is called until the shard's engine finishes
 // OnViewChange, the gate is shut and reads fall back to the Submit path.
 func TestReadGateClosesDuringViewChange(t *testing.T) {
 	l := NewShardedLocal(LocalConfig{N: 3}, 1)
@@ -122,12 +122,9 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 		t.Fatalf("warm read: %q %v", v, err)
 	}
 
-	// Stall the event loop so the m-update cannot complete, freezing the
+	// Hold the engine so the m-update cannot complete, freezing the
 	// transition window open for inspection.
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	n.Shard(0).enqueueFn(func() { close(entered); <-block })
-	<-entered
+	release := wedge(t, n, 0)
 
 	installed := make(chan struct{})
 	go func() {
@@ -144,7 +141,7 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A read inside the window must fall back — and with the loop stalled
+	// A read inside the window must fall back — and with the engine held
 	// the Submit path cannot answer, so it times out instead of serving a
 	// possibly-stale fast-path value.
 	_, hits0, misses0 := n.ReadStats()
@@ -159,7 +156,7 @@ func TestReadGateClosesDuringViewChange(t *testing.T) {
 			hits0, hits1, misses0, misses1)
 	}
 
-	close(block)
+	release()
 	<-installed
 	if !n.Shard(0).h.ReadGate().Allowed() || n.Shard(0).h.ReadGate().Epoch() != 2 {
 		t.Fatalf("gate after install: allowed=%v epoch=%d", n.Shard(0).h.ReadGate().Allowed(), n.Shard(0).h.ReadGate().Epoch())

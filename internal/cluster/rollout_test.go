@@ -19,23 +19,24 @@ func view3(e uint32) proto.View {
 	return proto.View{Epoch: e, Members: []proto.NodeID{0, 1, 2}}
 }
 
-// wedge parks shard's event loop until release is called, at the latest
-// when the test ends: an install queued behind it stays in flight, its read
-// gate shut. The node must be closed by a cleanup registered earlier, which
-// runs after this one.
+// wedge holds shard's engine, as a turn that never ends would, until release
+// is called, at the latest when the test ends: no turn runs on the shard
+// meanwhile, so an install queued behind it stays in flight, its read gate
+// shut. release lets go of the engine as every holder does (Shard.release),
+// passing on what queued meanwhile. The node must be closed by a cleanup
+// registered earlier, which runs after this one.
 func wedge(t *testing.T, sn *ShardedNode, shard int) (release func()) {
-	ch, entered := make(chan struct{}), make(chan struct{})
-	sn.Shard(shard).enqueueFn(func() { close(entered); <-ch })
-	<-entered
+	s := sn.Shard(shard)
+	s.engine.Lock()
 	var once sync.Once
-	release = func() { once.Do(func() { close(ch) }) }
+	release = func() { once.Do(func() { s.release(false) }) }
 	t.Cleanup(release)
 	return release
 }
 
 // TestRolloutOrdersByLoadOneGateAtATime pins the two tentpole properties of
 // a roll: shards install coolest-first (per the live read/write counters),
-// and at most one gate is ever shut. Every shard's event loop is wedged, so an
+// and at most one gate is ever shut. Every shard's engine is wedged, so an
 // install handed out keeps its gate shut until the test releases that shard:
 // an install handed out before the previous one landed would show as a
 // second shut gate and a second install counted.
@@ -358,7 +359,7 @@ func TestRolloutSupersededMidRoll(t *testing.T) {
 	l := NewShardedLocal(LocalConfig{N: 3}, w)
 	t.Cleanup(l.Close)
 	sn := l.Nodes[0]
-	// No load anywhere: shard 0 rolls first, and its wedged event loop keeps
+	// No load anywhere: shard 0 rolls first, and its wedged engine keeps
 	// that install in flight.
 	release := wedge(t, sn, 0)
 

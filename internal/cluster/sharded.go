@@ -16,8 +16,9 @@ import (
 
 // ShardedNode is a live Hermes replica: the multi-worker protocol engine of
 // HermesKV (paper §4.1), one node hosting W independent core.Hermes state
-// machines, each with its own event-loop goroutine (Shard), kvs.Store segment
-// and timers, each owning the keyspace partition proto.ShardOf selects.
+// machines, each with its own engine lock and event-loop goroutine (Shard),
+// kvs.Store segment and timers, each owning the keyspace partition
+// proto.ShardOf selects.
 // Writes and RMWs to keys on different shards commit fully in parallel —
 // there is no cross-shard serialization point — and linearizable local reads
 // are served lock-free from the owning shard's store on the caller's
@@ -28,9 +29,11 @@ import (
 // owning its key, m-update addressing, the view log, the staggered roll of
 // node-wide views, epoch gossip and each engine's egress stager
 // (shardhost.Egress) — the same code the simulator runs. What this type adds
-// is what only a live runtime has: inbox goroutines and their burst windows,
-// wall-clock time, one mutex serializing the host's control-plane state and
-// one control-plane goroutine stepping it (control).
+// is what only a live runtime has: the goroutines that run each engine's
+// turns — the transport's, for arrivals that find the engine free, and the
+// shard's event loop for the rest — and their burst windows, wall-clock time,
+// one mutex serializing the host's control-plane state and one control-plane
+// goroutine stepping it (control).
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
@@ -38,15 +41,15 @@ import (
 // a cluster must therefore be configured with the same shard count.
 //
 // Small messages (INVs, ACKs, VALs) are not sent one by one: each engine's
-// Egress stages what one burst of its turns sent, per peer, and the event
-// loop flushes it at the end of the burst (Shard.loop), each stage as one
+// Egress stages what one burst of its turns sent, per peer, and whoever ran
+// the burst flushes it at its end (Shard.handOff), each stage as one
 // proto.ShardBatch — except a stage of VALs alone, which waits for the
 // shard's next INV or ACK to that peer, or the end of the next tick.
-// Transport.Send never blocks, so the event loop can afford to; the
-// transport's per-peer link is the only egress queue, and there the stages of
-// one burst — and of the other shards' concurrent bursts — meet in one frame
-// and one write, cutting the per-write frame rate that W would otherwise
-// multiply. Arriving batches fan back out to owner shards in dispatch.
+// Transport.Send never blocks, so a burst can afford to; the transport's
+// per-peer link is the only egress queue, and there the stages of one burst —
+// and of the other shards' concurrent bursts — meet in one frame and one
+// write, cutting the per-write frame rate that W would otherwise multiply.
+// Arriving batches fan back out to owner shards in dispatch, which runs them.
 //
 // Membership epochs are per shard. A node-wide view a membership agent
 // decides (OnView), or one arriving as a wire proto.MUpdate or in a fetched
@@ -98,7 +101,8 @@ type ShardedConfig struct {
 	// TickEvery is the protocol timer granularity (default 1ms, the Go
 	// runtime's idle timer resolution). It also bounds how long a VAL with
 	// no INV or ACK to ride waits in the egress (shardhost.Egress), so how
-	// long an idle follower sees a committed key as Invalid.
+	// long an idle follower sees a committed key as Invalid. A shard whose
+	// engine has nothing armed and whose egress holds nothing does not tick.
 	TickEvery time.Duration
 	Shards    int
 }
@@ -187,11 +191,16 @@ func (sn *ShardedNode) control(gossipEvery time.Duration) {
 }
 
 // dispatch is the transport's arrival callback. Data-plane traffic is routed
-// statelessly — no lock, no allocation, straight onto the owner shard's
-// inbox; only the node-level membership messages Route declines take ctlMu
-// and reach the host's control plane.
+// statelessly — no lock, no allocation — onto the owner shards' inboxes, a
+// batch's messages all queued first; then each shard with arrivals queued
+// runs them as one burst right here, on the transport's goroutine, if its
+// engine lock is free (Shard.kick). Only the node-level membership messages
+// Route declines take ctlMu and reach the host's control plane.
 func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
 	if shardhost.Route(sn.w, sn.drv, from, msg) {
+		for _, s := range sn.shards {
+			s.kick()
+		}
 		return
 	}
 	sn.withHost(func(h *shardhost.Host) { h.Dispatch(from, msg, time.Since(sn.start)) })
@@ -209,9 +218,9 @@ func (sn *ShardedNode) withHost(fn func(h *shardhost.Host)) {
 }
 
 // runHost runs fn on the host under ctlMu, then performs the effects the
-// driver queued during it with the mutex released: an install enqueues on a
-// shard inbox and may wait behind a busy event loop, and a mutex must not be
-// held across that. It reports whether a view is rolling.
+// driver queued during it with the mutex released: an install queues on a
+// shard's inbox and may wait for room behind a busy shard, and a mutex must
+// not be held across that. It reports whether a view is rolling.
 func (sn *ShardedNode) runHost(fn func(h *shardhost.Host)) (rolling bool) {
 	sn.ctlMu.Lock()
 	fn(sn.host)
@@ -371,8 +380,10 @@ func (sn *ShardedNode) Prefetch(keys []proto.Key) {
 // SubmitAsync submits op to its owning shard's event loop and invokes fn
 // with its completion instead of blocking the caller — the pipelined serving
 // layer's path: one session goroutine keeps hundreds of ops in flight
-// without a goroutine per op. fn runs on the event-loop goroutine and MUST
-// NOT block (enqueue and return; a blocking fn stalls the whole shard).
+// without a goroutine per op. fn runs on whichever goroutine runs the turn
+// that completes the op — the shard's event loop, or a transport goroutine
+// delivering the last ACK — and MUST NOT block (enqueue and return; a
+// blocking fn stalls the whole shard, and the peer's stream behind it).
 // op.ID is assigned here; the completion's OpID echoes it. Blocks only if
 // the shard's ops queue is full (bounded backpressure on the submitting
 // session, never on other sessions or shards).

@@ -926,6 +926,14 @@ func (h *Hermes) Tick() {
 	}
 }
 
+// Idle reports whether Tick has nothing to do until a later turn arms
+// something: no deadline armed, no speculative read awaiting its membership
+// check, no learner transfer under way. A host may stop ticking an idle
+// engine.
+func (h *Hermes) Idle() bool {
+	return h.nextDue == noDeadline && len(h.specReads) == 0 && (!h.learner || h.fetchDone)
+}
+
 // tickKey fires k's retransmission or replay if its deadline has passed.
 func (h *Hermes) tickKey(k proto.Key, m *keyMeta, now time.Duration) {
 	if p := m.pend; p != nil {

@@ -366,7 +366,8 @@ func (se *session) handle(req *proto.ClientReq) error {
 	err := se.srv.cfg.Backend.SubmitAsync(proto.ClientOp{
 		Kind: req.Op, Key: req.Key, Value: req.Value, Expected: req.Expected,
 	}, func(c proto.Completion) {
-		// Shard event-loop context: enqueue-and-return, never block.
+		// Engine-turn context — the shard's event loop or a transport
+		// goroutine: enqueue-and-return, never block.
 		// Completion values are safeVal'd by the engine — no owner to carry.
 		se.enqueue(queuedResp{resp: proto.ClientResp{Seq: seq, Status: c.Status, Value: c.Value}})
 	})
@@ -379,8 +380,8 @@ func (se *session) handle(req *proto.ClientReq) error {
 }
 
 // enqueue queues one response and kicks the flusher. Called from the session
-// goroutine (inline reads) and from shard event loops (completions); never
-// blocks beyond the queue mutex.
+// goroutine (inline reads) and from engine turns (completions), on a shard's
+// event loop or a transport goroutine; never blocks beyond the queue mutex.
 func (se *session) enqueue(qr queuedResp) {
 	se.mu.Lock()
 	if se.dead {

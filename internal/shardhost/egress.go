@@ -26,15 +26,16 @@ type Base interface {
 // critical path — the write committed when its ACKs arrived (paper §3.2) —
 // so it waits for company: it leaves in the same batch as the next INV or
 // ACK this shard stages for that peer, or at FlushAll, which sends every
-// stage. The live shard loop runs Flush at the end of every burst and
-// FlushAll at the end of a tick's, and both runtimes run FlushAll before an
-// install, so a held VAL never outlives its epoch. The simulator runs Flush
+// stage. The live shard runs Flush at the end of every burst and FlushAll at
+// the end of a tick's, and both runtimes run FlushAll before an install, so a
+// held VAL never outlives its epoch. The simulator runs Flush
 // when each of its replica's entry points returns, FlushAll when Tick does.
 // The tick period therefore bounds how long a lone VAL waits, and with it how
 // long an idle follower sees a committed key as Invalid. Only VALs are held:
 // they carry no value, so holding one pins no pooled buffer.
 //
-// Not safe for concurrent use: only the engine's own event loop touches it.
+// Not safe for concurrent use: only the goroutine running the engine's turns
+// touches it.
 type Egress struct {
 	base  Base
 	wire  func(to proto.NodeID, msg any)
@@ -115,6 +116,17 @@ func (e *Egress) Flush() (batches, coalesced, singles uint64) { return e.flush(f
 // FlushAll is Flush that also sends the stages of VALs alone: the end of a
 // tick, and what runs before an install.
 func (e *Egress) FlushAll() (batches, coalesced, singles uint64) { return e.flush(true) }
+
+// Holding reports whether a stage still holds messages, as the VALs alone
+// that Flush leaves do: only a FlushAll sends them.
+func (e *Egress) Holding() bool {
+	for i := range e.stages {
+		if len(e.stages[i].msgs) > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 func (e *Egress) flush(all bool) (batches, coalesced, singles uint64) {
 	for i := range e.stages {

@@ -24,9 +24,10 @@ import (
 )
 
 // Mesh is a TCP transport implementing cluster.Transport for one local
-// node. Send never blocks: it runs on the shard event loops, so everything
-// that can wait on a peer — the dial, the socket — waits on that peer's link
-// flusher, behind the link's bounded queue.
+// node. Send never blocks: it runs in engine turns, on the shard event loops
+// and on this mesh's own readers, whose deliver callback runs arrivals' turns
+// inline. Everything that can wait on a peer — the dial, the socket — waits
+// on that peer's link flusher, behind the link's bounded queue.
 type Mesh struct {
 	self  proto.NodeID
 	addrs map[proto.NodeID]string
