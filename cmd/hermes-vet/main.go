@@ -4,20 +4,15 @@
 //
 // Usage:
 //
-//	hermes-vet [-list] [-json] [packages...]
+//	hermes-vet [-list] [packages...]
 //
 // Patterns default to ./... and are resolved by `go list` relative to the
 // current directory, so `go run ./cmd/hermes-vet ./...` from the repo root
-// checks the whole tree.
-//
-// With -json, every finding — including ones suppressed by an ignore
-// directive — is emitted as one JSON object per line with file, line, col,
-// analyzer, message, and ignored fields; the exit code still reflects only
-// the surviving findings.
+// checks the whole tree. Each surviving finding prints as one
+// `file:line:col: [analyzer] message` line.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,9 +23,8 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as JSON lines (includes ignored findings)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: hermes-vet [-list] [-json] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: hermes-vet [-list] [packages...]\n\nAnalyzers:\n")
 		writeAnalyzerListing(flag.CommandLine.Output())
 	}
 	flag.Parse()
@@ -44,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hermes-vet:", err)
 		os.Exit(2)
 	}
-	n, err := vet(dir, flag.Args(), os.Stdout, *asJSON)
+	n, err := vet(dir, flag.Args(), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hermes-vet:", err)
 		os.Exit(2)
@@ -64,56 +58,18 @@ func writeAnalyzerListing(w io.Writer) {
 	}
 }
 
-// finding is the JSON shape of one diagnostic.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Ignored  bool   `json:"ignored"`
-}
-
-func toFinding(d analysis.Diagnostic, ignored bool) finding {
-	return finding{
-		File:     d.Pos.Filename,
-		Line:     d.Pos.Line,
-		Col:      d.Pos.Column,
-		Analyzer: d.Analyzer,
-		Message:  d.Message,
-		Ignored:  ignored,
-	}
-}
-
-// vet loads the packages and prints each diagnostic, returning the count of
-// findings that survived their ignore directives (the count that decides the
-// exit code). In JSON mode suppressed findings are printed too, marked
-// ignored, but do not count.
-func vet(dir string, patterns []string, out io.Writer, asJSON bool) (int, error) {
+// vet loads the packages, prints each finding that survived its ignore
+// directives and returns their count (the count that decides the exit code).
+func vet(dir string, patterns []string, out io.Writer) (int, error) {
 	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
 		return 0, err
 	}
-	enc := json.NewEncoder(out)
 	total := 0
 	for _, pkg := range pkgs {
-		res := analysis.RunAnalyzersDetail(pkg, analysis.All())
-		for _, d := range res.Kept {
-			if asJSON {
-				if err := enc.Encode(toFinding(d, false)); err != nil {
-					return total, err
-				}
-			} else {
-				fmt.Fprintln(out, d)
-			}
+		for _, d := range analysis.RunAnalyzers(pkg, analysis.All()) {
+			fmt.Fprintln(out, d)
 			total++
-		}
-		if asJSON {
-			for _, d := range res.Suppressed {
-				if err := enc.Encode(toFinding(d, true)); err != nil {
-					return total, err
-				}
-			}
 		}
 	}
 	return total, nil

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -15,7 +14,7 @@ func TestRepoVetsClean(t *testing.T) {
 		t.Skip("loads and type-checks the whole repo")
 	}
 	var out strings.Builder
-	n, err := vet("../..", []string{"./..."}, &out, false)
+	n, err := vet("../..", []string{"./..."}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestGoldenTreeHasFindings(t *testing.T) {
 		t.Skip("loads and type-checks the golden module")
 	}
 	var out strings.Builder
-	n, err := vet("../../internal/analysis/testdata", []string{"./..."}, &out, false)
+	n, err := vet("../../internal/analysis/testdata", []string{"./..."}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,45 +41,6 @@ func TestGoldenTreeHasFindings(t *testing.T) {
 		if !strings.Contains(out.String(), "["+a.Name+"]") {
 			t.Errorf("no %s finding surfaced through the CLI:\n%s", a.Name, out.String())
 		}
-	}
-}
-
-// -json emits one object per finding with the documented fields, and marks
-// directive-suppressed findings ignored instead of dropping them.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the golden module")
-	}
-	var out strings.Builder
-	n, err := vet("../../internal/analysis/testdata", []string{"./reftrack/..."}, &out, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("expected surviving findings in the reftrack golden tree")
-	}
-	dec := json.NewDecoder(strings.NewReader(out.String()))
-	var kept, ignored int
-	for dec.More() {
-		var f finding
-		if err := dec.Decode(&f); err != nil {
-			t.Fatalf("decoding finding: %v\noutput:\n%s", err, out.String())
-		}
-		if f.File == "" || f.Line == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding missing fields: %+v", f)
-		}
-		if f.Ignored {
-			ignored++
-		} else {
-			kept++
-		}
-	}
-	if kept != n {
-		t.Errorf("JSON stream has %d kept findings, vet counted %d", kept, n)
-	}
-	// The golden tree's waived() case suppresses one reftrack finding.
-	if ignored == 0 {
-		t.Error("expected at least one ignored finding in the JSON stream (the waived golden case)")
 	}
 }
 

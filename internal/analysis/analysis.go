@@ -1,7 +1,7 @@
 // Package analysis is hermes-vet: a suite of static analyzers that turn the
 // repository's protocol invariants — conventions that previously lived only
 // in comments and were enforced only by after-the-fact tests — into
-// build-breaking checks. The eight analyzers are:
+// build-breaking checks. The seven analyzers are:
 //
 //   - eventloop: code reachable from protocol message handlers and the live
 //     runtime's event-loop callbacks must never block (cluster's "only
@@ -26,16 +26,14 @@
 //     *refbuf.Buf) must not reach an owner-less destination without a
 //     clone, bare or through same-package helpers, and an adopting literal
 //     must carry the owner.
-//   - creditflow: transport credit discipline — error paths of
-//     credit-debiting functions must refund.
 //   - lockorder: no blocking operations while holding a mutex, and the
 //     lock-acquisition-order graph must be acyclic.
 //
 // atomicfield, wingscodec, exhaustive and determinism are lexical: syntax
-// and types, no call graph. eventloop, reftrack, creditflow and lockorder
-// run on the summary-based interprocedural engine in engine.go (call graph,
-// per-function effect summaries, fixpoint); its one blocking scan serves
-// both eventloop's reports and the MayBlock summary lockorder reads.
+// and types, no call graph. eventloop, reftrack and lockorder run on the
+// summary-based interprocedural engine in engine.go (call graph, per-function
+// effect summaries, fixpoint); its one blocking scan serves both eventloop's
+// reports and the MayBlock summary lockorder reads.
 //
 // The suite is deliberately built on the standard library only (go/ast,
 // go/types, `go list -export`): the container that grows this repo has no
@@ -282,8 +280,7 @@ func directiveDiagnostics(dirs []*ignoreDirective, ranAnalyzers []*Analyzer) []D
 }
 
 // VetResult is one package's full analyzer outcome: the surviving findings
-// and the ones an ignore directive suppressed (machine consumers — the
-// -json output — want both).
+// and the ones an ignore directive suppressed.
 type VetResult struct {
 	Kept       []Diagnostic
 	Suppressed []Diagnostic
@@ -351,7 +348,6 @@ func All() []*Analyzer {
 		ExhaustiveAnalyzer,
 		DeterminismAnalyzer,
 		RefTrackAnalyzer,
-		CreditFlowAnalyzer,
 		LockOrderAnalyzer,
 	}
 }

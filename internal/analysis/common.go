@@ -44,19 +44,6 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	return name == "" || id.Name == name
 }
 
-// pkgFunc reports whether fn is the package-level function pkgPath.name
-// (receiver-less).
-func pkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != pkgPath || fn.Name() != name {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // recvTypeName returns the name of a method's receiver's named type ("" for
 // package-level functions and unnamed receivers).
 func recvTypeName(fn *types.Func) string {

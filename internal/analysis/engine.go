@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the interprocedural dataflow engine the analyzers reftrack,
-// creditflow, lockorder and eventloop build on. A per-file lexical check
-// cannot see a leak, a blocking call or a non-cloning helper across a call
-// boundary; the engine closes that gap for one package at a time:
+// lockorder and eventloop build on. A per-file lexical check cannot see a
+// leak, a blocking call or a non-cloning helper across a call boundary; the
+// engine closes that gap for one package at a time:
 //
 //   - a call graph over the package's declared functions (staticCallee
 //     resolution; dynamic calls — function values, interface methods — stay
@@ -19,11 +19,10 @@ import (
 //   - a per-function Summary of resource effects: which *refbuf.Buf
 //     parameters the function consumes, which results carry a reference the
 //     caller inherits, which results alias a parameter's bytes without a
-//     clone, whether the function refunds flow-control credits, whether it
-//     may block, and which locks it acquires;
+//     clone, whether it may block, and which locks it acquires;
 //   - fixpoint iteration so callers inherit callee effects through
 //     recursion and mutual recursion. Must-properties (ConsumesParam) start
-//     optimistic and refine downward; may-properties (MayBlock, Refunds,
+//     optimistic and refine downward; may-properties (MayBlock,
 //     ResultAcquired, aliasing, lock sets) start empty and grow. Each
 //     domain's transfer function is monotone in its own direction, so the
 //     iteration terminates.
@@ -63,10 +62,6 @@ type Summary struct {
 	// catches the "clone hidden behind a helper that doesn't clone" shape a
 	// lexical owner-escape check cannot see.
 	ResultAliasesParam []int
-	// Refunds is true when some path refunds flow-control credits (a
-	// `credits += n` on a credits field, a CreditReturn/RepayCredits call,
-	// or a callee that refunds).
-	Refunds bool
 	// MayBlock is true when some statement in the function (or a summarized
 	// callee) can block: channel operations without provable buffer
 	// headroom, default-less selects, time.Sleep, socket I/O,
@@ -83,7 +78,7 @@ type Summary struct {
 }
 
 func (s *Summary) equal(o *Summary) bool {
-	if s.Refunds != o.Refunds || s.MayBlock != o.MayBlock || s.BlockNote != o.BlockNote {
+	if s.MayBlock != o.MayBlock || s.BlockNote != o.BlockNote {
 		return false
 	}
 	if !eqBools(s.ConsumesParam, o.ConsumesParam) || !eqBools(s.ResultAcquired, o.ResultAcquired) {
@@ -222,7 +217,6 @@ func (e *Engine) summarize(fn *types.Func) *Summary {
 	}
 	e.refSummary(fn, decl, s)
 	e.aliasSummary(fn, decl, s)
-	s.Refunds = e.refundsIn(decl.Body)
 	s.MayBlock, s.BlockNote = e.mayBlock(fn)
 	s.Acquires = e.acquiresIn(decl.Body)
 	return s
@@ -486,70 +480,6 @@ func isByteSliceLike(t types.Type) bool {
 	}
 	b, ok := sl.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Byte
-}
-
-// refundsIn reports whether body contains a credit refund: `x.credits += n`
-// (or `x.credits -= -n`…: only ADD_ASSIGN counts), a call through a field
-// or method named CreditReturn/RepayCredits/repayCredits, or a call to a
-// same-package function whose summary refunds.
-func (e *Engine) refundsIn(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isCreditsField(e.pass.Info, n.Lhs[0]) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if name := calleeSelName(n); name == "CreditReturn" || name == "RepayCredits" || name == "repayCredits" {
-				found = true
-				return false
-			}
-			if callee := staticCallee(e.pass.Info, n); callee != nil {
-				if cs, ok := e.sums[callee]; ok && cs.Refunds {
-					found = true
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// isCreditsField reports whether x is a selector (or identifier) of an
-// integer variable named "credits"/"Credits" — the send-window counter the
-// credit discipline debits and refunds.
-func isCreditsField(info *types.Info, x ast.Expr) bool {
-	var name string
-	switch x := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		name = x.Sel.Name
-	case *ast.Ident:
-		name = x.Name
-	default:
-		return false
-	}
-	if name != "credits" && name != "Credits" {
-		return false
-	}
-	tv, ok := info.Types[x]
-	if !ok {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// calleeSelName returns the selector name of a call's Fun ("CreditReturn"
-// for l.cfg.CreditReturn(n)), or "".
-func calleeSelName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
-	}
-	return ""
 }
 
 // The notes of the three channel sites; blockingStdCall names the calls.

@@ -105,18 +105,8 @@ func TestEngineResultAndAliasSummaries(t *testing.T) {
 	}
 }
 
-func TestEngineRefundBlockAndLockSummaries(t *testing.T) {
+func TestEngineBlockAndLockSummaries(t *testing.T) {
 	eng := loadEngine(t)
-	if !sumOf(t, eng, "repay").Refunds {
-		t.Error("repay should refund (credits += n)")
-	}
-	if !sumOf(t, eng, "indirectRepay").Refunds {
-		t.Error("indirectRepay should refund through its callee's summary")
-	}
-	if sumOf(t, eng, "pure").Refunds {
-		t.Error("pure must not refund")
-	}
-
 	if sum := sumOf(t, eng, "blockRecv"); !sum.MayBlock || sum.BlockNote != "channel receive" {
 		t.Errorf("blockRecv: MayBlock=%v note=%q, want blocking channel receive", sum.MayBlock, sum.BlockNote)
 	}

@@ -73,10 +73,6 @@ func TestBufOwnGolden(t *testing.T) {
 	}
 }
 
-func TestCreditFlowGolden(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CreditFlowAnalyzer, "./creditflow/...")
-}
-
 func TestLockOrderGolden(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockOrderAnalyzer, "./lockorder/...")
 }

@@ -76,12 +76,6 @@ func condClone(e Entry) []byte {
 // rawVal has no guard: its result aliases the (possibly pooled) argument.
 func rawVal(e Entry) []byte { return e.Value }
 
-type Link struct{ credits int }
-
-func (l *Link) repay(n int) { l.credits += n }
-
-func (l *Link) indirectRepay(n int) { l.repay(n) }
-
 func blockRecv(ch chan int) int { return <-ch }
 
 func indirectBlock(ch chan int) int { return blockRecv(ch) }

@@ -51,13 +51,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // quietNode is a 2-shard node whose peer never answers, over a transport that
 // records what it is sent.
-func quietNode(t *testing.T, mlt, tickEvery time.Duration) (*ShardedNode, *recTransport) {
+func quietNode(t *testing.T, mlt, tick time.Duration) (*ShardedNode, *recTransport) {
 	t.Helper()
 	tr := &recTransport{}
-	sn := NewShardedNode(ShardedConfig{
+	sn := newShardedNode(ShardedConfig{
 		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: 2, MLT: mlt, TickEvery: tickEvery,
-	}, tr)
+		Shards: 2, MLT: mlt,
+	}, tr, tick)
 	t.Cleanup(sn.Close)
 	return sn, tr
 }
@@ -212,7 +212,7 @@ func TestBurstIsBounded(t *testing.T) {
 	tr := &chunkEcho{key: key}
 	sn := NewShardedNode(ShardedConfig{
 		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: 2, MLT: 5 * time.Millisecond, TickEvery: time.Millisecond,
+		Shards: 2, MLT: 5 * time.Millisecond,
 	}, tr)
 	t.Cleanup(sn.Close)
 	s := sn.shardFor(key)

@@ -261,8 +261,8 @@ func (e nodeEnv) Complete(c proto.Completion) {
 	}
 }
 
-// newShard builds and starts shard idx of node sn.
-func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
+// newShard builds and starts shard idx of node sn, ticking every tick.
+func newShard(cfg ShardedConfig, sn *ShardedNode, idx int, tick time.Duration) *Shard {
 	n := &Shard{
 		id:      cfg.ID,
 		sn:      sn,
@@ -279,7 +279,7 @@ func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 		MLT: cfg.MLT, NoLSC: cfg.NoLSC,
 	})
 	n.wg.Add(1)
-	go n.loop(cfg.TickEvery)
+	go n.loop(tick)
 	return n
 }
 
@@ -381,9 +381,9 @@ func (n *Shard) idle() bool { return n.h.Idle() && !n.out.Holding() }
 // deliver them (kick); the loop takes those that found the engine held. It
 // stops its ticker while the engine is idle and the egress holds nothing,
 // and restarts it when a turn arms a timer again.
-func (n *Shard) loop(tickEvery time.Duration) {
+func (n *Shard) loop(every time.Duration) {
 	defer n.wg.Done()
-	ticker := time.NewTicker(tickEvery)
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		tick := false
@@ -408,7 +408,7 @@ func (n *Shard) loop(tickEvery time.Duration) {
 			if idle {
 				ticker.Stop()
 			} else {
-				ticker.Reset(tickEvery)
+				ticker.Reset(every)
 			}
 		}
 		n.release(false)

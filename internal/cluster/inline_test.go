@@ -198,7 +198,7 @@ func TestCloseRacesDispatch(t *testing.T) {
 	tr := &recTransport{}
 	sn := NewShardedNode(ShardedConfig{
 		ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-		Shards: 2, MLT: time.Hour, TickEvery: time.Millisecond,
+		Shards: 2, MLT: time.Hour,
 	}, tr)
 	t.Cleanup(sn.Close)
 

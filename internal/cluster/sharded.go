@@ -94,18 +94,19 @@ type ShardedNode struct {
 // ShardedConfig parameterizes a live replica. Shards is the worker count W
 // (values < 1 become 1, so the zero value is a plain single-engine node).
 type ShardedConfig struct {
-	ID    proto.NodeID
-	View  proto.View
-	MLT   time.Duration // message-loss timeout (default 20ms)
-	NoLSC bool          // §8 clock-free reads (see core.Config)
-	// TickEvery is the protocol timer granularity (default 1ms, the Go
-	// runtime's idle timer resolution). It also bounds how long a VAL with
-	// no INV or ACK to ride waits in the egress (shardhost.Egress), so how
-	// long an idle follower sees a committed key as Invalid. A shard whose
-	// engine has nothing armed and whose egress holds nothing does not tick.
-	TickEvery time.Duration
-	Shards    int
+	ID     proto.NodeID
+	View   proto.View
+	MLT    time.Duration // message-loss timeout (default 20ms)
+	NoLSC  bool          // §8 clock-free reads (see core.Config)
+	Shards int
 }
+
+// tickEvery is the protocol timer granularity: the Go runtime's idle timer
+// resolution. It also bounds how long a VAL with no INV or ACK to ride waits
+// in the egress (shardhost.Egress), so how long an idle follower sees a
+// committed key as Invalid. A shard whose engine has nothing armed and whose
+// egress holds nothing does not tick.
+const tickEvery = time.Millisecond
 
 // DefaultShards picks a worker count for deployments that do not choose one:
 // one shard per CPU, capped — the paper's testbed runs ~20 worker threads
@@ -133,14 +134,17 @@ func (sn *ShardedNode) CoalesceStats() (batches, coalesced, singles, dropped uin
 // NewShardedNode builds and starts a live Hermes replica with cfg.Shards
 // engines on tr.
 func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
+	return newShardedNode(cfg, tr, tickEvery)
+}
+
+// newShardedNode is NewShardedNode with its shards ticking every tick (a test
+// that needs a silent ticker passes an hour).
+func newShardedNode(cfg ShardedConfig, tr Transport, tick time.Duration) *ShardedNode {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
 	if cfg.MLT <= 0 {
 		cfg.MLT = 20 * time.Millisecond
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = time.Millisecond
 	}
 	sn := &ShardedNode{
 		id:      cfg.ID,
@@ -152,7 +156,7 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 		ctlDone: make(chan struct{}),
 	}
 	for i := 0; i < sn.w; i++ {
-		sn.shards = append(sn.shards, newShard(cfg, sn, i))
+		sn.shards = append(sn.shards, newShard(cfg, sn, i, tick))
 	}
 	sn.drv = hostDriver{sn}
 	sn.host = shardhost.New(cfg.ID, sn.w, cfg.View, cfg.MLT, sn.drv)

@@ -138,7 +138,6 @@ type Hermes struct {
 	fetchBusy    bool
 	fetchRetryAt time.Duration
 	fetchDone    bool
-	onCaughtUp   func() // invoked once the datastore has been reconstructed
 }
 
 type specRead struct {
@@ -292,10 +291,6 @@ func (h *Hermes) SetNoLSC(on bool) {
 	h.cfg.NoLSC = on
 	h.publishGate()
 }
-
-// SetOnCaughtUp registers a callback fired when a learner finishes state
-// transfer and is ready to be promoted to a serving member.
-func (h *Hermes) SetOnCaughtUp(fn func()) { h.onCaughtUp = fn }
 
 // entry fetches the key's record; missing keys read as Valid with a zero
 // timestamp and nil value (the store's implicit initial state). It
@@ -1201,9 +1196,6 @@ func (h *Hermes) onChunkResp(from proto.NodeID, resp ChunkResp) {
 		// (the learner serves no reads until the promoting m-update), but
 		// the transition is the documented republication point.
 		h.publishGate()
-		if h.onCaughtUp != nil {
-			h.onCaughtUp()
-		}
 	}
 }
 

@@ -369,11 +369,14 @@ func TestHermesPartitionPrimarySideContinues(t *testing.T) {
 			LeaseDur:       time.Millisecond,
 		},
 	})
-	// Cut {3,4} from {0,1,2} at t=1ms.
+	// Cut {3,4} from {0,1,2} at t=1ms, both directions of every link.
 	c.Engine().At(time.Millisecond, func() {
-		c.Network().SetPartition(func(a, b proto.NodeID) bool {
-			return (a >= 3) != (b >= 3)
-		})
+		for _, a := range []proto.NodeID{3, 4} {
+			for _, b := range []proto.NodeID{0, 1, 2} {
+				c.Network().SetLinkBlocked(a, b, true)
+				c.Network().SetLinkBlocked(b, a, true)
+			}
+		}
 	})
 	c.Engine().RunUntil(15 * time.Millisecond)
 	if c.ViewChanges == 0 {

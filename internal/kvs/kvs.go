@@ -29,7 +29,7 @@
 // are equal and not busy. An inline value is therefore read as word → meta and
 // value words → word, writing no shared memory; a larger value is read as
 // word → entry → pin its owner → word. The lock-free local-read fast path
-// (GetValid, GetValidInto) refuses a busy or non-Valid word before touching
+// (GetValidInto) refuses a busy or non-Valid word before touching
 // the record, so local linearizable reads never enter the protocol's critical
 // path and never spin.
 //
@@ -94,11 +94,8 @@ func (s KeyState) String() string {
 	}
 }
 
-// Readable reports whether a local linearizable read may be served.
-func (s KeyState) Readable() bool { return s == Valid }
-
 // Entry is a snapshot of one key's replicated record: what Update takes and
-// the views (Load, Get, GetRetained, GetValid, Range) return. A slot
+// the views (Load, Get, GetRetained, Range) return. A slot
 // publishes an Entry only for a value larger than InlineCap, and such an
 // entry is immutable; Value must not be mutated after Update. A published
 // entry's State is superseded by the slot's state word: readers always get
@@ -534,35 +531,15 @@ func (s *Store) GetRetained(k proto.Key) (Entry, bool) {
 	}
 }
 
-// GetValid is GetRetained for the lock-free local-read fast path, which
-// needs only Valid entries: it returns the key's entry, owner pinned as
-// GetRetained pins it, when the key is Valid, and a zero entry when the key
-// is missing (the store's implicit initial state, Valid with a nil value).
-// ok is false when the key is not Valid or an Update is publishing it; the
-// caller then falls back to the protocol's path. A busy or non-Valid word
-// is refused before the record is touched or its owner pinned, so GetValid
-// never waits for the writer.
-func (s *Store) GetValid(k proto.Key) (Entry, bool) {
-	sl := s.Lookup(k)
-	if sl == nil {
-		return Entry{}, true
-	}
-	for {
-		w := sl.w.Load()
-		if w&wordLow != uint64(Valid) {
-			return Entry{}, false
-		}
-		if e, _, done := sl.read(w, true); done {
-			return e, true
-		}
-	}
-}
-
-// GetValidInto is GetValid without the copy: a Valid inline value is copied
-// into buf and its length returned as n, with v nil; a larger value comes
-// back as v, owner pinned as GetValid pins it. A missing key reads as n 0 and
-// v nil. The inline read writes no shared memory: word, meta and value words,
-// word.
+// GetValidInto is the lock-free local-read fast path, which needs only Valid
+// keys. A Valid inline value is copied into buf and its length returned as
+// n, with v nil; a larger value comes back as v, owner pinned as GetRetained
+// pins it. A missing key (the store's implicit initial state, Valid with a
+// nil value) reads as n 0 and v nil. ok is false when the key is not Valid or
+// an Update is publishing it; the caller then falls back to the protocol's
+// path. A busy or non-Valid word is refused before the record is touched or
+// its owner pinned, so GetValidInto never waits for the writer. The inline
+// read writes no shared memory: word, meta and value words, word.
 func (s *Store) GetValidInto(k proto.Key, buf *[InlineCap]byte) (n int, v proto.Value, owner *refbuf.Buf, ok bool) {
 	sl := s.Lookup(k)
 	if sl == nil {

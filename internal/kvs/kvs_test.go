@@ -69,9 +69,6 @@ func TestKeyStateStrings(t *testing.T) {
 			t.Fatalf("%d.String()=%q", st, st.String())
 		}
 	}
-	if !Valid.Readable() || Invalid.Readable() || Write.Readable() || Replay.Readable() || Trans.Readable() {
-		t.Fatal("Readable wrong: only Valid keys serve local reads")
-	}
 }
 
 func TestRange(t *testing.T) {

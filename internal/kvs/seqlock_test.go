@@ -15,11 +15,13 @@ import (
 
 // TestStateWordStress runs the protocol's write shape on one hot key — Update
 // to Invalid at a new timestamp, commit, SetState(Valid) — against readers on
-// both pinning read paths. A Valid snapshot must never be newer than the last
-// commit (a word published ahead of its entry, or a state flip landing on the
-// wrong entry, would show one), an owned value must stay pinned and intact
-// while the reader holds it, and every reference must be back in the pool at
-// the end. Run under -race it also checks the word's happens-before edges.
+// both pinning read paths, GetRetained and GetValidInto. Each value opens
+// with the version that wrote it, so the fast path's read, which returns no
+// timestamp, is checked like the other. A Valid snapshot must never be newer
+// than the last commit (a word published ahead of its entry, or a state flip
+// landing on the wrong entry, would show one), an owned value must stay
+// pinned and intact while the reader holds it, and every reference must be
+// back in the pool at the end. Run under -race it also checks the word's happens-before edges.
 func TestStateWordStress(t *testing.T) {
 	st := New(4)
 	pool := refbuf.NewPool()
@@ -31,7 +33,8 @@ func TestStateWordStress(t *testing.T) {
 	put := func(v uint32, state KeyState) {
 		fb := pool.Get(valLen)
 		b := fb.Bytes()[0:valLen:valLen]
-		for i := range b {
+		binary.LittleEndian.PutUint32(b, v)
+		for i := 4; i < len(b); i++ {
 			b[i] = fill(v)
 		}
 		st.Update(key, Entry{Value: b, TS: proto.TS{Version: v}, State: state, Owner: fb})
@@ -67,7 +70,10 @@ func TestStateWordStress(t *testing.T) {
 		if e.Owner.Refs() < 1 {
 			bad.Add(1)
 		}
-		for _, c := range e.Value {
+		if binary.LittleEndian.Uint32(e.Value) != e.TS.Version {
+			bad.Add(1)
+		}
+		for _, c := range e.Value[4:] {
 			if c != fill(e.TS.Version) {
 				bad.Add(1)
 				break
@@ -80,16 +86,18 @@ func TestStateWordStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var buf [InlineCap]byte
 			for !stop.Load() {
 				if r%2 == 0 {
 					if e, ok := st.GetRetained(key); ok {
 						check(e)
 					}
-				} else if e, ok := st.GetValid(key); ok {
-					if e.State != Valid {
-						bad.Add(1)
+				} else if n, v, owner, ok := st.GetValidInto(key, &buf); ok {
+					if n != 0 || len(v) != valLen {
+						bad.Add(1) // every value in this test is entry-held
+						continue
 					}
-					check(e)
+					check(Entry{Value: v, TS: proto.TS{Version: binary.LittleEndian.Uint32(v)}, State: Valid, Owner: owner})
 				}
 			}
 		}(r)
@@ -108,31 +116,32 @@ func TestStateWordStress(t *testing.T) {
 	}
 }
 
-// TestGetValidRefuses: the fast path's read reports a missing key as the
+// TestGetValidIntoRefuses: the fast path's read reports a missing key as the
 // implicit Valid initial state, serves a Valid key, and refuses a non-Valid
 // one without pinning its owner.
-func TestGetValidRefuses(t *testing.T) {
+func TestGetValidIntoRefuses(t *testing.T) {
 	st := New(4)
-	if e, ok := st.GetValid(3); !ok || e.Value != nil {
-		t.Fatalf("missing key: %+v ok=%v, want the zero entry", e, ok)
+	var buf [InlineCap]byte
+	if n, v, owner, ok := st.GetValidInto(3, &buf); !ok || n != 0 || v != nil || owner != nil {
+		t.Fatalf("missing key: n=%d v=%v owner=%v ok=%v, want the empty value", n, v, owner, ok)
 	}
 	// Above InlineCap, so the value is entry-held and its owner pinned.
 	val := bytes.Repeat([]byte("v"), InlineCap+1)
 	fb := refbuf.NewPool().Get(len(val))
 	copy(fb.Bytes(), val)
 	st.Update(3, Entry{Value: fb.Bytes()[0:len(val):len(val)], TS: proto.TS{Version: 2}, State: Invalid, Owner: fb})
-	if _, ok := st.GetValid(3); ok {
-		t.Fatal("GetValid served an Invalid key")
+	if _, _, _, ok := st.GetValidInto(3, &buf); ok {
+		t.Fatal("GetValidInto served an Invalid key")
 	}
 	if got := fb.Refs(); got != 1 {
 		t.Fatalf("refs after a refused read = %d, want 1", got)
 	}
 	st.SetState(3, Valid)
-	e, ok := st.GetValid(3)
-	if !ok || e.State != Valid || !bytes.Equal(e.Value, val) || e.Owner != fb || fb.Refs() != 2 {
-		t.Fatalf("Valid key: %+v ok=%v refs=%d", e, ok, fb.Refs())
+	n, v, owner, ok := st.GetValidInto(3, &buf)
+	if !ok || n != 0 || !bytes.Equal(v, val) || owner != fb || fb.Refs() != 2 {
+		t.Fatalf("Valid key: n=%d v=%q owner=%v ok=%v refs=%d", n, v, owner, ok, fb.Refs())
 	}
-	e.Owner.Release()
+	owner.Release()
 }
 
 // TestSetStateAllocatesNothing: a state change is one store of the slot's
@@ -206,7 +215,7 @@ func TestSlotsAreCacheLineAligned(t *testing.T) {
 // Update to Invalid at a new timestamp, commit, SetState(Valid), with values
 // of 8 to 32 bytes whose every 8-byte word holds the version that wrote it
 // and whose length follows from that version. It runs once per read path —
-// GetValid, GetRetained, GetValidInto — with every reader on that path. A
+// GetRetained, GetValidInto — with every reader on that path. A
 // torn read (words from two versions, a length from another version than
 // the words, a timestamp that does not match the value) or a Valid read
 // newer than the last commit fails it.
@@ -234,10 +243,6 @@ func TestInlineWordStress(t *testing.T) {
 		name string
 		read func(st *Store, k proto.Key, buf *[InlineCap]byte) (val []byte, valid bool, ts int64, ok bool)
 	}{
-		{"GetValid", func(st *Store, k proto.Key, _ *[InlineCap]byte) ([]byte, bool, int64, bool) {
-			e, ok := st.GetValid(k)
-			return e.Value, e.State == Valid, int64(e.TS.Version), ok
-		}},
 		{"GetRetained", func(st *Store, k proto.Key, _ *[InlineCap]byte) ([]byte, bool, int64, bool) {
 			e, ok := st.GetRetained(k)
 			return e.Value, e.State == Valid, int64(e.TS.Version), ok

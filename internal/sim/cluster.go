@@ -94,9 +94,8 @@ type host struct {
 	busyUntil []time.Duration
 	crashed   bool
 	// Busy accumulates CPU time consumed across all workers, for
-	// utilization accounting; WorkerBusy breaks it out per worker.
-	Busy       time.Duration
-	WorkerBusy []time.Duration
+	// utilization accounting.
+	Busy time.Duration
 	// Clock skew: the time this host's protocol code observes is
 	// skewAccum + (engineNow - skewBase) * skewRate. Rate 1 is nominal;
 	// SetClockRate re-bases so perceived time stays continuous and (for
@@ -176,9 +175,8 @@ func New(cfg Config) *Cluster {
 
 	for _, id := range members {
 		h := &host{c: c, id: id,
-			busyUntil:  make([]time.Duration, cfg.Workers),
-			WorkerBusy: make([]time.Duration, cfg.Workers),
-			skewRate:   1,
+			busyUntil: make([]time.Duration, cfg.Workers),
+			skewRate:  1,
 		}
 		env := hostEnv{h: h}
 		h.rep = cfg.Factory(id, c.view, env)
@@ -283,7 +281,6 @@ func (h *host) exec(w int, cost time.Duration, fn func()) {
 	}
 	h.busyUntil[w] = start + cost
 	h.Busy += cost
-	h.WorkerBusy[w] += cost
 	h.c.eng.At(h.busyUntil[w], func() {
 		if !h.crashed {
 			fn()
@@ -390,23 +387,6 @@ func (c *Cluster) Utilization() []float64 {
 	out := make([]float64, len(c.hosts))
 	for i, h := range c.hosts {
 		out[i] = float64(h.Busy) / float64(el) / float64(c.cfg.Workers)
-	}
-	return out
-}
-
-// WorkerUtilization returns, per host, each worker's busy fraction —
-// exposing shard load (im)balance.
-func (c *Cluster) WorkerUtilization() [][]float64 {
-	el := c.eng.Now()
-	out := make([][]float64, len(c.hosts))
-	for i, h := range c.hosts {
-		out[i] = make([]float64, len(h.WorkerBusy))
-		if el == 0 {
-			continue
-		}
-		for w, b := range h.WorkerBusy {
-			out[i][w] = float64(b) / float64(el)
-		}
 	}
 	return out
 }

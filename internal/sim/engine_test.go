@@ -134,14 +134,21 @@ func TestNetworkPartition(t *testing.T) {
 	got := 0
 	n := NewNetwork(NetConfig{BaseLatency: time.Microsecond}, e, 1,
 		func(to, from proto.NodeID, msg any, bytes int) { got++ })
-	n.SetPartition(func(a, b proto.NodeID) bool { return (a == 0) != (b == 0) })
+	// {0} | {1, 2}: both directions of every link across the cut.
+	partition := func(blocked bool) {
+		for _, b := range []proto.NodeID{1, 2} {
+			n.SetLinkBlocked(0, b, blocked)
+			n.SetLinkBlocked(b, 0, blocked)
+		}
+	}
+	partition(true)
 	n.Send(0, 1, "blocked", 0)
 	n.Send(1, 2, "ok", 0)
 	e.RunUntil(time.Millisecond)
 	if got != 1 {
 		t.Fatalf("delivered %d, want only the intra-partition message", got)
 	}
-	n.SetPartition(nil)
+	partition(false)
 	n.Send(0, 1, "healed", 0)
 	e.RunUntil(2 * time.Millisecond)
 	if got != 2 {

@@ -10,7 +10,7 @@ import (
 // NetConfig models an intra-datacenter fabric. Defaults approximate the
 // paper's InfiniBand testbed shape: microsecond-scale base latency with
 // exponential jitter. Loss, duplication and reordering (via jitter) model
-// the "imperfect links" of §3.4; Partitioned models link failures.
+// the "imperfect links" of §3.4; Network.SetLinkBlocked models link failures.
 type NetConfig struct {
 	// BaseLatency is the one-way propagation+switching delay.
 	BaseLatency time.Duration
@@ -45,11 +45,10 @@ type Network struct {
 	cfg NetConfig
 	eng *Engine
 	rng *rand.Rand
-	// blocked reports whether traffic a->b is cut (partition). Nil = never.
-	blocked func(a, b proto.NodeID) bool
-	// cut holds directed link cuts installed by SetLinkBlocked; unlike the
-	// blocked predicate these are mutated incrementally, so a chaos schedule
-	// can open A->B while B->A stays clean (gray asymmetric partition).
+	// cut holds the directed link cuts installed by SetLinkBlocked. A
+	// partition is a cut in both directions of every link across it; a
+	// chaos schedule can also cut A->B while B->A stays clean (gray
+	// asymmetric partition).
 	cut map[linkKey]struct{}
 	// slow holds per-node latency multipliers (slow-but-alive nodes). A
 	// message is stretched by the largest factor among its two endpoints.
@@ -68,9 +67,6 @@ func NewNetwork(cfg NetConfig, eng *Engine, seed int64,
 	deliver func(to, from proto.NodeID, msg any, bytes int)) *Network {
 	return &Network{cfg: cfg, eng: eng, rng: rand.New(rand.NewSource(seed)), deliver: deliver}
 }
-
-// SetPartition installs (or clears, with nil) the partition predicate.
-func (n *Network) SetPartition(blocked func(a, b proto.NodeID) bool) { n.blocked = blocked }
 
 // SetLinkBlocked cuts (or heals) the directed link from->to. The reverse
 // direction is untouched, so a one-way cut leaves from able to hear to while
@@ -109,10 +105,6 @@ func (n *Network) Send(from, to proto.NodeID, msg any, bytes int) {
 		n.Msgs += uint64(len(sb.Msgs))
 	} else {
 		n.Msgs++
-	}
-	if n.blocked != nil && n.blocked(from, to) {
-		n.Dropped++
-		return
 	}
 	if _, cut := n.cut[linkKey{from, to}]; cut {
 		n.Dropped++

@@ -186,7 +186,7 @@ func TestNoEventLoopBlocksOnAPeer(t *testing.T) {
 				tr := &sendCounter{Mesh: m}
 				node := cluster.NewShardedNode(cluster.ShardedConfig{
 					ID: 0, View: proto.View{Epoch: 1, Members: []proto.NodeID{0, 1}},
-					MLT: 5 * time.Millisecond, TickEvery: time.Millisecond, Shards: w,
+					MLT: 5 * time.Millisecond, Shards: w,
 				}, tr)
 				defer node.Close()
 

@@ -80,8 +80,8 @@ func sliceWithin(sub, outer []byte) bool {
 // whose second entry cannot be encoded fails after the first entry's INV (and
 // its frame reference) entered appendMsg. Send owns the references on every
 // path, so the failure must release them exactly once — refs hit zero, no
-// panic from a double release — refund what Send debited, and leave the link
-// usable.
+// panic from a double release — refund what Send debited exactly once, and
+// leave the link usable.
 func TestSendReleasesOwnersOnEncodeError(t *testing.T) {
 	var sink bytes.Buffer
 	l := NewLink(&sink, LinkConfig{Credits: 4})
@@ -105,6 +105,14 @@ func TestSendReleasesOwnersOnEncodeError(t *testing.T) {
 		}
 		if st := l.Stats(); st.CreditsRefunded != 1 {
 			t.Fatalf("CreditsRefunded = %d after %d encode failures: %+v", st.CreditsRefunded, i+1, st)
+		}
+		// The counter says a refund happened; the window says it happened
+		// exactly once. A dropped refund leaves it short, a doubled one long.
+		l.mu.Lock()
+		credits := l.credits
+		l.mu.Unlock()
+		if credits != l.cfg.Credits {
+			t.Fatalf("window = %d credits after %d encode failures, want %d", credits, i+1, l.cfg.Credits)
 		}
 	}
 	// The failure must not have corrupted the pending queue or the window.
