@@ -195,12 +195,12 @@ func registered(name string) bool {
 	return false
 }
 
-// filterIgnored splits diagnostics into kept and suppressed — a directive
-// on the same line or the line immediately above suppresses, and is marked
+// filterIgnored drops the diagnostics an ignore directive suppresses — one
+// on the same line or the line immediately above — and marks the directive
 // used.
-func filterIgnored(diags []Diagnostic, dirs []*ignoreDirective) (kept, suppressed []Diagnostic) {
+func filterIgnored(diags []Diagnostic, dirs []*ignoreDirective) (kept []Diagnostic) {
 	if len(dirs) == 0 {
-		return diags, nil
+		return diags
 	}
 	byLine := map[string]map[int][]*ignoreDirective{}
 	for _, d := range dirs {
@@ -219,13 +219,11 @@ func filterIgnored(diags []Diagnostic, dirs []*ignoreDirective) (kept, suppresse
 				}
 			}
 		}
-		if hit {
-			suppressed = append(suppressed, dg)
-		} else {
+		if !hit {
 			kept = append(kept, dg)
 		}
 	}
-	return kept, suppressed
+	return kept
 }
 
 // directiveDiagnostics reports malformed directives (once per package, not
@@ -279,21 +277,9 @@ func directiveDiagnostics(dirs []*ignoreDirective, ranAnalyzers []*Analyzer) []D
 	return out
 }
 
-// VetResult is one package's full analyzer outcome: the surviving findings
-// and the ones an ignore directive suppressed.
-type VetResult struct {
-	Kept       []Diagnostic
-	Suppressed []Diagnostic
-}
-
 // RunAnalyzers executes the analyzers over one loaded package and returns
 // the surviving (non-ignored) diagnostics in file/line order.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunAnalyzersDetail(pkg, analyzers).Kept
-}
-
-// RunAnalyzersDetail is RunAnalyzers keeping the suppressed findings too.
-func RunAnalyzersDetail(pkg *Package, analyzers []*Analyzer) VetResult {
 	dirs := parseDirectives(pkg.Fset, pkg.Files)
 	for _, d := range parseDirectives(pkg.Fset, pkg.TestFiles) {
 		d.fromTest = true
@@ -316,11 +302,10 @@ func RunAnalyzersDetail(pkg *Package, analyzers []*Analyzer) VetResult {
 		a.Run(pass)
 		all = append(all, diags...)
 	}
-	kept, suppressed := filterIgnored(all, dirs)
+	kept := filterIgnored(all, dirs)
 	kept = append(kept, directiveDiagnostics(dirs, analyzers)...)
 	sortDiags(kept)
-	sortDiags(suppressed)
-	return VetResult{Kept: kept, Suppressed: suppressed}
+	return kept
 }
 
 func sortDiags(all []Diagnostic) {

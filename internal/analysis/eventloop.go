@@ -19,8 +19,9 @@ import (
 //     name contains "Env" or "Transport" — the Transport implementations
 //     and the engine's clock and completion sink, which handler code calls
 //     back into — handOff, which ends every burst of turns, and kick, the
-//     burst a transport pump runs inline on arrival: a turn blocked there
-//     stalls the whole stream of the peer behind it, not only the shard;
+//     burst a transport pump runs inline on arrival and a serving session
+//     at a request frame's end: a turn blocked there stalls the whole stream
+//     of the peer or client behind it, not only the shard;
 //   - in a package named "shardhost": Send, Flush and FlushAll on Egress,
 //     the stager every shard engine has as its proto.Env. Send stages or puts
 //     a message on the wire from handler code, and Flush and FlushAll are the

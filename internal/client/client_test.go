@@ -103,7 +103,7 @@ func (fs *fakeServer) serve(conn net.Conn) {
 		}
 		_, err = conn.Write(buf)
 		return err
-	})
+	}, nil)
 }
 
 func readFull(conn net.Conn, b []byte) (int, error) {

@@ -293,7 +293,7 @@ func TestBurstWindowsKeepArrivalOrder(t *testing.T) {
 	for i, k := range keys {
 		sn.dispatch(1, proto.ShardMsg{Shard: shard, Msg: peerINV(k)})
 		op := proto.ClientOp{Kind: proto.OpRead, Key: proto.Key(1000 + i)}
-		if err := s.submit(context.Background(), op, func(proto.Completion) { ran = append(ran, i); wg.Done() }); err != nil {
+		if err := s.submit(context.Background(), op, func(proto.Completion) { ran = append(ran, i); wg.Done() }, false); err != nil {
 			t.Fatal(err)
 		}
 	}

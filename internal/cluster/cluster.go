@@ -8,12 +8,14 @@
 //
 // Architecture: a replica (ShardedNode) hosts one protocol state machine per
 // shard behind an engine lock: Submit/Deliver/Tick/OnViewChange are never
-// called concurrently on it. Arrivals run where the transport delivers them —
-// the goroutine that decoded a batch takes a free shard's lock and runs its
-// turns on the spot, as HermesKV's workers do (§4.1–4.2) — and each shard's
-// event-loop goroutine runs the rest: ticks, submitted ops, and the arrivals
-// that found the engine held (Shard.kick, Shard.loop). Installs queue with the
-// arrivals and run in their order, wherever those run. Which shard a
+// called concurrently on it. Work runs where it is polled, as HermesKV's
+// workers do (§4.1–4.2): the goroutine that decoded a batch of arrivals takes
+// a free shard's lock and runs their turns on the spot, and so does a serving
+// session for the ops of a request frame, which it submits held and runs at
+// the frame's end (SubmitHeld, RunHeld). Each shard's event-loop goroutine
+// runs the rest: ticks, the ops SubmitAsync and the blocking API queue, and
+// whatever found the engine held (Shard.kick, Shard.loop). Installs queue
+// with the arrivals and run in their order, wherever those run. Which shard a
 // message belongs to, what an m-update installs where, the view log, the
 // staggered roll of node-wide views, epoch gossip and how an engine's sends
 // are staged into batches are internal/shardhost's — the code the simulator
@@ -21,8 +23,8 @@
 // (ShardedNode.control), and every burst of turns ends by flushing its
 // engine's stager (Shard.handOff). Local linearizable reads take the HermesKV
 // fast path (§4.1): gated by core.ReadGate they consult the shared kvs.Store
-// directly on the caller's goroutine, and only enter the event loop when the
-// key is not Valid, the gate is shut (view installation in flight,
+// directly on the caller's goroutine, and are only submitted when the key is
+// not Valid, the gate is shut (view installation in flight,
 // non-serving replica) or NoLSC mode demands the §8 speculative path.
 package cluster
 
@@ -178,14 +180,15 @@ func (t *ChanTransport) Close() error {
 // messages leave through its shardhost.Egress, the engine's Env.
 //
 // The engine lock decides who runs the engine's turns: the transport pump
-// delivering a batch of arrivals, when the lock is free (kick), or the
-// shard's event-loop goroutine (loop), which keeps the ticks, the submitted
-// ops, an inbox that overflowed and the stop. Installs travel on the inbox
-// (installMsg), so they run in order with the arrivals around them, on
-// whichever goroutine holds the engine. Whoever holds the lock re-checks the
-// queues after releasing it and rings the loop's bell if work arrived
-// meanwhile (release), so a deliverer that finds the lock taken leaves its
-// arrivals to the holder.
+// delivering a batch of arrivals or the serving session ending a request
+// frame, when the lock is free (kick), or the shard's event-loop goroutine
+// (loop), which keeps the ticks, the ops SubmitAsync queues, what found the
+// engine held and the stop. Installs travel on the inbox (installMsg), so
+// they run in order with the arrivals around them, on whichever goroutine
+// holds the engine. Whoever holds the lock re-checks the queues after
+// releasing it and rings the loop's bell if work arrived meanwhile (release),
+// so a deliverer or session that finds the lock taken leaves its arrivals or
+// ops to the holder.
 type Shard struct {
 	id     proto.NodeID
 	sn     *ShardedNode
@@ -239,8 +242,8 @@ type burstWin struct {
 // full reports whether the window holds burstWindow entries.
 func (w *burstWin) full() bool { return w.nm+w.no == burstWindow }
 
-// submitted is one client op on its way to the event loop, carrying the
-// callback its completion goes to.
+// submitted is one client op on its way to the engine, carrying the callback
+// its completion goes to.
 type submitted struct {
 	op   proto.ClientOp
 	done func(proto.Completion)
@@ -305,34 +308,37 @@ func (n *Shard) deliver(from proto.NodeID, msg any) {
 	}
 }
 
-// kick runs the queued arrivals on the calling goroutine — a transport pump,
-// inside dispatch — as one burst, when nobody holds the engine; when someone
-// does, that holder passes them on (release). HermesKV's workers run a
-// message's handler where they poll it off the wire (paper §4.1–4.2); so does
-// this, and an arrival costs no event-loop wake-up.
+// kick runs what is queued — arrivals and submitted ops — on the calling
+// goroutine as one burst, when nobody holds the engine; when someone does,
+// that holder passes it on (release). The caller is a transport pump inside
+// dispatch, or a serving session at the end of a request frame (RunHeld).
+// HermesKV's workers run a request where they poll it (paper §4.1–4.2); so
+// does this, and neither an arrival nor a frame's ops cost an event-loop
+// wake-up.
 func (n *Shard) kick() {
-	if len(n.msgs) == 0 || !n.engine.TryLock() {
+	if len(n.msgs)+len(n.ops) == 0 || !n.engine.TryLock() {
 		return
 	}
 	armed := false
 	if n.stopped() {
 		n.discard()
 	} else {
-		n.burst(0)
+		n.burst(len(n.ops))
 		n.handOff(false)
 		armed = n.untimed && !n.idle()
 	}
 	n.release(armed)
 }
 
-// release unlocks the engine and passes on what arrived while it was held —
-// queued by deliverers whose TryLock failed, or submitted — by ringing the
-// loop's bell; ring asks for the bell regardless (a turn armed a timer the
-// stopped ticker would miss). Once the shard has stopped there is no loop to
-// ring, so the releaser discards what is queued itself, for as long as it
-// can take the lock back; a holder that beat it to the lock re-checks in
-// turn. A deliverer queues before it tries the lock and a holder looks after
-// it unlocks, so one of the two always sees the arrival.
+// release unlocks the engine and passes on what was queued while it was held
+// — by deliverers and sessions whose TryLock failed, or by SubmitAsync — by
+// ringing the loop's bell; ring asks for the bell regardless (a turn armed a
+// timer the stopped ticker would miss). Once the shard has stopped there is
+// no loop to ring, so the releaser discards what is queued itself, for as
+// long as it can take the lock back; a holder that beat it to the lock
+// re-checks in turn. A deliverer or session queues before it tries the lock
+// and a holder looks after it unlocks, so one of the two always sees the
+// arrival or op.
 func (n *Shard) release(ring bool) {
 	for {
 		n.engine.Unlock()
@@ -378,9 +384,10 @@ func (n *Shard) idle() bool { return n.h.Idle() && !n.out.Holding() }
 // turn if the ticker woke it, then one burst of the queued messages and ops,
 // and ends with the hand-off: everything staged leaves, VALs waiting for
 // company too after a tick (handOff). Arrivals mostly run on the pumps that
-// deliver them (kick); the loop takes those that found the engine held. It
-// stops its ticker while the engine is idle and the egress holds nothing,
-// and restarts it when a turn arms a timer again.
+// deliver them and a served frame's ops on its session (kick); the loop takes
+// what found the engine held, and the ops SubmitAsync queues. It stops its
+// ticker while the engine is idle and the egress holds nothing, and restarts
+// it when a turn arms a timer again.
 func (n *Shard) loop(every time.Duration) {
 	defer n.wg.Done()
 	ticker := time.NewTicker(every)
@@ -417,10 +424,10 @@ func (n *Shard) loop(every time.Duration) {
 
 // burst is a burst machine's turns in the manner of the paper's Wings
 // workers (§4.2): everything that was queued when it starts — the messages,
-// and the first ops of the ops queue, the loop's only — runs one engine turn
-// each. Batching is opportunistic: a burst is what was queued, never waited
-// for, and that bound is also what keeps the tick and the stop reachable
-// under a producer that never lets the inbox run dry. The caller sends what
+// and the first queuedOps ops of the ops queue — runs one engine turn each.
+// Batching is opportunistic: a burst is what was queued, never waited for,
+// and that bound is also what keeps the tick and the stop reachable under a
+// producer that never lets the inbox run dry. The caller sends what
 // the turns staged when it returns (handOff).
 //
 // A burst runs in windows of at most burstWindow entries. Each window is
@@ -620,10 +627,14 @@ var ErrAborted = errors.New("cluster: rmw aborted by concurrent update")
 // ErrNotOperational reports a replica without a valid membership lease.
 var ErrNotOperational = errors.New("cluster: replica not operational")
 
-// submit assigns op its ID and queues it for the event loop together with
-// the callback its completion goes to. An error means done will never run;
-// nil means it runs exactly once.
-func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.Completion)) error {
+// submit assigns op its ID and queues it together with the callback its
+// completion goes to, then rings the event loop's bell — unless held, when the
+// caller runs the queue itself (kick) once it has queued the rest of its
+// batch. A submitter that finds the queue full rings before it waits: only a
+// holder of the engine drains the queue, and a held submitter has no other
+// ring coming. An error means done will never run; nil means it runs exactly
+// once.
+func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.Completion), held bool) error {
 	// Checked first: ops is buffered, so once the loop has exited a send
 	// would succeed into a queue nobody reads.
 	select {
@@ -639,6 +650,7 @@ func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.C
 	select {
 	case n.ops <- s: // room in the queue, the usual case: no three-way select
 	default:
+		n.ring()
 		select {
 		case n.ops <- s:
 		case <-ctx.Done():
@@ -647,7 +659,9 @@ func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.C
 			return ErrClosed
 		}
 	}
-	n.ring()
+	if !held {
+		n.ring()
+	}
 	// The stop signal may have fired between the check above and the enqueue,
 	// and the loop's parting sweep may have run before the op landed. If the
 	// signal is up, wait the loop out and sweep again: whatever is queued then
@@ -682,7 +696,7 @@ var opSinks = sync.Pool{
 
 func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
 	sink := opSinks.Get().(*opSink)
-	if err := n.submit(ctx, op, sink.done); err != nil {
+	if err := n.submit(ctx, op, sink.done, false); err != nil {
 		opSinks.Put(sink)
 		return proto.Completion{}, err
 	}

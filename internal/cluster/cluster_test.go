@@ -413,7 +413,7 @@ func TestBlockingOpAllocatesNothingOverAsync(t *testing.T) {
 	done := make(chan proto.Completion, 1)
 	fn := func(c proto.Completion) { done <- c }
 	async := best(func() {
-		if err := s.submit(ctx, op, fn); err != nil {
+		if err := s.submit(ctx, op, fn, false); err != nil {
 			t.Fatal(err)
 		}
 		<-done

@@ -30,8 +30,9 @@ import (
 // node-wide views, epoch gossip and each engine's egress stager
 // (shardhost.Egress) — the same code the simulator runs. What this type adds
 // is what only a live runtime has: the goroutines that run each engine's
-// turns — the transport's, for arrivals that find the engine free, and the
-// shard's event loop for the rest — and their burst windows, wall-clock time,
+// turns — the transport's, for arrivals that find the engine free, a serving
+// session's, for the ops of its request frame (RunHeld), and the shard's
+// event loop for the rest — and their burst windows, wall-clock time,
 // one mutex serializing the host's control-plane state and one control-plane
 // goroutine stepping it (control).
 //
@@ -196,15 +197,13 @@ func (sn *ShardedNode) control(gossipEvery time.Duration) {
 
 // dispatch is the transport's arrival callback. Data-plane traffic is routed
 // statelessly — no lock, no allocation — onto the owner shards' inboxes, a
-// batch's messages all queued first; then each shard with arrivals queued
-// runs them as one burst right here, on the transport's goroutine, if its
-// engine lock is free (Shard.kick). Only the node-level membership messages
-// Route declines take ctlMu and reach the host's control plane.
+// batch's messages all queued first; then each shard with work queued runs
+// it as one burst right here, on the transport's goroutine, if its engine
+// lock is free (RunHeld). Only the node-level membership messages Route
+// declines take ctlMu and reach the host's control plane.
 func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
 	if shardhost.Route(sn.w, sn.drv, from, msg) {
-		for _, s := range sn.shards {
-			s.kick()
-		}
+		sn.RunHeld()
 		return
 	}
 	sn.withHost(func(h *shardhost.Host) { h.Dispatch(from, msg, time.Since(sn.start)) })
@@ -381,13 +380,14 @@ func (sn *ShardedNode) Prefetch(keys []proto.Key) {
 	}
 }
 
-// SubmitAsync submits op to its owning shard's event loop and invokes fn
-// with its completion instead of blocking the caller — the pipelined serving
-// layer's path: one session goroutine keeps hundreds of ops in flight
-// without a goroutine per op. fn runs on whichever goroutine runs the turn
-// that completes the op — the shard's event loop, or a transport goroutine
-// delivering the last ACK — and MUST NOT block (enqueue and return; a
-// blocking fn stalls the whole shard, and the peer's stream behind it).
+// SubmitAsync queues op on its owning shard, wakes the shard's event loop to
+// run it, and invokes fn with its completion instead of blocking the caller —
+// the pipelined path: one goroutine keeps hundreds of ops in flight without a
+// goroutine per op. fn runs on whichever goroutine runs the turn that
+// completes the op — the shard's event loop, a transport goroutine delivering
+// the last ACK, or one that runs queued work at its own batch's end (RunHeld)
+// — and MUST NOT block (enqueue and return; a blocking fn stalls the whole
+// shard, and the peer's stream behind it).
 // op.ID is assigned here; the completion's OpID echoes it. Blocks only if
 // the shard's ops queue is full (bounded backpressure on the submitting
 // session, never on other sessions or shards).
@@ -404,7 +404,29 @@ func (sn *ShardedNode) Prefetch(keys []proto.Key) {
 // the call (the serving layer passes the private copy its request decode
 // made). Callers that keep their buffers use Write/CAS/FAA, which clone.
 func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
-	return sn.shardFor(op.Key).submit(context.Background(), op, fn)
+	return sn.shardFor(op.Key).submit(context.Background(), op, fn, false)
+}
+
+// SubmitHeld is SubmitAsync without the wake-up: op waits on its shard's
+// queue for the caller's RunHeld, so a batch of ops — the serving layer's
+// request frame — runs in one burst per shard on the caller's goroutine
+// instead of waking each shard's event loop. fn's contract and the error
+// semantics are SubmitAsync's. A full ops queue wakes the event loop to drain
+// it before the call waits for room, so a batch larger than the queue still
+// completes.
+func (sn *ShardedNode) SubmitHeld(op proto.ClientOp, fn func(proto.Completion)) error {
+	return sn.shardFor(op.Key).submit(context.Background(), op, fn, true)
+}
+
+// RunHeld runs what every shard has queued — the ops SubmitHeld left there,
+// and any arrivals beside them — on the calling goroutine, one burst per
+// shard whose engine is free; a shard whose engine is held is left to its
+// holder, which wakes the event loop for it on release. It never waits.
+// dispatch ends with it too, for the arrivals it queued.
+func (sn *ShardedNode) RunHeld() {
+	for _, s := range sn.shards {
+		s.kick()
+	}
 }
 
 // ReadStats sums the shard engines' read-side counters (total reads,

@@ -10,10 +10,12 @@
 // fast path — a wire read that hits a Valid key never touches any event
 // loop — and writes/RMWs (plus reads that miss the fast path) are submitted
 // asynchronously to the shard engine, whose completion callback enqueues the
-// response. Responses fan back per session through an opportunistic
-// coalescer: whatever completions accumulate while a flush is in flight ship
-// as one frame (the per-peer egress batching of the sharded engine, applied
-// per session).
+// response. A backend that can hold submitted ops (HeldSubmitter) has a
+// request frame's ops queued without a wake-up and run at the frame's end,
+// one burst per shard on the session goroutine. Responses fan back per
+// session through an opportunistic coalescer: whatever completions accumulate
+// while a flush is in flight ship as one frame (the per-peer egress batching
+// of the sharded engine, applied per session).
 //
 // Admission control bounds server memory per session without any shared
 // lock: a session's outstanding count — requests received minus responses
@@ -48,9 +50,21 @@ type Backend interface {
 	// ReadLocal attempts the §4.1 lock-free read on the caller's goroutine;
 	// ok=false means fall back to SubmitAsync.
 	ReadLocal(key proto.Key) (proto.Value, bool)
-	// SubmitAsync hands op to the owning shard's event loop; fn runs on that
-	// loop with the completion and must not block.
+	// SubmitAsync hands op to the owning shard; fn runs with the completion
+	// on whichever goroutine runs the turn that completes it, and must not
+	// block.
 	SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error
+}
+
+// HeldSubmitter is the batched upgrade of Backend.SubmitAsync, detected by
+// type assertion at New: a session submits each op of a request frame with
+// SubmitHeld, which queues it on its shard without waking anything, and
+// calls RunHeld once the frame's last request is handled, which runs every
+// shard's queue on the session goroutine. SubmitHeld's contract is
+// SubmitAsync's otherwise. cluster.ShardedNode implements it.
+type HeldSubmitter interface {
+	SubmitHeld(op proto.ClientOp, fn func(proto.Completion)) error
+	RunHeld()
 }
 
 // RetainedReader is the zero-copy upgrade of Backend.ReadLocal, detected by
@@ -108,12 +122,14 @@ type Config struct {
 // (plain or sharded); construct with New, drive with Serve, stop with Close.
 type Server struct {
 	cfg Config
-	// ir, rr and pf are cfg.Backend's IntoReader, RetainedReader and
-	// Prefetcher upgrades, nil when the backend lacks them (test fakes,
-	// third-party backends, wrappers that only pass RetainedReader on).
+	// ir, rr, pf and hs are cfg.Backend's IntoReader, RetainedReader,
+	// Prefetcher and HeldSubmitter upgrades, nil when the backend lacks them
+	// (test fakes, third-party backends, wrappers that only pass
+	// RetainedReader on).
 	ir IntoReader
 	rr RetainedReader
 	pf Prefetcher
+	hs HeldSubmitter
 
 	mu       sync.Mutex
 	lns      []net.Listener
@@ -144,7 +160,8 @@ func New(cfg Config) *Server {
 	ir, _ := cfg.Backend.(IntoReader)
 	rr, _ := cfg.Backend.(RetainedReader)
 	pf, _ := cfg.Backend.(Prefetcher)
-	return &Server{cfg: cfg, ir: ir, rr: rr, pf: pf, sessions: make(map[*session]struct{})}
+	hs, _ := cfg.Backend.(HeldSubmitter)
+	return &Server{cfg: cfg, ir: ir, rr: rr, pf: pf, hs: hs, sessions: make(map[*session]struct{})}
 }
 
 // ErrServerClosed is returned by Serve after Close.
@@ -308,9 +325,14 @@ func (se *session) run() {
 	if pf := se.srv.pf; pf != nil {
 		prefetch = pf.Prefetch
 	}
+	var runHeld func()
+	if hs := se.srv.hs; hs != nil {
+		runHeld = hs.RunHeld
+	}
 	// Protocol violations (bad frames, anything but a request, the inflight
-	// bound) are terminal here; only the last is counted.
-	if err := wings.ServeClientReqs(se.conn, prefetch, se.handle); errors.Is(err, errTooManyInflight) {
+	// bound) are terminal here; only the last is counted. The frame's held
+	// ops run at its end either way.
+	if err := wings.ServeClientReqs(se.conn, prefetch, se.handle, runHeld); errors.Is(err, errTooManyInflight) {
 		se.srv.killed.Add(1)
 	}
 }
@@ -363,14 +385,19 @@ func (se *session) handle(req *proto.ClientReq) error {
 		}
 	}
 	seq := req.Seq
-	err := se.srv.cfg.Backend.SubmitAsync(proto.ClientOp{
-		Kind: req.Op, Key: req.Key, Value: req.Value, Expected: req.Expected,
-	}, func(c proto.Completion) {
-		// Engine-turn context — the shard's event loop or a transport
-		// goroutine: enqueue-and-return, never block.
+	op := proto.ClientOp{Kind: req.Op, Key: req.Key, Value: req.Value, Expected: req.Expected}
+	done := func(c proto.Completion) {
+		// Engine-turn context — a session, the shard's event loop or a
+		// transport goroutine: enqueue-and-return, never block.
 		// Completion values are safeVal'd by the engine — no owner to carry.
 		se.enqueue(queuedResp{resp: proto.ClientResp{Seq: seq, Status: c.Status, Value: c.Value}})
-	})
+	}
+	var err error
+	if hs := se.srv.hs; hs != nil {
+		err = hs.SubmitHeld(op, done) // run at the frame's end (RunHeld)
+	} else {
+		err = se.srv.cfg.Backend.SubmitAsync(op, done)
+	}
 	if err != nil {
 		// Node shutting down: tell the client to retry elsewhere rather than
 		// cutting the stream mid-pipeline.
@@ -380,8 +407,9 @@ func (se *session) handle(req *proto.ClientReq) error {
 }
 
 // enqueue queues one response and kicks the flusher. Called from the session
-// goroutine (inline reads) and from engine turns (completions), on a shard's
-// event loop or a transport goroutine; never blocks beyond the queue mutex.
+// goroutine (inline reads) and from engine turns (completions) on any
+// goroutine that runs them — a session's, a shard's event loop, a transport
+// pump; never blocks beyond the queue mutex.
 func (se *session) enqueue(qr queuedResp) {
 	se.mu.Lock()
 	if se.dead {

@@ -55,14 +55,23 @@ type holdingNode struct {
 }
 
 func (h *holdingNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion)) error {
+	return h.ShardedNode.SubmitAsync(op, h.hold(op, fn))
+}
+
+func (h *holdingNode) SubmitHeld(op proto.ClientOp, fn func(proto.Completion)) error {
+	return h.ShardedNode.SubmitHeld(op, h.hold(op, fn))
+}
+
+// hold wraps fn so that op's completion waits for release.
+func (h *holdingNode) hold(op proto.ClientOp, fn func(proto.Completion)) func(proto.Completion) {
 	if op.Key >= h.below {
-		return h.ShardedNode.SubmitAsync(op, fn)
+		return fn
 	}
-	return h.ShardedNode.SubmitAsync(op, func(c proto.Completion) {
+	return func(c proto.Completion) {
 		h.mu.Lock()
 		h.held = append(h.held, func() { fn(c) })
 		h.mu.Unlock()
-	})
+	}
 }
 
 // release runs the held completions.

@@ -94,7 +94,7 @@ func BenchmarkServeClientReqs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ServeClientReqs(bytes.NewReader(stream), nil, func(*proto.ClientReq) error { return nil }); err != io.EOF {
+		if err := ServeClientReqs(bytes.NewReader(stream), nil, func(*proto.ClientReq) error { return nil }, nil); err != io.EOF {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -201,9 +202,60 @@ func TestServeClientReqsRejectsCredit(t *testing.T) {
 	frame = append(frame, tCredit)
 	frame = binary.LittleEndian.AppendUint32(frame, 2)
 	frame = binary.LittleEndian.AppendUint16(frame, 8)
-	err := ServeClientReqs(bytes.NewReader(frame), nil, func(*proto.ClientReq) error { return nil })
+	err := ServeClientReqs(bytes.NewReader(frame), nil, func(*proto.ClientReq) error { return nil }, nil)
 	if !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("tCredit on client session: err=%v, want ErrUnknownType", err)
+	}
+}
+
+// The end hook runs once after each frame's requests, also after a frame
+// that fails partway — on a refused entry or on fn's error — before the
+// error ends the stream.
+func TestServeClientReqsEndsEveryFrame(t *testing.T) {
+	req := func(seq uint64) proto.ClientReq {
+		return proto.ClientReq{Seq: seq, Op: proto.OpWrite, Key: proto.Key(seq), Value: []byte("v")}
+	}
+	stream, err := AppendFrame(nil, req(1), req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame whose second entry is a tCredit: its first request is served,
+	// then the stream is refused.
+	start := len(stream)
+	if stream, err = AppendFrame(stream, req(3)); err != nil {
+		t.Fatal(err)
+	}
+	stream = append(stream, tCredit, 2, 0, 0, 0, 8, 0)
+	binary.LittleEndian.PutUint32(stream[start:], uint32(len(stream)-start-4))
+	binary.LittleEndian.PutUint16(stream[start+4:], 2)
+
+	var log []string
+	serve := func(stream []byte, fail uint64) error {
+		log = log[:0]
+		errFail := errors.New("fn failed")
+		err := ServeClientReqs(bytes.NewReader(stream), nil, func(m *proto.ClientReq) error {
+			log = append(log, fmt.Sprint(m.Seq))
+			if m.Seq == fail {
+				return errFail
+			}
+			return nil
+		}, func() { log = append(log, "end") })
+		if errors.Is(err, errFail) {
+			return nil
+		}
+		return err
+	}
+	if err := serve(stream, 0); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("serve: %v, want ErrUnknownType", err)
+	}
+	if got, want := fmt.Sprint(log), "[1 2 end 3 end]"; got != want {
+		t.Fatalf("refused entry: calls %s, want %s", got, want)
+	}
+	if err := serve(stream, 1); err != nil {
+		t.Fatalf("serve: %v, want fn's error", err)
+	}
+	if got, want := fmt.Sprint(log), "[1 end]"; got != want {
+		t.Fatalf("fn error: calls %s, want %s", got, want)
 	}
 }
 
@@ -222,7 +274,7 @@ func TestAppendFrameServeClientReqsRoundTrip(t *testing.T) {
 	err = ServeClientReqs(bytes.NewReader(frame), nil, func(m *proto.ClientReq) error {
 		got = append(got, *m)
 		return nil
-	})
+	}, nil)
 	if err != io.EOF {
 		t.Fatalf("serve: %v", err)
 	}
@@ -285,7 +337,7 @@ func TestClientTypedDoorsMatchGenericCodec(t *testing.T) {
 			err = ServeClientReqs(bytes.NewReader(want), nil, func(m *proto.ClientReq) error {
 				typed = append(typed, *m)
 				return nil
-			})
+			}, nil)
 			if err != io.EOF {
 				t.Fatal(err)
 			}

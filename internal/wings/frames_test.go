@@ -473,7 +473,7 @@ func TestServeFramesRawPathMatchesPlain(t *testing.T) {
 		err = ServeClientReqs(r, nil, func(m *proto.ClientReq) error {
 			got = append(got, *m)
 			return nil
-		})
+		}, nil)
 		return got, err
 	}
 	linkMsgs := func(r io.Reader) (got []any, err error) {

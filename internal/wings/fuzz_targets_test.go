@@ -91,9 +91,10 @@ func genericClientReqs(stream []byte) (reqs []proto.ClientReq, err error) {
 // both, at the same message, and what they deliver before that are equal
 // requests. (They differ, by design, in how much of a non-request they read
 // before refusing it: the typed loop its tag, the generic decoder all of it.)
-// The typed loop runs twice, without and with a key hook: the hook changes
-// nothing it delivers or refuses, sees each served request's key before that
-// request is delivered, and sees no other key.
+// The typed loop runs twice, without and with a key hook and an end-of-frame
+// hook: the hooks change nothing it delivers or refuses, the key hook sees
+// each served request's key before that request is delivered and no other
+// key, and the end hook has run after the last delivered request.
 func FuzzClientFrames(f *testing.F) {
 	for _, seed := range clientFrameSeeds(f) {
 		f.Add(seed)
@@ -103,7 +104,7 @@ func FuzzClientFrames(f *testing.F) {
 		typedErr := ServeClientReqs(bytes.NewReader(stream), nil, func(m *proto.ClientReq) error {
 			typed = append(typed, *m)
 			return nil
-		})
+		}, nil)
 		generic, genericErr := genericClientReqs(stream)
 		if (typedErr == io.EOF) != (genericErr == io.EOF) {
 			t.Fatalf("typed loop ended with %v, generic decoder with %v", typedErr, genericErr)
@@ -114,6 +115,7 @@ func FuzzClientFrames(f *testing.F) {
 
 		var hooked []proto.ClientReq
 		var seen []proto.Key
+		ended := 0 // requests delivered when the end hook last ran
 		hookedErr := ServeClientReqs(bytes.NewReader(stream), func(keys []proto.Key) {
 			seen = append(seen, keys...)
 		}, func(m *proto.ClientReq) error {
@@ -122,7 +124,7 @@ func FuzzClientFrames(f *testing.F) {
 			}
 			hooked = append(hooked, *m)
 			return nil
-		})
+		}, func() { ended = len(hooked) })
 		if fmt.Sprint(hookedErr) != fmt.Sprint(typedErr) {
 			t.Fatalf("with the key hook the loop ended with %v, without it with %v", hookedErr, typedErr)
 		}
@@ -131,6 +133,9 @@ func FuzzClientFrames(f *testing.F) {
 		}
 		if len(seen) != len(hooked) {
 			t.Fatalf("the hook saw %d keys for %d served requests: %v", len(seen), len(hooked), seen)
+		}
+		if ended != len(hooked) {
+			t.Fatalf("the end hook last ran after request %d of %d", ended, len(hooked))
 		}
 	})
 }

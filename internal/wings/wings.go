@@ -1235,7 +1235,12 @@ func AppendFrame(buf []byte, msgs ...any) ([]byte, error) {
 // from its store). It sees only keys of requests the decoder accepts: the
 // look-ahead stops at the first entry that would end the stream. The slice
 // is valid until keys returns.
-func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.ClientReq) error) error {
+//
+// end, when non-nil, runs once after each frame's requests have been handed
+// to fn — also after a frame whose decode or fn failed partway, before the
+// error ends the stream — so work fn deferred to the frame's end (the server
+// runs a frame's submitted ops in one burst per shard) is never left behind.
+func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.ClientReq) error, end func()) error {
 	var req proto.ClientReq
 	msg := func(t uint8, body []byte) error {
 		if t != tClientReq {
@@ -1251,7 +1256,11 @@ func ServeClientReqs(rd io.Reader, keys func([]proto.Key), fn func(req *proto.Cl
 		ahead = &keyAhead{fn: keys}
 	}
 	return serveFrames(rd, func(frame []byte) error {
-		return eachMsg(frame, ahead, msg)
+		err := eachMsg(frame, ahead, msg)
+		if end != nil {
+			end()
+		}
+		return err
 	})
 }
 
