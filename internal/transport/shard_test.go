@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,6 +174,48 @@ func TestStrayFramesDoNotCrashNode(t *testing.T) {
 	}
 	for _, n := range nodes {
 		if v, err := n.Read(ctx, k); err != nil || string(v) != "after" {
+			t.Fatalf("node %d: %q %v", n.ID(), v, err)
+		}
+	}
+
+	// A stray that says hello as node 0, a lower ID than node 2's, takes over
+	// the writer of node 2's link to node 0 (and the real node 0, its
+	// connection closed, redials), then closes without a frame. Node 2 forgets
+	// the link the stray left, and its next Send reaches the real node 0.
+	before := meshes[2].writesOn(0)
+	if before == nil {
+		t.Fatal("node 2 has no connection to node 0")
+	}
+	imp, err := net.Dial("tcp", meshes[2].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := imp.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	for meshes[2].writesOn(0) == before {
+		if ctx.Err() != nil {
+			t.Fatal("node 2 never adopted the stray's connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	imp.Close()
+	isImp := func(c net.Conn) bool { return c != nil && c.RemoteAddr().String() == imp.LocalAddr().String() }
+	for slices.ContainsFunc(meshes[2].liveConns(), isImp) {
+		if ctx.Err() != nil {
+			t.Fatal("node 2 kept the closed stray connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if isImp(meshes[2].writesOn(0)) {
+		t.Fatal("node 2 writes to node 0 on the closed stray connection")
+	}
+	const k2 = proto.Key(43)
+	if err := nodes[2].Write(ctx, k2, proto.Value("after stray")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if v, err := n.Read(ctx, k2); err != nil || string(v) != "after stray" {
 			t.Fatalf("node %d: %q %v", n.ID(), v, err)
 		}
 	}
