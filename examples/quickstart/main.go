@@ -56,7 +56,7 @@ func main() {
 	// The wire: front a replica with the TCP serving layer and talk to it
 	// with the pipelined client — the same stack `hermes-node -listen` and
 	// `hermes-cli` run. Reads are still served lock-free, on the server's
-	// session goroutine, without entering a shard event loop.
+	// session goroutine, without taking a shard's engine.
 	srv := server.New(server.Config{Backend: group.Nodes[0]})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

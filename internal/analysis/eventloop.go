@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -17,16 +18,21 @@ import (
 //     transitively);
 //   - in a package named "cluster": Send/Complete methods on types whose
 //     name contains "Env" or "Transport" — the Transport implementations
-//     and the engine's clock and completion sink, which handler code calls
-//     back into — handOff, which ends every burst of turns, and kick, the
-//     burst a transport pump runs inline on arrival and a serving session
-//     at a request frame's end: a turn blocked there stalls the whole stream
-//     of the peer or client behind it, not only the shard;
-//   - in a package named "shardhost": Send, Flush and FlushAll on Egress,
-//     the stager every shard engine has as its proto.Env. Send stages or puts
-//     a message on the wire from handler code, and Flush and FlushAll are the
-//     egress handOff performs. The stager lives outside cluster, and the
-//     analyzer follows same-package edges only, so it is rooted where it is
+//     and the engine's clock, which handler code calls back into — and the
+//     three ways into a shard's turns under its engine lock: kick, the burst
+//     a transport pump runs inline on arrival, a serving session at a
+//     request frame's end and a blocking caller for its own op; release,
+//     which runs the tick the clock owes a held engine; and fallback, the
+//     control goroutine's burst. A turn blocked there stalls the whole stream
+//     of the peer or client behind it, or every shard's clock, not only the
+//     shard;
+//   - in a package named "shardhost": every exported method of Runner,
+//     which drains a shard's queues into windows and runs its turns for both
+//     runtimes, and Send, Flush and FlushAll on Egress, the stager every
+//     shard engine has as its proto.Env: Send stages or puts a message on the
+//     wire from handler code, and Flush and FlushAll are the egress a
+//     Runner's hand-off performs. Both live outside cluster, and the analyzer
+//     follows same-package edges only, so they are rooted where they are
 //     defined.
 //
 // The analyzer is a client of the Engine: it follows the engine's
@@ -82,10 +88,10 @@ func isEventLoopRoot(pkg string, fn *types.Func) bool {
 	case "core":
 		return recv == "Hermes" && coreHandlerNames[name]
 	case "cluster":
-		return name == "handOff" || name == "kick" ||
+		return name == "kick" || name == "release" || name == "fallback" ||
 			(name == "Send" || name == "Complete") && (strings.Contains(recv, "Env") || strings.Contains(recv, "Transport"))
 	case "shardhost":
-		return recv == "Egress" && (name == "Send" || name == "Flush" || name == "FlushAll")
+		return recv == "Runner" && ast.IsExported(name) || recv == "Egress" && (name == "Send" || name == "Flush" || name == "FlushAll")
 	}
 	return false
 }

@@ -1,5 +1,5 @@
 // Golden cases for the eventloop analyzer's cluster roots: Send/Complete on
-// Env and Transport implementations, handOff, and kick.
+// Env and Transport implementations, kick, release and fallback.
 package cluster
 
 import "sync"
@@ -34,20 +34,29 @@ func (t *ChanTransport) Complete(msg any) {
 	t.inbox <- msg //hermesvet:ignore eventloop cap-1 completion channel drained by the sole waiter before reuse
 }
 
-// Shard's handOff ends a burst on the event loop: a root whatever its
-// receiver is called.
+// Shard's release runs the tick owed to a held engine as it lets go: a root
+// whatever its receiver is called.
 type Shard struct {
 	mu    sync.Mutex
 	inbox chan any
+	wake  chan struct{}
 }
 
-func (n *Shard) handOff() {
+func (n *Shard) release() {
 	n.count()
 }
 
 func (n *Shard) count() {
-	n.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: handOff → count\)`
+	n.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: release → count\)`
 	defer n.mu.Unlock()
+}
+
+// fallback is the control goroutine's burst: taking a held engine with Lock
+// would stall every shard's clock behind one holder.
+func (n *Shard) fallback() {
+	n.mu.Lock() // want `sync.Mutex.Lock may block the event loop \(event-loop path: fallback\)`
+	n.mu.Unlock()
+	n.wake <- struct{}{} // want `channel send may block the event loop \(channel not provably buffered here\) \(event-loop path: fallback\)`
 }
 
 // kick runs a burst on the transport pump that delivered it: a root too. The

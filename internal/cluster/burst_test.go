@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 // shardMsgs unpacks one wire send into the shard messages it carries.
@@ -263,7 +264,7 @@ func (c *chunkEcho) Send(from, to proto.NodeID, msg any) {
 		case core.ChunkResp:
 			c.answers.Add(1)
 			select { // never full: a request is taken for every answer
-			case c.inbox <- env{from: to, msg: core.ChunkReq{Epoch: m.Epoch, MaxKeys: 1}}:
+			case c.inbox <- env{From: to, Msg: core.ChunkReq{Epoch: m.Epoch, MaxKeys: 1}}:
 			default:
 			}
 		}
@@ -282,7 +283,7 @@ func TestBurstWindowsKeepArrivalOrder(t *testing.T) {
 	sn, tr := quietNode(t, time.Hour, time.Hour)
 	const shard = 0
 	s := sn.Shard(shard)
-	const burst = 2*burstWindow + 5
+	const burst = 2*shardhost.BurstWindow + 5
 
 	release := wedge(t, sn, shard)
 

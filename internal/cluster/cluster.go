@@ -8,29 +8,33 @@
 //
 // Architecture: a replica (ShardedNode) hosts one protocol state machine per
 // shard behind an engine lock: Submit/Deliver/Tick/OnViewChange are never
-// called concurrently on it. Work runs where it is polled, as HermesKV's
-// workers do (§4.1–4.2): the goroutine that decoded a batch of arrivals takes
-// a free shard's lock and runs their turns on the spot, and so does a serving
-// session for the ops of a request frame, which it submits held and runs at
-// the frame's end (SubmitHeld, RunHeld). Each shard's event-loop goroutine
-// runs the rest: ticks, the ops SubmitAsync and the blocking API queue, and
-// whatever found the engine held (Shard.kick, Shard.loop). Installs queue
-// with the arrivals and run in their order, wherever those run. Which shard a
-// message belongs to, what an m-update installs where, the view log, the
-// staggered roll of node-wide views, epoch gossip and how an engine's sends
-// are staged into batches are internal/shardhost's — the code the simulator
-// runs too; one control-plane goroutine per node steps it
-// (ShardedNode.control), and every burst of turns ends by flushing its
-// engine's stager (Shard.handOff). Local linearizable reads take the HermesKV
-// fast path (§4.1): gated by core.ReadGate they consult the shared kvs.Store
-// directly on the caller's goroutine, and are only submitted when the key is
-// not Valid, the gate is shut (view installation in flight,
-// non-serving replica) or NoLSC mode demands the §8 speculative path.
+// called concurrently on it. Turns run on whoever delivers, submits or ticks,
+// as HermesKV's workers run a request where they poll it (§4.1–4.2), and no
+// shard has a goroutine of its own: the goroutine that decoded a batch of
+// arrivals takes a free shard's lock and runs their turns on the spot, and so
+// does a serving session for the ops of a request frame, which it submits
+// held and runs at the frame's end (SubmitHeld, RunHeld), and a blocking
+// caller for its own op. The node's one control goroutine ticks every shard
+// that has a timer armed and runs what found the engine held, or what
+// SubmitAsync queued (Shard.kick, Shard.fallback). Installs queue with the
+// arrivals and run in their order, wherever those run. Which shard a message
+// belongs to, what an m-update installs where, the view log, the staggered
+// roll of node-wide views, epoch gossip, the burst windows an engine's turns
+// run in (shardhost.Runner) and how its sends are staged into batches are
+// internal/shardhost's — the code the simulator runs too; the control
+// goroutine steps the host (ShardedNode.control), and every burst of turns
+// ends by flushing its engine's stager (shardhost.Runner.HandOff). Local
+// linearizable reads take the HermesKV fast path (§4.1): gated by
+// core.ReadGate they consult the shared kvs.Store directly on the caller's
+// goroutine, and are only submitted when the key is not Valid, the gate is
+// shut (view installation in flight, non-serving replica) or NoLSC mode
+// demands the §8 speculative path.
 package cluster
 
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,10 +92,7 @@ type ChanTransport struct {
 	wg      sync.WaitGroup
 }
 
-type env struct {
-	from proto.NodeID
-	msg  any
-}
+type env = shardhost.Arrival
 
 // NewChanTransport builds a mesh for the given node IDs.
 func NewChanTransport(ids []proto.NodeID) *ChanTransport {
@@ -130,7 +131,7 @@ func (t *ChanTransport) Send(from, to proto.NodeID, msg any) {
 		msg = proto.ShardBatch{Msgs: append([]proto.ShardMsg(nil), sb.Msgs...)}
 	}
 	select {
-	case ch <- env{from: from, msg: msg}:
+	case ch <- env{From: from, Msg: msg}:
 	case <-t.closed:
 	default:
 		// Full inbox: drop (the protocols' retransmission recovers). This
@@ -148,7 +149,7 @@ func (t *ChanTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) 
 		for {
 			select {
 			case e := <-ch:
-				fn(e.from, e.msg)
+				fn(e.From, e.Msg)
 			case <-t.closed:
 				return
 			}
@@ -157,7 +158,7 @@ func (t *ChanTransport) SetDeliver(id proto.NodeID, fn func(proto.NodeID, any)) 
 			// block, and the bound keeps Close reachable under a full inbox.
 			for queued := len(ch); queued > 0; queued-- {
 				e := <-ch
-				fn(e.from, e.msg)
+				fn(e.From, e.Msg)
 			}
 		}
 	}()
@@ -175,30 +176,24 @@ func (t *ChanTransport) Close() error {
 }
 
 // Shard hosts one core.Hermes engine — one keyspace partition of a
-// ShardedNode. It owns no transport-facing dispatch: the node routes arrivals
-// to it (deliver) and runs them where they arrive (kick), and its outgoing
-// messages leave through its shardhost.Egress, the engine's Env.
-//
-// The engine lock decides who runs the engine's turns: the transport pump
-// delivering a batch of arrivals or the serving session ending a request
-// frame, when the lock is free (kick), or the shard's event-loop goroutine
-// (loop), which keeps the ticks, the ops SubmitAsync queues, what found the
-// engine held and the stop. Installs travel on the inbox (installMsg), so
-// they run in order with the arrivals around them, on whichever goroutine
-// holds the engine. Whoever holds the lock re-checks the queues after
-// releasing it and rings the loop's bell if work arrived meanwhile (release),
-// so a deliverer or session that finds the lock taken leaves its arrivals or
-// ops to the holder.
+// ShardedNode — and the shardhost.Runner that runs its turns. It has no
+// goroutine of its own: the node routes arrivals to its inbox (deliver),
+// client ops go on its ops queue (submit), and whoever finds the engine lock
+// free runs what is queued as one burst (kick): the transport pump that
+// delivered arrivals, the serving session ending a request frame, a blocking
+// caller waiting on its op, or the node's control goroutine, which ticks the
+// engine and runs the work that found it held (fallback). Installs travel on
+// the inbox (shardhost.InstallMsg), so they run in order with the arrivals
+// around them, on whichever goroutine holds the engine. Whoever holds the
+// lock re-checks the queues after releasing it and hands what arrived
+// meanwhile to the control goroutine (release), so a deliverer or session
+// that finds the lock taken leaves its work to the holder.
 type Shard struct {
-	id     proto.NodeID
 	sn     *ShardedNode
 	h      *core.Hermes
-	out    *shardhost.Egress
-	ops    chan submitted
+	r      *shardhost.Runner
+	ops    chan shardhost.Op
 	msgs   chan env
-	bell   chan struct{}
-	stop   chan struct{}
-	wg     sync.WaitGroup
 	nextOp atomic.Uint64
 	// updates counts submitted update ops (writes, CAS, FAA); together with
 	// the read counters it is the live load signal the roll orders shards
@@ -206,349 +201,162 @@ type Shard struct {
 	updates atomic.Uint64
 
 	// engine is the engine lock. Its holder alone runs turns and touches h's
-	// state, out, pending, win and untimed.
+	// state and r.
 	engine sync.Mutex
 
-	// pending holds the completion callback of every op the engine has been
-	// handed and not yet completed.
-	pending map[uint64]func(proto.Completion)
-
-	// win is the burst window the holder drains the queues into.
-	win burstWin
-
-	// untimed is set while the loop's ticker is stopped: the engine was idle
-	// and the egress held nothing. A holder whose turns arm something rings
-	// the bell so the loop restarts it.
-	untimed bool
-
-	start time.Time
+	// untimed is set while the engine is idle and its egress holds nothing:
+	// the node's clock skips the shard, and stops while every shard is
+	// untimed. Written by the engine's holder.
+	untimed atomic.Bool
+	// handed is set when queued work was handed to the control goroutine.
+	handed atomic.Bool
+	// tickDue is set while the clock owes the shard a tick: the control
+	// goroutine sets it before it tries the engine, and a holder that finds it
+	// set runs the tick when it lets go (release).
+	tickDue atomic.Bool
 }
 
-// burstWindow bounds the queued messages and ops one window of a burst takes
-// (see Shard.burst). Fixed, so the window's arrays live on the Shard and a
-// burst allocates nothing.
-const burstWindow = 32
+// nodeEnv is the Shard's clock, the shardhost.Base of its runner. Every op is
+// submitted with a callback, which the runner calls, so no completion reaches
+// Complete.
+type nodeEnv struct{ start time.Time }
 
-// burstWin is one window of a burst: msgs[:nm] then ops[:no], in arrival
-// order, and keys, the store keys their turns will resolve.
-type burstWin struct {
-	msgs [burstWindow]env
-	ops  [burstWindow]submitted
-	keys [burstWindow]proto.Key
-	nm   int
-	no   int
-}
+func (e nodeEnv) Now() time.Duration      { return time.Since(e.start) }
+func (nodeEnv) Complete(proto.Completion) {}
 
-// full reports whether the window holds burstWindow entries.
-func (w *burstWin) full() bool { return w.nm+w.no == burstWindow }
-
-// submitted is one client op on its way to the engine, carrying the callback
-// its completion goes to.
-type submitted struct {
-	op   proto.ClientOp
-	done func(proto.Completion)
-}
-
-// nodeEnv is the Shard's clock and completion sink, the shardhost.Base of
-// its egress. Only the holder of the engine lock invokes it.
-type nodeEnv struct{ n *Shard }
-
-func (e nodeEnv) Now() time.Duration { return time.Since(e.n.start) }
-func (e nodeEnv) Complete(c proto.Completion) {
-	// An OpID with no entry is a no-op. done runs here, on whichever
-	// goroutine runs the turn, so it must not block — the contract
-	// SubmitAsync documents.
-	if done := e.n.pending[c.OpID]; done != nil {
-		delete(e.n.pending, c.OpID)
-		done(c)
-	}
-}
-
-// newShard builds and starts shard idx of node sn, ticking every tick.
-func newShard(cfg ShardedConfig, sn *ShardedNode, idx int, tick time.Duration) *Shard {
+// newShard builds shard idx of node sn.
+func newShard(cfg ShardedConfig, sn *ShardedNode, idx int) *Shard {
 	n := &Shard{
-		id:      cfg.ID,
-		sn:      sn,
-		ops:     make(chan submitted, 1024),
-		msgs:    make(chan env, 8192),
-		bell:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		pending: make(map[uint64]func(proto.Completion)),
-		start:   time.Now(),
+		sn:   sn,
+		ops:  make(chan shardhost.Op, 1024),
+		msgs: make(chan env, 8192),
 	}
-	n.out = shardhost.NewEgress(uint16(idx), nodeEnv{n: n}, func(to proto.NodeID, msg any) { sn.tr.Send(sn.id, to, msg) })
-	n.h = core.New(core.Config{
-		ID: cfg.ID, View: cfg.View.Clone(), Env: n.out, Store: kvs.New(64),
-		MLT: cfg.MLT, NoLSC: cfg.NoLSC,
+	wire := func(to proto.NodeID, msg any) { sn.tr.Send(sn.id, to, msg) }
+	n.r = shardhost.NewRunner(uint16(idx), nodeEnv{start: time.Now()}, wire, core.Config{
+		ID: cfg.ID, View: cfg.View.Clone(), Store: kvs.New(64), MLT: cfg.MLT, NoLSC: cfg.NoLSC,
 	})
-	n.wg.Add(1)
-	go n.loop(tick)
+	n.h = n.r.Engine()
 	return n
 }
 
 // deliver queues an arrived protocol message; the dispatch that called it
-// runs it (kick). The inbox almost always has room, so the send is tried on
-// its own first: a lone non-blocking send costs a fraction of a two-way
-// select. A full inbox is the event loop's to drain, so the bell rings before
-// the wait for room.
+// runs it (kick).
 func (n *Shard) deliver(from proto.NodeID, msg any) {
-	e := env{from: from, msg: msg}
-	select {
-	case n.msgs <- e:
-		return
-	default:
-	}
-	n.ring()
-	select {
-	case n.msgs <- e:
-	case <-n.stop:
+	if enqueue(n, context.Background(), n.msgs, env{From: from, Msg: msg}) != nil {
 		// Dropped on shutdown: spend the frame references wings decode
 		// retained for the message's values, like any other drop path.
 		core.ReleaseMsgOwners(msg)
 	}
 }
 
+// enqueue puts x on the shard's queue q. The queue almost always has room,
+// so the send is tried on its own first: a lone non-blocking send costs a
+// fraction of a select. A producer that finds the queue full does not wait
+// on it: only a holder drains the queues, and the producer may be the
+// goroutine a holder hands its work to (runHost's installs run on the
+// control goroutine). It runs the shard's turns itself while the engine is
+// free, and yields to the holder while it is not, until there is room, ctx
+// is done or the node stops.
+func enqueue[T any](n *Shard, ctx context.Context, q chan<- T, x T) error {
+	for {
+		select {
+		case q <- x:
+			return nil
+		default:
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if n.sn.stopped() {
+			return ErrClosed
+		}
+		if !n.run() {
+			runtime.Gosched()
+		}
+	}
+}
+
 // kick runs what is queued — arrivals and submitted ops — on the calling
 // goroutine as one burst, when nobody holds the engine; when someone does,
-// that holder passes it on (release). The caller is a transport pump inside
-// dispatch, or a serving session at the end of a request frame (RunHeld).
-// HermesKV's workers run a request where they poll it (paper §4.1–4.2); so
-// does this, and neither an arrival nor a frame's ops cost an event-loop
-// wake-up.
+// that holder passes it on (release). HermesKV's workers run a request where
+// they poll it (paper §4.1–4.2); so does this: the caller is a transport pump
+// inside dispatch, a serving session at the end of a request frame
+// (RunHeld), or a caller about to wait for its own op or install.
 func (n *Shard) kick() {
-	if len(n.msgs)+len(n.ops) == 0 || !n.engine.TryLock() {
-		return
+	if len(n.msgs)+len(n.ops) > 0 {
+		n.run()
 	}
-	armed := false
-	if n.stopped() {
-		n.discard()
-	} else {
-		n.burst(len(n.ops))
-		n.handOff(false)
-		armed = n.untimed && !n.idle()
+}
+
+// fallback is the control goroutine's turn at the shard: a tick of the
+// clock, if the shard is timed, and the work a holder handed over. It never
+// waits for the engine: a held one is left to its holder, which runs the
+// owed tick and hands the work back when it lets go (release).
+func (n *Shard) fallback(tick bool) {
+	if tick && !n.untimed.Load() {
+		n.tickDue.Store(true)
 	}
-	n.release(armed)
+	if n.handed.Swap(false) || n.tickDue.Load() {
+		n.run()
+	}
+}
+
+// run runs the shard's turns on the calling goroutine and lets go of the
+// engine, if the engine is free, and reports whether it was.
+func (n *Shard) run() bool {
+	if !n.engine.TryLock() {
+		return false
+	}
+	n.turns()
+	n.release()
+	return true
 }
 
 // release unlocks the engine and passes on what was queued while it was held
 // — by deliverers and sessions whose TryLock failed, or by SubmitAsync — by
-// ringing the loop's bell; ring asks for the bell regardless (a turn armed a
-// timer the stopped ticker would miss). Once the shard has stopped there is
-// no loop to ring, so the releaser discards what is queued itself, for as
-// long as it can take the lock back; a holder that beat it to the lock
-// re-checks in turn. A deliverer or session queues before it tries the lock
-// and a holder looks after it unlocks, so one of the two always sees the
-// arrival or op.
-func (n *Shard) release(ring bool) {
+// handing it to the control goroutine. A tick the clock owes the shard it
+// runs itself, and once the node has stopped it discards what is queued, for
+// as long as it can take the lock back; a holder that beat it to the lock
+// re-checks in turn. A producer queues before it tries the lock and a holder
+// looks after it unlocks, so one of the two always sees the work.
+func (n *Shard) release() {
 	for {
 		n.engine.Unlock()
-		if !ring && len(n.msgs)+len(n.ops) == 0 {
+		due := n.tickDue.Load()
+		if !due && len(n.msgs)+len(n.ops) == 0 {
 			return
 		}
-		if !n.stopped() {
-			n.ring()
+		if !due && !n.sn.stopped() {
+			n.sn.handOver(n)
 			return
 		}
 		if !n.engine.TryLock() {
 			return
 		}
-		n.discard()
-		ring = false
+		n.turns()
 	}
 }
 
-// ring wakes the event loop, if it is not already due to wake.
-func (n *Shard) ring() {
-	select {
-	case n.bell <- struct{}{}:
-	default:
+// turns is what a holder of the engine runs: the tick's turn the clock owes
+// the shard, if any, one burst of what is queued (shardhost.Runner.Burst),
+// and the hand-off, which sends every stage after a tick. A shard whose turns
+// armed a timer becomes timed and wakes the control goroutine to start the
+// clock. Once the node has stopped, the holder discards instead.
+func (n *Shard) turns() {
+	tick := n.tickDue.Swap(false)
+	if n.sn.stopped() {
+		n.r.Discard(n.msgs, n.ops)
+		return
 	}
-}
-
-// stopped reports whether the stop signal is up.
-func (n *Shard) stopped() bool {
-	select {
-	case <-n.stop:
-		return true
-	default:
-		return false
+	if tick {
+		n.h.Tick()
 	}
-}
-
-// idle reports whether the engine needs no tick: nothing armed, and nothing
-// held in the egress for the tick's FlushAll.
-func (n *Shard) idle() bool { return n.h.Idle() && !n.out.Holding() }
-
-// loop is the shard's event loop. It sleeps until its bell rings, its ticker
-// fires or the stop signal goes up, takes the engine lock, and runs a tick's
-// turn if the ticker woke it, then one burst of the queued messages and ops,
-// and ends with the hand-off: everything staged leaves, VALs waiting for
-// company too after a tick (handOff). Arrivals mostly run on the pumps that
-// deliver them and a served frame's ops on its session (kick); the loop takes
-// what found the engine held, and the ops SubmitAsync queues. It stops its
-// ticker while the engine is idle and the egress holds nothing, and restarts
-// it when a turn arms a timer again.
-func (n *Shard) loop(every time.Duration) {
-	defer n.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		tick := false
-		select {
-		case <-n.stop:
-			n.engine.Lock()
-			n.discard()
-			n.release(false)
-			return
-		case <-n.bell:
-		case <-ticker.C:
-			tick = true
-		}
-		n.engine.Lock()
-		if tick {
-			n.h.Tick()
-		}
-		n.burst(len(n.ops))
-		n.handOff(tick)
-		if idle := n.idle(); idle != n.untimed {
-			n.untimed = idle
-			if idle {
-				ticker.Stop()
-			} else {
-				ticker.Reset(every)
-			}
-		}
-		n.release(false)
-	}
-}
-
-// burst is a burst machine's turns in the manner of the paper's Wings
-// workers (§4.2): everything that was queued when it starts — the messages,
-// and the first queuedOps ops of the ops queue — runs one engine turn each.
-// Batching is opportunistic: a burst is what was queued, never waited for,
-// and that bound is also what keeps the tick and the stop reachable under a
-// producer that never lets the inbox run dry. The caller sends what
-// the turns staged when it returns (handOff).
-//
-// A burst runs in windows of at most burstWindow entries. Each window is
-// received in full, then the keys its turns will touch are prefetched in one
-// pass (MICA's batched lookups), and only then do its turns run, messages
-// then ops, each in arrival order: the store misses of a window's keys
-// overlap instead of queueing one turn at a time behind each other. Only the
-// engine's holder receives from the queues, so as many receives as len
-// reported find an entry; they are non-blocking all the same, since a
-// receive must never wait under the engine lock.
-func (n *Shard) burst(queuedOps int) {
-	queuedMsgs := len(n.msgs)
-	w := &n.win
-	for {
-		for ; queuedMsgs > 0 && !w.full(); queuedMsgs-- {
-			select {
-			case e := <-n.msgs:
-				w.msgs[w.nm] = e
-				w.nm++
-			default:
-			}
-		}
-		for ; queuedOps > 0 && !w.full(); queuedOps-- {
-			select {
-			case s := <-n.ops:
-				w.ops[w.no] = s
-				w.no++
-			default:
-			}
-		}
-		if w.nm+w.no == 0 {
-			return
-		}
-		n.runWindow()
-	}
-}
-
-// handOff ends a burst: it flushes the egress — every stage when all is set,
-// else the ones not holding VALs alone (shardhost.Egress) — and adds what
-// left to the node's counters. Transport.Send does not block and does not
-// keep what it is given, so the flush runs under the engine lock.
-func (n *Shard) handOff(all bool) {
-	flush := n.out.Flush
-	if all {
-		flush = n.out.FlushAll
-	}
-	if batches, coalesced, singles := flush(); batches+singles > 0 {
-		n.sn.batchesOut.Add(batches)
-		n.sn.coalescedOut.Add(coalesced)
-		n.sn.singlesOut.Add(singles)
-	}
-}
-
-// runWindow prefetches the keys of the window's turns, runs the turns —
-// messages, then ops, each in arrival order — and empties the window.
-func (n *Shard) runWindow() {
-	w := &n.win
-	nk := 0
-	for _, e := range w.msgs[:w.nm] {
-		if k, ok := core.MsgKey(e.msg); ok {
-			w.keys[nk] = k
-			nk++
-		}
-	}
-	for i := range w.ops[:w.no] {
-		w.keys[nk] = w.ops[i].op.Key
-		nk++
-	}
-	n.h.Prefetch(w.keys[:nk])
-	for i := range w.msgs[:w.nm] {
-		if im, ok := w.msgs[i].msg.(installMsg); ok {
-			n.install(im)
-		} else {
-			n.h.Deliver(w.msgs[i].from, w.msgs[i].msg)
-		}
-		w.msgs[i] = env{} // the window must not keep a turn's message alive
-	}
-	for i := range w.ops[:w.no] {
-		n.accept(w.ops[i])
-		w.ops[i] = submitted{}
-	}
-	w.nm, w.no = 0, 0
-}
-
-// accept runs one submitted op's turn.
-func (n *Shard) accept(s submitted) {
-	// Recorded before Submit: a local read completes within the call.
-	n.pending[s.op.ID] = s.done
-	n.h.Submit(s.op)
-}
-
-// discard is what holds the engine once the stop signal is up, instead of
-// turns: nothing completes an op once the loop is gone, so it fails the ops
-// the engine holds and the queued ones and releases the frame references the
-// queued messages carry.
-func (n *Shard) discard() {
-	for id, done := range n.pending {
-		delete(n.pending, id)
-		done(proto.Completion{OpID: id, Status: proto.NotOperational})
-	}
-	n.failQueued()
-	for {
-		select {
-		case e := <-n.msgs:
-			core.ReleaseMsgOwners(e.msg)
-		default:
-			return
-		}
-	}
-}
-
-// failQueued fails every op still in the queue. Only for after the stop
-// signal: discard calls it, and so does a submitter whose enqueue may have
-// landed behind that.
-func (n *Shard) failQueued() {
-	for {
-		select {
-		case s := <-n.ops:
-			s.done(proto.Completion{OpID: s.op.ID, Status: proto.NotOperational})
-		default:
-			return
+	n.r.Burst(n.msgs, n.ops)
+	n.r.HandOff(tick)
+	if idle := n.r.Idle(); idle != n.untimed.Load() {
+		n.untimed.Store(idle)
+		if !idle {
+			poke(n.sn.wake)
 		}
 	}
 }
@@ -557,64 +365,29 @@ func (n *Shard) failQueued() {
 func (n *Shard) Hermes() *core.Hermes { return n.h }
 
 // installView delivers an m-update to the engine and blocks until its §3.4
-// transition completes, or the shard stops. The lock-free read gate is shut
-// before the m-update enters the event loop, so fast-path reads fall back to
-// the Submit path for the entire transition window; OnViewChange republishes
-// the gate under the new epoch.
+// transition completes, or the node stops. The lock-free read gate is shut
+// before the m-update is queued, so fast-path reads fall back to the Submit
+// path for the entire transition window; OnViewChange republishes the gate
+// under the new epoch.
 func (n *Shard) installView(v proto.View) {
-	n.h.ReadGate().Shut()
 	done := make(chan struct{})
-	n.queueInstall(installMsg{v: v, done: done})
+	n.queueInstall(shardhost.InstallMsg{View: v, Done: done})
 	select {
 	case <-done:
-	case <-n.stop:
+	case <-n.sn.stop:
 	}
 }
 
-// installAsync is installView without the completion wait: the gate shuts
-// immediately and the m-update is queued behind the shard's arrivals. Used
-// when the caller is a transport pump that must not block on a busy shard
-// (OnViewChange republishes the gate when it runs — including for duplicate
-// or stale epochs, so a redelivered MUpdate cannot wedge the gate shut).
-func (n *Shard) installAsync(v proto.View) {
+// queueInstall shuts the read gate, queues m on the inbox behind the shard's
+// arrivals, and runs it at once if the engine is free (kick). Without Done it
+// is an asynchronous install, for a caller that must not wait on a busy
+// shard: a transport pump or the control goroutine (OnViewChange republishes
+// the gate when it runs — including for duplicate or stale epochs, so a
+// redelivered MUpdate cannot wedge the gate shut).
+func (n *Shard) queueInstall(m shardhost.InstallMsg) {
 	n.h.ReadGate().Shut()
-	n.queueInstall(installMsg{v: v})
-}
-
-// installMsg is an m-update on its way to the engine. It is queued on the
-// inbox like an arrival, so it keeps its place among them: a peer's messages
-// sent before its MUpdate still run under the old epoch, and those sent
-// after it under the new one, whichever goroutine runs them.
-type installMsg struct {
-	v    proto.View
-	done chan struct{} // closed once installed; nil if nobody waits
-}
-
-// queueInstall puts m on the inbox and rings the loop: the goroutine queueing
-// it need not be a transport pump that kicks the shard afterwards.
-func (n *Shard) queueInstall(m installMsg) {
-	n.deliver(n.id, m)
-	n.ring()
-}
-
-// install is an install's turn. The VALs the egress holds leave first, under
-// the epoch they were sent in; held across the transition they would reach
-// peers that had moved on, and be dropped as stale.
-func (n *Shard) install(m installMsg) {
-	n.handOff(true)
-	n.h.OnViewChange(m.v)
-	if m.done != nil {
-		close(m.done)
-	}
-}
-
-func (n *Shard) close() {
-	select {
-	case <-n.stop:
-	default:
-		close(n.stop)
-	}
-	n.wg.Wait()
+	n.deliver(n.sn.id, m)
+	n.kick()
 }
 
 // ErrClosed reports an operation on a stopped node.
@@ -628,49 +401,32 @@ var ErrAborted = errors.New("cluster: rmw aborted by concurrent update")
 var ErrNotOperational = errors.New("cluster: replica not operational")
 
 // submit assigns op its ID and queues it together with the callback its
-// completion goes to, then rings the event loop's bell — unless held, when the
-// caller runs the queue itself (kick) once it has queued the rest of its
-// batch. A submitter that finds the queue full rings before it waits: only a
-// holder of the engine drains the queue, and a held submitter has no other
-// ring coming. An error means done will never run; nil means it runs exactly
+// completion goes to, then hands it to the control goroutine — unless held,
+// when the caller runs the queue itself (kick) once it has queued the rest of
+// its batch. A submitter that finds the queue full makes room (enqueue). An
+// error means done will never run; nil means it runs exactly
 // once.
 func (n *Shard) submit(ctx context.Context, op proto.ClientOp, done func(proto.Completion), held bool) error {
-	// Checked first: ops is buffered, so once the loop has exited a send
+	// Checked first: ops is buffered, so once the node has stopped a send
 	// would succeed into a queue nobody reads.
-	select {
-	case <-n.stop:
+	if n.sn.stopped() {
 		return ErrClosed
-	default:
 	}
 	op.ID = n.nextOp.Add(1)
 	if op.Kind.IsUpdate() {
 		n.updates.Add(1)
 	}
-	s := submitted{op: op, done: done}
-	select {
-	case n.ops <- s: // room in the queue, the usual case: no three-way select
-	default:
-		n.ring()
-		select {
-		case n.ops <- s:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-n.stop:
-			return ErrClosed
-		}
+	if err := enqueue(n, ctx, n.ops, shardhost.Op{Op: op, Done: done}); err != nil {
+		return err
 	}
 	if !held {
-		n.ring()
+		n.sn.handOver(n)
 	}
-	// The stop signal may have fired between the check above and the enqueue,
-	// and the loop's parting sweep may have run before the op landed. If the
-	// signal is up, wait the loop out and sweep again: whatever is queued then
-	// — this op, unless the loop got to it — has nobody else to fail it.
-	select {
-	case <-n.stop:
-		n.wg.Wait()
-		n.failQueued()
-	default:
+	// The stop may have come between the check above and the enqueue, after
+	// Close's sweep of the queue: whoever takes the engine now discards the
+	// op instead of running it.
+	if n.sn.stopped() {
+		n.kick()
 	}
 	return nil
 }
@@ -694,12 +450,15 @@ var opSinks = sync.Pool{
 	},
 }
 
+// do submits op and runs it on the caller if the engine is free (kick), then
+// waits for its completion.
 func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, error) {
 	sink := opSinks.Get().(*opSink)
-	if err := n.submit(ctx, op, sink.done, false); err != nil {
+	if err := n.submit(ctx, op, sink.done, true); err != nil {
 		opSinks.Put(sink)
 		return proto.Completion{}, err
 	}
+	n.kick()
 	select {
 	case c := <-sink.ch:
 		opSinks.Put(sink)
@@ -711,8 +470,8 @@ func (n *Shard) do(ctx context.Context, op proto.ClientOp) (proto.Completion, er
 		// NOT pooled: the completion still arrives, whenever the op commits,
 		// and a reused sink would hand it to an unrelated op.
 		return proto.Completion{}, ctx.Err()
-	case <-n.stop:
-		// NOT pooled either: the stopping loop fails the op on its way out.
+	case <-n.sn.stop:
+		// NOT pooled either: Close fails the op on its way out.
 		return proto.Completion{}, ErrClosed
 	}
 }

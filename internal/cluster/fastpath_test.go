@@ -10,6 +10,7 @@ import (
 	"repro/internal/kvs"
 	"repro/internal/linear"
 	"repro/internal/proto"
+	"repro/internal/shardhost"
 )
 
 func TestFastPathHitCounters(t *testing.T) {
@@ -67,7 +68,7 @@ func TestNodePrefetchAllocatesNothing(t *testing.T) {
 	l := NewShardedLocal(LocalConfig{N: 3}, 2)
 	defer l.Close()
 	n := l.Nodes[0]
-	keys := make([]proto.Key, 2*burstWindow+3)
+	keys := make([]proto.Key, 2*shardhost.BurstWindow+3)
 	for i := range keys {
 		keys[i] = proto.Key(i)
 		if i%2 == 0 {

@@ -50,7 +50,7 @@ func TestHeldFrameRunsInline(t *testing.T) {
 			t.Fatalf("shard %d: engine still held after RunHeld returned", i)
 		}
 		queued := len(s.ops)
-		s.release(false)
+		s.release()
 		if queued != 0 {
 			t.Fatalf("shard %d: %d ops still queued after RunHeld", i, queued)
 		}
@@ -104,7 +104,7 @@ func TestHeldOpsLoseNoWakeup(t *testing.T) {
 					}
 					s.engine.Lock()
 					time.Sleep(20 * time.Microsecond)
-					s.release(false)
+					s.release()
 					runtime.Gosched()
 				}
 			}()

@@ -48,7 +48,7 @@ func ackedKeys(tr *recTransport) []proto.Key {
 func metricsOf(s *Shard) core.Metrics {
 	s.engine.Lock()
 	m := s.h.Metrics()
-	s.release(false)
+	s.release()
 	return m
 }
 
@@ -69,7 +69,7 @@ func TestDispatchRunsTurnsInline(t *testing.T) {
 			t.Fatalf("shard %d: engine still held after dispatch returned", i)
 		}
 		m := s.h.Metrics()
-		s.release(false)
+		s.release()
 		if m.ACKsSent != 1 {
 			t.Fatalf("shard %d: %d ACKs sent when dispatch returned, want 1", i, m.ACKsSent)
 		}
@@ -112,7 +112,7 @@ func TestInlineDispatchLosesNoWakeup(t *testing.T) {
 					}
 					s.engine.Lock()
 					time.Sleep(20 * time.Microsecond)
-					s.release(false)
+					s.release()
 					runtime.Gosched()
 				}
 			}()

@@ -29,7 +29,7 @@ func wedge(t *testing.T, sn *ShardedNode, shard int) (release func()) {
 	s := sn.Shard(shard)
 	s.engine.Lock()
 	var once sync.Once
-	release = func() { once.Do(func() { s.release(false) }) }
+	release = func() { once.Do(func() { s.release() }) }
 	t.Cleanup(release)
 	return release
 }

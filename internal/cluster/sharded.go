@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kvs"
@@ -16,9 +15,8 @@ import (
 
 // ShardedNode is a live Hermes replica: the multi-worker protocol engine of
 // HermesKV (paper §4.1), one node hosting W independent core.Hermes state
-// machines, each with its own engine lock and event-loop goroutine (Shard),
-// kvs.Store segment and timers, each owning the keyspace partition
-// proto.ShardOf selects.
+// machines, each with its own engine lock (Shard), kvs.Store segment and
+// timers, each owning the keyspace partition proto.ShardOf selects.
 // Writes and RMWs to keys on different shards commit fully in parallel —
 // there is no cross-shard serialization point — and linearizable local reads
 // are served lock-free from the owning shard's store on the caller's
@@ -27,14 +25,16 @@ import (
 // The node is the live driver of internal/shardhost, which owns everything
 // deterministic about hosting W engines: routing an arrival to the shard
 // owning its key, m-update addressing, the view log, the staggered roll of
-// node-wide views, epoch gossip and each engine's egress stager
-// (shardhost.Egress) — the same code the simulator runs. What this type adds
-// is what only a live runtime has: the goroutines that run each engine's
-// turns — the transport's, for arrivals that find the engine free, a serving
-// session's, for the ops of its request frame (RunHeld), and the shard's
-// event loop for the rest — and their burst windows, wall-clock time,
-// one mutex serializing the host's control-plane state and one control-plane
-// goroutine stepping it (control).
+// node-wide views, epoch gossip, each engine's burst runner
+// (shardhost.Runner) and egress stager (shardhost.Egress) — the same code the
+// simulator runs. What this type adds is what only a live runtime has: the
+// queues in front of each engine, the goroutines that run its turns — the
+// transport's, for arrivals that find the engine free, a serving session's,
+// for the ops of its request frame (RunHeld), a blocking caller's, for its
+// own op, and the control goroutine's for the rest — wall-clock time, one
+// mutex serializing the host's control-plane state, and the one control
+// goroutine per node (control), which steps the host, ticks the shards and
+// runs the work that found an engine held.
 //
 // On the wire every protocol message is wrapped in a proto.ShardMsg so the
 // receiving node can route it to the peer shard that owns the key; shard s
@@ -43,7 +43,7 @@ import (
 //
 // Small messages (INVs, ACKs, VALs) are not sent one by one: each engine's
 // Egress stages what one burst of its turns sent, per peer, and whoever ran
-// the burst flushes it at its end (Shard.handOff), each stage as one
+// the burst flushes it at its end (shardhost.Runner.HandOff), each stage as one
 // proto.ShardBatch — except a stage of VALs alone, which waits for the
 // shard's next INV or ACK to that peer, or the end of the next tick.
 // Transport.Send never blocks, so a burst can afford to; the transport's
@@ -69,9 +69,6 @@ type ShardedNode struct {
 	shards []*Shard
 	start  time.Time
 
-	// Egress counters (atomic; see CoalesceStats).
-	batchesOut, coalescedOut, singlesOut atomic.Uint64
-
 	// drv lends the host this node's shards and transport. Data-plane
 	// routing (shardhost.Route) goes through it with no lock.
 	drv shardhost.Driver
@@ -84,12 +81,12 @@ type ShardedNode struct {
 	host  *shardhost.Host
 	after []func()
 
-	// The control goroutine: wake is poked when a host call leaves a view
-	// rolling, ctlStop (closed once, by Close) stops it, ctlDone closes when
-	// it has returned.
-	wake             chan struct{}
-	ctlStop, ctlDone chan struct{}
-	stopOnce         sync.Once
+	// The control goroutine (control): wake is poked when a host call leaves
+	// a view rolling, a shard hands it work or a shard turns timed. stop
+	// (closed once, by Close) stops it and every shard; ctlDone closes when
+	// the goroutine has returned.
+	wake, stop, ctlDone chan struct{}
+	stopOnce            sync.Once
 }
 
 // ShardedConfig parameterizes a live replica. Shards is the worker count W
@@ -105,8 +102,9 @@ type ShardedConfig struct {
 // tickEvery is the protocol timer granularity: the Go runtime's idle timer
 // resolution. It also bounds how long a VAL with no INV or ACK to ride waits
 // in the egress (shardhost.Egress), so how long an idle follower sees a
-// committed key as Invalid. A shard whose engine has nothing armed and whose
-// egress holds nothing does not tick.
+// committed key as Invalid. One clock ticks every shard of a node; a shard
+// whose engine has nothing armed and whose egress holds nothing is not
+// ticked, and while no shard needs a tick the clock stops.
 const tickEvery = time.Millisecond
 
 // DefaultShards picks a worker count for deployments that do not choose one:
@@ -129,7 +127,11 @@ func DefaultShards() int {
 // fourth result is always 0: nothing is queued here, so nothing is shed here —
 // a transport that queues counts its own (wings.Stats.Shed).
 func (sn *ShardedNode) CoalesceStats() (batches, coalesced, singles, dropped uint64) {
-	return sn.batchesOut.Load(), sn.coalescedOut.Load(), sn.singlesOut.Load(), 0
+	for _, s := range sn.shards {
+		b, c, n := s.r.Flushed()
+		batches, coalesced, singles = batches+b, coalesced+c, singles+n
+	}
+	return batches, coalesced, singles, 0
 }
 
 // NewShardedNode builds and starts a live Hermes replica with cfg.Shards
@@ -138,8 +140,8 @@ func NewShardedNode(cfg ShardedConfig, tr Transport) *ShardedNode {
 	return newShardedNode(cfg, tr, tickEvery)
 }
 
-// newShardedNode is NewShardedNode with its shards ticking every tick (a test
-// that needs a silent ticker passes an hour).
+// newShardedNode is NewShardedNode with its clock ticking every tick (a test
+// that needs a silent clock passes an hour).
 func newShardedNode(cfg ShardedConfig, tr Transport, tick time.Duration) *ShardedNode {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -153,16 +155,16 @@ func newShardedNode(cfg ShardedConfig, tr Transport, tick time.Duration) *Sharde
 		tr:      tr,
 		start:   time.Now(),
 		wake:    make(chan struct{}, 1),
-		ctlStop: make(chan struct{}),
+		stop:    make(chan struct{}),
 		ctlDone: make(chan struct{}),
 	}
 	for i := 0; i < sn.w; i++ {
-		sn.shards = append(sn.shards, newShard(cfg, sn, i, tick))
+		sn.shards = append(sn.shards, newShard(cfg, sn, i))
 	}
 	sn.drv = hostDriver{sn}
 	sn.host = shardhost.New(cfg.ID, sn.w, cfg.View, cfg.MLT, sn.drv)
 	sn.host.Stagger = rollStagger
-	go sn.control(shardhost.GossipPeriod(cfg.MLT))
+	go sn.control(shardhost.GossipPeriod(cfg.MLT), tick)
 	tr.SetDeliver(cfg.ID, sn.dispatch)
 	return sn
 }
@@ -173,25 +175,68 @@ func newShardedNode(cfg ShardedConfig, tr Transport, tick time.Duration) *Sharde
 // rolls.
 const rollStagger = time.Millisecond
 
-// control is the node's control-plane clock: it steps the host when a view
-// is accepted, every rollStagger while one rolls, and every gossip period
-// (the host announces the node's epochs when one has passed).
-func (sn *ShardedNode) control(gossipEvery time.Duration) {
+// control is the node's control goroutine: its control-plane clock, the
+// clock of its shards and their fallback runner. It steps the host when a
+// view is accepted, every rollStagger while one rolls, and every gossip
+// period (the host announces the node's epochs when one has passed); it
+// ticks every timed shard every tick, stopping the clock while no shard is
+// timed; and it runs the work a holder handed over (Shard.fallback). It never
+// waits for an engine: a shard whose engine is held is left to the holder.
+func (sn *ShardedNode) control(gossipEvery, tick time.Duration) {
 	defer close(sn.ctlDone)
 	gossip := time.NewTicker(gossipEvery)
 	defer gossip.Stop()
+	ticks := time.After(tick) // every shard starts timed
 	for {
 		var roll <-chan time.Time
 		if sn.runHost(func(h *shardhost.Host) { h.Step(time.Since(sn.start)) }) {
 			roll = time.After(rollStagger)
 		}
+		ticked := false
 		select {
-		case <-sn.ctlStop:
+		case <-sn.stop:
 			return
+		case <-ticks:
+			ticked, ticks = true, nil
 		case <-sn.wake:
 		case <-roll:
 		case <-gossip.C:
 		}
+		timed := false
+		for _, s := range sn.shards {
+			s.fallback(ticked)
+			timed = timed || !s.untimed.Load()
+		}
+		if !timed {
+			ticks = nil
+		} else if ticks == nil {
+			ticks = time.After(tick)
+		}
+	}
+}
+
+// handOver gives s's queued work to the control goroutine.
+func (sn *ShardedNode) handOver(s *Shard) {
+	s.handed.Store(true)
+	poke(sn.wake)
+}
+
+// poke wakes the control goroutine through ch, if it is not already due to
+// wake.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// stopped reports whether Close has begun.
+func (sn *ShardedNode) stopped() bool {
+	select {
+	case <-sn.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -213,17 +258,14 @@ func (sn *ShardedNode) dispatch(from proto.NodeID, msg any) {
 // control goroutine if a view is left rolling — fn may have accepted one.
 func (sn *ShardedNode) withHost(fn func(h *shardhost.Host)) {
 	if sn.runHost(fn) {
-		select {
-		case sn.wake <- struct{}{}:
-		default:
-		}
+		poke(sn.wake)
 	}
 }
 
 // runHost runs fn on the host under ctlMu, then performs the effects the
 // driver queued during it with the mutex released: an install queues on a
-// shard's inbox and may wait for room behind a busy shard, and a mutex must
-// not be held across that. It reports whether a view is rolling.
+// shard's inbox and may run the shard's turns, and a mutex must not be held
+// across that. It reports whether a view is rolling.
 func (sn *ShardedNode) runHost(fn func(h *shardhost.Host)) (rolling bool) {
 	sn.ctlMu.Lock()
 	fn(sn.host)
@@ -246,19 +288,20 @@ func (d hostDriver) Deliver(shard int, from proto.NodeID, msg any) {
 
 // Install queues an asynchronous install on one shard (called under ctlMu;
 // runHost performs it). Asynchronous because the caller may be a transport
-// pump, which must not block behind one busy shard's event loop — that would
-// re-couple the shards the per-shard epochs decouple. The roll waits for the
-// shard's gate epoch to move before it hands out the next install.
+// pump or the control goroutine, neither of which may wait for one busy
+// shard's engine — that would re-couple the shards the per-shard epochs
+// decouple. The roll waits for the shard's gate epoch to move before it hands
+// out the next install.
 func (d hostDriver) Install(shard int, v proto.View) {
 	s := d.sn.shards[shard]
-	d.sn.after = append(d.sn.after, func() { s.installAsync(v) })
+	d.sn.after = append(d.sn.after, func() { s.queueInstall(shardhost.InstallMsg{View: v}) })
 }
 
 // Epoch reads the shard's atomic read-gate word; safe mid-traffic.
 func (d hostDriver) Epoch(shard int) uint32 { return d.sn.shards[shard].h.ReadGate().Epoch() }
 
-// Load is the shard's total reads served (fast path + event loop) plus
-// update ops submitted; safe mid-traffic.
+// Load is the shard's total reads served (fast path + submitted) plus update
+// ops submitted; safe mid-traffic.
 func (d hostDriver) Load(shard int) uint64 {
 	s := d.sn.shards[shard]
 	reads, _, _ := s.h.ReadStats()
@@ -316,11 +359,11 @@ func (sn *ShardedNode) shardFor(key proto.Key) *Shard {
 // Read performs a linearizable read. When the owning shard's read gate is
 // open and the key is Valid, the read is served entirely on the caller's
 // goroutine — one atomic gate load and one lock-free store lookup, never
-// touching the event loop (the HermesKV fast path, §4.1). Otherwise —
-// non-Valid key, NoLSC mode (the fast path must not bypass the §8
-// membership proof), an in-flight view installation, or a non-serving
-// replica — the op goes through the event loop and stalls until the key
-// validates.
+// touching the engine (the HermesKV fast path, §4.1). Otherwise — non-Valid
+// key, NoLSC mode (the fast path must not bypass the §8 membership proof), an
+// in-flight view installation, or a non-serving replica — the read is
+// submitted, runs on the caller if the engine is free, and stalls until the
+// key validates.
 func (sn *ShardedNode) Read(ctx context.Context, key proto.Key) (proto.Value, error) {
 	s := sn.shardFor(key)
 	if v, ok := s.h.ReadLocal(key); ok {
@@ -335,7 +378,7 @@ func (sn *ShardedNode) Read(ctx context.Context, key proto.Key) (proto.Value, er
 
 // ReadLocal attempts the lock-free local-read fast path on the caller's
 // goroutine: one atomic gate load and one store lookup against the owning
-// shard's segment, never touching the event loop. ok=false means the caller
+// shard's segment, never touching the engine. ok=false means the caller
 // must fall back to a submitted read (SubmitAsync or Read) — the key is not
 // Valid, the gate is shut, or NoLSC mode forbids the fast path. The client
 // serving layer calls this on session goroutines so wire reads keep the §4.1
@@ -369,9 +412,9 @@ func (sn *ShardedNode) Prefetch(keys []proto.Key) {
 	if len(keys) < 2 {
 		return
 	}
-	var slots [burstWindow]*kvs.Slot
+	var slots [shardhost.BurstWindow]*kvs.Slot
 	for len(keys) > 0 {
-		n := min(len(keys), burstWindow)
+		n := min(len(keys), shardhost.BurstWindow)
 		for i, k := range keys[:n] {
 			slots[i] = sn.shardFor(k).h.Store().Lookup(k)
 		}
@@ -380,17 +423,18 @@ func (sn *ShardedNode) Prefetch(keys []proto.Key) {
 	}
 }
 
-// SubmitAsync queues op on its owning shard, wakes the shard's event loop to
-// run it, and invokes fn with its completion instead of blocking the caller —
-// the pipelined path: one goroutine keeps hundreds of ops in flight without a
-// goroutine per op. fn runs on whichever goroutine runs the turn that
-// completes the op — the shard's event loop, a transport goroutine delivering
-// the last ACK, or one that runs queued work at its own batch's end (RunHeld)
-// — and MUST NOT block (enqueue and return; a blocking fn stalls the whole
-// shard, and the peer's stream behind it).
-// op.ID is assigned here; the completion's OpID echoes it. Blocks only if
-// the shard's ops queue is full (bounded backpressure on the submitting
-// session, never on other sessions or shards).
+// SubmitAsync queues op on its owning shard, hands it to the node's control
+// goroutine to run, and invokes fn with its completion instead of blocking
+// the caller — the pipelined path: one goroutine keeps hundreds of ops in
+// flight without a goroutine per op. fn runs on whichever goroutine runs the
+// turn that completes the op — the control goroutine, a transport goroutine
+// delivering the last ACK, or one that runs queued work at its own batch's
+// end (RunHeld) — and MUST NOT block (enqueue and return; a blocking fn
+// stalls the whole shard, and the peer's stream behind it).
+// op.ID is assigned here; the completion's OpID echoes it. If the shard's ops
+// queue is full, the caller runs a burst of the shard's work itself once the
+// engine is free (bounded backpressure on the submitting session, never on
+// other sessions or shards).
 //
 // An error means fn will never run; nil means it runs exactly once. Every
 // call after Close has returned gets ErrClosed, and an op in flight when the
@@ -407,12 +451,12 @@ func (sn *ShardedNode) SubmitAsync(op proto.ClientOp, fn func(proto.Completion))
 	return sn.shardFor(op.Key).submit(context.Background(), op, fn, false)
 }
 
-// SubmitHeld is SubmitAsync without the wake-up: op waits on its shard's
+// SubmitHeld is SubmitAsync without the hand-over: op waits on its shard's
 // queue for the caller's RunHeld, so a batch of ops — the serving layer's
 // request frame — runs in one burst per shard on the caller's goroutine
-// instead of waking each shard's event loop. fn's contract and the error
-// semantics are SubmitAsync's. A full ops queue wakes the event loop to drain
-// it before the call waits for room, so a batch larger than the queue still
+// instead of waking the control goroutine. fn's contract and the error
+// semantics are SubmitAsync's. A full ops queue makes the caller run a burst
+// of the shard's work itself, so a batch larger than the queue still
 // completes.
 func (sn *ShardedNode) SubmitHeld(op proto.ClientOp, fn func(proto.Completion)) error {
 	return sn.shardFor(op.Key).submit(context.Background(), op, fn, true)
@@ -421,7 +465,7 @@ func (sn *ShardedNode) SubmitHeld(op proto.ClientOp, fn func(proto.Completion)) 
 // RunHeld runs what every shard has queued — the ops SubmitHeld left there,
 // and any arrivals beside them — on the calling goroutine, one burst per
 // shard whose engine is free; a shard whose engine is held is left to its
-// holder, which wakes the event loop for it on release. It never waits.
+// holder, which hands it to the control goroutine on release. It never waits.
 // dispatch ends with it too, for the arrivals it queued.
 func (sn *ShardedNode) RunHeld() {
 	for _, s := range sn.shards {
@@ -499,14 +543,14 @@ func (sn *ShardedNode) InstallView(v proto.View) {
 // other shard's epoch, read gate and in-flight traffic untouched. This is
 // what localizes reconfiguration: a replay storm following shard i's install
 // cannot stall reads or writes on shards j≠i (TestStaggeredGateIsolation).
-// Blocks until the target shard's event loop has completed the transition.
+// Blocks until the target shard's engine has completed the transition.
 func (sn *ShardedNode) InstallShardView(shard int, v proto.View) {
 	sn.recordView(proto.MUpdate{Shard: uint16(shard), View: v})
 	sn.shards[shard].installView(v)
 }
 
 // ShardLoads reports each shard's live client-op load — total reads served
-// (fast path + event loop) plus update ops submitted since construction;
+// (fast path + submitted) plus update ops submitted since construction;
 // safe mid-traffic. The roll orders installs by deltas of these.
 func (sn *ShardedNode) ShardLoads() []uint64 {
 	out := make([]uint64, sn.w)
@@ -522,14 +566,19 @@ func (sn *ShardedNode) ShardLoads() []uint64 {
 // node.
 func (sn *ShardedNode) ShardEpochs() []uint32 { return sn.host.Epochs() }
 
-// Close stops the control goroutine and all shard engines (the transport is
-// the caller's to close). A roll still under way is abandoned.
+// Close stops the control goroutine and all shard engines: an op in flight
+// completes with proto.NotOperational, and queued arrivals are dropped (the
+// transport is the caller's to close). A roll still under way is abandoned.
 func (sn *ShardedNode) Close() {
-	sn.stopOnce.Do(func() { close(sn.ctlStop) })
-	<-sn.ctlDone
-	for _, s := range sn.shards {
-		s.close()
-	}
+	sn.stopOnce.Do(func() {
+		close(sn.stop)
+		<-sn.ctlDone
+		for _, s := range sn.shards {
+			s.engine.Lock()
+			s.r.Discard(s.msgs, s.ops)
+			s.release()
+		}
+	})
 }
 
 // ShardedLocal is a single-process replica group over a ChanTransport: the

@@ -1008,7 +1008,7 @@ func (h *Hermes) OnViewChange(v proto.View) {
 	h.checkOpen = false
 	h.checkAcks = 0
 	// Reopen (or keep shut) the lock-free read gate under the new epoch;
-	// the live runtime shut it before this m-update entered the event loop.
+	// the live runtime shut it before it queued this m-update.
 	h.wset = h.view.WriteSet(h.id)
 	h.publishGate()
 	for _, k := range h.sortedMetaKeys() {

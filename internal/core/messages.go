@@ -65,8 +65,8 @@ func ReleaseMsgOwners(msg any) {
 // MsgKey names the key a message's turn resolves in the store: the key of an
 // INV or a VAL, and false for every other message. An ACK is left out: its
 // coordinator reaches the key's slot through the key's meta, which the update
-// it acknowledges cached. The live event loop prefetches the named keys of a
-// burst before it runs the burst's turns (Hermes.Prefetch).
+// it acknowledges cached. The shard runner prefetches the named keys of a
+// window before it runs the window's turns (Hermes.Prefetch).
 func MsgKey(msg any) (proto.Key, bool) {
 	switch m := msg.(type) {
 	case INV:

@@ -43,7 +43,7 @@ func (g *ReadGate) Allowed() bool { return gateAllows(g.v.Load()) }
 func (g *ReadGate) Epoch() uint32 { return uint32(g.v.Load()) }
 
 // Shut closes the gate without touching epoch or mode bits. The live
-// runtime calls it before handing an m-update to the event loop so
+// runtime calls it before queueing an m-update for the engine so
 // fast-path reads fall back for the whole transition window; OnViewChange
 // republishes the gate under the new epoch when the installation completes.
 func (g *ReadGate) Shut() {

@@ -25,7 +25,7 @@
 // responses while continuing to send (so TCP backpressure wedges the
 // session's flusher and the response queue grows), is killed at the bound.
 // Either way the damage stays on that session: its pump and flusher block or
-// die, while other sessions and every shard event loop proceed — completion
+// die, while other sessions and every shard's turns proceed — completion
 // callbacks into a dead or wedged session enqueue-and-return (or drop),
 // never block.
 package server
@@ -387,8 +387,9 @@ func (se *session) handle(req *proto.ClientReq) error {
 	seq := req.Seq
 	op := proto.ClientOp{Kind: req.Op, Key: req.Key, Value: req.Value, Expected: req.Expected}
 	done := func(c proto.Completion) {
-		// Engine-turn context — a session, the shard's event loop or a
-		// transport goroutine: enqueue-and-return, never block.
+		// Engine-turn context — a session, the node's control goroutine,
+		// a blocking caller or a transport goroutine: enqueue-and-return,
+		// never block.
 		// Completion values are safeVal'd by the engine — no owner to carry.
 		se.enqueue(queuedResp{resp: proto.ClientResp{Seq: seq, Status: c.Status, Value: c.Value}})
 	}
@@ -408,8 +409,8 @@ func (se *session) handle(req *proto.ClientReq) error {
 
 // enqueue queues one response and kicks the flusher. Called from the session
 // goroutine (inline reads) and from engine turns (completions) on any
-// goroutine that runs them — a session's, a shard's event loop, a transport
-// pump; never blocks beyond the queue mutex.
+// goroutine that runs them — a session's, the node's control goroutine, a
+// transport pump; never blocks beyond the queue mutex.
 func (se *session) enqueue(qr queuedResp) {
 	se.mu.Lock()
 	if se.dead {

@@ -26,10 +26,10 @@ type Base interface {
 // critical path — the write committed when its ACKs arrived (paper §3.2) —
 // so it waits for company: it leaves in the same batch as the next INV or
 // ACK this shard stages for that peer, or at FlushAll, which sends every
-// stage. The live shard runs Flush at the end of every burst and FlushAll at
-// the end of a tick's, and both runtimes run FlushAll before an install, so a
-// held VAL never outlives its epoch. The simulator runs Flush
-// when each of its replica's entry points returns, FlushAll when Tick does.
+// stage. A Runner's hand-off runs Flush at the end of every burst and
+// FlushAll at the end of a tick's, and before an install, so a held VAL never
+// outlives its epoch. The simulator hands off when each of its replica's
+// entry points returns, all stages when Tick does.
 // The tick period therefore bounds how long a lone VAL waits, and with it how
 // long an idle follower sees a committed key as Invalid. Only VALs are held:
 // they carry no value, so holding one pins no pooled buffer.

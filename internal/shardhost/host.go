@@ -4,16 +4,18 @@
 // installing an m-update on exactly the shards it addresses (§3.4 per-shard
 // epochs), retaining and serving the view log, rolling node-wide views across
 // the shards, announcing the node's epochs and observing its peers' — the
-// epoch gossip that makes a lagging node fast-forward itself — and staging
-// each engine's outgoing messages into per-peer batches.
+// epoch gossip that makes a lagging node fast-forward itself — running each
+// engine's turns in windows, and staging its outgoing messages into per-peer
+// batches.
 //
 // It exists so this code is written once and run by both runtimes. The
 // simulator (internal/sim) calls it from virtual time; the live runtime
-// (internal/cluster) wraps it with inbox goroutines, their burst windows and
-// one control-plane goroutine. The chaos sweeps therefore exercise the code
-// hermes-node ships, not a mirror of it.
+// (internal/cluster) wraps it with per-shard queues and engine locks, the
+// goroutines that run turns where they find them, and one control goroutine
+// per node. The chaos sweeps therefore exercise the code hermes-node ships,
+// not a mirror of it.
 //
-// Four parts:
+// Five parts:
 //
 //   - Route is the data plane and is stateless — a pure function of (w, msg)
 //     — so the live per-message path takes no lock and allocates nothing.
@@ -30,10 +32,17 @@
 //     decision, a wire MUpdate, a fetched log entry — goes to it; nothing
 //     fans a node-wide view out to every shard at once except a view that
 //     fences the node.
+//   - Runner drives one engine: arrivals, installs and client ops go in, and
+//     run in windows of at most BurstWindow — one prefetch pass, then the
+//     turns, messages then ops, each in arrival order, an install after the
+//     VALs it would strand have left — and the burst ends with the hand-off
+//     that flushes the egress and counts what left. It starts no goroutine;
+//     the live runtime calls it under a shard's engine lock, the simulator
+//     with what each event carries.
 //   - Egress is each engine's proto.Env and the node's egress policy: which
 //     messages are staged (INVs, ACKs, VALs), when a stage leaves (one of
 //     VALs alone waits for company), and where it is split. It holds no
-//     lock, atomic or map; the engine's own loop calls it, Flush ends a
+//     lock, atomic or map; only the engine's turns call it, Flush ends a
 //     window of turns — a live burst, or one simulator event — and FlushAll
 //     ends a tick.
 package shardhost

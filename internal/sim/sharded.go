@@ -12,31 +12,30 @@ import (
 // ShardedReplica is the simulator's driver of shardhost: one host running W
 // independent core.Hermes engines, each owning the keyspace partition
 // proto.ShardOf selects, with per-shard membership epochs. Where the live
-// cluster.ShardedNode gives every engine its own event-loop goroutine, the
-// simulator is single-threaded — the engines are simply distinct state
-// machines behind one Replica facade, and CPU parallelism (when wanted) is
-// modeled separately by Config.Workers.
+// cluster.ShardedNode runs an engine's turns on whichever goroutine delivers,
+// submits or ticks, the simulator is single-threaded — the engines are simply
+// distinct state machines behind one Replica facade, and CPU parallelism
+// (when wanted) is modeled separately by Config.Workers.
 //
 // Routing, m-update addressing, the view log, the staggered rollout of
-// node-wide views, epoch gossip and each engine's egress stager are
-// shardhost's — the very code the live node runs, stepped here from virtual
-// time — so the chaos harness exercises what ships. What stays here is the
-// harness's: building the engines, Submit, Tick and the knobs the fault
-// script turns.
+// node-wide views, epoch gossip, each engine's burst runner and its egress
+// stager are shardhost's — the very code the live node runs, stepped here
+// from virtual time — so the chaos harness exercises what ships. What stays
+// here is the harness's: Submit, Tick and the knobs the fault script turns.
 //
-// Every exported method that can reach an engine flushes the stagers when it
-// returns, so one simulator event is one egress window: what the live shard
-// loop does when its inbox holds one entry. Like the live loop, it gathers
-// nothing over a tick except VALs alone, which wait for company until the
-// next INV or ACK to their peer or the end of the next Tick
-// (shardhost.Egress), and leave before an install.
+// Every exported method that can reach an engine runs the runners' windows
+// and hands their egress off when it returns, so one simulator event is one
+// burst: what a live shard runs when its queues hold what the event carries.
+// Like the live shard, it gathers nothing over a tick except VALs alone,
+// which wait for company until the next INV or ACK to their peer or the end
+// of the next Tick (shardhost.Egress), and leave before an install.
 type ShardedReplica struct {
-	id      proto.NodeID
-	w       int
-	env     proto.Env
-	engines []*core.Hermes
-	out     []*shardhost.Egress // engine i's Env
-	host    *shardhost.Host
+	id   proto.NodeID
+	w    int
+	env  proto.Env
+	run  []*shardhost.Runner
+	out  []*shardhost.Egress // engine i's Env
+	host *shardhost.Host
 }
 
 // rolloutStagger spaces one replica's per-shard installs of a node-wide view
@@ -70,40 +69,36 @@ func NewShardedReplica(id proto.NodeID, view proto.View, env proto.Env, cfg Shar
 		env.Send(to, msg)
 	}
 	for i := 0; i < w; i++ {
-		out := shardhost.NewEgress(uint16(i), env, wire)
-		r.out = append(r.out, out)
-		r.engines = append(r.engines, core.New(core.Config{
-			ID: id, View: view.Clone(), Env: out,
-			MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
-		}))
+		run := shardhost.NewRunner(uint16(i), env, wire, core.Config{
+			ID: id, View: view.Clone(), MLT: cfg.MLT, NoLSC: cfg.NoLSC, Learner: cfg.Learner,
+		})
+		r.run = append(r.run, run)
+		r.out = append(r.out, run.Egress())
 	}
 	r.host = shardhost.New(id, w, view, cfg.MLT, replicaDriver{r})
 	r.host.Stagger = rolloutStagger
 	return r
 }
 
-// replicaDriver lends the host the engines and the wire: deliveries and
-// installs are direct calls into the state machines, so an install has landed
-// when it returns.
+// replicaDriver lends the host the runners and the wire: a delivery goes in
+// its shard's window, and an install joins it and runs the window at once, so
+// it has landed when Install returns.
 type replicaDriver struct{ r *ShardedReplica }
 
 func (d replicaDriver) Deliver(shard int, from proto.NodeID, msg any) {
-	d.r.engines[shard].Deliver(from, msg)
+	d.r.run[shard].Deliver(from, msg)
 }
-func (d replicaDriver) Epoch(shard int) uint32        { return d.r.engines[shard].View().Epoch }
-func (d replicaDriver) Send(to proto.NodeID, msg any) { d.r.env.Send(to, msg) }
-
-// Install sends the VALs the shard's egress holds, under the epoch they were
-// sent in, then runs the transition.
 func (d replicaDriver) Install(shard int, v proto.View) {
-	d.r.out[shard].FlushAll()
-	d.r.engines[shard].OnViewChange(v)
+	d.r.run[shard].Deliver(d.r.id, shardhost.InstallMsg{View: v})
+	d.r.run[shard].Run()
 }
+func (d replicaDriver) Epoch(shard int) uint32        { return d.r.Engine(shard).View().Epoch }
+func (d replicaDriver) Send(to proto.NodeID, msg any) { d.r.env.Send(to, msg) }
 
 // Load is the engine's client ops so far — the simulator's counterpart of
 // the live ShardedNode.ShardLoads.
 func (d replicaDriver) Load(shard int) uint64 {
-	m := d.r.engines[shard].Metrics()
+	m := d.r.Engine(shard).Metrics()
 	return m.Reads + m.Writes + m.RMWs
 }
 
@@ -114,12 +109,12 @@ func (r *ShardedReplica) ID() proto.NodeID { return r.id }
 func (r *ShardedReplica) Shards() int { return r.w }
 
 // Engine exposes shard i's state machine (metrics, tests).
-func (r *ShardedReplica) Engine(i int) *core.Hermes { return r.engines[i] }
+func (r *ShardedReplica) Engine(i int) *core.Hermes { return r.run[i].Engine() }
 
 // Submit implements proto.Replica: ops route to the engine owning the key.
 func (r *ShardedReplica) Submit(op proto.ClientOp) {
 	defer r.flush()
-	r.engines[proto.ShardOf(op.Key, r.w)].Submit(op)
+	r.run[proto.ShardOf(op.Key, r.w)].Submit(op, nil)
 }
 
 // Deliver implements proto.Replica: the host routes data-plane traffic to the
@@ -129,10 +124,12 @@ func (r *ShardedReplica) Deliver(from proto.NodeID, msg any) {
 	r.host.Dispatch(from, msg, r.env.Now())
 }
 
-// flush ends an egress window: every engine's stages leave, engine by engine.
+// flush ends a burst: every runner runs its window and hands its egress off,
+// engine by engine.
 func (r *ShardedReplica) flush() {
-	for _, out := range r.out {
-		out.Flush()
+	for _, run := range r.run {
+		run.Run()
+		run.HandOff(false)
 	}
 }
 
@@ -143,12 +140,12 @@ func (r *ShardedReplica) HostStats() shardhost.Stats { return r.host.Stats() }
 // plane's step (roll install, gossip announcement), then every stage leaves,
 // the VALs still waiting for company included.
 func (r *ShardedReplica) Tick() {
-	for _, e := range r.engines {
-		e.Tick()
+	for _, run := range r.run {
+		run.Engine().Tick()
 	}
 	r.host.Step(r.env.Now())
-	for _, out := range r.out {
-		out.FlushAll()
+	for _, run := range r.run {
+		run.HandOff(true)
 	}
 }
 
@@ -156,8 +153,8 @@ func (r *ShardedReplica) Tick() {
 // gate closes or reopens accordingly; queued speculative reads still drain).
 func (r *ShardedReplica) SetNoLSC(on bool) {
 	defer r.flush()
-	for _, e := range r.engines {
-		e.SetNoLSC(on)
+	for _, run := range r.run {
+		run.Engine().SetNoLSC(on)
 	}
 }
 
@@ -173,15 +170,15 @@ func (r *ShardedReplica) OnViewChange(v proto.View) {
 // node-level event).
 func (r *ShardedReplica) SetOperational(ok bool) {
 	defer r.flush()
-	for _, e := range r.engines {
-		e.SetOperational(ok)
+	for _, run := range r.run {
+		run.Engine().SetOperational(ok)
 	}
 }
 
 // CaughtUp reports whether every learner engine finished state transfer.
 func (r *ShardedReplica) CaughtUp() bool {
-	for _, e := range r.engines {
-		if !e.CaughtUp() {
+	for _, run := range r.run {
+		if !run.Engine().CaughtUp() {
 			return false
 		}
 	}

@@ -38,9 +38,9 @@ import (
 )
 
 // Mesh is a TCP transport implementing cluster.Transport for one local
-// node. Send never blocks: it runs in engine turns, on the shard event loops
-// and on this mesh's own readers, whose deliver callback runs arrivals' turns
-// inline. Everything that can wait on a peer — the dial, the socket — waits
+// node. Send never blocks: it runs in engine turns, on whichever goroutine
+// runs them — this mesh's own readers among them, whose deliver callback runs
+// arrivals' turns inline. Everything that can wait on a peer — the dial, the socket — waits
 // on that peer's link flusher, behind the link's bounded queue. A peer's
 // link sends and receives on the one connection the pair shares.
 type Mesh struct {
